@@ -93,10 +93,7 @@ pub fn run() -> String {
     let outcome = Simulation::builder(params)
         .byzantine(
             NodeId::new(6),
-            Box::new(PhaseForger {
-                lead: 1_000,
-                value: Value::ONE,
-            }),
+            Box::new(PhaseForger::new(1_000, Value::ONE)),
         )
         .algorithm(factories::dac(params))
         .max_rounds(2_000)

@@ -1,6 +1,6 @@
 use adn_types::{Batch, Message, Params, Phase, Port, Value};
 
-use crate::Algorithm;
+use crate::{trim, Algorithm};
 
 /// DBAC — Dynamic Byzantine Approximate Consensus (Algorithm 2 of the
 /// paper).
@@ -52,9 +52,11 @@ pub struct Dbac {
     phase: Phase,
     ports_seen: Vec<bool>,
     seen_count: usize,
-    /// The `f + 1` smallest accepted values of the current phase.
+    /// The `f + 1` smallest accepted values of the current phase,
+    /// ascending, unfilled slots padded (see [`crate::trim`]).
     low: Vec<Value>,
-    /// The `f + 1` largest accepted values of the current phase.
+    /// The `f + 1` largest accepted values of the current phase,
+    /// descending, padded likewise.
     high: Vec<Value>,
     /// Reusable scratch for sorting piggybacked batches in `receive`.
     sort_scratch: Vec<Message>,
@@ -79,8 +81,8 @@ impl Dbac {
             phase: Phase::ZERO,
             ports_seen: vec![false; params.n()],
             seen_count: 0,
-            low: Vec::with_capacity(params.dbac_list_len()),
-            high: Vec::with_capacity(params.dbac_list_len()),
+            low: vec![Value::HALF; params.dbac_list_len()],
+            high: vec![Value::HALF; params.dbac_list_len()],
             sort_scratch: Vec::new(),
             output: None,
         };
@@ -101,46 +103,25 @@ impl Dbac {
 
     /// Current `R_low` (sorted ascending), exposed for invariant tests.
     pub fn low_list(&self) -> Vec<Value> {
-        let mut l = self.low.clone();
-        l.sort();
-        l
+        self.low[..self.stored()].to_vec()
     }
 
     /// Current `R_high` (sorted ascending), exposed for invariant tests.
     pub fn high_list(&self) -> Vec<Value> {
-        let mut h = self.high.clone();
-        h.sort();
-        h
+        self.high[..self.stored()].iter().rev().copied().collect()
+    }
+
+    /// Values each trim list holds: every contributor's, up to `f + 1`.
+    fn stored(&self) -> usize {
+        self.distinct_count().min(self.low.len())
     }
 
     /// Alg. 2 `RESET()` + self-store (see type docs).
     fn reset(&mut self) {
         self.ports_seen.fill(false);
         self.seen_count = 0;
-        self.low.clear();
-        self.high.clear();
-        self.store(self.value);
-    }
-
-    /// Alg. 2 `STORE(v_j)`: keep the `f+1` smallest in `low` and the
-    /// `f+1` largest in `high`. A value may enter both lists (they overlap
-    /// until more than `2(f+1)` values arrive).
-    fn store(&mut self, v: Value) {
-        let cap = self.params.dbac_list_len();
-        if self.low.len() < cap {
-            self.low.push(v);
-        } else if let Some(max_idx) = max_index(&self.low) {
-            if v < self.low[max_idx] {
-                self.low[max_idx] = v;
-            }
-        }
-        if self.high.len() < cap {
-            self.high.push(v);
-        } else if let Some(min_idx) = min_index(&self.high) {
-            if v > self.high[min_idx] {
-                self.high[min_idx] = v;
-            }
-        }
+        trim::clear(&mut self.low, &mut self.high);
+        trim::store(&mut self.low, &mut self.high, self.value);
     }
 
     fn maybe_output(&mut self) {
@@ -157,7 +138,7 @@ impl Dbac {
         if msg.phase() >= self.phase && !self.ports_seen[port.index()] {
             self.ports_seen[port.index()] = true;
             self.seen_count += 1;
-            self.store(msg.value());
+            trim::store(&mut self.low, &mut self.high, msg.value());
         }
         self.try_advance();
     }
@@ -168,10 +149,7 @@ impl Dbac {
     // audit: no-alloc-fn
     fn try_advance(&mut self) {
         while self.output.is_none() && self.distinct_count() >= self.params.dbac_quorum() {
-            let (Some(&lo), Some(&hi)) = (self.low.iter().max(), self.high.iter().min()) else {
-                debug_assert!(false, "low/high lists are never empty at quorum");
-                return;
-            };
+            let (lo, hi) = trim::bounds(&self.low, &self.high);
             self.value = lo.midpoint(hi);
             self.phase = self.phase.next();
             self.reset();
@@ -179,25 +157,6 @@ impl Dbac {
         }
         self.maybe_output();
     }
-}
-
-/// Index of the maximum (the *last* one among ties — `max_by_key`'s
-/// contract, which [`crate::plane::DbacPlane`] must reproduce exactly for
-/// trait/plane equivalence).
-pub(crate) fn max_index(vs: &[Value]) -> Option<usize> {
-    vs.iter()
-        .enumerate()
-        .max_by_key(|&(_, v)| *v)
-        .map(|(i, _)| i)
-}
-
-/// Index of the minimum (the *first* one among ties — `min_by_key`'s
-/// contract; see [`max_index`]).
-pub(crate) fn min_index(vs: &[Value]) -> Option<usize> {
-    vs.iter()
-        .enumerate()
-        .min_by_key(|&(_, v)| *v)
-        .map(|(i, _)| i)
 }
 
 impl Algorithm for Dbac {

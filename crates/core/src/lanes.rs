@@ -25,7 +25,7 @@ use std::fmt;
 use adn_graph::NodeSet;
 use adn_types::{Params, Phase, Port, Value};
 
-use crate::dbac::{max_index, min_index};
+use crate::trim;
 
 /// Number of trials one lane word holds (bit `t` of a word is trial `t`).
 pub const LANE_WIDTH: usize = 64;
@@ -339,11 +339,10 @@ pub struct DbacLanes {
     phase: Vec<Phase>,
     value: Vec<Value>,
     seen_count: Vec<u32>,
-    /// Per-lane trim lists, indexed `(v * LANE_WIDTH + t) * cap + j`.
+    /// Per-lane trim lists (see [`crate::trim`]), indexed
+    /// `(v * LANE_WIDTH + t) * cap + j`.
     low: Vec<Value>,
-    low_len: Vec<u32>,
     high: Vec<Value>,
-    high_len: Vec<u32>,
     /// Start-of-round broadcast snapshots of `value` / `phase`.
     wire_value: Vec<Value>,
     wire_phase: Vec<Phase>,
@@ -384,9 +383,7 @@ impl DbacLanes {
             value: vec![Value::HALF; n * LANE_WIDTH],
             seen_count: vec![0; n * LANE_WIDTH],
             low: vec![Value::HALF; n * LANE_WIDTH * cap],
-            low_len: vec![0; n * LANE_WIDTH],
             high: vec![Value::HALF; n * LANE_WIDTH * cap],
-            high_len: vec![0; n * LANE_WIDTH],
             wire_value: vec![Value::HALF; n * LANE_WIDTH],
             wire_phase: vec![Phase::ZERO; n * LANE_WIDTH],
             ports_seen: vec![0; n * n],
@@ -415,50 +412,17 @@ impl DbacLanes {
             *w &= keep;
         }
         self.seen_count[vi] = 0;
-        if self.cap == 1 {
-            self.low[vi] = self.value[vi];
-            self.high[vi] = self.value[vi];
-            self.low_len[vi] = 1;
-            self.high_len[vi] = 1;
-        } else {
-            self.low_len[vi] = 0;
-            self.high_len[vi] = 0;
-            self.store_lane(vi, self.value[vi]);
-        }
+        let own = self.value[vi];
+        let (low, high) = self.lists(vi);
+        trim::clear(low, high);
+        trim::store(low, high, own);
     }
 
-    /// Alg. 2 `STORE(v_j)` for one lane slot — `DbacCols::store` with the
-    /// trim-list base moved to the lane slab.
+    /// Lane slot `vi`'s `(R_low, R_high)`.
     #[inline]
-    fn store_lane(&mut self, vi: usize, val: Value) {
-        if self.cap == 1 {
-            if val < self.low[vi] {
-                self.low[vi] = val;
-            }
-            if val > self.high[vi] {
-                self.high[vi] = val;
-            }
-            return;
-        }
-        let base = vi * self.cap;
-        let llen = self.low_len[vi] as usize;
-        if llen < self.cap {
-            self.low[base + llen] = val;
-            self.low_len[vi] += 1;
-        } else if let Some(max_idx) = max_index(&self.low[base..base + llen]) {
-            if val < self.low[base + max_idx] {
-                self.low[base + max_idx] = val;
-            }
-        }
-        let hlen = self.high_len[vi] as usize;
-        if hlen < self.cap {
-            self.high[base + hlen] = val;
-            self.high_len[vi] += 1;
-        } else if let Some(min_idx) = min_index(&self.high[base..base + hlen]) {
-            if val > self.high[base + min_idx] {
-                self.high[base + min_idx] = val;
-            }
-        }
+    fn lists(&mut self, vi: usize) -> (&mut [Value], &mut [Value]) {
+        let (from, to) = (vi * self.cap, (vi + 1) * self.cap);
+        (&mut self.low[from..to], &mut self.high[from..to])
     }
 
     /// `DbacCols::process` transcribed for lane `t` of slot `v`; the
@@ -475,18 +439,9 @@ impl DbacLanes {
                 *slot |= bit;
                 let seen = self.seen_count[vi] + 1;
                 self.seen_count[vi] = seen;
-                if self.cap == 1 {
-                    // The degenerate f = 0 trim, inline as in the scalar.
-                    let val = self.wire_value[ui];
-                    if val < self.low[vi] {
-                        self.low[vi] = val;
-                    }
-                    if val > self.high[vi] {
-                        self.high[vi] = val;
-                    }
-                } else {
-                    self.store_lane(vi, self.wire_value[ui]);
-                }
+                let val = self.wire_value[ui];
+                let (low, high) = self.lists(vi);
+                trim::store(low, high, val);
                 if seen >= self.foreign_quorum {
                     self.try_advance_lane(v, bit, vi);
                 }
@@ -499,23 +454,8 @@ impl DbacLanes {
     #[inline]
     fn try_advance_lane(&mut self, v: usize, bit: u64, vi: usize) {
         while self.seen_count[vi] >= self.foreign_quorum && self.phase[vi].as_u64() < self.pend {
-            let (lo, hi) = if self.cap == 1 {
-                (self.low[vi], self.high[vi])
-            } else {
-                let base = vi * self.cap;
-                let (Some(&lo), Some(&hi)) = (
-                    self.low[base..base + self.low_len[vi] as usize]
-                        .iter()
-                        .max(),
-                    self.high[base..base + self.high_len[vi] as usize]
-                        .iter()
-                        .min(),
-                ) else {
-                    debug_assert!(false, "low/high lists are never empty at quorum");
-                    return;
-                };
-                (lo, hi)
-            };
+            let (low, high) = self.lists(vi);
+            let (lo, hi) = trim::bounds(low, high);
             self.value[vi] = lo.midpoint(hi);
             self.phase[vi] = self.phase[vi].next();
             self.reset_lane(v, bit, vi);

@@ -68,6 +68,7 @@ mod full_exchange;
 pub mod lanes;
 mod piggyback;
 pub mod plane;
+mod trim;
 
 pub use dac::Dac;
 pub use dbac::Dbac;

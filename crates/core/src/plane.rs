@@ -31,7 +31,7 @@ use std::fmt;
 use adn_graph::NodeSet;
 use adn_types::{Message, Params, Phase, Port, Value};
 
-use crate::dbac::{max_index, min_index};
+use crate::trim;
 
 /// Columnar state of one algorithm across **all** `n` node slots.
 ///
@@ -527,12 +527,11 @@ pub struct DbacPlane {
     value: Vec<Value>,
     ports_seen: Vec<u64>,
     seen_count: Vec<u32>,
-    /// `R_low` slab: slot `v` owns `low[v*cap..v*cap + low_len[v]]`.
+    /// `R_low` slab: slot `v` owns `low[v*cap..(v+1)*cap]`, ascending
+    /// (see [`crate::trim`]).
     low: Vec<Value>,
-    low_len: Vec<u32>,
-    /// `R_high` slab, same layout.
+    /// `R_high` slab, same layout, descending.
     high: Vec<Value>,
-    high_len: Vec<u32>,
     /// Shared scratch for sorting piggybacked (Byzantine) batches —
     /// one suffices because batches are consumed delivery by delivery.
     sort_scratch: Vec<Message>,
@@ -566,9 +565,7 @@ impl DbacPlane {
             ports_seen: vec![0; n * row_words],
             seen_count: vec![0; n],
             low: vec![Value::HALF; n * cap],
-            low_len: vec![0; n],
             high: vec![Value::HALF; n * cap],
-            high_len: vec![0; n],
             sort_scratch: Vec::new(),
             output: vec![None; n],
         };
@@ -598,9 +595,7 @@ impl DbacPlane {
             ports_seen: &mut self.ports_seen,
             seen_count: &mut self.seen_count,
             low: &mut self.low,
-            low_len: &mut self.low_len,
             high: &mut self.high,
-            high_len: &mut self.high_len,
             output: &mut self.output,
         }
     }
@@ -618,9 +613,7 @@ struct DbacCols<'a> {
     ports_seen: &'a mut [u64],
     seen_count: &'a mut [u32],
     low: &'a mut [Value],
-    low_len: &'a mut [u32],
     high: &'a mut [Value],
-    high_len: &'a mut [u32],
     output: &'a mut [Option<Value>],
 }
 
@@ -632,56 +625,17 @@ impl DbacCols<'_> {
         let row = v * self.row_words;
         self.ports_seen[row..row + self.row_words].fill(0);
         self.seen_count[v] = 0;
-        if self.cap == 1 {
-            // Both degenerate lists hold exactly the own value — the
-            // state `store`'s fast path relies on.
-            self.low[v] = self.value[v];
-            self.high[v] = self.value[v];
-            self.low_len[v] = 1;
-            self.high_len[v] = 1;
-        } else {
-            self.low_len[v] = 0;
-            self.high_len[v] = 0;
-            self.store(v, self.value[v]);
-        }
+        let own = self.value[v];
+        let (low, high) = self.lists(v);
+        trim::clear(low, high);
+        trim::store(low, high, own);
     }
 
-    /// Alg. 2 `STORE(v_j)` for slot `v` — byte-for-byte the trait
-    /// version's push-or-replace logic, including `max_index` /
-    /// `min_index` tie-breaking.
+    /// Slot `v`'s `(R_low, R_high)`.
     #[inline]
-    fn store(&mut self, v: usize, val: Value) {
-        if self.cap == 1 {
-            // f = 0: the trim lists degenerate to a running min and max.
-            // After every reset both hold exactly the own value (length
-            // 1), so the general push-or-replace below reduces to this.
-            if val < self.low[v] {
-                self.low[v] = val;
-            }
-            if val > self.high[v] {
-                self.high[v] = val;
-            }
-            return;
-        }
-        let base = v * self.cap;
-        let llen = self.low_len[v] as usize;
-        if llen < self.cap {
-            self.low[base + llen] = val;
-            self.low_len[v] += 1;
-        } else if let Some(max_idx) = max_index(&self.low[base..base + llen]) {
-            if val < self.low[base + max_idx] {
-                self.low[base + max_idx] = val;
-            }
-        }
-        let hlen = self.high_len[v] as usize;
-        if hlen < self.cap {
-            self.high[base + hlen] = val;
-            self.high_len[v] += 1;
-        } else if let Some(min_idx) = min_index(&self.high[base..base + hlen]) {
-            if val > self.high[base + min_idx] {
-                self.high[base + min_idx] = val;
-            }
-        }
+    fn lists(&mut self, v: usize) -> (&mut [Value], &mut [Value]) {
+        let (from, to) = (v * self.cap, (v + 1) * self.cap);
+        (&mut self.low[from..to], &mut self.high[from..to])
     }
 
     #[inline]
@@ -708,20 +662,8 @@ impl DbacCols<'_> {
                 *slot |= 1 << b;
                 let seen = self.seen_count[v] + 1;
                 self.seen_count[v] = seen;
-                if self.cap == 1 {
-                    // The degenerate f = 0 trim, kept inline — `store`'s
-                    // general path would drag its push-or-replace code
-                    // (and a function call) into every counted message.
-                    let val = msg.value();
-                    if val < self.low[v] {
-                        self.low[v] = val;
-                    }
-                    if val > self.high[v] {
-                        self.high[v] = val;
-                    }
-                } else {
-                    self.store(v, msg.value());
-                }
+                let (low, high) = self.lists(v);
+                trim::store(low, high, msg.value());
                 // Below quorum nothing can advance (same early-out as
                 // `DacCols::process`).
                 if seen >= self.foreign_quorum {
@@ -735,21 +677,8 @@ impl DbacCols<'_> {
     #[inline]
     fn try_advance(&mut self, v: usize) {
         while self.seen_count[v] >= self.foreign_quorum && self.phase[v].as_u64() < self.pend {
-            let (lo, hi) = if self.cap == 1 {
-                (self.low[v], self.high[v])
-            } else {
-                let base = v * self.cap;
-                let (Some(&lo), Some(&hi)) = (
-                    self.low[base..base + self.low_len[v] as usize].iter().max(),
-                    self.high[base..base + self.high_len[v] as usize]
-                        .iter()
-                        .min(),
-                ) else {
-                    debug_assert!(false, "low/high lists are never empty at quorum");
-                    return;
-                };
-                (lo, hi)
-            };
+            let (low, high) = self.lists(v);
+            let (lo, hi) = trim::bounds(low, high);
             self.value[v] = lo.midpoint(hi);
             self.phase[v] = self.phase[v].next();
             self.reset(v);
@@ -827,8 +756,7 @@ impl AlgorithmPlane for DbacPlane {
         let (mut phase, mut value) = (&mut self.phase[..], &mut self.value[..]);
         let mut ports_seen = &mut self.ports_seen[..];
         let mut seen_count = &mut self.seen_count[..];
-        let (mut low, mut low_len) = (&mut self.low[..], &mut self.low_len[..]);
-        let (mut high, mut high_len) = (&mut self.high[..], &mut self.high_len[..]);
+        let (mut low, mut high) = (&mut self.low[..], &mut self.high[..]);
         let mut output = &mut self.output[..];
         for (i, slot) in out.iter_mut().enumerate() {
             let len = bounds[i + 1] - bounds[i];
@@ -844,9 +772,7 @@ impl AlgorithmPlane for DbacPlane {
                     ports_seen: take_split(&mut ports_seen, len * row_words),
                     seen_count: take_split(&mut seen_count, len),
                     low: take_split(&mut low, len * cap),
-                    low_len: take_split(&mut low_len, len),
                     high: take_split(&mut high, len * cap),
-                    high_len: take_split(&mut high_len, len),
                     output: take_split(&mut output, len),
                 }),
             });
@@ -969,8 +895,7 @@ mod tests {
         inputs[0] = val(0.5);
         let mut plane = DbacPlane::with_pend(params, &inputs, 3);
         let mut node = Dbac::with_pend(params, val(0.5), 3);
-        // Ties (repeated 0.2) exercise the max_index/min_index
-        // tie-breaking that the plane must replicate exactly.
+        // Ties (repeated 0.2): both sides must hold the same multisets.
         let script = [
             (1, msg(0.2, 0)),
             (2, msg(0.2, 0)),

@@ -1,0 +1,109 @@
+//! DBAC's trim lists `R_low` / `R_high` (Alg. 2 `STORE`), kept sorted —
+//! the one implementation behind [`Dbac`](crate::Dbac), the columnar
+//! plane and the lane plane.
+//!
+//! One node's lists are two `f + 1`-slot slices. `low` ascends, so its
+//! last slot **is** `max(R_low)`; `high` descends, so its last slot **is**
+//! `min(R_high)`. `STORE` therefore rejects a value with one compare
+//! against the last slot of each list, and only the ≈ `(f+1)·ln(D/(f+1))`
+//! values of a phase that do enter pay an insertion shift.
+//!
+//! There is no length: a slot not yet filled holds the value that loses
+//! every comparison ([`Value::ONE`] in `low`, [`Value::ZERO`] in `high`),
+//! which any stored value displaces — or equals, and then the list holds
+//! that value either way. The padding is never read as a result: the
+//! update is taken at quorum, `⌊(n+3f)/2⌋ + 1 ≥ f + 1` stored values for
+//! every `n` and `f`, when both lists are full.
+//!
+//! Sorting is unobservable: the update `(max(R_low) + min(R_high)) / 2`
+//! depends only on the *multiset* each list holds, and the paper's
+//! replace-the-extreme `STORE` removes one copy of the extreme and adds
+//! the new value whichever of several tied slots it overwrites — the same
+//! multiset the shift below leaves behind.
+
+use adn_types::Value;
+
+/// Empties both lists (Alg. 2 `RESET()`).
+#[inline]
+pub(crate) fn clear(low: &mut [Value], high: &mut [Value]) {
+    low.fill(Value::ONE);
+    high.fill(Value::ZERO);
+}
+
+/// Alg. 2 `STORE(val)`: keeps the `f + 1` smallest values in `low` and
+/// the `f + 1` largest in `high` (`f + 1` being both slices' length).
+// audit: no-alloc-fn
+#[inline]
+pub(crate) fn store(low: &mut [Value], high: &mut [Value], val: Value) {
+    let last = low.len() - 1;
+    if val < low[last] {
+        sift(low, last, val, |prev| prev > val);
+    }
+    if val > high[last] {
+        sift(high, last, val, |prev| prev < val);
+    }
+}
+
+/// `(max(R_low), min(R_high))`, the two operands of the DBAC update, once
+/// at least `f + 1` values are stored.
+#[inline]
+pub(crate) fn bounds(low: &[Value], high: &[Value]) -> (Value, Value) {
+    (low[low.len() - 1], high[high.len() - 1])
+}
+
+/// Overwrites `list[slot]` with `val`, first shifting up every element of
+/// the sorted prefix `list[..slot]` that `sorts_after` it.
+#[inline]
+fn sift(list: &mut [Value], mut slot: usize, val: Value, sorts_after: impl Fn(Value) -> bool) {
+    while slot > 0 && sorts_after(list[slot - 1]) {
+        list[slot] = list[slot - 1];
+        slot -= 1;
+    }
+    list[slot] = val;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use adn_types::rng::SplitMix64;
+
+    /// Random streams with heavy ties and mid-stream resets: after every
+    /// store the lists must equal the paper's definition — everything seen
+    /// since the reset, sorted, the `cap` smallest / largest — as
+    /// multisets, and `bounds` the naive extremes of those.
+    #[test]
+    fn sorted_lists_match_the_papers_definition() {
+        let seeds = std::env::var("ADN_FUZZ_SEEDS")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(300);
+        for seed in 0..seeds {
+            let mut rng = SplitMix64::new(seed);
+            for cap in [1usize, 2, 3, 17] {
+                // A coarse grid makes most draws collide with a stored one.
+                let grid = 2 + rng.next_below(12);
+                let (mut low, mut high) = (vec![Value::HALF; cap], vec![Value::HALF; cap]);
+                clear(&mut low, &mut high);
+                let mut seen = Vec::new();
+                for _ in 0..200 {
+                    if rng.next_below(40) == 0 {
+                        clear(&mut low, &mut high);
+                        seen.clear();
+                    }
+                    let val = Value::saturating(rng.next_below(grid) as f64 / (grid - 1) as f64);
+                    store(&mut low, &mut high, val);
+                    seen.push(val);
+                    seen.sort();
+                    let keep = seen.len().min(cap);
+                    assert_eq!(low[..keep], seen[..keep], "R_low, seed {seed} cap {cap}");
+                    let largest: Vec<Value> = seen.iter().rev().take(keep).copied().collect();
+                    assert_eq!(high[..keep], largest[..], "R_high, seed {seed} cap {cap}");
+                    if keep == cap {
+                        let naive = (seen[cap - 1], seen[seen.len() - cap]);
+                        assert_eq!(bounds(&low, &high), naive, "seed {seed} cap {cap}");
+                    }
+                }
+            }
+        }
+    }
+}

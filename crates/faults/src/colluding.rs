@@ -17,7 +17,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use adn_types::{Batch, Message, NodeId, Value};
+use adn_types::{Batch, Message, NodeId, Round, Value};
 
 use crate::{ByzContext, ByzantineStrategy};
 
@@ -30,20 +30,33 @@ pub enum Plan {
     Sandwich,
 }
 
-/// Shared coalition state: the plan and the member roster.
+/// Shared coalition state: the plan, the member roster and what the plan
+/// derives from the current round's snapshot.
 #[derive(Debug)]
 pub struct Coalition {
     plan: Plan,
-    members: Vec<NodeId>,
+    /// `is_member[i]` iff node `i` is on the roster (ids past the end are
+    /// not).
+    is_member: Vec<bool>,
+    /// The smallest non-member value, as of round `primed`
+    /// ([`Plan::Straddle`] only).
+    honest_min: Value,
+    primed: Option<Round>,
 }
 
 impl Coalition {
     /// Creates a coalition executing `plan` with the given members, and
     /// returns one boxed strategy per member (in roster order).
     pub fn build(plan: Plan, members: Vec<NodeId>) -> Vec<(NodeId, Box<dyn ByzantineStrategy>)> {
+        let mut is_member = vec![false; members.iter().map(|m| m.index() + 1).max().unwrap_or(0)];
+        for m in &members {
+            is_member[m.index()] = true;
+        }
         let shared = Rc::new(RefCell::new(Coalition {
             plan,
-            members: members.clone(),
+            is_member,
+            honest_min: Value::HALF,
+            primed: None,
         }));
         members
             .into_iter()
@@ -58,20 +71,27 @@ impl Coalition {
             .collect()
     }
 
-    fn value_for(&self, rank: usize, ctx: &ByzContext<'_>) -> Value {
+    fn begin_round(&mut self, ctx: &ByzContext<'_>) {
+        if self.plan == Plan::Straddle {
+            let is_member = self.is_member.iter().chain(std::iter::repeat(&false));
+            self.honest_min = std::iter::zip(ctx.values, is_member)
+                .filter(|(_, &member)| !member)
+                .map(|(v, _)| *v)
+                .min()
+                .unwrap_or(Value::HALF);
+        }
+        self.primed = Some(ctx.round);
+    }
+
+    fn value_for(&mut self, rank: usize, ctx: &ByzContext<'_>) -> Value {
         match self.plan {
             Plan::Straddle => {
+                if self.primed != Some(ctx.round) {
+                    self.begin_round(ctx);
+                }
                 // The honest minimum, nudged down by rank-scaled amounts —
                 // each member sits a little below the legitimate range.
-                let honest_min = ctx
-                    .values
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| !self.members.contains(&NodeId::new(*i)))
-                    .map(|(_, v)| *v)
-                    .min()
-                    .unwrap_or(Value::HALF);
-                honest_min + (-(0.02 * (rank as f64 + 1.0)))
+                self.honest_min + (-(0.02 * (rank as f64 + 1.0)))
             }
             Plan::Sandwich => {
                 if rank.is_multiple_of(2) {
@@ -92,8 +112,12 @@ pub struct CoalitionMember {
 }
 
 impl ByzantineStrategy for CoalitionMember {
+    fn begin_round(&mut self, ctx: &ByzContext<'_>) {
+        self.coalition.borrow_mut().begin_round(ctx);
+    }
+
     fn messages_into(&mut self, ctx: &ByzContext<'_>, dest: NodeId, out: &mut Batch) {
-        let value = self.coalition.borrow().value_for(self.rank, ctx);
+        let value = self.coalition.borrow_mut().value_for(self.rank, ctx);
         out.push(Message::new(value, ctx.phase_of(dest)));
     }
 
@@ -102,8 +126,8 @@ impl ByzantineStrategy for CoalitionMember {
     }
 
     fn begin_instance(&mut self, _instance: u64) {
-        // The shared coalition plan is a pure function of the round
-        // context and the member's fixed rank; nothing to re-seed.
+        // The next instance's round 0 must not reuse this one's minimum.
+        self.coalition.borrow_mut().primed = None;
     }
 }
 

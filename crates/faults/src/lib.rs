@@ -58,7 +58,9 @@ pub struct ByzContext<'a> {
 
 impl ByzContext<'_> {
     /// The highest phase any node currently holds — claiming it makes a
-    /// fabricated message acceptable to every DBAC receiver.
+    /// fabricated message acceptable to every DBAC receiver. An O(n) scan
+    /// of the snapshot: call it from
+    /// [`ByzantineStrategy::begin_round`], not once per link.
     pub fn max_phase(&self) -> Phase {
         self.phases.iter().copied().max().unwrap_or(Phase::ZERO)
     }
@@ -77,6 +79,27 @@ impl ByzContext<'_> {
 /// that round. A batch with several messages models a (maliciously crafted)
 /// piggybacked transmission.
 pub trait ByzantineStrategy: fmt::Debug {
+    /// Derives whatever this strategy needs from the start-of-round
+    /// snapshot as a whole (a median, the global maximum phase, the honest
+    /// minimum), so that [`ByzantineStrategy::messages_into`] does O(1)
+    /// work per link. The round engine calls it once per Byzantine node
+    /// per round, after the snapshot and before any delivery, with the
+    /// context every `messages_into` of that round will see. Like
+    /// `messages_into` it must not allocate in the steady state.
+    /// Strategies that read only the destination's own entry keep the
+    /// default no-op.
+    ///
+    /// The engine's call is the refresh, whatever the round number. A
+    /// caller that drives `messages_into` alone is still served: the stock
+    /// strategies stamp what they derive with `ctx.round`, derive it
+    /// themselves on meeting a round they were not primed for, and drop
+    /// the stamp in [`ByzantineStrategy::begin_instance`] — so such a
+    /// caller must call `begin_round` (or `begin_instance`) itself
+    /// whenever it shows one strategy two snapshots under one round number.
+    fn begin_round(&mut self, ctx: &ByzContext<'_>) {
+        let _ = ctx;
+    }
+
     /// Fabricates the messages this node sends to `dest` in the current
     /// round, appending them to `out`.
     ///
@@ -87,10 +110,13 @@ pub trait ByzantineStrategy: fmt::Debug {
     fn messages_into(&mut self, ctx: &ByzContext<'_>, dest: NodeId, out: &mut Batch);
 
     /// Convenience form of [`ByzantineStrategy::messages_into`] that
-    /// allocates a fresh vector per call. Prefer `messages_into` on hot
-    /// paths; this shim exists for tests and exploratory code.
+    /// allocates a fresh vector per call and runs
+    /// [`ByzantineStrategy::begin_round`] on `ctx` first, so every call
+    /// stands alone. Prefer `messages_into` on hot paths; this shim
+    /// exists for tests and exploratory code.
     fn messages_for(&mut self, ctx: &ByzContext<'_>, dest: NodeId) -> Vec<Message> {
         let mut out = Batch::new();
+        self.begin_round(ctx);
         self.messages_into(ctx, dest, &mut out);
         out.into_vec()
     }
@@ -112,7 +138,9 @@ pub trait ByzantineStrategy: fmt::Debug {
     /// Whether this node transmits at all. A non-transmitting Byzantine
     /// node (like [`strategies::Silent`]) cannot count toward anyone's
     /// dynaDegree — the guarantee-preserving adversaries must route around
-    /// it, exactly as they route around crashed senders (DESIGN.md §5.1).
+    /// it, exactly as they route around crashed senders (the paper's
+    /// fault model, §II-A of PAPER.md's source; README, "Service mode and
+    /// fault injection").
     fn transmits(&self) -> bool {
         true
     }
@@ -135,5 +163,83 @@ mod tests {
         };
         assert_eq!(ctx.max_phase(), Phase::new(4));
         assert_eq!(ctx.phase_of(NodeId::new(0)), Phase::new(1));
+    }
+
+    /// What `Mimic`, `PhaseForger` and a Straddle member send on one
+    /// link, recomputed from `ctx` alone.
+    fn recomputed(ctx: &ByzContext<'_>, members: &[NodeId], dest: NodeId) -> [Message; 3] {
+        let mut sorted = ctx.values.to_vec();
+        sorted.sort();
+        let honest_min = (0..ctx.values.len())
+            .filter(|&i| !members.contains(&NodeId::new(i)))
+            .map(|i| ctx.values[i])
+            .min()
+            .unwrap();
+        [
+            Message::new(sorted[sorted.len() / 2], ctx.phase_of(dest)),
+            Message::new(Value::ONE, Phase::new(ctx.max_phase().as_u64() + 7)),
+            Message::new(honest_min + (-0.04), ctx.phase_of(dest)),
+        ]
+    }
+
+    /// The per-round facts never leak: link for link the strategies send
+    /// what a per-link recomputation sends, over rounds whose values and
+    /// phases change and across instance boundaries that restart the
+    /// round counter at 0 — driven as the engine does (`begin_round` every
+    /// round, with or without `begin_instance`) and as a caller that only
+    /// knows `messages_into` and `begin_instance` does.
+    #[test]
+    fn round_facts_match_per_link_recomputation() {
+        let n = 7;
+        let members = [NodeId::new(5), NodeId::new(6)];
+        let params = Params::new(n, 1, 0.1).unwrap();
+        for (prime, reseed) in [(true, true), (true, false), (false, true)] {
+            let mut coalition =
+                colluding::Coalition::build(colluding::Plan::Straddle, members.to_vec());
+            let mut under_test: [Box<dyn ByzantineStrategy>; 3] = [
+                Box::new(strategies::Mimic::default()),
+                Box::new(strategies::PhaseForger::new(7, Value::ONE)),
+                coalition.pop().unwrap().1, // rank 1: nudged by 0.04
+            ];
+            let mut rng = adn_types::rng::SplitMix64::new(11);
+            // One-round instances put two round 0s back to back.
+            for (instance, rounds) in [4, 1, 1, 3].into_iter().enumerate() {
+                let instance = instance as u64;
+                if reseed {
+                    under_test
+                        .iter_mut()
+                        .for_each(|s| s.begin_instance(instance));
+                }
+                for round in 0..rounds {
+                    let values: Vec<Value> =
+                        (0..n).map(|_| Value::saturating(rng.next_f64())).collect();
+                    let phases: Vec<Phase> =
+                        (0..n).map(|_| Phase::new(rng.next_below(9))).collect();
+                    let ctx = ByzContext {
+                        round: Round::new(round),
+                        self_id: members[1],
+                        params,
+                        phases: &phases,
+                        values: &values,
+                    };
+                    if prime {
+                        under_test.iter_mut().for_each(|s| s.begin_round(&ctx));
+                    }
+                    for dest in NodeId::all(n) {
+                        let want = recomputed(&ctx, &members, dest);
+                        for (strategy, want) in under_test.iter_mut().zip(want) {
+                            let mut out = Batch::new();
+                            strategy.messages_into(&ctx, dest, &mut out);
+                            assert_eq!(
+                                out.into_vec(),
+                                vec![want],
+                                "{} instance {instance} round {round} prime {prime}",
+                                strategy.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! E08, and the test matrix.
 
 use adn_types::rng::SplitMix64;
-use adn_types::{Batch, Message, NodeId, Phase, Value};
+use adn_types::{Batch, Message, NodeId, Phase, Round, Value};
 
 use crate::{ByzContext, ByzantineStrategy};
 
@@ -134,11 +134,35 @@ pub struct PhaseForger {
     pub lead: u64,
     /// The value to inject.
     pub value: Value,
+    /// The global maximum phase, as of round `primed`.
+    max_phase: Phase,
+    primed: Option<Round>,
+}
+
+impl PhaseForger {
+    /// A forger claiming `lead` phases past the global maximum with
+    /// `value`.
+    pub fn new(lead: u64, value: Value) -> Self {
+        PhaseForger {
+            lead,
+            value,
+            max_phase: Phase::ZERO,
+            primed: None,
+        }
+    }
 }
 
 impl ByzantineStrategy for PhaseForger {
+    fn begin_round(&mut self, ctx: &ByzContext<'_>) {
+        self.max_phase = ctx.max_phase();
+        self.primed = Some(ctx.round);
+    }
+
     fn messages_into(&mut self, ctx: &ByzContext<'_>, _dest: NodeId, out: &mut Batch) {
-        let forged = Phase::new(ctx.max_phase().as_u64() + self.lead);
+        if self.primed != Some(ctx.round) {
+            self.begin_round(ctx);
+        }
+        let forged = Phase::new(self.max_phase.as_u64() + self.lead);
         out.push(Message::new(self.value, forged));
     }
 
@@ -147,8 +171,8 @@ impl ByzantineStrategy for PhaseForger {
     }
 
     fn begin_instance(&mut self, _instance: u64) {
-        // Stateless across instances: every round's output is a pure
-        // function of the context, so there is nothing to re-seed.
+        // The next instance's round 0 must not reuse this one's scan.
+        self.primed = None;
     }
 }
 
@@ -184,15 +208,27 @@ impl ByzantineStrategy for Silent {
 pub struct Mimic {
     /// Reusable scratch for the median computation.
     scratch: Vec<Value>,
+    /// The median of the snapshot, as of round `primed`.
+    median: Value,
+    primed: Option<Round>,
 }
 
 impl ByzantineStrategy for Mimic {
-    fn messages_into(&mut self, ctx: &ByzContext<'_>, dest: NodeId, out: &mut Batch) {
+    fn begin_round(&mut self, ctx: &ByzContext<'_>) {
         self.scratch.clear();
         self.scratch.extend_from_slice(ctx.values);
-        self.scratch.sort();
-        let median = self.scratch[self.scratch.len() / 2];
-        out.push(Message::new(median, ctx.phase_of(dest)));
+        self.median = match self.scratch.len() {
+            0 => Value::HALF,
+            len => *self.scratch.select_nth_unstable(len / 2).1,
+        };
+        self.primed = Some(ctx.round);
+    }
+
+    fn messages_into(&mut self, ctx: &ByzContext<'_>, dest: NodeId, out: &mut Batch) {
+        if self.primed != Some(ctx.round) {
+            self.begin_round(ctx);
+        }
+        out.push(Message::new(self.median, ctx.phase_of(dest)));
     }
 
     fn name(&self) -> &'static str {
@@ -200,9 +236,8 @@ impl ByzantineStrategy for Mimic {
     }
 
     fn begin_instance(&mut self, _instance: u64) {
-        // The median scratch is cleared at every use; dropping its
-        // contents here just keeps instances observably independent.
-        self.scratch.clear();
+        // The next instance's round 0 must not reuse this one's median.
+        self.primed = None;
     }
 }
 
@@ -250,10 +285,7 @@ pub fn by_name(name: &str, n: usize, seed: u64) -> Box<dyn ByzantineStrategy> {
         "extreme-low" => Box::new(Extreme { value: Value::ZERO }),
         "extreme-high" => Box::new(Extreme { value: Value::ONE }),
         "random-noise" => Box::new(RandomNoise::new(seed)),
-        "phase-forger" => Box::new(PhaseForger {
-            lead: 1_000,
-            value: Value::ONE,
-        }),
+        "phase-forger" => Box::new(PhaseForger::new(1_000, Value::ONE)),
         "silent" => Box::new(Silent),
         "mimic" => Box::new(Mimic::default()),
         "flip-flop" => Box::new(FlipFlop),
@@ -337,10 +369,7 @@ mod tests {
         let phases = [Phase::new(4), Phase::new(9)];
         let values = [Value::HALF; 2];
         let c = ctx(&phases, &values);
-        let mut s = PhaseForger {
-            lead: 100,
-            value: Value::ZERO,
-        };
+        let mut s = PhaseForger::new(100, Value::ZERO);
         assert_eq!(
             s.messages_for(&c, NodeId::new(0))[0].phase(),
             Phase::new(109)
@@ -366,6 +395,13 @@ mod tests {
         let c = ctx(&phases, &values);
         let got = Mimic::default().messages_for(&c, NodeId::new(0));
         assert_eq!(got[0].value().get(), 0.4);
+    }
+
+    #[test]
+    fn mimic_of_an_empty_snapshot_falls_back_to_the_midpoint() {
+        let mut s = Mimic::default();
+        s.begin_round(&ctx(&[], &[]));
+        assert_eq!(s.median, Value::HALF);
     }
 
     #[test]

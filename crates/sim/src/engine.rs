@@ -725,11 +725,21 @@ impl Simulation {
             }
         }
 
-        // --- Who transmits this round; who still executes. ---
+        // --- Who transmits this round; who still executes. Byzantine
+        // strategies first derive what they need from the whole snapshot
+        // (a median, the maximum phase) — once, here, so fabrication
+        // stays O(1) per link on both delivery paths. ---
         for i in 0..n {
             let id = NodeId::new(i);
-            match &self.byz[i] {
+            match self.byz[i].as_mut() {
                 Some(strategy) => {
+                    strategy.begin_round(&ByzContext {
+                        round: t,
+                        self_id: id,
+                        params: self.params,
+                        phases: &self.buffers.phases,
+                        values: &self.buffers.values,
+                    });
                     if strategy.transmits() {
                         self.buffers.deliverers.insert(id);
                     }

@@ -15,6 +15,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use anondyn::faults::colluding::{Coalition, Plan};
+use anondyn::faults::strategies::{self, ALL_STRATEGY_NAMES};
+use anondyn::faults::ByzantineStrategy;
 use anondyn::graph::{checker, generators};
 use anondyn::net::codec::Precision;
 use anondyn::prelude::*;
@@ -83,6 +86,39 @@ fn lean_dbac(n: usize, mode: PlaneMode, order: DeliveryOrder) -> Simulation {
         .observe_phases(false)
         .max_rounds(u64::MAX)
         .build()
+}
+
+/// A lean DBAC run at n = 64, f = 8 with every fault slot Byzantine (the
+/// highest ids): `f + 1 = 9`-long trim lists, `begin_round` and per-link
+/// fabrication — none of which the `f = 0` cells reach.
+fn lean_dbac_byz(
+    mode: PlaneMode,
+    byzantine: Vec<(NodeId, Box<dyn ByzantineStrategy>)>,
+) -> Simulation {
+    let (n, f) = (64, 8);
+    let params = Params::new(n, f, 1e-6).unwrap();
+    let mut builder = Simulation::builder(params)
+        .inputs_random(1)
+        .adversary(AdversarySpec::DbacThreshold.build(n, f, 1))
+        .algorithm(factories::dbac_with_pend(params, u64::MAX))
+        .algorithm_plane(mode)
+        .record_schedule(false)
+        .observe_phases(false)
+        .max_rounds(u64::MAX);
+    for (id, strategy) in byzantine {
+        builder = builder.byzantine(id, strategy);
+    }
+    builder.build()
+}
+
+/// The eight stock strategies, one per Byzantine slot of
+/// [`lean_dbac_byz`].
+fn stock_strategies() -> Vec<(NodeId, Box<dyn ByzantineStrategy>)> {
+    ALL_STRATEGY_NAMES
+        .iter()
+        .enumerate()
+        .map(|(k, name)| (NodeId::new(56 + k), strategies::by_name(name, 64, k as u64)))
+        .collect()
 }
 
 /// A lean quantized-DAC run — the `QuantizedPlane` wire-encoding adaptor
@@ -166,6 +202,23 @@ fn steady_state_step_performs_zero_allocations() {
         (
             "dbac/plane/shuffled",
             lean_dbac(32, PlaneMode::Always, Shuffled(7)),
+        ),
+        // DBAC under real Byzantine senders, where the trim lists and the
+        // strategies' once-per-round facts do their work.
+        (
+            "dbac/plane/byz",
+            lean_dbac_byz(PlaneMode::Always, stock_strategies()),
+        ),
+        (
+            "dbac/trait/byz",
+            lean_dbac_byz(PlaneMode::Never, stock_strategies()),
+        ),
+        (
+            "dbac/plane/byz/straddle",
+            lean_dbac_byz(
+                PlaneMode::Always,
+                Coalition::build(Plan::Straddle, (56..64).map(NodeId::new).collect()),
+            ),
         ),
         // The sparse link plane: row-kind rows + receiver-major delivery,
         // single-shard and sharded. The sharded case pins the whole

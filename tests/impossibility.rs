@@ -123,13 +123,7 @@ fn dac_is_not_byzantine_tolerant() {
     let forged = Value::new(0.987).unwrap();
     let outcome = Simulation::builder(params)
         .inputs(workload::constant(n, Value::new(0.2).unwrap()))
-        .byzantine(
-            NodeId::new(4),
-            Box::new(PhaseForger {
-                lead: 999,
-                value: forged,
-            }),
-        )
+        .byzantine(NodeId::new(4), Box::new(PhaseForger::new(999, forged)))
         .algorithm(factories::dac(params))
         .max_rounds(200)
         .run();
@@ -148,10 +142,7 @@ fn dbac_resists_the_same_phase_forger() {
         .inputs(workload::constant(n, Value::new(0.2).unwrap()))
         .byzantine(
             NodeId::new(4),
-            Box::new(PhaseForger {
-                lead: 999,
-                value: Value::new(0.987).unwrap(),
-            }),
+            Box::new(PhaseForger::new(999, Value::new(0.987).unwrap())),
         )
         .algorithm(factories::dbac_with_pend(params, 30))
         .max_rounds(5_000)
