@@ -31,7 +31,7 @@
 //!
 //! The **order/wire** cases (`dac_shuffled`, `dac_quantized`, each with a
 //! `_trait` reference, at n ≥ 256) track the permutation-aware plane:
-//! shuffled-order delivery driving the sender-major loop through the
+//! shuffled-order delivery walking each receiver's senders through the
 //! shared per-round permutation, and quantized runs on the
 //! `QuantizedPlane` wire-encoding adaptor — both previously locked to the
 //! per-node trait path.

@@ -27,8 +27,8 @@ pub fn run() -> String {
         "wall ms",
     ]);
     // 512 and 1024 joined the sweep once the columnar algorithm plane
-    // made them affordable (the sender-major delivery plane steps a
-    // complete-graph n = 1024 round in single-digit milliseconds).
+    // made them affordable (the delivery plane steps a complete-graph
+    // n = 1024 round in single-digit milliseconds).
     let sizes = [16usize, 32, 64, 128, 256, 512, 1024];
     // One worker on purpose: this experiment *times* each run, and
     // concurrent trials would contend for cores and inflate the wall-ms

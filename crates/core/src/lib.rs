@@ -75,7 +75,9 @@ pub use dbac::Dbac;
 pub use full_exchange::FullExchange;
 pub use lanes::{DacLanes, DbacLanes, LanePlane, LANE_WIDTH};
 pub use piggyback::DbacPiggyback;
-pub use plane::{AlgorithmPlane, DacPlane, DbacPlane, PlaneShard, MAX_PLANE_SHARDS};
+pub use plane::{
+    AlgorithmPlane, DacPlane, DbacPlane, PlaneShard, RowKernel, RowWalk, MAX_PLANE_SHARDS,
+};
 
 use std::fmt;
 
@@ -156,7 +158,7 @@ type LaneCtor = Box<dyn Fn(&[Value]) -> Box<dyn LanePlane>>;
 /// instantiate an algorithm: a per-node builder mapping `(node_index,
 /// input)` to a boxed state machine, plus — for plane-capable algorithms
 /// (DAC, DBAC) — a whole-system builder for the columnar
-/// [`AlgorithmPlane`] the engine's sender-major fast path drives.
+/// [`AlgorithmPlane`] the engine's fused delivery routine drives.
 ///
 /// The per-node path is always available and is the semantic reference;
 /// the plane, when present, must be observationally identical to it (the

@@ -1,30 +1,46 @@
 //! The columnar algorithm plane: all fault-free nodes' state as flat
-//! arrays, driven sender-major.
+//! arrays, driven receiver-major through a per-receiver kernel.
 //!
 //! The [`Algorithm`](crate::Algorithm) trait models one node as one boxed
 //! state machine — the semantic reference, and the only interface exotic
 //! algorithms (piggybacking, baselines, strawmen) implement. But on the
 //! simulator's hot path it costs one virtual call *per delivered message*:
-//! at `n = 1024` that is ~1M dynamic dispatches per round, now the
-//! dominant round cost. DAC and DBAC don't need that generality:
+//! at `n = 1024` that is ~1M dynamic dispatches per round. DAC and DBAC
+//! don't need that generality:
 //!
 //! * their broadcast is always exactly one `(value, phase)` message — a
-//!   snapshot of two state columns;
-//! * anonymity means a sender's message is **identical at every
-//!   receiver** — classify the sender once, then apply the one message to
-//!   all its out-neighbors;
+//!   snapshot of two state columns, identical at every receiver
+//!   (anonymity), so the engine stages it once per sender per round;
 //! * each receiver splits into exactly three cases per message — **jump**
 //!   (sender ahead: adopt wholesale), **same-phase** (one port bit + a
-//!   min/max or trim fold), **stale** (skip).
+//!   min/max or trim fold), **stale** (skip);
+//! * a receiver's whole round touches only *its own* slot of every
+//!   column.
 //!
 //! [`AlgorithmPlane`] captures that shape: one object holds *every*
-//! node's state in struct-of-arrays layout ([`DacPlane`], [`DbacPlane`]),
-//! and the engine delivers one *sender's* broadcast to a whole receiver
-//! bitset per (non-virtual-per-message) call. The trait path remains the
-//! behavioral oracle: planes must be observationally **identical** to a
-//! per-node state machine run under ascending-sender delivery —
-//! `tests/plane_equivalence.rs` fuzzes that contract across adversaries,
-//! crash/Byzantine mixes, and ε.
+//! node's state in struct-of-arrays layout ([`DacPlane`], [`DbacPlane`]).
+//! For delivery the engine splits it into [`PlaneShard`]s (one shard is
+//! the whole plane), and for each receiver runs that receiver's senders,
+//! in the round's order, through a [`RowKernel`]: the receiver's phase,
+//! extrema or trim lists, contribution count and port-bit row loaded into
+//! locals once, every link applied to the locals, everything stored back
+//! once ([`PlaneShard::deliver_row`]). The kernel type is chosen by one `match`
+//! per receiver and the engine's walk ([`RowWalk`]) is monomorphized over
+//! it, so no link pays a virtual call.
+//!
+//! **The stale-link stop.** Within a round every honest link carries a
+//! start-of-round snapshot, so its phase is at most the round's maximum
+//! wire phase. A receiver that has decided, or whose phase has passed that
+//! maximum (on the complete graph: every receiver, the moment it reaches
+//! quorum), ignores every further honest link of the round by Alg. 1/2's
+//! own stale rule — [`RowKernel::live`] reports exactly that, and the
+//! engine stops feeding such a receiver's honest links. Byzantine
+//! fabrications may carry any phase and are always fed.
+//!
+//! The trait path remains the behavioral oracle: planes must be
+//! observationally **identical** to a per-node state machine run under the
+//! same delivery order — `tests/plane_equivalence.rs` fuzzes that contract
+//! across adversaries, crash/Byzantine mixes, and ε.
 
 use std::fmt;
 
@@ -53,12 +69,15 @@ use crate::trim;
 ///   [`values`](AlgorithmPlane::values) columns, which stays correct
 ///   while the live plane mutates as earlier senders of the round
 ///   deliver;
-/// * [`AlgorithmPlane::receive`] mirrors `Algorithm::receive` message for
-///   message (the engine routes Byzantine fabrications and crash-round
-///   partial broadcasts through it link by link);
-/// * [`AlgorithmPlane::deliver_from_sender`] applies one single-message
-///   broadcast to every receiver in a set, ascending — the bulk fast
-///   path.
+/// * the engine delivers through [`AlgorithmPlane::fill_shards`] and
+///   [`PlaneShard::deliver_row`], whose kernels mirror `Algorithm::receive`
+///   message for message;
+/// * [`AlgorithmPlane::receive`], [`AlgorithmPlane::receive_many`] and
+///   [`AlgorithmPlane::deliver_from_sender`] are the same semantics one
+///   link, one receiver's batch, or one sender's fan-out at a time. They
+///   are **replay-only**: no engine path calls them any more, and they
+///   stay (behaviour unchanged) only until the benchmark's stage replay
+///   is ported to the shard kernels.
 pub trait AlgorithmPlane: fmt::Debug {
     /// Number of node slots (the system size `n`).
     fn n(&self) -> usize;
@@ -86,26 +105,27 @@ pub trait AlgorithmPlane: fmt::Debug {
         msg
     }
 
-    /// Delivers one sender's staged broadcast `msg` (already passed
-    /// through [`AlgorithmPlane::encode_wire`] by the engine) to every
-    /// receiver in `receivers`, in ascending receiver order. `ports[v]`
-    /// is the local port receiver `v` hears this sender on (the sender's
-    /// transposed port column). The sender itself is never in `receivers`
-    /// (self-delivery is internal, as for the trait path).
+    /// Replay-only (see the trait docs). Delivers one sender's staged
+    /// broadcast `msg` (already passed through
+    /// [`AlgorithmPlane::encode_wire`]) to every receiver in `receivers`,
+    /// in ascending receiver order. `ports[v]` is the local port receiver
+    /// `v` hears this sender on (the sender's transposed port column).
+    /// The sender itself is never in `receivers` (self-delivery is
+    /// internal, as for the trait path).
     fn deliver_from_sender(&mut self, msg: Message, receivers: &NodeSet, ports: &[Port]);
 
-    /// Delivers an arbitrary batch to one receiver — the per-link path
-    /// for Byzantine fabrications and crash-round partial broadcasts.
-    /// Mirrors `Algorithm::receive` exactly.
+    /// Replay-only (see the trait docs). Delivers an arbitrary batch to
+    /// one receiver, mirroring `Algorithm::receive` exactly — also the
+    /// per-link reference the shard kernels are fuzzed against.
     fn receive(&mut self, receiver: usize, port: Port, batch: &[Message]);
 
-    /// Delivers one round's worth of single-message links to one
-    /// receiver, in slice order — the receiver-major path the sparse link
-    /// plane drives (each entry is one sender's broadcast on the port the
-    /// receiver hears it on, senders ascending). Must be observationally
-    /// identical to calling [`AlgorithmPlane::receive`] once per entry;
-    /// the default does exactly that, while the columnar planes override
-    /// it to split their columns once per receiver instead of per link.
+    /// Replay-only (see the trait docs). Delivers one round's worth of
+    /// single-message links to one receiver, in slice order (each entry
+    /// is one sender's broadcast on the port the receiver hears it on).
+    /// Must be observationally identical to calling
+    /// [`AlgorithmPlane::receive`] once per entry; the default does
+    /// exactly that, while the columnar planes override it to split their
+    /// columns once per receiver instead of per link.
     // audit: no-alloc
     fn receive_many(&mut self, receiver: usize, batch: &[(Port, Message)]) {
         for &(port, msg) in batch {
@@ -113,22 +133,18 @@ pub trait AlgorithmPlane: fmt::Debug {
         }
     }
 
-    /// Splits the plane into per-receiver-range [`PlaneShard`]s for the
-    /// sharded delivery loop: shard `i` owns receivers
+    /// Splits the plane into per-receiver-range [`PlaneShard`]s — the
+    /// engine's one way to deliver: shard `i` owns receivers
     /// `bounds[i]..bounds[i + 1]` and only ever mutates their columns, so
-    /// the shards can be driven from different threads. Returns `false`
-    /// (leaving `out` untouched) when the plane cannot shard — the
-    /// default, which makes the engine fall back to single-shard
-    /// delivery. Wire-format adaptors must **not** forward this to an
-    /// inner plane: a shard drives the inner columns directly and would
-    /// bypass the adaptor's decode.
+    /// the shards can be driven from different threads; a single shard is
+    /// the whole plane. Wire-format adaptors forward this to their inner
+    /// plane (they have no receive side: the engine applies
+    /// [`AlgorithmPlane::encode_wire`] when it stages a sender's
+    /// broadcast, before any shard sees it).
     ///
     /// `bounds` is ascending with `bounds[0] == 0`, ends at
     /// [`AlgorithmPlane::n`], and has one more entry than `out`.
-    fn fill_shards<'a>(&'a mut self, bounds: &[usize], out: &mut [Option<PlaneShard<'a>>]) -> bool {
-        let _ = (bounds, out);
-        false
-    }
+    fn fill_shards<'a>(&'a mut self, bounds: &[usize], out: &mut [Option<PlaneShard<'a>>]);
 
     /// End-of-round hook for every slot in `executing`, ascending —
     /// mirrors `Algorithm::end_round`.
@@ -162,6 +178,48 @@ pub trait AlgorithmPlane: fmt::Debug {
 /// scratch against it.
 pub const MAX_PLANE_SHARDS: usize = 8;
 
+/// One receiver's delivery state for the length of its row — what
+/// [`PlaneShard::deliver_row`] hands the engine's [`RowWalk`]: the receiver's
+/// columns loaded into locals, every link of the round applied to them,
+/// stored back when the walk returns.
+pub trait RowKernel {
+    /// Whether an **honest** link of this round can still change this
+    /// receiver: it has not decided and its phase has not passed the
+    /// round's maximum wire phase. Once `false` it stays `false` for the
+    /// round (phases only grow), and skipping [`RowKernel::link`] for
+    /// honest links is unobservable. Fabricated links must still be fed.
+    fn live(&self) -> bool;
+
+    /// One single-message link: `(phase, value)` heard on `port`. Exact
+    /// for any message, whatever [`RowKernel::live`] says.
+    fn link(&mut self, port: Port, phase: Phase, value: Value);
+
+    /// An arbitrary (fabricated) batch heard on `port`, resolved as
+    /// `Algorithm::receive` resolves it. May reorder `batch`.
+    #[inline(always)]
+    fn batch(&mut self, port: Port, batch: &mut [Message]) {
+        for m in batch.iter() {
+            self.link(port, m.phase(), m.value());
+        }
+    }
+}
+
+/// One receiver's walk over its senders, generic over the kernel it
+/// feeds — a closure `for<K: RowKernel> FnOnce(&mut K)`, spelled as a
+/// trait because closures cannot be generic.
+pub trait RowWalk {
+    /// Feeds the receiver's links of this round to `kernel`, in arrival
+    /// order.
+    fn walk<K: RowKernel>(self, kernel: &mut K);
+}
+
+/// `pend ∧ (max_wire_phase + 1)`: the phase from which a receiver is no
+/// longer [`RowKernel::live`].
+#[inline]
+fn live_below(pend: u64, max_wire_phase: Phase) -> u64 {
+    pend.min(max_wire_phase.as_u64().saturating_add(1))
+}
+
 /// One receiver-range slice of a columnar plane
 /// (see [`AlgorithmPlane::fill_shards`]): exclusive `&mut` views of the
 /// columns for receivers `base..base + len`, safe to drive from its own
@@ -182,9 +240,23 @@ impl PlaneShard<'_> {
         self.base
     }
 
-    /// Delivers one round's worth of single-message links to `receiver`
-    /// (a **global** slot index inside this shard's range), in slice
-    /// order — the sharded mirror of [`AlgorithmPlane::receive_many`].
+    /// Runs `walk` over the kernel of `receiver` (a **global** slot index
+    /// inside this shard's range): the engine's delivery entry point.
+    /// `max_wire_phase` is the highest phase any honest link of this
+    /// round carries — what [`RowKernel::live`] is judged against.
+    #[inline]
+    pub fn deliver_row(&mut self, receiver: usize, max_wire_phase: Phase, walk: impl RowWalk) {
+        let v = receiver - self.base;
+        match &mut self.repr {
+            ShardRepr::Dac(cols) => cols.deliver_row(v, max_wire_phase, walk),
+            ShardRepr::Dbac(cols) => cols.deliver_row(v, max_wire_phase, walk),
+        }
+    }
+
+    /// Replay-only (see [`AlgorithmPlane`]). Delivers one round's worth of
+    /// single-message links to `receiver` (a **global** slot index inside
+    /// this shard's range), in slice order — the sharded mirror of
+    /// [`AlgorithmPlane::receive_many`].
     #[inline]
     pub fn receive_many(&mut self, receiver: usize, batch: &[(Port, Message)]) {
         let v = receiver - self.base;
@@ -414,6 +486,111 @@ impl DacCols<'_> {
     }
 }
 
+impl DacCols<'_> {
+    /// Slot `v`'s round: columns into a [`DacRow`], the walk, columns
+    /// back. `maybe_output` runs once at the end, which is when
+    /// `process` would have run it last — a decided slot's value no longer
+    /// changes.
+    #[inline]
+    fn deliver_row(&mut self, v: usize, max_wire_phase: Phase, walk: impl RowWalk) {
+        let row = v * self.row_words;
+        let mut k = DacRow {
+            pend: self.pend,
+            foreign_quorum: self.foreign_quorum,
+            live_below: live_below(self.pend, max_wire_phase),
+            phase: self.phase[v],
+            value: self.value[v],
+            vmin: self.vmin[v],
+            vmax: self.vmax[v],
+            seen: self.seen_count[v],
+            ports_seen: &mut self.ports_seen[row..row + self.row_words],
+        };
+        walk.walk(&mut k);
+        self.phase[v] = k.phase;
+        self.value[v] = k.value;
+        self.vmin[v] = k.vmin;
+        self.vmax[v] = k.vmax;
+        self.seen_count[v] = k.seen;
+        self.maybe_output(v);
+    }
+}
+
+/// [`DacCols::process`] on locals: one slot's Alg. 1 state for the length
+/// of its row.
+struct DacRow<'a> {
+    pend: u64,
+    foreign_quorum: u32,
+    live_below: u64,
+    phase: Phase,
+    value: Value,
+    vmin: Value,
+    vmax: Value,
+    seen: u32,
+    ports_seen: &'a mut [u64],
+}
+
+impl DacRow<'_> {
+    #[inline]
+    fn reset(&mut self) {
+        self.ports_seen.fill(0);
+        self.seen = 0;
+        self.vmin = self.value;
+        self.vmax = self.value;
+    }
+
+    /// Out of line: once per slot per phase, and its loop (which only
+    /// ever repeats when `foreign_quorum` is 0) would otherwise be laid
+    /// out inside every link loop `link` is inlined into.
+    #[cold]
+    #[inline(never)]
+    fn try_advance(&mut self) {
+        while self.seen >= self.foreign_quorum && self.phase.as_u64() < self.pend {
+            self.value = self.vmin.midpoint(self.vmax);
+            self.phase = self.phase.next();
+            self.reset();
+        }
+    }
+}
+
+impl RowKernel for DacRow<'_> {
+    #[inline(always)]
+    fn live(&self) -> bool {
+        self.phase.as_u64() < self.live_below
+    }
+
+    #[inline(always)]
+    fn link(&mut self, port: Port, phase: Phase, value: Value) {
+        let p = self.phase;
+        if p.as_u64() >= self.pend {
+            return;
+        }
+        if phase == p {
+            let (w, b) = (port.index() / 64, port.index() % 64);
+            let word = &mut self.ports_seen[w];
+            if *word & (1 << b) != 0 {
+                return;
+            }
+            *word |= 1 << b;
+            self.seen += 1;
+            if value < self.vmin {
+                self.vmin = value;
+            } else if value > self.vmax {
+                self.vmax = value;
+            }
+            if self.seen < self.foreign_quorum {
+                return;
+            }
+        } else if phase > p {
+            self.value = value;
+            self.phase = phase;
+            self.reset();
+        } else {
+            return;
+        }
+        self.try_advance();
+    }
+}
+
 impl AlgorithmPlane for DacPlane {
     fn n(&self) -> usize {
         self.phase.len()
@@ -460,7 +637,7 @@ impl AlgorithmPlane for DacPlane {
         }
     }
 
-    fn fill_shards<'a>(&'a mut self, bounds: &[usize], out: &mut [Option<PlaneShard<'a>>]) -> bool {
+    fn fill_shards<'a>(&'a mut self, bounds: &[usize], out: &mut [Option<PlaneShard<'a>>]) {
         assert_shard_bounds(self.phase.len(), bounds, out.len());
         let (pend, foreign_quorum, row_words) = (self.pend, self.foreign_quorum, self.row_words);
         let (mut phase, mut value) = (&mut self.phase[..], &mut self.value[..]);
@@ -485,7 +662,6 @@ impl AlgorithmPlane for DacPlane {
                 }),
             });
         }
-        true
     }
 
     fn end_round(&mut self, executing: &NodeSet) {
@@ -687,6 +863,107 @@ impl DbacCols<'_> {
     }
 }
 
+impl DbacCols<'_> {
+    /// Slot `v`'s round through a [`DbacRow`] — see [`DacCols::deliver_row`].
+    #[inline]
+    fn deliver_row(&mut self, v: usize, max_wire_phase: Phase, walk: impl RowWalk) {
+        let row = v * self.row_words;
+        let (from, to) = (v * self.cap, (v + 1) * self.cap);
+        let mut k = DbacRow {
+            pend: self.pend,
+            foreign_quorum: self.foreign_quorum,
+            live_below: live_below(self.pend, max_wire_phase),
+            phase: self.phase[v],
+            value: self.value[v],
+            seen: self.seen_count[v],
+            ports_seen: &mut self.ports_seen[row..row + self.row_words],
+            low: &mut self.low[from..to],
+            high: &mut self.high[from..to],
+        };
+        walk.walk(&mut k);
+        self.phase[v] = k.phase;
+        self.value[v] = k.value;
+        self.seen_count[v] = k.seen;
+        self.maybe_output(v);
+    }
+}
+
+/// [`DbacCols::process`] on locals: one slot's Alg. 2 state for the
+/// length of its row (the trim lists stay in their slab — they are the
+/// slot's own `f + 1` contiguous values either way).
+struct DbacRow<'a> {
+    pend: u64,
+    foreign_quorum: u32,
+    live_below: u64,
+    phase: Phase,
+    value: Value,
+    seen: u32,
+    ports_seen: &'a mut [u64],
+    low: &'a mut [Value],
+    high: &'a mut [Value],
+}
+
+impl DbacRow<'_> {
+    /// Alg. 2 `RESET()` + self-store (mirrors `DbacCols::reset`).
+    #[inline]
+    fn reset(&mut self) {
+        self.ports_seen.fill(0);
+        self.seen = 0;
+        trim::clear(self.low, self.high);
+        trim::store(self.low, self.high, self.value);
+    }
+
+    /// Out of line, like [`DacRow::try_advance`].
+    // audit: no-alloc-fn
+    #[cold]
+    #[inline(never)]
+    fn try_advance(&mut self) {
+        while self.seen >= self.foreign_quorum && self.phase.as_u64() < self.pend {
+            let (lo, hi) = trim::bounds(self.low, self.high);
+            self.value = lo.midpoint(hi);
+            self.phase = self.phase.next();
+            self.reset();
+        }
+    }
+}
+
+impl RowKernel for DbacRow<'_> {
+    #[inline(always)]
+    fn live(&self) -> bool {
+        self.phase.as_u64() < self.live_below
+    }
+
+    #[inline(always)]
+    fn link(&mut self, port: Port, phase: Phase, value: Value) {
+        if self.phase.as_u64() >= self.pend || phase < self.phase {
+            return;
+        }
+        let (w, b) = (port.index() / 64, port.index() % 64);
+        let slot = &mut self.ports_seen[w];
+        if *slot & (1 << b) != 0 {
+            return;
+        }
+        *slot |= 1 << b;
+        self.seen += 1;
+        trim::store(self.low, self.high, value);
+        if self.seen >= self.foreign_quorum {
+            self.try_advance();
+        }
+    }
+
+    // audit: no-alloc-fn
+    #[inline(always)]
+    fn batch(&mut self, port: Port, batch: &mut [Message]) {
+        // Multi-message batches resolve in ascending phase order, as in
+        // `Dbac::receive`. Equal messages are indistinguishable, so the
+        // in-place unstable sort is that same order without a scratch.
+        batch.sort_unstable();
+        for m in batch.iter() {
+            self.link(port, m.phase(), m.value());
+        }
+    }
+}
+
 impl AlgorithmPlane for DbacPlane {
     fn n(&self) -> usize {
         self.phase.len()
@@ -749,7 +1026,7 @@ impl AlgorithmPlane for DbacPlane {
         }
     }
 
-    fn fill_shards<'a>(&'a mut self, bounds: &[usize], out: &mut [Option<PlaneShard<'a>>]) -> bool {
+    fn fill_shards<'a>(&'a mut self, bounds: &[usize], out: &mut [Option<PlaneShard<'a>>]) {
         assert_shard_bounds(self.phase.len(), bounds, out.len());
         let (pend, foreign_quorum) = (self.pend, self.foreign_quorum);
         let (row_words, cap) = (self.row_words, self.cap);
@@ -777,7 +1054,6 @@ impl AlgorithmPlane for DbacPlane {
                 }),
             });
         }
-        true
     }
 
     fn end_round(&mut self, executing: &NodeSet) {
@@ -809,6 +1085,7 @@ impl AlgorithmPlane for DbacPlane {
 mod tests {
     use super::*;
     use crate::{Algorithm, Dac, Dbac};
+    use adn_types::rng::SplitMix64;
     use adn_types::NodeId;
 
     fn val(v: f64) -> Value {
@@ -992,6 +1269,157 @@ mod tests {
         assert_eq!(bulk_dbac.values(), link_dbac.values());
     }
 
+    /// One scripted link of the kernel fuzz: an honest single-message
+    /// link (phase at most the round's maximum wire phase, skippable once
+    /// the receiver is not live) or a fabricated batch (any phases, always
+    /// fed).
+    enum ScriptLink {
+        Honest(Port, Message),
+        Fabricated(Port, Vec<Message>),
+    }
+
+    /// Feeds a script to the kernel the way the engine's walk does.
+    struct ScriptWalk<'a>(&'a mut [ScriptLink]);
+
+    impl RowWalk for ScriptWalk<'_> {
+        fn walk<K: RowKernel>(self, kernel: &mut K) {
+            for link in self.0 {
+                match link {
+                    ScriptLink::Honest(port, m) => {
+                        if kernel.live() {
+                            kernel.link(*port, m.phase(), m.value());
+                        }
+                    }
+                    ScriptLink::Fabricated(port, batch) => kernel.batch(*port, batch),
+                }
+            }
+        }
+    }
+
+    /// Random multi-round scripts at one receiver: the per-receiver kernel
+    /// (stale links skipped) against per-link `receive` (nothing skipped),
+    /// on the whole plane and on a mid-range shard. Small `n` gives
+    /// `foreign_quorum` 0 and 1 and ports that repeat within a phase;
+    /// small `pend` is reached mid-row; the round's maximum wire phase
+    /// sits one below, at, or one above the receiver's phase, so honest
+    /// links arrive both at the `live` boundary and past it; fabricated
+    /// batches jump the receiver mid-row and land behind its quorum.
+    fn fuzz_kernel_against_receive<P: AlgorithmPlane>(
+        make: impl Fn(Params, &[Value], u64) -> P,
+        assert_same: impl Fn(&P, &P, &str),
+    ) {
+        let seeds = std::env::var("ADN_FUZZ_SEEDS")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(300);
+        let mut jumps_mid_row = 0u64;
+        let mut stale_skips = 0u64;
+        for seed in 0..seeds {
+            let mut rng = SplitMix64::new(seed);
+            let n = [1usize, 2, 3, 5, 7, 70][rng.next_index(6)];
+            let f = rng.next_index((n - 1) / 5 + 1);
+            let params = Params::new(n, f, 0.1).unwrap();
+            let pend = 1 + rng.next_below(5);
+            let grid = 2 + rng.next_below(6);
+            let value = |rng: &mut SplitMix64| {
+                Value::saturating(rng.next_below(grid) as f64 / (grid - 1) as f64)
+            };
+            let inputs: Vec<Value> = (0..n).map(|_| value(&mut rng)).collect();
+            let v = rng.next_index(n);
+            // Whole plane, or three shards with `v` in the middle one.
+            let bounds = if rng.next_bool(0.5) {
+                vec![0, n]
+            } else {
+                vec![0, rng.next_index(v + 1), v + 1 + rng.next_index(n - v), n]
+            };
+            let mut reference = make(params, &inputs, pend);
+            let mut kernel = make(params, &inputs, pend);
+            let executing = NodeSet::from_ids(n, [NodeId::new(v)]);
+            for round in 0..12 {
+                let p = reference.phases()[v].as_u64();
+                let max_wire = (p + rng.next_below(3)).saturating_sub(1);
+                let mut script: Vec<ScriptLink> = (0..rng.next_index(2 * n + 3))
+                    .map(|_| {
+                        let port = Port::new(rng.next_index(n));
+                        if rng.next_bool(0.8) {
+                            let phase = max_wire.saturating_sub(rng.next_below(3));
+                            ScriptLink::Honest(
+                                port,
+                                Message::new(value(&mut rng), Phase::new(phase)),
+                            )
+                        } else {
+                            let batch = (0..1 + rng.next_index(3))
+                                .map(|_| {
+                                    let phase = (p + rng.next_below(4)).saturating_sub(1);
+                                    Message::new(value(&mut rng), Phase::new(phase))
+                                })
+                                .collect();
+                            ScriptLink::Fabricated(port, batch)
+                        }
+                    })
+                    .collect();
+                for (i, link) in script.iter().enumerate() {
+                    let before = reference.phases()[v];
+                    match link {
+                        ScriptLink::Honest(port, m) => {
+                            stale_skips += u64::from(before.as_u64() > max_wire);
+                            reference.receive(v, *port, std::slice::from_ref(m));
+                        }
+                        ScriptLink::Fabricated(port, batch) => reference.receive(v, *port, batch),
+                    }
+                    let moved = reference.phases()[v] > before.next();
+                    jumps_mid_row += u64::from(moved && i + 1 < script.len());
+                }
+                {
+                    let mut shards: [Option<PlaneShard<'_>>; 3] = [None, None, None];
+                    let shards = &mut shards[..bounds.len() - 1];
+                    kernel.fill_shards(&bounds, shards);
+                    let mid = shards.len() / 2;
+                    shards[mid].as_mut().unwrap().deliver_row(
+                        v,
+                        Phase::new(max_wire),
+                        ScriptWalk(&mut script),
+                    );
+                }
+                let what = format!("seed {seed} round {round} (n {n} f {f} pend {pend} slot {v})");
+                assert_same(&reference, &kernel, &what);
+                reference.end_round(&executing);
+                kernel.end_round(&executing);
+                assert_same(&reference, &kernel, &what);
+            }
+        }
+        if seeds >= 100 {
+            assert!(jumps_mid_row > 0, "no script jumped a receiver mid-row");
+            assert!(stale_skips > 0, "no script fed a stale honest link");
+        }
+    }
+
+    #[test]
+    fn dac_kernel_matches_per_link_receive_on_random_scripts() {
+        fuzz_kernel_against_receive(DacPlane::with_pend, |a, b, what| {
+            assert_eq!(a.phase, b.phase, "phase, {what}");
+            assert_eq!(a.value, b.value, "value, {what}");
+            assert_eq!(a.output, b.output, "output, {what}");
+            assert_eq!(a.vmin, b.vmin, "vmin, {what}");
+            assert_eq!(a.vmax, b.vmax, "vmax, {what}");
+            assert_eq!(a.ports_seen, b.ports_seen, "ports_seen, {what}");
+            assert_eq!(a.seen_count, b.seen_count, "seen_count, {what}");
+        });
+    }
+
+    #[test]
+    fn dbac_kernel_matches_per_link_receive_on_random_scripts() {
+        fuzz_kernel_against_receive(DbacPlane::with_pend, |a, b, what| {
+            assert_eq!(a.phase, b.phase, "phase, {what}");
+            assert_eq!(a.value, b.value, "value, {what}");
+            assert_eq!(a.output, b.output, "output, {what}");
+            assert_eq!(a.low, b.low, "R_low, {what}");
+            assert_eq!(a.high, b.high, "R_high, {what}");
+            assert_eq!(a.ports_seen, b.ports_seen, "ports_seen, {what}");
+            assert_eq!(a.seen_count, b.seen_count, "seen_count, {what}");
+        });
+    }
+
     #[test]
     fn shards_mirror_whole_plane_delivery() {
         let params = Params::new(7, 1, 0.1).unwrap();
@@ -1011,7 +1439,7 @@ mod tests {
         let mut sharded = DacPlane::with_pend(params, &inputs, 4);
         {
             let mut shards: [Option<PlaneShard<'_>>; 2] = [None, None];
-            assert!(sharded.fill_shards(&bounds, &mut shards));
+            sharded.fill_shards(&bounds, &mut shards);
             for (i, shard) in shards.iter_mut().enumerate() {
                 let s = shard.as_mut().unwrap();
                 assert_eq!(s.base(), bounds[i]);
@@ -1036,7 +1464,7 @@ mod tests {
         let mut sharded = DbacPlane::with_pend(params, &inputs, 4);
         {
             let mut shards: [Option<PlaneShard<'_>>; 2] = [None, None];
-            assert!(sharded.fill_shards(&bounds, &mut shards));
+            sharded.fill_shards(&bounds, &mut shards);
             for (i, shard) in shards.iter_mut().enumerate() {
                 deliver(shard.as_mut().unwrap(), bounds[i], bounds[i + 1]);
             }

@@ -296,9 +296,10 @@ impl EdgeSet {
 
     /// Overwrites `out` with the transpose of this link set: row `u` of
     /// `out` holds the **out**-neighbors of `u` (`out[u] ∋ v ⇔ self[v] ∋
-    /// u`). This is the sender-major view the columnar delivery plane
-    /// walks — one row per sender — while adversaries keep filling the
-    /// receiver-major original.
+    /// u`) — the sender-major view of the receiver-major original
+    /// adversaries fill. (The engine itself delivers receiver-major and
+    /// never transposes; the benchmark's stage replay and out-degree
+    /// analyses do.)
     ///
     /// Runs as a blocked 64×64 bit-matrix transpose: `(n/64)²` blocks,
     /// each gathered into a 64-word tile, transposed with the

@@ -35,9 +35,10 @@ pub const MAX_RUNS_PER_ROW: usize = 4;
 
 /// Read access to one round's per-receiver link rows.
 ///
-/// The one required method is [`LinkRows::for_each_in`] — visit a
-/// receiver's in-neighbors in ascending id order — from which the
-/// aggregate defaults derive. [`EdgeSet`] (dense bit rows) and
+/// The one required walk is [`LinkRows::scan_in`] — visit a receiver's
+/// in-neighbors in ascending id order, from a resume point, until told to
+/// stop — from which [`LinkRows::for_each_in`] and the aggregate defaults
+/// derive. [`EdgeSet`] (dense bit rows) and
 /// [`LinkPlane`] (runs / CSR rows) both implement it, so consumers like
 /// the delivery loop and [`WindowUnion`](crate::WindowUnion) are written
 /// once against the trait.
@@ -45,14 +46,65 @@ pub trait LinkRows {
     /// Number of nodes.
     fn n(&self) -> usize;
 
+    /// Calls `f` for the in-neighbors of `v` with id `≥ from`, ascending,
+    /// until it returns `false`; returns the in-neighbor that ended the
+    /// scan (`None` once the row is exhausted). Scanning again from that
+    /// id `+ 1` continues the row — how the delivery loop leaves a row at
+    /// a sender that needs per-link work and comes back behind it.
+    fn scan_in(&self, v: NodeId, from: usize, f: impl FnMut(NodeId) -> bool) -> Option<NodeId>;
+
     /// Calls `f` for every in-neighbor of `v`, ascending by id.
-    fn for_each_in(&self, v: NodeId, f: impl FnMut(NodeId));
+    #[inline]
+    fn for_each_in(&self, v: NodeId, mut f: impl FnMut(NodeId)) {
+        self.scan_in(v, 0, |u| {
+            f(u);
+            true
+        });
+    }
 
     /// Number of distinct in-neighbors of `v`.
     fn in_degree(&self, v: NodeId) -> usize {
         let mut c = 0;
         self.for_each_in(v, |_| c += 1);
         c
+    }
+
+    /// Whether `u` is an in-neighbor of `v` — the membership test the
+    /// delivery loop's permutation orders ask per `(sender, receiver)`.
+    /// The default scans the row; dense rows answer with one bit test.
+    fn contains(&self, u: NodeId, v: NodeId) -> bool {
+        let mut hit = false;
+        self.for_each_in(v, |w| hit |= w == u);
+        hit
+    }
+
+    /// Number of in-neighbors of `v` that are also in `mask` — how the
+    /// delivery loop counts the links of a row it stopped walking. The
+    /// default scans the row; dense and run rows count whole words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mask` is not over [`LinkRows::n`] nodes.
+    fn in_degree_within(&self, v: NodeId, mask: &NodeSet) -> usize {
+        let mut c = 0;
+        self.for_each_in(v, |u| c += usize::from(mask.contains(u)));
+        c
+    }
+
+    /// ORs `v`'s in-neighbors that are also in `mask` into `out` — how
+    /// the delivery loop records a receiver's realized links from
+    /// unconditionally delivering senders. The default inserts link by
+    /// link; dense rows do it one word at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mask` or `out` is not over [`LinkRows::n`] nodes.
+    fn union_in_masked(&self, v: NodeId, mask: &NodeSet, out: &mut NodeSet) {
+        self.for_each_in(v, |u| {
+            if mask.contains(u) {
+                out.insert(u);
+            }
+        });
     }
 
     /// Calls `f` for every `(sender, receiver)` pair, receiver-major and
@@ -90,12 +142,26 @@ impl LinkRows for EdgeSet {
     }
 
     #[inline]
-    fn for_each_in(&self, v: NodeId, f: impl FnMut(NodeId)) {
-        self.in_neighbors(v).for_each(f);
+    fn scan_in(&self, v: NodeId, from: usize, f: impl FnMut(NodeId) -> bool) -> Option<NodeId> {
+        self.in_neighbors(v).scan_from(from, f)
     }
 
     fn in_degree(&self, v: NodeId) -> usize {
         EdgeSet::in_degree(self, v)
+    }
+
+    #[inline]
+    fn contains(&self, u: NodeId, v: NodeId) -> bool {
+        EdgeSet::contains(self, u, v)
+    }
+
+    fn in_degree_within(&self, v: NodeId, mask: &NodeSet) -> usize {
+        self.in_neighbors(v).intersection_len(mask)
+    }
+
+    #[inline]
+    fn union_in_masked(&self, v: NodeId, mask: &NodeSet, out: &mut NodeSet) {
+        out.union_masked(self.in_neighbors(v), mask);
     }
 
     fn edge_count(&self) -> usize {
@@ -282,6 +348,20 @@ impl LinkPlane {
         *len += 1;
     }
 
+    /// `v`'s CSR row: its exact ascending sender ids (empty for run rows
+    /// and empty rows). `csr_start` is only meaningful while the row has
+    /// links — `begin_round` truncates the pool without rewriting starts.
+    #[inline]
+    fn csr_row(&self, v_idx: usize) -> &[u32] {
+        match self.csr_len[v_idx] as usize {
+            0 => &[],
+            l => {
+                let s = self.csr_start[v_idx] as usize;
+                &self.csr_items[s..s + l]
+            }
+        }
+    }
+
     /// Sorts and coalesces `v`'s runs into ascending disjoint ranges on
     /// the stack. Returns the ranges and their count.
     #[inline]
@@ -311,9 +391,16 @@ impl LinkPlane {
         (rs, if len == 0 { 0 } else { m + 1 })
     }
 
-    /// Word-walks `deliverers ∩ {lo..=hi} \ {skip}`, ascending.
+    /// Word-walks `deliverers ∩ {lo..=hi} \ {skip}`, ascending, until `f`
+    /// returns `false`; returns the sender that ended the walk.
     #[inline]
-    fn walk_range(&self, lo: usize, hi: usize, skip: usize, mut f: impl FnMut(NodeId)) {
+    fn walk_range(
+        &self,
+        lo: usize,
+        hi: usize,
+        skip: usize,
+        mut f: impl FnMut(NodeId) -> bool,
+    ) -> Option<NodeId> {
         let words = self.deliverers.words();
         let (lw, lb) = (lo / 64, lo % 64);
         let (hw, hb) = (hi / 64, hi % 64);
@@ -334,14 +421,18 @@ impl LinkPlane {
             while word != 0 {
                 let bit = word.trailing_zeros() as usize;
                 word &= word - 1;
-                f(NodeId::new(wbase + bit));
+                let u = NodeId::new(wbase + bit);
+                if !f(u) {
+                    return Some(u);
+                }
             }
         }
+        None
     }
 
-    /// Popcount of `deliverers ∩ {lo..=hi} \ {skip}`.
+    /// Popcount of `deliverers ∩ within ∩ {lo..=hi} \ {skip}`.
     #[inline]
-    fn count_range(&self, lo: usize, hi: usize, skip: usize) -> usize {
+    fn count_range(&self, lo: usize, hi: usize, skip: usize, within: &NodeSet) -> usize {
         let words = self.deliverers.words();
         let (lw, lb) = (lo / 64, lo % 64);
         let (hw, hb) = (hi / 64, hi % 64);
@@ -358,7 +449,7 @@ impl LinkPlane {
             if w == sw {
                 mask &= !(1u64 << sb);
             }
-            c += (dw & mask).count_ones() as usize;
+            c += (dw & within.word(w) & mask).count_ones() as usize;
         }
         c
     }
@@ -384,14 +475,8 @@ impl LinkPlane {
                     NodeId::new(hi as usize),
                 );
             }
-            // `csr_start` is only meaningful while the row has links —
-            // `begin_round` truncates the pool without rewriting starts.
-            let l = self.csr_len[v_idx] as usize;
-            if l > 0 {
-                let s = self.csr_start[v_idx] as usize;
-                for &u in &self.csr_items[s..s + l] {
-                    out.insert(NodeId::new(u as usize), v);
-                }
+            for &u in self.csr_row(v_idx) {
+                out.insert(NodeId::new(u as usize), v);
             }
         }
     }
@@ -414,35 +499,62 @@ impl LinkRows for LinkPlane {
     }
 
     #[inline]
-    fn for_each_in(&self, v: NodeId, mut f: impl FnMut(NodeId)) {
+    fn scan_in(&self, v: NodeId, from: usize, mut f: impl FnMut(NodeId) -> bool) -> Option<NodeId> {
         let v_idx = v.index();
         if self.runs_len[v_idx] > 0 {
             let (rs, m) = self.merged_runs(v);
             for &(lo, hi) in &rs[..m] {
-                self.walk_range(lo as usize, hi as usize, v_idx, &mut f);
+                let (lo, hi) = ((lo as usize).max(from), hi as usize);
+                if lo <= hi {
+                    if let Some(u) = self.walk_range(lo, hi, v_idx, &mut f) {
+                        return Some(u);
+                    }
+                }
             }
-            return;
+            return None;
         }
-        // `csr_start` is stale while the row is empty (see `fill_edgeset`).
-        let l = self.csr_len[v_idx] as usize;
-        if l > 0 {
-            let s = self.csr_start[v_idx] as usize;
-            for &u in &self.csr_items[s..s + l] {
-                f(NodeId::new(u as usize));
+        let row = self.csr_row(v_idx);
+        let skip = row.partition_point(|&u| (u as usize) < from);
+        for &u in &row[skip..] {
+            let u = NodeId::new(u as usize);
+            if !f(u) {
+                return Some(u);
             }
         }
+        None
     }
 
     fn in_degree(&self, v: NodeId) -> usize {
+        if self.runs_len[v.index()] > 0 {
+            return self.in_degree_within(v, &self.deliverers);
+        }
+        self.csr_len[v.index()] as usize
+    }
+
+    fn contains(&self, u: NodeId, v: NodeId) -> bool {
+        let (u_idx, v_idx) = (u.index() as u32, v.index());
+        if self.runs_len[v_idx] > 0 {
+            let base = v_idx * MAX_RUNS_PER_ROW;
+            let runs = &self.runs[base..base + self.runs_len[v_idx] as usize];
+            return u != v
+                && self.deliverers.contains(u)
+                && runs.iter().any(|&(lo, hi)| (lo..=hi).contains(&u_idx));
+        }
+        self.csr_row(v_idx).binary_search(&u_idx).is_ok()
+    }
+
+    fn in_degree_within(&self, v: NodeId, mask: &NodeSet) -> usize {
+        assert_eq!(mask.universe(), self.n, "universe mismatch");
         let v_idx = v.index();
         if self.runs_len[v_idx] > 0 {
             let (rs, m) = self.merged_runs(v);
             return rs[..m]
                 .iter()
-                .map(|&(lo, hi)| self.count_range(lo as usize, hi as usize, v_idx))
+                .map(|&(lo, hi)| self.count_range(lo as usize, hi as usize, v_idx, mask))
                 .sum();
         }
-        self.csr_len[v_idx] as usize
+        let in_mask = |&&u: &&u32| mask.contains(NodeId::new(u as usize));
+        self.csr_row(v_idx).iter().filter(in_mask).count()
     }
 }
 
@@ -581,6 +693,92 @@ mod tests {
         let mut expect = Vec::new();
         dense.for_each_edge(|u, v| expect.push((u, v)));
         assert_eq!(got, expect);
+    }
+
+    /// Every row read the delivery loop makes — resumable scans,
+    /// membership, masked counts and unions — agrees between run rows,
+    /// CSR rows, their dense image, and the trait's row-scanning defaults.
+    #[test]
+    fn row_reads_agree_across_row_kinds_and_defaults() {
+        /// A row kind with nothing but `scan_in`: the defaults' reference.
+        struct Scanned<'a>(&'a EdgeSet);
+        impl LinkRows for Scanned<'_> {
+            fn n(&self) -> usize {
+                LinkRows::n(self.0)
+            }
+            fn scan_in(
+                &self,
+                v: NodeId,
+                from: usize,
+                f: impl FnMut(NodeId) -> bool,
+            ) -> Option<NodeId> {
+                self.0.scan_in(v, from, f)
+            }
+        }
+
+        /// The senders a scan from `from` visits, the last one being the
+        /// first with id `≥ stop_at` (which ends it), and what it returns.
+        fn scan(
+            rows: &impl LinkRows,
+            v: NodeId,
+            from: usize,
+            stop_at: usize,
+        ) -> (Vec<usize>, Option<NodeId>) {
+            let mut seen = Vec::new();
+            let stop = rows.scan_in(v, from, |u| {
+                seen.push(u.index());
+                u.index() < stop_at
+            });
+            (seen, stop)
+        }
+
+        let n = 140;
+        let mut lp = LinkPlane::new(n);
+        let mut deliverers = NodeSet::full(n);
+        deliverers.remove(NodeId::new(64));
+        deliverers.remove(NodeId::new(3));
+        lp.begin_round(&deliverers);
+        // A wrapped, overlapping run row; a run row split around its own
+        // id; a CSR row (not intersected with the deliverers); the rest
+        // empty.
+        lp.push_run(NodeId::new(5), NodeId::new(120), NodeId::new(139));
+        lp.push_run(NodeId::new(5), NodeId::new(0), NodeId::new(70));
+        lp.push_run(NodeId::new(5), NodeId::new(60), NodeId::new(66));
+        lp.push_run(NodeId::new(65), NodeId::new(1), NodeId::new(130));
+        for u in [2, 3, 64, 100, 139] {
+            lp.push_link(NodeId::new(6), NodeId::new(u));
+        }
+        let mut dense = EdgeSet::empty(n);
+        lp.fill_edgeset(&mut dense);
+        let mask = NodeSet::from_ids(n, (0..n).filter(|u| u % 3 != 0).map(NodeId::new));
+
+        for v in [5usize, 6, 65, 7].map(NodeId::new) {
+            for u in NodeId::all(n) {
+                let expect = dense.in_neighbors(v).contains(u);
+                assert_eq!(LinkRows::contains(&lp, u, v), expect, "{u} -> {v}");
+                assert_eq!(LinkRows::contains(&dense, u, v), expect, "{u} -> {v}");
+                assert_eq!(Scanned(&dense).contains(u, v), expect, "{u} -> {v}");
+            }
+            let within = Scanned(&dense).in_degree_within(v, &mask);
+            assert_eq!(lp.in_degree_within(v, &mask), within, "row {v}");
+            assert_eq!(dense.in_degree_within(v, &mask), within, "row {v}");
+            let mut unions = [NodeSet::new(n), NodeSet::new(n), NodeSet::new(n)];
+            lp.union_in_masked(v, &mask, &mut unions[0]);
+            dense.union_in_masked(v, &mask, &mut unions[1]);
+            Scanned(&dense).union_in_masked(v, &mask, &mut unions[2]);
+            assert_eq!(unions[0], unions[1], "row {v}");
+            assert_eq!(unions[0], unions[2], "row {v}");
+            assert_eq!(unions[0].len(), within, "row {v}");
+            // Scans from every resume point, stopped at every sender.
+            for from in [0usize, 1, 4, 63, 64, 65, 101, 139, 140] {
+                for stop_at in [0usize, 2, 64, 66, 100, 138, 139, usize::MAX] {
+                    let sparse = scan(&lp, v, from, stop_at);
+                    let bits = scan(&dense, v, from, stop_at);
+                    assert_eq!(sparse, bits, "row {v} from {from} stop {stop_at}");
+                    assert!(sparse.0.iter().all(|&u| u >= from));
+                }
+            }
+        }
     }
 
     #[test]

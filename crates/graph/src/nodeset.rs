@@ -336,6 +336,27 @@ impl NodeSet {
         }
     }
 
+    /// Calls `f` for the members with id `≥ from`, ascending, until it
+    /// returns `false`; returns the member that ended the scan (`None`
+    /// once the set is exhausted). Resuming at that member's id `+ 1`
+    /// continues where the scan stopped.
+    #[inline]
+    pub fn scan_from(&self, from: usize, mut f: impl FnMut(NodeId) -> bool) -> Option<NodeId> {
+        let mut mask = u64::MAX << (from % 64);
+        for (wi, &w) in self.words.iter().enumerate().skip(from / 64) {
+            let mut word = w & mask;
+            mask = u64::MAX;
+            while word != 0 {
+                let id = NodeId::new(wi * 64 + word.trailing_zeros() as usize);
+                word &= word - 1;
+                if !f(id) {
+                    return Some(id);
+                }
+            }
+        }
+        None
+    }
+
     /// Calls `f` for every member of `self ∩ other` in ascending order,
     /// without materializing the intersection.
     ///
@@ -608,6 +629,23 @@ mod tests {
         let mut got = Vec::new();
         s.for_each(|id| got.push(id));
         assert_eq!(got, s.iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn scan_from_stops_and_resumes() {
+        let s = NodeSet::from_ids(200, ids(&[0, 5, 63, 64, 65, 130, 199]));
+        // A full scan from 0 is `for_each`.
+        let mut seen = Vec::new();
+        assert_eq!(s.scan_from(0, |id| (seen.push(id.index()), true).1), None);
+        assert_eq!(seen, vec![0, 5, 63, 64, 65, 130, 199]);
+        // Stopping returns the refused member; `+ 1` resumes behind it,
+        // mid-word, at a word boundary, and past the last member.
+        assert_eq!(s.scan_from(0, |id| id.index() < 63), Some(NodeId::new(63)));
+        assert_eq!(s.scan_from(64, |id| id.index() < 65), Some(NodeId::new(65)));
+        assert_eq!(s.scan_from(6, |_| false), Some(NodeId::new(63)));
+        assert_eq!(s.scan_from(131, |_| false), Some(NodeId::new(199)));
+        assert_eq!(s.scan_from(200, |_| false), None);
+        assert_eq!(s.scan_from(1_000, |_| false), None);
     }
 
     #[test]

@@ -117,12 +117,15 @@ pub struct RoundBuffers {
     /// per delivery.
     pub unconditional: NodeSet,
     /// Sender-major transpose of `chosen` (row `u` = out-neighbors of
-    /// `u`), rebuilt by [`RoundBuffers::transpose_chosen`] each round the
-    /// columnar algorithm plane runs. Every word is overwritten by the
-    /// transpose, so `begin_round` does not clear it.
+    /// `u`), rebuilt by [`RoundBuffers::transpose_chosen`]. **Replay-only**:
+    /// the engine delivers receiver-major and never transposes; the
+    /// benchmark's frozen sender-major stage replay still does, and this
+    /// field, [`RoundBuffers::plane_receivers`] and `transpose_chosen` go
+    /// when it is ported. Every word is overwritten by the transpose, so
+    /// `begin_round` does not clear it.
     pub chosen_out: EdgeSet,
-    /// Per-sender receiver scratch of the plane path: `chosen ∩ honest`
-    /// out-neighbors of the sender currently delivering.
+    /// Replay-only, like `chosen_out`: the `chosen ∩ honest` out-neighbors
+    /// of the sender a sender-major walk is delivering.
     pub plane_receivers: NodeSet,
 }
 
@@ -173,9 +176,10 @@ impl RoundBuffers {
         }
     }
 
-    /// Rebuilds the sender-major view of this round's chosen links:
-    /// `chosen_out` becomes the transpose of `chosen` (one blocked
-    /// bit-matrix transpose, no allocation).
+    /// Replay-only (see [`RoundBuffers::chosen_out`]). Rebuilds the
+    /// sender-major view of this round's chosen links: `chosen_out`
+    /// becomes the transpose of `chosen` (one blocked bit-matrix
+    /// transpose, no allocation).
     pub fn transpose_chosen(&mut self) {
         self.chosen.transpose_into(&mut self.chosen_out);
     }

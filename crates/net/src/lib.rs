@@ -31,5 +31,5 @@ mod ports;
 mod traffic;
 
 pub use buffers::{RoundBuffers, SenderClass};
-pub use ports::PortNumbering;
+pub use ports::{PortNumbering, PortRow};
 pub use traffic::Traffic;

@@ -46,12 +46,12 @@ pub struct PortNumbering {
     n: usize,
     repr: Repr,
     /// The transposed dense table, sender-major:
-    /// `transposed[sender * n + receiver] = port`. The columnar delivery
-    /// plane walks one *sender's* out-neighbors at a time, so it reads
-    /// this layout sequentially (`ports_to`) where a row-major table
-    /// would stride by `n` per receiver. Built lazily on the first
-    /// `ports_to` call — for any representation — so runs on the trait
-    /// path and the sparse path never pay the `n²`-word table.
+    /// `transposed[sender * n + receiver] = port`, built lazily by the
+    /// first [`PortNumbering::ports_to`] call. **Replay-only:** every
+    /// engine path delivers receiver-major and reads a receiver's own
+    /// [`PortNumbering::ports_of`], so no simulation materializes this table
+    /// (`tests/alloc_free.rs` pins that); only the benchmark's frozen
+    /// sender-major stage replay still asks for sender columns.
     transposed: OnceLock<Vec<Port>>,
 }
 
@@ -83,13 +83,13 @@ impl PartialEq for PortNumbering {
 impl Eq for PortNumbering {}
 
 impl PortNumbering {
-    /// Largest `n` for which the dense `n × n` representations — the
-    /// [`PortNumbering::random`] table and the lazy
+    /// Largest `n` for which a dense `n × n` port table — the
+    /// [`PortNumbering::random`] representation, the only one a
+    /// simulation ever holds, or the replay-only
     /// [`PortNumbering::ports_to`] transpose — may be materialized
     /// (128 MB of ports at the cap). Larger systems must use
     /// [`PortNumbering::rotation`] (the simulation builder switches
-    /// automatically) and the per-link arithmetic of
-    /// [`PortNumbering::port_of`] on the sparse delivery path.
+    /// automatically), whose rows are arithmetic.
     pub const MAX_DENSE_N: usize = 1 << 12;
 
     /// The identity numbering: every receiver maps sender `j` to port `j`.
@@ -169,36 +169,50 @@ impl PortNumbering {
     /// Panics if either node is out of range.
     #[inline]
     pub fn port_of(&self, receiver: NodeId, sender: NodeId) -> Port {
-        assert!(sender.index() < self.n, "sender {sender} out of range");
+        self.ports_of(receiver).port(sender)
+    }
+
+    /// `receiver`'s own bijection — the row a receiver-major delivery loop
+    /// fetches once per receiver and then asks for one sender after
+    /// another: a table row read left to right, or one add per lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the receiver is out of range.
+    #[inline]
+    pub fn ports_of(&self, receiver: NodeId) -> PortRow<'_> {
+        let (r, n) = (receiver.index(), self.n);
+        assert!(r < n, "receiver {receiver} out of range");
         match &self.repr {
-            Repr::Table(map) => map[receiver.index() * self.n + sender.index()],
-            Repr::Identity => {
-                assert!(
-                    receiver.index() < self.n,
-                    "receiver {receiver} out of range"
-                );
-                Port::new(sender.index())
-            }
-            Repr::Rotation(offsets) => {
-                let p = sender.index() + offsets[receiver.index()] as usize;
-                Port::new(if p >= self.n { p - self.n } else { p })
-            }
+            Repr::Table(map) => PortRow::Table(&map[r * n..(r + 1) * n]),
+            Repr::Identity => PortRow::Rotated { offset: 0, n },
+            Repr::Rotation(offsets) => PortRow::Rotated {
+                offset: offsets[r] as usize,
+                n,
+            },
         }
+    }
+
+    /// Whether the sender-major transpose behind
+    /// [`PortNumbering::ports_to`] has been materialized — for tests
+    /// pinning that no simulation path builds it.
+    pub fn has_transpose(&self) -> bool {
+        self.transposed.get().is_some()
     }
 
     /// The port column of one sender: `ports_to(u)[v]` is the port on
     /// which receiver `v` hears `u` — `port_of(v, u)` for every `v`, laid
-    /// out contiguously. The columnar delivery plane indexes this slice
-    /// while walking a sender's out-neighbor bitset, so consecutive
-    /// receivers hit consecutive memory. The whole transposed table is
-    /// built once, on the first call, whatever the representation.
+    /// out contiguously. **Replay-only**: the engine delivers
+    /// receiver-major through [`PortNumbering::ports_of`]; this sender-major
+    /// view (and the whole transposed table its first call builds,
+    /// whatever the representation) survives for the benchmark's frozen
+    /// stage replay and goes with it.
     ///
     /// # Panics
     ///
     /// Panics if the sender is out of range, or if `n` exceeds
     /// [`PortNumbering::MAX_DENSE_N`] — the transpose is an `n²`-word
-    /// table, and large-`n` paths compute [`PortNumbering::port_of`] per
-    /// link instead.
+    /// table.
     #[inline]
     pub fn ports_to(&self, sender: NodeId) -> &[Port] {
         assert!(
@@ -255,6 +269,43 @@ impl PortNumbering {
                 );
                 let s = port.index() + self.n - offsets[receiver.index()] as usize;
                 NodeId::new(if s >= self.n { s - self.n } else { s })
+            }
+        }
+    }
+}
+
+/// One receiver's port bijection (see [`PortNumbering::ports_of`]).
+#[derive(Debug, Clone, Copy)]
+pub enum PortRow<'a> {
+    /// An explicit row of the random table: `row[sender] = port`.
+    Table(&'a [Port]),
+    /// `port = (sender + offset) mod n` (the identity is offset 0).
+    Rotated {
+        /// This receiver's private rotation, `< n`.
+        offset: usize,
+        /// The system size.
+        n: usize,
+    },
+}
+
+impl PortRow<'_> {
+    /// The port this receiver hears `sender` on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sender is out of range.
+    #[inline]
+    pub fn port(&self, sender: NodeId) -> Port {
+        let s = sender.index();
+        match *self {
+            PortRow::Table(row) => {
+                assert!(s < row.len(), "sender {sender} out of range");
+                row[s]
+            }
+            PortRow::Rotated { offset, n } => {
+                assert!(s < n, "sender {sender} out of range");
+                let p = s + offset;
+                Port::new(if p >= n { p - n } else { p })
             }
         }
     }
@@ -363,6 +414,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn rows_match_port_of_and_never_build_the_transpose() {
+        for pn in [
+            PortNumbering::random(9, 11),
+            PortNumbering::rotation(9, 11),
+            PortNumbering::identity(9),
+        ] {
+            for r in NodeId::all(9) {
+                let row = pn.ports_of(r);
+                for s in NodeId::all(9) {
+                    assert_eq!(row.port(s), pn.port_of(r, s), "{pn:?}");
+                }
+            }
+            assert!(!pn.has_transpose(), "{pn:?}: rows are not columns");
+            pn.ports_to(NodeId::new(0));
+            assert!(pn.has_transpose(), "{pn:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sender n9 out of range")]
+    fn row_rejects_out_of_range_senders() {
+        PortNumbering::random(9, 11)
+            .ports_of(NodeId::new(0))
+            .port(NodeId::new(9));
     }
 
     #[test]

@@ -52,9 +52,9 @@ impl Traffic {
     }
 
     /// Records `links` simultaneous link firings that each carried the
-    /// same batch of `batch_len` messages — the sender-major bulk form of
+    /// same batch of `batch_len` messages — the bulk form of
     /// [`Traffic::record_delivery`] used by the columnar delivery plane,
-    /// where one broadcast reaches a popcounted set of receivers at once.
+    /// which counts a receiver's honest links once per row.
     /// Equivalent to calling `record_delivery(batch_len)` `links` times.
     /// Saturates like [`Traffic::record_delivery`].
     pub fn record_uniform_deliveries(&mut self, links: u64, batch_len: usize) {

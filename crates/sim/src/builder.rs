@@ -11,8 +11,9 @@ use crate::Outcome;
 /// Whether the engine drives a columnar
 /// [`AlgorithmPlane`](adn_core::AlgorithmPlane) instead of one boxed
 /// state machine per node. The plane is observationally identical to the
-/// trait path (fuzzed in `tests/plane_equivalence.rs`) but delivers
-/// sender-major with no per-message virtual dispatch.
+/// trait path (fuzzed in `tests/plane_equivalence.rs`) but feeds each
+/// receiver's links to a per-receiver kernel with no per-message virtual
+/// dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlaneMode {
     /// Use the plane whenever the factory offers one **and** the run is
@@ -42,9 +43,9 @@ pub enum PlaneMode {
 /// The sparse path additionally requires a **sparse-compatible** run: the
 /// columnar plane active, ascending-sender delivery, a
 /// [`sparse_capable`](adn_adversary::Adversary::sparse_capable)
-/// adversary, and no Byzantine nodes (a coalition strategy's fabrication
-/// order is part of its observable state, and only the dense sender-major
-/// walk reproduces it). Crash faults are fully supported.
+/// adversary, and no Byzantine nodes (strategy objects cannot be shared
+/// across delivery shards, and the sparse path's on-the-fly realized view
+/// cannot replay a fabrication). Crash faults are fully supported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LinkMode {
     /// Sparse when the run is sparse-compatible **and** `n` exceeds
@@ -108,6 +109,12 @@ pub struct SimBuilder {
     /// a no-op — and skips the dead walks); the engine's masking
     /// regression test flips it off to prove the invisibility.
     pub(crate) mask_silent: bool,
+    /// Whether a plane receiver stops being fed honest links once they are
+    /// provably stale. Not a knob: production always stops; the engine's
+    /// early-exit regression test turns it off to prove the stop
+    /// unobservable.
+    #[cfg(test)]
+    pub(crate) stale_stop: bool,
     /// Whether `build` skips the `f`-bound fault asserts. See
     /// [`SimBuilder::allow_fault_overflow`].
     pub(crate) allow_fault_overflow: bool,
@@ -145,6 +152,8 @@ impl SimBuilder {
             link_mode: LinkMode::Auto,
             shards: 1,
             mask_silent: true,
+            #[cfg(test)]
+            stale_stop: true,
             allow_fault_overflow: false,
         }
     }
@@ -276,10 +285,8 @@ impl SimBuilder {
 
     /// Fans the delivery loop out over `shards` receiver-range shards
     /// with a deterministic input-ordered merge — byte-identical to
-    /// single-shard delivery (default: 1). Only the sparse receiver-major
-    /// path shards; a run that resolves to dense links or a plane that
-    /// cannot split (e.g. the quantized wrapper) falls back to
-    /// single-shard delivery.
+    /// single-shard delivery (default: 1). Only sparse runs shard; a run
+    /// that resolves to dense links delivers as one shard.
     ///
     /// # Panics
     ///

@@ -2,11 +2,11 @@
 use std::sync::{Mutex, PoisonError};
 
 use adn_adversary::{Adversary, AdversaryView};
-use adn_core::{Algorithm, AlgorithmPlane, PlaneShard, MAX_PLANE_SHARDS};
+use adn_core::{Algorithm, AlgorithmPlane, PlaneShard, RowKernel, RowWalk, MAX_PLANE_SHARDS};
 use adn_faults::{ByzContext, ByzantineStrategy, CrashSchedule};
 use adn_graph::{EdgeSet, LinkPlane, LinkRows, NodeSet, Schedule};
-use adn_net::{PortNumbering, RoundBuffers, SenderClass, Traffic};
-use adn_types::{Message, NodeId, Params, Phase, Port, Round, Value, ValueInterval};
+use adn_net::{PortNumbering, PortRow, RoundBuffers, SenderClass, Traffic};
+use adn_types::{Batch, Message, NodeId, Params, Phase, Round, Value, ValueInterval};
 
 use adn_types::rng::SplitMix64;
 
@@ -16,97 +16,311 @@ use crate::outcome::{Outcome, StopReason};
 use crate::shardpool::ShardPool;
 use crate::trace::{Event, EventLog};
 
-/// The message a plane-driven sender broadcasts: its start-of-round
-/// `(value, phase)` snapshot. Read from the arena's snapshot columns —
-/// **not** from the live plane, whose state mutates as earlier senders of
-/// the same round deliver.
-#[inline]
-fn plane_message(buffers: &RoundBuffers, u: usize) -> Message {
-    Message::new(buffers.values[u], buffers.phases[u])
-}
-
-/// The shared read-only context of one sparse round's delivery — one
-/// bundle so the per-range walker and the per-shard jobs borrow the same
-/// fields.
-struct SparseRound<'a> {
-    links: &'a LinkPlane,
+/// The shared read-only context of one plane round's delivery — one
+/// bundle every shard's walk borrows.
+struct PlaneRound<'a> {
+    /// The round's shared sender permutation under the non-ascending
+    /// delivery orders; `None` walks each receiver's row ascending.
+    perm: Option<&'a [NodeId]>,
     classes: &'a [SenderClass],
+    /// The round's Partial and Byzantine senders with their positions in
+    /// the sender order (see [`scan_senders`]), in that order.
+    conditional: &'a [(usize, NodeId)],
     honest: &'a NodeSet,
+    unconditional: &'a NodeSet,
     crash: &'a CrashSchedule,
     ports: &'a PortNumbering,
-    /// Per-sender wire message, staged once per active sender per round.
-    wire: &'a [Message],
+    /// Per-sender wire `(phase, value)`: the start-of-round snapshot
+    /// through [`AlgorithmPlane::encode_wire`], staged once per
+    /// transmitting non-Byzantine sender per round — **not** read from
+    /// the live plane, whose state mutates as the round delivers.
+    wire_phase: &'a [Phase],
+    wire_value: &'a [Value],
+    /// The highest staged wire phase: past it (or decided) a receiver
+    /// ignores every further honest link of the round.
+    max_wire_phase: Phase,
     t: Round,
+    params: Params,
+    /// Start-of-round snapshot columns, for [`ByzContext`].
+    phases: &'a [Phase],
+    values: &'a [Value],
+    /// The early-exit regression test turns the stale-link stop off to
+    /// prove it unobservable.
+    #[cfg(test)]
+    stale_stop: bool,
 }
 
-/// What sender `u`'s link into `v` delivers this round, if anything —
-/// the sparse mirror of the dense path's per-class delivery rules
-/// (Byzantine senders are excluded from sparse runs by construction).
-#[inline]
-fn link_delivery(env: &SparseRound<'_>, u: NodeId, v: NodeId) -> Option<(Port, Message)> {
-    match env.classes[u.index()] {
-        SenderClass::Present => Some((env.ports.port_of(v, u), env.wire[u.index()])),
-        SenderClass::Partial if env.crash.delivers(u, env.t, v) => {
-            Some((env.ports.port_of(v, u), env.wire[u.index()]))
+impl PlaneRound<'_> {
+    /// Whether `kernel` is still fed honest links — the stale-link stop
+    /// (see [`RowKernel::live`]).
+    #[inline(always)]
+    fn feeds(&self, kernel: &impl RowKernel) -> bool {
+        #[cfg(test)]
+        if !self.stale_stop {
+            return true;
         }
-        SenderClass::Partial | SenderClass::Silent => None,
-        SenderClass::Byzantine => unreachable!("sparse runs exclude Byzantine nodes"),
+        kernel.live()
     }
 }
 
-/// Delivers receivers `lo..hi` of one sparse round: receiver-major over
-/// the link plane's rows (senders ascending within a receiver — the same
-/// per-receiver arrival order as the dense sender-major walk), batching
-/// each receiver's `(port, message)` pairs into `rx` and handing them to
-/// `deliver` (the whole plane, or this range's shard). When `rows` is
-/// set (schedule recording), realized links land in `rows[v - lo]`.
+/// One shard's exclusive round state: its plane slice, its realized rows
+/// (when the run materializes them), and its traffic meter (merged back
+/// in shard order — the deterministic input-ordered merge).
+struct ShardCtx<'a> {
+    shard: PlaneShard<'a>,
+    rows: Option<&'a mut [NodeSet]>,
+    traffic: Traffic,
+}
+
+/// The round's Byzantine senders as the delivery walk sees them: the
+/// strategy slots and the one fabrication scratch. Sharded runs exclude
+/// Byzantine nodes (strategy objects are not `Send`), so their shards
+/// walk with an empty one.
+struct ByzSide<'a> {
+    strategies: &'a mut [Option<Box<dyn ByzantineStrategy>>],
+    scratch: &'a mut Batch,
+}
+
+/// Fabricates Byzantine sender `ctx.self_id`'s batch for destination `v`
+/// into `out`; returns whether anything was fabricated. The single
+/// fabrication site of both delivery paths — its call order per strategy
+/// object (that object's receivers, ascending) is identical on both,
+/// which is what keeps stateful strategies equivalent across them.
 // audit: no-alloc
-fn deliver_sparse_range(
-    env: &SparseRound<'_>,
-    lo: usize,
-    hi: usize,
-    rx: &mut Vec<(Port, Message)>,
-    mut rows: Option<&mut [NodeSet]>,
-    traffic: &mut Traffic,
-    deliver: &mut impl FnMut(usize, &[(Port, Message)]),
+fn fabricate(
+    strategies: &mut [Option<Box<dyn ByzantineStrategy>>],
+    ctx: &ByzContext<'_>,
+    v: NodeId,
+    out: &mut Batch,
+) -> bool {
+    out.clear();
+    let slot = &mut strategies[ctx.self_id.index()];
+    // audit: allow(no-panic) — the classes table marked the sender Byzantine, so its strategy slot is populated by construction
+    let strategy = slot.as_mut().expect("classified Byzantine");
+    strategy.messages_into(ctx, v, out);
+    !out.is_empty()
+}
+
+/// Calls `f` for receiver `v`'s senders in the round's order, from
+/// position `from`, until it returns `false`; returns that sender and its
+/// position (`None` once the senders are exhausted). Positions are sender
+/// ids under ascending delivery and indices into the round's shared
+/// permutation otherwise; scanning again from the returned position `+ 1`
+/// continues behind the sender that ended the scan.
+#[inline(always)]
+fn scan_senders<L: LinkRows>(
+    perm: Option<&[NodeId]>,
+    links: &L,
+    v: NodeId,
+    from: usize,
+    mut f: impl FnMut(NodeId) -> bool,
+) -> Option<(usize, NodeId)> {
+    match perm {
+        None => links.scan_in(v, from, f).map(|u| (u.index(), u)),
+        // The permutation already holds every sender that can deliver
+        // anything, in order; per receiver only the chosen-link
+        // membership test remains.
+        Some(perm) => perm
+            .iter()
+            .enumerate()
+            .skip(from)
+            .find(|&(_, &u)| links.contains(u, v) && !f(u))
+            .map(|(k, &u)| (k, u)),
+    }
+}
+
+/// Feeds receiver `v`'s Present links into `kernel`, in the round's
+/// sender order from position `from` on (see [`scan_senders`]), until the
+/// receiver goes stale (returns that link, consumed) or a Partial or
+/// Byzantine sender is next (returns it, untouched). Silent senders are
+/// passed over.
+///
+/// The one loop a plane round spends its time in, so it is its own
+/// function: nothing but the kernel's link step inside it, and code
+/// generation that does not depend on what it would be inlined next to.
+// audit: no-alloc
+#[inline(never)]
+fn feed_present<L: LinkRows, K: RowKernel>(
+    env: &PlaneRound<'_>,
+    links: &L,
+    v: NodeId,
+    ports: PortRow<'_>,
+    from: usize,
+    kernel: &mut K,
+    present_links: &mut u64,
+) -> Option<(usize, NodeId)> {
+    // One length for all three per-sender columns, so one range check on
+    // the sender id covers them.
+    let classes = env.classes;
+    let wire_phase = &env.wire_phase[..classes.len()];
+    let wire_value = &env.wire_value[..classes.len()];
+    let mut fed = 0;
+    let stop = scan_senders(
+        env.perm,
+        links,
+        v,
+        from,
+        #[inline(always)]
+        |u| {
+            let u_idx = u.index();
+            match classes[u_idx] {
+                SenderClass::Present => {
+                    fed += 1;
+                    kernel.link(ports.port(u), wire_phase[u_idx], wire_value[u_idx]);
+                    env.feeds(kernel)
+                }
+                class => class == SenderClass::Silent,
+            }
+        },
+    );
+    *present_links += fed;
+    stop
+}
+
+/// One honest receiver's round: its senders, in the round's order, fed
+/// straight into the receiver's kernel — the body of the fused delivery
+/// routine ([`deliver_rows`]).
+struct ReceiverWalk<'r, L> {
+    env: &'r PlaneRound<'r>,
+    links: &'r L,
+    v: NodeId,
+    /// `v`'s realized row, when the run materializes realized links.
+    row: Option<&'r mut NodeSet>,
+    traffic: &'r mut Traffic,
+    byz: ByzSide<'r>,
+}
+
+impl<L: LinkRows> RowWalk for ReceiverWalk<'_, L> {
+    // audit: no-alloc
+    #[inline(always)]
+    fn walk<K: RowKernel>(self, kernel: &mut K) {
+        let ReceiverWalk {
+            env,
+            links,
+            v,
+            mut row,
+            traffic,
+            byz,
+        } = self;
+        let ports = env.ports.ports_of(v);
+        // A Present sender's chosen links all deliver, so its realized
+        // links are recorded in bulk; only the conditional classes record
+        // theirs per delivery below.
+        if let Some(row) = row.as_deref_mut() {
+            links.union_in_masked(v, env.unconditional, row);
+        }
+        // Honest links count as delivered whether or not they are still
+        // fed: traffic and the realized graph are what the network
+        // delivered, not what the receiver made of it.
+        let (mut present_links, mut partial_links) = (0u64, 0u64);
+        // A Partial or Byzantine sender's link: per link, at its position
+        // in the sender order. A fabrication is fed even to a stale
+        // receiver — it may carry any phase, and the strategy object must
+        // see its calls.
+        let mut deliver_conditional = |u: NodeId, kernel: &mut K| match env.classes[u.index()] {
+            SenderClass::Partial => {
+                if env.crash.delivers(u, env.t, v) {
+                    if let Some(row) = row.as_deref_mut() {
+                        row.insert(u);
+                    }
+                    partial_links += 1;
+                    if env.feeds(kernel) {
+                        kernel.link(
+                            ports.port(u),
+                            env.wire_phase[u.index()],
+                            env.wire_value[u.index()],
+                        );
+                    }
+                }
+            }
+            SenderClass::Byzantine => {
+                let ctx = ByzContext {
+                    round: env.t,
+                    self_id: u,
+                    params: env.params,
+                    phases: env.phases,
+                    values: env.values,
+                };
+                if fabricate(byz.strategies, &ctx, v, byz.scratch) {
+                    traffic.record_delivery(byz.scratch.len());
+                    if let Some(row) = row.as_deref_mut() {
+                        row.insert(u);
+                    }
+                    kernel.batch(ports.port(u), byz.scratch);
+                }
+            }
+            // Present links are the scan's; Silent senders deliver nothing.
+            SenderClass::Present | SenderClass::Silent => {}
+        };
+        // While the receiver is live: stretches of Present links, each
+        // ending behind the link that made it stale or in front of a
+        // conditional sender.
+        let mut from = 0;
+        let stale = loop {
+            if !env.feeds(kernel) {
+                break true;
+            }
+            match feed_present(env, links, v, ports, from, kernel, &mut present_links) {
+                Some((pos, u)) => {
+                    deliver_conditional(u, kernel);
+                    from = pos + 1;
+                }
+                None => break false,
+            }
+        };
+        // The first provably stale link ends the walk: whatever Present
+        // links the row holds are counted in one sweep, and only the
+        // round's conditional senders still behind `from` are visited.
+        if stale {
+            present_links = links.in_degree_within(v, env.unconditional) as u64;
+            for &(pos, u) in env.conditional {
+                if pos >= from && links.contains(u, v) {
+                    deliver_conditional(u, kernel);
+                }
+            }
+        }
+        traffic.record_uniform_deliveries(present_links + partial_links, 1);
+    }
+}
+
+/// The fused plane delivery routine, for receivers `lo..hi` (the whole
+/// plane, or one shard's range): each honest receiver, ascending, walks
+/// its senders in the round's order and applies them to its kernel
+/// ([`ReceiverWalk`]). Generic over the link rows — dense bit rows and
+/// run/CSR rows are just row kinds.
+// audit: no-alloc
+fn deliver_rows<L: LinkRows>(
+    env: &PlaneRound<'_>,
+    links: &L,
+    (lo, hi): (usize, usize),
+    ctx: &mut ShardCtx<'_>,
+    byz: &mut ByzSide<'_>,
 ) {
     for v_idx in lo..hi {
         let v = NodeId::new(v_idx);
+        // Byzantine "receivers" have no state; nodes that have crashed no
+        // longer process input (a node crashing at t sends its final
+        // partial broadcast but does not transition). Both are exactly
+        // the complement of the round's `honest` set.
         if !env.honest.contains(v) {
             continue;
         }
-        rx.clear();
-        match rows.as_deref_mut() {
-            Some(r) => {
-                let row = &mut r[v_idx - lo];
-                env.links.for_each_in(v, |u| {
-                    if let Some(entry) = link_delivery(env, u, v) {
-                        rx.push(entry);
-                        row.insert(u);
-                    }
-                });
-            }
-            None => env.links.for_each_in(v, |u| {
-                if let Some(entry) = link_delivery(env, u, v) {
-                    rx.push(entry);
-                }
-            }),
-        }
-        if !rx.is_empty() {
-            traffic.record_uniform_deliveries(rx.len() as u64, 1);
-            deliver(v_idx, rx);
-        }
+        ctx.shard.deliver_row(
+            v_idx,
+            env.max_wire_phase,
+            ReceiverWalk {
+                env,
+                links,
+                v,
+                row: ctx.rows.as_deref_mut().map(|rows| &mut rows[v_idx - lo]),
+                traffic: &mut ctx.traffic,
+                byz: ByzSide {
+                    strategies: byz.strategies,
+                    scratch: byz.scratch,
+                },
+            },
+        );
     }
-}
-
-/// One shard's exclusive round state: its plane slice, its receive
-/// scratch, its realized rows, and its traffic meter (merged back in
-/// shard order — the deterministic input-ordered merge).
-struct ShardCtx<'a> {
-    shard: PlaneShard<'a>,
-    rx: &'a mut Vec<(Port, Message)>,
-    rows: Option<&'a mut [NodeSet]>,
-    traffic: Traffic,
 }
 
 /// Carves the first `at` elements off `*s` — hands each shard an
@@ -137,8 +351,8 @@ enum RealizedInner<'a> {
     /// Dense path: the round's materialized realized rows.
     Dense(&'a EdgeSet),
     /// Sparse path: the round's chosen rows plus everything needed to
-    /// replay the delivery filter ([`link_delivery`]'s rule, minus the
-    /// message staging).
+    /// replay the delivery filter (the [`ReceiverWalk`]'s per-class rule,
+    /// minus the kernel).
     Sparse {
         links: &'a LinkPlane,
         classes: &'a [SenderClass],
@@ -175,9 +389,9 @@ impl LinkRows for RealizedRows<'_> {
         }
     }
 
-    fn for_each_in(&self, v: NodeId, mut f: impl FnMut(NodeId)) {
+    fn scan_in(&self, v: NodeId, from: usize, mut f: impl FnMut(NodeId) -> bool) -> Option<NodeId> {
         match &self.0 {
-            RealizedInner::Dense(realized) => realized.for_each_in(v, f),
+            RealizedInner::Dense(realized) => realized.scan_in(v, from, f),
             RealizedInner::Sparse {
                 links,
                 classes,
@@ -189,9 +403,9 @@ impl LinkRows for RealizedRows<'_> {
                 // realized rows are empty, exactly as the dense delivery
                 // loop leaves them.
                 if !honest.contains(v) {
-                    return;
+                    return None;
                 }
-                links.for_each_in(v, |u| {
+                links.scan_in(v, from, |u| {
                     let delivered = match classes[u.index()] {
                         SenderClass::Present => true,
                         SenderClass::Partial => crash.delivers(u, *t, v),
@@ -200,10 +414,8 @@ impl LinkRows for RealizedRows<'_> {
                             unreachable!("sparse runs exclude Byzantine nodes")
                         }
                     };
-                    if delivered {
-                        f(u);
-                    }
-                });
+                    !delivered || f(u)
+                })
             }
         }
     }
@@ -236,9 +448,8 @@ pub enum DeliveryOrder {
     /// sender id list `0..n` with `SplitMix64::new(seed ^ (t << 20))`,
     /// then masks out senders that deliver nothing this round
     /// (order-preserving, so the mask is behaviorally invisible). Every
-    /// receiver processes its in-neighbors in that one shared order —
-    /// which is what lets the columnar plane drive its sender-major loop
-    /// through the very same permutation.
+    /// receiver processes its in-neighbors in that one shared order, on
+    /// the trait path and the columnar plane alike.
     Shuffled(u64),
 }
 
@@ -258,8 +469,8 @@ pub struct Simulation {
     /// `Some(state machine)` at non-Byzantine slots — the trait path.
     /// All `None` when the columnar plane is active.
     algs: Vec<Option<Box<dyn Algorithm>>>,
-    /// The columnar algorithm plane — the sender-major fast path,
-    /// observationally identical to `algs` (see `PlaneMode`). Holds all
+    /// The columnar algorithm plane — the fast path, observationally
+    /// identical to `algs` (see `PlaneMode`). Holds all
     /// `n` slots; the engine never drives Byzantine slots and masks them
     /// out of every read.
     plane: Option<Box<dyn AlgorithmPlane>>,
@@ -282,17 +493,19 @@ pub struct Simulation {
     /// [`LinkMode`](crate::LinkMode)). Taken out of its slot per round
     /// like `plane`.
     links: Option<LinkPlane>,
-    /// Per-sender wire messages of the sparse path, staged once per
-    /// active sender per round (empty on the dense path).
-    wire: Vec<Message>,
+    /// Per-sender wire `(phase, value)` columns of the plane path (see
+    /// [`PlaneRound`]; empty on the trait path).
+    wire_phase: Vec<Phase>,
+    wire_value: Vec<Value>,
+    /// The plane path's per-round list of conditional senders (see
+    /// [`PlaneRound::conditional`]).
+    conditional: Vec<(usize, NodeId)>,
     /// Receiver-range shards the delivery loop fans out over (1 = no
     /// fan-out; always 1 on the dense path).
     shards: usize,
     /// `shards + 1` ascending receiver bounds; shard `i` owns
     /// `shard_bounds[i]..shard_bounds[i + 1]`.
     shard_bounds: Vec<usize>,
-    /// One receive-scratch per shard, persisted across rounds.
-    shard_rx: Vec<Vec<(Port, Message)>>,
     /// Parked worker threads for `shards > 1`, spawned once at build.
     pool: Option<ShardPool>,
     traffic: Traffic,
@@ -306,6 +519,9 @@ pub struct Simulation {
     /// regression test flips it off to prove the mask is behaviorally
     /// invisible).
     mask_silent: bool,
+    /// See [`PlaneRound::stale_stop`].
+    #[cfg(test)]
+    stale_stop: bool,
     done: Option<StopReason>,
 }
 
@@ -409,11 +625,11 @@ impl Simulation {
             .filter(|id| byz[id.index()].is_none() && !b.crash.is_faulty(*id))
             .collect();
 
-        // Sparse link representation: requires the plane (the sparse
-        // delivery is receiver-major over plane slots), ascending-sender
-        // delivery, a sparse-capable adversary, and no Byzantine nodes
-        // (a coalition strategy's fabrication order is observable state
-        // only the dense sender-major walk reproduces).
+        // Sparse link representation: requires the plane, ascending-sender
+        // delivery (run/CSR rows have no O(1) membership test for the
+        // permutation walk), a sparse-capable adversary, and no Byzantine
+        // nodes (strategy objects are not shareable across shards, and
+        // the on-the-fly realized view cannot replay a fabrication).
         let sparse_ok = use_plane
             && b.delivery_order == DeliveryOrder::AscendingSenders
             && b.adversary.sparse_capable()
@@ -432,8 +648,7 @@ impl Simulation {
                 true
             }
         };
-        // Only the sparse receiver-major path shards; a dense run keeps
-        // its single-threaded sender-major delivery.
+        // Only sparse runs shard; a dense run delivers as one shard.
         let shards = if use_sparse { b.shards } else { 1 };
         let shard_bounds: Vec<usize> = (0..=shards).map(|i| n * i / shards).collect();
 
@@ -461,16 +676,19 @@ impl Simulation {
                 RoundBuffers::new(n)
             },
             links: use_sparse.then(|| LinkPlane::new(n)),
-            wire: vec![Message::new(Value::HALF, Phase::ZERO); if use_sparse { n } else { 0 }],
+            wire_phase: vec![Phase::ZERO; if use_plane { n } else { 0 }],
+            wire_value: vec![Value::HALF; if use_plane { n } else { 0 }],
+            conditional: Vec::with_capacity(if use_plane { n } else { 0 }),
             shards,
             shard_bounds,
-            shard_rx: (0..shards).map(|_| Vec::new()).collect(),
             pool: (shards > 1).then(|| ShardPool::new(shards - 1)),
             traffic: Traffic::new(),
             events: b.record_events.then(EventLog::new),
             was_decided: vec![false; n],
             delivery_order: b.delivery_order,
             mask_silent: b.mask_silent,
+            #[cfg(test)]
+            stale_stop: b.stale_stop,
             done: None,
         }
     }
@@ -489,6 +707,11 @@ impl Simulation {
     /// reuse (stable capacities, no stale messages) across rounds.
     pub fn buffers(&self) -> &RoundBuffers {
         &self.buffers
+    }
+
+    /// The execution's port numbering.
+    pub fn ports(&self) -> &PortNumbering {
+        &self.ports
     }
 
     /// Whether the columnar algorithm plane is driving this run (vs one
@@ -846,28 +1069,18 @@ impl Simulation {
         // path used to do. ---
         self.build_sender_permutation(t);
 
-        // --- Delivery along chosen links, in the configured sender
-        // order. The columnar plane delivers **sender-major**: one
-        // transpose turns the chosen links into out-neighbor rows, then
-        // each active sender's single snapshot message is applied to all
-        // its receivers in one plane call — no per-message virtual
-        // dispatch. Per receiver the arrival order is the sender order
-        // (the outer loop walks senders ascending or through the round's
-        // shared permutation, and each sender hits a receiver at most
-        // once), which is exactly the order the trait path processes that
-        // receiver's in-neighbors in — so the plane path is
-        // observationally identical to the trait path below under every
-        // delivery order. The trait path: no batch is ever cloned —
-        // honest deliveries borrow the sender's staged batch, Byzantine
-        // fabrications reuse one scratch batch; the ascending order walks
-        // the chosen ∩ active bitsets one word at a time, the other
-        // orders walk the shared permutation (its order is part of the
-        // determinism contract — see `DeliveryOrder::Shuffled`). ---
-        let words = n.div_ceil(64);
-        match (plane.as_deref_mut(), links.as_ref()) {
-            (Some(p), Some(lp)) => self.deliver_sparse(p, lp, t),
-            (Some(p), None) => self.deliver_plane(p, t),
-            (None, _) => self.deliver_trait_path(t, words),
+        // --- Delivery along chosen links: receiver-major on both paths,
+        // each receiver processing its senders in the configured order
+        // (ascending row walks, or the round's shared permutation — its
+        // order is part of the determinism contract, see
+        // `DeliveryOrder::Shuffled`). The plane feeds each link straight
+        // into the receiver's kernel with no per-message virtual
+        // dispatch; on the trait path no batch is ever cloned — honest
+        // deliveries borrow the sender's staged batch, Byzantine
+        // fabrications reuse one scratch batch. ---
+        match plane.as_deref_mut() {
+            Some(p) => self.deliver_plane(p, links.as_ref(), t),
+            None => self.deliver_trait_path(t, n.div_ceil(64)),
         }
         self.links = links;
         if self.record_schedule {
@@ -1060,8 +1273,8 @@ impl Simulation {
     }
 
     /// Fills `buffers.perm` with the round's shared sender permutation —
-    /// the one order every receiver processes this round's deliveries in
-    /// (and the order the plane path walks senders in). A no-op under
+    /// the one order every receiver processes this round's deliveries in,
+    /// on either path. A no-op under
     /// ascending-sender delivery, whose word walks need no id list.
     ///
     /// The permutation is built over the *full* id range `0..n` and then
@@ -1106,282 +1319,157 @@ impl Simulation {
         }
     }
 
-    /// The columnar delivery path: sender-major over the transposed
-    /// chosen links, in the round's sender order. `Present` senders deliver
-    /// their snapshot message to all chosen ∩ honest out-neighbors in one
-    /// plane call with popcount-bulk traffic accounting; `Partial`
-    /// (crash-round) and `Byzantine` senders walk their out-rows link by
-    /// link, exactly mirroring the trait path's per-link checks.
-    // audit: no-alloc
-    fn deliver_plane(&mut self, plane: &mut dyn AlgorithmPlane, t: Round) {
-        let n = self.params.n();
-        let words = n.div_ceil(64);
-        self.buffers.transpose_chosen();
-
-        // Realized links of Present senders, word-parallel per honest
-        // receiver row (identical to the trait path's recording).
-        for v_idx in 0..n {
-            let v = NodeId::new(v_idx);
-            if !self.buffers.honest.contains(v) {
-                continue;
-            }
-            self.buffers.realized.insert_from_masked(
-                v,
-                self.buffers.chosen.in_neighbors(v),
-                &self.buffers.unconditional,
-            );
-        }
-
-        match self.delivery_order {
-            DeliveryOrder::AscendingSenders => {
-                for u_idx in 0..n {
-                    self.deliver_plane_sender(plane, t, u_idx, words);
-                }
-            }
-            // The other orders walk the round's shared permutation — the
-            // same order every trait-path receiver would process its
-            // in-neighbors in, so per receiver the arrival order is
-            // identical across the two paths.
-            DeliveryOrder::DescendingSenders | DeliveryOrder::Shuffled(_) => {
-                for k in 0..self.buffers.perm.len() {
-                    let u_idx = self.buffers.perm[k].index();
-                    self.deliver_plane_sender(plane, t, u_idx, words);
-                }
-            }
-        }
-    }
-
-    /// Delivers one sender's round-`t` transmission on the plane path —
-    /// the per-sender body of [`Simulation::deliver_plane`].
-    // audit: no-alloc
-    fn deliver_plane_sender(
+    /// The plane delivery path: stages every transmitting non-Byzantine
+    /// sender's wire message once, splits the plane into the run's shards
+    /// (one shard = the whole plane), and runs the fused routine
+    /// ([`deliver_rows`]) over each shard's receivers — over the dense
+    /// chosen rows, or the sparse link plane's run/CSR rows when the run
+    /// holds one. Shards > 1 run concurrently on the persistent pool
+    /// (shard 0 on this thread) and merge back in shard order: receivers
+    /// and realized rows are partitioned, not copied, so the traffic
+    /// meters are the only cross-shard state.
+    fn deliver_plane(
         &mut self,
         plane: &mut dyn AlgorithmPlane,
+        links: Option<&LinkPlane>,
         t: Round,
-        u_idx: usize,
-        words: usize,
     ) {
-        let u = NodeId::new(u_idx);
-        match self.buffers.classes[u_idx] {
-            SenderClass::Silent => {}
-            SenderClass::Present => {
-                self.buffers.plane_receivers.intersection_of(
-                    self.buffers.chosen_out.in_neighbors(u),
-                    &self.buffers.honest,
-                );
-                let links = self.buffers.plane_receivers.len() as u64;
-                if links == 0 {
-                    return;
-                }
-                self.traffic.record_uniform_deliveries(links, 1);
-                plane.deliver_from_sender(
-                    plane.encode_wire(plane_message(&self.buffers, u_idx)),
-                    &self.buffers.plane_receivers,
-                    self.ports.ports_to(u),
-                );
-            }
-            SenderClass::Partial => {
-                // Encoded once per sender, like the trait path's staged
-                // (already-encoded) batch.
-                let msg = [plane.encode_wire(plane_message(&self.buffers, u_idx))];
-                for wi in 0..words {
-                    let mut word = self.buffers.chosen_out.in_neighbors(u).word(wi)
-                        & self.buffers.honest.word(wi);
-                    while word != 0 {
-                        let v = NodeId::new(wi * 64 + word.trailing_zeros() as usize);
-                        word &= word - 1;
-                        if !self.crash.delivers(u, t, v) {
-                            continue;
-                        }
-                        self.traffic.record_delivery(1);
-                        self.buffers.realized.insert(u, v);
-                        plane.receive(v.index(), self.ports.port_of(v, u), &msg);
-                    }
-                }
-            }
-            SenderClass::Byzantine => {
-                for wi in 0..words {
-                    let mut word = self.buffers.chosen_out.in_neighbors(u).word(wi)
-                        & self.buffers.honest.word(wi);
-                    while word != 0 {
-                        let v = NodeId::new(wi * 64 + word.trailing_zeros() as usize);
-                        word &= word - 1;
-                        if !self.fabricate_byzantine(t, u, v) {
-                            continue;
-                        }
-                        self.traffic.record_delivery(self.buffers.byz_scratch.len());
-                        self.buffers.realized.insert(u, v);
-                        plane.receive(
-                            v.index(),
-                            self.ports.port_of(v, u),
-                            &self.buffers.byz_scratch,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// The sparse delivery path: receiver-major over the link plane's
-    /// run/CSR rows, optionally fanned out over receiver-range shards.
-    /// Per receiver the senders arrive ascending — exactly the order the
-    /// dense sender-major walk hits that receiver in — and every
-    /// delivered link carries the sender's once-encoded start-of-round
-    /// snapshot, so the path is byte-identical to
-    /// [`Simulation::deliver_plane`] over the same links.
-    fn deliver_sparse(&mut self, plane: &mut dyn AlgorithmPlane, links: &LinkPlane, t: Round) {
-        let n = self.params.n();
-        // Stage every active sender's wire message once, exactly as the
-        // dense plane path encodes once per sender (Byzantine senders
-        // cannot occur here, so active = Present ∪ Partial).
-        {
-            let Simulation { buffers, wire, .. } = self;
-            buffers.active.for_each(|u| {
-                wire[u.index()] = plane.encode_wire(plane_message(buffers, u.index()));
-            });
-        }
-        if self.shards > 1 {
-            let mut slots: [Option<PlaneShard<'_>>; MAX_PLANE_SHARDS] = Default::default();
-            let shards = self.shards;
-            if plane.fill_shards(&self.shard_bounds, &mut slots[..shards]) {
-                self.deliver_sparse_sharded(&mut slots[..shards], links, t);
-                return;
-            }
-            // A plane that cannot split (wire-format adaptors like the
-            // quantized wrapper) falls back to single-shard delivery —
-            // byte-identical by the sharding contract, just not parallel.
-        }
         let record = self.record_schedule;
+        #[cfg(test)]
+        let stale_stop = self.stale_stop;
         let Simulation {
+            params,
             buffers,
             crash,
             ports,
-            wire,
+            byz,
+            wire_phase,
+            wire_value,
+            conditional,
             traffic,
-            shard_rx,
-            ..
-        } = self;
-        let env = SparseRound {
-            links,
-            classes: &buffers.classes,
-            honest: &buffers.honest,
-            crash,
-            ports,
-            wire,
-            t,
-        };
-        let rows = record.then(|| buffers.realized.in_neighbor_sets_mut());
-        deliver_sparse_range(
-            &env,
-            0,
-            n,
-            &mut shard_rx[0],
-            rows,
-            traffic,
-            &mut |v, batch| plane.receive_many(v, batch),
-        );
-    }
-
-    /// The sharded body of [`Simulation::deliver_sparse`]: one
-    /// [`ShardCtx`] per receiver range, driven concurrently by the
-    /// persistent pool (shard 0 on this thread), then merged back in
-    /// shard order — receivers, realized rows, and traffic all land
-    /// exactly where the single-shard walk would have put them.
-    fn deliver_sparse_sharded(
-        &mut self,
-        slots: &mut [Option<PlaneShard<'_>>],
-        links: &LinkPlane,
-        t: Round,
-    ) {
-        let shards = self.shards;
-        let record = self.record_schedule;
-        let Simulation {
-            buffers,
-            crash,
-            ports,
-            wire,
-            traffic,
-            shard_rx,
             shard_bounds,
             pool,
             ..
         } = self;
-        let env = SparseRound {
-            links,
-            classes: &buffers.classes,
-            honest: &buffers.honest,
+        let RoundBuffers {
+            phases,
+            values,
+            classes,
+            active,
+            honest,
+            unconditional,
+            perm,
+            chosen,
+            realized,
+            byz_scratch,
+            ..
+        } = buffers;
+
+        let mut max_wire_phase = Phase::ZERO;
+        active.for_each(|u| {
+            let i = u.index();
+            if classes[i] != SenderClass::Byzantine {
+                let wire = plane.encode_wire(Message::new(values[i], phases[i]));
+                wire_phase[i] = wire.phase();
+                wire_value[i] = wire.value();
+                max_wire_phase = max_wire_phase.max(wire.phase());
+            }
+        });
+        let perm = (self.delivery_order != DeliveryOrder::AscendingSenders).then_some(&perm[..]);
+        let is_conditional = |u: &NodeId| !unconditional.contains(*u);
+        conditional.clear();
+        match perm {
+            None => active.for_each(|u| {
+                if is_conditional(&u) {
+                    conditional.push((u.index(), u));
+                }
+            }),
+            // Under an unmasked permutation (a test-only mode) this also
+            // lists Silent senders, which deliver nothing either way.
+            Some(perm) => conditional.extend(
+                perm.iter()
+                    .copied()
+                    .enumerate()
+                    .filter(|(_, u)| is_conditional(u)),
+            ),
+        }
+        let env = PlaneRound {
+            perm,
+            classes,
+            conditional,
+            honest,
+            unconditional,
             crash,
             ports,
-            wire,
+            wire_phase,
+            wire_value,
+            max_wire_phase,
             t,
+            params: *params,
+            phases,
+            values,
+            #[cfg(test)]
+            stale_stop,
         };
-        let mut rows_rest: &mut [NodeSet] = if record {
-            buffers.realized.in_neighbor_sets_mut()
-        } else {
-            &mut []
-        };
-        let mut rx_iter = shard_rx.iter_mut();
-        let mut ctxs: [Option<Mutex<ShardCtx<'_>>>; MAX_PLANE_SHARDS] =
-            std::array::from_fn(|_| None);
-        for (i, slot) in slots.iter_mut().enumerate() {
-            let shard = slot.take().expect("fill_shards fills every requested slot");
-            debug_assert_eq!(shard.base(), shard_bounds[i]);
+
+        // The dense path always materializes realized rows (they are its
+        // `realized_rows` view); the sparse path only when recording.
+        let mut rows_rest: Option<&mut [NodeSet]> =
+            (links.is_none() || record).then(|| realized.in_neighbor_sets_mut());
+        let shards = shard_bounds.len() - 1;
+        let mut slots: [Option<PlaneShard<'_>>; MAX_PLANE_SHARDS] = Default::default();
+        plane.fill_shards(shard_bounds, &mut slots[..shards]);
+        let mut ctxs: [Option<Mutex<ShardCtx<'_>>>; MAX_PLANE_SHARDS] = Default::default();
+        for (i, slot) in slots[..shards].iter_mut().enumerate() {
             let span = shard_bounds[i + 1] - shard_bounds[i];
             ctxs[i] = Some(Mutex::new(ShardCtx {
-                shard,
-                rx: rx_iter.next().expect("one receive scratch per shard"),
-                rows: record.then(|| take_split(&mut rows_rest, span)),
+                shard: slot.take().expect("fill_shards fills every requested slot"),
+                rows: rows_rest.as_mut().map(|rest| take_split(rest, span)),
                 traffic: Traffic::new(),
             }));
         }
-        let run_shard = |i: usize| {
-            let mut guard = ctxs[i]
+        let run_shard = |i: usize, byz: &mut ByzSide<'_>| {
+            let mut ctx = ctxs[i]
                 .as_ref()
                 .expect("context built for every shard")
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
-            let ShardCtx {
-                shard,
-                rx,
-                rows,
-                traffic,
-            } = &mut *guard;
-            deliver_sparse_range(
-                &env,
-                shard_bounds[i],
-                shard_bounds[i + 1],
-                rx,
-                rows.as_deref_mut(),
-                traffic,
-                &mut |v, batch| shard.receive_many(v, batch),
-            );
+            let range = (shard_bounds[i], shard_bounds[i + 1]);
+            match links {
+                Some(lp) => deliver_rows(&env, lp, range, &mut ctx, byz),
+                None => deliver_rows(&env, &*chosen, range, &mut ctx, byz),
+            }
         };
-        pool.as_ref()
-            .expect("sharded simulation spawned a pool")
-            .run(&run_shard);
-        // Deterministic input-ordered merge: fold the per-shard meters
-        // back in shard order (the only cross-shard state — receivers and
-        // realized rows were partitioned, not copied).
-        for ctx in ctxs.into_iter().take(shards) {
-            let ctx = ctx
-                .expect("context built for every shard")
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner);
-            traffic.merge(&ctx.traffic);
+        match pool {
+            Some(pool) => pool.run(&|i| {
+                run_shard(
+                    i,
+                    &mut ByzSide {
+                        strategies: &mut [],
+                        scratch: &mut Batch::new(),
+                    },
+                );
+            }),
+            None => run_shard(
+                0,
+                &mut ByzSide {
+                    strategies: byz,
+                    scratch: byz_scratch,
+                },
+            ),
+        }
+        for ctx in ctxs.into_iter().flatten() {
+            traffic.merge(
+                &ctx.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .traffic,
+            );
         }
     }
 
-    /// Fabricates Byzantine sender `u`'s round-`t` batch for destination
-    /// `v` into the shared scratch; returns whether anything was
-    /// fabricated. The single fabrication-and-context site shared by both
-    /// delivery paths — its call order per strategy object (that object's
-    /// receivers, ascending) is identical on both, which is what keeps
-    /// stateful strategies equivalent across them.
+    /// [`fabricate`] for the trait path, over the engine's own fields.
     // audit: no-alloc
     fn fabricate_byzantine(&mut self, t: Round, u: NodeId, v: NodeId) -> bool {
-        self.buffers.byz_scratch.clear();
-        // audit: allow(no-panic) — the classes table marked u Byzantine, so its strategy slot is populated by construction
-        let strategy = self.byz[u.index()].as_mut().expect("classified Byzantine");
         let ctx = ByzContext {
             round: t,
             self_id: u,
@@ -1389,8 +1477,7 @@ impl Simulation {
             phases: &self.buffers.phases,
             values: &self.buffers.values,
         };
-        strategy.messages_into(&ctx, v, &mut self.buffers.byz_scratch);
-        !self.buffers.byz_scratch.is_empty()
+        fabricate(&mut self.byz, &ctx, v, &mut self.buffers.byz_scratch)
     }
 
     /// Delivers sender `u`'s round-`t` transmission to receiver `v` — or
@@ -1813,36 +1900,193 @@ mod tests {
         }
     }
 
+    /// The stale-link stop must be behaviorally invisible: a run that
+    /// stops feeding a receiver the round's honest links once it has
+    /// decided or outrun them, and a run that feeds every link, agree on
+    /// everything an `Outcome` holds — outputs, rounds, traffic (skipped
+    /// links were still delivered), the recorded schedule, the traces.
+    /// Crash (silent, partial-subset, partial-random) and Byzantine mixes,
+    /// all three delivery orders, dense and sparse links.
+    #[test]
+    fn stale_link_stop_is_behavior_invisible() {
+        use crate::builder::LinkMode;
+        use adn_faults::strategies::{by_name, ALL_STRATEGY_NAMES};
+
+        let seeds = std::env::var("ADN_FUZZ_SEEDS")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(240u64);
+        for seed in 0..seeds {
+            let build = |stale_stop: bool| {
+                let mut rng = SplitMix64::new(seed);
+                let n = 8 + rng.next_index(40);
+                let f = 1 + rng.next_index(n / 6);
+                let p = params(n, f, 1e-3);
+                // Sparse runs deliver ascending and carry no Byzantine
+                // nodes; dense runs rotate through the three orders.
+                let (sparse, order) = match seed % 4 {
+                    0 => (true, DeliveryOrder::AscendingSenders),
+                    1 => (false, DeliveryOrder::AscendingSenders),
+                    2 => (false, DeliveryOrder::DescendingSenders),
+                    _ => (false, DeliveryOrder::Shuffled(seed)),
+                };
+                let byzantine = if sparse { 0 } else { rng.next_index(f + 1) };
+                let mut crash = CrashSchedule::new(n);
+                for k in 0..f - byzantine {
+                    let survivors = match rng.next_index(4) {
+                        0 => CrashSurvivors::All,
+                        1 => CrashSurvivors::None,
+                        2 => CrashSurvivors::Subset(
+                            rng.sample_indices(n, n / 2)
+                                .into_iter()
+                                .map(NodeId::new)
+                                .collect(),
+                        ),
+                        _ => CrashSurvivors::Random {
+                            keep_probability: 0.5,
+                            seed: rng.next_u64(),
+                        },
+                    };
+                    crash.crash(NodeId::new(k), Round::new(rng.next_below(6)), survivors);
+                }
+                let adversary = match rng.next_index(4) {
+                    0 => AdversarySpec::Rotating { d: n / 2 + 1 },
+                    1 => AdversarySpec::Random { p: 0.7 },
+                    2 => AdversarySpec::Spread { t: 2, d: n / 2 },
+                    _ => AdversarySpec::Staggered {
+                        d: n / 2 + 1,
+                        groups: 3,
+                    },
+                };
+                let pend = 3 + rng.next_below(6);
+                let mut b = Simulation::builder(p)
+                    .inputs_random(seed)
+                    .crashes(crash)
+                    .adversary(adversary.build(n, f, seed))
+                    .algorithm(if rng.next_bool(0.5) {
+                        factories::dac_with_pend(p, pend)
+                    } else {
+                        factories::dbac_with_pend(p, pend)
+                    })
+                    .algorithm_plane(PlaneMode::Always)
+                    .delivery_order(order)
+                    .link_mode(if sparse {
+                        LinkMode::Sparse
+                    } else {
+                        LinkMode::Dense
+                    })
+                    .max_rounds(60);
+                for k in 0..byzantine {
+                    let name = ALL_STRATEGY_NAMES[rng.next_index(ALL_STRATEGY_NAMES.len())];
+                    b = b.byzantine(NodeId::new(n - 1 - k), by_name(name, n, seed + k as u64));
+                }
+                b.stale_stop = stale_stop;
+                b.run()
+            };
+            let (stopping, feeding) = (build(true), build(false));
+            assert_eq!(stopping.rounds(), feeding.rounds(), "seed {seed}");
+            assert_eq!(stopping.reason(), feeding.reason(), "seed {seed}");
+            assert_eq!(
+                stopping.honest_outputs(),
+                feeding.honest_outputs(),
+                "seed {seed}"
+            );
+            assert_eq!(stopping.traffic(), feeding.traffic(), "seed {seed}");
+            assert_eq!(stopping.schedule(), feeding.schedule(), "seed {seed}");
+            assert_eq!(stopping.traces(), feeding.traces(), "seed {seed}");
+        }
+    }
+
+    /// The directed case the stop must not break: on the complete graph
+    /// every receiver reaches quorum on its first ⌊n/2⌋ honest links and
+    /// advances past every honest snapshot, so the rest of its honest
+    /// links go unfed — and then the Byzantine sender, last in the sender
+    /// order, delivers a fabricated phase far above all of them. That
+    /// link must still be delivered and still cause the jump.
+    #[test]
+    fn fabrication_behind_the_stale_point_still_jumps() {
+        use crate::builder::PlaneMode;
+        use adn_types::Batch;
+
+        #[derive(Debug)]
+        struct Ahead;
+        impl ByzantineStrategy for Ahead {
+            fn messages_into(&mut self, _: &ByzContext<'_>, _: NodeId, out: &mut Batch) {
+                out.push(Message::new(Value::ONE, Phase::new(7)));
+            }
+            fn begin_instance(&mut self, _: u64) {}
+            fn name(&self) -> &'static str {
+                "ahead"
+            }
+        }
+
+        let n = 9;
+        let p = params(n, 1, 1e-3);
+        let step_once = |mode| {
+            let mut sim = Simulation::builder(p)
+                .byzantine(NodeId::new(n - 1), Box::new(Ahead))
+                .algorithm(factories::dac_with_pend(p, 20))
+                .algorithm_plane(mode)
+                .build();
+            sim.step();
+            sim
+        };
+        let plane = step_once(PlaneMode::Always);
+        let reference = step_once(PlaneMode::Never);
+        for v in NodeId::all(n - 1) {
+            assert_eq!(plane.phase_of(v), Some(Phase::new(7)), "{v} must jump");
+            assert_eq!(plane.value_of(v), Some(Value::ONE), "{v}");
+            assert_eq!(plane.value_of(v), reference.value_of(v), "{v}");
+        }
+        // All 8 × 8 links into the honest receivers count as delivered,
+        // the unfed ones included.
+        assert_eq!(plane.traffic.deliveries(), 64);
+        assert_eq!(plane.traffic, reference.traffic);
+        assert_eq!(plane.buffers.realized, reference.buffers.realized);
+    }
+
     #[test]
     fn sparse_links_and_shards_are_byte_identical_to_dense() {
         use crate::builder::LinkMode;
+        use crate::quantized::quantized_factory;
+        use adn_net::codec::Precision;
         let n = 33;
         let p = params(n, 1, 1e-3);
-        let mk = |mode: LinkMode, shards: usize| {
-            let mut crash = CrashSchedule::new(n);
-            crash.crash(
-                NodeId::new(7),
-                Round::new(2),
-                CrashSurvivors::Subset(vec![NodeId::new(0), NodeId::new(20)]),
-            );
-            Simulation::builder(p)
-                .inputs_random(99)
-                .adversary(AdversarySpec::Rotating { d: 20 }.build(n, 1, 5))
-                .crashes(crash)
-                .algorithm(factories::dac(p))
-                .link_mode(mode)
-                .shards(shards)
-                .run()
-        };
-        let dense = mk(LinkMode::Dense, 1);
-        assert!(dense.rounds() > 4, "crash must land mid-run");
-        for shards in [1, 3] {
-            let sparse = mk(LinkMode::Sparse, shards);
-            assert_eq!(dense.rounds(), sparse.rounds(), "shards={shards}");
-            assert_eq!(dense.honest_outputs(), sparse.honest_outputs());
-            assert_eq!(dense.traffic(), sparse.traffic(), "shards={shards}");
-            assert_eq!(dense.schedule(), sparse.schedule(), "shards={shards}");
-            assert_eq!(dense.traces(), sparse.traces(), "shards={shards}");
+        // The plain plane, and the quantized adaptor over it: the adaptor
+        // forwards the split, so its sharded cells run on real shards.
+        for quantized in [false, true] {
+            let mk = |mode: LinkMode, shards: usize| {
+                let mut crash = CrashSchedule::new(n);
+                crash.crash(
+                    NodeId::new(7),
+                    Round::new(2),
+                    CrashSurvivors::Subset(vec![NodeId::new(0), NodeId::new(20)]),
+                );
+                let factory = if quantized {
+                    quantized_factory(factories::dac(p), Precision::new(9))
+                } else {
+                    factories::dac(p)
+                };
+                Simulation::builder(p)
+                    .inputs_random(99)
+                    .adversary(AdversarySpec::Rotating { d: 20 }.build(n, 1, 5))
+                    .crashes(crash)
+                    .algorithm(factory)
+                    .link_mode(mode)
+                    .shards(shards)
+                    .run()
+            };
+            let dense = mk(LinkMode::Dense, 1);
+            assert!(dense.rounds() > 4, "crash must land mid-run");
+            for shards in [1, 3] {
+                let sparse = mk(LinkMode::Sparse, shards);
+                let cell = format!("quantized={quantized} shards={shards}");
+                assert_eq!(dense.rounds(), sparse.rounds(), "{cell}");
+                assert_eq!(dense.honest_outputs(), sparse.honest_outputs(), "{cell}");
+                assert_eq!(dense.traffic(), sparse.traffic(), "{cell}");
+                assert_eq!(dense.schedule(), sparse.schedule(), "{cell}");
+                assert_eq!(dense.traces(), sparse.traces(), "{cell}");
+            }
         }
     }
 

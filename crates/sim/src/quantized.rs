@@ -16,7 +16,7 @@
 
 use std::rc::Rc;
 
-use adn_core::{Algorithm, AlgorithmFactory, AlgorithmPlane};
+use adn_core::{Algorithm, AlgorithmFactory, AlgorithmPlane, PlaneShard};
 use adn_graph::NodeSet;
 use adn_net::codec::{snap, Precision};
 use adn_types::{Batch, Message, Phase, Port, Value};
@@ -144,13 +144,19 @@ impl AlgorithmPlane for QuantizedPlane {
         self.inner.receive(receiver, port, batch);
     }
 
+    fn fill_shards<'a>(&'a mut self, bounds: &[usize], out: &mut [Option<PlaneShard<'a>>]) {
+        // The adaptor has no receive side to bypass: the wire encoding is
+        // applied where the engine stages a sender's broadcast.
+        self.inner.fill_shards(bounds, out);
+    }
+
     fn end_round(&mut self, executing: &NodeSet) {
         self.inner.end_round(executing);
     }
 
     fn reset_instance(&mut self, inputs: &[Value]) -> bool {
-        // Unlike `fill_shards`, forwarding is safe here: the reset touches
-        // state columns only, never the wire encoding this adaptor owns.
+        // The reset touches state columns only, never the wire encoding
+        // this adaptor owns.
         self.inner.reset_instance(inputs)
     }
 
@@ -260,6 +266,18 @@ mod tests {
         // The wire value agrees bit-for-bit with the trait wrapper's.
         let mut node = Quantized::new(Box::new(Dac::new(params, inputs[0])), p);
         assert_eq!(node.broadcast()[0].value(), wire.value());
+    }
+
+    #[test]
+    fn plane_splits_into_the_inner_planes_shards() {
+        let params = Params::fault_free(7, 1e-3).unwrap();
+        let mut plane = quantized_factory(crate::factories::dac(params), Precision::new(4))
+            .make_plane(&[Value::HALF; 7])
+            .unwrap();
+        let mut shards: [Option<PlaneShard<'_>>; 2] = [None, None];
+        plane.fill_shards(&[0, 3, 7], &mut shards);
+        let bases: Vec<usize> = shards.iter().flatten().map(PlaneShard::base).collect();
+        assert_eq!(bases, [0, 3], "one real shard per requested range");
     }
 
     #[test]

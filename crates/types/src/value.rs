@@ -120,10 +120,17 @@ impl PartialOrd for Value {
 }
 
 impl Ord for Value {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // The constructor rejects NaN, so total_cmp agrees with the
-        // mathematical order on the admissible range.
-        self.0.total_cmp(&other.0)
+        // `f64::total_cmp`'s order, which on the admissible values is the
+        // order of their bit patterns as signed integers: every
+        // constructor keeps a value finite and inside `[0, 1]`, so the
+        // only pattern with the sign bit set is `-0.0`, and that is the
+        // smallest signed integer just as it is the smallest value. One
+        // integer compare where `total_cmp` spends four instructions per
+        // operand — this sits in every quorum fold of the delivery
+        // kernels.
+        (self.0.to_bits() as i64).cmp(&(other.0.to_bits() as i64))
     }
 }
 
@@ -276,6 +283,28 @@ mod tests {
         let b = Value::new(1.0).unwrap();
         assert_eq!(a.midpoint(b), Value::HALF);
         assert_eq!(a.midpoint(a), a);
+    }
+
+    #[test]
+    fn ordering_is_total_cmp_on_every_admissible_edge() {
+        // -0.0 passes the range check and clamps to itself, so it is
+        // admissible and must sort where `total_cmp` puts it.
+        let edges = [
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 2.0, // subnormal
+            f64::MIN_POSITIVE,
+            0.1,
+            0.5,
+            1.0 - f64::EPSILON,
+            1.0,
+        ];
+        for a in edges {
+            for b in edges {
+                let (va, vb) = (Value::new(a).unwrap(), Value::saturating(b));
+                assert_eq!(va.cmp(&vb), a.total_cmp(&b), "{a:e} vs {b:e}");
+            }
+        }
     }
 
     #[test]

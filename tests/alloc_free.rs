@@ -1,7 +1,8 @@
 //! Proves the allocation-free steady state of the batched message plane
 //! with a counting global allocator: after warmup, `Simulation::step` —
-//! including the classification-hoisted word-parallel delivery loop —
-//! performs **zero** heap allocations per round for DAC and DBAC runs in
+//! the trait path's word-parallel delivery loop and the plane's fused
+//! receiver-major routine alike — performs **zero** heap allocations per
+//! round for DAC and DBAC runs in
 //! lean observability mode (no schedule recording, no phase multisets —
 //! both are history *recording*, inherently growing, and both default to
 //! on for analysis runs). The same counter pins every adversary in the
@@ -159,17 +160,27 @@ fn lean_dac_sparse(n: usize, shards: usize) -> Simulation {
 #[test]
 fn steady_state_step_performs_zero_allocations() {
     // --- The round engine's delivery loop, on both the columnar plane
-    // (the sender-major fast path, including its per-round transpose) and
-    // the per-node trait path — under all three delivery orders (the
+    // (the fused receiver-major routine: per-round wire columns, the
+    // conditional-sender list, the shard split and its contexts) and the
+    // per-node trait path — under all three delivery orders (the
     // descending and shuffled orders route both paths through the shared
     // per-round sender permutation, whose build — including the shuffle's
     // full-id scratch and the active mask — must reuse the arena's `perm`
-    // buffer), plus the quantized wire-encoding adaptor on the plane. ---
+    // buffer), plus the quantized wire-encoding adaptor on the plane. The
+    // dense `plane` cells (ascending, shuffled, DBAC under 8 Byzantine
+    // senders, quantized) and the `sparse` ones below are the same
+    // routine over the two row kinds. ---
     use DeliveryOrder::{AscendingSenders, DescendingSenders, Shuffled};
     for (name, mut sim) in [
         (
             "dac/plane",
             lean_dac(32, PlaneMode::Always, AscendingSenders),
+        ),
+        // The benchmark's size: 16-word rows, an 8 MB port table — and no
+        // second one (the transpose assertion below).
+        (
+            "dac/plane/1024",
+            lean_dac(1024, PlaneMode::Always, AscendingSenders),
         ),
         (
             "dac/trait",
@@ -258,6 +269,12 @@ fn steady_state_step_performs_zero_allocations() {
             "{name}: batch capacities changed in the measured window"
         );
         assert!(sim.stopped().is_none(), "{name}: must still be running");
+        // No engine path delivers sender-major any more, so none may have
+        // built the transposed port table behind `ports_to`.
+        assert!(
+            !sim.ports().has_transpose(),
+            "{name}: a run materialized the transposed port table"
+        );
     }
 
     // --- The trial-lane driver: 64 lockstep trials per word. A steady

@@ -1,9 +1,9 @@
 //! Differential fuzz of the columnar algorithm plane against the per-node
 //! trait path.
 //!
-//! The engine's sender-major plane (`PlaneMode::Always`, and the `Auto`
+//! The engine's columnar plane (`PlaneMode::Always`, and the `Auto`
 //! selection that must pick it) must be observationally **identical** to
-//! the receiver-major boxed-state-machine reference (`PlaneMode::Never`)
+//! the boxed-state-machine reference (`PlaneMode::Never`)
 //! under *every* delivery order — ascending, descending, and the shared
 //! per-round shuffle — and for quantized as well as exact wire formats:
 //! same stop reason and round count, same outputs and final values, same
@@ -280,9 +280,9 @@ fn plane_matches_trait_path_across_the_configuration_space() {
 /// senders, and deliver in ascending sender order, so the draw is
 /// redirected onto those axes rather than skipped; everything else
 /// (adversary, crash mix, ε, pend, algorithm, quantization) fuzzes as
-/// before. Quantized draws additionally exercise the sharded path's
-/// single-shard fallback: the wire-format adaptor does not split into
-/// columns, so `fill_shards` declines and delivery stays on one shard.
+/// before. Quantized draws additionally exercise the wire-format
+/// adaptor's split: `fill_shards` forwards to the inner plane, so its
+/// sharded cells run on real shards.
 #[test]
 fn sparse_and_sharded_links_match_the_dense_plane() {
     let seeds = fuzz_seeds();
@@ -301,7 +301,7 @@ fn sparse_and_sharded_links_match_the_dense_plane() {
         quantized += u64::from(cfg.quantize_bits.is_some());
     }
     // The redirected draw must still cover the interesting axes: crashes
-    // mid-run on the sparse path, and quantized wires on the fallback.
+    // mid-run on the sparse path, and quantized wires on the shards.
     if seeds >= 40 {
         assert!(crashy >= seeds / 8, "only {crashy}/{seeds} crashy draws");
         assert!(
