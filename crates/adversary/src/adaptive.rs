@@ -136,7 +136,8 @@ mod tests {
             deliverers: &deliverers,
             honest: &honest,
         };
-        let e = AdaptiveClosest::new(1).edges(&view);
+        let mut e = EdgeSet::empty(n);
+        AdaptiveClosest::new(1).edges_into(&view, &mut e);
         assert!(e.contains(NodeId::new(1), NodeId::new(0)));
         assert_eq!(e.in_degree(NodeId::new(0)), 1);
         // Receiver 3 (0.9) hears the 0.5 node.
@@ -160,7 +161,8 @@ mod tests {
             deliverers: &deliverers,
             honest: &honest,
         };
-        let e = AdaptiveClosest::new(2).edges(&view);
+        let mut e = EdgeSet::empty(n);
+        AdaptiveClosest::new(2).edges_into(&view, &mut e);
         // Receiver 4 hears nodes 0 and 1.
         assert!(e.contains(NodeId::new(0), NodeId::new(4)));
         assert!(e.contains(NodeId::new(1), NodeId::new(4)));

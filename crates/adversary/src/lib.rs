@@ -24,11 +24,11 @@
 //! **Live-sender discipline.** The guarantee-preserving strategies pick
 //! links only from [`AdversaryView::deliverers`] — senders that will
 //! actually transmit this round. This realizes (T, D)-dynaDegree on the
-//! *delivery* graph even in the presence of crashed or silent nodes
-//! (DESIGN.md §5.1); a link from a dead sender would satisfy nothing.
+//! *delivery* graph even in the presence of crashed or silent nodes; a
+//! link from a dead sender would satisfy nothing.
 //!
-//! **In-place fill contract.** Every gallery strategy overrides
-//! [`Adversary::edges_into`], writing the round's links into the engine's
+//! **In-place fill contract.** Every gallery strategy implements
+//! [`Adversary::edges_into`] by writing the round's links into the engine's
 //! reused edge set with word-parallel row operations (range ORs, masked
 //! row copies, fresh-sender sweeps) — zero steady-state allocations, and
 //! byte-identical links to the per-receiver reference semantics
@@ -122,38 +122,15 @@ impl AdversaryView<'_> {
 }
 
 /// A dynamic message adversary: one link-set choice per round.
-///
-/// The two methods default to each other, so an implementation must
-/// override **at least one** of [`Adversary::edges`] and
-/// [`Adversary::edges_into`] (overriding neither would recurse forever):
-/// a quick custom adversary implements `edges`, while the gallery
-/// strategies implement the allocation-free `edges_into` and inherit
-/// `edges` as an allocate-then-fill shim.
 pub trait Adversary: fmt::Debug {
-    /// Chooses the reliable links `E(t)` for the round described by `view`.
+    /// Chooses the reliable links `E(t)` for the round described by
+    /// `view`, writing them into a caller-owned edge set that the round
+    /// engine reuses across rounds (passed cleared).
     ///
-    /// The default allocates an empty set and forwards to
-    /// [`Adversary::edges_into`] (see the trait docs for the pairing
-    /// rule).
-    fn edges(&mut self, view: &AdversaryView<'_>) -> EdgeSet {
-        let mut e = EdgeSet::empty(view.params.n());
-        self.edges_into(view, &mut e);
-        e
-    }
-
-    /// Writes the round's links into a caller-owned edge set that the
-    /// round engine reuses across rounds (passed cleared).
-    ///
-    /// The default forwards to [`Adversary::edges`], allocating one
-    /// `EdgeSet` per round — correct for every adversary, and what a
-    /// downstream custom adversary gets for free (see the trait docs for
-    /// the pairing rule). Every **gallery** strategy overrides this with
-    /// a word-parallel in-place fill and inherits `edges`, so
-    /// `Simulation::step` stays allocation free whichever adversary
-    /// drives it — `tests/alloc_free.rs` pins the whole gallery.
-    fn edges_into(&mut self, view: &AdversaryView<'_>, out: &mut EdgeSet) {
-        *out = self.edges(view);
-    }
+    /// Every gallery strategy fills it word-parallel and in place, so
+    /// `Simulation::step` stays allocation free whichever of them drives
+    /// it — `tests/alloc_free.rs` pins the whole gallery.
+    fn edges_into(&mut self, view: &AdversaryView<'_>, out: &mut EdgeSet);
 
     /// Whether this adversary can fill a sparse [`LinkPlane`] via
     /// [`Adversary::sparse_into`]. Defaults to `false`; every gallery
@@ -250,7 +227,8 @@ pub(crate) mod testutil {
                 deliverers,
                 honest: &honest,
             };
-            let mut e = adv.edges(&view);
+            let mut e = EdgeSet::empty(n);
+            adv.edges_into(&view, &mut e);
             // Mirror the simulator: links from non-deliverers realize
             // nothing, so the recorded delivery graph prunes them.
             let mut dead = NodeSet::full(n);

@@ -265,7 +265,9 @@ mod tests {
                 deliverers: &deliverers,
                 honest: &honest,
             };
-            schedule.push(adv.edges(&view));
+            let mut e = EdgeSet::empty(n);
+            adv.edges_into(&view, &mut e);
+            schedule.push(e);
         }
         let v = NodeId::new(6);
         let round = |t: u64| -> Vec<usize> {

@@ -27,11 +27,13 @@ use crate::Algorithm;
 ///
 /// ```
 /// use adn_core::{Algorithm, FullExchange};
-/// use adn_types::{Params, Value};
+/// use adn_types::{Batch, Params, Value};
 ///
 /// let params = Params::new(9, 1, 0.1)?;
 /// let mut node = FullExchange::new(params, Value::HALF, 2);
-/// assert_eq!(node.broadcast().len(), 1); // no history yet
+/// let mut batch = Batch::new();
+/// node.broadcast_into(&mut batch);
+/// assert_eq!(batch.len(), 1); // no history yet
 /// assert_eq!(node.name(), "full-exchange");
 /// # Ok::<(), adn_types::Error>(())
 /// ```
@@ -157,6 +159,7 @@ impl Algorithm for FullExchange {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::broadcast;
 
     /// n = 5, f = 1: quorum n - f = 4.
     fn params() -> Params {
@@ -209,7 +212,7 @@ mod tests {
             node.receive(Port::new(p), &[msg(0.0, 0)]);
         }
         assert_eq!(node.phase(), Phase::new(1));
-        let batch = node.broadcast();
+        let batch = broadcast(&mut node);
         assert_eq!(batch.len(), 2);
         assert_eq!(batch[0].phase(), Phase::new(1));
         assert_eq!(batch[1].phase(), Phase::ZERO);
@@ -225,7 +228,7 @@ mod tests {
             }
         }
         assert_eq!(node.phase(), Phase::new(3));
-        assert_eq!(node.broadcast().len(), 2, "only k = 1 archived state");
+        assert_eq!(broadcast(&mut node).len(), 2, "only k = 1 archived state");
     }
 
     #[test]
@@ -235,7 +238,7 @@ mod tests {
             node.receive(Port::new(p), &[msg(0.5, 0)]);
         }
         assert_eq!(node.phase(), Phase::new(1));
-        assert_eq!(node.broadcast().len(), 1);
+        assert_eq!(broadcast(&mut node).len(), 1);
     }
 
     #[test]

@@ -34,6 +34,13 @@
 //! directly (the paper's `R_i[i] = 1`), so the substrate never routes a
 //! node's message back to itself.
 //!
+//! The simulator does not hold the nodes directly: it drives one
+//! [`AlgorithmPlane`] — all `n` slots' state behind one interface (see
+//! [`plane`]). [`BoxedPlane`] is `n` boxed `Algorithm`s and makes exactly
+//! the three calls above; [`DacPlane`] and [`DbacPlane`] are the same two
+//! algorithms in columnar layout, observationally identical and without
+//! the virtual call per delivered message.
+//!
 //! # Example
 //!
 //! ```
@@ -76,7 +83,8 @@ pub use full_exchange::FullExchange;
 pub use lanes::{DacLanes, DbacLanes, LanePlane, LANE_WIDTH};
 pub use piggyback::DbacPiggyback;
 pub use plane::{
-    AlgorithmPlane, DacPlane, DbacPlane, PlaneShard, RowKernel, RowWalk, MAX_PLANE_SHARDS,
+    AlgorithmPlane, BoxedPlane, DacPlane, DbacPlane, PlaneShard, RowKernel, RowWalk, StagedWire,
+    MAX_PLANE_SHARDS,
 };
 
 use std::fmt;
@@ -87,8 +95,10 @@ use adn_types::{Batch, Message, Phase, Port, Value};
 ///
 /// See the [crate docs](crate) for the round structure. Implementations
 /// must be deterministic: identical call sequences produce identical
-/// states (the simulator's replay tests rely on it).
-pub trait Algorithm: fmt::Debug {
+/// states (the simulator's replay tests rely on it). `Send` because a
+/// sharded run drives disjoint receiver ranges of a [`BoxedPlane`] from
+/// the shard pool's threads; every state machine is plain data.
+pub trait Algorithm: fmt::Debug + Send {
     /// Writes the batch of messages this node broadcasts this round into
     /// `out`. Plain DAC and DBAC stage exactly one message; piggybacking
     /// variants stage several; staging nothing means staying silent.
@@ -98,15 +108,6 @@ pub trait Algorithm: fmt::Debug {
     /// own vector — to keep the steady-state message plane allocation
     /// free.
     fn broadcast_into(&mut self, out: &mut Batch);
-
-    /// Convenience form of [`Algorithm::broadcast_into`] that allocates a
-    /// fresh vector per call. Prefer `broadcast_into` on hot paths; this
-    /// shim exists for tests, examples, and exploratory code.
-    fn broadcast(&mut self) -> Vec<Message> {
-        let mut out = Batch::new();
-        self.broadcast_into(&mut out);
-        out.into_vec()
-    }
 
     /// Delivers the batch a single in-neighbor sent this round, identified
     /// by the local `port` it arrived on. Called at most once per port per
@@ -127,9 +128,9 @@ pub trait Algorithm: fmt::Debug {
     fn current_value(&self) -> Value;
 
     /// Resets the node to its initial state against a fresh `input`, as if
-    /// freshly constructed — the per-node half of the service layer's
-    /// allocation-free instance turnover (the columnar half is
-    /// [`AlgorithmPlane::reset_instance`]). Returns `false` (leaving the
+    /// freshly constructed — what [`BoxedPlane`] builds the service layer's
+    /// allocation-free instance turnover
+    /// ([`AlgorithmPlane::reset_instance`]) from. Returns `false` (leaving the
     /// state untouched) if the algorithm does not support in-place resets;
     /// the service layer refuses to run such algorithms rather than
     /// silently reconstructing them. DAC and DBAC override this; the
@@ -143,10 +144,10 @@ pub trait Algorithm: fmt::Debug {
     fn name(&self) -> &'static str;
 }
 
-/// Constructor closure for the per-node path: `(node_index, input)` to a
+/// Constructor closure for the boxed plane: `(node_index, input)` to a
 /// boxed state machine.
 type NodeCtor = Box<dyn Fn(usize, Value) -> Box<dyn Algorithm>>;
-/// Constructor closure for the columnar path: the full input vector to
+/// Constructor closure for the columnar plane: the full input vector to
 /// one plane holding every slot.
 type PlaneCtor = Box<dyn Fn(&[Value]) -> Box<dyn AlgorithmPlane>>;
 /// Constructor closure for the trial-lane path: a **lane-major** input
@@ -157,13 +158,13 @@ type LaneCtor = Box<dyn Fn(&[Value]) -> Box<dyn LanePlane>>;
 /// Constructor bundle used by the simulator and experiment runners to
 /// instantiate an algorithm: a per-node builder mapping `(node_index,
 /// input)` to a boxed state machine, plus — for plane-capable algorithms
-/// (DAC, DBAC) — a whole-system builder for the columnar
-/// [`AlgorithmPlane`] the engine's fused delivery routine drives.
+/// (DAC, DBAC) — a whole-system builder for their columnar
+/// [`AlgorithmPlane`].
 ///
-/// The per-node path is always available and is the semantic reference;
-/// the plane, when present, must be observationally identical to it (the
-/// engine auto-selects between them, see `SimBuilder::algorithm_plane` in
-/// `adn-sim`).
+/// The per-node builder is always available — [`BoxedPlane`] over its
+/// nodes is the semantic reference; the columnar plane, when present,
+/// must be observationally identical to it (the engine picks which one to
+/// build, see `SimBuilder::algorithm_plane` in `adn-sim`).
 pub struct AlgorithmFactory {
     make: NodeCtor,
     plane: Option<PlaneCtor>,
@@ -218,6 +219,12 @@ impl AlgorithmFactory {
         (self.make)(node_index, input)
     }
 
+    /// Instantiates the boxed plane: one state machine per input.
+    pub fn make_boxed_plane(&self, inputs: &[Value]) -> Box<dyn AlgorithmPlane> {
+        let nodes = inputs.iter().enumerate().map(|(i, &v)| self.make(i, v));
+        Box::new(BoxedPlane::new(nodes.collect()))
+    }
+
     /// Whether this factory can build a columnar plane.
     pub fn has_plane(&self) -> bool {
         self.plane.is_some()
@@ -252,10 +259,17 @@ impl fmt::Debug for AlgorithmFactory {
 pub(crate) mod testutil {
     use super::*;
 
+    /// The batch `node` broadcasts, staged into a fresh buffer.
+    pub fn broadcast(node: &mut dyn Algorithm) -> Batch {
+        let mut batch = Batch::new();
+        node.broadcast_into(&mut batch);
+        batch
+    }
+
     /// Collects each node's single broadcast message (panics if an
     /// algorithm broadcasts a batch — these helpers are for DAC/DBAC).
     pub fn single_broadcast(node: &mut dyn Algorithm) -> Message {
-        let batch = node.broadcast();
+        let batch = broadcast(node);
         assert_eq!(batch.len(), 1, "expected a single-message broadcast");
         batch[0]
     }

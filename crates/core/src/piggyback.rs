@@ -23,11 +23,13 @@ use crate::{Algorithm, Dbac};
 ///
 /// ```
 /// use adn_core::{Algorithm, DbacPiggyback};
-/// use adn_types::{Params, Value};
+/// use adn_types::{Batch, Params, Value};
 ///
 /// let params = Params::new(6, 1, 0.1)?;
 /// let mut node = DbacPiggyback::new(params, Value::HALF, 3);
-/// assert_eq!(node.broadcast().len(), 1); // no history yet in phase 0
+/// let mut batch = Batch::new();
+/// node.broadcast_into(&mut batch);
+/// assert_eq!(batch.len(), 1); // no history yet in phase 0
 /// # Ok::<(), adn_types::Error>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -119,6 +121,7 @@ impl Algorithm for DbacPiggyback {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::broadcast;
 
     /// n = 6, f = 1: quorum 5.
     fn params() -> Params {
@@ -142,7 +145,7 @@ mod tests {
         advance_one_phase(&mut node, 0.5);
         assert_eq!(node.phase(), Phase::new(1));
         assert_eq!(node.buffered(), 1);
-        let batch = node.broadcast();
+        let batch = broadcast(&mut node);
         assert_eq!(batch.len(), 2);
         // History entry is the phase-0 state.
         assert_eq!(batch[1].phase(), Phase::ZERO);
@@ -157,7 +160,7 @@ mod tests {
         }
         assert_eq!(node.phase(), Phase::new(5));
         assert_eq!(node.buffered(), 2);
-        let batch = node.broadcast();
+        let batch = broadcast(&mut node);
         assert_eq!(batch.len(), 3);
         // Most recent history first: phases 4 and 3.
         assert_eq!(batch[1].phase(), Phase::new(4));
@@ -168,7 +171,7 @@ mod tests {
     fn zero_history_is_plain_dbac() {
         let mut node = DbacPiggyback::with_pend(params(), Value::HALF, 0, 100);
         advance_one_phase(&mut node, 0.5);
-        assert_eq!(node.broadcast().len(), 1);
+        assert_eq!(broadcast(&mut node).len(), 1);
         assert_eq!(node.buffered(), 0);
     }
 

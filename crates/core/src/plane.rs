@@ -1,77 +1,86 @@
-//! The columnar algorithm plane: all fault-free nodes' state as flat
-//! arrays, driven receiver-major through a per-receiver kernel.
+//! The algorithm planes: every node slot's state behind one interface,
+//! driven receiver-major through a per-receiver kernel.
 //!
-//! The [`Algorithm`](crate::Algorithm) trait models one node as one boxed
-//! state machine — the semantic reference, and the only interface exotic
-//! algorithms (piggybacking, baselines, strawmen) implement. But on the
-//! simulator's hot path it costs one virtual call *per delivered message*:
-//! at `n = 1024` that is ~1M dynamic dispatches per round. DAC and DBAC
-//! don't need that generality:
+//! [`AlgorithmPlane`] is the engine's one state backend. Three planes
+//! implement it:
+//!
+//! * [`BoxedPlane`] — one boxed [`Algorithm`] state
+//!   machine per slot. The semantic reference, and the backend of every
+//!   algorithm that only implements the trait (piggybacking, baselines,
+//!   strawmen): any batch length, one virtual `receive` per link.
+//! * [`DacPlane`], [`DbacPlane`] — the **columnar** planes: all slots'
+//!   state in struct-of-arrays layout, no virtual call per link.
+//!
+//! The columnar planes exist because the boxed one costs a dynamic
+//! dispatch *per delivered message* — at `n = 1024` that is ~1M per round
+//! — and DAC and DBAC don't need that generality:
 //!
 //! * their broadcast is always exactly one `(value, phase)` message — a
 //!   snapshot of two state columns, identical at every receiver
-//!   (anonymity), so the engine stages it once per sender per round;
+//!   (anonymity), so it is staged once per sender per round;
 //! * each receiver splits into exactly three cases per message — **jump**
 //!   (sender ahead: adopt wholesale), **same-phase** (one port bit + a
 //!   min/max or trim fold), **stale** (skip);
 //! * a receiver's whole round touches only *its own* slot of every
 //!   column.
 //!
-//! [`AlgorithmPlane`] captures that shape: one object holds *every*
-//! node's state in struct-of-arrays layout ([`DacPlane`], [`DbacPlane`]).
-//! For delivery the engine splits it into [`PlaneShard`]s (one shard is
-//! the whole plane), and for each receiver runs that receiver's senders,
-//! in the round's order, through a [`RowKernel`]: the receiver's phase,
-//! extrema or trim lists, contribution count and port-bit row loaded into
-//! locals once, every link applied to the locals, everything stored back
-//! once ([`PlaneShard::deliver_row`]). The kernel type is chosen by one `match`
-//! per receiver and the engine's walk ([`RowWalk`]) is monomorphized over
-//! it, so no link pays a virtual call.
+//! **One round, whatever the plane.** The engine stages each transmitting
+//! sender's broadcast through [`AlgorithmPlane::stage_broadcast`], splits
+//! the plane into [`PlaneShard`]s (one shard is the whole plane), and for
+//! each receiver runs that receiver's senders, in the round's order,
+//! through a [`RowKernel`] ([`PlaneShard::deliver_row`]). A columnar kernel
+//! loads the receiver's phase, extrema or trim lists, contribution count
+//! and port-bit row into locals once, applies every link to the locals,
+//! and stores everything back once; the boxed kernel forwards each link's
+//! staged batch to `Algorithm::receive`. The kernel type is chosen by one
+//! `match` per receiver and the engine's walk ([`RowWalk`]) is
+//! monomorphized over it, so a columnar link pays no virtual call.
 //!
 //! **The stale-link stop.** Within a round every honest link carries a
 //! start-of-round snapshot, so its phase is at most the round's maximum
-//! wire phase. A receiver that has decided, or whose phase has passed that
-//! maximum (on the complete graph: every receiver, the moment it reaches
-//! quorum), ignores every further honest link of the round by Alg. 1/2's
-//! own stale rule — [`RowKernel::live`] reports exactly that, and the
-//! engine stops feeding such a receiver's honest links. Byzantine
-//! fabrications may carry any phase and are always fed.
+//! wire phase. A columnar receiver that has decided, or whose phase has
+//! passed that maximum (on the complete graph: every receiver, the moment
+//! it reaches quorum), ignores every further honest link of the round by
+//! Alg. 1/2's own stale rule — [`RowKernel::live`] reports exactly that,
+//! and the engine stops feeding such a receiver's honest links. Byzantine
+//! fabrications may carry any phase and are always fed. The boxed kernel
+//! knows nothing about its node's rules and is always live.
 //!
-//! The trait path remains the behavioral oracle: planes must be
-//! observationally **identical** to a per-node state machine run under the
-//! same delivery order — `tests/plane_equivalence.rs` fuzzes that contract
-//! across adversaries, crash/Byzantine mixes, and ε.
+//! The boxed plane is the behavioral oracle: the columnar planes must be
+//! observationally **identical** to it under the same delivery order —
+//! `tests/plane_equivalence.rs` fuzzes that contract across adversaries,
+//! crash/Byzantine mixes, and ε.
 
 use std::fmt;
 
 use adn_graph::NodeSet;
-use adn_types::{Message, Params, Phase, Port, Value};
+use adn_types::{Batch, Message, Params, Phase, Port, Value};
 
-use crate::trim;
+use crate::{trim, Algorithm};
 
-/// Columnar state of one algorithm across **all** `n` node slots.
-///
-/// The engine materializes a plane instead of `n` boxed
-/// [`Algorithm`](crate::Algorithm)s when the factory declares itself
-/// plane-capable. Slots of Byzantine nodes exist but are never driven
-/// (never delivered to, never advanced) — the engine masks them out.
+/// The state of one algorithm across **all** `n` node slots — the
+/// engine's state backend (see [the module docs](self) for the three
+/// implementations). Slots of Byzantine nodes exist but are never driven
+/// (never staged, never delivered to, never advanced) — the engine masks
+/// them out.
 ///
 /// # Contract
 ///
-/// Implementations must be observationally identical to running one
-/// trait-object state machine per slot with deliveries applied in the
-/// same order. In particular:
+/// Every plane must be observationally identical to running one boxed
+/// state machine per slot with deliveries applied in the same order —
+/// which [`BoxedPlane`] does literally. In particular:
 ///
-/// * a slot's broadcast is always exactly its `(value, phase)` pair and
-///   mutates nothing — planes are only for such algorithms. The engine
-///   therefore never asks the plane for broadcasts: it reads its own
+/// * the engine stages a slot's broadcast through
+///   [`stage_broadcast`](AlgorithmPlane::stage_broadcast), once per
+///   transmitting sender per round, and delivers through
+///   [`AlgorithmPlane::fill_shards`] and [`PlaneShard::deliver_row`], whose
+///   kernels mirror `Algorithm::receive` message for message;
+/// * a **columnar** plane's broadcast is always exactly the slot's
+///   `(value, phase)` pair and mutates nothing — columnar planes are only
+///   for such algorithms — so what it stages is the engine's own
 ///   start-of-round snapshot of the [`phases`](AlgorithmPlane::phases) /
-///   [`values`](AlgorithmPlane::values) columns, which stays correct
-///   while the live plane mutates as earlier senders of the round
-///   deliver;
-/// * the engine delivers through [`AlgorithmPlane::fill_shards`] and
-///   [`PlaneShard::deliver_row`], whose kernels mirror `Algorithm::receive`
-///   message for message;
+///   [`values`](AlgorithmPlane::values) columns, which stays correct while
+///   the live plane mutates as the round delivers;
 /// * [`AlgorithmPlane::receive`], [`AlgorithmPlane::receive_many`] and
 ///   [`AlgorithmPlane::deliver_from_sender`] are the same semantics one
 ///   link, one receiver's batch, or one sender's fan-out at a time. They
@@ -95,14 +104,30 @@ pub trait AlgorithmPlane: fmt::Debug {
     /// Maps one outgoing honest broadcast to what actually crosses the
     /// wire. The identity by default; wire-format adaptors (the quantized
     /// plane in `adn-sim`) override it to snap the value to their codec
-    /// grid. The engine calls it **once per transmitting non-Byzantine
-    /// sender per round** — anonymity means every receiver sees the same
-    /// encoded message, so per-link encoding would be redundant work —
-    /// and routes Byzantine fabrications around it (a strategy's batch
-    /// already is the wire content, exactly as on the trait path, where
-    /// fabrications bypass the `Quantized` broadcast wrapper too).
+    /// grid. Applied **once per transmitting non-Byzantine sender per
+    /// round** — anonymity means every receiver sees the same encoded
+    /// message, so per-link encoding would be redundant work — and never
+    /// to Byzantine fabrications (a strategy's batch already is the wire
+    /// content; on the boxed plane fabrications bypass the `Quantized`
+    /// broadcast wrapper too).
     fn encode_wire(&self, msg: Message) -> Message {
         msg
+    }
+
+    /// Stages slot `sender`'s broadcast of this round into `out` — the
+    /// sender's persistent batch in the engine's round arena, passed
+    /// empty. `snapshot` is the slot's start-of-round `(value, phase)`.
+    /// Called once per transmitting non-Byzantine sender per round, before
+    /// any delivery.
+    ///
+    /// The default is the columnar planes' whole broadcast: exactly the
+    /// snapshot, through [`AlgorithmPlane::encode_wire`]. [`BoxedPlane`]
+    /// asks the slot's state machine instead, which may stage any number
+    /// of messages, including none.
+    // audit: no-alloc
+    fn stage_broadcast(&mut self, sender: usize, snapshot: Message, out: &mut Batch) {
+        let _ = sender;
+        out.push(self.encode_wire(snapshot));
     }
 
     /// Replay-only (see the trait docs). Delivers one sender's staged
@@ -111,7 +136,7 @@ pub trait AlgorithmPlane: fmt::Debug {
     /// in ascending receiver order. `ports[v]` is the local port receiver
     /// `v` hears this sender on (the sender's transposed port column).
     /// The sender itself is never in `receivers` (self-delivery is
-    /// internal, as for the trait path).
+    /// internal to every algorithm).
     fn deliver_from_sender(&mut self, msg: Message, receivers: &NodeSet, ports: &[Port]);
 
     /// Replay-only (see the trait docs). Delivers an arbitrary batch to
@@ -151,14 +176,13 @@ pub trait AlgorithmPlane: fmt::Debug {
     fn end_round(&mut self, executing: &NodeSet);
 
     /// Resets every slot to its initial state against a fresh input
-    /// vector, in place, as if the plane were freshly constructed —
-    /// the columnar half of the service layer's allocation-free instance
-    /// turnover (the per-node half is `Algorithm::reset_instance`).
-    /// Returns `false` (leaving the plane untouched) when in-place resets
-    /// are unsupported, making the service layer refuse rather than
-    /// silently rebuild. The DAC/DBAC planes override this; wire-format
-    /// adaptors forward it to their inner plane (resetting state columns
-    /// does not touch the wire encoding).
+    /// vector, in place, as if the plane were freshly constructed — the
+    /// service layer's allocation-free instance turnover. Returns `false`
+    /// when in-place resets are unsupported, making the service layer
+    /// refuse rather than silently rebuild. Every stock plane overrides
+    /// this ([`BoxedPlane`] asks each slot's `Algorithm::reset_instance`);
+    /// wire-format adaptors forward it to their inner plane (resetting
+    /// state does not touch the wire encoding).
     ///
     /// # Panics
     ///
@@ -178,21 +202,47 @@ pub trait AlgorithmPlane: fmt::Debug {
 /// scratch against it.
 pub const MAX_PLANE_SHARDS: usize = 8;
 
+/// What the round's transmitting non-Byzantine senders staged, by sender
+/// id: every batch as [`AlgorithmPlane::stage_broadcast`] filled it, and
+/// the head of each batch again as two flat columns — all a
+/// single-message kernel ever reads.
+#[derive(Debug, Clone, Copy)]
+pub struct StagedWire<'a> {
+    /// Phase of each sender's first staged message.
+    pub phase: &'a [Phase],
+    /// Value of each sender's first staged message.
+    pub value: &'a [Value],
+    /// Each sender's whole staged batch.
+    pub batches: &'a [Batch],
+}
+
 /// One receiver's delivery state for the length of its row — what
-/// [`PlaneShard::deliver_row`] hands the engine's [`RowWalk`]: the receiver's
-/// columns loaded into locals, every link of the round applied to them,
-/// stored back when the walk returns.
+/// [`PlaneShard::deliver_row`] hands the engine's [`RowWalk`]. The
+/// columnar kernels hold the receiver's columns in locals, apply every
+/// link of the round to them, and store them back when the walk returns;
+/// the boxed kernel is the receiver's state machine itself.
 pub trait RowKernel {
     /// Whether an **honest** link of this round can still change this
     /// receiver: it has not decided and its phase has not passed the
     /// round's maximum wire phase. Once `false` it stays `false` for the
-    /// round (phases only grow), and skipping [`RowKernel::link`] for
+    /// round (phases only grow), and skipping [`RowKernel::staged`] for
     /// honest links is unobservable. Fabricated links must still be fed.
+    /// Only a single-message kernel may ever report `false` (a skipped
+    /// link is metered as one message); the boxed kernel never does.
     fn live(&self) -> bool;
 
     /// One single-message link: `(phase, value)` heard on `port`. Exact
     /// for any message, whatever [`RowKernel::live`] says.
     fn link(&mut self, port: Port, phase: Phase, value: Value);
+
+    /// An honest link: `sender`'s staged broadcast heard on `port`.
+    /// Returns the number of messages it carried. The default is the
+    /// single-message kernels': the two wire columns, one message.
+    #[inline(always)]
+    fn staged(&mut self, port: Port, sender: usize, wire: &StagedWire<'_>) -> usize {
+        self.link(port, wire.phase[sender], wire.value[sender]);
+        1
+    }
 
     /// An arbitrary (fabricated) batch heard on `port`, resolved as
     /// `Algorithm::receive` resolves it. May reorder `batch`.
@@ -220,10 +270,10 @@ fn live_below(pend: u64, max_wire_phase: Phase) -> u64 {
     pend.min(max_wire_phase.as_u64().saturating_add(1))
 }
 
-/// One receiver-range slice of a columnar plane
+/// One receiver-range slice of a plane
 /// (see [`AlgorithmPlane::fill_shards`]): exclusive `&mut` views of the
-/// columns for receivers `base..base + len`, safe to drive from its own
-/// thread while sibling shards run on theirs.
+/// columns (or boxed nodes) of receivers `base..base + len`, safe to drive
+/// from its own thread while sibling shards run on theirs.
 pub struct PlaneShard<'a> {
     base: usize,
     repr: ShardRepr<'a>,
@@ -232,6 +282,7 @@ pub struct PlaneShard<'a> {
 enum ShardRepr<'a> {
     Dac(DacCols<'a>),
     Dbac(DbacCols<'a>),
+    Boxed(&'a mut [Box<dyn Algorithm>]),
 }
 
 impl PlaneShard<'_> {
@@ -250,6 +301,7 @@ impl PlaneShard<'_> {
         match &mut self.repr {
             ShardRepr::Dac(cols) => cols.deliver_row(v, max_wire_phase, walk),
             ShardRepr::Dbac(cols) => cols.deliver_row(v, max_wire_phase, walk),
+            ShardRepr::Boxed(nodes) => walk.walk(&mut BoxedRow(&mut *nodes[v])),
         }
     }
 
@@ -271,6 +323,11 @@ impl PlaneShard<'_> {
                     cols.process(v, port, msg);
                 }
             }
+            ShardRepr::Boxed(nodes) => {
+                for &(port, msg) in batch {
+                    nodes[v].receive(port, &[msg]);
+                }
+            }
         }
     }
 }
@@ -280,6 +337,7 @@ impl fmt::Debug for PlaneShard<'_> {
         let kind = match self.repr {
             ShardRepr::Dac(_) => "dac",
             ShardRepr::Dbac(_) => "dbac",
+            ShardRepr::Boxed(_) => "boxed",
         };
         write!(f, "PlaneShard({kind}, base {})", self.base)
     }
@@ -1078,6 +1136,149 @@ impl AlgorithmPlane for DbacPlane {
 
     fn name(&self) -> &'static str {
         "dbac"
+    }
+}
+
+/// One boxed [`Algorithm`] state machine per slot: the plane of every
+/// algorithm that only implements the trait, and the semantic reference
+/// the columnar planes are fuzzed against. Staging, delivery and the
+/// end-of-round hook forward to the slot's own `broadcast_into`, `receive`
+/// and `end_round`; the `phases` / `values` / `outputs` columns are copies
+/// of what the nodes report, refreshed wherever a node's state can change
+/// before the columns are next read: staging, `end_round`,
+/// `reset_instance` and the replay-only `receive` — not per delivered
+/// link, since nothing reads the columns in the middle of a round.
+///
+/// `Algorithm: Send` is what lets the shards of a boxed plane cross the
+/// shard pool's thread boundary like the columnar ones.
+#[derive(Debug)]
+pub struct BoxedPlane {
+    nodes: Vec<Box<dyn Algorithm>>,
+    phase: Vec<Phase>,
+    value: Vec<Value>,
+    output: Vec<Option<Value>>,
+}
+
+impl BoxedPlane {
+    /// Wraps one state machine per slot (Byzantine slots included: like
+    /// the columnar planes' they exist and are never driven).
+    pub fn new(nodes: Vec<Box<dyn Algorithm>>) -> Self {
+        let mut plane = BoxedPlane {
+            phase: vec![Phase::ZERO; nodes.len()],
+            value: vec![Value::HALF; nodes.len()],
+            output: vec![None; nodes.len()],
+            nodes,
+        };
+        (0..plane.nodes.len()).for_each(|v| plane.refresh(v));
+        plane
+    }
+
+    /// Re-reads slot `v`'s columns from its node.
+    #[inline]
+    fn refresh(&mut self, v: usize) {
+        let node = &self.nodes[v];
+        self.phase[v] = node.phase();
+        self.value[v] = node.current_value();
+        self.output[v] = node.output();
+    }
+}
+
+/// The boxed plane's kernel: the receiver's state machine, every link one
+/// `Algorithm::receive`.
+struct BoxedRow<'a>(&'a mut dyn Algorithm);
+
+impl RowKernel for BoxedRow<'_> {
+    #[inline(always)]
+    fn live(&self) -> bool {
+        true
+    }
+
+    // audit: no-alloc
+    #[inline]
+    fn link(&mut self, port: Port, phase: Phase, value: Value) {
+        self.0.receive(port, &[Message::new(value, phase)]);
+    }
+
+    // audit: no-alloc
+    #[inline]
+    fn staged(&mut self, port: Port, sender: usize, wire: &StagedWire<'_>) -> usize {
+        let batch = &wire.batches[sender];
+        self.0.receive(port, batch);
+        batch.len()
+    }
+
+    // audit: no-alloc
+    #[inline]
+    fn batch(&mut self, port: Port, batch: &mut [Message]) {
+        self.0.receive(port, batch);
+    }
+}
+
+impl AlgorithmPlane for BoxedPlane {
+    fn n(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn phases(&self) -> &[Phase] {
+        &self.phase
+    }
+
+    fn values(&self) -> &[Value] {
+        &self.value
+    }
+
+    fn outputs(&self) -> &[Option<Value>] {
+        &self.output
+    }
+
+    // audit: no-alloc
+    fn stage_broadcast(&mut self, sender: usize, _snapshot: Message, out: &mut Batch) {
+        self.nodes[sender].broadcast_into(out);
+        self.refresh(sender);
+    }
+
+    fn deliver_from_sender(&mut self, msg: Message, receivers: &NodeSet, ports: &[Port]) {
+        receivers.for_each(|v| self.receive(v.index(), ports[v.index()], &[msg]));
+    }
+
+    fn receive(&mut self, receiver: usize, port: Port, batch: &[Message]) {
+        self.nodes[receiver].receive(port, batch);
+        self.refresh(receiver);
+    }
+
+    fn fill_shards<'a>(&'a mut self, bounds: &[usize], out: &mut [Option<PlaneShard<'a>>]) {
+        assert_shard_bounds(self.nodes.len(), bounds, out.len());
+        let mut nodes = &mut self.nodes[..];
+        for (i, slot) in out.iter_mut().enumerate() {
+            *slot = Some(PlaneShard {
+                base: bounds[i],
+                repr: ShardRepr::Boxed(take_split(&mut nodes, bounds[i + 1] - bounds[i])),
+            });
+        }
+    }
+
+    fn end_round(&mut self, executing: &NodeSet) {
+        executing.for_each(|id| {
+            self.nodes[id.index()].end_round();
+            self.refresh(id.index());
+        });
+    }
+
+    /// All or nothing: the slots run one algorithm, so the first refusal
+    /// comes from slot 0, before anything was reset.
+    fn reset_instance(&mut self, inputs: &[Value]) -> bool {
+        assert_eq!(inputs.len(), self.nodes.len(), "one input per slot");
+        for (v, input) in inputs.iter().enumerate() {
+            if !self.nodes[v].reset_instance(*input) {
+                return false;
+            }
+            self.refresh(v);
+        }
+        true
+    }
+
+    fn name(&self) -> &'static str {
+        self.nodes.first().map_or("boxed", |node| node.name())
     }
 }
 

@@ -33,7 +33,6 @@ impl EdgeSet {
     pub fn empty(n: usize) -> Self {
         EdgeSet {
             n,
-            // audit: allow(alloc-reach) — init-time constructor; hot paths reach it only through the documented allocate-then-fill `Adversary::edges` shim
             in_neighbors: (0..n).map(|_| NodeSet::new(n)).collect(),
         }
     }

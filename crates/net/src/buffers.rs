@@ -70,8 +70,10 @@ pub enum SenderClass {
 #[derive(Debug, Clone)]
 pub struct RoundBuffers {
     n: usize,
-    /// One broadcast batch per node, refilled via
-    /// `Algorithm::broadcast_into` each round.
+    /// One broadcast batch per node, refilled each round through the
+    /// state backend's staging hook (`AlgorithmPlane::stage_broadcast`:
+    /// a columnar plane's one-message snapshot, or whatever a boxed
+    /// node's `Algorithm::broadcast_into` writes).
     pub batches: Vec<Batch>,
     /// `present[i]` — whether node `i` staged a broadcast this round
     /// (crashed-silent and Byzantine slots stay `false`).
@@ -99,8 +101,7 @@ pub struct RoundBuffers {
     /// *every* receiver processes its deliveries this round (descending
     /// ids, or the round's seeded shuffle of all `n` ids with inactive
     /// senders masked out, order-preserving). Ascending-order rounds
-    /// leave it empty — they walk the `chosen ∩ active` bitset words
-    /// directly.
+    /// leave it empty — they walk each receiver's chosen row directly.
     pub perm: Vec<NodeId>,
     /// Scratch for the fault-free value trace.
     pub ff_values: Vec<Value>,

@@ -52,22 +52,28 @@ impl Traffic {
     }
 
     /// Records `links` simultaneous link firings that each carried the
-    /// same batch of `batch_len` messages — the bulk form of
-    /// [`Traffic::record_delivery`] used by the columnar delivery plane,
-    /// which counts a receiver's honest links once per row.
+    /// same batch of `batch_len` messages.
     /// Equivalent to calling `record_delivery(batch_len)` `links` times.
     /// Saturates like [`Traffic::record_delivery`].
     pub fn record_uniform_deliveries(&mut self, links: u64, batch_len: usize) {
-        if links == 0 {
-            return;
+        if links > 0 {
+            let k = batch_len as u64;
+            self.record_deliveries(links, links.saturating_mul(k), k);
         }
-        let k = batch_len as u64;
+    }
+
+    /// Records `links` link firings that together carried `messages`
+    /// messages, the longest batch among them `max_batch` long — the bulk
+    /// form of [`Traffic::record_delivery`] the delivery walk uses, which
+    /// meters a receiver's honest links once per row. Saturates like
+    /// [`Traffic::record_delivery`].
+    pub fn record_deliveries(&mut self, links: u64, messages: u64, max_batch: u64) {
         self.deliveries = self.deliveries.saturating_add(links);
-        self.messages = self.messages.saturating_add(links.saturating_mul(k));
+        self.messages = self.messages.saturating_add(messages);
         self.bits = self
             .bits
-            .saturating_add(links.saturating_mul(k).saturating_mul(Message::WIRE_BITS));
-        self.max_batch = self.max_batch.max(k);
+            .saturating_add(messages.saturating_mul(Message::WIRE_BITS));
+        self.max_batch = self.max_batch.max(max_batch);
     }
 
     /// Number of link-round firings (one per delivered batch).

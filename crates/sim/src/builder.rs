@@ -8,30 +8,29 @@ use crate::engine::{DeliveryOrder, Simulation};
 use crate::workload;
 use crate::Outcome;
 
-/// Whether the engine drives a columnar
-/// [`AlgorithmPlane`](adn_core::AlgorithmPlane) instead of one boxed
-/// state machine per node. The plane is observationally identical to the
-/// trait path (fuzzed in `tests/plane_equivalence.rs`) but feeds each
-/// receiver's links to a per-receiver kernel with no per-message virtual
-/// dispatch.
+/// Which [`AlgorithmPlane`](adn_core::AlgorithmPlane) the factory builds
+/// to hold the nodes' state: a columnar one, or one boxed state machine
+/// per node ([`BoxedPlane`](adn_core::BoxedPlane)). The engine drives both
+/// through the same round and the same delivery routine; a columnar plane
+/// is observationally identical to the boxed one (fuzzed in
+/// `tests/plane_equivalence.rs`) but pays no virtual call per delivered
+/// message. No other setting restricts the choice: every delivery order,
+/// link representation and observer runs on either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlaneMode {
-    /// Use the plane whenever the factory offers one **and** the run is
-    /// plane-compatible: no event recording (the event log's delivery
-    /// order is receiver-major by contract). All three delivery orders
-    /// are plane-compatible — the plane walks senders through the same
-    /// shared per-round permutation the trait path delivers in. The
+    /// The columnar plane whenever the factory offers one, except on a
+    /// run that records events, which stays on the boxed plane (as it
+    /// always has; the columnar planes would produce the same log). The
     /// default.
     #[default]
     Auto,
-    /// Require the plane.
+    /// Require the columnar plane.
     ///
-    /// `build` panics if the factory has no plane or the configuration is
-    /// plane-incompatible — for tests and benches that must not silently
-    /// measure the wrong path.
+    /// `build` panics if the factory has none — for tests and benches
+    /// that must not silently measure the boxed plane.
     Always,
-    /// Never use the plane, even when available — the trait path serves
-    /// as the semantic reference in differential tests.
+    /// Always the boxed plane, even when a columnar one is available —
+    /// the semantic reference in differential tests.
     Never,
 }
 
@@ -40,12 +39,14 @@ pub enum PlaneMode {
 /// sparse [`LinkPlane`](adn_graph::LinkPlane) of id-range runs and CSR
 /// rows that scales rounds past `n = 100 000`.
 ///
-/// The sparse path additionally requires a **sparse-compatible** run: the
-/// columnar plane active, ascending-sender delivery, a
+/// The sparse path requires a **sparse-compatible** run: ascending-sender
+/// delivery (run/CSR rows have no `O(1)` membership test for the
+/// permutation walk), a
 /// [`sparse_capable`](adn_adversary::Adversary::sparse_capable)
 /// adversary, and no Byzantine nodes (strategy objects cannot be shared
 /// across delivery shards, and the sparse path's on-the-fly realized view
-/// cannot replay a fabrication). Crash faults are fully supported.
+/// cannot replay a fabrication). Crash faults, event recording and every
+/// algorithm — columnar plane or not — are fully supported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LinkMode {
     /// Sparse when the run is sparse-compatible **and** `n` exceeds
@@ -109,11 +110,11 @@ pub struct SimBuilder {
     /// a no-op — and skips the dead walks); the engine's masking
     /// regression test flips it off to prove the invisibility.
     pub(crate) mask_silent: bool,
-    /// Whether a plane receiver stops being fed honest links once they are
-    /// provably stale. Not a knob: production always stops; the engine's
+    /// Whether a receiver stops being fed honest links once they are
+    /// provably stale. Not a knob: production always stops, unless the run
+    /// records events (every link needs its own event); the engine's
     /// early-exit regression test turns it off to prove the stop
     /// unobservable.
-    #[cfg(test)]
     pub(crate) stale_stop: bool,
     /// Whether `build` skips the `f`-bound fault asserts. See
     /// [`SimBuilder::allow_fault_overflow`].
@@ -152,7 +153,6 @@ impl SimBuilder {
             link_mode: LinkMode::Auto,
             shards: 1,
             mask_silent: true,
-            #[cfg(test)]
             stale_stop: true,
             allow_fault_overflow: false,
         }
@@ -264,10 +264,10 @@ impl SimBuilder {
         self
     }
 
-    /// Whether the engine drives the columnar algorithm plane (default:
-    /// [`PlaneMode::Auto`] — on for plane-capable factories (DAC, DBAC,
-    /// and their quantized wrappers) under any delivery order, as long
-    /// as event recording is off). See [`PlaneMode`].
+    /// Whether a columnar algorithm plane or boxed state machines hold the
+    /// nodes' state (default: [`PlaneMode::Auto`] — columnar for
+    /// plane-capable factories (DAC, DBAC, and their quantized wrappers)
+    /// as long as event recording is off). See [`PlaneMode`].
     pub fn algorithm_plane(mut self, mode: PlaneMode) -> Self {
         self.plane_mode = mode;
         self

@@ -2,7 +2,7 @@
 use std::sync::{Mutex, PoisonError};
 
 use adn_adversary::{Adversary, AdversaryView};
-use adn_core::{Algorithm, AlgorithmPlane, PlaneShard, RowKernel, RowWalk, MAX_PLANE_SHARDS};
+use adn_core::{AlgorithmPlane, PlaneShard, RowKernel, RowWalk, StagedWire, MAX_PLANE_SHARDS};
 use adn_faults::{ByzContext, ByzantineStrategy, CrashSchedule};
 use adn_graph::{EdgeSet, LinkPlane, LinkRows, NodeSet, Schedule};
 use adn_net::{PortNumbering, PortRow, RoundBuffers, SenderClass, Traffic};
@@ -16,8 +16,8 @@ use crate::outcome::{Outcome, StopReason};
 use crate::shardpool::ShardPool;
 use crate::trace::{Event, EventLog};
 
-/// The shared read-only context of one plane round's delivery — one
-/// bundle every shard's walk borrows.
+/// The shared read-only context of one round's delivery — one bundle
+/// every shard's walk borrows.
 struct PlaneRound<'a> {
     /// The round's shared sender permutation under the non-ascending
     /// delivery orders; `None` walks each receiver's row ascending.
@@ -30,46 +30,35 @@ struct PlaneRound<'a> {
     unconditional: &'a NodeSet,
     crash: &'a CrashSchedule,
     ports: &'a PortNumbering,
-    /// Per-sender wire `(phase, value)`: the start-of-round snapshot
-    /// through [`AlgorithmPlane::encode_wire`], staged once per
-    /// transmitting non-Byzantine sender per round — **not** read from
-    /// the live plane, whose state mutates as the round delivers.
-    wire_phase: &'a [Phase],
-    wire_value: &'a [Value],
-    /// The highest staged wire phase: past it (or decided) a receiver
-    /// ignores every further honest link of the round.
+    /// What every transmitting non-Byzantine sender staged at the start of
+    /// the round — **not** read from the live plane, whose state mutates
+    /// as the round delivers.
+    wire: StagedWire<'a>,
+    /// The highest staged wire phase: past it (or decided) a columnar
+    /// receiver ignores every further honest link of the round.
     max_wire_phase: Phase,
     t: Round,
     params: Params,
     /// Start-of-round snapshot columns, for [`ByzContext`].
     phases: &'a [Phase],
     values: &'a [Value],
-    /// The early-exit regression test turns the stale-link stop off to
-    /// prove it unobservable.
-    #[cfg(test)]
+    /// Whether a receiver's Present links are fed in stretches that end at
+    /// the first provably stale link ([`RowKernel::live`]). Off, every
+    /// link is visited on its own and fed whatever the kernel says — what
+    /// a run with an event log needs (a link counted in bulk has no
+    /// event), and what the early-exit regression test compares against.
     stale_stop: bool,
 }
 
-impl PlaneRound<'_> {
-    /// Whether `kernel` is still fed honest links — the stale-link stop
-    /// (see [`RowKernel::live`]).
-    #[inline(always)]
-    fn feeds(&self, kernel: &impl RowKernel) -> bool {
-        #[cfg(test)]
-        if !self.stale_stop {
-            return true;
-        }
-        kernel.live()
-    }
-}
-
 /// One shard's exclusive round state: its plane slice, its realized rows
-/// (when the run materializes them), and its traffic meter (merged back
-/// in shard order — the deterministic input-ordered merge).
+/// (when the run materializes them), its traffic meter and — on a logged
+/// run — its stretch of the event log (both merged back in shard order:
+/// the deterministic input-ordered merge).
 struct ShardCtx<'a> {
     shard: PlaneShard<'a>,
     rows: Option<&'a mut [NodeSet]>,
     traffic: Traffic,
+    log: Option<EventLog>,
 }
 
 /// The round's Byzantine senders as the delivery walk sees them: the
@@ -83,9 +72,9 @@ struct ByzSide<'a> {
 
 /// Fabricates Byzantine sender `ctx.self_id`'s batch for destination `v`
 /// into `out`; returns whether anything was fabricated. The single
-/// fabrication site of both delivery paths — its call order per strategy
-/// object (that object's receivers, ascending) is identical on both,
-/// which is what keeps stateful strategies equivalent across them.
+/// fabrication site — its call order per strategy object (that object's
+/// receivers, ascending) is the same whatever plane is being fed, which
+/// is what keeps stateful strategies equivalent across them.
 // audit: no-alloc
 fn fabricate(
     strategies: &mut [Option<Box<dyn ByzantineStrategy>>],
@@ -133,11 +122,11 @@ fn scan_senders<L: LinkRows>(
 /// sender order from position `from` on (see [`scan_senders`]), until the
 /// receiver goes stale (returns that link, consumed) or a Partial or
 /// Byzantine sender is next (returns it, untouched). Silent senders are
-/// passed over.
+/// passed over. The links fed are metered into `fed`, once per call.
 ///
-/// The one loop a plane round spends its time in, so it is its own
-/// function: nothing but the kernel's link step inside it, and code
-/// generation that does not depend on what it would be inlined next to.
+/// The one loop a round spends its time in, so it is its own function:
+/// nothing but the kernel's link step inside it, and code generation that
+/// does not depend on what it would be inlined next to.
 // audit: no-alloc
 #[inline(never)]
 fn feed_present<L: LinkRows, K: RowKernel>(
@@ -147,14 +136,20 @@ fn feed_present<L: LinkRows, K: RowKernel>(
     ports: PortRow<'_>,
     from: usize,
     kernel: &mut K,
-    present_links: &mut u64,
+    fed: &mut Traffic,
 ) -> Option<(usize, NodeId)> {
     // One length for all three per-sender columns, so one range check on
     // the sender id covers them.
     let classes = env.classes;
-    let wire_phase = &env.wire_phase[..classes.len()];
-    let wire_value = &env.wire_value[..classes.len()];
-    let mut fed = 0;
+    let wire = StagedWire {
+        phase: &env.wire.phase[..classes.len()],
+        value: &env.wire.value[..classes.len()],
+        batches: &env.wire.batches[..classes.len()],
+    };
+    // Metered as one message per link plus the difference, so a kernel
+    // whose every batch is one message leaves only the link count in the
+    // loop.
+    let (mut n_links, mut surplus, mut max_batch) = (0u64, 0i64, 0usize);
     let stop = scan_senders(
         env.perm,
         links,
@@ -165,20 +160,23 @@ fn feed_present<L: LinkRows, K: RowKernel>(
             let u_idx = u.index();
             match classes[u_idx] {
                 SenderClass::Present => {
-                    fed += 1;
-                    kernel.link(ports.port(u), wire_phase[u_idx], wire_value[u_idx]);
-                    env.feeds(kernel)
+                    let k = kernel.staged(ports.port(u), u_idx, &wire);
+                    n_links += 1;
+                    surplus += k as i64 - 1;
+                    max_batch = max_batch.max(k);
+                    kernel.live()
                 }
                 class => class == SenderClass::Silent,
             }
         },
     );
-    *present_links += fed;
+    let messages = n_links.wrapping_add_signed(surplus);
+    fed.record_deliveries(n_links, messages, max_batch as u64);
     stop
 }
 
 /// One honest receiver's round: its senders, in the round's order, fed
-/// straight into the receiver's kernel — the body of the fused delivery
+/// straight into the receiver's kernel — the body of the one delivery
 /// routine ([`deliver_rows`]).
 struct ReceiverWalk<'r, L> {
     env: &'r PlaneRound<'r>,
@@ -187,6 +185,8 @@ struct ReceiverWalk<'r, L> {
     /// `v`'s realized row, when the run materializes realized links.
     row: Option<&'r mut NodeSet>,
     traffic: &'r mut Traffic,
+    /// The event log, when the run keeps one.
+    log: Option<&'r mut EventLog>,
     byz: ByzSide<'r>,
 }
 
@@ -200,6 +200,7 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, L> {
             v,
             mut row,
             traffic,
+            mut log,
             byz,
         } = self;
         let ports = env.ports.ports_of(v);
@@ -209,85 +210,104 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, L> {
         if let Some(row) = row.as_deref_mut() {
             links.union_in_masked(v, env.unconditional, row);
         }
-        // Honest links count as delivered whether or not they are still
-        // fed: traffic and the realized graph are what the network
-        // delivered, not what the receiver made of it.
-        let (mut present_links, mut partial_links) = (0u64, 0u64);
-        // A Partial or Byzantine sender's link: per link, at its position
-        // in the sender order. A fabrication is fed even to a stale
-        // receiver — it may carry any phase, and the strategy object must
-        // see its calls.
-        let mut deliver_conditional = |u: NodeId, kernel: &mut K| match env.classes[u.index()] {
-            SenderClass::Partial => {
-                if env.crash.delivers(u, env.t, v) {
-                    if let Some(row) = row.as_deref_mut() {
-                        row.insert(u);
+        // The Present links, metered once per receiver. They count as
+        // delivered whether or not they are still fed: traffic and the
+        // realized graph are what the network delivered, not what the
+        // receiver made of it.
+        let mut fed = Traffic::new();
+        // One link on its own, at its position in the sender order:
+        // metered, logged and fed. Partial and Byzantine senders' links
+        // always go this way (a fabrication may carry any phase, and the
+        // strategy object must see its calls), Present senders' when the
+        // walk runs without stretches.
+        let mut deliver_link = |u: NodeId, kernel: &mut K| {
+            let port = ports.port(u);
+            let class = env.classes[u.index()];
+            let batch_len = match class {
+                SenderClass::Present => kernel.staged(port, u.index(), &env.wire),
+                SenderClass::Partial if env.crash.delivers(u, env.t, v) => {
+                    kernel.staged(port, u.index(), &env.wire)
+                }
+                SenderClass::Byzantine => {
+                    let ctx = ByzContext {
+                        round: env.t,
+                        self_id: u,
+                        params: env.params,
+                        phases: env.phases,
+                        values: env.values,
+                    };
+                    if !fabricate(byz.strategies, &ctx, v, byz.scratch) {
+                        return;
                     }
-                    partial_links += 1;
-                    if env.feeds(kernel) {
-                        kernel.link(
-                            ports.port(u),
-                            env.wire_phase[u.index()],
-                            env.wire_value[u.index()],
-                        );
-                    }
+                    kernel.batch(port, byz.scratch);
+                    byz.scratch.len()
+                }
+                // Silent senders and a Partial sender's dead links.
+                SenderClass::Partial | SenderClass::Silent => return,
+            };
+            if class != SenderClass::Present {
+                if let Some(row) = row.as_deref_mut() {
+                    row.insert(u);
                 }
             }
-            SenderClass::Byzantine => {
-                let ctx = ByzContext {
+            traffic.record_delivery(batch_len);
+            if let Some(log) = log.as_deref_mut() {
+                log.push(Event::Delivery {
                     round: env.t,
-                    self_id: u,
-                    params: env.params,
-                    phases: env.phases,
-                    values: env.values,
-                };
-                if fabricate(byz.strategies, &ctx, v, byz.scratch) {
-                    traffic.record_delivery(byz.scratch.len());
-                    if let Some(row) = row.as_deref_mut() {
-                        row.insert(u);
-                    }
-                    kernel.batch(ports.port(u), byz.scratch);
-                }
+                    sender: u,
+                    receiver: v,
+                    port,
+                    batch_len,
+                });
             }
-            // Present links are the scan's; Silent senders deliver nothing.
-            SenderClass::Present | SenderClass::Silent => {}
         };
         // While the receiver is live: stretches of Present links, each
         // ending behind the link that made it stale or in front of a
-        // conditional sender.
+        // conditional sender. Without the stale stop every stretch is
+        // empty: the scan stops in front of each sender that delivers.
         let mut from = 0;
         let stale = loop {
-            if !env.feeds(kernel) {
-                break true;
-            }
-            match feed_present(env, links, v, ports, from, kernel, &mut present_links) {
-                Some((pos, u)) => {
-                    deliver_conditional(u, kernel);
-                    from = pos + 1;
+            let next = if env.stale_stop {
+                if !kernel.live() {
+                    break true;
                 }
-                None => break false,
+                feed_present(env, links, v, ports, from, kernel, &mut fed)
+            } else {
+                scan_senders(env.perm, links, v, from, |u| {
+                    env.classes[u.index()] == SenderClass::Silent
+                })
+            };
+            let Some((pos, u)) = next else { break false };
+            from = pos + 1;
+            // A stretch that ends at a Present link has fed it: it is the
+            // link that made the receiver stale.
+            if !(env.stale_stop && env.classes[u.index()] == SenderClass::Present) {
+                deliver_link(u, kernel);
             }
         };
-        // The first provably stale link ends the walk: whatever Present
-        // links the row holds are counted in one sweep, and only the
-        // round's conditional senders still behind `from` are visited.
+        // The first provably stale link ends the walk: the Present links
+        // the row still holds are counted in one sweep (one message each —
+        // only single-message kernels go stale), and only the round's
+        // conditional senders still behind `from` are visited.
         if stale {
-            present_links = links.in_degree_within(v, env.unconditional) as u64;
+            let present = links.in_degree_within(v, env.unconditional) as u64;
+            fed.record_uniform_deliveries(present - fed.deliveries(), 1);
             for &(pos, u) in env.conditional {
                 if pos >= from && links.contains(u, v) {
-                    deliver_conditional(u, kernel);
+                    deliver_link(u, kernel);
                 }
             }
         }
-        traffic.record_uniform_deliveries(present_links + partial_links, 1);
+        traffic.merge(&fed);
     }
 }
 
-/// The fused plane delivery routine, for receivers `lo..hi` (the whole
-/// plane, or one shard's range): each honest receiver, ascending, walks
-/// its senders in the round's order and applies them to its kernel
+/// The one delivery routine, for receivers `lo..hi` (the whole plane, or
+/// one shard's range): each honest receiver, ascending, walks its senders
+/// in the round's order and applies them to its kernel
 /// ([`ReceiverWalk`]). Generic over the link rows — dense bit rows and
-/// run/CSR rows are just row kinds.
+/// run/CSR rows are just row kinds — and, through the shard, over the
+/// plane it feeds.
 // audit: no-alloc
 fn deliver_rows<L: LinkRows>(
     env: &PlaneRound<'_>,
@@ -314,6 +334,7 @@ fn deliver_rows<L: LinkRows>(
                 v,
                 row: ctx.rows.as_deref_mut().map(|rows| &mut rows[v_idx - lo]),
                 traffic: &mut ctx.traffic,
+                log: ctx.log.as_mut(),
                 byz: ByzSide {
                     strategies: byz.strategies,
                     scratch: byz.scratch,
@@ -448,8 +469,8 @@ pub enum DeliveryOrder {
     /// sender id list `0..n` with `SplitMix64::new(seed ^ (t << 20))`,
     /// then masks out senders that deliver nothing this round
     /// (order-preserving, so the mask is behaviorally invisible). Every
-    /// receiver processes its in-neighbors in that one shared order, on
-    /// the trait path and the columnar plane alike.
+    /// receiver processes its in-neighbors in that one shared order,
+    /// whatever plane holds its state.
     Shuffled(u64),
 }
 
@@ -466,14 +487,12 @@ pub struct Simulation {
     crash: CrashSchedule,
     /// `Some(strategy)` at Byzantine slots, `None` elsewhere.
     byz: Vec<Option<Box<dyn ByzantineStrategy>>>,
-    /// `Some(state machine)` at non-Byzantine slots — the trait path.
-    /// All `None` when the columnar plane is active.
-    algs: Vec<Option<Box<dyn Algorithm>>>,
-    /// The columnar algorithm plane — the fast path, observationally
-    /// identical to `algs` (see `PlaneMode`). Holds all
-    /// `n` slots; the engine never drives Byzantine slots and masks them
-    /// out of every read.
-    plane: Option<Box<dyn AlgorithmPlane>>,
+    /// Every node's algorithm state: boxed state machines or a columnar
+    /// plane (see [`PlaneMode`]). Holds all `n` slots; the engine never
+    /// drives Byzantine slots and masks them out of every read.
+    plane: Box<dyn AlgorithmPlane>,
+    /// Whether `plane` is a columnar one ([`Simulation::uses_plane`]).
+    columnar: bool,
     /// Phase each node was last observed in (for V(p) bookkeeping).
     last_phase: Vec<Phase>,
     /// Fault-free for the whole execution: not Byzantine, never crashes.
@@ -490,15 +509,13 @@ pub struct Simulation {
     buffers: RoundBuffers,
     /// `Some` on the sparse path: the round's chosen links as id-range
     /// runs / CSR rows instead of dense bit rows (see
-    /// [`LinkMode`](crate::LinkMode)). Taken out of its slot per round
-    /// like `plane`.
+    /// [`LinkMode`](crate::LinkMode)).
     links: Option<LinkPlane>,
-    /// Per-sender wire `(phase, value)` columns of the plane path (see
-    /// [`PlaneRound`]; empty on the trait path).
+    /// The head of every staged batch as two per-sender columns (see
+    /// [`StagedWire`]).
     wire_phase: Vec<Phase>,
     wire_value: Vec<Value>,
-    /// The plane path's per-round list of conditional senders (see
-    /// [`PlaneRound::conditional`]).
+    /// The round's conditional senders (see [`PlaneRound::conditional`]).
     conditional: Vec<(usize, NodeId)>,
     /// Receiver-range shards the delivery loop fans out over (1 = no
     /// fan-out; always 1 on the dense path).
@@ -519,8 +536,8 @@ pub struct Simulation {
     /// regression test flips it off to prove the mask is behaviorally
     /// invisible).
     mask_silent: bool,
-    /// See [`PlaneRound::stale_stop`].
-    #[cfg(test)]
+    /// See [`PlaneRound::stale_stop`]: on, unless the run keeps an event
+    /// log.
     stale_stop: bool,
     done: Option<StopReason>,
 }
@@ -568,70 +585,45 @@ impl Simulation {
             byz[id.index()] = Some(strategy);
         }
 
-        // Columnar plane vs per-node trait objects. All three delivery
-        // orders drive the plane through the same shared sender
-        // permutation as the trait path, so the only remaining
-        // plane-incompatibility is the event log (events are recorded
-        // receiver-major by contract).
-        let plane_compatible = !b.record_events && factory.has_plane();
-        let use_plane = match b.plane_mode {
+        // Which plane holds the nodes' state. Every run configuration
+        // drives every plane; `Auto` keeps a logged run on the boxed one.
+        let columnar = match b.plane_mode {
             PlaneMode::Never => false,
-            PlaneMode::Auto => plane_compatible,
+            PlaneMode::Auto => factory.has_plane() && !b.record_events,
             PlaneMode::Always => {
                 assert!(
                     factory.has_plane(),
                     "PlaneMode::Always but the algorithm has no columnar plane"
                 );
-                assert!(
-                    plane_compatible,
-                    "PlaneMode::Always requires no event recording"
-                );
                 true
             }
         };
-
-        let mut algs: Vec<Option<Box<dyn Algorithm>>> = (0..n).map(|_| None).collect();
-        let plane = if use_plane {
-            Some(
-                factory
-                    .make_plane(&b.inputs)
-                    .expect("plane-capable factory builds a plane"),
-            )
+        let plane = if columnar {
+            factory
+                .make_plane(&b.inputs)
+                .expect("plane-capable factory builds a plane")
         } else {
-            None
+            factory.make_boxed_plane(&b.inputs)
         };
         let mut observer = Observer::default();
-        for i in 0..n {
-            if byz[i].is_none() {
-                // Every non-Byzantine node contributes its input to V(0)
-                // (Def. 5; crash-faulty nodes count until they crash).
-                match &plane {
-                    Some(p) => {
-                        if b.observe_phases {
-                            observer.record_enter(NodeId::new(i), Phase::ZERO, p.values()[i]);
-                        }
-                    }
-                    None => {
-                        let alg = factory.make(i, b.inputs[i]);
-                        if b.observe_phases {
-                            observer.record_enter(NodeId::new(i), Phase::ZERO, alg.current_value());
-                        }
-                        algs[i] = Some(alg);
-                    }
-                }
+        if b.observe_phases {
+            // Every non-Byzantine node contributes its input to V(0)
+            // (Def. 5; crash-faulty nodes count until they crash).
+            for i in (0..n).filter(|&i| byz[i].is_none()) {
+                observer.record_enter(NodeId::new(i), Phase::ZERO, plane.values()[i]);
             }
         }
         let fault_free: Vec<NodeId> = NodeId::all(n)
             .filter(|id| byz[id.index()].is_none() && !b.crash.is_faulty(*id))
             .collect();
 
-        // Sparse link representation: requires the plane, ascending-sender
-        // delivery (run/CSR rows have no O(1) membership test for the
-        // permutation walk), a sparse-capable adversary, and no Byzantine
-        // nodes (strategy objects are not shareable across shards, and
-        // the on-the-fly realized view cannot replay a fabrication).
-        let sparse_ok = use_plane
-            && b.delivery_order == DeliveryOrder::AscendingSenders
+        // Sparse link representation: requires ascending-sender delivery
+        // (run/CSR rows have no O(1) membership test for the permutation
+        // walk), a sparse-capable adversary, and no Byzantine nodes
+        // (strategy objects are not shareable across shards, and the
+        // on-the-fly realized view cannot replay a fabrication). Any plane
+        // runs on it.
+        let sparse_ok = b.delivery_order == DeliveryOrder::AscendingSenders
             && b.adversary.sparse_capable()
             && byz.iter().all(Option::is_none);
         let use_sparse = match b.link_mode {
@@ -640,8 +632,7 @@ impl Simulation {
             LinkMode::Sparse => {
                 assert!(
                     sparse_ok,
-                    "LinkMode::Sparse requires a sparse-compatible run: a columnar \
-                     algorithm plane (plane-capable factory, no event recording), \
+                    "LinkMode::Sparse requires a sparse-compatible run: \
                      ascending-sender delivery, a sparse-capable adversary, and no \
                      Byzantine nodes"
                 );
@@ -659,8 +650,8 @@ impl Simulation {
             adversary: b.adversary,
             crash: b.crash,
             byz,
-            algs,
             plane,
+            columnar,
             last_phase: vec![Phase::ZERO; n],
             fault_free,
             round: Round::ZERO,
@@ -676,9 +667,9 @@ impl Simulation {
                 RoundBuffers::new(n)
             },
             links: use_sparse.then(|| LinkPlane::new(n)),
-            wire_phase: vec![Phase::ZERO; if use_plane { n } else { 0 }],
-            wire_value: vec![Value::HALF; if use_plane { n } else { 0 }],
-            conditional: Vec::with_capacity(if use_plane { n } else { 0 }),
+            wire_phase: vec![Phase::ZERO; n],
+            wire_value: vec![Value::HALF; n],
+            conditional: Vec::with_capacity(n),
             shards,
             shard_bounds,
             pool: (shards > 1).then(|| ShardPool::new(shards - 1)),
@@ -687,8 +678,7 @@ impl Simulation {
             was_decided: vec![false; n],
             delivery_order: b.delivery_order,
             mask_silent: b.mask_silent,
-            #[cfg(test)]
-            stale_stop: b.stale_stop,
+            stale_stop: b.stale_stop && !b.record_events,
             done: None,
         }
     }
@@ -714,11 +704,11 @@ impl Simulation {
         &self.ports
     }
 
-    /// Whether the columnar algorithm plane is driving this run (vs one
+    /// Whether a columnar algorithm plane holds this run's state (vs one
     /// boxed state machine per node). See
     /// [`PlaneMode`](crate::builder::PlaneMode).
     pub fn uses_plane(&self) -> bool {
-        self.plane.is_some()
+        self.columnar
     }
 
     /// Whether the sparse link plane carries this run's chosen links
@@ -761,43 +751,20 @@ impl Simulation {
     /// Phase of a non-Byzantine node (`None` for Byzantine slots).
     pub fn phase_of(&self, node: NodeId) -> Option<Phase> {
         let i = node.index();
-        if self.byz[i].is_some() {
-            return None;
-        }
-        match &self.plane {
-            Some(p) => Some(p.phases()[i]),
-            None => self.algs[i].as_ref().map(|a| a.phase()),
-        }
+        self.byz[i].is_none().then(|| self.plane.phases()[i])
     }
 
     /// Current value of a non-Byzantine node.
     pub fn value_of(&self, node: NodeId) -> Option<Value> {
         let i = node.index();
-        if self.byz[i].is_some() {
-            return None;
-        }
-        match &self.plane {
-            Some(p) => Some(p.values()[i]),
-            None => self.algs[i].as_ref().map(|a| a.current_value()),
-        }
+        self.byz[i].is_none().then(|| self.plane.values()[i])
     }
 
     /// Decided output of a non-Byzantine node (`None` for Byzantine slots
     /// and undecided nodes).
     pub fn output_of(&self, node: NodeId) -> Option<Value> {
-        self.output_of_slot(node.index())
-    }
-
-    /// Decided output of a non-Byzantine node (`None` for Byzantine slots
-    /// and undecided nodes).
-    fn output_of_slot(&self, i: usize) -> Option<Value> {
-        if self.byz[i].is_some() {
-            return None;
-        }
-        match &self.plane {
-            Some(p) => p.outputs()[i],
-            None => self.algs[i].as_ref().and_then(|a| a.output()),
-        }
+        let i = node.index();
+        self.plane.outputs()[i].filter(|_| self.byz[i].is_none())
     }
 
     /// The fault-free node ids of the current instance (never crashing in
@@ -830,7 +797,7 @@ impl Simulation {
     /// [`Simulation::crash_mut`]) *before* calling this, so the fault-free
     /// set recomputed here sees the new membership. Algorithm state is
     /// reset against the fresh `inputs` through
-    /// [`Algorithm::reset_instance`] / [`AlgorithmPlane::reset_instance`];
+    /// [`AlgorithmPlane::reset_instance`];
     /// stateful adversaries and Byzantine strategies reseed through their
     /// `begin_instance` hooks, which is what makes service instance `k`
     /// byte-identical to a standalone run given the same membership,
@@ -853,22 +820,10 @@ impl Simulation {
         // nodes reset too: their inputs still count toward validity
         // (Def. 3 quantifies over non-Byzantine inputs), exactly as a
         // standalone run constructs state machines for crash-faulty nodes.
-        match self.plane.as_deref_mut() {
-            Some(p) => assert!(
-                p.reset_instance(inputs),
-                "service mode requires an algorithm plane with in-place instance resets"
-            ),
-            None => {
-                for (alg, input) in self.algs.iter_mut().zip(inputs) {
-                    if let Some(alg) = alg.as_deref_mut() {
-                        assert!(
-                            alg.reset_instance(*input),
-                            "service mode requires an algorithm with in-place instance resets"
-                        );
-                    }
-                }
-            }
-        }
+        assert!(
+            self.plane.reset_instance(inputs),
+            "service mode requires an algorithm with in-place instance resets"
+        );
 
         // Fault-free set of this instance, into the existing buffer. The
         // service builds with an empty crash schedule, so the capacity
@@ -914,47 +869,31 @@ impl Simulation {
         let n = self.params.n();
         let t = self.round;
 
-        // The plane (and, on the sparse path, the link plane) is moved
-        // out of its slot for the whole round so the borrow checker sees
-        // it as disjoint from every engine field; both are restored
-        // before the method returns.
-        let mut plane = self.plane.take();
-        let mut links = self.links.take();
-
         // --- Reset the persistent arena (capacity-preserving clears). ---
         self.buffers.begin_round();
 
         // --- Snapshot states for the adversary and Byzantine context.
-        // Byzantine slots keep the arena defaults in both paths (the
-        // plane holds their untouched initial state, which must not leak
-        // into the adversary's view). ---
-        match plane.as_deref() {
-            Some(p) => {
-                let (pp, pv) = (p.phases(), p.values());
-                for i in 0..n {
-                    if self.byz[i].is_none() {
-                        self.buffers.phases[i] = pp[i];
-                        self.buffers.values[i] = pv[i];
-                    }
-                }
-            }
-            None => {
-                for i in 0..n {
-                    if let Some(alg) = &self.algs[i] {
-                        self.buffers.phases[i] = alg.phase();
-                        self.buffers.values[i] = alg.current_value();
-                    }
-                }
-            }
+        // Byzantine slots keep the arena defaults (the plane holds their
+        // untouched initial state, which must not leak into the
+        // adversary's view). ---
+        let (phases, values) = (self.plane.phases(), self.plane.values());
+        for i in (0..n).filter(|&i| self.byz[i].is_none()) {
+            self.buffers.phases[i] = phases[i];
+            self.buffers.values[i] = values[i];
         }
 
-        // --- Who transmits this round; who still executes. Byzantine
-        // strategies first derive what they need from the whole snapshot
-        // (a median, the maximum phase) — once, here, so fabrication
-        // stays O(1) per link on both delivery paths. ---
+        // --- One pass over the senders: who transmits, who still executes,
+        // what each stages, and its delivery class — so the delivery walk
+        // reads one byte per link instead of re-deriving "Byzantine?
+        // crashed? staged a batch?" per (sender, receiver) pair. ---
         for i in 0..n {
             let id = NodeId::new(i);
-            match self.byz[i].as_mut() {
+            let class = match self.byz[i].as_mut() {
+                // A strategy first derives what it needs from the whole
+                // snapshot (a median, the maximum phase) — once, here, so
+                // fabrication stays O(1) per link. It stays an active
+                // sender whatever `transmits()` says: it decides link by
+                // link via `messages_into`.
                 Some(strategy) => {
                     strategy.begin_round(&ByzContext {
                         round: t,
@@ -966,15 +905,43 @@ impl Simulation {
                     if strategy.transmits() {
                         self.buffers.deliverers.insert(id);
                     }
+                    SenderClass::Byzantine
                 }
                 None => {
-                    if !self.crash.is_silent(id, t) {
-                        self.buffers.deliverers.insert(id);
-                    }
                     if !self.crash.has_crashed_by(id, t) {
                         self.buffers.honest.insert(id);
                     }
+                    if self.crash.is_silent(id, t) {
+                        SenderClass::Silent
+                    } else {
+                        // The broadcast, staged once into the node's
+                        // persistent batch: a columnar plane stages the
+                        // snapshot captured above, a boxed one asks the
+                        // node.
+                        self.buffers.deliverers.insert(id);
+                        let snapshot = Message::new(self.buffers.values[i], self.buffers.phases[i]);
+                        let batch = &mut self.buffers.batches[i];
+                        self.plane.stage_broadcast(i, snapshot, batch);
+                        self.buffers.present[i] = true;
+                        if let Some(log) = self.events.as_mut() {
+                            log.push(Event::Broadcast {
+                                round: t,
+                                node: id,
+                                batch_len: batch.len(),
+                            });
+                        }
+                        if self.crash.delivers_to_all(id, t) {
+                            self.buffers.unconditional.insert(id);
+                            SenderClass::Present
+                        } else {
+                            SenderClass::Partial
+                        }
+                    }
                 }
+            };
+            self.buffers.classes[i] = class;
+            if class != SenderClass::Silent {
+                self.buffers.active.insert(id);
             }
         }
 
@@ -988,7 +955,7 @@ impl Simulation {
             deliverers: &self.buffers.deliverers,
             honest: &self.buffers.honest,
         };
-        match links.as_mut() {
+        match self.links.as_mut() {
             Some(lp) => {
                 lp.begin_round(&self.buffers.deliverers);
                 self.adversary.sparse_into(&view, lp);
@@ -996,129 +963,51 @@ impl Simulation {
             None => self.adversary.edges_into(&view, &mut self.buffers.chosen),
         }
 
-        // --- Broadcasts from transmitting non-Byzantine nodes. The trait
-        // path stages each batch into the per-node persistent buffer; the
-        // plane path stages nothing — a plane broadcast is by contract the
-        // `(value, phase)` snapshot already captured above, so delivery
-        // reads the snapshot columns directly (the event log is off
-        // whenever the plane runs, so no Broadcast events are lost). ---
-        for i in 0..n {
-            let id = NodeId::new(i);
-            if self.byz[i].is_none() && !self.crash.is_silent(id, t) {
-                match plane.as_deref_mut() {
-                    Some(_) => self.buffers.present[i] = true,
-                    None => {
-                        if let Some(alg) = self.algs[i].as_mut() {
-                            alg.broadcast_into(&mut self.buffers.batches[i]);
-                            self.buffers.present[i] = true;
-                            if let Some(log) = self.events.as_mut() {
-                                log.push(Event::Broadcast {
-                                    round: t,
-                                    node: id,
-                                    batch_len: self.buffers.batches[i].len(),
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
         // Crash events: nodes whose crash round is exactly t.
-        if self.events.is_some() {
-            for i in 0..n {
-                let id = NodeId::new(i);
+        if let Some(log) = self.events.as_mut() {
+            for id in NodeId::all(n) {
                 let crashed_now = self.crash.has_crashed_by(id, t)
                     && (t == Round::ZERO
                         || !self.crash.has_crashed_by(id, Round::new(t.as_u64() - 1)));
                 if crashed_now {
-                    if let Some(log) = self.events.as_mut() {
-                        log.push(Event::Crash { round: t, node: id });
-                    }
+                    log.push(Event::Crash { round: t, node: id });
                 }
             }
         }
 
-        // --- Classify every sender once. The delivery loops below read
-        // one byte per link instead of re-deriving "Byzantine? crashed?
-        // staged a batch?" per (sender, receiver) pair. Byzantine senders
-        // stay active regardless of `transmits()`: the strategy decides
-        // link by link via `messages_into`, exactly as before. ---
-        for i in 0..n {
-            let class = if self.byz[i].is_some() {
-                SenderClass::Byzantine
-            } else if !self.buffers.present[i] {
-                SenderClass::Silent
-            } else if self.crash.delivers_to_all(NodeId::new(i), t) {
-                SenderClass::Present
-            } else {
-                SenderClass::Partial
-            };
-            self.buffers.classes[i] = class;
-            if class != SenderClass::Silent {
-                self.buffers.active.insert(NodeId::new(i));
-            }
-            if class == SenderClass::Present {
-                self.buffers.unconditional.insert(NodeId::new(i));
-            }
-        }
-
         // --- The shared sender permutation of the non-ascending orders:
-        // one per-round order of the active senders that *both* delivery
-        // paths walk, in place of the per-receiver list rebuild the trait
-        // path used to do. ---
+        // one per-round order of the active senders that every receiver
+        // walks. ---
         self.build_sender_permutation(t);
 
-        // --- Delivery along chosen links: receiver-major on both paths,
-        // each receiver processing its senders in the configured order
-        // (ascending row walks, or the round's shared permutation — its
-        // order is part of the determinism contract, see
-        // `DeliveryOrder::Shuffled`). The plane feeds each link straight
-        // into the receiver's kernel with no per-message virtual
-        // dispatch; on the trait path no batch is ever cloned — honest
-        // deliveries borrow the sender's staged batch, Byzantine
-        // fabrications reuse one scratch batch. ---
-        match plane.as_deref_mut() {
-            Some(p) => self.deliver_plane(p, links.as_ref(), t),
-            None => self.deliver_trait_path(t, n.div_ceil(64)),
-        }
-        self.links = links;
+        // --- Delivery along chosen links: receiver-major, each receiver
+        // processing its senders in the configured order (ascending row
+        // walks, or the round's shared permutation — its order is part of
+        // the determinism contract, see `DeliveryOrder::Shuffled`), each
+        // link fed straight into the receiver's kernel. No batch is ever
+        // cloned — honest deliveries borrow the sender's staged batch,
+        // Byzantine fabrications reuse one scratch batch. ---
+        self.deliver(t);
         if self.record_schedule {
             self.schedule.push(self.buffers.realized.clone());
         }
 
         // --- End-of-round hooks for executing nodes (exactly the
         // non-crashed non-Byzantine set, i.e. `honest`). ---
-        match plane.as_deref_mut() {
-            Some(p) => p.end_round(&self.buffers.honest),
-            None => {
-                for i in 0..n {
-                    let id = NodeId::new(i);
-                    if self.byz[i].is_none() && !self.crash.has_crashed_by(id, t) {
-                        if let Some(alg) = self.algs[i].as_mut() {
-                            alg.end_round();
-                        }
-                    }
-                }
-            }
-        }
+        self.plane.end_round(&self.buffers.honest);
 
         // --- Observer: phase transitions (Def. 6 fills skipped phases). --
-        let plane_cols = plane
-            .as_deref()
-            .map(|p| (p.phases(), p.values(), p.outputs()));
+        let (phases, values, outputs) = (
+            self.plane.phases(),
+            self.plane.values(),
+            self.plane.outputs(),
+        );
         for i in 0..n {
             let id = NodeId::new(i);
-            if self.byz[i].is_some() || self.crash.has_crashed_by(id, t) {
+            if !self.buffers.honest.contains(id) {
                 continue;
             }
-            let (new_phase, current_value, output) = match plane_cols {
-                Some((pp, pv, po)) => (pp[i], pv[i], po[i]),
-                None => match &self.algs[i] {
-                    Some(alg) => (alg.phase(), alg.current_value(), alg.output()),
-                    None => continue,
-                },
-            };
+            let (new_phase, current_value) = (phases[i], values[i]);
             let old_phase = self.last_phase[i];
             if self.observe_phases {
                 let mut p = old_phase;
@@ -1127,8 +1016,8 @@ impl Simulation {
                     self.observer.record_enter(id, p, current_value);
                 }
             }
-            if new_phase > old_phase {
-                if let Some(log) = self.events.as_mut() {
+            if let Some(log) = self.events.as_mut() {
+                if new_phase > old_phase {
                     log.push(Event::PhaseAdvance {
                         round: t,
                         node: id,
@@ -1137,11 +1026,9 @@ impl Simulation {
                         value: current_value,
                     });
                 }
-            }
-            if self.events.is_some() && !self.was_decided[i] {
-                if let Some(out) = output {
-                    self.was_decided[i] = true;
-                    if let Some(log) = self.events.as_mut() {
+                if !self.was_decided[i] {
+                    if let Some(out) = outputs[i] {
+                        self.was_decided[i] = true;
                         log.push(Event::Decide {
                             round: t,
                             node: id,
@@ -1154,57 +1041,23 @@ impl Simulation {
         }
 
         // --- Trace over fault-free nodes (reused scratch). ---
-        for &id in &self.fault_free {
-            let value = match plane_cols {
-                Some((_, pv, _)) => Some(pv[id.index()]),
-                None => self.algs[id.index()].as_ref().map(|a| a.current_value()),
-            };
-            if let Some(v) = value {
-                self.buffers.ff_values.push(v);
-            }
-        }
+        let ff = &self.fault_free;
+        self.buffers
+            .ff_values
+            .extend(ff.iter().map(|id| values[id.index()]));
         let range = ValueInterval::of(self.buffers.ff_values.iter().copied())
             .map_or(0.0, ValueInterval::range);
-        // Fault-free nodes always have a slot, so the folds index the
-        // plane columns (grabbed once) or the trait objects directly.
-        let fold_phases = |phases: &mut dyn Iterator<Item = Phase>| {
-            phases.fold((Phase::new(u64::MAX), Phase::ZERO), |(lo, hi), p| {
+        let (min_phase, max_phase) = ff
+            .iter()
+            .map(|id| phases[id.index()])
+            .fold((Phase::new(u64::MAX), Phase::ZERO), |(lo, hi), p| {
                 (lo.min(p), hi.max(p))
-            })
-        };
-        let ((min_phase, max_phase), decided) = match plane.as_deref() {
-            Some(p) => {
-                let (pp, po) = (p.phases(), p.outputs());
-                (
-                    fold_phases(&mut self.fault_free.iter().map(|&id| pp[id.index()])),
-                    self.fault_free
-                        .iter()
-                        .filter(|&&id| po[id.index()].is_some())
-                        .count(),
-                )
-            }
-            None => (
-                fold_phases(
-                    &mut self
-                        .fault_free
-                        .iter()
-                        .filter_map(|&id| self.algs[id.index()].as_ref().map(|a| a.phase())),
-                ),
-                self.fault_free
-                    .iter()
-                    .filter(|&&id| {
-                        self.algs[id.index()]
-                            .as_ref()
-                            .is_some_and(|a| a.output().is_some())
-                    })
-                    .count(),
-            ),
-        };
-        self.plane = plane;
+            });
+        let decided = self.decided();
         self.observer.record_trace(RoundTrace {
             round: t,
             range,
-            min_phase: if self.fault_free.is_empty() {
+            min_phase: if ff.is_empty() {
                 Phase::ZERO
             } else {
                 min_phase
@@ -1217,65 +1070,19 @@ impl Simulation {
         self.check_stop_after(range, decided);
     }
 
-    /// The trait-object delivery path: receiver-major, per the configured
-    /// delivery order.
-    // audit: no-alloc
-    fn deliver_trait_path(&mut self, t: Round, words: usize) {
-        let n = self.params.n();
-        for v_idx in 0..n {
-            let v = NodeId::new(v_idx);
-            // Byzantine "receivers" have no state machine; nodes that have
-            // crashed no longer process input (a node crashing at t sends
-            // its final partial broadcast but does not transition). Both
-            // are exactly the complement of the round's `honest` set.
-            if !self.buffers.honest.contains(v) {
-                continue;
-            }
-            let mut alg = self.algs[v_idx]
-                .take()
-                // audit: allow(no-panic) — slot occupancy is a structural invariant: honest ⊆ non-Byzantine, and only Byzantine slots are None
-                .expect("non-byzantine receiver has a state machine");
-            // A Present sender's chosen links all deliver, so its realized
-            // links are exactly chosen ∩ unconditional: record the whole
-            // row word-parallel here and skip the per-delivery insert.
-            self.buffers.realized.insert_from_masked(
-                v,
-                self.buffers.chosen.in_neighbors(v),
-                &self.buffers.unconditional,
-            );
-            match self.delivery_order {
-                DeliveryOrder::AscendingSenders => {
-                    for wi in 0..words {
-                        let mut word = self.buffers.chosen.in_neighbors(v).word(wi)
-                            & self.buffers.active.word(wi);
-                        while word != 0 {
-                            let u = NodeId::new(wi * 64 + word.trailing_zeros() as usize);
-                            word &= word - 1;
-                            self.deliver_one(t, u, v, &mut *alg);
-                        }
-                    }
-                }
-                DeliveryOrder::DescendingSenders | DeliveryOrder::Shuffled(_) => {
-                    // The round's shared permutation already holds every
-                    // sender that can deliver anything, in order; per
-                    // receiver only the chosen-link membership test
-                    // remains.
-                    for k in 0..self.buffers.perm.len() {
-                        let u = self.buffers.perm[k];
-                        if self.buffers.chosen.contains(u, v) {
-                            self.deliver_one(t, u, v, &mut *alg);
-                        }
-                    }
-                }
-            }
-            self.algs[v_idx] = Some(alg);
-        }
+    /// How many fault-free nodes have decided.
+    fn decided(&self) -> usize {
+        let outputs = self.plane.outputs();
+        self.fault_free
+            .iter()
+            .filter(|id| outputs[id.index()].is_some())
+            .count()
     }
 
     /// Fills `buffers.perm` with the round's shared sender permutation —
-    /// the one order every receiver processes this round's deliveries in,
-    /// on either path. A no-op under
-    /// ascending-sender delivery, whose word walks need no id list.
+    /// the one order every receiver processes this round's deliveries in.
+    /// A no-op under ascending-sender delivery, whose row walks need no id
+    /// list.
     ///
     /// The permutation is built over the *full* id range `0..n` and then
     /// masked down to the senders that can deliver anything this round
@@ -1319,39 +1126,37 @@ impl Simulation {
         }
     }
 
-    /// The plane delivery path: stages every transmitting non-Byzantine
-    /// sender's wire message once, splits the plane into the run's shards
-    /// (one shard = the whole plane), and runs the fused routine
-    /// ([`deliver_rows`]) over each shard's receivers — over the dense
-    /// chosen rows, or the sparse link plane's run/CSR rows when the run
-    /// holds one. Shards > 1 run concurrently on the persistent pool
-    /// (shard 0 on this thread) and merge back in shard order: receivers
-    /// and realized rows are partitioned, not copied, so the traffic
-    /// meters are the only cross-shard state.
-    fn deliver_plane(
-        &mut self,
-        plane: &mut dyn AlgorithmPlane,
-        links: Option<&LinkPlane>,
-        t: Round,
-    ) {
+    /// The round's delivery: heads every staged batch into the wire
+    /// columns, splits the plane into the run's shards (one shard = the
+    /// whole plane), and runs the one delivery routine ([`deliver_rows`])
+    /// over each shard's receivers — over the dense chosen rows, or the
+    /// sparse link plane's run/CSR rows when the run holds one. Shards > 1
+    /// run concurrently on the persistent pool (shard 0 on this thread) and
+    /// merge back in shard order: receivers and realized rows are
+    /// partitioned, not copied, so the traffic meters and event-log
+    /// stretches are the only cross-shard state.
+    fn deliver(&mut self, t: Round) {
         let record = self.record_schedule;
-        #[cfg(test)]
-        let stale_stop = self.stale_stop;
         let Simulation {
             params,
             buffers,
             crash,
             ports,
             byz,
+            plane,
+            links,
             wire_phase,
             wire_value,
             conditional,
             traffic,
+            events,
             shard_bounds,
             pool,
             ..
         } = self;
+        let links = links.as_ref();
         let RoundBuffers {
+            batches,
             phases,
             values,
             classes,
@@ -1367,12 +1172,12 @@ impl Simulation {
 
         let mut max_wire_phase = Phase::ZERO;
         active.for_each(|u| {
-            let i = u.index();
-            if classes[i] != SenderClass::Byzantine {
-                let wire = plane.encode_wire(Message::new(values[i], phases[i]));
-                wire_phase[i] = wire.phase();
-                wire_value[i] = wire.value();
-                max_wire_phase = max_wire_phase.max(wire.phase());
+            // Byzantine senders staged nothing (and a boxed node may not
+            // have either).
+            if let Some(head) = batches[u.index()].first() {
+                wire_phase[u.index()] = head.phase();
+                wire_value[u.index()] = head.value();
+                max_wire_phase = max_wire_phase.max(head.phase());
             }
         });
         let perm = (self.delivery_order != DeliveryOrder::AscendingSenders).then_some(&perm[..]);
@@ -1401,21 +1206,27 @@ impl Simulation {
             unconditional,
             crash,
             ports,
-            wire_phase,
-            wire_value,
+            wire: StagedWire {
+                phase: wire_phase,
+                value: wire_value,
+                batches,
+            },
             max_wire_phase,
             t,
             params: *params,
             phases,
             values,
-            #[cfg(test)]
-            stale_stop,
+            stale_stop: self.stale_stop,
         };
 
         // The dense path always materializes realized rows (they are its
         // `realized_rows` view); the sparse path only when recording.
         let mut rows_rest: Option<&mut [NodeSet]> =
             (links.is_none() || record).then(|| realized.in_neighbor_sets_mut());
+        // Shard 0 appends to the run's own log; the others fill a stretch
+        // each, appended behind it below.
+        let mut log = events.take();
+        let logging = log.is_some();
         let shards = shard_bounds.len() - 1;
         let mut slots: [Option<PlaneShard<'_>>; MAX_PLANE_SHARDS] = Default::default();
         plane.fill_shards(shard_bounds, &mut slots[..shards]);
@@ -1426,6 +1237,7 @@ impl Simulation {
                 shard: slot.take().expect("fill_shards fills every requested slot"),
                 rows: rows_rest.as_mut().map(|rest| take_split(rest, span)),
                 traffic: Traffic::new(),
+                log: log.take().or_else(|| logging.then(EventLog::new)),
             }));
         }
         let run_shard = |i: usize, byz: &mut ByzSide<'_>| {
@@ -1459,68 +1271,14 @@ impl Simulation {
             ),
         }
         for ctx in ctxs.into_iter().flatten() {
-            traffic.merge(
-                &ctx.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .traffic,
-            );
-        }
-    }
-
-    /// [`fabricate`] for the trait path, over the engine's own fields.
-    // audit: no-alloc
-    fn fabricate_byzantine(&mut self, t: Round, u: NodeId, v: NodeId) -> bool {
-        let ctx = ByzContext {
-            round: t,
-            self_id: u,
-            params: self.params,
-            phases: &self.buffers.phases,
-            values: &self.buffers.values,
-        };
-        fabricate(&mut self.byz, &ctx, v, &mut self.buffers.byz_scratch)
-    }
-
-    /// Delivers sender `u`'s round-`t` transmission to receiver `v` — or
-    /// nothing, if `u`'s class does not deliver on this link. `alg` is
-    /// `v`'s state machine, taken out of its slot by the delivery loop so
-    /// the inner walk performs no per-link `Option` unwrap.
-    // audit: no-alloc
-    #[inline]
-    fn deliver_one(&mut self, t: Round, u: NodeId, v: NodeId, alg: &mut dyn Algorithm) {
-        let u_idx = u.index();
-        // Realized links of `Present` senders were already recorded
-        // word-parallel by the receiver loop; only the conditional classes
-        // record theirs per delivery here.
-        let (batch, record_realized): (&[Message], bool) = match self.buffers.classes[u_idx] {
-            SenderClass::Silent => return,
-            SenderClass::Byzantine => {
-                if !self.fabricate_byzantine(t, u, v) {
-                    return;
-                }
-                (&self.buffers.byz_scratch, true)
+            let ctx = ctx.into_inner().unwrap_or_else(PoisonError::into_inner);
+            traffic.merge(&ctx.traffic);
+            match (events.as_mut(), ctx.log) {
+                (Some(log), Some(stretch)) => log.append(stretch),
+                (None, stretch) => *events = stretch,
+                (Some(_), None) => {}
             }
-            SenderClass::Partial if !self.crash.delivers(u, t, v) => return,
-            SenderClass::Partial => (&self.buffers.batches[u_idx], true),
-            // `Present` implies the sender staged a batch this round and
-            // its broadcast reaches every chosen receiver — no per-link
-            // checks left.
-            SenderClass::Present => (&self.buffers.batches[u_idx], false),
-        };
-        let port = self.ports.port_of(v, u);
-        self.traffic.record_delivery(batch.len());
-        if record_realized {
-            self.buffers.realized.insert(u, v);
         }
-        if let Some(log) = self.events.as_mut() {
-            log.push(Event::Delivery {
-                round: t,
-                sender: u,
-                receiver: v,
-                port,
-                batch_len: batch.len(),
-            });
-        }
-        alg.receive(port, batch);
     }
 
     fn check_stop_before(&mut self) -> bool {
@@ -1528,26 +1286,7 @@ impl Simulation {
             self.done = Some(StopReason::MaxRounds);
             return true;
         }
-        // One virtual column grab instead of one dynamic call per node.
-        let decided = match &self.plane {
-            Some(p) => {
-                let po = p.outputs();
-                self.fault_free
-                    .iter()
-                    .filter(|&&id| po[id.index()].is_some())
-                    .count()
-            }
-            None => self
-                .fault_free
-                .iter()
-                .filter(|&&id| {
-                    self.algs[id.index()]
-                        .as_ref()
-                        .is_some_and(|a| a.output().is_some())
-                })
-                .count(),
-        };
-        if decided == self.fault_free.len() {
+        if self.decided() == self.fault_free.len() {
             self.done = Some(StopReason::AllOutput);
             return true;
         }
@@ -1578,11 +1317,10 @@ impl Simulation {
     /// stop condition fired yet).
     pub fn finish(self) -> Outcome {
         let n = self.params.n();
-        let outputs: Vec<Option<Value>> = (0..n).map(|i| self.output_of_slot(i)).collect();
+        let outputs: Vec<Option<Value>> = NodeId::all(n).map(|id| self.output_of(id)).collect();
         let final_values: Vec<Value> = (0..n)
             .map(|i| {
-                // Byzantine slots report the neutral default, as the
-                // trait path's empty slots always did.
+                // Byzantine slots report the neutral default.
                 self.value_of(NodeId::new(i)).unwrap_or(Value::HALF)
             })
             .collect();
@@ -1613,6 +1351,7 @@ mod tests {
     use super::*;
     use crate::factories;
     use adn_adversary::AdversarySpec;
+    use adn_core::AlgorithmFactory;
     use adn_faults::strategies::{Extreme, TwoFaced};
     use adn_faults::CrashSurvivors;
     use adn_graph::checker;
@@ -1799,9 +1538,9 @@ mod tests {
     }
 
     /// Satellite regression: pre-masking silent senders out of the shared
-    /// permutation must be behaviorally invisible. The orders used to walk
-    /// every chosen sender and bounce the silent ones off `deliver_one`'s
-    /// early return; with the mask they are never walked at all. A
+    /// permutation must be behaviorally invisible. Unmasked, the walk
+    /// visits every chosen sender and passes over the Silent-class ones;
+    /// with the mask they are never walked at all. A
     /// full-mesh adversary that ignores the deliverer discipline forces
     /// crashed (Silent-class) senders into `chosen`, so the mask actually
     /// removes entries here.
@@ -1888,8 +1627,9 @@ mod tests {
                     "{order:?} {mode:?} mask={mask}"
                 );
             }
-            // Events force the trait path; masked and unmasked logs must
-            // agree event for event (silent senders never logged one).
+            // `Auto` keeps a logged run on boxed nodes; masked and unmasked
+            // logs must agree event for event (silent senders never
+            // logged one).
             let masked = build(order, PlaneMode::Auto, true, true);
             let unmasked = build(order, PlaneMode::Auto, false, true);
             assert_eq!(
@@ -2052,9 +1792,23 @@ mod tests {
         use adn_net::codec::Precision;
         let n = 33;
         let p = params(n, 1, 1e-3);
-        // The plain plane, and the quantized adaptor over it: the adaptor
-        // forwards the split, so its sharded cells run on real shards.
-        for quantized in [false, true] {
+        let quantized = || quantized_factory(factories::dac(p), Precision::new(9));
+        // The columnar plane; the quantized adaptor over it (it forwards
+        // the split, so its sharded cells run on real shards); the same two
+        // on boxed nodes; and piggyback, which has no columnar plane at
+        // all. Every plane runs on sparse links, and shards there.
+        let cells: [(&str, &dyn Fn() -> AlgorithmFactory, PlaneMode); 5] = [
+            ("dac", &|| factories::dac(p), PlaneMode::Always),
+            ("quantized", &quantized, PlaneMode::Always),
+            ("dac boxed", &|| factories::dac(p), PlaneMode::Never),
+            ("quantized boxed", &quantized, PlaneMode::Never),
+            (
+                "piggyback",
+                &|| factories::dbac_piggyback(p, 2, 12),
+                PlaneMode::Auto,
+            ),
+        ];
+        for (name, factory, plane) in cells {
             let mk = |mode: LinkMode, shards: usize| {
                 let mut crash = CrashSchedule::new(n);
                 crash.crash(
@@ -2062,31 +1816,72 @@ mod tests {
                     Round::new(2),
                     CrashSurvivors::Subset(vec![NodeId::new(0), NodeId::new(20)]),
                 );
-                let factory = if quantized {
-                    quantized_factory(factories::dac(p), Precision::new(9))
-                } else {
-                    factories::dac(p)
-                };
-                Simulation::builder(p)
+                let sim = Simulation::builder(p)
                     .inputs_random(99)
                     .adversary(AdversarySpec::Rotating { d: 20 }.build(n, 1, 5))
                     .crashes(crash)
-                    .algorithm(factory)
+                    .algorithm(factory())
+                    .algorithm_plane(plane)
                     .link_mode(mode)
                     .shards(shards)
-                    .run()
+                    .build();
+                assert_eq!(sim.uses_plane(), plane == PlaneMode::Always, "{name}");
+                assert_eq!(sim.uses_sparse_links(), mode == LinkMode::Sparse, "{name}");
+                sim.run()
             };
             let dense = mk(LinkMode::Dense, 1);
             assert!(dense.rounds() > 4, "crash must land mid-run");
             for shards in [1, 3] {
                 let sparse = mk(LinkMode::Sparse, shards);
-                let cell = format!("quantized={quantized} shards={shards}");
+                let cell = format!("{name} shards={shards}");
                 assert_eq!(dense.rounds(), sparse.rounds(), "{cell}");
                 assert_eq!(dense.honest_outputs(), sparse.honest_outputs(), "{cell}");
                 assert_eq!(dense.traffic(), sparse.traffic(), "{cell}");
                 assert_eq!(dense.schedule(), sparse.schedule(), "{cell}");
                 assert_eq!(dense.traces(), sparse.traces(), "{cell}");
             }
+        }
+    }
+
+    /// A logged run shards too: every shard writes its own stretch of the
+    /// log, appended in shard order — the same log as one shard's.
+    #[test]
+    fn sharded_event_log_is_the_single_shard_log() {
+        use crate::builder::LinkMode;
+        let n = 19;
+        let p = params(n, 2, 1e-2);
+        let run = |plane, shards| {
+            let mut crash = CrashSchedule::new(n);
+            crash.crash(
+                NodeId::new(3),
+                Round::new(1),
+                CrashSurvivors::Subset(vec![NodeId::new(0), NodeId::new(11)]),
+            );
+            Simulation::builder(p)
+                .inputs_random(5)
+                .adversary(AdversarySpec::Rotating { d: 12 }.build(n, 2, 5))
+                .crashes(crash)
+                .algorithm(factories::dac(p))
+                .algorithm_plane(plane)
+                .link_mode(LinkMode::Sparse)
+                .shards(shards)
+                .record_events(true)
+                .run()
+        };
+        let reference = run(PlaneMode::Never, 1);
+        let log = reference.events().expect("recorded").events();
+        assert!(log.iter().any(|e| matches!(e, Event::Delivery { .. })));
+        for (plane, shards) in [
+            (PlaneMode::Never, 4),
+            (PlaneMode::Always, 1),
+            (PlaneMode::Always, 4),
+        ] {
+            let other = run(plane, shards);
+            assert_eq!(reference.traffic(), other.traffic(), "{plane:?} {shards}");
+            assert!(
+                log == other.events().expect("recorded").events(),
+                "{plane:?} on {shards} shards logs differently"
+            );
         }
     }
 

@@ -20,6 +20,11 @@
 //!    orders share one per-round sender permutation), then `end_round`
 //!    fires.
 //!
+//! Node state lives behind one [`adn_core::AlgorithmPlane`] — boxed
+//! state machines or a columnar plane ([`PlaneMode`]) — and every run
+//! goes through the same `step` and the same delivery routine, over dense
+//! or sparse link rows ([`LinkMode`]), on one shard or several.
+//!
 //! The engine records the **realized delivery schedule** (for the
 //! dynaDegree checker), per-phase value multisets `V(p)` (Def. 5/6, for
 //! convergence-rate measurements), traffic, and round traces. The

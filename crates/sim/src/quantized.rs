@@ -9,10 +9,10 @@
 //! below which ε-agreement degrades — the quantitative content of the
 //! bandwidth assumption.
 //!
-//! Quantized runs are plane-capable: [`QuantizedPlane`] wraps an inner
-//! columnar plane and snaps each sender's outgoing snapshot through
-//! [`AlgorithmPlane::encode_wire`] — once per sender per round, since
-//! anonymity means every receiver sees the same encoded value.
+//! Quantized runs keep their columnar plane: [`QuantizedPlane`] wraps an
+//! inner plane and snaps what each sender stages
+//! ([`AlgorithmPlane::stage_broadcast`]) — once per sender per round,
+//! since anonymity means every receiver sees the same encoded value.
 
 use std::rc::Rc;
 
@@ -20,6 +20,15 @@ use adn_core::{Algorithm, AlgorithmFactory, AlgorithmPlane, PlaneShard};
 use adn_graph::NodeSet;
 use adn_net::codec::{snap, Precision};
 use adn_types::{Batch, Message, Phase, Port, Value};
+
+/// Snaps the staged values in place — the wire boundary, without
+/// re-staging or allocating.
+// audit: no-alloc
+fn snap_staged(out: &mut Batch, precision: Precision) {
+    for m in out.iter_mut() {
+        *m = Message::new(snap(m.value(), precision), m.phase());
+    }
+}
 
 /// Wraps an algorithm so its broadcasts are quantized to `precision`.
 ///
@@ -48,11 +57,7 @@ impl Quantized {
 impl Algorithm for Quantized {
     fn broadcast_into(&mut self, out: &mut Batch) {
         self.inner.broadcast_into(out);
-        // Snap the staged values in place — the wire boundary, without
-        // re-staging or allocating.
-        for m in out.iter_mut() {
-            *m = Message::new(snap(m.value(), self.precision), m.phase());
-        }
+        snap_staged(out, self.precision);
     }
 
     fn receive(&mut self, port: Port, batch: &[Message]) {
@@ -86,19 +91,18 @@ impl Algorithm for Quantized {
     }
 }
 
-/// The columnar mirror of [`Quantized`]: wraps an inner
-/// [`AlgorithmPlane`] and overrides
-/// [`encode_wire`](AlgorithmPlane::encode_wire) so each sender's outgoing
-/// snapshot is snapped to the codec grid **once per round per sender** —
-/// the engine encodes before fanning a broadcast out, so the single
-/// quantize/dequantize round trip serves every receiver of that sender
-/// (the trait path pays the same single snap in `broadcast_into`; a
-/// per-link snap would recompute an identical value up to `n − 1` times).
+/// The plane-level mirror of [`Quantized`]: wraps an inner
+/// [`AlgorithmPlane`] and snaps whatever a sender stages to the codec grid
+/// **once per round per sender** — staging happens before a broadcast is
+/// fanned out, so the single quantize/dequantize round trip serves every
+/// receiver of that sender (a [`Quantized`] node pays the same single snap
+/// in `broadcast_into`; a per-link snap would recompute an identical value
+/// up to `n − 1` times).
 ///
 /// Everything else delegates: internal columns stay exact (observers and
-/// adversaries read the same unquantized state as on the trait path), and
-/// [`receive`](AlgorithmPlane::receive) forwards batches untouched —
-/// Byzantine fabrications are not re-encoded on either path.
+/// adversaries read the same unquantized state as from [`Quantized`]
+/// nodes), and deliveries reach the inner plane untouched — Byzantine
+/// fabrications are never re-encoded.
 #[derive(Debug)]
 pub struct QuantizedPlane {
     inner: Box<dyn AlgorithmPlane>,
@@ -136,6 +140,14 @@ impl AlgorithmPlane for QuantizedPlane {
         Message::new(snap(msg.value(), self.precision), msg.phase())
     }
 
+    // audit: no-alloc
+    fn stage_broadcast(&mut self, sender: usize, snapshot: Message, out: &mut Batch) {
+        // Whatever the inner plane stages (its own encoders applied), then
+        // this grid — `encode_wire`'s order, for any inner plane.
+        self.inner.stage_broadcast(sender, snapshot, out);
+        snap_staged(out, self.precision);
+    }
+
     fn deliver_from_sender(&mut self, msg: Message, receivers: &NodeSet, ports: &[Port]) {
         self.inner.deliver_from_sender(msg, receivers, ports);
     }
@@ -146,7 +158,7 @@ impl AlgorithmPlane for QuantizedPlane {
 
     fn fill_shards<'a>(&'a mut self, bounds: &[usize], out: &mut [Option<PlaneShard<'a>>]) {
         // The adaptor has no receive side to bypass: the wire encoding is
-        // applied where the engine stages a sender's broadcast.
+        // applied where a sender's broadcast is staged.
         self.inner.fill_shards(bounds, out);
     }
 
@@ -167,11 +179,10 @@ impl AlgorithmPlane for QuantizedPlane {
 
 /// Factory combinator: wraps every node produced by `inner` in a
 /// [`Quantized`] encoder at the given precision, and — when `inner` is
-/// plane-capable — every plane it builds in a [`QuantizedPlane`], so
-/// quantized DAC/DBAC runs keep the columnar fast path. (An earlier
-/// engine claimed quantization violates the plane's pure-snapshot
-/// contract; it does not — the snapshot stays pure, and only the one
-/// per-sender wire encoding differs, which `encode_wire` captures.)
+/// plane-capable — every columnar plane it builds in a
+/// [`QuantizedPlane`], so quantized DAC/DBAC runs keep their columnar
+/// plane (the snapshot stays pure; only the one per-sender wire encoding
+/// differs).
 pub fn quantized_factory(inner: AlgorithmFactory, precision: Precision) -> AlgorithmFactory {
     let inner = Rc::new(inner);
     if inner.has_plane() {
@@ -205,7 +216,8 @@ mod tests {
         let params = Params::fault_free(5, 1e-3).unwrap();
         let p = Precision::new(4); // grid step 1/16
         let mut node = Quantized::new(Box::new(Dac::new(params, Value::new(0.3).unwrap())), p);
-        let batch = node.broadcast();
+        let mut batch = Batch::new();
+        node.broadcast_into(&mut batch);
         let v = batch[0].value().get();
         let scaled = v * 16.0;
         assert!((scaled - scaled.round()).abs() < 1e-12, "{v} off-grid");
@@ -265,7 +277,9 @@ mod tests {
         assert_eq!(wire.phase(), Phase::ZERO);
         // The wire value agrees bit-for-bit with the trait wrapper's.
         let mut node = Quantized::new(Box::new(Dac::new(params, inputs[0])), p);
-        assert_eq!(node.broadcast()[0].value(), wire.value());
+        let mut batch = Batch::new();
+        node.broadcast_into(&mut batch);
+        assert_eq!(batch[0].value(), wire.value());
     }
 
     #[test]

@@ -138,6 +138,11 @@ impl EventLog {
         self.events.push(e);
     }
 
+    /// Appends every event of `later` behind this log's.
+    pub(crate) fn append(&mut self, mut later: EventLog) {
+        self.events.append(&mut later.events);
+    }
+
     /// All events in chronological order.
     pub fn events(&self) -> &[Event] {
         &self.events

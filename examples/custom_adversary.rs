@@ -23,10 +23,9 @@ struct Convoy {
 }
 
 impl Adversary for Convoy {
-    fn edges(&mut self, view: &AdversaryView<'_>) -> EdgeSet {
+    fn edges_into(&mut self, view: &AdversaryView<'_>, e: &mut EdgeSet) {
         let n = view.params.n();
         let shift = (view.round.as_u64() / self.drift) as usize % n;
-        let mut e = EdgeSet::empty(n);
         for v in 0..n {
             // Position of v in the current convoy order.
             let pos_v = (v + shift) % n;
@@ -41,7 +40,6 @@ impl Adversary for Convoy {
                 }
             }
         }
-        e
     }
 
     fn name(&self) -> &'static str {

@@ -6,9 +6,9 @@
 //! replicating the pre-port `edges()` body is driven through the same
 //! sequence of adversary views — across seeds × crash schedules × silent
 //! flicker (non-monotone deliverer sets) — and every round's links must be
-//! **byte-identical**, through `edges_into`, through the allocate-then-fill
-//! `edges()` shim, *and* through the sparse `sparse_into` row fill (decoded
-//! back to an `EdgeSet` via `LinkPlane::fill_edgeset`).
+//! **byte-identical**, through `edges_into` *and* through the sparse
+//! `sparse_into` row fill (decoded back to an `EdgeSet` via
+//! `LinkPlane::fill_edgeset`).
 //!
 //! `Spread` is the one strategy whose semantics were *fixed* in the port
 //! (fresh-sender installments instead of raw slice re-indexing, see its
@@ -330,8 +330,6 @@ struct Case {
     name: &'static str,
     /// Driven through `edges_into` (the word-parallel port).
     ported: Box<dyn Adversary>,
-    /// A twin instance driven through the `edges()` shim.
-    shim: Box<dyn Adversary>,
     /// A twin instance driven through the sparse `sparse_into` fill.
     sparse: Box<dyn Adversary>,
     oracle: Oracle,
@@ -342,7 +340,6 @@ impl Case {
         Case {
             name,
             ported: Box::new(adv.clone()),
-            shim: Box::new(adv.clone()),
             sparse: Box::new(adv),
             oracle,
         }
@@ -488,14 +485,8 @@ fn run_seed(seed: u64) {
                 "seed {seed} round {t}: {} edges_into diverges from the reference",
                 case.name
             );
-            let via_shim = case.shim.edges(&view);
-            assert_eq!(
-                via_shim, expect,
-                "seed {seed} round {t}: {} edges() shim diverges from the reference",
-                case.name
-            );
             // Every gallery strategy also declares a sparse row fill; a
-            // third twin drives it and the recorded rows — decoded back
+            // twin drives it and the recorded rows — decoded back
             // through the run/CSR semantics — must be the same links.
             assert!(
                 case.sparse.sparse_capable(),
@@ -532,7 +523,6 @@ fn figure1_matches_reference_under_flicker() {
     let honest = NodeSet::full(n);
     let burst = EdgeSet::from_pairs(3, [(0, 1), (1, 0), (1, 2), (2, 1)]);
     let mut ported = Alternating::figure1();
-    let mut shim = Alternating::figure1();
     let mut oracle = oracle_alternating(2, burst);
     let mut out = EdgeSet::empty(n);
     for t in 0..8u64 {
@@ -552,6 +542,5 @@ fn figure1_matches_reference_under_flicker() {
         ported.edges_into(&view, &mut out);
         let expect = oracle(&view);
         assert_eq!(out, expect, "round {t}");
-        assert_eq!(shim.edges(&view), expect, "round {t} (shim)");
     }
 }

@@ -1,7 +1,7 @@
 //! Proves the allocation-free steady state of the batched message plane
 //! with a counting global allocator: after warmup, `Simulation::step` —
-//! the trait path's word-parallel delivery loop and the plane's fused
-//! receiver-major routine alike — performs **zero** heap allocations per
+//! the one receiver-major delivery routine, over boxed state machines and
+//! over the columnar planes alike — performs **zero** heap allocations per
 //! round for DAC and DBAC runs in
 //! lean observability mode (no schedule recording, no phase multisets —
 //! both are history *recording*, inherently growing, and both default to
@@ -139,6 +139,21 @@ fn lean_dac_quantized(n: usize, mode: PlaneMode) -> Simulation {
         .build()
 }
 
+/// A lean DBAC-piggyback run (no columnar plane): every link carries a
+/// `k + 1`-message batch from the sender's persistent buffer through the
+/// boxed kernel.
+fn lean_dbac_piggyback(n: usize) -> Simulation {
+    let params = Params::fault_free(n, 1e-6).unwrap();
+    Simulation::builder(params)
+        .inputs_random(1)
+        .adversary(AdversarySpec::Rotating { d: n / 2 + 1 }.build(n, 0, 1))
+        .algorithm(factories::dbac_piggyback(params, 3, u64::MAX))
+        .record_schedule(false)
+        .observe_phases(false)
+        .max_rounds(u64::MAX)
+        .build()
+}
+
 /// A lean sparse-link DAC run — row-kind link plane instead of the dense
 /// bitmap, receiver-major delivery, optionally sharded across the
 /// persistent worker pool.
@@ -159,17 +174,19 @@ fn lean_dac_sparse(n: usize, shards: usize) -> Simulation {
 
 #[test]
 fn steady_state_step_performs_zero_allocations() {
-    // --- The round engine's delivery loop, on both the columnar plane
-    // (the fused receiver-major routine: per-round wire columns, the
-    // conditional-sender list, the shard split and its contexts) and the
-    // per-node trait path — under all three delivery orders (the
-    // descending and shuffled orders route both paths through the shared
-    // per-round sender permutation, whose build — including the shuffle's
-    // full-id scratch and the active mask — must reuse the arena's `perm`
-    // buffer), plus the quantized wire-encoding adaptor on the plane. The
-    // dense `plane` cells (ascending, shuffled, DBAC under 8 Byzantine
-    // senders, quantized) and the `sparse` ones below are the same
-    // routine over the two row kinds. ---
+    // --- The round engine's one delivery routine (staging into the
+    // persistent batches, per-round wire columns, the conditional-sender
+    // list, the shard split and its contexts), on the columnar planes and
+    // on boxed state machines — under all three delivery orders (the
+    // descending and shuffled orders walk the shared per-round sender
+    // permutation, whose build — including the shuffle's full-id scratch
+    // and the active mask — must reuse the arena's `perm` buffer), plus
+    // the quantized wire-encoding adaptor. The `plane` cells (ascending,
+    // shuffled, DBAC under 8 Byzantine senders, quantized) are the
+    // routine's columnar cells, the `trait` ones (`PlaneMode::Never`) and
+    // `dbac/piggyback` (multi-message batches through the kernel) its
+    // boxed cells, and the `sparse` ones below the same routine over the
+    // other row kind. ---
     use DeliveryOrder::{AscendingSenders, DescendingSenders, Shuffled};
     for (name, mut sim) in [
         (
@@ -214,6 +231,7 @@ fn steady_state_step_performs_zero_allocations() {
             "dbac/plane/shuffled",
             lean_dbac(32, PlaneMode::Always, Shuffled(7)),
         ),
+        ("dbac/piggyback", lean_dbac_piggyback(32)),
         // DBAC under real Byzantine senders, where the trim lists and the
         // strategies' once-per-round facts do their work.
         (
@@ -269,6 +287,10 @@ fn steady_state_step_performs_zero_allocations() {
             "{name}: batch capacities changed in the measured window"
         );
         assert!(sim.stopped().is_none(), "{name}: must still be running");
+        if name == "dbac/piggyback" {
+            let staged = sim.buffers().batches[0].len();
+            assert_eq!(staged, 4, "{name}: every link must carry k + 1 messages");
+        }
         // No engine path delivers sender-major any more, so none may have
         // built the transposed port table behind `ports_to`.
         assert!(
@@ -377,8 +399,9 @@ fn steady_state_step_performs_zero_allocations() {
     // --- Service-mode instance turnover: between consecutive consensus
     // instances, `ServiceRun` re-fills the input vector from the workload
     // stream, re-slices the churn plan into the long-lived crash
-    // schedule, resets the algorithm plane (or the boxed per-node
-    // algorithms) in place, clears the observer without dropping
+    // schedule, resets the algorithm plane in place (`service/trait` is
+    // the boxed plane: one `Algorithm::reset_instance` per node), clears
+    // the observer without dropping
     // capacity, and slides realized rounds through the watchdog window —
     // all allocation-free once the first few instances have warmed every
     // buffer up. ---

@@ -1,17 +1,19 @@
-//! Differential fuzz of the columnar algorithm plane against the per-node
-//! trait path.
+//! Differential fuzz of the columnar algorithm planes against boxed
+//! per-node state machines.
 //!
-//! The engine's columnar plane (`PlaneMode::Always`, and the `Auto`
+//! The engine drives both through the same round and the same delivery
+//! routine; a columnar plane (`PlaneMode::Always`, and the `Auto`
 //! selection that must pick it) must be observationally **identical** to
 //! the boxed-state-machine reference (`PlaneMode::Never`)
 //! under *every* delivery order — ascending, descending, and the shared
 //! per-round shuffle — and for quantized as well as exact wire formats:
 //! same stop reason and round count, same outputs and final values, same
 //! per-phase value multisets `V(p)`, same round traces, same realized
-//! schedule, same traffic counters. This file drives all three plane
-//! modes through randomized configurations — delivery order ×
-//! quantization × adversary × crash/Byzantine mix × ε × algorithm — and
-//! asserts equality on everything an `Outcome` exposes.
+//! schedule, same traffic counters, and — when events are recorded — the
+//! same event log. This file drives all three plane modes through
+//! randomized configurations — delivery order × quantization × adversary
+//! × crash/Byzantine mix × ε × algorithm — and asserts equality on
+//! everything an `Outcome` exposes.
 //!
 //! Seed count defaults to 400; override with `ADN_FUZZ_SEEDS` (CI runs a
 //! reduced count to keep the job fast).
@@ -20,7 +22,7 @@ use anondyn::faults::{strategies, CrashSurvivors};
 use anondyn::net::codec::Precision;
 use anondyn::prelude::*;
 use anondyn::sim::quantized::quantized_factory;
-use anondyn::sim::{DeliveryOrder, LinkMode};
+use anondyn::sim::{DeliveryOrder, Event, LinkMode};
 use anondyn::types::rng::SplitMix64;
 
 fn fuzz_seeds() -> u64 {
@@ -123,7 +125,9 @@ fn draw(seed: u64) -> Config {
     }
 }
 
-fn run(cfg: &Config, mode: PlaneMode) -> Outcome {
+/// The drawn configuration as a builder; the callers add what they vary
+/// (plane mode, link representation, event recording).
+fn builder(cfg: &Config) -> SimBuilder {
     let n = cfg.params.n();
     let mut factory = if cfg.dbac {
         factories::dbac_with_pend(cfg.params, cfg.pend)
@@ -140,46 +144,32 @@ fn run(cfg: &Config, mode: PlaneMode) -> Outcome {
         .crashes(cfg.crash.clone())
         .delivery_order(cfg.order)
         .algorithm(factory)
-        .algorithm_plane(mode)
         .max_rounds(100);
     for &(node, name) in &cfg.byz {
         builder = builder.byzantine(node, strategies::by_name(name, n, cfg.seed ^ 0xB42));
     }
-    let sim = builder.build();
-    // Every drawn configuration is plane-compatible (events off), so
-    // `Auto` must select the plane just like `Always` — whatever the
-    // delivery order or wire format.
+    builder
+}
+
+fn run(cfg: &Config, mode: PlaneMode) -> Outcome {
+    let sim = builder(cfg).algorithm_plane(mode).build();
+    // With events off `Auto` must select the columnar plane just like
+    // `Always` — whatever the delivery order or wire format.
     assert_eq!(
         sim.uses_plane(),
         mode != PlaneMode::Never,
-        "mode {mode:?} must pick the intended path"
+        "mode {mode:?} must pick the intended plane"
     );
     sim.run()
 }
 
-/// Like [`run`], but pins the plane on and selects the link plane
+/// Like [`run`], but pins the columnar plane on and selects the link
 /// representation (and shard count) explicitly.
 fn run_links(cfg: &Config, link_mode: LinkMode, shards: usize) -> Outcome {
-    let n = cfg.params.n();
-    let mut factory = if cfg.dbac {
-        factories::dbac_with_pend(cfg.params, cfg.pend)
-    } else {
-        factories::dac_with_pend(cfg.params, cfg.pend)
-    };
-    if let Some(bits) = cfg.quantize_bits {
-        factory = quantized_factory(factory, Precision::new(bits));
-    }
-    let sim = Simulation::builder(cfg.params)
-        .inputs_random(cfg.seed ^ 0xBEEF)
-        .adversary(cfg.adversary.build(n, cfg.params.f(), cfg.seed ^ 0xC0DE))
-        .ports(PortNumbering::random(n, cfg.seed ^ 0x9097))
-        .crashes(cfg.crash.clone())
-        .delivery_order(cfg.order)
-        .algorithm(factory)
+    let sim = builder(cfg)
         .algorithm_plane(PlaneMode::Always)
         .link_mode(link_mode)
         .shards(shards)
-        .max_rounds(100)
         .build();
     let sparse = link_mode == LinkMode::Sparse;
     assert_eq!(
@@ -273,6 +263,79 @@ fn plane_matches_trait_path_across_the_configuration_space() {
     }
 }
 
+/// Recording events does not change what runs: the columnar planes go
+/// through the same delivery routine as the boxed one and write the same
+/// log, event for event — every broadcast, every delivery in arrival
+/// order (honest, partial and fabricated), every phase advance, crash and
+/// decision. A logged run visits each link on its own, so the stale-link
+/// stop is off; the floor below makes sure the draw holds plenty of runs
+/// where it would have fired (a delivery to a receiver that had already
+/// decided is a link an unlogged columnar run counts without feeding).
+#[test]
+fn event_logs_are_identical_on_both_planes() {
+    let seeds = fuzz_seeds();
+    let mut would_have_stopped = 0u64;
+    for seed in 0..seeds {
+        let cfg = draw(seed);
+        let logged = |mode| {
+            let sim = builder(&cfg)
+                .algorithm_plane(mode)
+                .record_events(true)
+                .build();
+            assert_eq!(sim.uses_plane(), mode == PlaneMode::Always, "{mode:?}");
+            sim.run()
+        };
+        let reference = logged(PlaneMode::Never);
+        let log = reference.events().expect("recorded").events();
+        for mode in [PlaneMode::Always, PlaneMode::Auto] {
+            let other = logged(mode);
+            assert_identical(&cfg, mode, &reference, &other);
+            assert!(
+                log == other.events().expect("recorded").events(),
+                "seed {seed}: event logs differ between Never and {mode:?}"
+            );
+        }
+        // And the log does not change the run it records.
+        assert_identical(
+            &cfg,
+            PlaneMode::Always,
+            &reference,
+            &run(&cfg, PlaneMode::Always),
+        );
+        // Would the stop have fired? Yes if some receiver went past every
+        // phase on the round's wire (its remaining honest links that round
+        // are stale) or was delivered to after it had decided.
+        let n = cfg.params.n();
+        let (mut phase, mut decided) = (vec![Phase::ZERO; n], vec![false; n]);
+        let (mut wire_round, mut wire_max) = (Round::ZERO, Phase::ZERO);
+        let mut fired = false;
+        for event in log {
+            match *event {
+                Event::Broadcast { round, node, .. } => {
+                    if round != wire_round {
+                        (wire_round, wire_max) = (round, Phase::ZERO);
+                    }
+                    wire_max = wire_max.max(phase[node.index()]);
+                }
+                Event::Delivery { receiver, .. } => fired |= decided[receiver.index()],
+                Event::PhaseAdvance { node, to, .. } => {
+                    fired |= to > wire_max;
+                    phase[node.index()] = to;
+                }
+                Event::Decide { node, .. } => decided[node.index()] = true,
+                Event::Crash { .. } => {}
+            }
+        }
+        would_have_stopped += u64::from(fired);
+    }
+    if seeds >= 40 {
+        assert!(
+            would_have_stopped >= seeds / 2,
+            "the stale stop would have fired in only {would_have_stopped}/{seeds} logged runs"
+        );
+    }
+}
+
 /// The sparse link plane — single-shard and sharded — must be
 /// byte-identical to the dense per-receiver-port reference on the same
 /// configurations: same rounds, outputs, traffic, schedule, traces, and
@@ -327,7 +390,16 @@ fn auto_mode_selects_plane_only_when_compatible() {
         .algorithm(factories::dac(params))
         .record_events(true)
         .build();
-    assert!(!events_on.uses_plane(), "event log forces the trait path");
+    assert!(!events_on.uses_plane(), "Auto keeps a logged run boxed");
+    let events_on_columnar = Simulation::builder(params)
+        .algorithm(factories::dac(params))
+        .record_events(true)
+        .algorithm_plane(PlaneMode::Always)
+        .build();
+    assert!(
+        events_on_columnar.uses_plane(),
+        "Always + events is a legal combination"
+    );
 
     for order in [
         DeliveryOrder::DescendingSenders,
