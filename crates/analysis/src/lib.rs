@@ -3,7 +3,7 @@
 //! * [`Summary`] — streaming mean/variance/min/max (Welford), the unit of
 //!   every aggregated measurement;
 //! * [`Table`] — fixed-width text tables, the output format of the
-//!   `exp_*` binaries and of EXPERIMENTS.md;
+//!   experiment reports (`exp <id>`, `run_all`);
 //! * [`series`] — helpers for convergence-series post-processing
 //!   (geometric means of contraction ratios, theoretical references).
 

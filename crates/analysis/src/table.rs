@@ -3,8 +3,7 @@ use std::fmt;
 /// A fixed-width text table: the output format of every experiment binary.
 ///
 /// Columns are sized to their widest cell; numeric-looking cells are
-/// right-aligned, text left-aligned. Rendered with a header rule, suitable
-/// for pasting into EXPERIMENTS.md as-is.
+/// right-aligned, text left-aligned. Rendered with a header rule.
 ///
 /// ```
 /// use adn_analysis::Table;

@@ -11,14 +11,20 @@
 //!   a known *trait* name widens to that trait's default body plus every
 //!   impl of the trait; a known *type* name resolves to that type's
 //!   methods; anything else is treated as a module qualifier and widens
-//!   to free functions of that name in **every** library crate (so
-//!   `codec::snap(…)` called from `adn-sim` still reaches the `adn-net`
-//!   definition).
+//!   to free functions of that name in every **linkable** library crate
+//!   (so `codec::snap(…)` called from `adn-sim` still reaches the
+//!   `adn-net` definition).
 //! * **Method calls** (`x.receive(…)`) have no receiver type, so they
 //!   widen to *every* known method of that name — impl methods and trait
-//!   defaults alike — across the whole library stack. This is the
+//!   defaults alike — in every linkable crate. This is the
 //!   trait-dispatch widening rule: a `plane.receive(…)` call reaches
 //!   every `AlgorithmPlane` impl's `receive`.
+//! * **Linkable** means the calling crate itself plus the crates its
+//!   `Cargo.toml` depends on, transitively: a private `row` helper in
+//!   `adn-core` cannot be `adn-analysis`'s `Table::row`, whatever the
+//!   names say. (The price: a trait object whose impl lives *downstream*
+//!   of the caller is not followed.) A crate whose manifest is not part
+//!   of the audited set links against everything.
 //! * Names that resolve to nothing are **external leaves** (std,
 //!   core, …). The known-allocating std surface is banned by name at
 //!   the call site (`to_vec`, `collect`, `clone`, …), so leaves need no
@@ -118,9 +124,13 @@ pub(crate) struct ReachFinding {
     pub message: String,
 }
 
-/// Builds the symbol graph over `files` and runs the reach pass.
-pub(crate) fn reach_pass(files: &[GraphFile<'_>]) -> Vec<ReachFinding> {
-    let symbols = Symbols::build(files);
+/// Crate name → the crates it depends on, transitively (`use` form).
+pub(crate) type CrateDeps = BTreeMap<String, BTreeSet<String>>;
+
+/// Builds the symbol graph over `files` and runs the reach pass; `deps`
+/// bounds widening (see the module docs).
+pub(crate) fn reach_pass(files: &[GraphFile<'_>], deps: &CrateDeps) -> Vec<ReachFinding> {
+    let symbols = Symbols::build(files, deps);
     let mut findings = Vec::new();
 
     // Roots in file order: block regions first, then contract fns —
@@ -293,7 +303,10 @@ struct CallCtx<'a> {
 }
 
 /// The workspace symbol tables.
-struct Symbols {
+struct Symbols<'a> {
+    /// Crate of each graph file, by file index.
+    crate_of: Vec<&'a str>,
+    deps: &'a CrateDeps,
     /// Free functions by (crate, name).
     free: BTreeMap<(String, String), Vec<FnRef>>,
     /// All methods (impl methods + trait defaults) by name.
@@ -310,9 +323,11 @@ struct Symbols {
     contracts: BTreeSet<FnRef>,
 }
 
-impl Symbols {
-    fn build(files: &[GraphFile<'_>]) -> Symbols {
+impl<'a> Symbols<'a> {
+    fn build(files: &'a [GraphFile<'_>], deps: &'a CrateDeps) -> Symbols<'a> {
         let mut s = Symbols {
+            crate_of: files.iter().map(|f| f.crate_name.as_str()).collect(),
+            deps,
             free: BTreeMap::new(),
             methods: BTreeMap::new(),
             by_type: BTreeMap::new(),
@@ -385,20 +400,33 @@ impl Symbols {
         s
     }
 
-    /// Every free function named `name`, in any graph crate (used for
-    /// module-qualified calls, which may cross crates).
-    fn free_any_crate(&self, name: &str) -> Vec<FnRef> {
+    /// Whether code in crate `from` can link against `target`'s crate.
+    fn links(&self, from: &str, target: FnRef) -> bool {
+        let to = self.crate_of[target.0];
+        from == to || self.deps.get(from).is_none_or(|d| d.contains(to))
+    }
+
+    /// Every method named `name` in a crate `from` links against.
+    fn methods_linked(&self, from: &str, name: &str) -> Vec<FnRef> {
+        let all = self.methods.get(name).into_iter().flatten();
+        all.copied().filter(|&t| self.links(from, t)).collect()
+    }
+
+    /// Every free function named `name` in a crate `from` links against
+    /// (used for module-qualified calls, which may cross crates).
+    fn free_linked(&self, from: &str, name: &str) -> Vec<FnRef> {
         self.free
             .iter()
             .filter(|((_, n), _)| n == name)
             .flat_map(|(_, v)| v.iter().copied())
+            .filter(|&t| self.links(from, t))
             .collect()
     }
 
     fn resolve(&self, call: &CallSite, ctx: &CallCtx<'_>) -> Vec<FnRef> {
         let name = call.segs.last().map_or("", |s| s.as_str());
         let mut out: Vec<FnRef> = match call.kind {
-            CallKind::Method => self.methods.get(name).cloned().unwrap_or_default(),
+            CallKind::Method => self.methods_linked(ctx.crate_name, name),
             CallKind::Bare => self
                 .free
                 .get(&(ctx.crate_name.to_string(), name.to_string()))
@@ -408,8 +436,8 @@ impl Symbols {
                 let q = call.segs[call.segs.len() - 2].as_str();
                 if q.is_empty() {
                     // `<T as Trait>::name(…)` — widen like a method call.
-                    let mut v = self.methods.get(name).cloned().unwrap_or_default();
-                    v.extend(self.free_any_crate(name));
+                    let mut v = self.methods_linked(ctx.crate_name, name);
+                    v.extend(self.free_linked(ctx.crate_name, name));
                     v
                 } else if q == "Self" {
                     ctx.self_ty
@@ -437,8 +465,8 @@ impl Symbols {
                         .unwrap_or_default()
                 } else {
                     // Module qualifier (`codec::snap`, `std::mem::take`):
-                    // free functions of that name anywhere in the stack.
-                    self.free_any_crate(name)
+                    // free functions of that name in any linkable crate.
+                    self.free_linked(ctx.crate_name, name)
                 }
             }
         };

@@ -220,8 +220,14 @@ pub fn audit_source(rel: &str, src: &str) -> Vec<Diagnostic> {
 /// Audits a set of files as one workspace: every per-file pass, then the
 /// symbol-graph passes over the library-crate subset. Files must be
 /// `(repo-relative path, source)` pairs; output is sorted by
-/// `(file, line)` and byte-deterministic for a given input set.
+/// `(file, line)` and byte-deterministic for a given input set. A
+/// `crates/<dir>/Cargo.toml` entry is not audited itself: its `adn-*`
+/// `[dependencies]` bound which crates a call from `<dir>` can widen to
+/// (a crate without one widens everywhere).
 pub fn audit_files(files: &[(String, String)]) -> Vec<Diagnostic> {
+    let is_manifest = |rel: &str| rel.ends_with("Cargo.toml");
+    let deps = crate_deps(files.iter().filter(|(rel, _)| is_manifest(rel)));
+    let files: Vec<&(String, String)> = files.iter().filter(|(rel, _)| !is_manifest(rel)).collect();
     struct Prep {
         lexed: Lexed,
         test_spans: Vec<(u32, u32)>,
@@ -229,7 +235,7 @@ pub fn audit_files(files: &[(String, String)]) -> Vec<Diagnostic> {
         ast: FileAst,
     }
     let mut preps = Vec::with_capacity(files.len());
-    for (rel, src) in files {
+    for (rel, src) in &files {
         let lexed = lexer::lex(src);
         let test_spans = cfg_test_spans(src, &lexed.toks);
         let ann = collect_annotations(rel, src, &lexed);
@@ -286,7 +292,7 @@ pub fn audit_files(files: &[(String, String)]) -> Vec<Diagnostic> {
             contract_regions: &p.ann.contract_regions,
         });
     }
-    for finding in graph::reach_pass(&gfiles) {
+    for finding in graph::reach_pass(&gfiles, &deps) {
         let lint = match finding.kind {
             BannedKind::Alloc => "alloc-reach",
             BannedKind::Panic => "panic-reach",
@@ -332,6 +338,9 @@ pub fn audit_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
         if path.is_dir() {
             collect_rs_files(root, &path, &mut files)?;
         }
+        if path.join("Cargo.toml").is_file() {
+            files.push(format!("{dir}/Cargo.toml"));
+        }
     }
     files.sort();
     files.dedup();
@@ -341,6 +350,50 @@ pub fn audit_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
         loaded.push((rel, src));
     }
     Ok(audit_files(&loaded))
+}
+
+/// Reads the `crates/<dir>/Cargo.toml` manifests among `manifests` into
+/// `adn_<dir>` → every `adn_*` crate it depends on, transitively
+/// (`[dependencies]` only: dev-dependencies never reach library code).
+fn crate_deps<'a>(manifests: impl Iterator<Item = &'a (String, String)>) -> graph::CrateDeps {
+    let mut deps = graph::CrateDeps::new();
+    for (rel, manifest) in manifests {
+        let Some(dir) = rel
+            .strip_prefix("crates/")
+            .and_then(|r| r.strip_suffix("/Cargo.toml"))
+        else {
+            continue;
+        };
+        let section = manifest
+            .split("\n[")
+            .find_map(|s| s.strip_prefix("dependencies]"))
+            .unwrap_or("");
+        let direct = section
+            .lines()
+            .filter_map(|l| l.trim().split(['.', ' ', '=']).next())
+            .filter(|key| key.starts_with("adn-"))
+            .map(|key| key.replace('-', "_"));
+        deps.insert(format!("adn_{dir}"), direct.collect());
+    }
+    // Transitive closure; the crate graph is tiny.
+    loop {
+        let mut grown = false;
+        for name in deps.keys().cloned().collect::<Vec<_>>() {
+            let reach: Vec<String> = deps[&name]
+                .iter()
+                .filter_map(|d| deps.get(d))
+                .flatten()
+                .cloned()
+                .collect();
+            let own = deps.get_mut(&name).expect("key just listed");
+            for r in reach {
+                grown |= own.insert(r);
+            }
+        }
+        if !grown {
+            return deps;
+        }
+    }
 }
 
 /// Extracts the `members = […]` entries from a workspace manifest.

@@ -808,6 +808,51 @@ fn reach_crosses_files_within_a_crate() {
     assert_eq!(diags[0].lint, "alloc-reach");
 }
 
+/// The `row` finding: a no-alloc region in `adn-core` calls `.row()`, and
+/// the only method of that name collects into a `Vec` in `callee_crate`.
+fn row_widening(callee_crate: &str, manifests: &[(&str, &str)]) -> Vec<Diagnostic> {
+    let mut files = vec![
+        (
+            "crates/core/src/plane.rs".to_string(),
+            "fn reset(cols: &mut Cols) {\n    // audit: no-alloc\n    {\n        cols.row(0);\n    }\n}\n"
+                .to_string(),
+        ),
+        (
+            format!("crates/{callee_crate}/src/table.rs"),
+            "impl Table {\n    fn row(&mut self, v: usize) { self.rows = self.cells.iter().collect(); }\n}\n"
+                .to_string(),
+        ),
+    ];
+    for (dir, deps) in manifests {
+        let deps: String = deps
+            .split_whitespace()
+            .map(|d| format!("{d}.workspace = true\n"))
+            .collect();
+        files.push((
+            format!("crates/{dir}/Cargo.toml"),
+            format!("[package]\nname = \"adn-{dir}\"\n\n[dependencies]\n{deps}\n[dev-dependencies]\nadn-analysis.workspace = true\n"),
+        ));
+    }
+    adn_audit::audit_files(&files)
+}
+
+#[test]
+fn method_widening_stops_at_crates_the_caller_cannot_link() {
+    let manifests = [("core", "adn-types adn-graph"), ("graph", "adn-types")];
+    // Same method name in a non-dependency (a dev-dependency even): silent.
+    assert!(row_widening("analysis", &manifests).is_empty());
+    // In a dependency, direct or transitive: reported, in the callee.
+    for callee in ["graph", "types"] {
+        let diags = row_widening(callee, &[("core", "adn-graph"), ("graph", "adn-types")]);
+        assert_eq!(diags.len(), 1, "{callee}: {diags:?}");
+        assert_eq!(diags[0].file, format!("crates/{callee}/src/table.rs"));
+        assert_eq!(diags[0].lint, "alloc-reach");
+    }
+    // Without the caller's manifest nothing bounds the widening.
+    assert_eq!(row_widening("analysis", &[]).len(), 1);
+    assert_eq!(row_widening("analysis", &[("graph", "")]).len(), 1);
+}
+
 #[test]
 fn output_is_byte_identical_across_runs() {
     let render = |diags: &[Diagnostic]| {

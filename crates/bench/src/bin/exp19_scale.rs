@@ -1,4 +1,4 @@
-//! Runner for experiment E19 (see DESIGN.md section 3).
+//! Runner for experiment E19 (README, "Scaling past n = 2048").
 //!
 //! Defaults to the full n = 100 000 demonstration; pass `--n <nodes>` for
 //! a different size (e.g. `--n 16384` for the CI smoke).

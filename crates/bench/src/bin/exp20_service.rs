@@ -1,4 +1,4 @@
-//! Runner for experiment E20 (see DESIGN.md section 3).
+//! Runner for experiment E20 (README, "Service mode and fault injection").
 //!
 //! Defaults to the full n = 256 demonstration (1000 consecutive
 //! instances per stream); pass `--n <nodes>` for a different size

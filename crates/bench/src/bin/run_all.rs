@@ -1,5 +1,4 @@
-//! Runs every experiment and prints a combined report — the source of
-//! EXPERIMENTS.md's measured sections.
+//! Runs every experiment and prints a combined report.
 //!
 //! Experiments are independent pure functions, so all but the last three
 //! execute on a [`TrialPool`] (one trial per experiment, on top of each

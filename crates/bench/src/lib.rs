@@ -1,8 +1,9 @@
-//! Experiment harness: one module per experiment in DESIGN.md §3.
+//! Experiment harness: one module per experiment, each checking one
+//! statement of the paper (PAPER.md; [`all`] names the theorem, equation
+//! or section per entry).
 //!
 //! Every experiment is a pure function returning its report as a `String`;
-//! the `exp*` binaries print it, and `run_all` concatenates everything
-//! (this is how EXPERIMENTS.md's measured columns are generated).
+//! `exp <id>` prints one, `run_all` all of them in registry order.
 //! Experiments are fully deterministic: fixed seeds, fixed sweeps — and
 //! since PR 1 they execute their sweeps on [`adn_sim::TrialPool`], which
 //! merges per-trial results in input order, so the parallel reports stay

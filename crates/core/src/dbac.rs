@@ -21,7 +21,7 @@ use crate::{trim, Algorithm};
 ///   bracketed by fault-free values;
 /// * needs `⌊(n+3f)/2⌋ + 1` distinct contributors per phase.
 ///
-/// ## Pseudocode ambiguities resolved (DESIGN.md §5.2–5.3)
+/// ## Pseudocode ambiguities resolved (Alg. 2 against Lemma 6's proof)
 ///
 /// The paper's `RESET()` keeps `R_i[i] = 1` but leaves `R_low`/`R_high`
 /// empty, while the proof of Lemma 6 counts the node's own value among the
@@ -72,7 +72,8 @@ impl Dbac {
 
     /// Creates a node with an explicit termination phase. Experiments use
     /// this because Eq. (6) is astronomically conservative for larger `n`
-    /// (DESIGN.md §5.6).
+    /// (it assumes Thm. 7's worst-case rate `1 − 2⁻ⁿ` in every phase; E06
+    /// measures the real one).
     pub fn with_pend(params: Params, input: Value, pend: u64) -> Self {
         let mut node = Dbac {
             params,

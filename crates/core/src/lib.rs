@@ -80,7 +80,7 @@ mod trim;
 pub use dac::Dac;
 pub use dbac::Dbac;
 pub use full_exchange::FullExchange;
-pub use lanes::{DacLanes, DbacLanes, LanePlane, LANE_WIDTH};
+pub use lanes::{LanePlane, Lanes, LANE_WIDTH};
 pub use piggyback::DbacPiggyback;
 pub use plane::{
     AlgorithmPlane, BoxedPlane, DacPlane, DbacPlane, PlaneShard, RowKernel, RowWalk, StagedWire,

@@ -46,6 +46,15 @@
 //! fabrications may carry any phase and are always fed. The boxed kernel
 //! knows nothing about its node's rules and is always live.
 //!
+//! **Per-link form.** Next to its row kernel each columnar plane keeps
+//! Alg. 1/2's receive rule as a per-link step on the columns (`process`,
+//! behind [`AlgorithmPlane::receive`]). A plane can be built with any
+//! number of slots — `Params` sizes what a slot is, not how many there are
+//! — and [`Lanes`](crate::Lanes) runs up to 64 Monte-Carlo trials on one
+//! plane of `n × 64` slots through that step. Folding the step into the
+//! kernels (load/store per link) was measured at −25 % on the lane
+//! workload, so the two forms stay.
+//!
 //! The boxed plane is the behavioral oracle: the columnar planes must be
 //! observationally **identical** to it under the same delivery order —
 //! `tests/plane_equivalence.rs` fuzzes that contract across adversaries,
@@ -83,10 +92,12 @@ use crate::{trim, Algorithm};
 ///   the live plane mutates as the round delivers;
 /// * [`AlgorithmPlane::receive`], [`AlgorithmPlane::receive_many`] and
 ///   [`AlgorithmPlane::deliver_from_sender`] are the same semantics one
-///   link, one receiver's batch, or one sender's fan-out at a time. They
-///   are **replay-only**: no engine path calls them any more, and they
-///   stay (behaviour unchanged) only until the benchmark's stage replay
-///   is ported to the shard kernels.
+///   link, one receiver's batch, or one sender's fan-out at a time. The
+///   columnar planes' `receive` is their per-link step, which the
+///   trial-lane adaptor ([`Lanes`](crate::Lanes)) runs on every lane; the
+///   other two are **replay-only**: no engine path calls them any more,
+///   and they stay (behaviour unchanged) only until the benchmark's stage
+///   replay is ported to the shard kernels.
 pub trait AlgorithmPlane: fmt::Debug {
     /// Number of node slots (the system size `n`).
     fn n(&self) -> usize;
@@ -139,9 +150,9 @@ pub trait AlgorithmPlane: fmt::Debug {
     /// internal to every algorithm).
     fn deliver_from_sender(&mut self, msg: Message, receivers: &NodeSet, ports: &[Port]);
 
-    /// Replay-only (see the trait docs). Delivers an arbitrary batch to
-    /// one receiver, mirroring `Algorithm::receive` exactly — also the
-    /// per-link reference the shard kernels are fuzzed against.
+    /// Delivers an arbitrary batch to one receiver, mirroring
+    /// `Algorithm::receive` exactly: the per-link step, which the shard
+    /// kernels are fuzzed against and the trial lanes run as it is.
     fn receive(&mut self, receiver: usize, port: Port, batch: &[Message]);
 
     /// Replay-only (see the trait docs). Delivers one round's worth of
@@ -364,6 +375,33 @@ fn assert_shard_bounds(n: usize, bounds: &[usize], shards: usize) {
     );
 }
 
+pub(crate) use self::slots::SlotPlane;
+
+/// Private, so that [`SlotPlane`] can bound the public
+/// [`Lanes`](crate::Lanes) without being nameable outside the crate.
+mod slots {
+    use super::{AlgorithmPlane, Message, Params, Port, Value};
+
+    /// What the trial-lane adaptor needs of a columnar plane beyond
+    /// [`AlgorithmPlane`]: any number of slots, and the per-link step with
+    /// the column views hoisted.
+    pub trait SlotPlane: AlgorithmPlane {
+        /// `LanePlane::name` of the adaptor over this plane.
+        const LANES_NAME: &'static str;
+
+        /// The plane with one slot per input, however many: `params` sizes
+        /// what a slot *is* (port row, quorum, trim lists), `inputs` how
+        /// many there are.
+        fn with_slots(params: Params, inputs: &[Value], pend: u64) -> Self;
+
+        /// The plane's per-link step (its `process`, the one
+        /// [`AlgorithmPlane::receive`] runs) as `(slot, port, message)`,
+        /// with the column views split once for as many links as the
+        /// caller feeds it.
+        fn stepper(&mut self) -> impl FnMut(usize, Port, Message) + '_;
+    }
+}
+
 /// [`Dac`](crate::Dac) in struct-of-arrays layout: one plane holds every
 /// node's phase, value, tracked extrema, port bit row, and contribution
 /// count as flat columns. See [`AlgorithmPlane`] for the equivalence
@@ -404,26 +442,8 @@ impl DacPlane {
     ///
     /// Panics if `inputs.len() != params.n()`.
     pub fn with_pend(params: Params, inputs: &[Value], pend: u64) -> Self {
-        let n = params.n();
-        assert_eq!(inputs.len(), n, "one input per slot");
-        let row_words = n.div_ceil(64);
-        let mut plane = DacPlane {
-            pend,
-            foreign_quorum: (params.dac_quorum() - 1) as u32,
-            row_words,
-            phase: vec![Phase::ZERO; n],
-            value: inputs.to_vec(),
-            vmin: inputs.to_vec(),
-            vmax: inputs.to_vec(),
-            ports_seen: vec![0; n * row_words],
-            seen_count: vec![0; n],
-            output: vec![None; n],
-        };
-        let mut cols = plane.cols();
-        for v in 0..n {
-            cols.maybe_output(v);
-        }
-        plane
+        assert_eq!(inputs.len(), params.n(), "one input per slot");
+        DacPlane::with_slots(params, inputs, pend)
     }
 
     /// The termination phase in effect.
@@ -451,6 +471,38 @@ impl DacPlane {
             seen_count: &mut self.seen_count,
             output: &mut self.output,
         }
+    }
+}
+
+impl SlotPlane for DacPlane {
+    const LANES_NAME: &'static str = "dac-lanes";
+
+    fn with_slots(params: Params, inputs: &[Value], pend: u64) -> Self {
+        let slots = inputs.len();
+        let row_words = params.n().div_ceil(64);
+        let mut plane = DacPlane {
+            pend,
+            foreign_quorum: (params.dac_quorum() - 1) as u32,
+            row_words,
+            phase: vec![Phase::ZERO; slots],
+            value: inputs.to_vec(),
+            vmin: inputs.to_vec(),
+            vmax: inputs.to_vec(),
+            ports_seen: vec![0; slots * row_words],
+            seen_count: vec![0; slots],
+            output: vec![None; slots],
+        };
+        let mut cols = plane.cols();
+        for v in 0..slots {
+            cols.maybe_output(v);
+        }
+        plane
+    }
+
+    // audit: no-alloc
+    fn stepper(&mut self) -> impl FnMut(usize, Port, Message) + '_ {
+        let mut cols = self.cols();
+        move |v, port, msg| cols.process(v, port, msg)
     }
 }
 
@@ -785,30 +837,8 @@ impl DbacPlane {
     ///
     /// Panics if `inputs.len() != params.n()`.
     pub fn with_pend(params: Params, inputs: &[Value], pend: u64) -> Self {
-        let n = params.n();
-        assert_eq!(inputs.len(), n, "one input per slot");
-        let row_words = n.div_ceil(64);
-        let cap = params.dbac_list_len();
-        let mut plane = DbacPlane {
-            pend,
-            foreign_quorum: (params.dbac_quorum() - 1) as u32,
-            row_words,
-            cap,
-            phase: vec![Phase::ZERO; n],
-            value: inputs.to_vec(),
-            ports_seen: vec![0; n * row_words],
-            seen_count: vec![0; n],
-            low: vec![Value::HALF; n * cap],
-            high: vec![Value::HALF; n * cap],
-            sort_scratch: Vec::new(),
-            output: vec![None; n],
-        };
-        let mut cols = plane.cols();
-        for v in 0..n {
-            cols.reset(v);
-            cols.maybe_output(v);
-        }
-        plane
+        assert_eq!(inputs.len(), params.n(), "one input per slot");
+        DbacPlane::with_slots(params, inputs, pend)
     }
 
     /// The termination phase in effect.
@@ -832,6 +862,42 @@ impl DbacPlane {
             high: &mut self.high,
             output: &mut self.output,
         }
+    }
+}
+
+impl SlotPlane for DbacPlane {
+    const LANES_NAME: &'static str = "dbac-lanes";
+
+    fn with_slots(params: Params, inputs: &[Value], pend: u64) -> Self {
+        let slots = inputs.len();
+        let row_words = params.n().div_ceil(64);
+        let cap = params.dbac_list_len();
+        let mut plane = DbacPlane {
+            pend,
+            foreign_quorum: (params.dbac_quorum() - 1) as u32,
+            row_words,
+            cap,
+            phase: vec![Phase::ZERO; slots],
+            value: inputs.to_vec(),
+            ports_seen: vec![0; slots * row_words],
+            seen_count: vec![0; slots],
+            low: vec![Value::HALF; slots * cap],
+            high: vec![Value::HALF; slots * cap],
+            sort_scratch: Vec::new(),
+            output: vec![None; slots],
+        };
+        let mut cols = plane.cols();
+        for v in 0..slots {
+            cols.reset(v);
+            cols.maybe_output(v);
+        }
+        plane
+    }
+
+    // audit: no-alloc
+    fn stepper(&mut self) -> impl FnMut(usize, Port, Message) + '_ {
+        let mut cols = self.cols();
+        move |v, port, msg| cols.process(v, port, msg)
     }
 }
 

@@ -5,7 +5,9 @@
 //! least `D` distinct neighbors, aggregated across the window. The checker
 //! runs over a recorded [`Schedule`] — typically the *realized delivery*
 //! schedule logged by the simulator, so that links from crashed senders
-//! (which deliver nothing) are correctly not counted (DESIGN.md §5.1).
+//! (which deliver nothing) are correctly not counted (Definition 1
+//! counts links that deliver; README, "The adversary gallery":
+//! live-sender discipline).
 //!
 //! Complete executions are infinite in the paper; a recording is finite, so
 //! the checker quantifies over all *full* windows that fit in the recording

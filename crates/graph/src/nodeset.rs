@@ -305,6 +305,26 @@ impl NodeSet {
         self.words[wi]
     }
 
+    /// Overwrites the `wi`-th bit word (see [`NodeSet::words`]) — the
+    /// bulk writer for callers that already hold 64 membership bits as a
+    /// word (the trial-lane adaptor: word `v` of a set over `n × 64` slots
+    /// is node `v`'s lane word).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wi >= n.div_ceil(64)` or `word` has a bit at or beyond
+    /// `n` set — those bits stay zero, every other method relies on it.
+    #[inline]
+    pub fn set_word(&mut self, wi: usize, word: u64) {
+        let used = self.n.saturating_sub(wi * 64);
+        assert!(
+            used >= 64 || word >> used == 0,
+            "word {wi} has bits at or beyond n = {}",
+            self.n
+        );
+        self.words[wi] = word;
+    }
+
     /// Mutable access to the backing words for bulk writers inside the
     /// crate (the bit-matrix transpose). Callers must keep bits at or
     /// beyond `n` zero — every public invariant relies on it.
@@ -646,6 +666,22 @@ mod tests {
         assert_eq!(s.scan_from(131, |_| false), Some(NodeId::new(199)));
         assert_eq!(s.scan_from(200, |_| false), None);
         assert_eq!(s.scan_from(1_000, |_| false), None);
+    }
+
+    #[test]
+    fn set_word_overwrites_and_rejects_bits_beyond_n() {
+        let mut s = NodeSet::from_ids(70, ids(&[1, 64]));
+        s.set_word(0, u64::MAX);
+        s.set_word(1, 0b10_0000);
+        assert_eq!(s.len(), 65);
+        assert!(s.contains(NodeId::new(69)) && !s.contains(NodeId::new(64)));
+        // Bits 70.. of word 1, and any word past the last, are refused.
+        for (wi, word) in [(1, 1 << 6), (1, u64::MAX), (2, 1), (2, 0)] {
+            let mut t = s.clone();
+            let refused = std::panic::catch_unwind(move || t.set_word(wi, word));
+            assert!(refused.is_err(), "word {wi} = {word:#x} accepted");
+        }
+        assert_eq!(s.len(), 65, "a refused write leaves the set alone");
     }
 
     #[test]

@@ -8,8 +8,7 @@
 
 use adn_core::baseline::{Bac, LocalAverager, MinFlood, ReliableAc, TrimmedLocalAverager};
 use adn_core::{
-    Algorithm, AlgorithmFactory, Dac, DacLanes, DacPlane, Dbac, DbacLanes, DbacPiggyback,
-    DbacPlane, FullExchange,
+    Algorithm, AlgorithmFactory, Dac, DacPlane, Dbac, DbacPiggyback, DbacPlane, FullExchange, Lanes,
 };
 use adn_types::Params;
 
@@ -45,7 +44,7 @@ pub fn dac_with_pend(params: Params, pend: u64) -> AlgorithmFactory {
         move |inputs| Box::new(DacPlane::with_pend(params, inputs, pend)),
     )
     .with_lanes(lane_key(1, params, pend), move |inputs| {
-        Box::new(DacLanes::with_pend(params, inputs, pend))
+        Box::new(Lanes::<DacPlane>::with_pend(params, inputs, pend))
     })
 }
 
@@ -63,7 +62,7 @@ pub fn dbac_with_pend(params: Params, pend: u64) -> AlgorithmFactory {
         move |inputs| Box::new(DbacPlane::with_pend(params, inputs, pend)),
     )
     .with_lanes(lane_key(2, params, pend), move |inputs| {
-        Box::new(DbacLanes::with_pend(params, inputs, pend))
+        Box::new(Lanes::<DbacPlane>::with_pend(params, inputs, pend))
     })
 }
 

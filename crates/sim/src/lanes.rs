@@ -7,10 +7,11 @@
 //! driver cost — buffers, adversary view, delivery walk, observer —
 //! once per trial. [`LaneRun`] pays it once per *round across all
 //! trials*: the per-trial algorithm state lives in an
-//! [`adn_core::LanePlane`] (bit `t` of every lane word is trial `t`),
-//! the per-trial links in an [`adn_graph::LaneLinks`] word per directed
-//! link, and one receiver-major walk delivers every live trial of a
-//! link in a single plane call.
+//! [`adn_core::LanePlane`] (one columnar plane of `n × 64` slots; bit `t`
+//! of every lane word is trial `t`), the per-trial links in an
+//! [`adn_graph::LaneLinks`] word per directed link, and one
+//! receiver-major walk delivers every live trial of a link in a single
+//! plane call.
 //!
 //! Trials whose configuration cannot lane (Byzantine fabrication, event
 //! recording, a factory without a lane plane, `PlaneMode::Never`,
@@ -33,10 +34,11 @@ use crate::builder::{PlaneMode, SimBuilder};
 use crate::engine::DeliveryOrder;
 use crate::outcome::StopReason;
 
-/// Node-count cap of the lane path: the per-(receiver, port) dedup words
-/// and the lane link words are dense `n²` slabs (8 MB each at the cap),
-/// and trial-lane sweeps are a small-`n`, many-seeds workload. Larger
-/// configurations fall back to scalar trials.
+/// Node-count cap of the lane path: the plane's port rows
+/// (`n · 64` slots × `⌈n/64⌉` words) and the lane link words (`n²`) are
+/// dense slabs, 8 MB each at the cap, and trial-lane sweeps are a
+/// small-`n`, many-seeds workload. Larger configurations fall back to
+/// scalar trials.
 pub const MAX_LANE_N: usize = 1024;
 
 /// One trial's result as harvested from a lane (or scalar-fallback) run —

@@ -15,7 +15,8 @@ pub enum StopReason {
     AllOutput,
     /// The observer's oracle noticed the fault-free value range dropped to
     /// the configured threshold (used to measure convergence independently
-    /// of the conservative paper `pend`, DESIGN.md §5.6).
+    /// of the paper's `pend`, which is an upper bound: Eq. (6) assumes the
+    /// worst-case rate `1 − 2⁻ⁿ` of Thm. 7).
     RangeConverged,
     /// The round cap was hit first — the execution is considered
     /// **blocked** (this is the expected verdict in the impossibility

@@ -1,12 +1,13 @@
 //! A small, deterministic, seedable RNG used everywhere randomness is
 //! needed in the simulator.
 //!
-//! Determinism is a hard requirement of the execution substrate (§5.7 of
-//! DESIGN.md): the same seed must always replay the identical execution, on
-//! any platform. We therefore avoid thread-local or hardware entropy and
-//! route *all* randomness through [`SplitMix64`] (Steele, Lea & Flood 2014),
-//! a tiny full-period generator that is more than adequate for workload and
-//! topology sampling (it is not, and need not be, cryptographic).
+//! Determinism is a hard requirement of the execution substrate (README,
+//! "Verify": `run_all` is byte-identical run to run): the same seed must
+//! always replay the identical execution, on any platform. We therefore
+//! avoid thread-local or hardware entropy and route *all* randomness
+//! through [`SplitMix64`] (Steele, Lea & Flood 2014), a tiny full-period
+//! generator that is more than adequate for workload and topology sampling
+//! (it is not, and need not be, cryptographic).
 
 /// Deterministic 64-bit generator with split-off substreams.
 ///

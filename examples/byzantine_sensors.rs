@@ -33,7 +33,7 @@ fn main() -> Result<(), anondyn::types::Error> {
         // Eq. (6) pend for n = 11 is ~3200 phases; perfectly runnable, but
         // the oracle shows convergence is far faster in practice. We run
         // the real termination rule with a tighter, still-safe pend for
-        // the demo (see EXPERIMENTS.md E06 for the full-bound runs).
+        // the demo (E06, `exp 6`, has the full-bound runs).
         .algorithm(factories::dbac_with_pend(params, 60))
         .run();
 

@@ -1,7 +1,8 @@
 //! Property tests: every guarantee-preserving adversary actually delivers
 //! the (T, D)-dynaDegree it promises on the *realized* schedule, including
 //! in the presence of crashed and silent-Byzantine senders (the live-sender
-//! discipline of DESIGN.md §5.1).
+//! discipline of README, "The adversary gallery": Definition 1 counts
+//! links that deliver, so links are drawn from the round's deliverers).
 //!
 //! Randomized cases are driven by the workspace's own deterministic
 //! [`SplitMix64`] stream (the container builds offline, so no proptest).

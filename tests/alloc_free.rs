@@ -11,9 +11,15 @@
 //! exists, a full sweep across a recording allocates nothing.
 //!
 //! This file contains exactly one `#[test]` so no concurrent test can
-//! pollute the allocation counter.
+//! pollute the allocation counter. The counter is split by thread class —
+//! the thread that steps, and every other thread (the shard pool's
+//! workers; the test harness) — and each window asserts both at zero and
+//! names the one that moved. Every cell is built right before its own
+//! warm-up, so whatever a freshly spawned worker thread allocates on its
+//! way up lands in that cell's warm-up, not in an earlier cell's window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use anondyn::faults::colluding::{Coalition, Plan};
@@ -28,14 +34,27 @@ use anondyn::types::rng::SplitMix64;
 
 struct CountingAllocator;
 
+/// Allocations of all threads together.
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
-// SAFETY: a pure pass-through to `System` plus a relaxed counter bump —
+thread_local! {
+    /// Allocations of this thread. `const`-initialized and without a
+    /// destructor: no lazy init and no teardown, so reading it from inside
+    /// the allocator can neither allocate nor meet a dead slot.
+    static THREAD_ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    THREAD_ALLOCATIONS.with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: a pure pass-through to `System` plus two counter bumps —
 // every `GlobalAlloc` contract obligation (layout fit, pointer
 // provenance) is delegated unchanged to the system allocator.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: `layout` is forwarded verbatim from our own caller, who
         // upholds `GlobalAlloc::alloc`'s preconditions.
         unsafe { System.alloc(layout) }
@@ -48,7 +67,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: `ptr`/`layout`/`new_size` are forwarded verbatim from a
         // caller upholding `GlobalAlloc::realloc`'s preconditions.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -58,8 +77,32 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-fn allocations() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
+/// A measured window, opened by the thread that then does the stepping.
+struct Window {
+    here: usize,
+    all: usize,
+}
+
+impl Window {
+    fn open() -> Window {
+        Window {
+            here: THREAD_ALLOCATIONS.with(Cell::get),
+            all: ALLOCATIONS.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Asserts that nothing was allocated since `open`, by either thread
+    /// class; `what` names the cell and the work done.
+    fn assert_none(self, what: std::fmt::Arguments<'_>) {
+        let now = Window::open();
+        let here = now.here - self.here;
+        let elsewhere = now.all - self.all - here;
+        assert!(
+            here == 0 && elsewhere == 0,
+            "{what} allocated: {here} allocation(s) on the stepping thread, {elsewhere} on \
+             other threads (shard-pool workers or the test harness)"
+        );
+    }
 }
 
 fn lean_dac(n: usize, mode: PlaneMode, order: DeliveryOrder) -> Simulation {
@@ -188,74 +231,65 @@ fn steady_state_step_performs_zero_allocations() {
     // boxed cells, and the `sparse` ones below the same routine over the
     // other row kind. ---
     use DeliveryOrder::{AscendingSenders, DescendingSenders, Shuffled};
-    for (name, mut sim) in [
-        (
-            "dac/plane",
-            lean_dac(32, PlaneMode::Always, AscendingSenders),
-        ),
+    type Build = fn() -> Simulation;
+    let cells: [(&str, Build); 16] = [
+        ("dac/plane", || {
+            lean_dac(32, PlaneMode::Always, AscendingSenders)
+        }),
         // The benchmark's size: 16-word rows, an 8 MB port table — and no
         // second one (the transpose assertion below).
-        (
-            "dac/plane/1024",
-            lean_dac(1024, PlaneMode::Always, AscendingSenders),
-        ),
-        (
-            "dac/trait",
-            lean_dac(32, PlaneMode::Never, AscendingSenders),
-        ),
-        (
-            "dac/plane/desc",
-            lean_dac(32, PlaneMode::Always, DescendingSenders),
-        ),
-        (
-            "dac/plane/shuffled",
-            lean_dac(32, PlaneMode::Always, Shuffled(7)),
-        ),
-        (
-            "dac/trait/shuffled",
-            lean_dac(32, PlaneMode::Never, Shuffled(7)),
-        ),
-        (
-            "dac/plane/quantized",
-            lean_dac_quantized(32, PlaneMode::Always),
-        ),
-        (
-            "dbac/plane",
-            lean_dbac(32, PlaneMode::Always, AscendingSenders),
-        ),
-        (
-            "dbac/trait",
-            lean_dbac(32, PlaneMode::Never, AscendingSenders),
-        ),
-        (
-            "dbac/plane/shuffled",
-            lean_dbac(32, PlaneMode::Always, Shuffled(7)),
-        ),
-        ("dbac/piggyback", lean_dbac_piggyback(32)),
+        ("dac/plane/1024", || {
+            lean_dac(1024, PlaneMode::Always, AscendingSenders)
+        }),
+        ("dac/trait", || {
+            lean_dac(32, PlaneMode::Never, AscendingSenders)
+        }),
+        ("dac/plane/desc", || {
+            lean_dac(32, PlaneMode::Always, DescendingSenders)
+        }),
+        ("dac/plane/shuffled", || {
+            lean_dac(32, PlaneMode::Always, Shuffled(7))
+        }),
+        ("dac/trait/shuffled", || {
+            lean_dac(32, PlaneMode::Never, Shuffled(7))
+        }),
+        ("dac/plane/quantized", || {
+            lean_dac_quantized(32, PlaneMode::Always)
+        }),
+        ("dbac/plane", || {
+            lean_dbac(32, PlaneMode::Always, AscendingSenders)
+        }),
+        ("dbac/trait", || {
+            lean_dbac(32, PlaneMode::Never, AscendingSenders)
+        }),
+        ("dbac/plane/shuffled", || {
+            lean_dbac(32, PlaneMode::Always, Shuffled(7))
+        }),
+        ("dbac/piggyback", || lean_dbac_piggyback(32)),
         // DBAC under real Byzantine senders, where the trim lists and the
         // strategies' once-per-round facts do their work.
-        (
-            "dbac/plane/byz",
-            lean_dbac_byz(PlaneMode::Always, stock_strategies()),
-        ),
-        (
-            "dbac/trait/byz",
-            lean_dbac_byz(PlaneMode::Never, stock_strategies()),
-        ),
-        (
-            "dbac/plane/byz/straddle",
+        ("dbac/plane/byz", || {
+            lean_dbac_byz(PlaneMode::Always, stock_strategies())
+        }),
+        ("dbac/trait/byz", || {
+            lean_dbac_byz(PlaneMode::Never, stock_strategies())
+        }),
+        ("dbac/plane/byz/straddle", || {
             lean_dbac_byz(
                 PlaneMode::Always,
                 Coalition::build(Plan::Straddle, (56..64).map(NodeId::new).collect()),
-            ),
-        ),
+            )
+        }),
         // The sparse link plane: row-kind rows + receiver-major delivery,
         // single-shard and sharded. The sharded case pins the whole
         // per-round fan-out — column split, worker handoff (futex-based
-        // mutex/condvar, no heap), per-shard traffic merge.
-        ("dac/sparse", lean_dac_sparse(32, 1)),
-        ("dac/sparse/sharded", lean_dac_sparse(32, 3)),
-    ] {
+        // mutex/condvar, no heap), per-shard traffic merge. Its worker
+        // threads start here, inside its own warm-up.
+        ("dac/sparse", || lean_dac_sparse(32, 1)),
+        ("dac/sparse/sharded", || lean_dac_sparse(32, 3)),
+    ];
+    for (name, build) in cells {
+        let mut sim = build();
         assert_eq!(
             sim.uses_plane(),
             name.contains("plane") || name.contains("sparse"),
@@ -270,17 +304,11 @@ fn steady_state_step_performs_zero_allocations() {
             sim.step();
         }
         let caps = sim.buffers().batch_capacities();
-        let before = allocations();
+        let window = Window::open();
         for _ in 0..30 {
             sim.step();
         }
-        let after = allocations();
-        assert_eq!(
-            after - before,
-            0,
-            "{name}: steady-state step allocated ({} allocations over 30 rounds)",
-            after - before
-        );
+        window.assert_none(format_args!("{name}: 30 steady-state steps"));
         assert_eq!(
             sim.buffers().batch_capacities(),
             caps,
@@ -325,17 +353,11 @@ fn steady_state_step_performs_zero_allocations() {
         for _ in 0..70 {
             run.step();
         }
-        let before = allocations();
+        let window = Window::open();
         for _ in 0..30 {
             run.step();
         }
-        let after = allocations();
-        assert_eq!(
-            after - before,
-            0,
-            "{name}: steady-state lane step allocated ({} allocations over 30 rounds)",
-            after - before
-        );
+        window.assert_none(format_args!("{name}: 30 steady-state lane steps"));
         assert_eq!(run.live(), u64::MAX, "{name}: all 64 lanes must still run");
     }
 
@@ -383,17 +405,11 @@ fn steady_state_step_performs_zero_allocations() {
         for _ in 0..70 {
             sim.step();
         }
-        let before = allocations();
+        let window = Window::open();
         for _ in 0..30 {
             sim.step();
         }
-        let after = allocations();
-        assert_eq!(
-            after - before,
-            0,
-            "{spec}: steady-state step allocated ({} allocations over 30 rounds)",
-            after - before
-        );
+        window.assert_none(format_args!("{spec}: 30 steady-state steps"));
     }
 
     // --- Service-mode instance turnover: between consecutive consensus
@@ -444,18 +460,12 @@ fn steady_state_step_performs_zero_allocations() {
         for _ in 0..10 {
             service.run_instance();
         }
-        let before = allocations();
+        let window = Window::open();
         for _ in 0..20 {
             let rec = service.run_instance();
             assert!(rec.outcome.is_decided(), "{name}: instance must decide");
         }
-        let after = allocations();
-        assert_eq!(
-            after - before,
-            0,
-            "{name}: steady-state instance turnover allocated ({} allocations over 20 instances)",
-            after - before
-        );
+        window.assert_none(format_args!("{name}: 20 steady-state instance turnovers"));
         assert_eq!(service.decided_instances(), 30, "{name}");
     }
     // The same pin at the E20 scale point (n = 256, the service
@@ -484,7 +494,7 @@ fn steady_state_step_performs_zero_allocations() {
     for _ in 0..4 {
         service.run_instance();
     }
-    let before = allocations();
+    let window = Window::open();
     for _ in 0..4 {
         let rec = service.run_instance();
         assert!(
@@ -492,13 +502,9 @@ fn steady_state_step_performs_zero_allocations() {
             "service/n256: instance must decide"
         );
     }
-    let after = allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "service/n256: steady-state instance turnover allocated ({} allocations over 4 instances)",
-        after - before
-    );
+    window.assert_none(format_args!(
+        "service/n256: 4 steady-state instance turnovers"
+    ));
 
     // --- The sliding-window dynaDegree checker. Setup (the recording,
     // the WindowUnion scratch, the honest set) allocates; the sweep
@@ -517,20 +523,14 @@ fn steady_state_step_performs_zero_allocations() {
     // narrower window reuse it allocation-free.
     let warm = checker::max_dyna_degree_into(&mut scratch, &schedule, 32, &honest);
     checker::max_dyna_degree_into(&mut scratch, &schedule, 100, &honest);
-    let before = allocations();
+    let window = Window::open();
     // Covers both scan paths: block decomposition (T ≤ 64) and the
     // counter-slide fallback (T = 100).
     for t_window in [1usize, 8, 32, 100] {
         let got = checker::max_dyna_degree_into(&mut scratch, &schedule, t_window, &honest);
         assert!(got.is_some(), "T={t_window}: a full window must fit");
     }
-    let after = allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "sliding checker allocated ({} allocations over 4 sweeps)",
-        after - before
-    );
+    window.assert_none(format_args!("sliding checker: 4 sweeps"));
     assert_eq!(
         checker::max_dyna_degree_into(&mut scratch, &schedule, 32, &honest),
         warm,
