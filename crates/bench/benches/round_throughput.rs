@@ -29,6 +29,13 @@
 //! omission link builders show up here, not just in the two
 //! engine-dominated cases.
 //!
+//! The **`dac_rotating_quarter`** cases (n = 256 and 1024, plane, lean)
+//! are the paper's `T > 1` regime: a rotating window of `n/4` senders is
+//! below DAC's quorum, so a receiver gathers it over several rounds and
+//! its seen row stays dirty from one round to the next — the duplicate
+//! test does its work here, which no complete-graph case (one phase per
+//! round, every row reset) ever asks of it.
+//!
 //! The **order/wire** cases (`dac_shuffled`, `dac_quantized`, each with a
 //! `_trait` reference, at n ≥ 256) track the permutation-aware plane:
 //! shuffled-order delivery walking each receiver's senders through the
@@ -116,6 +123,29 @@ fn main() {
                         .algorithm_plane(case.plane())
                         .record_schedule(case.record())
                         .observe_phases(case.record())
+                        .max_rounds(u64::MAX)
+                        .build()
+                },
+                |sim| {
+                    for _ in 0..BATCH {
+                        sim.step();
+                    }
+                },
+            );
+        }
+
+        if matches!(n, 256 | 1024) {
+            r.bench_batched(
+                &format!("dac_rotating_quarter/{n}"),
+                BATCH,
+                || {
+                    Simulation::builder(params)
+                        .inputs_random(1)
+                        .adversary(AdversarySpec::Rotating { d: n / 4 }.build(n, 0, 1))
+                        .algorithm(factories::dac_with_pend(params, u64::MAX))
+                        .algorithm_plane(PlaneMode::Always)
+                        .record_schedule(false)
+                        .observe_phases(false)
                         .max_rounds(u64::MAX)
                         .build()
                 },

@@ -76,6 +76,7 @@ pub mod lanes;
 mod piggyback;
 pub mod plane;
 mod trim;
+pub mod wire;
 
 pub use dac::Dac;
 pub use dbac::Dbac;
@@ -86,6 +87,7 @@ pub use plane::{
     AlgorithmPlane, BoxedPlane, DacPlane, DbacPlane, PlaneShard, RowKernel, RowWalk, StagedWire,
     MAX_PLANE_SHARDS,
 };
+pub use wire::{WireAt, WireIndex, MAX_WIRE_PHASES};
 
 use std::fmt;
 

@@ -30,11 +30,34 @@
 //! each receiver runs that receiver's senders, in the round's order,
 //! through a [`RowKernel`] ([`PlaneShard::deliver_row`]). A columnar kernel
 //! loads the receiver's phase, extrema or trim lists, contribution count
-//! and port-bit row into locals once, applies every link to the locals,
-//! and stores everything back once; the boxed kernel forwards each link's
+//! and seen row into locals once, applies every link to the locals, and
+//! stores everything back once; the boxed kernel forwards each link's
 //! staged batch to `Algorithm::receive`. The kernel type is chosen by one
 //! `match` per receiver and the engine's walk ([`RowWalk`]) is
 //! monomorphized over it, so a columnar link pays no virtual call.
+//!
+//! **The sender key.** `R_i` — the set of ports a node has counted in its
+//! phase — is only ever tested for distinctness, and §II-A's numbering is
+//! a static bijection between a receiver's ports and its senders: "ports
+//! seen" and "senders seen" are one set under a relabelling no algorithm
+//! can observe. The engine therefore keys the columnar kernels' seen rows
+//! by **sender id** — no port lookup, and bit `u` of a receiver's seen row
+//! lines up with bit `u` of its link row — while the boxed plane, the
+//! oracle, keeps real ports (see [`RowKernel`] for the contract, and
+//! [`AlgorithmPlane::receive`] for the callers that bring their own key).
+//!
+//! **The word step.** Of the three questions Alg. 1 asks of a link — is
+//! the sender ahead, is it in my phase, have I counted it — the first two
+//! are properties of the sender within a round, so the engine answers them
+//! once per round in a [`WireIndex`], and the DAC kernel takes a
+//! receiver's honest links 64 senders per step ([`RowKernel::word`]):
+//! `row ∧ same-phase ∧ ¬seen` are the new contributions, a popcount counts
+//! them, a fully covered word folds into the extrema with two compares,
+//! and the first sender ahead or the quorum-completing link — whichever
+//! bit comes first — ends the stretch exactly where the per-link loop
+//! would have. DBAC keeps its per-link kernel (its trim lists need every
+//! value), as do boxed nodes, the permuted delivery orders and logged
+//! runs.
 //!
 //! **The stale-link stop.** Within a round every honest link carries a
 //! start-of-round snapshot, so its phase is at most the round's maximum
@@ -48,7 +71,9 @@
 //!
 //! **Per-link form.** Next to its row kernel each columnar plane keeps
 //! Alg. 1/2's receive rule as a per-link step on the columns (`process`,
-//! behind [`AlgorithmPlane::receive`]). A plane can be built with any
+//! behind [`AlgorithmPlane::receive`]) — so Alg. 1 is written three times
+//! (boxed `Dac`, `process`, and the row kernel, whose `link` and `word`
+//! share one same-phase / jump / advance body), not four. A plane can be built with any
 //! number of slots — `Params` sizes what a slot is, not how many there are
 //! — and [`Lanes`](crate::Lanes) runs up to 64 Monte-Carlo trials on one
 //! plane of `n × 64` slots through that step. Folding the step into the
@@ -65,7 +90,7 @@ use std::fmt;
 use adn_graph::NodeSet;
 use adn_types::{Batch, Message, Params, Phase, Port, Value};
 
-use crate::{trim, Algorithm};
+use crate::{trim, Algorithm, WireIndex};
 
 /// The state of one algorithm across **all** `n` node slots — the
 /// engine's state backend (see [the module docs](self) for the three
@@ -90,6 +115,14 @@ use crate::{trim, Algorithm};
 ///   start-of-round snapshot of the [`phases`](AlgorithmPlane::phases) /
 ///   [`values`](AlgorithmPlane::values) columns, which stays correct while
 ///   the live plane mutates as the round delivers;
+/// * a plane tells a receiver's links apart by the `port` each arrives
+///   under and asks of it only that distinct senders bring distinct ones
+///   (see [`RowKernel`]). A seen row is consistent under **one** such
+///   labelling: whoever drives a plane instance picks one and uses it on
+///   every path into that instance. The engine keys its columnar planes by
+///   sender id (kernels only); the callers of
+///   [`AlgorithmPlane::receive`] — the trial lanes, the benchmark's stage
+///   replay — key their own instances by real ports;
 /// * [`AlgorithmPlane::receive`], [`AlgorithmPlane::receive_many`] and
 ///   [`AlgorithmPlane::deliver_from_sender`] are the same semantics one
 ///   link, one receiver's batch, or one sender's fan-out at a time. The
@@ -232,7 +265,25 @@ pub struct StagedWire<'a> {
 /// columnar kernels hold the receiver's columns in locals, apply every
 /// link of the round to them, and store them back when the walk returns;
 /// the boxed kernel is the receiver's state machine itself.
+///
+/// # The key
+///
+/// A kernel tells a receiver's links apart by the `key` each arrives
+/// with, and needs of it only what Alg. 1/2 need of a port: distinct
+/// senders have distinct keys at one receiver, for the whole execution.
+/// §II-A's port numbering is such a labelling — a static per-receiver
+/// bijection — and so is the sender id itself; `R_i` only ever tests its
+/// members for distinctness, so which of the two a seen row is kept under
+/// cannot be observed. The engine keys the columnar kernels **by sender
+/// id** (no port lookup, and a row's links line up with its seen row bit
+/// for bit, which is what [`RowKernel::word`] runs on) and the boxed
+/// kernel by the receiver's real ports. One plane instance, one key: every
+/// path into a kernel of the same plane must use the same labelling.
 pub trait RowKernel {
+    /// Whether the kernel takes its receiver's honest links 64 senders at
+    /// a time ([`RowKernel::word`]). Such a kernel is keyed by sender id.
+    const WORDS: bool = false;
+
     /// Whether an **honest** link of this round can still change this
     /// receiver: it has not decided and its phase has not passed the
     /// round's maximum wire phase. Once `false` it stays `false` for the
@@ -242,25 +293,40 @@ pub trait RowKernel {
     /// link is metered as one message); the boxed kernel never does.
     fn live(&self) -> bool;
 
-    /// One single-message link: `(phase, value)` heard on `port`. Exact
-    /// for any message, whatever [`RowKernel::live`] says.
-    fn link(&mut self, port: Port, phase: Phase, value: Value);
+    /// One single-message link: `(phase, value)` arriving under `key`.
+    /// Exact for any message, whatever [`RowKernel::live`] says.
+    fn link(&mut self, key: Port, phase: Phase, value: Value);
 
-    /// An honest link: `sender`'s staged broadcast heard on `port`.
+    /// An honest link: `sender`'s staged broadcast arriving under `key`.
     /// Returns the number of messages it carried. The default is the
     /// single-message kernels': the two wire columns, one message.
     #[inline(always)]
-    fn staged(&mut self, port: Port, sender: usize, wire: &StagedWire<'_>) -> usize {
-        self.link(port, wire.phase[sender], wire.value[sender]);
+    fn staged(&mut self, key: Port, sender: usize, wire: &StagedWire<'_>) -> usize {
+        self.link(key, wire.phase[sender], wire.value[sender]);
         1
     }
 
-    /// An arbitrary (fabricated) batch heard on `port`, resolved as
+    /// An arbitrary (fabricated) batch arriving under `key`, resolved as
     /// `Algorithm::receive` resolves it. May reorder `batch`.
     #[inline(always)]
-    fn batch(&mut self, port: Port, batch: &mut [Message]) {
+    fn batch(&mut self, key: Port, batch: &mut [Message]) {
         for m in batch.iter() {
-            self.link(port, m.phase(), m.value());
+            self.link(key, m.phase(), m.value());
+        }
+    }
+
+    /// Up to 64 honest links at once: the senders `w * 64 + b` for every
+    /// set bit `b` of `bits`, all of them in `index`, in ascending order —
+    /// observably the same as [`RowKernel::staged`] under key `w * 64 + b`
+    /// for each in turn. Only called on kernels that declare
+    /// [`RowKernel::WORDS`]; the default is that per-link loop.
+    #[inline]
+    fn word(&mut self, w: usize, mut bits: u64, wire: &StagedWire<'_>, index: &WireIndex) {
+        let _ = index;
+        while bits != 0 {
+            let u = w * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            self.staged(Port::new(u), u, wire);
         }
     }
 }
@@ -300,6 +366,13 @@ impl PlaneShard<'_> {
     /// First receiver this shard owns.
     pub fn base(&self) -> usize {
         self.base
+    }
+
+    /// Whether this shard's kernels take honest links a word at a time
+    /// ([`RowKernel::WORDS`]) — whether a wire index is worth building
+    /// for the round.
+    pub fn takes_words(&self) -> bool {
+        matches!(self.repr, ShardRepr::Dac(_))
     }
 
     /// Runs `walk` over the kernel of `receiver` (a **global** slot index
@@ -403,8 +476,9 @@ mod slots {
 }
 
 /// [`Dac`](crate::Dac) in struct-of-arrays layout: one plane holds every
-/// node's phase, value, tracked extrema, port bit row, and contribution
-/// count as flat columns. See [`AlgorithmPlane`] for the equivalence
+/// node's phase, value, tracked extrema, seen row (`R_i` as a bit row,
+/// under whichever key the plane is driven with), and contribution count
+/// as flat columns. See [`AlgorithmPlane`] for the equivalence
 /// contract and [the module docs](self) for why.
 #[derive(Debug, Clone)]
 pub struct DacPlane {
@@ -660,44 +734,133 @@ impl DacRow<'_> {
             self.reset();
         }
     }
+
+    /// The same-phase case of Alg. 1 for `count` links at once: the keys
+    /// `new` of seen-row word `w`, none of them seen before, whose values
+    /// span `lo..=hi` — counted, folded into the extrema, and the phase
+    /// advanced if they complete the quorum. `link` absorbs one key,
+    /// `word` a stretch of a word.
+    #[inline(always)]
+    fn absorb(&mut self, w: usize, new: u64, count: u32, lo: Value, hi: Value) {
+        self.ports_seen[w] |= new;
+        self.seen += count;
+        if lo < self.vmin {
+            self.vmin = lo;
+        }
+        if hi > self.vmax {
+            self.vmax = hi;
+        }
+        if self.seen >= self.foreign_quorum {
+            self.try_advance();
+        }
+    }
+
+    /// The jump case of Alg. 1: a sender ahead, adopted wholesale.
+    #[inline(always)]
+    fn jump(&mut self, phase: Phase, value: Value) {
+        self.value = value;
+        self.phase = phase;
+        self.reset();
+        self.try_advance();
+    }
+}
+
+/// The bits of a word below bit `b < 64`.
+#[inline(always)]
+fn below(b: u32) -> u64 {
+    (1 << b) - 1
+}
+
+/// The bits of a word up to and including bit `b < 64`.
+#[inline(always)]
+fn through(b: u32) -> u64 {
+    u64::MAX >> (63 - b)
+}
+
+/// The `k` lowest set bits of `bits` (all of them if it has no more).
+#[inline]
+fn lowest(bits: u64, k: u32) -> u64 {
+    if bits.count_ones() <= k {
+        return bits;
+    }
+    // The shortest prefix of the word holding `k` set bits: at most 63
+    // long, since the highest set bit is not among them.
+    let (mut short, mut long) = (0, 63);
+    while short < long {
+        let mid = (short + long) / 2;
+        if (bits & below(mid)).count_ones() >= k {
+            long = mid;
+        } else {
+            short = mid + 1;
+        }
+    }
+    bits & below(short)
 }
 
 impl RowKernel for DacRow<'_> {
+    const WORDS: bool = true;
+
     #[inline(always)]
     fn live(&self) -> bool {
         self.phase.as_u64() < self.live_below
     }
 
     #[inline(always)]
-    fn link(&mut self, port: Port, phase: Phase, value: Value) {
+    fn link(&mut self, key: Port, phase: Phase, value: Value) {
         let p = self.phase;
         if p.as_u64() >= self.pend {
             return;
         }
         if phase == p {
-            let (w, b) = (port.index() / 64, port.index() % 64);
-            let word = &mut self.ports_seen[w];
-            if *word & (1 << b) != 0 {
-                return;
-            }
-            *word |= 1 << b;
-            self.seen += 1;
-            if value < self.vmin {
-                self.vmin = value;
-            } else if value > self.vmax {
-                self.vmax = value;
-            }
-            if self.seen < self.foreign_quorum {
-                return;
+            let (w, bit) = (key.index() / 64, 1 << (key.index() % 64));
+            if self.ports_seen[w] & bit == 0 {
+                self.absorb(w, bit, 1, value, value);
             }
         } else if phase > p {
-            self.value = value;
-            self.phase = phase;
-            self.reset();
-        } else {
-            return;
+            self.jump(phase, value);
         }
-        self.try_advance();
+    }
+
+    /// Alg. 1 over a word of honest links, in bit order: everything below
+    /// the first sender ahead is a same-phase stretch (`row ∧ same ∧
+    /// ¬seen` are its new links), which the quorum-completing link ends
+    /// early; either event moves the phase, and what is left of the word
+    /// is looked at again from there.
+    #[inline(always)]
+    fn word(&mut self, w: usize, mut bits: u64, wire: &StagedWire<'_>, index: &WireIndex) {
+        while bits != 0 && self.phase.as_u64() < self.pend {
+            let at = index.locate(self.phase);
+            let ahead = bits & index.ahead(at, w);
+            let stretch = match ahead {
+                0 => bits,
+                _ => bits & below(ahead.trailing_zeros()),
+            };
+            let same = index.same(at, w);
+            // The quorum-completing link ends the stretch: only the new
+            // links up to it count. (`foreign_quorum` 0 advances on any.)
+            let need = self.foreign_quorum.saturating_sub(self.seen).max(1);
+            let new = stretch & same & !self.ports_seen[w];
+            let (new, count) = match new.count_ones() {
+                found if found > need => (lowest(new, need), need),
+                found => (new, found),
+            };
+            if new != 0 {
+                let (lo, hi) = index.extrema_of(at, w, new, wire.value);
+                self.absorb(w, new, count, lo, hi);
+            }
+            // What the event consumed: the word through the quorum link,
+            // or through the sender jumped to; without an event, all.
+            if count == need {
+                bits &= !through(63 - new.leading_zeros());
+            } else if ahead != 0 {
+                let b = ahead.trailing_zeros();
+                let u = w * 64 + b as usize;
+                self.jump(wire.phase[u], wire.value[u]);
+                bits &= !through(b);
+            } else {
+                return;
+            }
+        }
     }
 }
 
@@ -1538,55 +1701,100 @@ mod tests {
 
     /// One scripted link of the kernel fuzz: an honest single-message
     /// link (phase at most the round's maximum wire phase, skippable once
-    /// the receiver is not live) or a fabricated batch (any phases, always
-    /// fed).
+    /// the receiver is not live), a fabricated batch (any phases, always
+    /// fed), or a chunk of the round's indexed senders (honest links, 64
+    /// at a time, keyed by sender id).
     enum ScriptLink {
         Honest(Port, Message),
         Fabricated(Port, Vec<Message>),
+        Word(usize, u64),
     }
 
     /// Feeds a script to the kernel the way the engine's walk does.
-    struct ScriptWalk<'a>(&'a mut [ScriptLink]);
+    struct ScriptWalk<'a> {
+        script: &'a mut [ScriptLink],
+        wire: StagedWire<'a>,
+        index: &'a WireIndex,
+    }
 
     impl RowWalk for ScriptWalk<'_> {
         fn walk<K: RowKernel>(self, kernel: &mut K) {
-            for link in self.0 {
+            for link in self.script {
                 match link {
-                    ScriptLink::Honest(port, m) => {
+                    ScriptLink::Honest(key, m) => {
                         if kernel.live() {
-                            kernel.link(*port, m.phase(), m.value());
+                            kernel.link(*key, m.phase(), m.value());
                         }
                     }
-                    ScriptLink::Fabricated(port, batch) => kernel.batch(*port, batch),
+                    ScriptLink::Fabricated(key, batch) => kernel.batch(*key, batch),
+                    ScriptLink::Word(w, bits) => {
+                        if kernel.live() {
+                            kernel.word(*w, *bits, &self.wire, self.index);
+                        }
+                    }
                 }
             }
         }
     }
 
+    /// What the scripts of one fuzz run exercised, counted on the
+    /// reference side.
+    #[derive(Default)]
+    struct Coverage {
+        jumps_mid_row: u64,
+        stale_skips: u64,
+        /// Chunks fed to a receiver whose seen row already held links of
+        /// its current phase, from an earlier round or an earlier chunk.
+        dirty_chunks: u64,
+        /// Chunks whose first / last link completed a quorum.
+        quorum_on_first_bit: u64,
+        quorum_on_last_bit: u64,
+        /// Chunks in which a sender ahead came before, right behind, and
+        /// anywhere behind a quorum-completing link.
+        ahead_then_quorum: u64,
+        ahead_at_quorum: u64,
+        quorum_then_ahead: u64,
+        /// Chunks fed to a decided receiver, and chunks that decided one.
+        decided_chunks: u64,
+        deciding_chunks: u64,
+    }
+
     /// Random multi-round scripts at one receiver: the per-receiver kernel
     /// (stale links skipped) against per-link `receive` (nothing skipped),
     /// on the whole plane and on a mid-range shard. Small `n` gives
-    /// `foreign_quorum` 0 and 1 and ports that repeat within a phase;
+    /// `foreign_quorum` 0 and 1 and keys that repeat within a phase;
     /// small `pend` is reached mid-row; the round's maximum wire phase
-    /// sits one below, at, or one above the receiver's phase, so honest
-    /// links arrive both at the `live` boundary and past it; fabricated
+    /// sits one below, at, or up to two above the receiver's phase, so
+    /// honest links arrive both at the `live` boundary and past it, and a
+    /// sender can still be ahead of a receiver that just advanced;
+    /// fabricated
     /// batches jump the receiver mid-row and land behind its quorum.
+    ///
+    /// Every round also has a wire — a snapshot per sender, a random
+    /// subset of them indexed — and the script feeds it in chunks through
+    /// [`RowKernel::word`]: full words, sparse and single-bit masks, one
+    /// word in several chunks and in any order, between the per-link
+    /// entries. Sparse rounds leave the seen row dirty for the next round
+    /// of the same phase. `seen` reads a plane's contribution count.
     fn fuzz_kernel_against_receive<P: AlgorithmPlane>(
         make: impl Fn(Params, &[Value], u64) -> P,
         assert_same: impl Fn(&P, &P, &str),
-    ) {
+        seen: impl Fn(&P, usize) -> u32,
+    ) -> Coverage {
         let seeds = std::env::var("ADN_FUZZ_SEEDS")
             .ok()
             .and_then(|s| s.parse().ok())
             .unwrap_or(300);
-        let mut jumps_mid_row = 0u64;
-        let mut stale_skips = 0u64;
+        let mut cov = Coverage::default();
         for seed in 0..seeds {
             let mut rng = SplitMix64::new(seed);
-            let n = [1usize, 2, 3, 5, 7, 70][rng.next_index(6)];
+            let n = [1usize, 2, 3, 5, 7, 64, 65, 70, 130][rng.next_index(9)];
             let f = rng.next_index((n - 1) / 5 + 1);
             let params = Params::new(n, f, 0.1).unwrap();
-            let pend = 1 + rng.next_below(5);
+            // Reached within a round or two, or late enough for a run of
+            // undecided rounds.
+            let pend_span = [3, 60, 60][rng.next_index(3)];
+            let pend = 1 + rng.next_below(pend_span);
             let grid = 2 + rng.next_below(6);
             let value = |rng: &mut SplitMix64| {
                 Value::saturating(rng.next_below(grid) as f64 / (grid - 1) as f64)
@@ -1602,16 +1810,55 @@ mod tests {
             let mut reference = make(params, &inputs, pend);
             let mut kernel = make(params, &inputs, pend);
             let executing = NodeSet::from_ids(n, [NodeId::new(v)]);
+            let mut index = WireIndex::new(n);
+            // How much of the wire a round's chunks cover: everything, or
+            // a thin slice that cannot reach a quorum in one round.
+            let density = [1.0, 1.0, 0.5, 0.1][rng.next_index(4)];
             for round in 0..12 {
                 let p = reference.phases()[v].as_u64();
-                let max_wire = (p + rng.next_below(3)).saturating_sub(1);
-                let mut script: Vec<ScriptLink> = (0..rng.next_index(2 * n + 3))
+                // Half the rounds scatter the senders over the four phases
+                // at and below a maximum around the receiver's; the other
+                // half put them in the receiver's phase but for a few (or
+                // every other) two ahead, so that quorums form with jumps
+                // before and behind them.
+                let scattered = rng.next_bool(0.5);
+                let max_wire = match scattered {
+                    true => (p + rng.next_below(4)).saturating_sub(1),
+                    false => p + 2,
+                };
+                let mut wire_phase: Vec<Phase> = (0..n)
+                    .map(|_| match scattered {
+                        true => max_wire.saturating_sub(rng.next_below(4)),
+                        false => p,
+                    })
+                    .map(Phase::new)
+                    .collect();
+                for _ in 0..[0, 1, 3, n][rng.next_index(4)] {
+                    wire_phase[rng.next_index(n)] = Phase::new(max_wire);
+                }
+                let wire_value: Vec<Value> = (0..n).map(|_| value(&mut rng)).collect();
+                let present =
+                    NodeSet::from_ids(n, (0..n).filter(|_| rng.next_bool(0.8)).map(NodeId::new));
+                assert!(index.build(&present, &wire_phase, &wire_value));
+                let mut script: Vec<ScriptLink> = (0..rng.next_index(2 * n.min(8) + 3))
                     .map(|_| {
-                        let port = Port::new(rng.next_index(n));
-                        if rng.next_bool(0.8) {
+                        let key = Port::new(rng.next_index(n));
+                        if rng.next_bool(0.5) {
+                            let w = rng.next_index(n.div_ceil(64));
+                            let mask = match rng.next_index(6) {
+                                0 => rng.next_u64(),
+                                1 => u64::MAX << rng.next_index(64),
+                                2 => 1 << rng.next_index(64),
+                                _ => u64::MAX,
+                            };
+                            let thin = (0..64)
+                                .filter(|_| rng.next_bool(density))
+                                .fold(0, |m, b| m | 1 << b);
+                            ScriptLink::Word(w, present.word(w) & mask & thin)
+                        } else if rng.next_bool(0.6) {
                             let phase = max_wire.saturating_sub(rng.next_below(3));
                             ScriptLink::Honest(
-                                port,
+                                key,
                                 Message::new(value(&mut rng), Phase::new(phase)),
                             )
                         } else {
@@ -1621,21 +1868,53 @@ mod tests {
                                     Message::new(value(&mut rng), Phase::new(phase))
                                 })
                                 .collect();
-                            ScriptLink::Fabricated(port, batch)
+                            ScriptLink::Fabricated(key, batch)
                         }
                     })
                     .collect();
                 for (i, link) in script.iter().enumerate() {
                     let before = reference.phases()[v];
                     match link {
-                        ScriptLink::Honest(port, m) => {
-                            stale_skips += u64::from(before.as_u64() > max_wire);
-                            reference.receive(v, *port, std::slice::from_ref(m));
+                        ScriptLink::Honest(key, m) => {
+                            cov.stale_skips += u64::from(before.as_u64() > max_wire);
+                            reference.receive(v, *key, std::slice::from_ref(m));
                         }
-                        ScriptLink::Fabricated(port, batch) => reference.receive(v, *port, batch),
+                        ScriptLink::Fabricated(key, batch) => reference.receive(v, *key, batch),
+                        ScriptLink::Word(w, bits) => {
+                            let decided = before.as_u64() >= pend;
+                            cov.decided_chunks += u64::from(decided && *bits != 0);
+                            cov.dirty_chunks += u64::from(!decided && seen(&reference, v) > 0);
+                            // Per link: did it complete a quorum, was its
+                            // sender ahead?
+                            let (mut quorums, mut aheads) = (0u64, 0u64);
+                            for b in (0..64).filter(|b| bits >> b & 1 == 1) {
+                                let u = w * 64 + b;
+                                let at = reference.phases()[v];
+                                let m = Message::new(wire_value[u], wire_phase[u]);
+                                reference.receive(v, Port::new(u), &[m]);
+                                let moved = reference.phases()[v] > at && at.as_u64() < pend;
+                                quorums |= u64::from(moved && m.phase() == at) << b;
+                                aheads |= u64::from(moved && m.phase() > at) << b;
+                            }
+                            if quorums != 0 {
+                                let (first, last) =
+                                    (bits.trailing_zeros(), 63 - bits.leading_zeros());
+                                cov.quorum_on_first_bit += quorums >> first & 1;
+                                cov.quorum_on_last_bit += quorums >> last & 1;
+                                let q = quorums.trailing_zeros();
+                                cov.ahead_then_quorum += u64::from(aheads & below(q) != 0);
+                                cov.quorum_then_ahead += u64::from(aheads & !through(q) != 0);
+                                let next = bits & !through(q);
+                                let at_quorum =
+                                    next != 0 && aheads >> next.trailing_zeros() & 1 == 1;
+                                cov.ahead_at_quorum += u64::from(at_quorum);
+                            }
+                            let deciding = !decided && reference.phases()[v].as_u64() >= pend;
+                            cov.deciding_chunks += u64::from(deciding);
+                        }
                     }
                     let moved = reference.phases()[v] > before.next();
-                    jumps_mid_row += u64::from(moved && i + 1 < script.len());
+                    cov.jumps_mid_row += u64::from(moved && i + 1 < script.len());
                 }
                 {
                     let mut shards: [Option<PlaneShard<'_>>; 3] = [None, None, None];
@@ -1645,7 +1924,15 @@ mod tests {
                     shards[mid].as_mut().unwrap().deliver_row(
                         v,
                         Phase::new(max_wire),
-                        ScriptWalk(&mut script),
+                        ScriptWalk {
+                            script: &mut script,
+                            wire: StagedWire {
+                                phase: &wire_phase,
+                                value: &wire_value,
+                                batches: &[],
+                            },
+                            index: &index,
+                        },
                     );
                 }
                 let what = format!("seed {seed} round {round} (n {n} f {f} pend {pend} slot {v})");
@@ -1656,35 +1943,62 @@ mod tests {
             }
         }
         if seeds >= 100 {
-            assert!(jumps_mid_row > 0, "no script jumped a receiver mid-row");
-            assert!(stale_skips > 0, "no script fed a stale honest link");
+            assert!(cov.jumps_mid_row > 0, "no script jumped a receiver mid-row");
+            assert!(cov.stale_skips > 0, "no script fed a stale honest link");
+            assert!(cov.dirty_chunks > 0, "no chunk met a dirty seen row");
+            assert!(cov.decided_chunks > 0, "no chunk met a decided receiver");
+            assert!(cov.deciding_chunks > 0, "no chunk reached pend");
+            assert!(
+                cov.quorum_on_first_bit > 0,
+                "no quorum on a chunk's first link"
+            );
+            assert!(
+                cov.quorum_on_last_bit > 0,
+                "no quorum on a chunk's last link"
+            );
         }
+        cov
     }
 
     #[test]
     fn dac_kernel_matches_per_link_receive_on_random_scripts() {
-        fuzz_kernel_against_receive(DacPlane::with_pend, |a, b, what| {
-            assert_eq!(a.phase, b.phase, "phase, {what}");
-            assert_eq!(a.value, b.value, "value, {what}");
-            assert_eq!(a.output, b.output, "output, {what}");
-            assert_eq!(a.vmin, b.vmin, "vmin, {what}");
-            assert_eq!(a.vmax, b.vmax, "vmax, {what}");
-            assert_eq!(a.ports_seen, b.ports_seen, "ports_seen, {what}");
-            assert_eq!(a.seen_count, b.seen_count, "seen_count, {what}");
-        });
+        let cov = fuzz_kernel_against_receive(
+            DacPlane::with_pend,
+            |a, b, what| {
+                assert_eq!(a.phase, b.phase, "phase, {what}");
+                assert_eq!(a.value, b.value, "value, {what}");
+                assert_eq!(a.output, b.output, "output, {what}");
+                assert_eq!(a.vmin, b.vmin, "vmin, {what}");
+                assert_eq!(a.vmax, b.vmax, "vmax, {what}");
+                assert_eq!(a.ports_seen, b.ports_seen, "ports_seen, {what}");
+                assert_eq!(a.seen_count, b.seen_count, "seen_count, {what}");
+            },
+            |plane, v| plane.seen_count[v],
+        );
+        // Alg. 1's jump, relative to a quorum inside one chunk (DBAC has
+        // no jump: a sender ahead is one more stored value).
+        if cov.jumps_mid_row > 0 {
+            assert!(cov.ahead_then_quorum > 0, "no jump before a quorum");
+            assert!(cov.ahead_at_quorum > 0, "no jump right behind a quorum");
+            assert!(cov.quorum_then_ahead > 0, "no jump behind a quorum");
+        }
     }
 
     #[test]
     fn dbac_kernel_matches_per_link_receive_on_random_scripts() {
-        fuzz_kernel_against_receive(DbacPlane::with_pend, |a, b, what| {
-            assert_eq!(a.phase, b.phase, "phase, {what}");
-            assert_eq!(a.value, b.value, "value, {what}");
-            assert_eq!(a.output, b.output, "output, {what}");
-            assert_eq!(a.low, b.low, "R_low, {what}");
-            assert_eq!(a.high, b.high, "R_high, {what}");
-            assert_eq!(a.ports_seen, b.ports_seen, "ports_seen, {what}");
-            assert_eq!(a.seen_count, b.seen_count, "seen_count, {what}");
-        });
+        fuzz_kernel_against_receive(
+            DbacPlane::with_pend,
+            |a, b, what| {
+                assert_eq!(a.phase, b.phase, "phase, {what}");
+                assert_eq!(a.value, b.value, "value, {what}");
+                assert_eq!(a.output, b.output, "output, {what}");
+                assert_eq!(a.low, b.low, "R_low, {what}");
+                assert_eq!(a.high, b.high, "R_high, {what}");
+                assert_eq!(a.ports_seen, b.ports_seen, "ports_seen, {what}");
+                assert_eq!(a.seen_count, b.seen_count, "seen_count, {what}");
+            },
+            |plane, v| plane.seen_count[v],
+        );
     }
 
     #[test]

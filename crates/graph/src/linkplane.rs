@@ -37,8 +37,9 @@ pub const MAX_RUNS_PER_ROW: usize = 4;
 ///
 /// The one required walk is [`LinkRows::scan_in`] — visit a receiver's
 /// in-neighbors in ascending id order, from a resume point, until told to
-/// stop — from which [`LinkRows::for_each_in`] and the aggregate defaults
-/// derive. [`EdgeSet`] (dense bit rows) and
+/// stop — from which [`LinkRows::for_each_in`], the word-at-a-time
+/// [`LinkRows::scan_words_in`] and the aggregate defaults derive.
+/// [`EdgeSet`] (dense bit rows) and
 /// [`LinkPlane`] (runs / CSR rows) both implement it, so consumers like
 /// the delivery loop and [`WindowUnion`](crate::WindowUnion) are written
 /// once against the trait.
@@ -52,6 +53,19 @@ pub trait LinkRows {
     /// id `+ 1` continues the row — how the delivery loop leaves a row at
     /// a sender that needs per-link work and comes back behind it.
     fn scan_in(&self, v: NodeId, from: usize, f: impl FnMut(NodeId) -> bool) -> Option<NodeId>;
+
+    /// Calls `f(w, bits)` for `v`'s in-neighbors one 64-id word at a time
+    /// — bit `b` of `bits` is sender `w * 64 + b` — until it returns
+    /// `false`. Chunks are non-empty and ascend: every sender of a chunk
+    /// has a higher id than every sender of the chunk before it, so one
+    /// word may arrive as several chunks (two runs of a run row meeting
+    /// inside it). How the delivery loop feeds a kernel 64 senders per
+    /// step. The default groups [`LinkRows::scan_in`]'s ids; dense rows
+    /// hand out their words, run rows `deliverers ∧ range`.
+    #[inline]
+    fn scan_words_in(&self, v: NodeId, f: impl FnMut(usize, u64) -> bool) {
+        scan_words_by_id(self, v, f);
+    }
 
     /// Calls `f` for every in-neighbor of `v`, ascending by id.
     #[inline]
@@ -94,7 +108,7 @@ pub trait LinkRows {
     /// ORs `v`'s in-neighbors that are also in `mask` into `out` — how
     /// the delivery loop records a receiver's realized links from
     /// unconditionally delivering senders. The default inserts link by
-    /// link; dense rows do it one word at a time.
+    /// link; dense and run rows do it one word at a time.
     ///
     /// # Panics
     ///
@@ -136,6 +150,29 @@ pub trait LinkRows {
     }
 }
 
+/// [`LinkRows::scan_words_in`] for rows that only know their ids:
+/// [`LinkRows::scan_in`]'s ascending ids, grouped by word.
+#[inline]
+fn scan_words_by_id<L: LinkRows + ?Sized>(
+    rows: &L,
+    v: NodeId,
+    mut f: impl FnMut(usize, u64) -> bool,
+) {
+    let (mut w, mut bits, mut go) = (0, 0u64, true);
+    rows.scan_in(v, 0, |u| {
+        let (uw, ub) = (u.index() / 64, u.index() % 64);
+        if uw != w && bits != 0 {
+            go = f(w, bits);
+            bits = 0;
+        }
+        (w, bits) = (uw, bits | 1 << ub);
+        go
+    });
+    if go && bits != 0 {
+        f(w, bits);
+    }
+}
+
 impl LinkRows for EdgeSet {
     fn n(&self) -> usize {
         EdgeSet::n(self)
@@ -144,6 +181,15 @@ impl LinkRows for EdgeSet {
     #[inline]
     fn scan_in(&self, v: NodeId, from: usize, f: impl FnMut(NodeId) -> bool) -> Option<NodeId> {
         self.in_neighbors(v).scan_from(from, f)
+    }
+
+    #[inline]
+    fn scan_words_in(&self, v: NodeId, mut f: impl FnMut(usize, u64) -> bool) {
+        for (w, &bits) in self.in_neighbors(v).words().iter().enumerate() {
+            if bits != 0 && !f(w, bits) {
+                return;
+            }
+        }
     }
 
     fn in_degree(&self, v: NodeId) -> usize {
@@ -391,16 +437,19 @@ impl LinkPlane {
         (rs, if len == 0 { 0 } else { m + 1 })
     }
 
-    /// Word-walks `deliverers ∩ {lo..=hi} \ {skip}`, ascending, until `f`
-    /// returns `false`; returns the sender that ended the walk.
+    /// Calls `f(w, word)` with `word = deliverers ∩ {lo..=hi} \ {skip}`
+    /// restricted to 64-id word `w`, for each word the range touches,
+    /// ascending, until it returns `false`; returns whether it never did.
+    /// The one place a run is turned into bits — every run-row read is
+    /// this loop with a different `f`.
     #[inline]
-    fn walk_range(
+    fn range_words(
         &self,
         lo: usize,
         hi: usize,
         skip: usize,
-        mut f: impl FnMut(NodeId) -> bool,
-    ) -> Option<NodeId> {
+        mut f: impl FnMut(usize, u64) -> bool,
+    ) -> bool {
         let words = self.deliverers.words();
         let (lw, lb) = (lo / 64, lo % 64);
         let (hw, hb) = (hi / 64, hi % 64);
@@ -416,42 +465,23 @@ impl LinkPlane {
             if w == sw {
                 mask &= !(1u64 << sb);
             }
-            let mut word = dw & mask;
-            let wbase = w * 64;
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                let u = NodeId::new(wbase + bit);
-                if !f(u) {
-                    return Some(u);
-                }
+            if !f(w, dw & mask) {
+                return false;
             }
         }
-        None
+        true
     }
 
-    /// Popcount of `deliverers ∩ within ∩ {lo..=hi} \ {skip}`.
+    /// Calls `f(w, word)` as [`LinkPlane::range_words`] does, over all of
+    /// run row `v`'s merged runs, ascending.
     #[inline]
-    fn count_range(&self, lo: usize, hi: usize, skip: usize, within: &NodeSet) -> usize {
-        let words = self.deliverers.words();
-        let (lw, lb) = (lo / 64, lo % 64);
-        let (hw, hb) = (hi / 64, hi % 64);
-        let (sw, sb) = (skip / 64, skip % 64);
-        let mut c = 0usize;
-        for (w, &dw) in words.iter().enumerate().take(hw + 1).skip(lw) {
-            let mut mask = u64::MAX;
-            if w == lw {
-                mask &= u64::MAX << lb;
+    fn row_words(&self, v: NodeId, mut f: impl FnMut(usize, u64) -> bool) {
+        let (rs, m) = self.merged_runs(v);
+        for &(lo, hi) in &rs[..m] {
+            if !self.range_words(lo as usize, hi as usize, v.index(), &mut f) {
+                return;
             }
-            if w == hw {
-                mask &= u64::MAX >> (63 - hb);
-            }
-            if w == sw {
-                mask &= !(1u64 << sb);
-            }
-            c += (dw & within.word(w) & mask).count_ones() as usize;
         }
-        c
     }
 
     /// Writes this round's links into a dense [`EdgeSet`] (cleared
@@ -503,15 +533,26 @@ impl LinkRows for LinkPlane {
         let v_idx = v.index();
         if self.runs_len[v_idx] > 0 {
             let (rs, m) = self.merged_runs(v);
+            let mut stop = None;
             for &(lo, hi) in &rs[..m] {
                 let (lo, hi) = ((lo as usize).max(from), hi as usize);
-                if lo <= hi {
-                    if let Some(u) = self.walk_range(lo, hi, v_idx, &mut f) {
-                        return Some(u);
-                    }
+                let walked = lo > hi
+                    || self.range_words(lo, hi, v_idx, |w, mut word| {
+                        while word != 0 {
+                            let u = NodeId::new(w * 64 + word.trailing_zeros() as usize);
+                            word &= word - 1;
+                            if !f(u) {
+                                stop = Some(u);
+                                return false;
+                            }
+                        }
+                        true
+                    });
+                if !walked {
+                    break;
                 }
             }
-            return None;
+            return stop;
         }
         let row = self.csr_row(v_idx);
         let skip = row.partition_point(|&u| (u as usize) < from);
@@ -547,14 +588,46 @@ impl LinkRows for LinkPlane {
         assert_eq!(mask.universe(), self.n, "universe mismatch");
         let v_idx = v.index();
         if self.runs_len[v_idx] > 0 {
-            let (rs, m) = self.merged_runs(v);
-            return rs[..m]
-                .iter()
-                .map(|&(lo, hi)| self.count_range(lo as usize, hi as usize, v_idx, mask))
-                .sum();
+            let mut c = 0;
+            self.row_words(v, |w, word| {
+                c += (word & mask.word(w)).count_ones() as usize;
+                true
+            });
+            return c;
         }
         let in_mask = |&&u: &&u32| mask.contains(NodeId::new(u as usize));
         self.csr_row(v_idx).iter().filter(in_mask).count()
+    }
+
+    /// Run rows OR `deliverers ∧ range ∧ mask` a word at a time — what a
+    /// recorded sparse run pays per receiver per round; CSR rows insert id
+    /// by id. What a recorded run still pays beyond this is the engine's
+    /// per-round clone of the realized set into the schedule.
+    fn union_in_masked(&self, v: NodeId, mask: &NodeSet, out: &mut NodeSet) {
+        assert_eq!(mask.universe(), self.n, "universe mismatch");
+        assert_eq!(out.universe(), self.n, "universe mismatch");
+        if self.runs_len[v.index()] > 0 {
+            let out = out.words_mut();
+            self.row_words(v, |w, word| {
+                out[w] |= word & mask.word(w);
+                true
+            });
+            return;
+        }
+        self.for_each_in(v, |u| {
+            if mask.contains(u) {
+                out.insert(u);
+            }
+        });
+    }
+
+    #[inline]
+    fn scan_words_in(&self, v: NodeId, mut f: impl FnMut(usize, u64) -> bool) {
+        if self.runs_len[v.index()] > 0 {
+            self.row_words(v, |w, word| word == 0 || f(w, word));
+        } else {
+            scan_words_by_id(self, v, f);
+        }
     }
 }
 
@@ -695,9 +768,10 @@ mod tests {
         assert_eq!(got, expect);
     }
 
-    /// Every row read the delivery loop makes — resumable scans,
-    /// membership, masked counts and unions — agrees between run rows,
-    /// CSR rows, their dense image, and the trait's row-scanning defaults.
+    /// Every row read the delivery loop makes — resumable scans, word
+    /// chunks, membership, masked counts and unions — agrees between run
+    /// rows, CSR rows, their dense image, and the trait's row-scanning
+    /// defaults.
     #[test]
     fn row_reads_agree_across_row_kinds_and_defaults() {
         /// A row kind with nothing but `scan_in`: the defaults' reference.
@@ -732,6 +806,39 @@ mod tests {
             (seen, stop)
         }
 
+        /// The chunks `scan_words_in` hands out before the `stop_after`-th
+        /// one ends the scan, checked to be non-empty and ascending.
+        fn chunks(rows: &impl LinkRows, v: NodeId, stop_after: usize) -> Vec<(usize, u64)> {
+            let mut got: Vec<(usize, u64)> = Vec::new();
+            rows.scan_words_in(v, |w, bits| {
+                assert_ne!(bits, 0, "row {v}: empty chunk");
+                if let Some(&(pw, pbits)) = got.last() {
+                    let last = pw * 64 + 63 - pbits.leading_zeros() as usize;
+                    let first = w * 64 + bits.trailing_zeros() as usize;
+                    assert!(last < first, "row {v}: chunks must ascend");
+                }
+                got.push((w, bits));
+                got.len() < stop_after
+            });
+            got
+        }
+
+        /// Checks that a chunk scan told to stop after any number of
+        /// chunks made exactly that many calls; returns the row's senders
+        /// as the unstopped scan's chunks spell them.
+        fn stops_early(rows: &impl LinkRows, v: NodeId) -> Vec<usize> {
+            let all = chunks(rows, v, usize::MAX);
+            for stop_after in 1..=all.len() {
+                assert_eq!(chunks(rows, v, stop_after), all[..stop_after], "row {v}");
+            }
+            let bit = |&(w, bits): &(usize, u64)| {
+                (0..64)
+                    .filter(move |b| bits >> b & 1 == 1)
+                    .map(move |b| w * 64 + b)
+            };
+            all.iter().flat_map(bit).collect()
+        }
+
         let n = 140;
         let mut lp = LinkPlane::new(n);
         let mut deliverers = NodeSet::full(n);
@@ -739,8 +846,9 @@ mod tests {
         deliverers.remove(NodeId::new(3));
         lp.begin_round(&deliverers);
         // A wrapped, overlapping run row; a run row split around its own
-        // id; a CSR row (not intersected with the deliverers); the rest
-        // empty.
+        // id; a CSR row (not intersected with the deliverers); four runs,
+        // two of them apart inside word 0 and the third adjacent to the
+        // second across the word boundary; the rest empty.
         lp.push_run(NodeId::new(5), NodeId::new(120), NodeId::new(139));
         lp.push_run(NodeId::new(5), NodeId::new(0), NodeId::new(70));
         lp.push_run(NodeId::new(5), NodeId::new(60), NodeId::new(66));
@@ -748,11 +856,24 @@ mod tests {
         for u in [2, 3, 64, 100, 139] {
             lp.push_link(NodeId::new(6), NodeId::new(u));
         }
+        lp.push_run(NodeId::new(8), NodeId::new(41), NodeId::new(70));
+        lp.push_run(NodeId::new(8), NodeId::new(10), NodeId::new(20));
+        lp.push_run(NodeId::new(8), NodeId::new(100), NodeId::new(139));
+        lp.push_run(NodeId::new(8), NodeId::new(30), NodeId::new(40));
+        let in_word_0 = |c: &&(usize, u64)| c.0 == 0;
+        let row_8 = chunks(&lp, NodeId::new(8), usize::MAX);
+        assert_eq!(row_8.iter().filter(in_word_0).count(), 2, "{row_8:?}");
         let mut dense = EdgeSet::empty(n);
         lp.fill_edgeset(&mut dense);
         let mask = NodeSet::from_ids(n, (0..n).filter(|u| u % 3 != 0).map(NodeId::new));
 
-        for v in [5usize, 6, 65, 7].map(NodeId::new) {
+        for v in [5usize, 6, 65, 7, 8].map(NodeId::new) {
+            // Word chunks: the same senders from every row kind, and a
+            // scan that is told to stop makes no further call.
+            let all = scan(&dense, v, 0, usize::MAX).0;
+            assert_eq!(stops_early(&lp, v), all, "row {v}");
+            assert_eq!(stops_early(&dense, v), all, "row {v}");
+            assert_eq!(stops_early(&Scanned(&dense), v), all, "row {v}");
             for u in NodeId::all(n) {
                 let expect = dense.in_neighbors(v).contains(u);
                 assert_eq!(LinkRows::contains(&lp, u, v), expect, "{u} -> {v}");

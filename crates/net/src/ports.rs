@@ -1,5 +1,5 @@
 use std::fmt;
-// audit: allow(layering) — OnceLock is lock-free lazy init, not threading; the transpose cache must be shareable across TrialPool workers
+// audit: allow(layering) — OnceLock is lock-free lazy init, not threading; the table and transpose caches must be shareable across TrialPool workers
 use std::sync::OnceLock;
 
 use adn_types::rng::SplitMix64;
@@ -21,7 +21,10 @@ use adn_types::{NodeId, Port};
 ///
 /// * [`PortNumbering::random`] — an explicit `n × n` table of independent
 ///   uniform bijections, the strongest anonymity model. O(n²) memory, so
-///   it is capped at [`PortNumbering::MAX_DENSE_N`] nodes;
+///   it is capped at [`PortNumbering::MAX_DENSE_N`] nodes — and **lazy**:
+///   the constructor keeps the seed, and the table is built by the first
+///   lookup (or [`PortNumbering::materialize`]), so a run that never
+///   reads a port never pays for it;
 /// * [`PortNumbering::rotation`] — per-receiver private rotations
 ///   `port = (sender + bᵣ) mod n`: still a different bijection at every
 ///   receiver, but O(n) memory and one add per lookup — the numbering
@@ -55,14 +58,16 @@ pub struct PortNumbering {
     transposed: OnceLock<Vec<Port>>,
 }
 
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 enum Repr {
-    /// Flat row-major table: `map[receiver * n + sender] = port`.
+    /// Flat row-major table, `map[receiver * n + sender] = port`, a pure
+    /// function of `(n, seed)` built on first use (see
+    /// [`PortNumbering::materialize`]).
     ///
-    /// One indexed load per lookup — `port_of` sits in the delivery
-    /// plane's inner loop, where the former `Vec<Vec<usize>>` cost a
-    /// second pointer chase per delivered message.
-    Table(Vec<Port>),
+    /// One indexed load per lookup — `port_of` sits in the per-link
+    /// delivery loops, where the former `Vec<Vec<usize>>` cost a second
+    /// pointer chase per delivered message.
+    Table { seed: u64, map: OnceLock<Vec<Port>> },
     /// `port = sender`, computed arithmetically.
     Identity,
     /// `port = (sender + offset[receiver]) mod n`, offsets seeded
@@ -70,13 +75,20 @@ enum Repr {
     Rotation(Vec<u32>),
 }
 
-/// The transposed table is a pure function of the representation, so
-/// identity (and hashing-adjacent uses) compare `n` and the
-/// representation only. Numberings built by different constructors
-/// compare unequal even where their mappings happen to coincide.
+/// Both caches are pure functions of what the constructor was given, so
+/// identity (and hashing-adjacent uses) compare `n` and that only — a
+/// random numbering is its `(n, seed)`, built or not. Numberings built by
+/// different constructors compare unequal even where their mappings
+/// happen to coincide.
 impl PartialEq for PortNumbering {
     fn eq(&self, other: &Self) -> bool {
-        self.n == other.n && self.repr == other.repr
+        self.n == other.n
+            && match (&self.repr, &other.repr) {
+                (Repr::Table { seed: a, .. }, Repr::Table { seed: b, .. }) => a == b,
+                (Repr::Identity, Repr::Identity) => true,
+                (Repr::Rotation(a), Repr::Rotation(b)) => a == b,
+                _ => false,
+            }
     }
 }
 
@@ -107,7 +119,9 @@ impl PortNumbering {
     }
 
     /// An independent uniformly random bijection at every receiver,
-    /// deterministic in `seed`.
+    /// deterministic in `seed`. Builds nothing yet: the `n²`-port table is
+    /// filled by the first lookup, or ahead of time by
+    /// [`PortNumbering::materialize`].
     ///
     /// # Panics
     ///
@@ -122,16 +136,51 @@ impl PortNumbering {
              (cap: {}); large systems should use PortNumbering::rotation",
             Self::MAX_DENSE_N
         );
-        let mut rng = SplitMix64::new(seed);
-        let mut map = Vec::with_capacity(n * n);
-        for _ in 0..n {
-            map.extend(rng.permutation(n).into_iter().map(Port::new));
-        }
         PortNumbering {
             n,
-            repr: Repr::Table(map),
+            repr: Repr::Table {
+                seed,
+                map: OnceLock::new(),
+            },
             transposed: OnceLock::new(),
         }
+    }
+
+    /// The random table of `(n, seed)`: row `r` is the `r`-th
+    /// [`SplitMix64::permutation`] of one stream, drawn in place.
+    fn random_table(n: usize, seed: u64) -> Vec<Port> {
+        let mut rng = SplitMix64::new(seed);
+        let mut map = Vec::with_capacity(n * n);
+        for r in 0..n {
+            map.extend((0..n).map(Port::new));
+            rng.partial_shuffle(&mut map[r * n..], n);
+        }
+        map
+    }
+
+    /// Builds the random table now if this numbering has one and it is
+    /// not built yet (a no-op for the arithmetic representations). Whoever
+    /// will read ports inside a timed or allocation-free section — the
+    /// simulation builder, for runs whose kernels or event log read them —
+    /// calls this at set-up, so the first lookup does not pay for it.
+    pub fn materialize(&self) {
+        if let Repr::Table { seed, map } = &self.repr {
+            self.table(*seed, map);
+        }
+    }
+
+    /// The table behind a [`Repr::Table`], built on first use.
+    #[inline]
+    fn table<'a>(&self, seed: u64, map: &'a OnceLock<Vec<Port>>) -> &'a [Port] {
+        map.get_or_init(|| Self::random_table(self.n, seed))
+    }
+
+    /// Whether the random table is built: `false` for a
+    /// [`PortNumbering::random`] numbering no lookup has touched yet (and
+    /// for the arithmetic representations, which have none) — for tests
+    /// pinning that a run which reads no port builds no table.
+    pub fn has_table(&self) -> bool {
+        matches!(&self.repr, Repr::Table { map, .. } if map.get().is_some())
     }
 
     /// A private rotation at every receiver: receiver `r` hears sender
@@ -184,8 +233,10 @@ impl PortNumbering {
         let (r, n) = (receiver.index(), self.n);
         assert!(r < n, "receiver {receiver} out of range");
         match &self.repr {
-            Repr::Table(map) => PortRow::Table(&map[r * n..(r + 1) * n]),
-            Repr::Identity => PortRow::Rotated { offset: 0, n },
+            Repr::Table { seed, map } => {
+                PortRow::Table(&self.table(*seed, map)[r * n..(r + 1) * n])
+            }
+            Repr::Identity => PortRow::identity(n),
             Repr::Rotation(offsets) => PortRow::Rotated {
                 offset: offsets[r] as usize,
                 n,
@@ -243,8 +294,9 @@ impl PortNumbering {
     /// Panics if the receiver or port is out of range.
     pub fn sender_at(&self, receiver: NodeId, port: Port) -> NodeId {
         match &self.repr {
-            Repr::Table(map) => {
-                let row = &map[receiver.index() * self.n..(receiver.index() + 1) * self.n];
+            Repr::Table { seed, map } => {
+                let (r, n) = (receiver.index(), self.n);
+                let row = &self.table(*seed, map)[r * n..(r + 1) * n];
                 let sender = row
                     .iter()
                     .position(|&p| p == port)
@@ -289,6 +341,13 @@ pub enum PortRow<'a> {
 }
 
 impl PortRow<'_> {
+    /// The row of the identity numbering over `n` senders: `port = sender`.
+    /// Also how the engine keys a columnar kernel's seen row — by sender
+    /// id, a relabelling of the real row no algorithm can observe.
+    pub fn identity(n: usize) -> PortRow<'static> {
+        PortRow::Rotated { offset: 0, n }
+    }
+
     /// The port this receiver hears `sender` on.
     ///
     /// # Panics
@@ -314,7 +373,7 @@ impl PortRow<'_> {
 impl fmt::Debug for PortNumbering {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let kind = match self.repr {
-            Repr::Table(_) => "random",
+            Repr::Table { .. } => "random",
             Repr::Identity => "identity",
             Repr::Rotation(_) => "rotation",
         };
@@ -360,6 +419,29 @@ mod tests {
     fn random_is_deterministic_in_seed() {
         assert_eq!(PortNumbering::random(8, 9), PortNumbering::random(8, 9));
         assert_ne!(PortNumbering::random(8, 9), PortNumbering::random(8, 10));
+    }
+
+    #[test]
+    fn random_table_is_lazy_and_is_the_permutation_stream() {
+        let pn = PortNumbering::random(9, 11);
+        let untouched = pn.clone();
+        assert!(!pn.has_table(), "the constructor builds nothing");
+        pn.materialize();
+        assert!(pn.has_table());
+        assert_eq!(pn, untouched, "a random numbering is its (n, seed)");
+        // Row r is the r-th permutation drawn from one seeded stream, and
+        // a lookup builds the table just as `materialize` does.
+        let mut rng = SplitMix64::new(11);
+        for r in NodeId::all(9) {
+            let row = rng.permutation(9);
+            for s in NodeId::all(9) {
+                assert_eq!(untouched.port_of(r, s).index(), row[s.index()]);
+            }
+        }
+        assert!(untouched.has_table());
+        let rotation = PortNumbering::rotation(9, 11);
+        rotation.materialize();
+        assert!(!rotation.has_table(), "arithmetic rows have no table");
     }
 
     #[test]

@@ -2,7 +2,9 @@
 use std::sync::{Mutex, PoisonError};
 
 use adn_adversary::{Adversary, AdversaryView};
-use adn_core::{AlgorithmPlane, PlaneShard, RowKernel, RowWalk, StagedWire, MAX_PLANE_SHARDS};
+use adn_core::{
+    AlgorithmPlane, PlaneShard, RowKernel, RowWalk, StagedWire, WireIndex, MAX_PLANE_SHARDS,
+};
 use adn_faults::{ByzContext, ByzantineStrategy, CrashSchedule};
 use adn_graph::{EdgeSet, LinkPlane, LinkRows, NodeSet, Schedule};
 use adn_net::{PortNumbering, PortRow, RoundBuffers, SenderClass, Traffic};
@@ -27,13 +29,24 @@ struct PlaneRound<'a> {
     /// the sender order (see [`scan_senders`]), in that order.
     conditional: &'a [(usize, NodeId)],
     honest: &'a NodeSet,
+    /// Every sender but the Silent ones.
+    active: &'a NodeSet,
     unconditional: &'a NodeSet,
     crash: &'a CrashSchedule,
     ports: &'a PortNumbering,
+    /// Whether the kernels are keyed by sender id (the columnar planes)
+    /// rather than by the receiver's real ports (boxed nodes) — see
+    /// [`RowKernel`]. Real ports are then read for the event log alone.
+    sender_keyed: bool,
     /// What every transmitting non-Byzantine sender staged at the start of
     /// the round — **not** read from the live plane, whose state mutates
     /// as the round delivers.
     wire: StagedWire<'a>,
+    /// The round's Present senders by wire phase, when the round's
+    /// receivers take their links a word at a time: word kernels, fed
+    /// ascending in stretches, and no more distinct wire phases than the
+    /// index holds.
+    index: Option<&'a WireIndex>,
     /// The highest staged wire phase: past it (or decided) a columnar
     /// receiver ignores every further honest link of the round.
     max_wire_phase: Phase,
@@ -68,6 +81,29 @@ struct ShardCtx<'a> {
 struct ByzSide<'a> {
     strategies: &'a mut [Option<Box<dyn ByzantineStrategy>>],
     scratch: &'a mut Batch,
+}
+
+/// Test-only observation of the word walk: the switch that turns it off
+/// (`word_walk_is_behavior_invisible` compares both sides) and counters of
+/// what it did, all local to the stepping thread — the test's own.
+#[cfg(test)]
+mod probe {
+    use std::cell::Cell;
+    use std::thread::LocalKey;
+
+    thread_local! {
+        pub static WORD_WALK_OFF: Cell<bool> = const { Cell::new(false) };
+        /// Non-empty stretches fed through `RowKernel::word`.
+        pub static WORD_STEPS: Cell<u64> = const { Cell::new(0) };
+        /// Conditional senders that cut a chunk between two Present ones.
+        pub static CUT_WORDS: Cell<u64> = const { Cell::new(0) };
+        /// Rounds whose wire held more phases than the index does.
+        pub static UNINDEXED_ROUNDS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub fn bump(counter: &'static LocalKey<Cell<u64>>, when: bool) {
+        counter.with(|c| c.set(c.get() + u64::from(when)));
+    }
 }
 
 /// Fabricates Byzantine sender `ctx.self_id`'s batch for destination `v`
@@ -123,6 +159,7 @@ fn scan_senders<L: LinkRows>(
 /// receiver goes stale (returns that link, consumed) or a Partial or
 /// Byzantine sender is next (returns it, untouched). Silent senders are
 /// passed over. The links fed are metered into `fed`, once per call.
+/// `keys` is the row the kernel tells `v`'s senders apart by.
 ///
 /// The one loop a round spends its time in, so it is its own function:
 /// nothing but the kernel's link step inside it, and code generation that
@@ -133,7 +170,7 @@ fn feed_present<L: LinkRows, K: RowKernel>(
     env: &PlaneRound<'_>,
     links: &L,
     v: NodeId,
-    ports: PortRow<'_>,
+    keys: PortRow<'_>,
     from: usize,
     kernel: &mut K,
     fed: &mut Traffic,
@@ -160,7 +197,7 @@ fn feed_present<L: LinkRows, K: RowKernel>(
             let u_idx = u.index();
             match classes[u_idx] {
                 SenderClass::Present => {
-                    let k = kernel.staged(ports.port(u), u_idx, &wire);
+                    let k = kernel.staged(keys.port(u), u_idx, &wire);
                     n_links += 1;
                     surplus += k as i64 - 1;
                     max_batch = max_batch.max(k);
@@ -203,7 +240,13 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, L> {
             mut log,
             byz,
         } = self;
-        let ports = env.ports.ports_of(v);
+        // What the kernel tells `v`'s senders apart by: their ids on a
+        // sender-keyed kernel, `v`'s own ports otherwise.
+        let keys = if env.sender_keyed {
+            PortRow::identity(env.classes.len())
+        } else {
+            env.ports.ports_of(v)
+        };
         // A Present sender's chosen links all deliver, so its realized
         // links are recorded in bulk; only the conditional classes record
         // theirs per delivery below.
@@ -221,12 +264,12 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, L> {
         // strategy object must see its calls), Present senders' when the
         // walk runs without stretches.
         let mut deliver_link = |u: NodeId, kernel: &mut K| {
-            let port = ports.port(u);
+            let key = keys.port(u);
             let class = env.classes[u.index()];
             let batch_len = match class {
-                SenderClass::Present => kernel.staged(port, u.index(), &env.wire),
+                SenderClass::Present => kernel.staged(key, u.index(), &env.wire),
                 SenderClass::Partial if env.crash.delivers(u, env.t, v) => {
-                    kernel.staged(port, u.index(), &env.wire)
+                    kernel.staged(key, u.index(), &env.wire)
                 }
                 SenderClass::Byzantine => {
                     let ctx = ByzContext {
@@ -239,7 +282,7 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, L> {
                     if !fabricate(byz.strategies, &ctx, v, byz.scratch) {
                         return;
                     }
-                    kernel.batch(port, byz.scratch);
+                    kernel.batch(key, byz.scratch);
                     byz.scratch.len()
                 }
                 // Silent senders and a Partial sender's dead links.
@@ -256,42 +299,91 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, L> {
                     round: env.t,
                     sender: u,
                     receiver: v,
-                    port,
+                    // The log speaks of the network, whatever the kernel
+                    // is keyed by.
+                    port: match env.sender_keyed {
+                        true => env.ports.port_of(v, u),
+                        false => key,
+                    },
                     batch_len,
                 });
             }
         };
-        // While the receiver is live: stretches of Present links, each
-        // ending behind the link that made it stale or in front of a
-        // conditional sender. Without the stale stop every stretch is
-        // empty: the scan stops in front of each sender that delivers.
-        let mut from = 0;
-        let stale = loop {
-            let next = if env.stale_stop {
-                if !kernel.live() {
-                    break true;
-                }
-                feed_present(env, links, v, ports, from, kernel, &mut fed)
-            } else {
-                scan_senders(env.perm, links, v, from, |u| {
-                    env.classes[u.index()] == SenderClass::Silent
-                })
-            };
-            let Some((pos, u)) = next else { break false };
-            from = pos + 1;
-            // A stretch that ends at a Present link has fed it: it is the
-            // link that made the receiver stale.
-            if !(env.stale_stop && env.classes[u.index()] == SenderClass::Present) {
-                deliver_link(u, kernel);
+        // Where the walk left the row because the receiver went stale (a
+        // position in the sender order): the first provably stale link
+        // ends it, and of the senders from there on only the round's
+        // conditional ones are still visited.
+        let mut stale_from = None;
+        match env.index {
+            // A word kernel takes the Present links 64 senders per step:
+            // each chunk of the row as stretches cut in front of every
+            // conditional sender in it, which is delivered on its own in
+            // between. All of them are metered in one sweep, one message
+            // each.
+            Some(index) if K::WORDS => {
+                let (active, present) = (env.active.words(), env.unconditional.words());
+                links.scan_words_in(v, |w, bits| {
+                    if !kernel.live() {
+                        stale_from = Some(w * 64 + bits.trailing_zeros() as usize);
+                        return false;
+                    }
+                    let mut stretch = bits & present[w];
+                    let mut conditional = bits & active[w] & !present[w];
+                    while conditional != 0 {
+                        let b = conditional.trailing_zeros();
+                        conditional &= conditional - 1;
+                        let before = stretch & ((1 << b) - 1);
+                        #[cfg(test)]
+                        probe::bump(&probe::CUT_WORDS, before != 0 && stretch != before);
+                        kernel.word(w, before, &env.wire, index);
+                        stretch ^= before;
+                        deliver_link(NodeId::new(w * 64 + b as usize), kernel);
+                    }
+                    #[cfg(test)]
+                    probe::bump(&probe::WORD_STEPS, stretch != 0);
+                    kernel.word(w, stretch, &env.wire, index);
+                    true
+                });
+                let present = links.in_degree_within(v, env.unconditional) as u64;
+                fed.record_uniform_deliveries(present, 1);
             }
-        };
-        // The first provably stale link ends the walk: the Present links
-        // the row still holds are counted in one sweep (one message each —
-        // only single-message kernels go stale), and only the round's
-        // conditional senders still behind `from` are visited.
-        if stale {
-            let present = links.in_degree_within(v, env.unconditional) as u64;
-            fed.record_uniform_deliveries(present - fed.deliveries(), 1);
+            // While the receiver is live: stretches of Present links,
+            // each ending behind the link that made it stale or in front
+            // of a conditional sender. Without the stale stop every
+            // stretch is empty: the scan stops in front of each sender
+            // that delivers.
+            _ => {
+                let mut from = 0;
+                let stale = loop {
+                    let next = if env.stale_stop {
+                        if !kernel.live() {
+                            break true;
+                        }
+                        feed_present(env, links, v, keys, from, kernel, &mut fed)
+                    } else {
+                        scan_senders(env.perm, links, v, from, |u| {
+                            env.classes[u.index()] == SenderClass::Silent
+                        })
+                    };
+                    let Some((pos, u)) = next else { break false };
+                    from = pos + 1;
+                    // A stretch that ends at a Present link has fed it: it
+                    // is the link that made the receiver stale.
+                    if !(env.stale_stop && env.classes[u.index()] == SenderClass::Present) {
+                        deliver_link(u, kernel);
+                    }
+                };
+                // The Present links the row still holds are counted in one
+                // sweep (one message each — only single-message kernels go
+                // stale).
+                if stale {
+                    let present = links.in_degree_within(v, env.unconditional) as u64;
+                    fed.record_uniform_deliveries(present - fed.deliveries(), 1);
+                    stale_from = Some(from);
+                }
+            }
+        }
+        if let Some(from) = stale_from {
             for &(pos, u) in env.conditional {
                 if pos >= from && links.contains(u, v) {
                     deliver_link(u, kernel);
@@ -515,6 +607,9 @@ pub struct Simulation {
     /// [`StagedWire`]).
     wire_phase: Vec<Phase>,
     wire_value: Vec<Value>,
+    /// The round's wire index (see [`PlaneRound::index`]), sized once for
+    /// every phase it can hold.
+    wire_index: WireIndex,
     /// The round's conditional senders (see [`PlaneRound::conditional`]).
     conditional: Vec<(usize, NodeId)>,
     /// Receiver-range shards the delivery loop fans out over (1 = no
@@ -643,10 +738,19 @@ impl Simulation {
         let shards = if use_sparse { b.shards } else { 1 };
         let shard_bounds: Vec<usize> = (0..=shards).map(|i| n * i / shards).collect();
 
+        // A random numbering's table is built here, at set-up, exactly
+        // when a step will read ports: boxed nodes are keyed by them and
+        // the event log records them. A columnar, unlogged run never
+        // looks one up and never builds it.
+        let ports = SimBuilder::resolve_ports(b.ports, n);
+        if !columnar || b.record_events {
+            ports.materialize();
+        }
+
         Simulation {
             params: b.params,
             inputs: b.inputs,
-            ports: SimBuilder::resolve_ports(b.ports, n),
+            ports,
             adversary: b.adversary,
             crash: b.crash,
             byz,
@@ -669,6 +773,7 @@ impl Simulation {
             links: use_sparse.then(|| LinkPlane::new(n)),
             wire_phase: vec![Phase::ZERO; n],
             wire_value: vec![Value::HALF; n],
+            wire_index: WireIndex::new(n),
             conditional: Vec::with_capacity(n),
             shards,
             shard_bounds,
@@ -1147,6 +1252,7 @@ impl Simulation {
             links,
             wire_phase,
             wire_value,
+            wire_index,
             conditional,
             traffic,
             events,
@@ -1198,19 +1304,36 @@ impl Simulation {
                     .filter(|(_, u)| is_conditional(u)),
             ),
         }
+        let shards = shard_bounds.len() - 1;
+        let mut slots: [Option<PlaneShard<'_>>; MAX_PLANE_SHARDS] = Default::default();
+        plane.fill_shards(shard_bounds, &mut slots[..shards]);
+        // Receivers take the round's Present links a word at a time when
+        // their kernels can, the walk feeds them ascending in stretches,
+        // and the wire holds no more phases than the index.
+        let words = self.stale_stop
+            && perm.is_none()
+            && slots[0].as_ref().is_some_and(PlaneShard::takes_words);
+        #[cfg(test)]
+        let words = words && !probe::WORD_WALK_OFF.get();
+        let indexed = words && wire_index.build(unconditional, wire_phase, wire_value);
+        #[cfg(test)]
+        probe::bump(&probe::UNINDEXED_ROUNDS, words && !indexed);
         let env = PlaneRound {
             perm,
             classes,
             conditional,
             honest,
+            active,
             unconditional,
             crash,
             ports,
+            sender_keyed: self.columnar,
             wire: StagedWire {
                 phase: wire_phase,
                 value: wire_value,
                 batches,
             },
+            index: indexed.then_some(&*wire_index),
             max_wire_phase,
             t,
             params: *params,
@@ -1227,9 +1350,6 @@ impl Simulation {
         // each, appended behind it below.
         let mut log = events.take();
         let logging = log.is_some();
-        let shards = shard_bounds.len() - 1;
-        let mut slots: [Option<PlaneShard<'_>>; MAX_PLANE_SHARDS] = Default::default();
-        plane.fill_shards(shard_bounds, &mut slots[..shards]);
         let mut ctxs: [Option<Mutex<ShardCtx<'_>>>; MAX_PLANE_SHARDS] = Default::default();
         for (i, slot) in slots[..shards].iter_mut().enumerate() {
             let span = shard_bounds[i + 1] - shard_bounds[i];
@@ -1735,6 +1855,152 @@ mod tests {
             assert_eq!(stopping.schedule(), feeding.schedule(), "seed {seed}");
             assert_eq!(stopping.traces(), feeding.traces(), "seed {seed}");
         }
+    }
+
+    /// The word walk must be behaviorally invisible: a DAC run whose
+    /// receivers take the round's Present links 64 senders per kernel step
+    /// through the wire index, and the same run fed link by link, agree on
+    /// everything an `Outcome` holds. Crash (silent, partial-subset,
+    /// partial-random) and Byzantine senders at random ids — so they cut
+    /// words in the middle — over up to three words of senders; dense and
+    /// sparse links; the complete graph (full words), a rotating window
+    /// below the quorum (T > 1: seen rows stay dirty across rounds),
+    /// staggered receiver groups (every word mixes two phases) and random
+    /// links (partial words); and one run whose wire outgrows the index
+    /// and comes back.
+    #[test]
+    fn word_walk_is_behavior_invisible() {
+        use crate::builder::LinkMode;
+        use adn_adversary::AdversaryView;
+        use adn_faults::strategies::{by_name, ALL_STRATEGY_NAMES};
+        use adn_graph::EdgeSet;
+
+        fn run_both(build: impl Fn() -> SimBuilder) -> (Outcome, Outcome) {
+            probe::WORD_WALK_OFF.set(true);
+            let link_by_link = build().run();
+            probe::WORD_WALK_OFF.set(false);
+            (build().run(), link_by_link)
+        }
+
+        fn assert_same((words, links): &(Outcome, Outcome), what: &str) {
+            assert_eq!(words.rounds(), links.rounds(), "{what}");
+            assert_eq!(words.reason(), links.reason(), "{what}");
+            assert_eq!(words.honest_outputs(), links.honest_outputs(), "{what}");
+            assert_eq!(words.traffic(), links.traffic(), "{what}");
+            assert_eq!(words.schedule(), links.schedule(), "{what}");
+            assert_eq!(words.traces(), links.traces(), "{what}");
+        }
+
+        let counted = |counter: &'static std::thread::LocalKey<std::cell::Cell<u64>>| {
+            counter.with(std::cell::Cell::get)
+        };
+        let seeds = std::env::var("ADN_FUZZ_SEEDS")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(240u64);
+        for seed in 0..seeds {
+            let build = || {
+                let mut rng = SplitMix64::new(seed);
+                let n = 20 + rng.next_index(150);
+                let f = 1 + rng.next_index(n / 6);
+                let p = params(n, f, 1e-3);
+                // Sparse runs carry no Byzantine nodes.
+                let sparse = seed % 2 == 0;
+                let byzantine = if sparse { 0 } else { rng.next_index(f + 1) };
+                let faulty = rng.sample_indices(n, f);
+                let mut crash = CrashSchedule::new(n);
+                for &k in &faulty[byzantine..] {
+                    let survivors = match rng.next_index(4) {
+                        0 => CrashSurvivors::All,
+                        1 => CrashSurvivors::None,
+                        2 => CrashSurvivors::Subset(
+                            rng.sample_indices(n, n / 2)
+                                .into_iter()
+                                .map(NodeId::new)
+                                .collect(),
+                        ),
+                        _ => CrashSurvivors::Random {
+                            keep_probability: 0.5,
+                            seed: rng.next_u64(),
+                        },
+                    };
+                    crash.crash(NodeId::new(k), Round::new(rng.next_below(8)), survivors);
+                }
+                let adversary = match rng.next_index(4) {
+                    0 => AdversarySpec::Complete,
+                    1 => AdversarySpec::Rotating { d: n / 4 },
+                    2 => AdversarySpec::Staggered {
+                        d: n / 2 + 1,
+                        groups: 3,
+                    },
+                    _ => AdversarySpec::Random { p: 0.7 },
+                };
+                let mut b = Simulation::builder(p)
+                    .inputs_random(seed)
+                    .crashes(crash)
+                    .adversary(adversary.build(n, f, seed))
+                    .algorithm(factories::dac_with_pend(p, 3 + rng.next_below(6)))
+                    .algorithm_plane(PlaneMode::Always)
+                    .link_mode(if sparse {
+                        LinkMode::Sparse
+                    } else {
+                        LinkMode::Dense
+                    })
+                    .max_rounds(80);
+                for (k, &id) in faulty[..byzantine].iter().enumerate() {
+                    let name = ALL_STRATEGY_NAMES[rng.next_index(ALL_STRATEGY_NAMES.len())];
+                    b = b.byzantine(NodeId::new(id), by_name(name, n, seed + k as u64));
+                }
+                b
+            };
+            assert_same(&run_both(build), &format!("seed {seed}"));
+        }
+        if seeds >= 100 {
+            assert!(counted(&probe::WORD_STEPS) > 0, "no run took a word step");
+            assert!(
+                counted(&probe::CUT_WORDS) > 0,
+                "no conditional sender landed inside a word"
+            );
+        }
+
+        /// Complete, except that receiver `v < 10` hears nothing in rounds
+        /// `v + 1 .. 14`: ten stragglers, each left behind in its own
+        /// phase while the rest advance, then all of them released.
+        #[derive(Debug)]
+        struct Stragglers;
+        impl adn_adversary::Adversary for Stragglers {
+            fn edges_into(&mut self, view: &AdversaryView<'_>, out: &mut EdgeSet) {
+                let t = view.round.as_u64() as usize;
+                for v in NodeId::all(view.params.n()) {
+                    if !(v.index() < 10 && (v.index() + 1..14).contains(&t)) {
+                        out.assign_in_neighbors(v, view.deliverers);
+                    }
+                }
+            }
+            fn name(&self) -> &'static str {
+                "stragglers"
+            }
+        }
+        let unindexed = counted(&probe::UNINDEXED_ROUNDS);
+        let steps = counted(&probe::WORD_STEPS);
+        let p = params(70, 0, 1e-6);
+        let outgrown = run_both(|| {
+            Simulation::builder(p)
+                .inputs_random(3)
+                .adversary(Box::new(Stragglers))
+                .algorithm(factories::dac(p))
+                .algorithm_plane(PlaneMode::Always)
+        });
+        assert_same(&outgrown, "stragglers");
+        assert_eq!(outgrown.0.reason(), StopReason::AllOutput);
+        assert!(
+            counted(&probe::UNINDEXED_ROUNDS) > unindexed,
+            "the wire never outgrew the index"
+        );
+        assert!(
+            counted(&probe::WORD_STEPS) > steps,
+            "no indexed round around them"
+        );
     }
 
     /// The directed case the stop must not break: on the complete graph

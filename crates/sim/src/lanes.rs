@@ -189,7 +189,10 @@ impl LaneRun {
         let max_rounds = builders[0].max_rounds;
         let range_oracle = builders[0].range_oracle;
         let crash = builders[0].crash.clone();
+        // Every lane link is keyed by its real port: the table is built
+        // here, not by the first step.
         let ports = SimBuilder::resolve_ports(builders[0].ports.clone(), n);
+        ports.materialize();
         let mut lane_inputs = Vec::with_capacity(lanes * n);
         for b in &builders {
             lane_inputs.extend_from_slice(&b.inputs);

@@ -104,16 +104,30 @@ impl SplitMix64 {
     ///
     /// Panics if `k > n`.
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        assert!(k <= n, "cannot sample {k} distinct items from {n}");
         // Partial Fisher-Yates over an index vector: O(n) setup, fine for
         // simulator scales (n is in the tens or hundreds).
         let mut idx: Vec<usize> = (0..n).collect();
-        for i in 0..k {
-            let j = i + self.next_index(n - i);
-            idx.swap(i, j);
-        }
+        self.partial_shuffle(&mut idx, k);
         idx.truncate(k);
         idx
+    }
+
+    /// Forward Fisher–Yates over the first `k` positions of `xs`, in
+    /// place: afterwards `xs[..k]` is a uniform `k`-sample of the slice in
+    /// random order. The draw sequence of [`SplitMix64::sample_indices`]
+    /// and [`SplitMix64::permutation`], for callers that fill their own
+    /// storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k > xs.len()`.
+    pub fn partial_shuffle<T>(&mut self, xs: &mut [T], k: usize) {
+        let n = xs.len();
+        assert!(k <= n, "cannot sample {k} distinct items from {n}");
+        for i in 0..k {
+            let j = i + self.next_index(n - i);
+            xs.swap(i, j);
+        }
     }
 
     /// Returns a random permutation of `0..n`.

@@ -132,6 +132,30 @@ fn lean_dbac(n: usize, mode: PlaneMode, order: DeliveryOrder) -> Simulation {
         .build()
 }
 
+/// A lean DAC run over three words of senders under staggered receiver
+/// groups: every word mixes the phases of the served and the waiting
+/// groups, and how many there are changes from round to round — the wire
+/// index rebuilt per round, at a different phase count each time.
+fn lean_dac_staggered() -> Simulation {
+    let n = 130;
+    let params = Params::fault_free(n, 1e-6).unwrap();
+    Simulation::builder(params)
+        .inputs_random(1)
+        .adversary(
+            AdversarySpec::Staggered {
+                d: n / 2 + 1,
+                groups: 3,
+            }
+            .build(n, 0, 1),
+        )
+        .algorithm(factories::dac_with_pend(params, u64::MAX))
+        .algorithm_plane(PlaneMode::Always)
+        .record_schedule(false)
+        .observe_phases(false)
+        .max_rounds(u64::MAX)
+        .build()
+}
+
 /// A lean DBAC run at n = 64, f = 8 with every fault slot Byzantine (the
 /// highest ids): `f + 1 = 9`-long trim lists, `begin_round` and per-link
 /// fabrication — none of which the `f = 0` cells reach.
@@ -219,8 +243,8 @@ fn lean_dac_sparse(n: usize, shards: usize) -> Simulation {
 fn steady_state_step_performs_zero_allocations() {
     // --- The round engine's one delivery routine (staging into the
     // persistent batches, per-round wire columns, the conditional-sender
-    // list, the shard split and its contexts), on the columnar planes and
-    // on boxed state machines — under all three delivery orders (the
+    // list, the wire index, the shard split and its contexts), on the
+    // columnar planes and on boxed state machines — under all three delivery orders (the
     // descending and shuffled orders walk the shared per-round sender
     // permutation, whose build — including the shuffle's full-id scratch
     // and the active mask — must reuse the arena's `perm` buffer), plus
@@ -232,15 +256,16 @@ fn steady_state_step_performs_zero_allocations() {
     // other row kind. ---
     use DeliveryOrder::{AscendingSenders, DescendingSenders, Shuffled};
     type Build = fn() -> Simulation;
-    let cells: [(&str, Build); 16] = [
+    let cells: [(&str, Build); 17] = [
         ("dac/plane", || {
             lean_dac(32, PlaneMode::Always, AscendingSenders)
         }),
-        // The benchmark's size: 16-word rows, an 8 MB port table — and no
-        // second one (the transpose assertion below).
+        // The benchmark's size: 16-word rows — and no 8 MB port table,
+        // let alone a second one (the table assertions below).
         ("dac/plane/1024", || {
             lean_dac(1024, PlaneMode::Always, AscendingSenders)
         }),
+        ("dac/plane/staggered", lean_dac_staggered),
         ("dac/trait", || {
             lean_dac(32, PlaneMode::Never, AscendingSenders)
         }),
@@ -320,10 +345,18 @@ fn steady_state_step_performs_zero_allocations() {
             assert_eq!(staged, 4, "{name}: every link must carry k + 1 messages");
         }
         // No engine path delivers sender-major any more, so none may have
-        // built the transposed port table behind `ports_to`.
+        // built the transposed port table behind `ports_to`. And only
+        // boxed nodes are keyed by ports: their runs built the random
+        // table up front (a fill in the window above would have counted),
+        // the columnar ones never did.
         assert!(
             !sim.ports().has_transpose(),
             "{name}: a run materialized the transposed port table"
+        );
+        assert_eq!(
+            sim.ports().has_table(),
+            !sim.uses_plane(),
+            "{name}: the port table is built exactly for runs that read ports"
         );
     }
 
