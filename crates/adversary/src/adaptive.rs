@@ -1,7 +1,7 @@
-use adn_graph::{EdgeSet, LinkPlane};
+use adn_graph::LinkSink;
 use adn_types::NodeId;
 
-use crate::{Adversary, AdversaryView};
+use crate::{AdversaryView, LinkChoice};
 
 /// State-inspecting worst-case adversary: each receiver hears from the `d`
 /// delivering senders whose **state values are closest to its own**.
@@ -17,8 +17,8 @@ use crate::{Adversary, AdversaryView};
 pub struct AdaptiveClosest {
     d: usize,
     /// Reusable per-receiver candidate scratch: filled from the deliverer
-    /// set, sorted by value distance, truncated to `d` — no per-round
-    /// `Vec` churn once warmed up.
+    /// set, cut down to the `d` value-nearest — no per-round `Vec` churn
+    /// once warmed up.
     scratch: Vec<NodeId>,
 }
 
@@ -42,50 +42,25 @@ impl AdaptiveClosest {
     }
 }
 
-impl Adversary for AdaptiveClosest {
+impl LinkChoice for AdaptiveClosest {
     // audit: no-alloc
-    fn edges_into(&mut self, view: &AdversaryView<'_>, out: &mut EdgeSet) {
-        let n = view.params.n();
-        for v in NodeId::all(n) {
+    fn fill<S: LinkSink>(&mut self, view: &AdversaryView<'_>, out: &mut S) {
+        for v in NodeId::all(view.params.n()) {
             let my_value = view.values[v.index()].get();
             view.senders_for_into(v, &mut self.scratch);
-            // Sort by distance to the receiver's value, ties by index for
-            // determinism. The index tie-break makes the order total, so
-            // the in-place unstable sort yields the identical permutation
-            // a stable sort would — without its allocation.
-            self.scratch.sort_unstable_by(|&a, &b| {
-                let da = (view.values[a.index()].get() - my_value).abs();
-                let db = (view.values[b.index()].get() - my_value).abs();
-                da.total_cmp(&db).then(a.cmp(&b))
-            });
-            for &u in self.scratch.iter().take(self.d) {
-                out.insert(u, v);
+            // Keep the `d` nearest by (distance to the receiver's value,
+            // id). The id tie-break makes the order total, so the kept
+            // *set* is unique and a selection finds it without sorting
+            // all candidates; the kept ids are then emitted ascending.
+            if self.d < self.scratch.len() {
+                self.scratch.select_nth_unstable_by(self.d - 1, |&a, &b| {
+                    let da = (view.values[a.index()].get() - my_value).abs();
+                    let db = (view.values[b.index()].get() - my_value).abs();
+                    da.total_cmp(&db).then(a.cmp(&b))
+                });
+                self.scratch.truncate(self.d);
+                self.scratch.sort_unstable();
             }
-        }
-    }
-
-    fn sparse_capable(&self) -> bool {
-        true
-    }
-
-    fn sparse_into(&mut self, view: &AdversaryView<'_>, out: &mut LinkPlane) {
-        // Natural row kind: CSR — the `d` value-nearest senders are an
-        // arbitrary id set. Selection is the dense fill's verbatim; the
-        // only extra step is re-sorting the chosen prefix by id, because
-        // `LinkPlane::push_link` requires ascending sender order (the
-        // dense `EdgeSet` is order-insensitive, so the link *set* is
-        // unchanged).
-        let n = view.params.n();
-        for v in NodeId::all(n) {
-            let my_value = view.values[v.index()].get();
-            view.senders_for_into(v, &mut self.scratch);
-            self.scratch.sort_unstable_by(|&a, &b| {
-                let da = (view.values[a.index()].get() - my_value).abs();
-                let db = (view.values[b.index()].get() - my_value).abs();
-                da.total_cmp(&db).then(a.cmp(&b))
-            });
-            self.scratch.truncate(self.d);
-            self.scratch.sort_unstable();
             for &u in &self.scratch {
                 out.push_link(v, u);
             }
@@ -101,8 +76,8 @@ impl Adversary for AdaptiveClosest {
 mod tests {
     use super::*;
     use crate::testutil::record;
-    use adn_graph::checker;
-    use adn_graph::NodeSet;
+    use crate::Adversary;
+    use adn_graph::{checker, EdgeSet, NodeSet};
     use adn_types::{Params, Phase, Round, Value};
 
     #[test]

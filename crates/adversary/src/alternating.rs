@@ -1,7 +1,7 @@
-use adn_graph::{generators, EdgeSet, LinkPlane};
+use adn_graph::{generators, EdgeSet, LinkSink};
 use adn_types::NodeId;
 
-use crate::{Adversary, AdversaryView};
+use crate::{AdversaryView, LinkChoice};
 
 /// Bursty adversary generalizing Figure 1 of the paper: for `period − 1`
 /// rounds it delivers **nothing**, then for one round it delivers a fixed
@@ -56,35 +56,22 @@ impl Alternating {
     }
 }
 
-impl Adversary for Alternating {
+impl LinkChoice for Alternating {
     // audit: no-alloc
-    fn edges_into(&mut self, view: &AdversaryView<'_>, out: &mut EdgeSet) {
-        let t = view.round.as_u64() as usize;
-        if t % self.period == self.period - 1 {
-            // Word-parallel row copies of the stored burst instead of a
-            // fresh clone of it every burst round; silent rounds write
-            // nothing (`out` arrives cleared).
-            out.copy_from(&self.burst);
-        }
-    }
-
-    fn sparse_capable(&self) -> bool {
-        true
-    }
-
-    fn sparse_into(&mut self, view: &AdversaryView<'_>, out: &mut LinkPlane) {
-        // Natural row kind: CSR — the burst is an arbitrary stored graph,
-        // copied row-exact. Crucially NOT recorded as runs: run rows carry
-        // the implicit `∩ deliverers` semantics, but the dense fill copies
-        // the burst verbatim without pruning non-deliverers (the engine
-        // prunes at realization time), and the sparse rows must match the
-        // dense fill bit for bit.
+    fn fill<S: LinkSink>(&mut self, view: &AdversaryView<'_>, out: &mut S) {
         let t = view.round.as_u64() as usize;
         if t % self.period != self.period - 1 {
-            return;
+            return; // a silent round
         }
-        for v in NodeId::all(view.params.n()) {
-            self.burst.in_neighbors(v).for_each(|u| out.push_link(v, u));
+        // The stored burst, copied row-exact a word at a time. Crucially
+        // NOT emitted as runs: those carry the implicit `∩ deliverers`,
+        // but the burst is an arbitrary graph handed over verbatim — the
+        // engine prunes non-deliverers at realization time.
+        assert_eq!(self.burst.n(), view.params.n(), "node count mismatch");
+        for (v, row) in NodeId::all(self.burst.n()).zip(self.burst.in_neighbor_sets()) {
+            for (w, bits) in row.iter_words() {
+                out.push_word(v, w, bits);
+            }
         }
     }
 

@@ -1,7 +1,7 @@
-use adn_graph::{EdgeSet, LinkPlane};
+use adn_graph::LinkSink;
 use adn_types::NodeId;
 
-use crate::{Adversary, AdversaryView};
+use crate::{AdversaryView, LinkChoice};
 
 /// The benign extreme: every pair of delivering nodes is connected every
 /// round — `(1, n−1)`-dynaDegree when nobody is faulty.
@@ -14,31 +14,16 @@ use crate::{Adversary, AdversaryView};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Complete;
 
-impl Adversary for Complete {
+impl LinkChoice for Complete {
     // audit: no-alloc
-    fn edges_into(&mut self, view: &AdversaryView<'_>, out: &mut EdgeSet) {
-        // One word-parallel row copy per receiver instead of one asserted
-        // insert per (deliverer, receiver) pair — this is the default
-        // adversary, so it sits on the round engine's critical path.
-        for v in NodeId::all(view.params.n()) {
-            out.assign_in_neighbors(v, view.deliverers);
-        }
-    }
-
-    fn sparse_capable(&self) -> bool {
-        true
-    }
-
-    fn sparse_into(&mut self, view: &AdversaryView<'_>, out: &mut LinkPlane) {
-        // Natural row kind: one full-id-range run per receiver —
-        // `deliverers \ {v}` in O(1) space, whatever the degree.
+    fn fill<S: LinkSink>(&mut self, view: &AdversaryView<'_>, out: &mut S) {
+        // One full-id-range run per receiver — `deliverers \ {v}` as one
+        // word-parallel row OR (dense) or in O(1) space (sparse). This is
+        // the default adversary, so it sits on the round engine's
+        // critical path.
         let n = view.params.n();
-        if n == 0 {
-            return;
-        }
-        let hi = NodeId::new(n - 1);
         for v in NodeId::all(n) {
-            out.push_run(v, NodeId::new(0), hi);
+            out.push_run(v, NodeId::new(0), NodeId::new(n - 1));
         }
     }
 
@@ -58,15 +43,9 @@ impl Adversary for Complete {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Silence;
 
-impl Adversary for Silence {
+impl LinkChoice for Silence {
     // audit: no-alloc
-    fn edges_into(&mut self, _view: &AdversaryView<'_>, _out: &mut EdgeSet) {}
-
-    fn sparse_capable(&self) -> bool {
-        true
-    }
-
-    fn sparse_into(&mut self, _view: &AdversaryView<'_>, _out: &mut LinkPlane) {}
+    fn fill<S: LinkSink>(&mut self, _view: &AdversaryView<'_>, _out: &mut S) {}
 
     fn lane_key(&self) -> Option<u64> {
         Some(crate::mix_lane_key(2, &[]))

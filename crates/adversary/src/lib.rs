@@ -27,13 +27,20 @@
 //! *delivery* graph even in the presence of crashed or silent nodes; a
 //! link from a dead sender would satisfy nothing.
 //!
-//! **In-place fill contract.** Every gallery strategy implements
-//! [`Adversary::edges_into`] by writing the round's links into the engine's
-//! reused edge set with word-parallel row operations (range ORs, masked
-//! row copies, fresh-sender sweeps) — zero steady-state allocations, and
-//! byte-identical links to the per-receiver reference semantics
-//! (`tests/adversary_equivalence.rs` fuzzes the equivalence across seeds
-//! × crash schedules; `tests/alloc_free.rs` pins the allocation count).
+//! **One body, two sinks.** A gallery strategy states its choice once, as
+//! [`LinkChoice::fill`] over a generic [`LinkSink`]: runs
+//! (`deliverers ∩ {lo..=hi} \ {v}`), runs split around one sender, and
+//! exact links. A blanket impl makes every [`LinkChoice`] an
+//! [`Adversary`]: [`Adversary::edges_into`] is that body on the dense
+//! [`DenseLinks`] view of the engine's reused [`EdgeSet`],
+//! [`Adversary::sparse_into`] the same body on its reused [`LinkPlane`]
+//! — so the two fills agree because the sink operations do
+//! (`adn-graph` fuzzes those), not because two bodies were kept in
+//! step. Both are monomorphized, word-parallel where the shape allows
+//! and allocation free in steady state (`tests/alloc_free.rs` pins the
+//! count; `tests/adversary_equivalence.rs` fuzzes both against
+//! per-receiver reference semantics). Implement [`Adversary`] directly
+//! only for a dense-only custom adversary.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -66,7 +73,7 @@ pub use transitional::{Eventually, Isolate};
 
 use std::fmt;
 
-use adn_graph::{EdgeSet, LinkPlane, NodeSet};
+use adn_graph::{DenseLinks, EdgeSet, LinkPlane, LinkSink, NodeSet};
 use adn_types::{Params, Phase, Round, Value};
 
 /// Mixes a strategy tag and its constructor parameters into an
@@ -103,18 +110,10 @@ pub struct AdversaryView<'a> {
 }
 
 impl AdversaryView<'_> {
-    /// Delivering senders available to `receiver` (deliverers minus the
-    /// receiver itself), in ascending index order.
-    ///
-    /// Convenience for custom adversaries and tests; the gallery
-    /// strategies themselves operate on [`AdversaryView::deliverers`]
-    /// word-parallel and never materialize this list.
-    pub fn senders_for(&self, receiver: adn_types::NodeId) -> Vec<adn_types::NodeId> {
-        self.deliverers.iter().filter(|&u| u != receiver).collect()
-    }
-
-    /// Allocation-free form of [`AdversaryView::senders_for`]: writes the
-    /// delivering senders into a caller-owned scratch vector.
+    /// Writes the delivering senders available to `receiver` (deliverers
+    /// minus the receiver itself, ascending) into a caller-owned scratch
+    /// vector — a convenience for custom adversaries; the gallery works
+    /// on [`AdversaryView::deliverers`] word-parallel wherever it can.
     pub fn senders_for_into(&self, receiver: adn_types::NodeId, out: &mut Vec<adn_types::NodeId>) {
         out.clear();
         out.extend(self.deliverers.iter().filter(|&u| u != receiver));
@@ -125,31 +124,28 @@ impl AdversaryView<'_> {
 pub trait Adversary: fmt::Debug {
     /// Chooses the reliable links `E(t)` for the round described by
     /// `view`, writing them into a caller-owned edge set that the round
-    /// engine reuses across rounds (passed cleared).
-    ///
-    /// Every gallery strategy fills it word-parallel and in place, so
-    /// `Simulation::step` stays allocation free whichever of them drives
-    /// it — `tests/alloc_free.rs` pins the whole gallery.
+    /// engine reuses across rounds (passed cleared) — in place and
+    /// without allocating, so `Simulation::step` stays allocation free
+    /// (`tests/alloc_free.rs` pins the whole gallery).
     fn edges_into(&mut self, view: &AdversaryView<'_>, out: &mut EdgeSet);
 
-    /// Whether this adversary can fill a sparse [`LinkPlane`] via
-    /// [`Adversary::sparse_into`]. Defaults to `false`; every gallery
-    /// strategy overrides it to `true` and declares its natural row kind
-    /// (id-range runs for the broadcast/window/partition shapes, CSR for
-    /// the bounded-degree and exact-row shapes). The engine only takes
-    /// the sparse delivery path when this returns `true`; the dense
-    /// [`Adversary::edges_into`] fill remains the oracle the sparse rows
-    /// are fuzzed against.
+    /// Whether [`Adversary::sparse_into`] works; the engine only takes
+    /// the sparse delivery path when it does. `true` for every
+    /// [`LinkChoice`] — writing through a [`LinkSink`] *is* being
+    /// sparse-capable — and `false` by default for a hand-written
+    /// dense-only `impl Adversary`. (It is a method rather than a
+    /// consequence of the type because the frozen benchmark's wrapper
+    /// adversary forwards it.)
     fn sparse_capable(&self) -> bool {
         false
     }
 
     /// Writes the round's links into the engine's reused sparse
     /// [`LinkPlane`] (passed freshly [`LinkPlane::begin_round`]-ed with
-    /// the view's deliverer set). Must choose **exactly** the links
-    /// [`Adversary::edges_into`] chooses — run rows carry the implicit
-    /// `∩ deliverers \ {receiver}` semantics, CSR rows are exact — so the
-    /// sparse and dense paths stay byte-identical.
+    /// the view's deliverer set): exactly the links
+    /// [`Adversary::edges_into`] chooses. A [`LinkChoice`] gets that by
+    /// construction; a direct impl that overrides this must keep it true
+    /// by hand.
     ///
     /// The default panics: the engine never calls it unless
     /// [`Adversary::sparse_capable`] says so.
@@ -190,6 +186,55 @@ pub trait Adversary: fmt::Debug {
 
     /// Short name for reports.
     fn name(&self) -> &'static str;
+}
+
+/// One round's link choice, stated once against a generic [`LinkSink`] —
+/// how every gallery strategy is written. The blanket impl below turns it
+/// into an [`Adversary`] whose dense and sparse fills are this one body.
+pub trait LinkChoice: fmt::Debug {
+    /// Emits the round's links `E(t)` into `out`, in place and without
+    /// allocating in steady state; receiver-major, under the row
+    /// discipline [`LinkSink`] documents.
+    fn fill<S: LinkSink>(&mut self, view: &AdversaryView<'_>, out: &mut S);
+
+    /// See [`Adversary::lane_key`].
+    fn lane_key(&self) -> Option<u64> {
+        None
+    }
+
+    /// See [`Adversary::begin_instance`].
+    fn begin_instance(&mut self, instance: u64) {
+        let _ = instance;
+    }
+
+    /// See [`Adversary::name`].
+    fn name(&self) -> &'static str;
+}
+
+impl<C: LinkChoice> Adversary for C {
+    fn edges_into(&mut self, view: &AdversaryView<'_>, out: &mut EdgeSet) {
+        self.fill(view, &mut DenseLinks::new(out, view.deliverers));
+    }
+
+    fn sparse_capable(&self) -> bool {
+        true
+    }
+
+    fn sparse_into(&mut self, view: &AdversaryView<'_>, out: &mut LinkPlane) {
+        self.fill(view, out);
+    }
+
+    fn lane_key(&self) -> Option<u64> {
+        LinkChoice::lane_key(self)
+    }
+
+    fn begin_instance(&mut self, instance: u64) {
+        LinkChoice::begin_instance(self, instance);
+    }
+
+    fn name(&self) -> &'static str {
+        LinkChoice::name(self)
+    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
-use adn_graph::{EdgeSet, LinkPlane};
+use adn_graph::LinkSink;
 use adn_types::NodeId;
 
-use crate::{Adversary, AdversaryView};
+use crate::{AdversaryView, LinkChoice};
 
 /// Which single in-neighbor [`OmitOne`] removes at each receiver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,9 +75,9 @@ impl OmitOne {
     }
 }
 
-impl Adversary for OmitOne {
+impl LinkChoice for OmitOne {
     // audit: no-alloc
-    fn edges_into(&mut self, view: &AdversaryView<'_>, out: &mut EdgeSet) {
+    fn fill<S: LinkSink>(&mut self, view: &AdversaryView<'_>, out: &mut S) {
         let n = view.params.n();
         let t = view.round.as_u64() as usize;
         let total = view.deliverers.len();
@@ -110,57 +110,10 @@ impl Adversary for OmitOne {
                     _ => unreachable!("m > 0 guarantees a candidate"),
                 },
             };
-            // Row = deliverers minus self, minus the omitted sender — one
-            // word-parallel copy and one bit clear.
-            out.assign_in_neighbors(v, view.deliverers);
-            out.remove(omitted, v);
-        }
-    }
-
-    fn sparse_capable(&self) -> bool {
-        true
-    }
-
-    // audit: no-alloc
-    fn sparse_into(&mut self, view: &AdversaryView<'_>, out: &mut LinkPlane) {
-        // Natural row kind: the full id range split around the omitted
-        // sender — at most two runs per receiver, whatever n is. The
-        // omission choice is the dense fill's verbatim.
-        let n = view.params.n();
-        if n == 0 {
-            return;
-        }
-        let t = view.round.as_u64() as usize;
-        let total = view.deliverers.len();
-        let value_best = match self.rule {
-            OmitRule::RoundRobin => (None, None),
-            _ => self.best_two(view),
-        };
-        let hi = NodeId::new(n - 1);
-        for v in NodeId::all(n) {
-            let v_delivers = view.deliverers.contains(v);
-            let m = total - usize::from(v_delivers);
-            if m == 0 {
-                continue;
-            }
-            let omitted = match self.rule {
-                OmitRule::RoundRobin => {
-                    let k = (t + v.index()) % m;
-                    let k = if v_delivers && k >= view.deliverers.rank(v) {
-                        k + 1
-                    } else {
-                        k
-                    };
-                    // audit: allow(no-panic) — k < m ≤ deliverers.len() by the modulo above, so nth(k) always exists
-                    view.deliverers.nth(k).expect("index within deliverers")
-                }
-                _ => match value_best {
-                    (Some(best), _) if best != v => best,
-                    (_, Some(second)) => second,
-                    _ => unreachable!("m > 0 guarantees a candidate"),
-                },
-            };
-            out.push_run_except(v, NodeId::new(0), hi, omitted);
+            // Row = deliverers minus self, minus the omitted sender: the
+            // full id range split around it — at most two runs per
+            // receiver, whatever n is.
+            out.push_run_except(v, NodeId::new(0), NodeId::new(n - 1), omitted);
         }
     }
 

@@ -1,7 +1,7 @@
-use adn_graph::{EdgeSet, LinkPlane};
+use adn_graph::LinkSink;
 use adn_types::NodeId;
 
-use crate::{Adversary, AdversaryView};
+use crate::{AdversaryView, LinkChoice};
 
 /// The Theorem 9 impossibility adversary: splits the nodes into two
 /// disjoint groups (`0..split` and `split..n`) that never exchange a
@@ -41,32 +41,12 @@ impl Partition {
     }
 }
 
-impl Adversary for Partition {
+impl LinkChoice for Partition {
     // audit: no-alloc
-    fn edges_into(&mut self, view: &AdversaryView<'_>, out: &mut EdgeSet) {
+    fn fill<S: LinkSink>(&mut self, view: &AdversaryView<'_>, out: &mut S) {
         let n = view.params.n();
         // Each group is a contiguous id range, so a receiver's row is one
-        // word-parallel "deliverers ∩ my group" range OR (self stripped).
-        let split = self.split.min(n);
-        for v in NodeId::all(n) {
-            let (lo, hi) = if v.index() < split {
-                (0, split - 1)
-            } else {
-                (split, n - 1)
-            };
-            out.insert_range_from(v, view.deliverers, NodeId::new(lo), NodeId::new(hi));
-        }
-    }
-
-    fn sparse_capable(&self) -> bool {
-        true
-    }
-
-    fn sparse_into(&mut self, view: &AdversaryView<'_>, out: &mut LinkPlane) {
-        // Natural row kind: one id-range run per receiver — its own
-        // group's id range, with the run semantics (∩ deliverers \ {v})
-        // matching the dense path's `insert_range_from` exactly.
-        let n = view.params.n();
+        // "deliverers ∩ my group" run (self stripped).
         let split = self.split.min(n);
         for v in NodeId::all(n) {
             let (lo, hi) = if v.index() < split {
@@ -143,36 +123,15 @@ impl Theorem10Split {
     }
 }
 
-impl Adversary for Theorem10Split {
+impl LinkChoice for Theorem10Split {
     // audit: no-alloc
-    fn edges_into(&mut self, view: &AdversaryView<'_>, out: &mut EdgeSet) {
+    fn fill<S: LinkSink>(&mut self, view: &AdversaryView<'_>, out: &mut S) {
         let n = view.params.n();
         let a_end = self.group_size;
         let b_start = n - self.group_size;
         // Both groups are contiguous id ranges; v hears u iff they share
-        // a group, so a receiver's row is one range OR per group it
-        // belongs to (overlap members get both — the ranges just overlap
-        // in the OR). Self-links are stripped by `insert_range_from`.
-        for v in NodeId::all(n) {
-            if v.index() < a_end {
-                out.insert_range_from(v, view.deliverers, NodeId::new(0), NodeId::new(a_end - 1));
-            }
-            if v.index() >= b_start {
-                out.insert_range_from(v, view.deliverers, NodeId::new(b_start), NodeId::new(n - 1));
-            }
-        }
-    }
-
-    fn sparse_capable(&self) -> bool {
-        true
-    }
-
-    fn sparse_into(&mut self, view: &AdversaryView<'_>, out: &mut LinkPlane) {
-        // Natural row kind: one run per group membership; overlap members
-        // record both runs and the plane's read path coalesces them.
-        let n = view.params.n();
-        let a_end = self.group_size;
-        let b_start = n - self.group_size;
+        // a group, so a receiver's row is one run per group it belongs to
+        // (overlap members get both — the runs just overlap).
         for v in NodeId::all(n) {
             if v.index() < a_end {
                 out.push_run(v, NodeId::new(0), NodeId::new(a_end - 1));

@@ -1,8 +1,8 @@
-use adn_graph::{EdgeSet, LinkPlane};
+use adn_graph::LinkSink;
 use adn_types::rng::SplitMix64;
 use adn_types::NodeId;
 
-use crate::{Adversary, AdversaryView};
+use crate::{AdversaryView, LinkChoice};
 
 /// The probabilistic message adversary sketched in §VII: each directed
 /// link between delivering senders and any receiver is present
@@ -40,37 +40,14 @@ impl RandomLinks {
     }
 }
 
-impl Adversary for RandomLinks {
+impl LinkChoice for RandomLinks {
     // audit: no-alloc
-    fn edges_into(&mut self, view: &AdversaryView<'_>, out: &mut EdgeSet) {
-        let n = view.params.n();
+    fn fill<S: LinkSink>(&mut self, view: &AdversaryView<'_>, out: &mut S) {
         // One Bernoulli draw per (receiver, delivering sender ≠ receiver)
-        // pair, in ascending receiver-major order — the draw sequence is
-        // part of the per-seed determinism contract, so the link plane
-        // port keeps the loop shape and only drops the `EdgeSet` return.
-        for v in NodeId::all(n) {
-            let (rng, p) = (&mut self.rng, self.p);
-            view.deliverers.for_each(|u| {
-                if u != v && rng.next_bool(p) {
-                    out.insert(u, v);
-                }
-            });
-        }
-    }
-
-    fn sparse_capable(&self) -> bool {
-        true
-    }
-
-    fn sparse_into(&mut self, view: &AdversaryView<'_>, out: &mut LinkPlane) {
-        // Natural row kind: CSR — each kept link is an explicit draw with
-        // no range structure. The loop shape (ascending receiver-major,
-        // ascending senders within a receiver) is the dense fill's
-        // verbatim, so the Bernoulli draw sequence — part of the per-seed
-        // determinism contract — is identical, and the ascending sender
-        // order is exactly what `LinkPlane::push_link` requires.
-        let n = view.params.n();
-        for v in NodeId::all(n) {
+        // pair, ascending receiver-major — the draw sequence is part of
+        // the per-seed determinism contract. Each kept link is an exact
+        // draw with no range structure.
+        for v in NodeId::all(view.params.n()) {
             let (rng, p) = (&mut self.rng, self.p);
             view.deliverers.for_each(|u| {
                 if u != v && rng.next_bool(p) {

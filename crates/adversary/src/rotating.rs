@@ -1,8 +1,8 @@
-use adn_graph::{EdgeSet, LinkPlane};
+use adn_graph::LinkSink;
 use adn_types::NodeId;
 
 use crate::runs::SenderList;
-use crate::{Adversary, AdversaryView};
+use crate::{AdversaryView, LinkChoice};
 
 /// Gives every fault-free receiver exactly `d` delivering in-neighbors per
 /// round — `(1, d)`-dynaDegree — while rotating *which* neighbors those
@@ -38,66 +38,17 @@ impl Rotating {
     }
 }
 
-impl Adversary for Rotating {
+impl LinkChoice for Rotating {
     // audit: no-alloc
-    fn edges_into(&mut self, view: &AdversaryView<'_>, out: &mut EdgeSet) {
-        let n = view.params.n();
+    fn fill<S: LinkSink>(&mut self, view: &AdversaryView<'_>, out: &mut S) {
         let t = view.round.as_u64() as usize;
         // Receiver v's candidate list is "deliverers minus v" in ascending
         // order; the rotation window maps to at most two contiguous index
-        // runs of it — each OR'd into the receiver's row as a
-        // word-parallel id range instead of one asserted insert (plus two
-        // modulos) per link.
-        let m = self.senders.begin_round(view);
-        if m == 0 {
-            return;
-        }
-        for v in NodeId::all(n) {
-            let rank = self.senders.rank_of(v);
-            let len = m - usize::from(rank.is_some());
-            if len == 0 {
-                continue;
-            }
-            let d = self.d.min(len);
-            // Rotate the window start by round and receiver so neighbor
-            // sets differ across rounds *and* across receivers.
-            let start = (t * d + v.index()) % len;
-            // The window [start, start + d) mod len, split at the wrap.
-            let first = d.min(len - start);
-            self.senders
-                .insert_reduced_run(view, out, v, rank, start, start + first);
-            self.senders
-                .insert_reduced_run(view, out, v, rank, 0, d - first);
-        }
-    }
-
-    fn sparse_capable(&self) -> bool {
-        true
-    }
-
-    fn sparse_into(&mut self, view: &AdversaryView<'_>, out: &mut LinkPlane) {
-        // Natural row kind: id-range runs. The window math is the dense
-        // fill's verbatim; only the emission differs (O(1) recorded runs
-        // instead of word-parallel row ORs), and both route through
-        // `SenderList`'s shared index-to-range mapping.
-        let n = view.params.n();
-        let t = view.round.as_u64() as usize;
-        let m = self.senders.begin_round(view);
-        if m == 0 {
-            return;
-        }
-        for v in NodeId::all(n) {
-            let rank = self.senders.rank_of(v);
-            let len = m - usize::from(rank.is_some());
-            if len == 0 {
-                continue;
-            }
-            let d = self.d.min(len);
-            let start = (t * d + v.index()) % len;
-            let first = d.min(len - start);
-            self.senders
-                .push_reduced_run(out, v, rank, start, start + first);
-            self.senders.push_reduced_run(out, v, rank, 0, d - first);
+        // runs of it, each emitted as an id range instead of one link
+        // (plus two modulos) at a time.
+        self.senders.begin_round(view);
+        for v in NodeId::all(view.params.n()) {
+            self.senders.push_window(out, v, t, self.d);
         }
     }
 

@@ -7,13 +7,10 @@
 //! the allocation the word-parallel link plane exists to avoid. Instead,
 //! [`SenderList`] holds the ascending *full* deliverer list (refilled in
 //! place once per round) and maps each reduced-list index run onto at most
-//! two contiguous id ranges of the deliverer set. The range computation is
-//! shared between both fill targets: the dense path ORs each range into
-//! the receiver's `EdgeSet` row word-parallel, the sparse path records the
-//! same range as an O(1) [`LinkPlane`](adn_graph::LinkPlane) run — so the
-//! two representations agree by construction.
+//! two contiguous id ranges of the deliverer set, each emitted as one
+//! [`LinkSink`] run.
 
-use adn_graph::{EdgeSet, LinkPlane};
+use adn_graph::LinkSink;
 use adn_types::NodeId;
 
 use crate::AdversaryView;
@@ -26,31 +23,40 @@ pub(crate) struct SenderList {
 }
 
 impl SenderList {
-    /// Refills the list from the round's deliverers (capacity-preserving)
-    /// and returns its length.
-    pub fn begin_round(&mut self, view: &AdversaryView<'_>) -> usize {
+    /// Refills the list from the round's deliverers (capacity-preserving).
+    pub fn begin_round(&mut self, view: &AdversaryView<'_>) {
         self.senders.clear();
         self.senders.extend(view.deliverers.iter());
-        self.senders.len()
     }
 
-    /// Position of `v` in the list, if `v` is itself a deliverer.
-    pub fn rank_of(&self, v: NodeId) -> Option<usize> {
-        self.senders.binary_search(&v).ok()
+    /// Emits receiver `v`'s rotation window in round `t`: `d` cyclically
+    /// consecutive members (all of them, if fewer exist) of "deliverers
+    /// minus `v`", starting at index `(t·d + v) mod len` so neighbor sets
+    /// differ across rounds *and* across receivers.
+    pub fn push_window<S: LinkSink>(&self, out: &mut S, v: NodeId, t: usize, d: usize) {
+        let rank = self.senders.binary_search(&v).ok();
+        let len = self.senders.len() - usize::from(rank.is_some());
+        if len == 0 {
+            return;
+        }
+        let d = d.min(len);
+        let start = (t * d + v.index()) % len;
+        // The window [start, start + d) mod len, split at the wrap.
+        let first = d.min(len - start);
+        self.push_reduced_run(out, v, rank, start, start + first);
+        self.push_reduced_run(out, v, rank, 0, d - first);
     }
 
-    /// Maps the **reduced-list** ("deliverers minus `v`") index run
-    /// `[a, b)` onto id ranges of the deliverer set, stepping over `v`'s
-    /// own rank (`rank`, as returned by [`SenderList::rank_of`]), and
-    /// emits each as an inclusive `(lo, hi)` id pair. Empty runs emit
-    /// nothing. Both fill paths route through here, so their index math
-    /// is identical by construction.
-    fn for_each_reduced_run(
+    /// Emits the **reduced-list** ("deliverers minus `v`") index run
+    /// `[a, b)` as id-range runs on `v`'s row, stepping over `v`'s own
+    /// rank in the full list (`rank`). Empty runs emit nothing.
+    fn push_reduced_run<S: LinkSink>(
         &self,
+        out: &mut S,
+        v: NodeId,
         rank: Option<usize>,
         a: usize,
         b: usize,
-        mut emit: impl FnMut(NodeId, NodeId),
     ) {
         if a == b {
             return;
@@ -58,7 +64,7 @@ impl SenderList {
         // A full-list index run [a, b) is contiguous in the ascending
         // deliverer list, so it covers exactly the deliverers in the id
         // range [senders[a], senders[b-1]].
-        let mut run = |a: usize, b: usize| emit(self.senders[a], self.senders[b - 1]);
+        let mut run = |a: usize, b: usize| out.push_run(v, self.senders[a], self.senders[b - 1]);
         match rank {
             Some(p) if a < p && b > p => {
                 run(a, p);
@@ -67,35 +73,5 @@ impl SenderList {
             Some(p) if a >= p => run(a + 1, b + 1),
             _ => run(a, b),
         }
-    }
-
-    /// Inserts the links of the reduced-list index run `[a, b)` into
-    /// `v`'s dense row — one word-parallel range OR per emitted range.
-    pub fn insert_reduced_run(
-        &self,
-        view: &AdversaryView<'_>,
-        out: &mut EdgeSet,
-        v: NodeId,
-        rank: Option<usize>,
-        a: usize,
-        b: usize,
-    ) {
-        self.for_each_reduced_run(rank, a, b, |lo, hi| {
-            out.insert_range_from(v, view.deliverers, lo, hi);
-        });
-    }
-
-    /// Records the links of the reduced-list index run `[a, b)` as sparse
-    /// runs on `v`'s [`LinkPlane`] row — the same id ranges the dense
-    /// path ORs, in O(1) space each.
-    pub fn push_reduced_run(
-        &self,
-        out: &mut LinkPlane,
-        v: NodeId,
-        rank: Option<usize>,
-        a: usize,
-        b: usize,
-    ) {
-        self.for_each_reduced_run(rank, a, b, |lo, hi| out.push_run(v, lo, hi));
     }
 }

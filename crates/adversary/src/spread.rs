@@ -1,7 +1,7 @@
-use adn_graph::{EdgeSet, LinkPlane, NodeSet};
+use adn_graph::{LinkSink, NodeSet};
 use adn_types::NodeId;
 
-use crate::{Adversary, AdversaryView};
+use crate::{AdversaryView, LinkChoice};
 
 /// Realizes (T, d)-dynaDegree *as slowly as the definition permits*: the
 /// `d` distinct in-neighbors a receiver is owed per window are doled out in
@@ -80,7 +80,7 @@ impl Spread {
 
     /// Lazily (re)sizes the per-receiver heard-sets to the system's `n` —
     /// the one allocation of the adversary's lifetime, kept out of the
-    /// no-alloc fill paths.
+    /// no-alloc fill.
     fn ensure_heard(&mut self, n: usize) {
         if self.heard.len() != n {
             // audit: allow(alloc-reach) — the one allocation of the adversary's lifetime; every later round takes the len-equal fast path
@@ -89,8 +89,53 @@ impl Spread {
     }
 }
 
-impl Adversary for Spread {
-    fn edges_into(&mut self, view: &AdversaryView<'_>, out: &mut EdgeSet) {
+/// Emits links `(u, v)` for the `k` **lowest-id** members `u` of
+/// `senders \ heard \ {v}` (or all of them, if fewer than `k` remain) and
+/// records the same members in `heard` — "deliver the next `k` fresh
+/// senders". One sweep over the words of `senders`, each taken whole as an
+/// exact word of links; only the boundary word pays a short bit-clearing
+/// loop to keep its lowest set bits.
+fn push_lowest_fresh<S: LinkSink>(
+    out: &mut S,
+    v: NodeId,
+    senders: &NodeSet,
+    heard: &mut NodeSet,
+    k: usize,
+) {
+    let (vw, vb) = (v.index() / 64, v.index() % 64);
+    let mut remaining = k;
+    for (wi, mut cand) in senders.iter_words() {
+        if remaining == 0 {
+            break;
+        }
+        cand &= !heard.word(wi);
+        if wi == vw {
+            cand &= !(1u64 << vb);
+        }
+        if cand == 0 {
+            continue;
+        }
+        let have = cand.count_ones() as usize;
+        let take = if have <= remaining {
+            cand
+        } else {
+            // Keep the lowest `remaining` set bits: clearing the lowest
+            // bit `remaining` times leaves exactly the bits above the
+            // boundary; XOR recovers the ones below it.
+            let mut rest = cand;
+            for _ in 0..remaining {
+                rest &= rest - 1;
+            }
+            cand ^ rest
+        };
+        out.push_word(v, wi, take);
+        heard.set_word(wi, heard.word(wi) | take);
+        remaining -= take.count_ones() as usize;
+    }
+}
+
+impl LinkChoice for Spread {
+    fn fill<S: LinkSink>(&mut self, view: &AdversaryView<'_>, out: &mut S) {
         let n = view.params.n();
         // The lazy (re)size stays outside the audited block: it is the
         // one allocation of the adversary's lifetime.
@@ -108,75 +153,12 @@ impl Adversary for Spread {
             if installment == 0 {
                 return;
             }
-            for v in NodeId::all(n) {
+            for (v, heard) in NodeId::all(n).zip(&mut self.heard) {
                 // The next `installment` lowest-id delivering senders this
-                // receiver has not heard this window, in one word-parallel
-                // sweep that also advances the window's heard-set.
-                out.insert_lowest_from(v, view.deliverers, &mut self.heard[v.index()], installment);
-            }
-        }
-    }
-
-    fn sparse_capable(&self) -> bool {
-        true
-    }
-
-    fn sparse_into(&mut self, view: &AdversaryView<'_>, out: &mut LinkPlane) {
-        // Natural row kind: CSR — each round delivers a small installment
-        // of explicit fresh senders per receiver, which no id range can
-        // express once the heard-sets diverge. The word walk mirrors
-        // `EdgeSet::insert_lowest_from` exactly (ascending words, lowest
-        // `remaining` bits kept), including the heard-set advance, so both
-        // fills leave the adversary in the same state.
-        let n = view.params.n();
-        // Lazy (re)size outside the audited block, as in `edges_into`.
-        self.ensure_heard(n);
-        // audit: no-alloc
-        {
-            let k = (view.round.as_u64() as usize) % self.t_window;
-            if k == 0 {
-                for heard in &mut self.heard {
-                    heard.clear();
-                }
-            }
-            let installment = self.slice(k).len();
-            if installment == 0 {
-                return;
-            }
-            for v in NodeId::all(n) {
-                let heard = &mut self.heard[v.index()];
-                let (vw, vb) = (v.index() / 64, v.index() % 64);
-                let mut remaining = installment;
-                for (wi, mut cand) in view.deliverers.iter_words() {
-                    if remaining == 0 {
-                        break;
-                    }
-                    cand &= !heard.word(wi);
-                    if wi == vw {
-                        cand &= !(1u64 << vb);
-                    }
-                    if cand == 0 {
-                        continue;
-                    }
-                    let have = cand.count_ones() as usize;
-                    let take = if have <= remaining {
-                        cand
-                    } else {
-                        let mut rest = cand;
-                        for _ in 0..remaining {
-                            rest &= rest - 1;
-                        }
-                        cand ^ rest
-                    };
-                    let mut bits = take;
-                    while bits != 0 {
-                        let u = NodeId::new(wi * 64 + bits.trailing_zeros() as usize);
-                        out.push_link(v, u);
-                        heard.insert(u);
-                        bits &= bits - 1;
-                    }
-                    remaining -= take.count_ones() as usize;
-                }
+                // receiver has not heard this window — explicit links,
+                // which no id range can express once the heard-sets
+                // diverge.
+                push_lowest_fresh(out, v, view.deliverers, heard, installment);
             }
         }
     }
@@ -190,8 +172,76 @@ impl Adversary for Spread {
 mod tests {
     use super::*;
     use crate::testutil::record;
-    use adn_graph::{checker, Schedule};
+    use crate::Adversary;
+    use adn_graph::{checker, DenseLinks, EdgeSet, Schedule};
     use adn_types::{Params, Phase, Round, Value};
+
+    /// `push_lowest_fresh` into a dense row; returns the row afterwards.
+    fn fresh(
+        e: &mut EdgeSet,
+        v: NodeId,
+        senders: &NodeSet,
+        heard: &mut NodeSet,
+        k: usize,
+    ) -> Vec<usize> {
+        push_lowest_fresh(&mut DenseLinks::new(e, senders), v, senders, heard, k);
+        e.in_neighbors(v).iter().map(|u| u.index()).collect()
+    }
+
+    #[test]
+    fn lowest_fresh_takes_fresh_senders_in_order() {
+        let n = 140;
+        let senders = NodeSet::from_ids(n, [0, 1, 5, 63, 64, 70, 129].map(NodeId::new));
+        let mut heard = NodeSet::new(n);
+        let mut e = EdgeSet::empty(n);
+        let v = NodeId::new(5); // also a sender: must be skipped, not marked
+        let got = fresh(&mut e, v, &senders, &mut heard, 3);
+        assert_eq!(got, vec![0, 1, 63], "lowest three, self skipped");
+        assert_eq!(heard, e.in_neighbors(v).clone(), "marks mirror the row");
+        // Next installment continues where the marks left off.
+        let got = fresh(&mut e, v, &senders, &mut heard, 2);
+        assert_eq!(got, vec![0, 1, 63, 64, 70]);
+        // Candidates run short: only 129 is left, then nothing.
+        assert_eq!(fresh(&mut e, v, &senders, &mut heard, 4).len(), 6);
+        assert_eq!(fresh(&mut e, v, &senders, &mut heard, 1).len(), 6);
+    }
+
+    #[test]
+    fn lowest_fresh_matches_naive_on_random_sets() {
+        let mut rng = adn_types::rng::SplitMix64::new(0xF00);
+        for n in [5usize, 64, 65, 130] {
+            for case in 0..20 {
+                let mut senders = NodeSet::new(n);
+                let mut already = NodeSet::new(n);
+                for i in 0..n {
+                    if rng.next_bool(0.5) {
+                        senders.insert(NodeId::new(i));
+                    }
+                    if rng.next_bool(0.3) {
+                        already.insert(NodeId::new(i));
+                    }
+                }
+                let v = NodeId::new(rng.next_index(n));
+                let k = rng.next_index(n + 2);
+                let expect: Vec<usize> = senders
+                    .iter()
+                    .filter(|&u| u != v && !already.contains(u))
+                    .take(k)
+                    .map(|u| u.index())
+                    .collect();
+                let mut e = EdgeSet::empty(n);
+                let mut marks = already.clone();
+                let got = fresh(&mut e, v, &senders, &mut marks, k);
+                assert_eq!(got, expect, "n={n} case={case}");
+                for u in expect {
+                    assert!(
+                        marks.contains(NodeId::new(u)),
+                        "n={n} case={case}: {u} unmarked"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn slices_partition_degree() {

@@ -1,8 +1,8 @@
-use adn_graph::{EdgeSet, LinkPlane};
+use adn_graph::LinkSink;
 use adn_types::NodeId;
 
 use crate::runs::SenderList;
-use crate::{Adversary, AdversaryView};
+use crate::{AdversaryView, LinkChoice};
 
 /// Staggers progress: each round only the receivers of one of `groups`
 /// rotating groups are served (with `d` rotating in-neighbors each);
@@ -52,68 +52,18 @@ impl Staggered {
     }
 }
 
-impl Adversary for Staggered {
+impl LinkChoice for Staggered {
     // audit: no-alloc
-    fn edges_into(&mut self, view: &AdversaryView<'_>, out: &mut EdgeSet) {
-        let n = view.params.n();
+    fn fill<S: LinkSink>(&mut self, view: &AdversaryView<'_>, out: &mut S) {
         let t = view.round.as_u64() as usize;
         let turn = t % self.groups;
-        // Same rotation-window shape as `Rotating`, restricted to the
-        // round's receiver group: the window over "deliverers minus v"
-        // maps to at most two contiguous id ranges, OR'd word-parallel.
-        let m = self.senders.begin_round(view);
-        if m == 0 {
-            return;
-        }
-        for v in NodeId::all(n) {
-            if v.index() % self.groups != turn {
-                continue;
+        // `Rotating`'s window, on the rows of the round's receiver group
+        // only; the starved groups keep empty rows.
+        self.senders.begin_round(view);
+        for v in NodeId::all(view.params.n()) {
+            if v.index() % self.groups == turn {
+                self.senders.push_window(out, v, t, self.d);
             }
-            let rank = self.senders.rank_of(v);
-            let len = m - usize::from(rank.is_some());
-            if len == 0 {
-                continue;
-            }
-            let d = self.d.min(len);
-            let start = (t * d + v.index()) % len;
-            let first = d.min(len - start);
-            self.senders
-                .insert_reduced_run(view, out, v, rank, start, start + first);
-            self.senders
-                .insert_reduced_run(view, out, v, rank, 0, d - first);
-        }
-    }
-
-    fn sparse_capable(&self) -> bool {
-        true
-    }
-
-    fn sparse_into(&mut self, view: &AdversaryView<'_>, out: &mut LinkPlane) {
-        // Natural row kind: id-range runs on the served group's rows; the
-        // starved groups keep empty rows. Same window math as the dense
-        // fill, emitted through the shared `SenderList` range mapping.
-        let n = view.params.n();
-        let t = view.round.as_u64() as usize;
-        let turn = t % self.groups;
-        let m = self.senders.begin_round(view);
-        if m == 0 {
-            return;
-        }
-        for v in NodeId::all(n) {
-            if v.index() % self.groups != turn {
-                continue;
-            }
-            let rank = self.senders.rank_of(v);
-            let len = m - usize::from(rank.is_some());
-            if len == 0 {
-                continue;
-            }
-            let d = self.d.min(len);
-            let start = (t * d + v.index()) % len;
-            let first = d.min(len - start);
-            self.senders
-                .push_reduced_run(out, v, rank, start, start + first);
-            self.senders.push_reduced_run(out, v, rank, 0, d - first);
         }
     }
 

@@ -2,10 +2,10 @@
 //! networks (the "early works" model the paper contrasts with in §III) and
 //! temporary isolation of individual nodes (stragglers).
 
-use adn_graph::{EdgeSet, LinkPlane};
+use adn_graph::LinkSink;
 use adn_types::{NodeId, Round};
 
-use crate::{Adversary, AdversaryView};
+use crate::{AdversaryView, Complete, LinkChoice};
 
 /// Chaotic until round `stabilize_at`, then a fixed complete graph forever
 /// — the eventually-stable network model of the early dynamic-network
@@ -34,37 +34,12 @@ impl Eventually {
     }
 }
 
-impl Adversary for Eventually {
+impl LinkChoice for Eventually {
     // audit: no-alloc
-    fn edges_into(&mut self, view: &AdversaryView<'_>, out: &mut EdgeSet) {
-        if view.round < self.stabilize_at {
-            // Still chaotic: deliver nothing (`out` arrives cleared).
-            return;
-        }
-        // Stabilized: the complete graph, one word-parallel row copy per
-        // receiver, exactly as [`crate::Complete`].
-        for v in NodeId::all(view.params.n()) {
-            out.assign_in_neighbors(v, view.deliverers);
-        }
-    }
-
-    fn sparse_capable(&self) -> bool {
-        true
-    }
-
-    fn sparse_into(&mut self, view: &AdversaryView<'_>, out: &mut LinkPlane) {
-        // Natural row kind: nothing during the chaotic prefix, then one
-        // full-id-range run per receiver — exactly [`crate::Complete`].
-        if view.round < self.stabilize_at {
-            return;
-        }
-        let n = view.params.n();
-        if n == 0 {
-            return;
-        }
-        let hi = NodeId::new(n - 1);
-        for v in NodeId::all(n) {
-            out.push_run(v, NodeId::new(0), hi);
+    fn fill<S: LinkSink>(&mut self, view: &AdversaryView<'_>, out: &mut S) {
+        // Nothing during the chaotic prefix, then the complete graph.
+        if view.round >= self.stabilize_at {
+            Complete.fill(view, out);
         }
     }
 
@@ -111,45 +86,18 @@ impl Isolate {
     }
 }
 
-impl Adversary for Isolate {
+impl LinkChoice for Isolate {
     // audit: no-alloc
-    fn edges_into(&mut self, view: &AdversaryView<'_>, out: &mut EdgeSet) {
-        let n = view.params.n();
-        let cut = self.is_isolated(view.round);
-        for v in NodeId::all(n) {
-            if cut && v == self.victim {
-                continue; // the victim's row stays empty
-            }
-            out.assign_in_neighbors(v, view.deliverers);
-            if cut && self.victim.index() < n {
-                out.remove(self.victim, v);
-            }
+    fn fill<S: LinkSink>(&mut self, view: &AdversaryView<'_>, out: &mut S) {
+        if !self.is_isolated(view.round) {
+            return Complete.fill(view, out);
         }
-    }
-
-    fn sparse_capable(&self) -> bool {
-        true
-    }
-
-    fn sparse_into(&mut self, view: &AdversaryView<'_>, out: &mut LinkPlane) {
-        // Natural row kind: the full id range, split around the victim
-        // during the outage — at most two runs per receiver, and the
-        // victim's own row stays empty while cut.
+        // The full id range split around the victim — at most two runs
+        // per receiver — and the victim's own row stays empty.
         let n = view.params.n();
-        if n == 0 {
-            return;
-        }
-        let cut = self.is_isolated(view.round);
-        let lo = NodeId::new(0);
-        let hi = NodeId::new(n - 1);
         for v in NodeId::all(n) {
-            if cut && v == self.victim {
-                continue;
-            }
-            if cut && self.victim.index() < n {
-                out.push_run_except(v, lo, hi, self.victim);
-            } else {
-                out.push_run(v, lo, hi);
+            if v != self.victim {
+                out.push_run_except(v, NodeId::new(0), NodeId::new(n - 1), self.victim);
             }
         }
     }

@@ -19,7 +19,7 @@
 //! | `alloc-reach` | fns transitively reachable from a region via the call graph | the `no-alloc` construct set, reported with the call chain |
 //! | `panic-reach` | same reachability                  | the `no-panic` construct set, reported with the call chain |
 //! | `layering`    | library crates                     | `use adn_*` edges that invert the crate DAG; `std::thread`/`std::sync` outside the two pool files |
-//! | `trait-contract` | library crates                  | `Adversary` impls without `edges_into`/`sparse_capable`, `AlgorithmPlane` impls without `reset_instance`, `ByzantineStrategy` impls without `begin_instance` |
+//! | `trait-contract` | library crates                  | `AlgorithmPlane` impls without `reset_instance`, `ByzantineStrategy` impls without `begin_instance` |
 //!
 //! Annotation grammar (in comments, so the source stays plain Rust):
 //!

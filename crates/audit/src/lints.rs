@@ -24,8 +24,7 @@
 //!   (types → graph/net/faults → adversary/core → sim → bench, with
 //!   analysis and audit dependency-free), and `std::thread`/`std::sync`
 //!   are confined to the two thread-pool files.
-//! * **trait-contract** — every `Adversary` impl defines `edges_into`
-//!   and `sparse_capable`, every `AlgorithmPlane` impl defines
+//! * **trait-contract** — every `AlgorithmPlane` impl defines
 //!   `reset_instance`, every `ByzantineStrategy` impl defines
 //!   `begin_instance`.
 //!
@@ -151,20 +150,7 @@ const THREADING_ALLOWLIST: [&str; 2] = ["crates/sim/src/shardpool.rs", "crates/s
 /// Trait contracts: `(trait, required methods with reasons)`. Every
 /// non-test impl of a listed trait in the eight library crates must
 /// define each required method explicitly.
-const TRAIT_CONTRACTS: [(&str, &[(&str, &str)]); 3] = [
-    (
-        "Adversary",
-        &[
-            (
-                "edges_into",
-                "every delivery path calls the allocation-free in-place fill",
-            ),
-            (
-                "sparse_capable",
-                "declare sparseness one way or the other (define `sparse_into` too when capable)",
-            ),
-        ],
-    ),
+const TRAIT_CONTRACTS: [(&str, &[(&str, &str)]); 2] = [
     (
         "AlgorithmPlane",
         &[(

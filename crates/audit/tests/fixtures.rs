@@ -728,9 +728,6 @@ fn layering_suppressed_with_justification() {
 fn trait_contract_positive_missing_methods() {
     let src = r#"
 pub struct Foo;
-impl Adversary for Foo {
-    fn name(&self) -> &'static str { "foo" }
-}
 impl AlgorithmPlane for Foo {
     fn receive(&mut self) {}
 }
@@ -738,14 +735,12 @@ impl ByzantineStrategy for Foo {
     fn name(&self) -> &'static str { "foo" }
 }
 "#;
-    let diags = audit_source("crates/adversary/src/fake.rs", src);
+    let diags = audit_source("crates/core/src/fake.rs", src);
     assert_eq!(
         lines(&diags),
         vec![
-            "3: trait-contract: `impl Adversary for Foo` must define `edges_into` — every delivery path calls the allocation-free in-place fill",
-            "3: trait-contract: `impl Adversary for Foo` must define `sparse_capable` — declare sparseness one way or the other (define `sparse_into` too when capable)",
-            "6: trait-contract: `impl AlgorithmPlane for Foo` must define `reset_instance` — service mode re-seeds planes in place between instances",
-            "9: trait-contract: `impl ByzantineStrategy for Foo` must define `begin_instance` — service instance k must fabricate byte-identically to a standalone run",
+            "3: trait-contract: `impl AlgorithmPlane for Foo` must define `reset_instance` — service mode re-seeds planes in place between instances",
+            "6: trait-contract: `impl ByzantineStrategy for Foo` must define `begin_instance` — service instance k must fabricate byte-identically to a standalone run",
         ]
     );
 }
@@ -754,24 +749,24 @@ impl ByzantineStrategy for Foo {
 fn trait_contract_negative_complete_impl_and_test_exemption() {
     let complete = r#"
 pub struct Foo;
-impl Adversary for Foo {
-    fn edges_into(&mut self, out: &mut u32) {}
-    fn sparse_capable(&self) -> bool { false }
+impl AlgorithmPlane for Foo {
+    fn receive(&mut self) {}
+    fn reset_instance(&mut self) {}
 }
 "#;
-    assert!(audit_source("crates/adversary/src/fake.rs", complete).is_empty());
+    assert!(audit_source("crates/core/src/fake.rs", complete).is_empty());
 
     // Impls inside #[cfg(test)] are scaffolding, not contract subjects.
     let in_test = r#"
 #[cfg(test)]
 mod tests {
     struct Probe;
-    impl Adversary for Probe {
+    impl ByzantineStrategy for Probe {
         fn name(&self) -> &'static str { "probe" }
     }
 }
 "#;
-    assert!(audit_source("crates/adversary/src/fake.rs", in_test).is_empty());
+    assert!(audit_source("crates/core/src/fake.rs", in_test).is_empty());
 }
 
 #[test]

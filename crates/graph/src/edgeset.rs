@@ -191,9 +191,8 @@ impl EdgeSet {
     }
 
     /// Overwrites `v`'s in-neighbor set with `senders \ {v}` in one
-    /// word-parallel copy — the bulk form of [`EdgeSet::insert`] used by
-    /// broadcast-shaped adversaries, which would otherwise pay one
-    /// asserted insert per (sender, receiver) pair per round.
+    /// word-parallel copy — the bulk form of [`EdgeSet::insert`] for a
+    /// broadcast-shaped row.
     ///
     /// # Panics
     ///
@@ -232,65 +231,6 @@ impl EdgeSet {
         let row = &mut self.in_neighbors[v.index()];
         row.union_range(senders, lo, hi);
         row.remove(v);
-    }
-
-    /// Adds links `(u, v)` for the `k` **lowest-id** members `u` of
-    /// `senders \ already \ {v}` (or all of them, if fewer than `k`
-    /// remain), records the same members in `already`, and returns how
-    /// many links were added.
-    ///
-    /// This is the "deliver the next `k` fresh senders" primitive of
-    /// window-spreading adversaries: `already` carries which senders the
-    /// receiver has heard this window, so installments never repeat a
-    /// sender no matter how the deliverer set shifts between rounds. One
-    /// word-parallel sweep; only the boundary word pays a short
-    /// bit-clearing loop to keep its lowest set bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range or the universes differ.
-    pub fn insert_lowest_from(
-        &mut self,
-        v: NodeId,
-        senders: &NodeSet,
-        already: &mut NodeSet,
-        k: usize,
-    ) -> usize {
-        assert_eq!(senders.universe(), self.n, "universe mismatch");
-        assert_eq!(already.universe(), self.n, "universe mismatch");
-        let row = self.in_neighbors[v.index()].words_mut();
-        let marks = already.words_mut();
-        let (vw, vb) = (v.index() / 64, v.index() % 64);
-        let mut remaining = k;
-        for (wi, mut cand) in senders.iter_words() {
-            if remaining == 0 {
-                break;
-            }
-            cand &= !marks[wi];
-            if wi == vw {
-                cand &= !(1u64 << vb);
-            }
-            if cand == 0 {
-                continue;
-            }
-            let have = cand.count_ones() as usize;
-            let take = if have <= remaining {
-                cand
-            } else {
-                // Keep the lowest `remaining` set bits: clearing the
-                // lowest bit `remaining` times leaves exactly the bits
-                // above the boundary; XOR recovers the ones below it.
-                let mut rest = cand;
-                for _ in 0..remaining {
-                    rest &= rest - 1;
-                }
-                cand ^ rest
-            };
-            row[wi] |= take;
-            marks[wi] |= take;
-            remaining -= take.count_ones() as usize;
-        }
-        k - remaining
     }
 
     /// Overwrites `out` with the transpose of this link set: row `u` of
@@ -500,63 +440,6 @@ mod tests {
         assert!(e.contains(NodeId::new(3), NodeId::new(1)), "kept");
         assert!(e.contains(NodeId::new(2), NodeId::new(1)), "added");
         assert!(!e.contains(NodeId::new(0), NodeId::new(1)), "masked out");
-    }
-
-    #[test]
-    fn insert_lowest_from_takes_fresh_senders_in_order() {
-        let n = 140;
-        let senders = NodeSet::from_ids(n, [0, 1, 5, 63, 64, 70, 129].map(NodeId::new));
-        let mut already = NodeSet::new(n);
-        let mut e = EdgeSet::empty(n);
-        let v = NodeId::new(5); // also a sender: must be skipped, not marked
-        assert_eq!(e.insert_lowest_from(v, &senders, &mut already, 3), 3);
-        let got: Vec<usize> = e.in_neighbors(v).iter().map(|u| u.index()).collect();
-        assert_eq!(got, vec![0, 1, 63], "lowest three, self skipped");
-        assert_eq!(already, e.in_neighbors(v).clone(), "marks mirror the row");
-        // Next installment continues where the marks left off.
-        assert_eq!(e.insert_lowest_from(v, &senders, &mut already, 2), 2);
-        let got: Vec<usize> = e.in_neighbors(v).iter().map(|u| u.index()).collect();
-        assert_eq!(got, vec![0, 1, 63, 64, 70]);
-        // Candidates run short: only 129 is left.
-        assert_eq!(e.insert_lowest_from(v, &senders, &mut already, 4), 1);
-        assert_eq!(e.in_degree(v), 6);
-        assert_eq!(e.insert_lowest_from(v, &senders, &mut already, 1), 0);
-    }
-
-    #[test]
-    fn insert_lowest_from_matches_naive_on_random_sets() {
-        use adn_types::rng::SplitMix64;
-        let mut rng = SplitMix64::new(0xF00);
-        for n in [5usize, 64, 65, 130] {
-            for case in 0..20 {
-                let mut senders = NodeSet::new(n);
-                let mut already = NodeSet::new(n);
-                for i in 0..n {
-                    if rng.next_bool(0.5) {
-                        senders.insert(NodeId::new(i));
-                    }
-                    if rng.next_bool(0.3) {
-                        already.insert(NodeId::new(i));
-                    }
-                }
-                let v = NodeId::new(rng.next_index(n));
-                let k = rng.next_index(n + 2);
-                let expect: Vec<NodeId> = senders
-                    .iter()
-                    .filter(|&u| u != v && !already.contains(u))
-                    .take(k)
-                    .collect();
-                let mut e = EdgeSet::empty(n);
-                let mut marks = already.clone();
-                let added = e.insert_lowest_from(v, &senders, &mut marks, k);
-                assert_eq!(added, expect.len(), "n={n} case={case}");
-                let got: Vec<NodeId> = e.in_neighbors(v).iter().collect();
-                assert_eq!(got, expect, "n={n} case={case}");
-                for u in &expect {
-                    assert!(marks.contains(*u), "n={n} case={case}: {u} unmarked");
-                }
-            }
-        }
     }
 
     #[test]

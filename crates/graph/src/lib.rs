@@ -8,6 +8,9 @@
 //! * [`EdgeSet`] — one round's directed links, stored as per-receiver
 //!   in-neighbor sets (the representation every consumer needs: "who can I
 //!   hear from this round?");
+//! * [`LinkPlane`] — the same rows as id-range runs or exact sender
+//!   lists, for systems too large for `n²` bits; [`LinkRows`] reads either
+//!   kind and [`LinkSink`] writes either kind;
 //! * [`Schedule`] — the recorded sequence `E(0), E(1), ...` of an
 //!   execution, supporting windowed unions `G_t = (V, ∪ E(t..t+T))`;
 //! * [`WindowUnion`] — incremental sliding-window link counters, the
@@ -54,7 +57,7 @@ mod window;
 
 pub use edgeset::EdgeSet;
 pub use lanelinks::LaneLinks;
-pub use linkplane::{LinkPlane, LinkRows, MAX_RUNS_PER_ROW};
+pub use linkplane::{DenseLinks, LinkPlane, LinkRows, LinkSink, MAX_RUNS_PER_ROW};
 pub use nodeset::NodeSet;
 pub use schedule::Schedule;
 pub use window::WindowUnion;

@@ -18,8 +18,10 @@
 //! [`EdgeSet::insert_range_from`]) or a contiguous CSR slice of exact
 //! sender ids. Reads go through [`LinkRows`], the row-access trait that
 //! [`EdgeSet`] also implements, so the delivery engine and the window
-//! checker compile against one interface and the dense path stays the
-//! byte-identical oracle.
+//! checker compile against one interface. Writes go through its other
+//! half, [`LinkSink`]: an adversary states a round's links once, as runs
+//! and exact links, and the same calls fill a [`LinkPlane`] or — through
+//! the [`DenseLinks`] view — an [`EdgeSet`], bit for bit.
 
 use std::fmt;
 
@@ -215,6 +217,113 @@ impl LinkRows for EdgeSet {
     }
 }
 
+/// Write access to one round's per-receiver link rows — the other half of
+/// [`LinkRows`], and the only way the adversary gallery emits `E(t)`.
+///
+/// The operations are the shapes a link choice comes in: a **run**
+/// (`deliverers ∩ {lo..=hi} \ {v}` — "everyone alive in this id range"),
+/// a run split around one excluded sender, and **exact** senders, one at
+/// a time or a 64-id word at a time. [`LinkPlane`] records them (runs in
+/// O(1), exact senders as a CSR row); [`DenseLinks`] ORs them into an
+/// [`EdgeSet`] row. Every operation only *adds* links, so a choice written
+/// against this trait yields the same link set on both.
+///
+/// Per row and round a writer uses runs or exact senders, never both, at
+/// most [`MAX_RUNS_PER_ROW`] runs, and pushes a row's exact senders
+/// consecutively, ascending, without the receiver itself — what the
+/// sparse rows need; the dense view does not care.
+pub trait LinkSink {
+    /// Adds `deliverers ∩ {lo..=hi} \ {v}` to `v`'s row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi` or `hi` is out of range.
+    fn push_run(&mut self, v: NodeId, lo: NodeId, hi: NodeId);
+
+    /// Adds `deliverers ∩ {lo..=hi} \ {v, except}` to `v`'s row: the
+    /// range split around one excluded sender (an omitted node, an
+    /// isolation victim) — zero, one, or two runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`LinkSink::push_run`].
+    #[inline]
+    fn push_run_except(&mut self, v: NodeId, lo: NodeId, hi: NodeId, except: NodeId) {
+        let e = except.index();
+        if e < lo.index() || e > hi.index() {
+            self.push_run(v, lo, hi);
+            return;
+        }
+        if e > lo.index() {
+            self.push_run(v, lo, NodeId::new(e - 1));
+        }
+        if e < hi.index() {
+            self.push_run(v, NodeId::new(e + 1), hi);
+        }
+    }
+
+    /// Adds the exact link `(u, v)` — *not* intersected with the
+    /// deliverer set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
+    fn push_link(&mut self, v: NodeId, u: NodeId);
+
+    /// Adds the exact senders `w * 64 + b`, one per set bit `b` of `bits`
+    /// — [`LinkSink::push_link`] for a whole word of a bit row, which
+    /// dense rows take as one OR.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sender is out of range.
+    #[inline]
+    fn push_word(&mut self, v: NodeId, w: usize, mut bits: u64) {
+        while bits != 0 {
+            self.push_link(v, NodeId::new(w * 64 + bits.trailing_zeros() as usize));
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// The dense [`LinkSink`]: an [`EdgeSet`] together with the round's
+/// deliverer set its runs are cut from (a [`LinkPlane`] carries its own).
+#[derive(Debug)]
+pub struct DenseLinks<'a> {
+    rows: &'a mut EdgeSet,
+    deliverers: &'a NodeSet,
+}
+
+impl<'a> DenseLinks<'a> {
+    /// A sink that ORs links into `rows`, reading runs against
+    /// `deliverers`.
+    pub fn new(rows: &'a mut EdgeSet, deliverers: &'a NodeSet) -> Self {
+        DenseLinks { rows, deliverers }
+    }
+}
+
+impl LinkSink for DenseLinks<'_> {
+    #[inline]
+    fn push_run(&mut self, v: NodeId, lo: NodeId, hi: NodeId) {
+        self.rows.insert_range_from(v, self.deliverers, lo, hi);
+    }
+
+    #[inline]
+    fn push_link(&mut self, v: NodeId, u: NodeId) {
+        self.rows.insert(u, v);
+    }
+
+    #[inline]
+    fn push_word(&mut self, v: NodeId, w: usize, bits: u64) {
+        debug_assert!(
+            w != v.index() / 64 || bits >> (v.index() % 64) & 1 == 0,
+            "self-loops are not part of the model"
+        );
+        let row = &mut self.rows.in_neighbor_sets_mut()[v.index()];
+        row.set_word(w, row.word(w) | bits);
+    }
+}
+
 /// One round's links in sparse/hybrid form: per receiver, either up to
 /// [`MAX_RUNS_PER_ROW`] id ranges of the round's deliverer set or an
 /// exact CSR list of sender ids.
@@ -223,22 +332,20 @@ impl LinkRows for EdgeSet {
 ///
 /// * a **run** `(lo, hi)` (inclusive) contributes
 ///   `deliverers ∩ {lo..=hi} \ {v}` — exactly what
-///   [`EdgeSet::insert_range_from`] inserts, so adversaries emit the same
-///   ranges on both paths. Runs may overlap and arrive unsorted (a
-///   rotating window wraps; Theorem 10's overlap nodes belong to two
-///   groups); reads sort and coalesce them on the stack first, so each
-///   link is visited once, ascending.
+///   [`EdgeSet::insert_range_from`] inserts. Runs may overlap and arrive
+///   unsorted (a rotating window wraps; Theorem 10's overlap nodes belong
+///   to two groups); reads sort and coalesce them on the stack first, so
+///   each link is visited once, ascending.
 /// * a **CSR** row holds the exact ascending sender ids pushed via
-///   [`LinkPlane::push_link`] — *not* intersected with the deliverer set,
-///   because strategies with precomputed bursts (Alternating) copy rows
-///   verbatim on the dense path too.
+///   [`LinkSink::push_link`] — *not* intersected with the deliverer set:
+///   a precomputed burst (Alternating) is copied verbatim.
 ///
 /// A row uses one kind per round; mixing runs and CSR in the same row is
 /// a caller bug (debug-asserted). All storage is allocated once and
 /// reused: [`LinkPlane::begin_round`] is a capacity-preserving clear.
 ///
 /// ```
-/// use adn_graph::{LinkPlane, LinkRows, NodeSet};
+/// use adn_graph::{LinkPlane, LinkRows, LinkSink, NodeSet};
 /// use adn_types::NodeId;
 ///
 /// let mut lp = LinkPlane::new(6);
@@ -311,87 +418,6 @@ impl LinkPlane {
     /// The round's deliverer set run rows are interpreted against.
     pub fn deliverers(&self) -> &NodeSet {
         &self.deliverers
-    }
-
-    /// Appends the run `deliverers ∩ {lo..=hi} \ {v}` to `v`'s row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`, an endpoint is out of range, or the row
-    /// already holds [`MAX_RUNS_PER_ROW`] runs; debug-panics if the row
-    /// already holds CSR links.
-    pub fn push_run(&mut self, v: NodeId, lo: NodeId, hi: NodeId) {
-        assert!(lo <= hi, "empty range: {lo} > {hi}");
-        assert!(hi.index() < self.n, "sender {hi} out of range");
-        debug_assert_eq!(self.csr_len[v.index()], 0, "row {v} mixes CSR and runs");
-        let len = &mut self.runs_len[v.index()];
-        assert!(
-            (*len as usize) < MAX_RUNS_PER_ROW,
-            "row {v} exceeds {MAX_RUNS_PER_ROW} runs"
-        );
-        self.runs[v.index() * MAX_RUNS_PER_ROW + *len as usize] =
-            (lo.index() as u32, hi.index() as u32);
-        *len += 1;
-    }
-
-    /// Appends `deliverers ∩ {lo..=hi} \ {v, except}` to `v`'s row: the
-    /// range split around one excluded sender (an omitted node, an
-    /// isolation victim). Emits zero, one, or two runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`LinkPlane::push_run`].
-    pub fn push_run_except(&mut self, v: NodeId, lo: NodeId, hi: NodeId, except: NodeId) {
-        let e = except.index();
-        if e < lo.index() || e > hi.index() {
-            self.push_run(v, lo, hi);
-            return;
-        }
-        if e > lo.index() {
-            self.push_run(v, lo, NodeId::new(e - 1));
-        }
-        if e < hi.index() {
-            self.push_run(v, NodeId::new(e + 1), hi);
-        }
-    }
-
-    /// Appends the exact sender `u` to `v`'s CSR row.
-    ///
-    /// All links of one row must be pushed consecutively (each row is one
-    /// contiguous slice of the shared pool) and in ascending sender order;
-    /// both are debug-asserted, as is the absence of self-loops and run
-    /// entries in the same row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range or the pool exceeds the 32-bit index
-    /// space.
-    pub fn push_link(&mut self, v: NodeId, u: NodeId) {
-        assert!(u.index() < self.n, "sender {u} out of range");
-        debug_assert_ne!(u, v, "self-loops are not part of the model");
-        debug_assert_eq!(self.runs_len[v.index()], 0, "row {v} mixes runs and CSR");
-        assert!(
-            self.csr_items.len() < u32::MAX as usize,
-            "CSR pool exceeds the 32-bit index space"
-        );
-        let len = &mut self.csr_len[v.index()];
-        if *len == 0 {
-            self.csr_start[v.index()] = self.csr_items.len() as u32;
-        } else {
-            debug_assert_eq!(
-                self.csr_start[v.index()] as usize + *len as usize,
-                self.csr_items.len(),
-                "row {v} is not the pool tail: CSR rows must be filled contiguously"
-            );
-            debug_assert!(
-                self.csr_items
-                    .last()
-                    .is_some_and(|&last| last < u.index() as u32),
-                "row {v}: links must be pushed in ascending sender order"
-            );
-        }
-        self.csr_items.push(u.index() as u32);
-        *len += 1;
     }
 
     /// `v`'s CSR row: its exact ascending sender ids (empty for run rows
@@ -520,6 +546,64 @@ impl LinkPlane {
             + self.csr_start.capacity() * 4
             + self.csr_len.capacity() * 4
             + self.csr_items.capacity() * 4
+    }
+}
+
+impl LinkSink for LinkPlane {
+    /// Records the run in O(1).
+    ///
+    /// # Panics
+    ///
+    /// Also panics if the row already holds [`MAX_RUNS_PER_ROW`] runs;
+    /// debug-panics if it already holds CSR links.
+    fn push_run(&mut self, v: NodeId, lo: NodeId, hi: NodeId) {
+        assert!(lo <= hi, "empty range: {lo} > {hi}");
+        assert!(hi.index() < self.n, "sender {hi} out of range");
+        debug_assert_eq!(self.csr_len[v.index()], 0, "row {v} mixes CSR and runs");
+        let len = &mut self.runs_len[v.index()];
+        assert!(
+            (*len as usize) < MAX_RUNS_PER_ROW,
+            "row {v} exceeds {MAX_RUNS_PER_ROW} runs"
+        );
+        self.runs[v.index() * MAX_RUNS_PER_ROW + *len as usize] =
+            (lo.index() as u32, hi.index() as u32);
+        *len += 1;
+    }
+
+    /// Appends `u` to `v`'s CSR row. All links of one row must be pushed
+    /// consecutively (each row is one contiguous slice of the shared
+    /// pool) and in ascending sender order; both are debug-asserted, as
+    /// is the absence of self-loops and run entries in the same row.
+    ///
+    /// # Panics
+    ///
+    /// Also panics if the pool exceeds the 32-bit index space.
+    fn push_link(&mut self, v: NodeId, u: NodeId) {
+        assert!(u.index() < self.n, "sender {u} out of range");
+        debug_assert_ne!(u, v, "self-loops are not part of the model");
+        debug_assert_eq!(self.runs_len[v.index()], 0, "row {v} mixes runs and CSR");
+        assert!(
+            self.csr_items.len() < u32::MAX as usize,
+            "CSR pool exceeds the 32-bit index space"
+        );
+        let len = &mut self.csr_len[v.index()];
+        if *len == 0 {
+            self.csr_start[v.index()] = self.csr_items.len() as u32;
+        } else {
+            debug_assert_eq!(
+                self.csr_start[v.index()] as usize + *len as usize,
+                self.csr_items.len(),
+                "row {v} is not the pool tail: CSR rows must be filled contiguously"
+            );
+            debug_assert!(
+                self.csr_items
+                    .last()
+                    .is_some_and(|&last| last < u.index() as u32),
+                "row {v}: links must be pushed in ascending sender order"
+            );
+        }
+        self.csr_items.push(u.index() as u32);
+        *len += 1;
     }
 }
 
@@ -899,6 +983,104 @@ mod tests {
                     assert!(sparse.0.iter().all(|&u| u >= from));
                 }
             }
+        }
+    }
+
+    /// One random script of [`LinkSink`] calls — per receiver an empty
+    /// row, a run row (plain and split runs, `except` inside, on the edge
+    /// of, outside the range, or the receiver itself) or an exact row
+    /// (ascending links, some grouped into words) — and, alongside, the
+    /// links those calls mean by definition.
+    fn sink_script<S: LinkSink>(
+        out: &mut S,
+        rng: &mut adn_types::rng::SplitMix64,
+        deliverers: &NodeSet,
+    ) -> EdgeSet {
+        let n = deliverers.universe();
+        let mut model = EdgeSet::empty(n);
+        let run = |model: &mut EdgeSet, v: NodeId, lo: usize, hi: usize, except: Option<usize>| {
+            for u in (lo..=hi).map(NodeId::new) {
+                if u != v && deliverers.contains(u) && Some(u.index()) != except {
+                    model.insert(u, v);
+                }
+            }
+        };
+        for v in NodeId::all(n) {
+            match rng.next_index(3) {
+                0 => {}
+                1 => {
+                    let mut budget = MAX_RUNS_PER_ROW;
+                    while budget > 0 && rng.next_bool(0.7) {
+                        let lo = rng.next_index(n);
+                        let hi = lo + rng.next_index(n - lo);
+                        if budget >= 2 && rng.next_bool(0.5) {
+                            let e = [lo, hi, v.index(), rng.next_index(n)][rng.next_index(4)];
+                            out.push_run_except(
+                                v,
+                                NodeId::new(lo),
+                                NodeId::new(hi),
+                                NodeId::new(e),
+                            );
+                            run(&mut model, v, lo, hi, Some(e));
+                            budget -= 2;
+                        } else {
+                            out.push_run(v, NodeId::new(lo), NodeId::new(hi));
+                            run(&mut model, v, lo, hi, None);
+                            budget -= 1;
+                        }
+                    }
+                }
+                _ => {
+                    let p = rng.next_f64();
+                    for w in 0..n.div_ceil(64) {
+                        let ids = (w * 64..n.min(w * 64 + 64)).filter(|&u| u != v.index());
+                        let ids: Vec<usize> = ids.filter(|_| rng.next_bool(p)).collect();
+                        let as_word = rng.next_bool(0.5);
+                        if as_word {
+                            out.push_word(v, w, ids.iter().fold(0, |b, u| b | 1 << (u % 64)));
+                        }
+                        for u in ids.into_iter().map(NodeId::new) {
+                            if !as_word {
+                                out.push_link(v, u);
+                            }
+                            model.insert(u, v);
+                        }
+                    }
+                }
+            }
+        }
+        model
+    }
+
+    /// The write half's contract: the same [`LinkSink`] calls leave a
+    /// [`LinkPlane`] (decoded with `fill_edgeset`) and a [`DenseLinks`]
+    /// view bit-equal — and equal to what the calls mean. Seeds:
+    /// `ADN_FUZZ_SEEDS` (default 300).
+    #[test]
+    fn sink_writes_agree_across_row_kinds() {
+        use adn_types::rng::SplitMix64;
+        let seeds = std::env::var("ADN_FUZZ_SEEDS").map_or(300, |s| s.parse().unwrap());
+        for seed in 0..seeds {
+            let mut rng = SplitMix64::new(seed ^ 0x51AC);
+            let n = [1usize, 2, 63, 64, 65, 130][rng.next_index(6)];
+            let deliverers = match rng.next_index(4) {
+                0 => NodeSet::new(n),
+                1 => NodeSet::full(n),
+                _ => NodeSet::from_ids(n, NodeId::all(n).filter(|_| rng.next_bool(0.6))),
+            };
+            let mut lp = LinkPlane::new(n);
+            lp.begin_round(&deliverers);
+            let model = sink_script(&mut lp, &mut rng.clone(), &deliverers);
+            let mut dense = EdgeSet::empty(n);
+            sink_script(
+                &mut DenseLinks::new(&mut dense, &deliverers),
+                &mut rng,
+                &deliverers,
+            );
+            let mut decoded = EdgeSet::complete(n); // pre-soiled
+            lp.fill_edgeset(&mut decoded);
+            assert!(decoded == dense, "seed {seed}: n = {n}, sparse vs dense");
+            assert!(dense == model, "seed {seed}: n = {n}, dense vs meaning");
         }
     }
 

@@ -193,18 +193,23 @@ impl NodeSet {
         assert_eq!(self.n, src.n, "universe mismatch: {} vs {}", self.n, src.n);
         assert!(lo <= hi, "empty range: {lo} > {hi}");
         self.check(hi);
-        let (lw, lb) = (lo.index() / 64, lo.index() % 64);
-        let (hw, hb) = (hi.index() / 64, hi.index() % 64);
-        for w in lw..=hw {
-            let mut mask = u64::MAX;
-            if w == lw {
-                mask &= u64::MAX << lb;
-            }
-            if w == hw {
-                mask &= u64::MAX >> (63 - hb);
-            }
-            self.words[w] |= src.words[w] & mask;
+        let (lw, hw) = (lo.index() / 64, hi.index() / 64);
+        let head = u64::MAX << (lo.index() % 64);
+        let tail = u64::MAX >> (63 - hi.index() % 64);
+        let (dst, src) = (&mut self.words[lw..=hw], &src.words[lw..=hw]);
+        // Only the two end words are masked; the whole words between them
+        // are a plain OR loop the compiler vectorizes — a full-range run
+        // (the default adversary's row) costs about what a row copy does.
+        let last = hw - lw;
+        if last == 0 {
+            dst[0] |= src[0] & head & tail;
+            return;
         }
+        dst[0] |= src[0] & head;
+        for (a, b) in dst[1..last].iter_mut().zip(&src[1..last]) {
+            *a |= b;
+        }
+        dst[last] |= src[last] & tail;
     }
 
     /// In-place set difference `self \ other`.

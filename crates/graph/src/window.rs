@@ -489,7 +489,7 @@ mod tests {
 
     #[test]
     fn push_rows_accepts_sparse_link_planes() {
-        use crate::{LinkPlane, NodeSet};
+        use crate::{LinkPlane, LinkSink, NodeSet};
         let n = 70;
         let mut lp = LinkPlane::new(n);
         lp.begin_round(&NodeSet::full(n));

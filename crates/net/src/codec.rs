@@ -105,7 +105,8 @@ pub fn encode(msg: Message, precision: Precision, out: &mut Vec<u8>) {
 }
 
 /// Decodes one message from the front of `bytes`; returns the message and
-/// the number of bytes consumed, or `None` if the buffer is truncated.
+/// the number of bytes consumed, or `None` if the buffer is truncated or
+/// spells a phase or grid index no message can carry.
 pub fn decode(bytes: &[u8], precision: Precision) -> Option<(Message, usize)> {
     let (phase, used) = decode_varint(bytes)?;
     let value_bytes = value_byte_len(precision);
@@ -148,6 +149,9 @@ fn encode_varint(mut x: u64, out: &mut Vec<u8>) {
 fn decode_varint(bytes: &[u8]) -> Option<(u64, usize)> {
     let mut x = 0u64;
     for (i, &b) in bytes.iter().enumerate().take(10) {
+        if i == 9 && b > 1 {
+            return None; // bits 64.. of a u64: not a phase, not ours to drop
+        }
         x |= u64::from(b & 0x7f) << (7 * i);
         if b & 0x80 == 0 {
             return Some((x, i + 1));
@@ -263,6 +267,55 @@ mod tests {
         buf.clear();
         encode_varint(u64::MAX, &mut buf);
         assert_eq!(decode_varint(&buf), Some((u64::MAX, 10)));
+    }
+
+    #[test]
+    fn varint_overflow_rejected() {
+        // Ten bytes carry 70 payload bits; the 10th may only hold bit 63.
+        let mut wire = [0xff; 10];
+        wire[9] = 0x7f;
+        assert_eq!(decode_varint(&wire), None, "was u64::MAX, silently");
+        wire[9] = 0x02;
+        assert_eq!(decode_varint(&wire), None);
+        wire[9] = 0x01;
+        assert_eq!(decode_varint(&wire), Some((u64::MAX, 10)));
+        assert_eq!(decode_varint(&[0xff; 11]), None, "no terminator in 10");
+        wire[9] = 0x7f;
+        assert!(decode(&[&wire[..], &[0, 0, 0]].concat(), Precision::new(16)).is_none());
+    }
+
+    /// Wire bytes are outside input: every valid encoding round-trips,
+    /// none of its strict prefixes decodes, and arbitrary bytes decode or
+    /// are refused but never panic. Seeds: `ADN_FUZZ_SEEDS` (default 300).
+    #[test]
+    fn decode_fuzz_roundtrip_prefixes_and_garbage() {
+        use adn_types::rng::SplitMix64;
+        let seeds = std::env::var("ADN_FUZZ_SEEDS").map_or(300, |s| s.parse().unwrap());
+        let mut buf = Vec::new();
+        for seed in 0..seeds {
+            let mut rng = SplitMix64::new(seed ^ 0xC0DEC);
+            let p = Precision::new(1 + rng.next_index(52) as u8);
+            // Phases of every varint length, 1 to 10 bytes.
+            let phase = rng.next_u64() >> rng.next_index(64);
+            let msg = Message::new(Value::saturating(rng.next_f64()), Phase::new(phase));
+            buf.clear();
+            encode(msg, p, &mut buf);
+            let (back, used) = decode(&buf, p).expect("a valid encoding decodes");
+            assert_eq!(used, buf.len(), "seed {seed}");
+            assert_eq!(back.phase(), msg.phase(), "seed {seed}");
+            assert_eq!(back.value(), snap(msg.value(), p), "seed {seed}");
+            for cut in 0..buf.len() {
+                assert!(decode(&buf[..cut], p).is_none(), "seed {seed} cut {cut}");
+            }
+            let garbage: Vec<u8> = (0..rng.next_index(20))
+                .map(|_| rng.next_u64() as u8 | if rng.next_bool(0.5) { 0x80 } else { 0 })
+                .collect();
+            if let Some((m, used)) = decode(&garbage, p) {
+                // Whatever decodes is a message the wire can carry.
+                assert!(used <= garbage.len(), "seed {seed}");
+                assert_eq!(m.value(), snap(m.value(), p), "seed {seed}");
+            }
+        }
     }
 
     #[test]
