@@ -5,7 +5,7 @@
 //! The reproduction's correctness story rests on three *dynamic*
 //! guarantees: byte-identical `run_all` output, zero steady-state
 //! allocations (pinned by the counting allocator in
-//! `tests/alloc_free.rs`), and `unsafe` confined to the `ShardPool`.
+//! `tests/alloc_free.rs`), and no `unsafe` in any crate.
 //! Dynamic checks only catch what a test run executes; this crate
 //! enforces the same contracts *statically*, over every source file,
 //! with eight lints:
@@ -13,12 +13,12 @@
 //! | lint          | scope                              | bans |
 //! |---------------|------------------------------------|------|
 //! | `determinism` | `crates/{types,graph,adversary,faults,net,core,sim,analysis}/src/` | `HashMap`/`HashSet`, `RandomState`, `Instant::now`, `SystemTime`, thread-identity reads (exempt under `#[cfg(test)]`) |
-//! | `unsafety`    | everywhere                         | `unsafe` outside the allowlist; `unsafe` blocks/impls without an adjacent `// SAFETY:` note; crate roots missing `#![forbid(unsafe_code)]` (or `#![deny(unsafe_op_in_unsafe_fn)]` for `adn-sim`) |
+//! | `unsafety`    | everywhere                         | `unsafe` outside the allowlist; `unsafe` blocks/impls without an adjacent `// SAFETY:` note; crate roots missing `#![forbid(unsafe_code)]` |
 //! | `no-alloc`    | `// audit: no-alloc` regions and `// audit: no-alloc-fn` bodies | `Vec::new`, `vec![`, `to_vec`, `collect`, `clone`, `Box::new`, `format!`, `String::from` |
 //! | `no-panic`    | same regions                       | `unwrap`, `expect`, `panic!` (slice indexing stays allowed — it is the plane idiom) |
 //! | `alloc-reach` | fns transitively reachable from a region via the call graph | the `no-alloc` construct set, reported with the call chain |
 //! | `panic-reach` | same reachability                  | the `no-panic` construct set, reported with the call chain |
-//! | `layering`    | library crates                     | `use adn_*` edges that invert the crate DAG; `std::thread`/`std::sync` outside the two pool files |
+//! | `layering`    | library crates                     | `use adn_*` edges that invert the crate DAG; `std::thread`/`std::sync` outside adn-sim's `pool.rs` |
 //! | `trait-contract` | library crates                  | `AlgorithmPlane` impls without `reset_instance`, `ByzantineStrategy` impls without `begin_instance` |
 //!
 //! Annotation grammar (in comments, so the source stays plain Rust):

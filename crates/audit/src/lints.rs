@@ -11,7 +11,7 @@
 //!   against `std` hash sets there).
 //! * **unsafety** — applies everywhere. `unsafe` is only legal in the
 //!   allowlist, each `unsafe` block/impl needs an adjacent `// SAFETY:`
-//!   note, and every crate root must carry its unsafety attribute.
+//!   note, and every crate root must carry `#![forbid(unsafe_code)]`.
 //! * **no-alloc** / **no-panic** — apply inside `// audit: no-alloc`
 //!   regions (the annotation binds to the next braced block) and inside
 //!   the bodies of `// audit: no-alloc-fn` contract functions.
@@ -23,7 +23,7 @@
 //! * **layering** — `use adn_*` statements must respect the crate DAG
 //!   (types → graph/net/faults → adversary/core → sim → bench, with
 //!   analysis and audit dependency-free), and `std::thread`/`std::sync`
-//!   are confined to the two thread-pool files.
+//!   are confined to adn-sim's `pool.rs`.
 //! * **trait-contract** — every `AlgorithmPlane` impl defines
 //!   `reset_instance`, every `ByzantineStrategy` impl defines
 //!   `begin_instance`.
@@ -68,26 +68,18 @@ const DETERMINISM_SCOPES: [&str; 8] = [
     "crates/analysis/src/",
 ];
 
-/// The only files allowed to contain `unsafe` at all.
-const UNSAFE_ALLOWLIST: [&str; 2] = ["crates/sim/src/shardpool.rs", "tests/alloc_free.rs"];
+/// The only file allowed to contain `unsafe` at all: the counting global
+/// allocator of the allocation pin.
+const UNSAFE_ALLOWLIST: [&str; 1] = ["tests/alloc_free.rs"];
 
-/// Crate roots that must declare `#![forbid(unsafe_code)]`.
-const FORBID_UNSAFE_ROOTS: [&str; 10] = [
-    "src/lib.rs",
-    "crates/types/src/lib.rs",
-    "crates/graph/src/lib.rs",
-    "crates/adversary/src/lib.rs",
-    "crates/faults/src/lib.rs",
-    "crates/net/src/lib.rs",
-    "crates/core/src/lib.rs",
-    "crates/analysis/src/lib.rs",
-    "crates/bench/src/lib.rs",
-    "crates/audit/src/lib.rs",
-];
-
-/// The one crate that hosts `unsafe` (the `ShardPool`) must instead deny
-/// implicit unsafe operations inside `unsafe fn` bodies.
-const DENY_UNSAFE_OP_ROOT: &str = "crates/sim/src/lib.rs";
+/// Whether `rel` is a library crate root — each must declare
+/// `#![forbid(unsafe_code)]`.
+fn is_crate_root(rel: &str) -> bool {
+    let member = rel
+        .strip_prefix("crates/")
+        .and_then(|r| r.strip_suffix("/src/lib.rs"));
+    rel == "src/lib.rs" || member.is_some_and(|name| !name.contains('/'))
+}
 
 /// The normative crate DAG, as `(source prefix, allowed adn_* deps)`.
 /// A `use adn_x::…` in a file under a listed prefix must name an allowed
@@ -141,11 +133,11 @@ const LAYERING: [(&str, &[&str]); 11] = [
     ),
 ];
 
-/// The two files that own threading: the `ShardPool` (within-round
-/// sharded delivery) and the `TrialPool` (across-trial parallelism).
+/// The one file that owns threading: the `TrialPool` (across-trial
+/// parallelism) and the scoped fan-out of a sharded round's delivery.
 /// `std::thread` and `std::sync` in any other library-crate file is a
 /// layering finding.
-const THREADING_ALLOWLIST: [&str; 2] = ["crates/sim/src/shardpool.rs", "crates/sim/src/pool.rs"];
+const THREADING_ALLOWLIST: [&str; 1] = ["crates/sim/src/pool.rs"];
 
 /// Trait contracts: `(trait, required methods with reasons)`. Every
 /// non-test impl of a listed trait in the eight library crates must
@@ -782,9 +774,8 @@ fn unsafety_pass(rel: &str, src: &str, lexed: &Lexed, diags: &mut Vec<Diagnostic
             ));
             continue;
         }
-        // `unsafe fn` declarations are exempt: with `unsafe_op_in_unsafe_fn`
-        // denied, the operations inside still need their own unsafe blocks,
-        // and those blocks carry the SAFETY notes.
+        // `unsafe fn` declarations are exempt: the operations inside sit
+        // in their own unsafe blocks, and those carry the SAFETY notes.
         if lexed.toks.get(i + 1).is_some_and(|n| n.is_ident(src, "fn")) {
             continue;
         }
@@ -830,24 +821,16 @@ fn has_safety_comment(src: &str, comments: &[Comment], tok: &Tok) -> bool {
 // Pass 3: crate-root unsafety attributes.
 
 fn crate_root_pass(rel: &str, src: &str, toks: &[Tok], diags: &mut Vec<Diagnostic>) {
-    let (level, name, display) = if rel == DENY_UNSAFE_OP_ROOT {
-        (
-            "deny",
-            "unsafe_op_in_unsafe_fn",
-            "#![deny(unsafe_op_in_unsafe_fn)]",
-        )
-    } else if FORBID_UNSAFE_ROOTS.contains(&rel) {
-        ("forbid", "unsafe_code", "#![forbid(unsafe_code)]")
-    } else {
+    if !is_crate_root(rel) {
         return;
-    };
+    }
     let mut i = 0;
     while i + 2 < toks.len() {
         if toks[i].is_punct(b'#') && toks[i + 1].is_punct(b'!') && toks[i + 2].is_punct(b'[') {
             let close = match_square(toks, i + 2);
             let inner = &toks[i + 3..close.min(toks.len())];
-            if inner.iter().any(|t| t.is_ident(src, level))
-                && inner.iter().any(|t| t.is_ident(src, name))
+            if inner.iter().any(|t| t.is_ident(src, "forbid"))
+                && inner.iter().any(|t| t.is_ident(src, "unsafe_code"))
             {
                 return;
             }
@@ -860,7 +843,7 @@ fn crate_root_pass(rel: &str, src: &str, toks: &[Tok], diags: &mut Vec<Diagnosti
         rel,
         1,
         "unsafety",
-        format!("crate root must declare `{display}`"),
+        "crate root must declare `#![forbid(unsafe_code)]`".to_string(),
     ));
 }
 
@@ -957,7 +940,7 @@ fn layering_pass(
         }
     }
 
-    // Threading confinement: library crates only, minus the two pools.
+    // Threading confinement: library crates only, minus the pool file.
     if !DETERMINISM_SCOPES.iter().any(|pre| rel.starts_with(pre))
         || THREADING_ALLOWLIST.contains(&rel)
     {
@@ -995,7 +978,7 @@ fn layering_pass(
                 line,
                 "layering",
                 format!(
-                    "`{what}` is confined to {} (the ShardPool and TrialPool)",
+                    "`{what}` is confined to {} (the TrialPool and the shard fan-out)",
                     THREADING_ALLOWLIST.join(" and ")
                 ),
             ));

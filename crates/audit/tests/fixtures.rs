@@ -148,22 +148,20 @@ fn f(p: *const u32) -> u32 {
     let diags = audit_source("crates/graph/src/fake.rs", src);
     assert_eq!(
         lines(&diags),
-        vec![
-            "3: unsafety: `unsafe` outside the audit allowlist (crates/sim/src/shardpool.rs, tests/alloc_free.rs)"
-        ]
+        vec!["3: unsafety: `unsafe` outside the audit allowlist (tests/alloc_free.rs)"]
     );
 }
 
 #[test]
 fn unsafety_allowlisted_file_requires_safety_comment() {
-    // Same snippet, audited as the allowlisted shardpool: the location is
-    // legal but the missing SAFETY note is not.
+    // Same snippet, audited as the allowlisted allocation pin: the
+    // location is legal but the missing SAFETY note is not.
     let bare = r#"
 fn f(p: *const u32) -> u32 {
     unsafe { *p }
 }
 "#;
-    let diags = audit_source("crates/sim/src/shardpool.rs", bare);
+    let diags = audit_source("tests/alloc_free.rs", bare);
     assert_eq!(
         lines(&diags),
         vec!["3: unsafety: `unsafe` block/impl must be immediately preceded by a `// SAFETY:` comment"]
@@ -175,7 +173,7 @@ fn f(p: *const u32) -> u32 {
     unsafe { *p }
 }
 "#;
-    assert!(audit_source("crates/sim/src/shardpool.rs", documented).is_empty());
+    assert!(audit_source("tests/alloc_free.rs", documented).is_empty());
 }
 
 #[test]
@@ -186,20 +184,19 @@ struct J(*const u32);
 // publication and retirement both happen under the run borrow.
 unsafe impl Send for J {}
 "#;
-    assert!(audit_source("crates/sim/src/shardpool.rs", src).is_empty());
+    assert!(audit_source("tests/alloc_free.rs", src).is_empty());
 }
 
 #[test]
 fn unsafety_unsafe_fn_declaration_is_exempt() {
-    // With `unsafe_op_in_unsafe_fn` denied, the declaration itself needs
-    // no SAFETY note — the blocks inside do.
+    // The declaration itself needs no SAFETY note — the blocks inside do.
     let src = r#"
 unsafe fn g(p: *const u32) -> u32 {
     // SAFETY: g's contract requires p valid for reads.
     unsafe { *p }
 }
 "#;
-    assert!(audit_source("crates/sim/src/shardpool.rs", src).is_empty());
+    assert!(audit_source("tests/alloc_free.rs", src).is_empty());
 }
 
 #[test]
@@ -213,14 +210,14 @@ fn unsafety_crate_root_attribute_required() {
     let present = "//! A crate.\n#![forbid(unsafe_code)]\npub fn f() {}\n";
     assert!(audit_source("crates/types/src/lib.rs", present).is_empty());
 
-    let sim_missing = "//! The sim crate.\n#![forbid(unsafe_code)]\n";
-    let diags = audit_source("crates/sim/src/lib.rs", sim_missing);
+    // adn-sim is held to the same attribute as every other crate: the
+    // weaker one it carried while it hosted `unsafe` no longer passes.
+    let sim_weaker = "//! The sim crate.\n#![deny(unsafe_op_in_unsafe_fn)]\n";
+    let diags = audit_source("crates/sim/src/lib.rs", sim_weaker);
     assert_eq!(
         lines(&diags),
-        vec!["1: unsafety: crate root must declare `#![deny(unsafe_op_in_unsafe_fn)]`"]
+        vec!["1: unsafety: crate root must declare `#![forbid(unsafe_code)]`"]
     );
-    let sim_present = "//! The sim crate.\n#![deny(unsafe_op_in_unsafe_fn)]\n";
-    assert!(audit_source("crates/sim/src/lib.rs", sim_present).is_empty());
 }
 
 #[test]
@@ -429,7 +426,7 @@ fn diagnostic_display_is_file_line_lint_message() {
     assert_eq!(diags.len(), 1);
     assert_eq!(
         diags[0].to_string(),
-        "crates/net/src/fake.rs:1: unsafety: `unsafe` outside the audit allowlist (crates/sim/src/shardpool.rs, tests/alloc_free.rs)"
+        "crates/net/src/fake.rs:1: unsafety: `unsafe` outside the audit allowlist (tests/alloc_free.rs)"
     );
 }
 
@@ -698,14 +695,14 @@ fn layering_positive_std_sync_confinement() {
     assert_eq!(
         lines(&diags),
         vec![
-            "1: layering: `std::sync` is confined to crates/sim/src/shardpool.rs and crates/sim/src/pool.rs (the ShardPool and TrialPool)"
+            "1: layering: `std::sync` is confined to crates/sim/src/pool.rs (the TrialPool and the shard fan-out)"
         ]
     );
 }
 
 #[test]
 fn layering_negative_pool_files_and_inline_paths_flagged_once() {
-    // The two pool files own threading.
+    // The pool file owns threading.
     let src = "use std::sync::Mutex;\nuse std::thread;\nfn f() {}\n";
     assert!(audit_source("crates/sim/src/pool.rs", src).is_empty());
     // An inline qualified path is caught even without a `use`, once.

@@ -33,7 +33,7 @@
 //! fuzzed in `tests/service_equivalence.rs`.
 //!
 //! The registry entry runs a reduced n (and fewer instances) so
-//! `run_all` stays quick; the `exp20_service` binary defaults to the
+//! `run_all` stays quick; `exp 20 --n 256` is the
 //! full n = 256 / 1000-instances-per-stream demonstration.
 
 use std::fmt::Write;

@@ -99,7 +99,7 @@ use adn_types::{Batch, Message, Phase, Port, Value};
 /// must be deterministic: identical call sequences produce identical
 /// states (the simulator's replay tests rely on it). `Send` because a
 /// sharded run drives disjoint receiver ranges of a [`BoxedPlane`] from
-/// the shard pool's threads; every state machine is plain data.
+/// one thread per shard; every state machine is plain data.
 pub trait Algorithm: fmt::Debug + Send {
     /// Writes the batch of messages this node broadcasts this round into
     /// `out`. Plain DAC and DBAC stage exactly one message; piggybacking

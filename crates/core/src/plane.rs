@@ -1378,8 +1378,8 @@ impl AlgorithmPlane for DbacPlane {
 /// `reset_instance` and the replay-only `receive` — not per delivered
 /// link, since nothing reads the columns in the middle of a round.
 ///
-/// `Algorithm: Send` is what lets the shards of a boxed plane cross the
-/// shard pool's thread boundary like the columnar ones.
+/// `Algorithm: Send` is what lets the shards of a boxed plane move to
+/// their shard's thread like the columnar ones.
 #[derive(Debug)]
 pub struct BoxedPlane {
     nodes: Vec<Box<dyn Algorithm>>,

@@ -190,19 +190,6 @@ impl EdgeSet {
         }
     }
 
-    /// Overwrites `v`'s in-neighbor set with `senders \ {v}` in one
-    /// word-parallel copy — the bulk form of [`EdgeSet::insert`] for a
-    /// broadcast-shaped row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range or the universes differ.
-    pub fn assign_in_neighbors(&mut self, v: NodeId, senders: &NodeSet) {
-        let row = &mut self.in_neighbors[v.index()];
-        row.copy_from(senders);
-        row.remove(v);
-    }
-
     /// Adds every link `(u, v)` with `u ∈ senders ∩ mask` in one
     /// word-parallel sweep — the bulk form of [`EdgeSet::insert`] the
     /// delivery plane uses to record the realized links of
@@ -418,17 +405,6 @@ mod tests {
         let listed: Vec<_> = e.edges().map(|(u, v)| (u.index(), v.index())).collect();
         assert_eq!(listed.len(), e.edge_count());
         assert!(listed.contains(&(3, 2)));
-    }
-
-    #[test]
-    fn assign_in_neighbors_copies_and_strips_self() {
-        let mut e = EdgeSet::from_pairs(4, [(3, 1)]);
-        let senders = NodeSet::from_ids(4, [NodeId::new(0), NodeId::new(1), NodeId::new(2)]);
-        e.assign_in_neighbors(NodeId::new(1), &senders);
-        assert_eq!(e.in_degree(NodeId::new(1)), 2, "self-loop stripped");
-        assert!(e.contains(NodeId::new(0), NodeId::new(1)));
-        assert!(!e.contains(NodeId::new(3), NodeId::new(1)), "overwritten");
-        assert!(!e.contains(NodeId::new(1), NodeId::new(1)));
     }
 
     #[test]

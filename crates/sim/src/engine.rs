@@ -1,6 +1,3 @@
-// audit: allow(layering) — the sharded delivery contexts are handed to ShardPool workers; the Mutex lives here, the threads in shardpool.rs
-use std::sync::{Mutex, PoisonError};
-
 use adn_adversary::{Adversary, AdversaryView};
 use adn_core::{
     AlgorithmPlane, PlaneShard, RowKernel, RowWalk, StagedWire, WireIndex, MAX_PLANE_SHARDS,
@@ -15,7 +12,7 @@ use adn_types::rng::SplitMix64;
 use crate::builder::{LinkMode, PlaneMode, SimBuilder};
 use crate::observer::{Observer, RoundTrace};
 use crate::outcome::{Outcome, StopReason};
-use crate::shardpool::ShardPool;
+use crate::pool::fan_out;
 use crate::trace::{Event, EventLog};
 
 /// The shared read-only context of one round's delivery — one bundle
@@ -89,20 +86,23 @@ struct ByzSide<'a> {
 #[cfg(test)]
 mod probe {
     use std::cell::Cell;
-    use std::thread::LocalKey;
+
+    /// Non-empty stretches fed through `RowKernel::word`.
+    pub const WORD_STEPS: usize = 0;
+    /// Conditional senders that cut a chunk between two Present ones.
+    pub const CUT_WORDS: usize = 1;
+    /// Rounds whose wire held more phases than the index does.
+    pub const UNINDEXED_ROUNDS: usize = 2;
 
     thread_local! {
         pub static WORD_WALK_OFF: Cell<bool> = const { Cell::new(false) };
-        /// Non-empty stretches fed through `RowKernel::word`.
-        pub static WORD_STEPS: Cell<u64> = const { Cell::new(0) };
-        /// Conditional senders that cut a chunk between two Present ones.
-        pub static CUT_WORDS: Cell<u64> = const { Cell::new(0) };
-        /// Rounds whose wire held more phases than the index does.
-        pub static UNINDEXED_ROUNDS: Cell<u64> = const { Cell::new(0) };
+        pub static COUNTS: Cell<[u64; 3]> = const { Cell::new([0; 3]) };
     }
 
-    pub fn bump(counter: &'static LocalKey<Cell<u64>>, when: bool) {
-        counter.with(|c| c.set(c.get() + u64::from(when)));
+    pub fn bump(counter: usize, when: bool) {
+        let mut counts = COUNTS.get();
+        counts[counter] += u64::from(when);
+        COUNTS.set(counts);
     }
 }
 
@@ -334,13 +334,13 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, L> {
                         conditional &= conditional - 1;
                         let before = stretch & ((1 << b) - 1);
                         #[cfg(test)]
-                        probe::bump(&probe::CUT_WORDS, before != 0 && stretch != before);
+                        probe::bump(probe::CUT_WORDS, before != 0 && stretch != before);
                         kernel.word(w, before, &env.wire, index);
                         stretch ^= before;
                         deliver_link(NodeId::new(w * 64 + b as usize), kernel);
                     }
                     #[cfg(test)]
-                    probe::bump(&probe::WORD_STEPS, stretch != 0);
+                    probe::bump(probe::WORD_STEPS, stretch != 0);
                     kernel.word(w, stretch, &env.wire, index);
                     true
                 });
@@ -612,14 +612,10 @@ pub struct Simulation {
     wire_index: WireIndex,
     /// The round's conditional senders (see [`PlaneRound::conditional`]).
     conditional: Vec<(usize, NodeId)>,
-    /// Receiver-range shards the delivery loop fans out over (1 = no
-    /// fan-out; always 1 on the dense path).
-    shards: usize,
-    /// `shards + 1` ascending receiver bounds; shard `i` owns
+    /// The ascending receiver bounds of the shards the delivery loop fans
+    /// out over (one shard = no fan-out): shard `i` owns
     /// `shard_bounds[i]..shard_bounds[i + 1]`.
     shard_bounds: Vec<usize>,
-    /// Parked worker threads for `shards > 1`, spawned once at build.
-    pool: Option<ShardPool>,
     traffic: Traffic,
     events: Option<EventLog>,
     /// Which nodes had already decided before the current round (for
@@ -775,9 +771,7 @@ impl Simulation {
             wire_value: vec![Value::HALF; n],
             wire_index: WireIndex::new(n),
             conditional: Vec::with_capacity(n),
-            shards,
             shard_bounds,
-            pool: (shards > 1).then(|| ShardPool::new(shards - 1)),
             traffic: Traffic::new(),
             events: b.record_events.then(EventLog::new),
             was_decided: vec![false; n],
@@ -850,7 +844,7 @@ impl Simulation {
     /// Receiver-range shards the delivery loop fans out over (1 = no
     /// fan-out).
     pub fn shards(&self) -> usize {
-        self.shards
+        self.shard_bounds.len() - 1
     }
 
     /// Phase of a non-Byzantine node (`None` for Byzantine slots).
@@ -1236,9 +1230,9 @@ impl Simulation {
     /// whole plane), and runs the one delivery routine ([`deliver_rows`])
     /// over each shard's receivers — over the dense chosen rows, or the
     /// sparse link plane's run/CSR rows when the run holds one. Shards > 1
-    /// run concurrently on the persistent pool (shard 0 on this thread) and
-    /// merge back in shard order: receivers and realized rows are
-    /// partitioned, not copied, so the traffic meters and event-log
+    /// run concurrently on scoped threads ([`fan_out`]: shard 0 on this
+    /// thread) and merge back in shard order: receivers and realized rows
+    /// are partitioned, not copied, so the traffic meters and event-log
     /// stretches are the only cross-shard state.
     fn deliver(&mut self, t: Round) {
         let record = self.record_schedule;
@@ -1257,7 +1251,6 @@ impl Simulation {
             traffic,
             events,
             shard_bounds,
-            pool,
             ..
         } = self;
         let links = links.as_ref();
@@ -1317,7 +1310,7 @@ impl Simulation {
         let words = words && !probe::WORD_WALK_OFF.get();
         let indexed = words && wire_index.build(unconditional, wire_phase, wire_value);
         #[cfg(test)]
-        probe::bump(&probe::UNINDEXED_ROUNDS, words && !indexed);
+        probe::bump(probe::UNINDEXED_ROUNDS, words && !indexed);
         let env = PlaneRound {
             perm,
             classes,
@@ -1350,54 +1343,48 @@ impl Simulation {
         // each, appended behind it below.
         let mut log = events.take();
         let logging = log.is_some();
-        let mut ctxs: [Option<Mutex<ShardCtx<'_>>>; MAX_PLANE_SHARDS] = Default::default();
-        for (i, slot) in slots[..shards].iter_mut().enumerate() {
+        let mut ctxs = slots[..shards].iter_mut().enumerate().map(|(i, slot)| {
             let span = shard_bounds[i + 1] - shard_bounds[i];
-            ctxs[i] = Some(Mutex::new(ShardCtx {
+            ShardCtx {
                 shard: slot.take().expect("fill_shards fills every requested slot"),
                 rows: rows_rest.as_mut().map(|rest| take_split(rest, span)),
                 traffic: Traffic::new(),
                 log: log.take().or_else(|| logging.then(EventLog::new)),
-            }));
-        }
-        let run_shard = |i: usize, byz: &mut ByzSide<'_>| {
-            let mut ctx = ctxs[i]
-                .as_ref()
-                .expect("context built for every shard")
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            }
+        });
+        let run_shard = |i: usize, ctx: &mut ShardCtx<'_>, byz: &mut ByzSide<'_>| {
             let range = (shard_bounds[i], shard_bounds[i + 1]);
             match links {
-                Some(lp) => deliver_rows(&env, lp, range, &mut ctx, byz),
-                None => deliver_rows(&env, &*chosen, range, &mut ctx, byz),
+                Some(lp) => deliver_rows(&env, lp, range, ctx, byz),
+                None => deliver_rows(&env, &*chosen, range, ctx, byz),
             }
         };
-        match pool {
-            Some(pool) => pool.run(&|i| {
-                run_shard(
-                    i,
-                    &mut ByzSide {
-                        strategies: &mut [],
-                        scratch: &mut Batch::new(),
-                    },
-                );
-            }),
-            None => run_shard(
-                0,
-                &mut ByzSide {
-                    strategies: byz,
-                    scratch: byz_scratch,
-                },
-            ),
-        }
-        for ctx in ctxs.into_iter().flatten() {
-            let ctx = ctx.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let mut merge = |ctx: ShardCtx<'_>| {
             traffic.merge(&ctx.traffic);
             match (events.as_mut(), ctx.log) {
                 (Some(log), Some(stretch)) => log.append(stretch),
                 (None, stretch) => *events = stretch,
                 (Some(_), None) => {}
             }
+        };
+        if shards == 1 {
+            // The inline path: nothing spawned, nothing allocated.
+            let mut ctx = ctxs.next().expect("a run has at least one shard");
+            let byz = &mut ByzSide {
+                strategies: byz,
+                scratch: byz_scratch,
+            };
+            run_shard(0, &mut ctx, byz);
+            merge(ctx);
+        } else {
+            let walk = |i: usize, ctx: &mut ShardCtx<'_>| {
+                let byz = &mut ByzSide {
+                    strategies: &mut [],
+                    scratch: &mut Batch::new(),
+                };
+                run_shard(i, ctx, byz);
+            };
+            fan_out(ctxs, walk).into_iter().for_each(merge);
         }
     }
 
@@ -1891,9 +1878,7 @@ mod tests {
             assert_eq!(words.traces(), links.traces(), "{what}");
         }
 
-        let counted = |counter: &'static std::thread::LocalKey<std::cell::Cell<u64>>| {
-            counter.with(std::cell::Cell::get)
-        };
+        let counted = |counter: usize| probe::COUNTS.get()[counter];
         let seeds = std::env::var("ADN_FUZZ_SEEDS")
             .ok()
             .and_then(|s| s.parse().ok())
@@ -1956,9 +1941,9 @@ mod tests {
             assert_same(&run_both(build), &format!("seed {seed}"));
         }
         if seeds >= 100 {
-            assert!(counted(&probe::WORD_STEPS) > 0, "no run took a word step");
+            assert!(counted(probe::WORD_STEPS) > 0, "no run took a word step");
             assert!(
-                counted(&probe::CUT_WORDS) > 0,
+                counted(probe::CUT_WORDS) > 0,
                 "no conditional sender landed inside a word"
             );
         }
@@ -1973,7 +1958,9 @@ mod tests {
                 let t = view.round.as_u64() as usize;
                 for v in NodeId::all(view.params.n()) {
                     if !(v.index() < 10 && (v.index() + 1..14).contains(&t)) {
-                        out.assign_in_neighbors(v, view.deliverers);
+                        let row = &mut out.in_neighbor_sets_mut()[v.index()];
+                        row.copy_from(view.deliverers);
+                        row.remove(v);
                     }
                 }
             }
@@ -1981,8 +1968,8 @@ mod tests {
                 "stragglers"
             }
         }
-        let unindexed = counted(&probe::UNINDEXED_ROUNDS);
-        let steps = counted(&probe::WORD_STEPS);
+        let unindexed = counted(probe::UNINDEXED_ROUNDS);
+        let steps = counted(probe::WORD_STEPS);
         let p = params(70, 0, 1e-6);
         let outgrown = run_both(|| {
             Simulation::builder(p)
@@ -1994,11 +1981,11 @@ mod tests {
         assert_same(&outgrown, "stragglers");
         assert_eq!(outgrown.0.reason(), StopReason::AllOutput);
         assert!(
-            counted(&probe::UNINDEXED_ROUNDS) > unindexed,
+            counted(probe::UNINDEXED_ROUNDS) > unindexed,
             "the wire never outgrew the index"
         );
         assert!(
-            counted(&probe::WORD_STEPS) > steps,
+            counted(probe::WORD_STEPS) > steps,
             "no indexed round around them"
         );
     }

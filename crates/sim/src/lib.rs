@@ -49,7 +49,7 @@
 //! # Ok::<(), adn_types::Error>(())
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
@@ -62,7 +62,6 @@ mod outcome;
 mod pool;
 pub mod quantized;
 mod service;
-mod shardpool;
 pub mod trace;
 pub mod workload;
 

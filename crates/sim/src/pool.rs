@@ -1,5 +1,7 @@
-//! Parallel multi-trial execution with deterministic, input-ordered
-//! results.
+//! The crate's threading, all of it on `std::thread::scope`: parallel
+//! multi-trial execution with deterministic, input-ordered results
+//! ([`TrialPool`]), and the per-round fan-out of one sharded delivery
+//! ([`fan_out`]).
 //!
 //! Every multi-seed experiment runs the same shape of work: N independent
 //! simulations (different seeds or configurations), each fully
@@ -87,40 +89,16 @@ impl TrialPool {
         }
         let next = AtomicUsize::new(0);
         let workers = self.threads.min(trials.len());
-        let mut slots: Vec<Option<R>> = Vec::new();
-        slots.resize_with(trials.len(), || None);
-
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut got: Vec<(usize, R)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= trials.len() {
-                                break;
-                            }
-                            got.push((i, run(&trials[i])));
-                        }
-                        got
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(pairs) => {
-                        for (i, r) in pairs {
-                            slots[i] = Some(r);
-                        }
-                    }
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
+        let claimed = fan_out((0..workers).map(|_| Vec::new()), |_, got| loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= trials.len() {
+                break;
             }
+            got.push((i, run(&trials[i])));
         });
-        slots
-            .into_iter()
-            .map(|r| r.expect("every trial index was claimed exactly once"))
-            .collect()
+        let mut claimed: Vec<(usize, R)> = claimed.into_iter().flatten().collect();
+        claimed.sort_unstable_by_key(|&(i, _)| i);
+        claimed.into_iter().map(|(_, r)| r).collect()
     }
 
     /// Runs one simulation per trial through the lane path where the
@@ -169,9 +147,51 @@ impl Default for TrialPool {
     }
 }
 
+/// Runs `job(i, &mut part)` for every part of one round's work — part 0
+/// on the calling thread, part `i ≥ 1` on a scoped thread of its own, each
+/// part **moved** into its thread — and hands the parts back in input
+/// order once all of them finished.
+///
+/// A panic in any part surfaces on the caller, and only after every other
+/// part is done: the scope joins its threads before it unwinds (part 0's
+/// panic) and a spawned part's payload is resumed from its join. Spawning
+/// allocates (a packet and a handle per thread), so a caller that must
+/// stay allocation-free runs a single part inline instead of coming here.
+pub(crate) fn fan_out<C, F>(parts: impl IntoIterator<Item = C>, job: F) -> Vec<C>
+where
+    C: Send,
+    F: Fn(usize, &mut C) + Sync,
+{
+    let mut parts = parts.into_iter();
+    let Some(mut first) = parts.next() else {
+        return Vec::new();
+    };
+    std::thread::scope(|scope| {
+        let job = &job;
+        let spawned: Vec<_> = parts
+            .enumerate()
+            .map(|(i, mut part)| {
+                scope.spawn(move || {
+                    job(i + 1, &mut part);
+                    part
+                })
+            })
+            .collect();
+        job(0, &mut first);
+        let rest = spawned.into_iter().map(|handle| {
+            let joined = handle.join();
+            joined.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        });
+        std::iter::once(first).chain(rest).collect()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
 
     #[test]
     fn results_come_back_in_input_order() {
@@ -223,5 +243,77 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_threads_rejected() {
         let _ = TrialPool::with_threads(0);
+    }
+
+    /// The payload `fan_out` unwound with, as the `&str` the panic carried.
+    fn panic_of(run: impl FnOnce()) -> &'static str {
+        let payload = catch_unwind(AssertUnwindSafe(run)).expect_err("panic must propagate");
+        payload.downcast_ref::<&str>().copied().unwrap_or_default()
+    }
+
+    #[test]
+    fn fan_out_runs_every_shard_exactly_once_per_call() {
+        // The barrier only opens when all four parts run at once — each on
+        // a thread of its own.
+        let all_running = Barrier::new(4);
+        let hits = [const { AtomicUsize::new(0) }; 4];
+        for round in 1..=20 {
+            let back = fan_out(0..4usize, |i, part| {
+                assert_eq!(*part, i, "part i goes to job i");
+                all_running.wait();
+                hits[i].fetch_add(1, Ordering::SeqCst);
+            });
+            assert_eq!(back, [0, 1, 2, 3], "handed back in input order");
+            assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == round));
+        }
+        assert!(fan_out(0..0usize, |_, _| unreachable!()).is_empty());
+    }
+
+    #[test]
+    fn fan_out_parts_borrow_round_local_state() {
+        let mut totals = vec![0usize; 3];
+        for round in 0..10 {
+            let bonus = round % 2; // a local the shared job borrows
+            fan_out(totals.iter_mut(), |i, cell| **cell += i + 1 + bonus);
+        }
+        assert_eq!(totals, vec![15, 25, 35]);
+    }
+
+    #[test]
+    fn fan_out_spawned_panic_surfaces_after_all_shards_finished() {
+        let all_running = Barrier::new(3);
+        let finished = [const { AtomicBool::new(false) }; 3];
+        let message = panic_of(|| {
+            fan_out(0..3usize, |i, _| {
+                all_running.wait();
+                if i == 2 {
+                    panic!("shard 2 exploded");
+                }
+                finished[i].store(true, Ordering::SeqCst);
+            });
+        });
+        assert_eq!(message, "shard 2 exploded");
+        assert!(finished[0].load(Ordering::SeqCst) && finished[1].load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn fan_out_shard_zero_panic_waits_for_spawned_shards() {
+        // Shard 1 cannot finish before shard 0 is at its panic; by the time
+        // the panic reaches the caller, shard 1 has finished all the same —
+        // its borrow of `finished` never outlives the call.
+        let both_running = Barrier::new(2);
+        let finished = AtomicBool::new(false);
+        let message = panic_of(|| {
+            fan_out(0..2usize, |i, _| {
+                both_running.wait();
+                if i == 0 {
+                    panic!("caller shard exploded");
+                }
+                std::thread::sleep(std::time::Duration::from_millis(30));
+                finished.store(true, Ordering::SeqCst);
+            });
+        });
+        assert_eq!(message, "caller shard exploded");
+        assert!(finished.load(Ordering::SeqCst));
     }
 }

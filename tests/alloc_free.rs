@@ -12,11 +12,12 @@
 //!
 //! This file contains exactly one `#[test]` so no concurrent test can
 //! pollute the allocation counter. The counter is split by thread class —
-//! the thread that steps, and every other thread (the shard pool's
-//! workers; the test harness) — and each window asserts both at zero and
-//! names the one that moved. Every cell is built right before its own
-//! warm-up, so whatever a freshly spawned worker thread allocates on its
-//! way up lands in that cell's warm-up, not in an earlier cell's window.
+//! the thread that steps, and every other thread (a sharded round's scoped
+//! threads; the test harness) — and each window asserts both at zero and
+//! names the one that moved. The one exception is the sharded cell: a
+//! round on `k` shards spawns `k − 1` scoped threads, which allocates, so
+//! that cell pins what still matters — a small constant per spawned
+//! shard, the same every round and at every n.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -91,16 +92,22 @@ impl Window {
         }
     }
 
+    /// Allocations since `open`: on the stepping thread, and on every
+    /// other thread together.
+    fn spent(self) -> (usize, usize) {
+        let now = Window::open();
+        let here = now.here - self.here;
+        (here, now.all - self.all - here)
+    }
+
     /// Asserts that nothing was allocated since `open`, by either thread
     /// class; `what` names the cell and the work done.
     fn assert_none(self, what: std::fmt::Arguments<'_>) {
-        let now = Window::open();
-        let here = now.here - self.here;
-        let elsewhere = now.all - self.all - here;
+        let (here, elsewhere) = self.spent();
         assert!(
             here == 0 && elsewhere == 0,
             "{what} allocated: {here} allocation(s) on the stepping thread, {elsewhere} on \
-             other threads (shard-pool workers or the test harness)"
+             other threads (the test harness — no cell measured here spawns any)"
         );
     }
 }
@@ -222,8 +229,8 @@ fn lean_dbac_piggyback(n: usize) -> Simulation {
 }
 
 /// A lean sparse-link DAC run — row-kind link plane instead of the dense
-/// bitmap, receiver-major delivery, optionally sharded across the
-/// persistent worker pool.
+/// bitmap, receiver-major delivery, optionally sharded over scoped
+/// threads.
 fn lean_dac_sparse(n: usize, shards: usize) -> Simulation {
     let params = Params::fault_free(n, 1e-6).unwrap();
     Simulation::builder(params)
@@ -256,7 +263,7 @@ fn steady_state_step_performs_zero_allocations() {
     // other row kind. ---
     use DeliveryOrder::{AscendingSenders, DescendingSenders, Shuffled};
     type Build = fn() -> Simulation;
-    let cells: [(&str, Build); 17] = [
+    let cells: [(&str, Build); 16] = [
         ("dac/plane", || {
             lean_dac(32, PlaneMode::Always, AscendingSenders)
         }),
@@ -305,13 +312,10 @@ fn steady_state_step_performs_zero_allocations() {
                 Coalition::build(Plan::Straddle, (56..64).map(NodeId::new).collect()),
             )
         }),
-        // The sparse link plane: row-kind rows + receiver-major delivery,
-        // single-shard and sharded. The sharded case pins the whole
-        // per-round fan-out — column split, worker handoff (futex-based
-        // mutex/condvar, no heap), per-shard traffic merge. Its worker
-        // threads start here, inside its own warm-up.
+        // The sparse link plane: row-kind rows + receiver-major delivery
+        // on one shard — the inline path, which spawns nothing (the
+        // sharded twin has its own pin below).
         ("dac/sparse", || lean_dac_sparse(32, 1)),
-        ("dac/sparse/sharded", || lean_dac_sparse(32, 3)),
     ];
     for (name, build) in cells {
         let mut sim = build();
@@ -359,6 +363,45 @@ fn steady_state_step_performs_zero_allocations() {
             "{name}: the port table is built exactly for runs that read ports"
         );
     }
+
+    // --- `dac/sparse/sharded`: the same run on three shards. Each round
+    // fans shards 1 and 2 out to scoped threads, and a spawn allocates
+    // (its result packet, its handle, the boxed closure), so the count
+    // cannot be zero. What must hold instead is that nothing scales with
+    // the round's work: the same count in every steady step, the same at
+    // n = 32 and n = 128, and a small constant per spawned shard. ---
+    let sharded_step_allocations = |n: usize| {
+        let mut sim = lean_dac_sparse(n, 3);
+        assert!(sim.uses_sparse_links() && sim.shards() == 3);
+        for _ in 0..70 {
+            sim.step();
+        }
+        let steps: Vec<usize> = (0..30)
+            .map(|_| {
+                let window = Window::open();
+                sim.step();
+                let (here, elsewhere) = window.spent();
+                here + elsewhere
+            })
+            .collect();
+        assert!(
+            steps.iter().all(|&count| count == steps[0]),
+            "dac/sparse/sharded n = {n}: per-step allocations vary: {steps:?}"
+        );
+        steps[0]
+    };
+    let (small, large) = (sharded_step_allocations(32), sharded_step_allocations(128));
+    assert_eq!(
+        small, large,
+        "dac/sparse/sharded: allocations per step grew with n"
+    );
+    // Measured: 9 — three per spawn, the scope, and the two vectors of
+    // handles and of contexts handed back; the bound leaves std room.
+    const PER_SPAWNED_SHARD: usize = 8;
+    assert!(
+        (1..=2 * PER_SPAWNED_SHARD).contains(&small),
+        "dac/sparse/sharded: {small} allocations per step for two spawned shards"
+    );
 
     // --- The trial-lane driver: 64 lockstep trials per word. A steady
     // `LaneRun::step` — the broadcast snapshot, the per-lane (or shared)

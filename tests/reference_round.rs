@@ -20,7 +20,8 @@ type Strategies = Vec<Option<Box<dyn ByzantineStrategy>>>;
 /// Run `seed`'s ingredients, everything stateful fresh per call: `n ≤ 12`;
 /// DAC, DBAC or piggyback; crashes (full, empty and partial final
 /// broadcasts) and Byzantine nodes within `f`; the three delivery orders;
-/// every third run on sparse links (ascending order, crash faults only).
+/// every third run on sparse links (ascending order, crash faults only),
+/// on one shard or three — `None` is a dense run.
 type Parts = (
     Params,
     AlgorithmFactory,
@@ -28,7 +29,7 @@ type Parts = (
     Strategies,
     CrashSchedule,
     DeliveryOrder,
-    bool,
+    Option<usize>,
 );
 
 fn draw(seed: u64) -> Parts {
@@ -68,7 +69,8 @@ fn draw(seed: u64) -> Parts {
         1 => factories::dbac_with_pend(params, pend),
         _ => factories::dbac_piggyback(params, 2, pend),
     };
-    (params, factory, adversary, byz, crash, order, sparse)
+    let shards = sparse.then_some(if seed.is_multiple_of(2) { 3 } else { 1 });
+    (params, factory, adversary, byz, crash, order, shards)
 }
 
 fn reference(seed: u64, max_rounds: u64) -> Run {
@@ -158,7 +160,7 @@ fn reference(seed: u64, max_rounds: u64) -> Run {
 }
 
 fn simulated(seed: u64, max_rounds: u64, plane: PlaneMode) -> Run {
-    let (params, factory, adversary, byz, crash, order, sparse) = draw(seed);
+    let (params, factory, adversary, byz, crash, order, shards) = draw(seed);
     let n = params.n();
     let mut b = Simulation::builder(params)
         .inputs_random(seed)
@@ -168,7 +170,8 @@ fn simulated(seed: u64, max_rounds: u64, plane: PlaneMode) -> Run {
         .delivery_order(order)
         .algorithm(factory)
         .algorithm_plane(plane)
-        .link_mode([LinkMode::Dense, LinkMode::Sparse][usize::from(sparse)])
+        .link_mode(shards.map_or(LinkMode::Dense, |_| LinkMode::Sparse))
+        .shards(shards.unwrap_or(1))
         .max_rounds(max_rounds);
     for (i, strategy) in byz.into_iter().enumerate() {
         b = strategy
