@@ -8,7 +8,7 @@
 //! `tests/alloc_free.rs`), and no `unsafe` in any crate.
 //! Dynamic checks only catch what a test run executes; this crate
 //! enforces the same contracts *statically*, over every source file,
-//! with eight lints:
+//! with seven lints:
 //!
 //! | lint          | scope                              | bans |
 //! |---------------|------------------------------------|------|
@@ -19,7 +19,6 @@
 //! | `alloc-reach` | fns transitively reachable from a region via the call graph | the `no-alloc` construct set, reported with the call chain |
 //! | `panic-reach` | same reachability                  | the `no-panic` construct set, reported with the call chain |
 //! | `layering`    | library crates                     | `use adn_*` edges that invert the crate DAG; `std::thread`/`std::sync` outside adn-sim's `pool.rs` |
-//! | `trait-contract` | library crates                  | `AlgorithmPlane` impls without `reset_instance`, `ByzantineStrategy` impls without `begin_instance` |
 //!
 //! Annotation grammar (in comments, so the source stays plain Rust):
 //!

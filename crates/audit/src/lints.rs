@@ -24,9 +24,6 @@
 //!   (types → graph/net/faults → adversary/core → sim → bench, with
 //!   analysis and audit dependency-free), and `std::thread`/`std::sync`
 //!   are confined to adn-sim's `pool.rs`.
-//! * **trait-contract** — every `AlgorithmPlane` impl defines
-//!   `reset_instance`, every `ByzantineStrategy` impl defines
-//!   `begin_instance`.
 //!
 //! Suppressions: `// audit: allow(<lint>) — <justification>` silences
 //! `<lint>` on the comment's own line and the next code line. A missing
@@ -44,7 +41,7 @@ use std::path::Path;
 
 /// The suppressible lints. (`annotation` findings — malformed audit
 /// comments — are deliberately not suppressible.)
-pub const LINTS: [&str; 8] = [
+pub const LINTS: [&str; 7] = [
     "determinism",
     "unsafety",
     "no-alloc",
@@ -52,11 +49,10 @@ pub const LINTS: [&str; 8] = [
     "alloc-reach",
     "panic-reach",
     "layering",
-    "trait-contract",
 ];
 
 /// Library source of the deterministic stack: the determinism lint's
-/// scope, the symbol graph's scope, and the trait-contract scope.
+/// scope and the symbol graph's scope.
 const DETERMINISM_SCOPES: [&str; 8] = [
     "crates/types/src/",
     "crates/graph/src/",
@@ -138,26 +134,6 @@ const LAYERING: [(&str, &[&str]); 11] = [
 /// `std::thread` and `std::sync` in any other library-crate file is a
 /// layering finding.
 const THREADING_ALLOWLIST: [&str; 1] = ["crates/sim/src/pool.rs"];
-
-/// Trait contracts: `(trait, required methods with reasons)`. Every
-/// non-test impl of a listed trait in the eight library crates must
-/// define each required method explicitly.
-const TRAIT_CONTRACTS: [(&str, &[(&str, &str)]); 2] = [
-    (
-        "AlgorithmPlane",
-        &[(
-            "reset_instance",
-            "service mode re-seeds planes in place between instances",
-        )],
-    ),
-    (
-        "ByzantineStrategy",
-        &[(
-            "begin_instance",
-            "service instance k must fabricate byte-identically to a standalone run",
-        )],
-    ),
-];
 
 /// One finding, rendered as `file:line: lint-name: message`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -245,7 +221,6 @@ pub fn audit_files(files: &[(String, String)]) -> Vec<Diagnostic> {
             &p.test_spans,
             &mut diags,
         );
-        trait_contract_pass(rel, &p.ast, &mut diags);
     }
 
     // Workspace passes over the library-crate subset.
@@ -982,40 +957,6 @@ fn layering_pass(
                     THREADING_ALLOWLIST.join(" and ")
                 ),
             ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Pass 7: trait contracts.
-
-fn trait_contract_pass(rel: &str, ast: &FileAst, diags: &mut Vec<Diagnostic>) {
-    if !DETERMINISM_SCOPES.iter().any(|pre| rel.starts_with(pre)) {
-        return;
-    }
-    for imp in &ast.impls {
-        if imp.in_test {
-            continue;
-        }
-        let Some(trait_name) = imp.trait_name.as_deref() else {
-            continue;
-        };
-        let Some((_, required)) = TRAIT_CONTRACTS.iter().find(|(t, _)| *t == trait_name) else {
-            continue;
-        };
-        for (method, why) in *required {
-            let defined = imp.fn_ids.iter().any(|&id| ast.fns[id].name == *method);
-            if !defined {
-                diags.push(diag(
-                    rel,
-                    imp.line,
-                    "trait-contract",
-                    format!(
-                        "`impl {trait_name} for {}` must define `{method}` — {why}",
-                        imp.self_ty
-                    ),
-                ));
-            }
         }
     }
 }

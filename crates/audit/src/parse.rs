@@ -1,18 +1,18 @@
 //! A recursive-descent **item parser** on top of the lexer.
 //!
-//! The graph-based lints (alloc/panic reachability, layering, trait
-//! contracts) need more syntax than token adjacency: which functions a
-//! file defines, which impl block each one lives in, which trait that
-//! impl implements, and which functions each body calls. This module
-//! extracts exactly that — and nothing more — from the token stream:
+//! The graph-based lints (alloc/panic reachability, layering) need more
+//! syntax than token adjacency: which functions a file defines, which impl
+//! block each one lives in, which trait that impl implements, and which
+//! functions each body calls. This module extracts exactly that — and
+//! nothing more — from the token stream:
 //!
 //! * `use` trees, flattened into leaf paths (`use a::{b, c::d}` becomes
 //!   `a::b` and `a::c::d`) — the layering lint's input;
 //! * `fn` items with their body token ranges, owners (free, `impl`
 //!   method, or trait declaration), and `#[cfg(test)]` status;
 //! * `impl` blocks (`impl Type` / `impl Trait for Type`) and `trait`
-//!   declarations with their method lists — the trait-contract lint's
-//!   input and the call graph's dispatch tables;
+//!   declarations with their method lists — the call graph's dispatch
+//!   tables;
 //! * call sites inside every fn body: bare calls (`helper(…)`),
 //!   qualified calls (`Type::new(…)`, `module::f(…)`, `Self::f(…)`),
 //!   and method calls (`x.receive(…)`), each with its path segments.
@@ -83,8 +83,6 @@ pub struct ImplItem {
     pub self_ty: String,
     /// Last path ident of the implemented trait, if any.
     pub trait_name: Option<String>,
-    /// Line of the `impl` keyword.
-    pub line: u32,
     pub in_test: bool,
     /// Indices into [`FileAst::fns`] of the methods defined here.
     pub fn_ids: Vec<usize>,
@@ -488,7 +486,6 @@ impl Parser<'_> {
         self.out.impls.push(ImplItem {
             self_ty,
             trait_name,
-            line,
             in_test: self.in_test(line),
             fn_ids: Vec::new(),
         });

@@ -390,7 +390,7 @@ fn f() {
     assert_eq!(
         lines(&diags),
         vec![
-            "3: annotation: `audit: allow(no-such-lint)` names an unknown lint (known: determinism, unsafety, no-alloc, no-panic, alloc-reach, panic-reach, layering, trait-contract)"
+            "3: annotation: `audit: allow(no-such-lint)` names an unknown lint (known: determinism, unsafety, no-alloc, no-panic, alloc-reach, panic-reach, layering)"
         ]
     );
 }
@@ -716,66 +716,6 @@ fn layering_negative_pool_files_and_inline_paths_flagged_once() {
 fn layering_suppressed_with_justification() {
     let src = "// audit: allow(layering) — lock-free lazy init, not threading\nuse std::sync::OnceLock;\nfn f() {}\n";
     assert!(audit_source("crates/net/src/fake.rs", src).is_empty());
-}
-
-// ---------------------------------------------------------------------------
-// trait-contract
-
-#[test]
-fn trait_contract_positive_missing_methods() {
-    let src = r#"
-pub struct Foo;
-impl AlgorithmPlane for Foo {
-    fn receive(&mut self) {}
-}
-impl ByzantineStrategy for Foo {
-    fn name(&self) -> &'static str { "foo" }
-}
-"#;
-    let diags = audit_source("crates/core/src/fake.rs", src);
-    assert_eq!(
-        lines(&diags),
-        vec![
-            "3: trait-contract: `impl AlgorithmPlane for Foo` must define `reset_instance` — service mode re-seeds planes in place between instances",
-            "6: trait-contract: `impl ByzantineStrategy for Foo` must define `begin_instance` — service instance k must fabricate byte-identically to a standalone run",
-        ]
-    );
-}
-
-#[test]
-fn trait_contract_negative_complete_impl_and_test_exemption() {
-    let complete = r#"
-pub struct Foo;
-impl AlgorithmPlane for Foo {
-    fn receive(&mut self) {}
-    fn reset_instance(&mut self) {}
-}
-"#;
-    assert!(audit_source("crates/core/src/fake.rs", complete).is_empty());
-
-    // Impls inside #[cfg(test)] are scaffolding, not contract subjects.
-    let in_test = r#"
-#[cfg(test)]
-mod tests {
-    struct Probe;
-    impl ByzantineStrategy for Probe {
-        fn name(&self) -> &'static str { "probe" }
-    }
-}
-"#;
-    assert!(audit_source("crates/core/src/fake.rs", in_test).is_empty());
-}
-
-#[test]
-fn trait_contract_suppressed_with_justification() {
-    let src = r#"
-pub struct Foo;
-// audit: allow(trait-contract) — adapter shim, never driven by the engine
-impl AlgorithmPlane for Foo {
-    fn receive(&mut self) {}
-}
-"#;
-    assert!(audit_source("crates/core/src/fake.rs", src).is_empty());
 }
 
 // ---------------------------------------------------------------------------

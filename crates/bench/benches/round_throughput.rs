@@ -254,7 +254,7 @@ fn main() {
     // batch of 64 means the reported per-iteration cost is per *trial*,
     // so `per_sec` is trials per second — the unit of
     // `BENCH_trial_lanes.json`.
-    for &n in &[9usize, 64, 256] {
+    for &n in &[9usize, 64, 128, 256, 512] {
         let params = Params::fault_free(n, 1e-3).unwrap();
         let trials: Vec<u64> = (0..64).collect();
         let pool = TrialPool::with_threads(1);

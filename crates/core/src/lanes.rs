@@ -2,13 +2,13 @@
 //! configuration stepped in lockstep, one bit lane per trial.
 //!
 //! **Lanes are slots.** [`Lanes<P>`] is the scalar columnar plane `P`
-//! ([`DacPlane`] / [`DbacPlane`]) built with `n × LANE_WIDTH` slots: slot
-//! `v · 64 + t` is trial `t` of node `v`, with the port row, quorum and
-//! trim lists of an `n`-node system. A slot neither knows nor cares that
-//! its neighbours in the columns are other trials of the same node, so
-//! every lane runs the plane's own Alg. 1 / Alg. 2 step — the same
-//! `process` that [`AlgorithmPlane::receive`] runs — and there is no
-//! lane-specific state machine. What the layout buys: word `v` of a
+//! ([`DacPlane`] / [`DbacPlane`]: [`Columnar<R>`] under either rule) built
+//! with `n × LANE_WIDTH` slots: slot `v · 64 + t` is trial `t` of node
+//! `v`, with the port row, quorum and lists of an `n`-node system. A slot
+//! neither knows nor cares that its neighbours in the columns are other
+//! trials of the same node, so every lane runs the plane's own Alg. 1 /
+//! Alg. 2 step — the same `process` that [`AlgorithmPlane::receive`] runs
+//! — and there is no lane-specific state machine. What the layout buys: word `v` of a
 //! [`NodeSet`] over the slots *is* node `v`'s **lane word** (bit `t` is
 //! trial `t`), so the driver's `live` / link / decided masks address 64
 //! trials of a node at once, one driver round serves all of them, and
@@ -20,6 +20,7 @@
 //! same rounds, same final phases — which `tests/lane_equivalence.rs`
 //! fuzzes across seeds × adversaries × crash mixes.
 //!
+//! [`Columnar<R>`]: crate::Columnar
 //! [`DacPlane`]: crate::DacPlane
 //! [`DbacPlane`]: crate::DbacPlane
 //! [`AlgorithmPlane::receive`]: crate::AlgorithmPlane::receive
@@ -29,7 +30,7 @@ use std::fmt;
 use adn_graph::NodeSet;
 use adn_types::{Message, Params, Phase, Port, Value};
 
-use crate::plane::SlotPlane;
+use crate::plane::{AlgorithmPlane, Columnar, Rule};
 
 /// Number of trials one lane word holds (bit `t` of a word is trial `t`).
 pub const LANE_WIDTH: usize = 64;
@@ -41,9 +42,8 @@ pub const LANE_WIDTH: usize = 64;
 /// # Contract
 ///
 /// Each lane must be observationally identical to a scalar
-/// [`AlgorithmPlane`](crate::AlgorithmPlane) run of that trial alone,
-/// with deliveries applied in the same per-receiver order. The driver
-/// guarantees:
+/// [`AlgorithmPlane`] run of that trial alone, with deliveries applied in
+/// the same per-receiver order. The driver guarantees:
 ///
 /// * [`LanePlane::begin_round`] is called once per round before any
 ///   delivery — the plane snapshots its `(value, phase)` columns, and every
@@ -133,7 +133,7 @@ pub trait LanePlane: fmt::Debug {
 ///   and in `end_round` only. Within a round it may lag, unobservably:
 ///   the plane's step ignores a slot whose phase reached `pend` by itself.
 /// * one [`AlgorithmPlane::receive`] per lane, which rebuilds the column
-///   views per lane — 25.2k (−59 %). Hence `SlotPlane::stepper`: views
+///   views per lane — 25.2k (−59 %). Hence `Columnar::stepper`: views
 ///   split once per link.
 /// * also folding the per-link `process` into the fused row kernels
 ///   (kernel load/store per link) — 43.5k against 60.8k (−25 %) on the
@@ -161,7 +161,7 @@ fn populated(lanes: usize) -> u64 {
     u64::MAX >> (LANE_WIDTH - lanes)
 }
 
-impl<P: SlotPlane> Lanes<P> {
+impl<R: Rule> Lanes<Columnar<R>> {
     /// Creates the lane plane from a **lane-major** input vector with
     /// termination phase `pend`.
     ///
@@ -180,7 +180,7 @@ impl<P: SlotPlane> Lanes<P> {
         for (i, &input) in inputs.iter().enumerate() {
             slots[(i % n) * LANE_WIDTH + i / n] = input;
         }
-        let plane = P::with_slots(params, &slots, pend);
+        let plane = Columnar::with_slots(params, &slots, pend);
         let mut lanes = Lanes {
             lanes,
             wire_phase: plane.phases().to_vec(),
@@ -215,7 +215,7 @@ impl<P> fmt::Debug for Lanes<P> {
     }
 }
 
-impl<P: SlotPlane> LanePlane for Lanes<P> {
+impl<R: Rule> LanePlane for Lanes<Columnar<R>> {
     fn n(&self) -> usize {
         self.decided.len()
     }
@@ -271,20 +271,20 @@ impl<P: SlotPlane> LanePlane for Lanes<P> {
     }
 
     fn name(&self) -> &'static str {
-        P::LANES_NAME
+        R::LANES_NAME
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DacPlane, DbacPlane};
+    use crate::plane::{DacRule, DbacRule};
     use adn_types::rng::SplitMix64;
     use adn_types::NodeId;
 
     /// Asserts that every populated lane of `lanes` is in the state of its
     /// scalar twin, through every read the trait offers.
-    fn assert_same<P: SlotPlane>(lanes: &Lanes<P>, scalars: &[P], when: &str) {
+    fn assert_same<R: Rule>(lanes: &Lanes<Columnar<R>>, scalars: &[Columnar<R>], when: &str) {
         let n = lanes.n();
         let (mut phases, mut values) = (vec![Phase::ZERO; n], vec![Value::HALF; n]);
         for (t, s) in scalars.iter().enumerate() {
@@ -308,24 +308,24 @@ mod tests {
         }
     }
 
-    /// Drives `lane_count` trials on one `Lanes<P>` and on one scalar `P`
+    /// Drives `lane_count` trials on one `Lanes` and on one scalar plane
     /// each through the same random rounds — lossy links under per-link
     /// lane masks, node `n - 1` outside `executing`, one lane dropped from
     /// `live` halfway — comparing all state after every round. Returns how
     /// many links were fed to a slot that had decided earlier in the same
     /// round (the cached decided word lags there; the plane must ignore
     /// them by itself).
-    fn lockstep<P: SlotPlane>(params: Params, pend: u64, lane_count: usize, seed: u64) -> usize {
+    fn lockstep<R: Rule>(params: Params, pend: u64, lane_count: usize, seed: u64) -> usize {
         const ROUNDS: usize = 10;
         let n = params.n();
         let mut rng = SplitMix64::new(seed);
         let inputs: Vec<Value> = (0..lane_count * n)
             .map(|_| Value::new(rng.next_f64()).unwrap())
             .collect();
-        let mut lanes = Lanes::<P>::with_pend(params, &inputs, pend);
-        let mut scalars: Vec<P> = inputs
+        let mut lanes = Lanes::<Columnar<R>>::with_pend(params, &inputs, pend);
+        let mut scalars: Vec<Columnar<R>> = inputs
             .chunks(n)
-            .map(|lane| P::with_slots(params, lane, pend))
+            .map(|lane| Columnar::with_slots(params, lane, pend))
             .collect();
         assert_eq!((lanes.n(), lanes.lanes()), (n, lane_count));
         assert_same(&lanes, &scalars, "at construction");
@@ -383,7 +383,7 @@ mod tests {
 
     /// Both planes × {7 nodes, 70 nodes: two-word port rows} × {1, 3, 64
     /// populated lanes}; `f ≥ 1`, so DBAC's trim lists are `f + 1` long.
-    fn lockstep_matrix<P: SlotPlane>() {
+    fn lockstep_matrix<R: Rule>() {
         let mut fed_after_deciding = 0;
         for (params, pend) in [
             (Params::new(7, 1, 0.25).unwrap(), 2),
@@ -391,29 +391,30 @@ mod tests {
         ] {
             for lane_count in [1, 3, LANE_WIDTH] {
                 let seed = (params.n() * 100 + lane_count) as u64;
-                fed_after_deciding += lockstep::<P>(params, pend, lane_count, seed);
+                fed_after_deciding += lockstep::<R>(params, pend, lane_count, seed);
             }
         }
         assert!(fed_after_deciding > 0, "no slot was fed after deciding");
         // pend = 0: decided at construction, every later link a no-op.
-        lockstep::<P>(Params::new(7, 1, 0.25).unwrap(), 0, 3, 9);
+        lockstep::<R>(Params::new(7, 1, 0.25).unwrap(), 0, 3, 9);
     }
 
     #[test]
     fn dac_lanes_match_per_trial_scalar_planes() {
-        lockstep_matrix::<DacPlane>();
+        lockstep_matrix::<DacRule>();
     }
 
     #[test]
     fn dbac_lanes_match_per_trial_scalar_planes() {
-        lockstep_matrix::<DbacPlane>();
+        lockstep_matrix::<DbacRule>();
     }
 
     #[test]
     fn pend_zero_decides_at_construction() {
         let n = 3;
         let inputs = vec![Value::HALF; n];
-        let lanes = Lanes::<DacPlane>::with_pend(Params::fault_free(n, 0.25).unwrap(), &inputs, 0);
+        let lanes =
+            Lanes::<crate::DacPlane>::with_pend(Params::fault_free(n, 0.25).unwrap(), &inputs, 0);
         for v in 0..n {
             assert_eq!(lanes.output_of(v, 0), Some(Value::HALF));
         }

@@ -39,7 +39,9 @@
 //! [`plane`]). [`BoxedPlane`] is `n` boxed `Algorithm`s and makes exactly
 //! the three calls above; [`DacPlane`] and [`DbacPlane`] are the same two
 //! algorithms in columnar layout, observationally identical and without
-//! the virtual call per delivered message.
+//! the virtual call per delivered message — one plane, [`Columnar<R>`],
+//! under the two [`Rule`]s that spell out what §V changes between Alg. 1
+//! and Alg. 2.
 //!
 //! # Example
 //!
@@ -84,8 +86,8 @@ pub use full_exchange::FullExchange;
 pub use lanes::{LanePlane, Lanes, LANE_WIDTH};
 pub use piggyback::DbacPiggyback;
 pub use plane::{
-    AlgorithmPlane, BoxedPlane, DacPlane, DbacPlane, PlaneShard, RowKernel, RowWalk, StagedWire,
-    MAX_PLANE_SHARDS,
+    AlgorithmPlane, BoxedPlane, Columnar, DacPlane, DacRule, DbacPlane, DbacRule, PlaneShard,
+    RowKernel, RowWalk, Rule, StagedWire, MAX_PLANE_SHARDS,
 };
 pub use wire::{WireAt, WireIndex, MAX_WIRE_PHASES};
 

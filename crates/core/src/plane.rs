@@ -9,7 +9,13 @@
 //!   algorithm that only implements the trait (piggybacking, baselines,
 //!   strawmen): any batch length, one virtual `receive` per link.
 //! * [`DacPlane`], [`DbacPlane`] — the **columnar** planes: all slots'
-//!   state in struct-of-arrays layout, no virtual call per link.
+//!   state in struct-of-arrays layout, no virtual call per link. They are
+//!   one type, [`Columnar<R>`], under two [`Rule`]s: §V states Alg. 2 as
+//!   three edits to Alg. 1 — accept a later phase instead of jumping to
+//!   it, keep the `f + 1` lowest/highest values instead of `(min, max)`,
+//!   a larger quorum — and `(min, max)` *is* `(R_low, R_high)` at list
+//!   length 1, so a rule carries those edits (plus the batch order and
+//!   Alg. 1's word step) and everything else is written once.
 //!
 //! The columnar planes exist because the boxed one costs a dynamic
 //! dispatch *per delivered message* — at `n = 1024` that is ~1M per round
@@ -19,8 +25,8 @@
 //!   snapshot of two state columns, identical at every receiver
 //!   (anonymity), so it is staged once per sender per round;
 //! * each receiver splits into exactly three cases per message — **jump**
-//!   (sender ahead: adopt wholesale), **same-phase** (one port bit + a
-//!   min/max or trim fold), **stale** (skip);
+//!   (Alg. 1, sender ahead: adopt wholesale), **accept** (one port bit +
+//!   a store into the lists), **stale** (skip);
 //! * a receiver's whole round touches only *its own* slot of every
 //!   column.
 //!
@@ -29,9 +35,10 @@
 //! the plane into [`PlaneShard`]s (one shard is the whole plane), and for
 //! each receiver runs that receiver's senders, in the round's order,
 //! through a [`RowKernel`] ([`PlaneShard::deliver_row`]). A columnar kernel
-//! loads the receiver's phase, extrema or trim lists, contribution count
-//! and seen row into locals once, applies every link to the locals, and
-//! stores everything back once; the boxed kernel forwards each link's
+//! loads the receiver's phase, value, contribution count and seen row —
+//! and its lists, when they are one value long — into locals once, applies
+//! every link to the locals, and stores everything back once; the boxed
+//! kernel forwards each link's
 //! staged batch to `Algorithm::receive`. The kernel type is chosen by one
 //! `match` per receiver and the engine's walk ([`RowWalk`]) is
 //! monomorphized over it, so a columnar link pays no virtual call.
@@ -55,9 +62,9 @@
 //! them, a fully covered word folds into the extrema with two compares,
 //! and the first sender ahead or the quorum-completing link — whichever
 //! bit comes first — ends the stretch exactly where the per-link loop
-//! would have. DBAC keeps its per-link kernel (its trim lists need every
-//! value), as do boxed nodes, the permuted delivery orders and logged
-//! runs.
+//! would have. Alg. 2's rule has no word step (its lists need every
+//! value): its links are taken one at a time, as are boxed nodes', the
+//! permuted delivery orders' and logged runs'.
 //!
 //! **The stale-link stop.** Within a round every honest link carries a
 //! start-of-round snapshot, so its phase is at most the round's maximum
@@ -69,16 +76,18 @@
 //! fabrications may carry any phase and are always fed. The boxed kernel
 //! knows nothing about its node's rules and is always live.
 //!
-//! **Per-link form.** Next to its row kernel each columnar plane keeps
-//! Alg. 1/2's receive rule as a per-link step on the columns (`process`,
-//! behind [`AlgorithmPlane::receive`]) — so Alg. 1 is written three times
-//! (boxed `Dac`, `process`, and the row kernel, whose `link` and `word`
-//! share one same-phase / jump / advance body), not four. A plane can be built with any
-//! number of slots — `Params` sizes what a slot is, not how many there are
-//! — and [`Lanes`](crate::Lanes) runs up to 64 Monte-Carlo trials on one
-//! plane of `n × 64` slots through that step. Folding the step into the
-//! kernels (load/store per link) was measured at −25 % on the lane
-//! workload, so the two forms stay.
+//! **Per-link form.** Next to the row kernel the columnar plane keeps the
+//! receive rule as a per-link step on the columns (`process`, behind
+//! [`AlgorithmPlane::receive`]). So each algorithm's receive rule exists
+//! as its boxed oracle ([`Dac`](crate::Dac), [`Dbac`](crate::Dbac)) and,
+//! shared between the two, one generic per-link step and one generic row
+//! kernel, to which Alg. 1 adds its word step. A plane can be built with
+//! any number of slots — `Params` sizes what a slot is, not how many there
+//! are — and [`Lanes`](crate::Lanes) runs up to 64 Monte-Carlo trials on
+//! one plane of `n × 64` slots through the per-link step. Folding that
+//! step into the kernel (load/store per link) was measured at −25 % on the
+//! lane workload, so the two forms stay: what they share is shared at
+//! compile time, through the rule.
 //!
 //! The boxed plane is the behavioral oracle: the columnar planes must be
 //! observationally **identical** to it under the same delivery order —
@@ -86,6 +95,7 @@
 //! crash/Byzantine mixes, and ε.
 
 use std::fmt;
+use std::marker::PhantomData;
 
 use adn_graph::NodeSet;
 use adn_types::{Batch, Message, Params, Phase, Port, Value};
@@ -223,18 +233,16 @@ pub trait AlgorithmPlane: fmt::Debug {
     /// vector, in place, as if the plane were freshly constructed — the
     /// service layer's allocation-free instance turnover. Returns `false`
     /// when in-place resets are unsupported, making the service layer
-    /// refuse rather than silently rebuild. Every stock plane overrides
-    /// this ([`BoxedPlane`] asks each slot's `Algorithm::reset_instance`);
-    /// wire-format adaptors forward it to their inner plane (resetting
-    /// state does not touch the wire encoding).
+    /// refuse rather than silently rebuild. Required, so that a plane
+    /// cannot forget it ([`BoxedPlane`] asks each slot's
+    /// `Algorithm::reset_instance`); wire-format adaptors forward it to
+    /// their inner plane (resetting state does not touch the wire
+    /// encoding).
     ///
     /// # Panics
     ///
     /// Implementations panic if `inputs.len() != self.n()`.
-    fn reset_instance(&mut self, inputs: &[Value]) -> bool {
-        let _ = inputs;
-        false
-    }
+    fn reset_instance(&mut self, inputs: &[Value]) -> bool;
 
     /// Short algorithm name for reports (matches the trait
     /// implementation's `name`).
@@ -321,13 +329,25 @@ pub trait RowKernel {
     /// for each in turn. Only called on kernels that declare
     /// [`RowKernel::WORDS`]; the default is that per-link loop.
     #[inline]
-    fn word(&mut self, w: usize, mut bits: u64, wire: &StagedWire<'_>, index: &WireIndex) {
+    fn word(&mut self, w: usize, bits: u64, wire: &StagedWire<'_>, index: &WireIndex) {
         let _ = index;
-        while bits != 0 {
-            let u = w * 64 + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            self.staged(Port::new(u), u, wire);
-        }
+        word_per_link(self, w, bits, wire);
+    }
+}
+
+/// The honest links of senders `w * 64 + b`, for every set bit `b` of
+/// `bits` in ascending order, one [`RowKernel::staged`] each.
+#[inline]
+fn word_per_link<K: RowKernel + ?Sized>(
+    kernel: &mut K,
+    w: usize,
+    mut bits: u64,
+    wire: &StagedWire<'_>,
+) {
+    while bits != 0 {
+        let u = w * 64 + bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        kernel.staged(Port::new(u), u, wire);
     }
 }
 
@@ -357,8 +377,8 @@ pub struct PlaneShard<'a> {
 }
 
 enum ShardRepr<'a> {
-    Dac(DacCols<'a>),
-    Dbac(DbacCols<'a>),
+    Dac(Cols<'a, DacRule>),
+    Dbac(Cols<'a, DbacRule>),
     Boxed(&'a mut [Box<dyn Algorithm>]),
 }
 
@@ -397,16 +417,8 @@ impl PlaneShard<'_> {
     pub fn receive_many(&mut self, receiver: usize, batch: &[(Port, Message)]) {
         let v = receiver - self.base;
         match &mut self.repr {
-            ShardRepr::Dac(cols) => {
-                for &(port, msg) in batch {
-                    cols.process(v, port, msg);
-                }
-            }
-            ShardRepr::Dbac(cols) => {
-                for &(port, msg) in batch {
-                    cols.process(v, port, msg);
-                }
-            }
+            ShardRepr::Dac(cols) => cols.receive_many(v, batch),
+            ShardRepr::Dbac(cols) => cols.receive_many(v, batch),
             ShardRepr::Boxed(nodes) => {
                 for &(port, msg) in batch {
                     nodes[v].receive(port, &[msg]);
@@ -448,50 +460,145 @@ fn assert_shard_bounds(n: usize, bounds: &[usize], shards: usize) {
     );
 }
 
-pub(crate) use self::slots::SlotPlane;
+/// What §V changes between Alg. 1 and Alg. 2, and nothing else: the
+/// columnar plane — struct, column views, per-link step, row kernel, the
+/// whole [`AlgorithmPlane`] impl — is written once over `R: Rule`
+/// ([`Columnar`]). Sealed: [`DacRule`] and [`DbacRule`] are the two rules.
+pub trait Rule: sealed::Sealed + fmt::Debug + Clone + 'static {
+    /// [`AlgorithmPlane::name`] of the plane.
+    const NAME: &'static str;
 
-/// Private, so that [`SlotPlane`] can bound the public
-/// [`Lanes`](crate::Lanes) without being nameable outside the crate.
-mod slots {
-    use super::{AlgorithmPlane, Message, Params, Port, Value};
+    /// `LanePlane::name` of [`Lanes`](crate::Lanes) over the plane.
+    const LANES_NAME: &'static str;
 
-    /// What the trial-lane adaptor needs of a columnar plane beyond
-    /// [`AlgorithmPlane`]: any number of slots, and the per-link step with
-    /// the column views hoisted.
-    pub trait SlotPlane: AlgorithmPlane {
-        /// `LanePlane::name` of the adaptor over this plane.
-        const LANES_NAME: &'static str;
+    /// Alg. 1 line 6: a message from a later phase is adopted wholesale —
+    /// value, phase, fresh `R_i`. Alg. 2 never skips a phase (a forged
+    /// huge one cannot drag the node forward): it counts the message like
+    /// one of its own phase.
+    const JUMPS: bool;
 
-        /// The plane with one slot per input, however many: `params` sizes
-        /// what a slot *is* (port row, quorum, trim lists), `inputs` how
-        /// many there are.
-        fn with_slots(params: Params, inputs: &[Value], pend: u64) -> Self;
+    /// Length of `R_low` / `R_high`: `Some(1)` for Alg. 1, whose
+    /// `(min, max)` *is* Alg. 2's pair of lists at length 1 (the `trim`
+    /// module's tests pin it); `None` for Alg. 2's `f + 1`
+    /// ([`Params::dbac_list_len`]). A constant where it can be: the
+    /// per-link step indexes the slabs by it.
+    const LIST_LEN: Option<usize>;
 
-        /// The plane's per-link step (its `process`, the one
-        /// [`AlgorithmPlane::receive`] runs) as `(slot, port, message)`,
-        /// with the column views split once for as many links as the
-        /// caller feeds it.
-        fn stepper(&mut self) -> impl FnMut(usize, Port, Message) + '_;
+    /// Whether a multi-message (fabricated) batch is resolved in ascending
+    /// phase order, as `Dbac::receive` does; Alg. 1 takes it as it comes.
+    const ASCENDING_BATCHES: bool;
+
+    /// Whether the row kernel takes honest links 64 senders per step
+    /// ([`RowKernel::WORDS`]): Alg. 1's word step, which folds a word in by
+    /// its extrema. Alg. 2's lists need every value, link by link.
+    const WORDS: bool;
+
+    /// Distinct same-phase contributors, the node itself included, that
+    /// complete a phase: `⌊n/2⌋ + 1` / `⌊(n+3f)/2⌋ + 1`.
+    fn quorum(params: Params) -> usize;
+
+    /// The paper's output phase: Eq. (2) / Eq. (6).
+    fn pend(params: Params) -> u64;
+}
+
+/// Alg. 1 ([`Dac`](crate::Dac)) as a [`Rule`].
+#[derive(Debug, Clone, Copy)]
+pub struct DacRule;
+
+/// Alg. 2 ([`Dbac`](crate::Dbac)) as a [`Rule`].
+#[derive(Debug, Clone, Copy)]
+pub struct DbacRule;
+
+impl Rule for DacRule {
+    const NAME: &'static str = "dac";
+    const LANES_NAME: &'static str = "dac-lanes";
+    const JUMPS: bool = true;
+    const LIST_LEN: Option<usize> = Some(1);
+    const ASCENDING_BATCHES: bool = false;
+    const WORDS: bool = true;
+
+    fn quorum(params: Params) -> usize {
+        params.dac_quorum()
+    }
+
+    fn pend(params: Params) -> u64 {
+        params.dac_pend()
     }
 }
 
-/// [`Dac`](crate::Dac) in struct-of-arrays layout: one plane holds every
-/// node's phase, value, tracked extrema, seen row (`R_i` as a bit row,
-/// under whichever key the plane is driven with), and contribution count
-/// as flat columns. See [`AlgorithmPlane`] for the equivalence
-/// contract and [the module docs](self) for why.
+impl Rule for DbacRule {
+    const NAME: &'static str = "dbac";
+    const LANES_NAME: &'static str = "dbac-lanes";
+    const JUMPS: bool = false;
+    const LIST_LEN: Option<usize> = None;
+    const ASCENDING_BATCHES: bool = true;
+    const WORDS: bool = false;
+
+    fn quorum(params: Params) -> usize {
+        params.dbac_quorum()
+    }
+
+    fn pend(params: Params) -> u64 {
+        params.dbac_pend()
+    }
+}
+
+/// Seals [`Rule`], and holds the member that speaks of this module's
+/// private types: the shard arm a rule's column views travel in. Nothing
+/// outside the crate can name `Sealed`, which is what the lint below
+/// cannot see.
+#[allow(private_interfaces)]
+mod sealed {
+    use super::{Cols, DacRule, DbacRule, ShardRepr};
+
+    pub trait Sealed: Sized {
+        fn shard(cols: Cols<'_, Self>) -> ShardRepr<'_>;
+    }
+
+    impl Sealed for DacRule {
+        fn shard(cols: Cols<'_, Self>) -> ShardRepr<'_> {
+            ShardRepr::Dac(cols)
+        }
+    }
+
+    impl Sealed for DbacRule {
+        fn shard(cols: Cols<'_, Self>) -> ShardRepr<'_> {
+            ShardRepr::Dbac(cols)
+        }
+    }
+}
+
+/// [`Dac`](crate::Dac) or [`Dbac`](crate::Dbac) — whichever `R` says — in
+/// struct-of-arrays layout: one plane holds every slot's phase, value,
+/// seen row (`R_i` as a bit row, under whichever key the plane is driven
+/// with), contribution count and the `R_low` / `R_high` lists as flat
+/// columns. See [`AlgorithmPlane`] for the equivalence contract and
+/// [the module docs](self) for why. A plane can be built with any number
+/// of slots: `Params` sizes what a slot *is* (port row, quorum, lists), the
+/// inputs how many there are.
+///
+/// The struct is 192 bytes, what `DacPlane` was before the two planes
+/// were one. Boxed at 224 it moved glibc's heap far enough that a process
+/// building one `Simulation` per run (the ledger's `dac_dense`) took twice
+/// the page faults per run (294 → 633) and read 8 % slower on identical
+/// kernel code — hence `cap` as a `u32` and no sort scratch.
 #[derive(Debug, Clone)]
-pub struct DacPlane {
+pub struct Columnar<R> {
     pend: u64,
-    /// `dac_quorum() - 1`: foreign same-phase contributions needed to
+    /// `R::quorum() - 1`: foreign same-phase contributions needed to
     /// advance, hoisted so the hot loop compares `seen_count` directly.
     foreign_quorum: u32,
+    /// List length per slot where `R::LIST_LEN` leaves it to `Params`.
+    cap: u32,
     /// Words per `ports_seen` row (`n.div_ceil(64)`).
     row_words: usize,
     phase: Vec<Phase>,
     value: Vec<Value>,
-    vmin: Vec<Value>,
-    vmax: Vec<Value>,
+    /// `R_low` slab: slot `v` owns `low[v*cap..(v+1)*cap]`, ascending
+    /// (see [`crate::trim`]). At length 1: the slot's running minimum.
+    low: Vec<Value>,
+    /// `R_high` slab, same layout, descending. At length 1: the maximum.
+    high: Vec<Value>,
     /// `R_i` rows, one bitset row of `row_words` words per slot.
     ports_seen: Vec<u64>,
     /// Foreign same-phase contributions per slot (`|R_i| - 1`).
@@ -501,13 +608,20 @@ pub struct DacPlane {
     /// `try_advance` tail, which maintains the invariant), so deliveries
     /// test the phase they already loaded.
     output: Vec<Option<Value>>,
+    rule: PhantomData<R>,
 }
 
-impl DacPlane {
+/// The columnar plane of Alg. 1.
+pub type DacPlane = Columnar<DacRule>;
+
+/// The columnar plane of Alg. 2.
+pub type DbacPlane = Columnar<DbacRule>;
+
+impl<R: Rule> Columnar<R> {
     /// Creates the plane with one slot per input, terminating at the
-    /// paper's `pend = ⌈log₂(1/ε)⌉`.
+    /// paper's `pend` for the rule (Eq. (2) / Eq. (6)).
     pub fn new(params: Params, inputs: &[Value]) -> Self {
-        DacPlane::with_pend(params, inputs, params.dac_pend())
+        Self::with_pend(params, inputs, R::pend(params))
     }
 
     /// Creates the plane with an explicit termination phase.
@@ -517,7 +631,35 @@ impl DacPlane {
     /// Panics if `inputs.len() != params.n()`.
     pub fn with_pend(params: Params, inputs: &[Value], pend: u64) -> Self {
         assert_eq!(inputs.len(), params.n(), "one input per slot");
-        DacPlane::with_slots(params, inputs, pend)
+        Self::with_slots(params, inputs, pend)
+    }
+
+    /// The plane with one slot per input, however many (the trial lanes
+    /// build `n × 64`).
+    pub(crate) fn with_slots(params: Params, inputs: &[Value], pend: u64) -> Self {
+        let slots = inputs.len();
+        let row_words = params.n().div_ceil(64);
+        let cap = R::LIST_LEN.unwrap_or(params.dbac_list_len());
+        let mut plane = Columnar {
+            pend,
+            foreign_quorum: (R::quorum(params) - 1) as u32,
+            cap: cap as u32,
+            row_words,
+            phase: vec![Phase::ZERO; slots],
+            value: inputs.to_vec(),
+            low: vec![Value::HALF; slots * cap],
+            high: vec![Value::HALF; slots * cap],
+            ports_seen: vec![0; slots * row_words],
+            seen_count: vec![0; slots],
+            output: vec![None; slots],
+            rule: PhantomData,
+        };
+        let mut cols = plane.cols();
+        for v in 0..slots {
+            cols.restart(v);
+            cols.maybe_output(v);
+        }
+        plane
     }
 
     /// The termination phase in effect.
@@ -525,85 +667,85 @@ impl DacPlane {
         self.pend
     }
 
-    /// Borrows every column as a disjoint `&mut` slice. The engine's bulk
-    /// calls split once and run the whole receiver walk on the views:
-    /// `&mut` slices are provably non-aliasing, so the optimizer keeps
-    /// loop-invariant pointers and the receiver's hot fields in registers
-    /// instead of re-loading them after every store (one `Vec` store
-    /// could otherwise alias every other column).
-    #[inline]
-    fn cols(&mut self) -> DacCols<'_> {
-        DacCols {
-            pend: self.pend,
-            foreign_quorum: self.foreign_quorum,
-            row_words: self.row_words,
-            phase: &mut self.phase,
-            value: &mut self.value,
-            vmin: &mut self.vmin,
-            vmax: &mut self.vmax,
-            ports_seen: &mut self.ports_seen,
-            seen_count: &mut self.seen_count,
-            output: &mut self.output,
-        }
-    }
-}
-
-impl SlotPlane for DacPlane {
-    const LANES_NAME: &'static str = "dac-lanes";
-
-    fn with_slots(params: Params, inputs: &[Value], pend: u64) -> Self {
-        let slots = inputs.len();
-        let row_words = params.n().div_ceil(64);
-        let mut plane = DacPlane {
-            pend,
-            foreign_quorum: (params.dac_quorum() - 1) as u32,
-            row_words,
-            phase: vec![Phase::ZERO; slots],
-            value: inputs.to_vec(),
-            vmin: inputs.to_vec(),
-            vmax: inputs.to_vec(),
-            ports_seen: vec![0; slots * row_words],
-            seen_count: vec![0; slots],
-            output: vec![None; slots],
-        };
-        let mut cols = plane.cols();
-        for v in 0..slots {
-            cols.maybe_output(v);
-        }
-        plane
-    }
-
+    /// The per-link step ([`Cols::process`], the one
+    /// [`AlgorithmPlane::receive`] runs) as `(slot, port, message)`, with
+    /// the column views split once for as many links as the caller feeds
+    /// it — the trial lanes' entry.
     // audit: no-alloc
-    fn stepper(&mut self) -> impl FnMut(usize, Port, Message) + '_ {
+    pub(crate) fn stepper(&mut self) -> impl FnMut(usize, Port, Message) + '_ {
         let mut cols = self.cols();
         move |v, port, msg| cols.process(v, port, msg)
     }
+
+    /// Borrows every column as a disjoint `&mut` slice. The bulk calls
+    /// split once and run the whole walk on the views: `&mut` slices are
+    /// provably non-aliasing, so the optimizer keeps loop-invariant
+    /// pointers and the receiver's hot fields in registers instead of
+    /// re-loading them after every store (one `Vec` store could otherwise
+    /// alias every other column).
+    #[inline]
+    fn cols(&mut self) -> Cols<'_, R> {
+        Cols {
+            pend: self.pend,
+            foreign_quorum: self.foreign_quorum,
+            row_words: self.row_words,
+            cap: self.cap as usize,
+            phase: &mut self.phase,
+            value: &mut self.value,
+            ports_seen: &mut self.ports_seen,
+            seen_count: &mut self.seen_count,
+            low: &mut self.low,
+            high: &mut self.high,
+            output: &mut self.output,
+            rule: PhantomData,
+        }
+    }
 }
 
-/// The disjoint column views of one [`DacPlane`] (see [`DacPlane::cols`]).
-struct DacCols<'a> {
+/// The disjoint column views of one [`Columnar`] plane (see
+/// [`Columnar::cols`]), or of one receiver range of it.
+struct Cols<'a, R> {
     pend: u64,
     foreign_quorum: u32,
     row_words: usize,
+    cap: usize,
     phase: &'a mut [Phase],
     value: &'a mut [Value],
-    vmin: &'a mut [Value],
-    vmax: &'a mut [Value],
     ports_seen: &'a mut [u64],
     seen_count: &'a mut [u32],
+    low: &'a mut [Value],
+    high: &'a mut [Value],
     output: &'a mut [Option<Value>],
+    rule: PhantomData<R>,
 }
 
-impl DacCols<'_> {
-    /// Alg. 1 `RESET()` for slot `v`: clear its port row and collapse the
-    /// extrema onto the current value.
+impl<R: Rule> Cols<'_, R> {
+    /// Slot `v`'s `(R_low, R_high)`.
+    #[inline]
+    fn lists(&mut self, v: usize) -> (&mut [Value], &mut [Value]) {
+        let cap = R::LIST_LEN.unwrap_or(self.cap);
+        let (from, to) = (v * cap, (v + 1) * cap);
+        (&mut self.low[from..to], &mut self.high[from..to])
+    }
+
+    /// Restarts slot `v`'s lists from its own value: what the
+    /// always-reliable self-message would store. At length 1, `(min, max)`
+    /// collapse onto it.
+    #[inline]
+    fn restart(&mut self, v: usize) {
+        let own = self.value[v];
+        let (low, high) = self.lists(v);
+        trim::clear(low, high);
+        trim::store(low, high, own);
+    }
+
+    /// `RESET()` for slot `v`: clear its port row, restart its lists.
     #[inline]
     fn reset(&mut self, v: usize) {
         let row = v * self.row_words;
         self.ports_seen[row..row + self.row_words].fill(0);
         self.seen_count[v] = 0;
-        self.vmin[v] = self.value[v];
-        self.vmax[v] = self.value[v];
+        self.restart(v);
     }
 
     #[inline]
@@ -614,11 +756,12 @@ impl DacCols<'_> {
     }
 
     /// One received message at slot `v` — the columnar mirror of
-    /// `Dac::process` (Alg. 1 lines 5–15), with two flow changes that are
-    /// behaviorally invisible: "decided" is read off the phase column
-    /// (`phase >= pend ⇔ output set` — the `output` invariant), and
-    /// `try_advance` is skipped when the message changed nothing (a
-    /// drained quorum condition cannot become true without new state).
+    /// `Dac::process` (Alg. 1 lines 5–15) / `Dbac::process` (Alg. 2 lines
+    /// 5–11), with two flow changes that are behaviorally invisible:
+    /// "decided" is read off the phase column (`phase >= pend ⇔ output
+    /// set` — the `output` invariant), and `try_advance` is skipped when
+    /// the message changed nothing (a drained quorum condition cannot
+    /// become true without new state).
     #[inline(always)]
     fn process(&mut self, v: usize, port: Port, msg: Message) {
         let p = self.phase[v];
@@ -627,12 +770,12 @@ impl DacCols<'_> {
             return;
         }
         let q = msg.phase();
-        if q > p {
+        if R::JUMPS && q > p {
             // Jump: adopt the future state wholesale.
             self.value[v] = msg.value();
             self.phase[v] = q;
             self.reset(v);
-        } else if q == p {
+        } else if q >= p {
             let (w, b) = (port.index() / 64, port.index() % 64);
             let slot = &mut self.ports_seen[v * self.row_words + w];
             if *slot & (1 << b) != 0 {
@@ -641,12 +784,8 @@ impl DacCols<'_> {
             *slot |= 1 << b;
             let seen = self.seen_count[v] + 1;
             self.seen_count[v] = seen;
-            let mv = msg.value();
-            if mv < self.vmin[v] {
-                self.vmin[v] = mv;
-            } else if mv > self.vmax[v] {
-                self.vmax[v] = mv;
-            }
+            let (low, high) = self.lists(v);
+            trim::store(low, high, msg.value());
             // Below quorum nothing can advance and the phase is still
             // short of pend — skip the call, keeping the per-message path
             // free of the out-of-line advance machinery.
@@ -659,99 +798,127 @@ impl DacCols<'_> {
         self.try_advance(v);
     }
 
+    /// [`AlgorithmPlane::receive_many`] at slot `v`. Every entry is one
+    /// single-message link, so no batch order comes into it: this is
+    /// `process` per entry, on views split once.
+    // audit: no-alloc
+    #[inline]
+    fn receive_many(&mut self, v: usize, batch: &[(Port, Message)]) {
+        for &(port, msg) in batch {
+            self.process(v, port, msg);
+        }
+    }
+
+    // audit: no-alloc-fn
     #[inline]
     fn try_advance(&mut self, v: usize) {
         while self.seen_count[v] >= self.foreign_quorum && self.phase[v].as_u64() < self.pend {
-            self.value[v] = self.vmin[v].midpoint(self.vmax[v]);
+            let (low, high) = self.lists(v);
+            let (lo, hi) = trim::bounds(low, high);
+            self.value[v] = lo.midpoint(hi);
             self.phase[v] = self.phase[v].next();
             self.reset(v);
         }
         self.maybe_output(v);
     }
-}
 
-impl DacCols<'_> {
-    /// Slot `v`'s round: columns into a [`DacRow`], the walk, columns
-    /// back. `maybe_output` runs once at the end, which is when
-    /// `process` would have run it last — a decided slot's value no longer
-    /// changes.
+    /// Slot `v`'s round: columns into a [`Row`], the walk, columns back.
+    /// `maybe_output` runs once at the end, which is when `process` would
+    /// have run it last — a decided slot's value no longer changes.
     #[inline]
     fn deliver_row(&mut self, v: usize, max_wire_phase: Phase, walk: impl RowWalk) {
         let row = v * self.row_words;
-        let mut k = DacRow {
+        let cap = R::LIST_LEN.unwrap_or(self.cap);
+        let mut k = Row::<R> {
             pend: self.pend,
             foreign_quorum: self.foreign_quorum,
             live_below: live_below(self.pend, max_wire_phase),
             phase: self.phase[v],
             value: self.value[v],
-            vmin: self.vmin[v],
-            vmax: self.vmax[v],
             seen: self.seen_count[v],
             ports_seen: &mut self.ports_seen[row..row + self.row_words],
+            lo: self.low[v * cap],
+            hi: self.high[v * cap],
+            low: &mut self.low[v * cap..(v + 1) * cap],
+            high: &mut self.high[v * cap..(v + 1) * cap],
+            rule: PhantomData,
         };
         walk.walk(&mut k);
         self.phase[v] = k.phase;
         self.value[v] = k.value;
-        self.vmin[v] = k.vmin;
-        self.vmax[v] = k.vmax;
         self.seen_count[v] = k.seen;
+        if Row::<R>::EXTREMA {
+            (k.low[0], k.high[0]) = (k.lo, k.hi);
+        }
         self.maybe_output(v);
     }
 }
 
-/// [`DacCols::process`] on locals: one slot's Alg. 1 state for the length
+/// [`Cols::process`] on locals: one slot's Alg. 1/2 state for the length
 /// of its row.
-struct DacRow<'a> {
+struct Row<'a, R> {
     pend: u64,
     foreign_quorum: u32,
     live_below: u64,
     phase: Phase,
     value: Value,
-    vmin: Value,
-    vmax: Value,
     seen: u32,
     ports_seen: &'a mut [u64],
+    /// The lists when they are one value long ([`Row::EXTREMA`]): the
+    /// running `(min, max)`, held here for the row and stored back after
+    /// it. Left in the slab they cost `dac_dense` 2.5 % (4030 against 3930
+    /// rounds/s, parent 4114; twelve three-way alternations): the word
+    /// step reads and writes them beside its seen-row stores.
+    lo: Value,
+    hi: Value,
+    /// The slot's `(R_low, R_high)` in their slab, otherwise.
+    low: &'a mut [Value],
+    high: &'a mut [Value],
+    rule: PhantomData<R>,
 }
 
-impl DacRow<'_> {
+impl<R: Rule> Row<'_, R> {
+    /// Whether the lists live in `lo` / `hi` rather than in the slab.
+    const EXTREMA: bool = matches!(R::LIST_LEN, Some(1));
+
+    /// `STORE(value)`: [`trim::store`], which at length 1 is two compares.
+    #[inline(always)]
+    fn store(&mut self, value: Value) {
+        if Self::EXTREMA {
+            (self.lo, self.hi) = (self.lo.min(value), self.hi.max(value));
+        } else {
+            trim::store(self.low, self.high, value);
+        }
+    }
+
+    /// `RESET()` (mirrors [`Cols::reset`]).
     #[inline]
     fn reset(&mut self) {
         self.ports_seen.fill(0);
         self.seen = 0;
-        self.vmin = self.value;
-        self.vmax = self.value;
+        if Self::EXTREMA {
+            (self.lo, self.hi) = (self.value, self.value);
+        } else {
+            trim::clear(self.low, self.high);
+            trim::store(self.low, self.high, self.value);
+        }
     }
 
     /// Out of line: once per slot per phase, and its loop (which only
     /// ever repeats when `foreign_quorum` is 0) would otherwise be laid
     /// out inside every link loop `link` is inlined into.
+    // audit: no-alloc-fn
     #[cold]
     #[inline(never)]
     fn try_advance(&mut self) {
         while self.seen >= self.foreign_quorum && self.phase.as_u64() < self.pend {
-            self.value = self.vmin.midpoint(self.vmax);
+            let (lo, hi) = match Self::EXTREMA {
+                true => (self.lo, self.hi),
+                false => trim::bounds(self.low, self.high),
+            };
+            self.value = lo.midpoint(hi);
             self.phase = self.phase.next();
             self.reset();
-        }
-    }
-
-    /// The same-phase case of Alg. 1 for `count` links at once: the keys
-    /// `new` of seen-row word `w`, none of them seen before, whose values
-    /// span `lo..=hi` — counted, folded into the extrema, and the phase
-    /// advanced if they complete the quorum. `link` absorbs one key,
-    /// `word` a stretch of a word.
-    #[inline(always)]
-    fn absorb(&mut self, w: usize, new: u64, count: u32, lo: Value, hi: Value) {
-        self.ports_seen[w] |= new;
-        self.seen += count;
-        if lo < self.vmin {
-            self.vmin = lo;
-        }
-        if hi > self.vmax {
-            self.vmax = hi;
-        }
-        if self.seen >= self.foreign_quorum {
-            self.try_advance();
         }
     }
 
@@ -765,59 +932,25 @@ impl DacRow<'_> {
     }
 }
 
-/// The bits of a word below bit `b < 64`.
-#[inline(always)]
-fn below(b: u32) -> u64 {
-    (1 << b) - 1
-}
-
-/// The bits of a word up to and including bit `b < 64`.
-#[inline(always)]
-fn through(b: u32) -> u64 {
-    u64::MAX >> (63 - b)
-}
-
-/// The `k` lowest set bits of `bits` (all of them if it has no more).
-#[inline]
-fn lowest(bits: u64, k: u32) -> u64 {
-    if bits.count_ones() <= k {
-        return bits;
-    }
-    // The shortest prefix of the word holding `k` set bits: at most 63
-    // long, since the highest set bit is not among them.
-    let (mut short, mut long) = (0, 63);
-    while short < long {
-        let mid = (short + long) / 2;
-        if (bits & below(mid)).count_ones() >= k {
-            long = mid;
-        } else {
-            short = mid + 1;
-        }
-    }
-    bits & below(short)
-}
-
-impl RowKernel for DacRow<'_> {
-    const WORDS: bool = true;
-
+/// Alg. 1's word step, for a rule that jumps and keeps `(min, max)`
+/// ([`Rule::WORDS`]).
+impl<R: Rule> Row<'_, R> {
+    /// The accept case of Alg. 1 for `count` links at once: the keys `new`
+    /// of seen-row word `w`, none of them seen before, whose values span
+    /// `lo..=hi` — counted, folded into the extrema, and the phase
+    /// advanced if they complete the quorum.
     #[inline(always)]
-    fn live(&self) -> bool {
-        self.phase.as_u64() < self.live_below
-    }
-
-    #[inline(always)]
-    fn link(&mut self, key: Port, phase: Phase, value: Value) {
-        let p = self.phase;
-        if p.as_u64() >= self.pend {
-            return;
+    fn absorb(&mut self, w: usize, new: u64, count: u32, lo: Value, hi: Value) {
+        self.ports_seen[w] |= new;
+        self.seen += count;
+        if lo < self.lo {
+            self.lo = lo;
         }
-        if phase == p {
-            let (w, bit) = (key.index() / 64, 1 << (key.index() % 64));
-            if self.ports_seen[w] & bit == 0 {
-                self.absorb(w, bit, 1, value, value);
-            }
-        } else if phase > p {
-            self.jump(phase, value);
+        if hi > self.hi {
+            self.hi = hi;
+        }
+        if self.seen >= self.foreign_quorum {
+            self.try_advance();
         }
     }
 
@@ -827,7 +960,8 @@ impl RowKernel for DacRow<'_> {
     /// early; either event moves the phase, and what is left of the word
     /// is looked at again from there.
     #[inline(always)]
-    fn word(&mut self, w: usize, mut bits: u64, wire: &StagedWire<'_>, index: &WireIndex) {
+    fn word_step(&mut self, w: usize, mut bits: u64, wire: &StagedWire<'_>, index: &WireIndex) {
+        debug_assert!(R::JUMPS && Self::EXTREMA);
         while bits != 0 && self.phase.as_u64() < self.pend {
             let at = index.locate(self.phase);
             let ahead = bits & index.ahead(at, w);
@@ -864,394 +998,91 @@ impl RowKernel for DacRow<'_> {
     }
 }
 
-impl AlgorithmPlane for DacPlane {
-    fn n(&self) -> usize {
-        self.phase.len()
-    }
-
-    fn phases(&self) -> &[Phase] {
-        &self.phase
-    }
-
-    fn values(&self) -> &[Value] {
-        &self.value
-    }
-
-    fn outputs(&self) -> &[Option<Value>] {
-        &self.output
-    }
-
-    // audit: no-alloc
-    fn deliver_from_sender(&mut self, msg: Message, receivers: &NodeSet, ports: &[Port]) {
-        let mut cols = self.cols();
-        for (wi, mut word) in receivers.iter_words() {
-            let base = wi * 64;
-            while word != 0 {
-                let v = base + word.trailing_zeros() as usize;
-                word &= word - 1;
-                cols.process(v, ports[v], msg);
-            }
-        }
-    }
-
-    // audit: no-alloc
-    fn receive(&mut self, receiver: usize, port: Port, batch: &[Message]) {
-        let mut cols = self.cols();
-        for &msg in batch {
-            cols.process(receiver, port, msg);
-        }
-    }
-
-    // audit: no-alloc
-    fn receive_many(&mut self, receiver: usize, batch: &[(Port, Message)]) {
-        let mut cols = self.cols();
-        for &(port, msg) in batch {
-            cols.process(receiver, port, msg);
-        }
-    }
-
-    fn fill_shards<'a>(&'a mut self, bounds: &[usize], out: &mut [Option<PlaneShard<'a>>]) {
-        assert_shard_bounds(self.phase.len(), bounds, out.len());
-        let (pend, foreign_quorum, row_words) = (self.pend, self.foreign_quorum, self.row_words);
-        let (mut phase, mut value) = (&mut self.phase[..], &mut self.value[..]);
-        let (mut vmin, mut vmax) = (&mut self.vmin[..], &mut self.vmax[..]);
-        let mut ports_seen = &mut self.ports_seen[..];
-        let (mut seen_count, mut output) = (&mut self.seen_count[..], &mut self.output[..]);
-        for (i, slot) in out.iter_mut().enumerate() {
-            let len = bounds[i + 1] - bounds[i];
-            *slot = Some(PlaneShard {
-                base: bounds[i],
-                repr: ShardRepr::Dac(DacCols {
-                    pend,
-                    foreign_quorum,
-                    row_words,
-                    phase: take_split(&mut phase, len),
-                    value: take_split(&mut value, len),
-                    vmin: take_split(&mut vmin, len),
-                    vmax: take_split(&mut vmax, len),
-                    ports_seen: take_split(&mut ports_seen, len * row_words),
-                    seen_count: take_split(&mut seen_count, len),
-                    output: take_split(&mut output, len),
-                }),
-            });
-        }
-    }
-
-    fn end_round(&mut self, executing: &NodeSet) {
-        let mut cols = self.cols();
-        executing.for_each(|id| cols.try_advance(id.index()));
-    }
-
-    fn reset_instance(&mut self, inputs: &[Value]) -> bool {
-        let n = self.phase.len();
-        assert_eq!(inputs.len(), n, "one input per slot");
-        let mut cols = self.cols();
-        for (v, input) in inputs.iter().enumerate() {
-            cols.phase[v] = Phase::ZERO;
-            cols.value[v] = *input;
-            cols.output[v] = None;
-            cols.reset(v);
-            cols.maybe_output(v);
-        }
-        true
-    }
-
-    fn name(&self) -> &'static str {
-        "dac"
-    }
+/// The bits of a word below bit `b < 64`.
+#[inline(always)]
+fn below(b: u32) -> u64 {
+    (1 << b) - 1
 }
 
-/// [`Dbac`](crate::Dbac) in struct-of-arrays layout: phase, value, port
-/// bit rows, and the `R_low`/`R_high` trim lists as flat `f + 1`-wide
-/// slabs. See [`AlgorithmPlane`] for the equivalence contract.
-#[derive(Debug, Clone)]
-pub struct DbacPlane {
-    pend: u64,
-    /// `dbac_quorum() - 1`, hoisted like [`DacPlane::foreign_quorum`].
-    foreign_quorum: u32,
-    row_words: usize,
-    /// Trim-list capacity per slot (`f + 1`).
-    cap: usize,
-    phase: Vec<Phase>,
-    value: Vec<Value>,
-    ports_seen: Vec<u64>,
-    seen_count: Vec<u32>,
-    /// `R_low` slab: slot `v` owns `low[v*cap..(v+1)*cap]`, ascending
-    /// (see [`crate::trim`]).
-    low: Vec<Value>,
-    /// `R_high` slab, same layout, descending.
-    high: Vec<Value>,
-    /// Shared scratch for sorting piggybacked (Byzantine) batches —
-    /// one suffices because batches are consumed delivery by delivery.
-    sort_scratch: Vec<Message>,
-    output: Vec<Option<Value>>,
+/// The bits of a word up to and including bit `b < 64`.
+#[inline(always)]
+fn through(b: u32) -> u64 {
+    u64::MAX >> (63 - b)
 }
 
-impl DbacPlane {
-    /// Creates the plane with one slot per input, terminating at the
-    /// paper's Eq. (6) `pend`.
-    pub fn new(params: Params, inputs: &[Value]) -> Self {
-        DbacPlane::with_pend(params, inputs, params.dbac_pend())
+/// The `k` lowest set bits of `bits` (all of them if it has no more).
+#[inline]
+fn lowest(bits: u64, k: u32) -> u64 {
+    if bits.count_ones() <= k {
+        return bits;
     }
-
-    /// Creates the plane with an explicit termination phase.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != params.n()`.
-    pub fn with_pend(params: Params, inputs: &[Value], pend: u64) -> Self {
-        assert_eq!(inputs.len(), params.n(), "one input per slot");
-        DbacPlane::with_slots(params, inputs, pend)
-    }
-
-    /// The termination phase in effect.
-    pub fn pend(&self) -> u64 {
-        self.pend
-    }
-
-    /// Disjoint column views — same rationale as [`DacPlane::cols`].
-    #[inline]
-    fn cols(&mut self) -> DbacCols<'_> {
-        DbacCols {
-            pend: self.pend,
-            foreign_quorum: self.foreign_quorum,
-            row_words: self.row_words,
-            cap: self.cap,
-            phase: &mut self.phase,
-            value: &mut self.value,
-            ports_seen: &mut self.ports_seen,
-            seen_count: &mut self.seen_count,
-            low: &mut self.low,
-            high: &mut self.high,
-            output: &mut self.output,
+    // The shortest prefix of the word holding `k` set bits: at most 63
+    // long, since the highest set bit is not among them.
+    let (mut short, mut long) = (0, 63);
+    while short < long {
+        let mid = (short + long) / 2;
+        if (bits & below(mid)).count_ones() >= k {
+            long = mid;
+        } else {
+            short = mid + 1;
         }
     }
+    bits & below(short)
 }
 
-impl SlotPlane for DbacPlane {
-    const LANES_NAME: &'static str = "dbac-lanes";
+impl<R: Rule> RowKernel for Row<'_, R> {
+    const WORDS: bool = R::WORDS;
 
-    fn with_slots(params: Params, inputs: &[Value], pend: u64) -> Self {
-        let slots = inputs.len();
-        let row_words = params.n().div_ceil(64);
-        let cap = params.dbac_list_len();
-        let mut plane = DbacPlane {
-            pend,
-            foreign_quorum: (params.dbac_quorum() - 1) as u32,
-            row_words,
-            cap,
-            phase: vec![Phase::ZERO; slots],
-            value: inputs.to_vec(),
-            ports_seen: vec![0; slots * row_words],
-            seen_count: vec![0; slots],
-            low: vec![Value::HALF; slots * cap],
-            high: vec![Value::HALF; slots * cap],
-            sort_scratch: Vec::new(),
-            output: vec![None; slots],
-        };
-        let mut cols = plane.cols();
-        for v in 0..slots {
-            cols.reset(v);
-            cols.maybe_output(v);
-        }
-        plane
-    }
-
-    // audit: no-alloc
-    fn stepper(&mut self) -> impl FnMut(usize, Port, Message) + '_ {
-        let mut cols = self.cols();
-        move |v, port, msg| cols.process(v, port, msg)
-    }
-}
-
-/// The disjoint column views of one [`DbacPlane`] (see
-/// [`DbacPlane::cols`]).
-struct DbacCols<'a> {
-    pend: u64,
-    foreign_quorum: u32,
-    row_words: usize,
-    cap: usize,
-    phase: &'a mut [Phase],
-    value: &'a mut [Value],
-    ports_seen: &'a mut [u64],
-    seen_count: &'a mut [u32],
-    low: &'a mut [Value],
-    high: &'a mut [Value],
-    output: &'a mut [Option<Value>],
-}
-
-impl DbacCols<'_> {
-    /// Alg. 2 `RESET()` + self-store for slot `v` (mirrors
-    /// `Dbac::reset`).
-    #[inline]
-    fn reset(&mut self, v: usize) {
-        let row = v * self.row_words;
-        self.ports_seen[row..row + self.row_words].fill(0);
-        self.seen_count[v] = 0;
-        let own = self.value[v];
-        let (low, high) = self.lists(v);
-        trim::clear(low, high);
-        trim::store(low, high, own);
-    }
-
-    /// Slot `v`'s `(R_low, R_high)`.
-    #[inline]
-    fn lists(&mut self, v: usize) -> (&mut [Value], &mut [Value]) {
-        let (from, to) = (v * self.cap, (v + 1) * self.cap);
-        (&mut self.low[from..to], &mut self.high[from..to])
-    }
-
-    #[inline]
-    fn maybe_output(&mut self, v: usize) {
-        if self.phase[v].as_u64() >= self.pend && self.output[v].is_none() {
-            self.output[v] = Some(self.value[v]);
-        }
-    }
-
-    /// One received message at slot `v` — the columnar mirror of
-    /// `Dbac::process` (Alg. 2 lines 5–11), with the same
-    /// behavior-preserving flow changes as [`DacCols::process`]:
-    /// decided-by-phase and no `try_advance` after a no-op message.
-    #[inline(always)]
-    fn process(&mut self, v: usize, port: Port, msg: Message) {
-        let p = self.phase[v];
-        if p.as_u64() >= self.pend {
-            return;
-        }
-        if msg.phase() >= p {
-            let (w, b) = (port.index() / 64, port.index() % 64);
-            let slot = &mut self.ports_seen[v * self.row_words + w];
-            if *slot & (1 << b) == 0 {
-                *slot |= 1 << b;
-                let seen = self.seen_count[v] + 1;
-                self.seen_count[v] = seen;
-                let (low, high) = self.lists(v);
-                trim::store(low, high, msg.value());
-                // Below quorum nothing can advance (same early-out as
-                // `DacCols::process`).
-                if seen >= self.foreign_quorum {
-                    self.try_advance(v);
-                }
-            }
-        }
-    }
-
-    // audit: no-alloc-fn
-    #[inline]
-    fn try_advance(&mut self, v: usize) {
-        while self.seen_count[v] >= self.foreign_quorum && self.phase[v].as_u64() < self.pend {
-            let (low, high) = self.lists(v);
-            let (lo, hi) = trim::bounds(low, high);
-            self.value[v] = lo.midpoint(hi);
-            self.phase[v] = self.phase[v].next();
-            self.reset(v);
-        }
-        self.maybe_output(v);
-    }
-}
-
-impl DbacCols<'_> {
-    /// Slot `v`'s round through a [`DbacRow`] — see [`DacCols::deliver_row`].
-    #[inline]
-    fn deliver_row(&mut self, v: usize, max_wire_phase: Phase, walk: impl RowWalk) {
-        let row = v * self.row_words;
-        let (from, to) = (v * self.cap, (v + 1) * self.cap);
-        let mut k = DbacRow {
-            pend: self.pend,
-            foreign_quorum: self.foreign_quorum,
-            live_below: live_below(self.pend, max_wire_phase),
-            phase: self.phase[v],
-            value: self.value[v],
-            seen: self.seen_count[v],
-            ports_seen: &mut self.ports_seen[row..row + self.row_words],
-            low: &mut self.low[from..to],
-            high: &mut self.high[from..to],
-        };
-        walk.walk(&mut k);
-        self.phase[v] = k.phase;
-        self.value[v] = k.value;
-        self.seen_count[v] = k.seen;
-        self.maybe_output(v);
-    }
-}
-
-/// [`DbacCols::process`] on locals: one slot's Alg. 2 state for the
-/// length of its row (the trim lists stay in their slab — they are the
-/// slot's own `f + 1` contiguous values either way).
-struct DbacRow<'a> {
-    pend: u64,
-    foreign_quorum: u32,
-    live_below: u64,
-    phase: Phase,
-    value: Value,
-    seen: u32,
-    ports_seen: &'a mut [u64],
-    low: &'a mut [Value],
-    high: &'a mut [Value],
-}
-
-impl DbacRow<'_> {
-    /// Alg. 2 `RESET()` + self-store (mirrors `DbacCols::reset`).
-    #[inline]
-    fn reset(&mut self) {
-        self.ports_seen.fill(0);
-        self.seen = 0;
-        trim::clear(self.low, self.high);
-        trim::store(self.low, self.high, self.value);
-    }
-
-    /// Out of line, like [`DacRow::try_advance`].
-    // audit: no-alloc-fn
-    #[cold]
-    #[inline(never)]
-    fn try_advance(&mut self) {
-        while self.seen >= self.foreign_quorum && self.phase.as_u64() < self.pend {
-            let (lo, hi) = trim::bounds(self.low, self.high);
-            self.value = lo.midpoint(hi);
-            self.phase = self.phase.next();
-            self.reset();
-        }
-    }
-}
-
-impl RowKernel for DbacRow<'_> {
     #[inline(always)]
     fn live(&self) -> bool {
         self.phase.as_u64() < self.live_below
     }
 
     #[inline(always)]
-    fn link(&mut self, port: Port, phase: Phase, value: Value) {
-        if self.phase.as_u64() >= self.pend || phase < self.phase {
+    fn link(&mut self, key: Port, phase: Phase, value: Value) {
+        let p = self.phase;
+        if p.as_u64() >= self.pend {
             return;
         }
-        let (w, b) = (port.index() / 64, port.index() % 64);
-        let slot = &mut self.ports_seen[w];
-        if *slot & (1 << b) != 0 {
-            return;
-        }
-        *slot |= 1 << b;
-        self.seen += 1;
-        trim::store(self.low, self.high, value);
-        if self.seen >= self.foreign_quorum {
-            self.try_advance();
+        if R::JUMPS && phase > p {
+            self.jump(phase, value);
+        } else if phase >= p {
+            let (w, bit) = (key.index() / 64, 1 << (key.index() % 64));
+            if self.ports_seen[w] & bit == 0 {
+                self.ports_seen[w] |= bit;
+                self.seen += 1;
+                self.store(value);
+                if self.seen >= self.foreign_quorum {
+                    self.try_advance();
+                }
+            }
         }
     }
 
     // audit: no-alloc-fn
     #[inline(always)]
-    fn batch(&mut self, port: Port, batch: &mut [Message]) {
-        // Multi-message batches resolve in ascending phase order, as in
-        // `Dbac::receive`. Equal messages are indistinguishable, so the
-        // in-place unstable sort is that same order without a scratch.
-        batch.sort_unstable();
+    fn batch(&mut self, key: Port, batch: &mut [Message]) {
+        if R::ASCENDING_BATCHES {
+            // As in `Dbac::receive`. Equal messages are indistinguishable,
+            // so the in-place unstable sort is that same order without a
+            // scratch.
+            batch.sort_unstable();
+        }
         for m in batch.iter() {
-            self.link(port, m.phase(), m.value());
+            self.link(key, m.phase(), m.value());
+        }
+    }
+
+    #[inline(always)]
+    fn word(&mut self, w: usize, bits: u64, wire: &StagedWire<'_>, index: &WireIndex) {
+        match R::WORDS {
+            true => self.word_step(w, bits, wire, index),
+            false => word_per_link(self, w, bits, wire),
         }
     }
 }
 
-impl AlgorithmPlane for DbacPlane {
+impl<R: Rule> AlgorithmPlane for Columnar<R> {
     fn n(&self) -> usize {
         self.phase.len()
     }
@@ -1283,62 +1114,50 @@ impl AlgorithmPlane for DbacPlane {
 
     // audit: no-alloc
     fn receive(&mut self, receiver: usize, port: Port, batch: &[Message]) {
-        if batch.len() == 1 {
-            self.cols().process(receiver, port, batch[0]);
-        } else {
-            // Multi-message (Byzantine) batches are processed in ascending
-            // phase order — the same resolution as `Dbac::receive`, with
-            // one plane-wide scratch instead of one per node.
-            let mut sorted = std::mem::take(&mut self.sort_scratch);
-            sorted.clear();
-            sorted.extend_from_slice(batch);
-            sorted.sort();
-            let mut cols = self.cols();
-            for &msg in &sorted {
+        let mut cols = self.cols();
+        if !R::ASCENDING_BATCHES || batch.len() == 1 {
+            for &msg in batch {
                 cols.process(receiver, port, msg);
             }
-            self.sort_scratch = sorted;
+        } else {
+            // The same resolution as `Dbac::receive`, without a scratch:
+            // the next entry in `(message, position)` order until none is
+            // left — quadratic, in the handful of messages a link carries.
+            let after = |done| {
+                let rest = batch.iter().copied().zip(0usize..);
+                rest.filter(|&entry| Some(entry) > done).min()
+            };
+            let mut next = after(None);
+            while let Some((msg, _)) = next {
+                cols.process(receiver, port, msg);
+                next = after(next);
+            }
         }
     }
 
-    // audit: no-alloc
     fn receive_many(&mut self, receiver: usize, batch: &[(Port, Message)]) {
-        // Every entry is one honest single-message link (the sparse path
-        // never routes Byzantine fabrications here), so no per-batch
-        // phase sorting is needed — this is `receive` with a 1-message
-        // batch per entry, columns split once.
-        let mut cols = self.cols();
-        for &(port, msg) in batch {
-            cols.process(receiver, port, msg);
-        }
+        self.cols().receive_many(receiver, batch);
     }
 
     fn fill_shards<'a>(&'a mut self, bounds: &[usize], out: &mut [Option<PlaneShard<'a>>]) {
         assert_shard_bounds(self.phase.len(), bounds, out.len());
-        let (pend, foreign_quorum) = (self.pend, self.foreign_quorum);
-        let (row_words, cap) = (self.row_words, self.cap);
-        let (mut phase, mut value) = (&mut self.phase[..], &mut self.value[..]);
-        let mut ports_seen = &mut self.ports_seen[..];
-        let mut seen_count = &mut self.seen_count[..];
-        let (mut low, mut high) = (&mut self.low[..], &mut self.high[..]);
-        let mut output = &mut self.output[..];
+        let mut rest = self.cols();
+        let (row_words, cap) = (rest.row_words, R::LIST_LEN.unwrap_or(rest.cap));
         for (i, slot) in out.iter_mut().enumerate() {
             let len = bounds[i + 1] - bounds[i];
+            let cols = Cols {
+                phase: take_split(&mut rest.phase, len),
+                value: take_split(&mut rest.value, len),
+                ports_seen: take_split(&mut rest.ports_seen, len * row_words),
+                seen_count: take_split(&mut rest.seen_count, len),
+                low: take_split(&mut rest.low, len * cap),
+                high: take_split(&mut rest.high, len * cap),
+                output: take_split(&mut rest.output, len),
+                ..rest
+            };
             *slot = Some(PlaneShard {
                 base: bounds[i],
-                repr: ShardRepr::Dbac(DbacCols {
-                    pend,
-                    foreign_quorum,
-                    row_words,
-                    cap,
-                    phase: take_split(&mut phase, len),
-                    value: take_split(&mut value, len),
-                    ports_seen: take_split(&mut ports_seen, len * row_words),
-                    seen_count: take_split(&mut seen_count, len),
-                    low: take_split(&mut low, len * cap),
-                    high: take_split(&mut high, len * cap),
-                    output: take_split(&mut output, len),
-                }),
+                repr: R::shard(cols),
             });
         }
     }
@@ -1349,9 +1168,7 @@ impl AlgorithmPlane for DbacPlane {
     }
 
     fn reset_instance(&mut self, inputs: &[Value]) -> bool {
-        let n = self.phase.len();
-        assert_eq!(inputs.len(), n, "one input per slot");
-        self.sort_scratch.clear();
+        assert_eq!(inputs.len(), self.phase.len(), "one input per slot");
         let mut cols = self.cols();
         for (v, input) in inputs.iter().enumerate() {
             cols.phase[v] = Phase::ZERO;
@@ -1364,7 +1181,7 @@ impl AlgorithmPlane for DbacPlane {
     }
 
     fn name(&self) -> &'static str {
-        "dbac"
+        R::NAME
     }
 }
 
@@ -1526,21 +1343,38 @@ mod tests {
         Message::new(val(v), Phase::new(p))
     }
 
-    /// Drives slot 0 of a DAC plane and a standalone `Dac` through the
-    /// same delivery script and asserts identical observable state.
-    fn assert_dac_lockstep(params: Params, pend: u64, input: f64, script: &[(usize, Message)]) {
-        let n = params.n();
-        let mut inputs = vec![Value::HALF; n];
+    /// Drives slot 0 of rule `R`'s plane and the standalone state machine
+    /// `node` through the same delivery script — one batch per entry — and
+    /// asserts identical observable state after each.
+    fn assert_lockstep<R: Rule>(
+        params: Params,
+        pend: u64,
+        input: f64,
+        mut node: impl Algorithm,
+        script: &[(usize, &[Message])],
+    ) {
+        let mut inputs = vec![Value::HALF; params.n()];
         inputs[0] = val(input);
-        let mut plane = DacPlane::with_pend(params, &inputs, pend);
-        let mut node = Dac::with_pend(params, val(input), pend);
-        for &(port, m) in script {
-            plane.receive(0, Port::new(port), &[m]);
-            node.receive(Port::new(port), &[m]);
-            assert_eq!(plane.phases()[0], node.phase(), "phase after {m}");
-            assert_eq!(plane.values()[0], node.current_value(), "value after {m}");
-            assert_eq!(plane.outputs()[0], node.output(), "output after {m}");
+        let mut plane = Columnar::<R>::with_pend(params, &inputs, pend);
+        assert_eq!(plane.name(), node.name());
+        for &(port, batch) in script {
+            plane.receive(0, Port::new(port), batch);
+            node.receive(Port::new(port), batch);
+            let what = format!("after {batch:?} on port {port}");
+            assert_eq!(plane.phases()[0], node.phase(), "phase {what}");
+            assert_eq!(plane.values()[0], node.current_value(), "value {what}");
+            assert_eq!(plane.outputs()[0], node.output(), "output {what}");
         }
+    }
+
+    fn assert_dac_lockstep(params: Params, pend: u64, input: f64, script: &[(usize, &[Message])]) {
+        let node = Dac::with_pend(params, val(input), pend);
+        assert_lockstep::<DacRule>(params, pend, input, node, script);
+    }
+
+    fn assert_dbac_lockstep(params: Params, pend: u64, input: f64, script: &[(usize, &[Message])]) {
+        let node = Dbac::with_pend(params, val(input), pend);
+        assert_lockstep::<DbacRule>(params, pend, input, node, script);
     }
 
     #[test]
@@ -1551,11 +1385,11 @@ mod tests {
             2,
             0.0,
             &[
-                (1, msg(1.0, 0)),
-                (2, msg(0.5, 0)), // quorum: advance with midpoint
-                (1, msg(0.2, 1)),
-                (3, msg(0.8, 1)), // advance again -> pend -> output
-                (2, msg(0.1, 5)), // decided: frozen
+                (1, &[msg(1.0, 0)]),
+                (2, &[msg(0.5, 0)]), // quorum: advance with midpoint
+                (1, &[msg(0.2, 1)]),
+                (3, &[msg(0.8, 1)]), // advance again -> pend -> output
+                (2, &[msg(0.1, 5)]), // decided: frozen
             ],
         );
     }
@@ -1571,11 +1405,11 @@ mod tests {
             4,
             0.0,
             &[
-                (1, msg(0.9, 0)), // same-phase contribution, port 1
-                (2, msg(0.7, 2)), // jump to phase 2 (resets port row)
-                (1, msg(0.3, 2)), // port 1 contributes AGAIN post-jump
-                (3, msg(0.5, 2)), // completes the phase-2 quorum
-                (4, msg(0.4, 2)), // stale (receiver is at phase 3 now)
+                (1, &[msg(0.9, 0)]), // same-phase contribution, port 1
+                (2, &[msg(0.7, 2)]), // jump to phase 2 (resets port row)
+                (1, &[msg(0.3, 2)]), // port 1 contributes AGAIN post-jump
+                (3, &[msg(0.5, 2)]), // completes the phase-2 quorum
+                (4, &[msg(0.4, 2)]), // stale (receiver is at phase 3 now)
             ],
         );
         // And the concrete post-state: quorum of {0.7 (own), 0.3, 0.5}
@@ -1596,40 +1430,49 @@ mod tests {
 
     #[test]
     fn dbac_plane_mirrors_dbac_including_trim_ties() {
-        let params = Params::new(6, 1, 0.1).unwrap();
-        let n = params.n();
-        let mut inputs = vec![Value::HALF; n];
-        inputs[0] = val(0.5);
-        let mut plane = DbacPlane::with_pend(params, &inputs, 3);
-        let mut node = Dbac::with_pend(params, val(0.5), 3);
         // Ties (repeated 0.2): both sides must hold the same multisets.
-        let script = [
-            (1, msg(0.2, 0)),
-            (2, msg(0.2, 0)),
-            (3, msg(0.2, 3)), // future phase accepted, no jump
-            (4, msg(0.9, 0)), // quorum of 5 -> advance
-            (1, msg(0.4, 1)),
-        ];
-        for (port, m) in script {
-            plane.receive(0, Port::new(port), &[m]);
-            node.receive(Port::new(port), &[m]);
-            assert_eq!(plane.phases()[0], node.phase(), "phase after {m}");
-            assert_eq!(plane.values()[0], node.current_value(), "value after {m}");
-            assert_eq!(plane.outputs()[0], node.output(), "output after {m}");
-        }
+        assert_dbac_lockstep(
+            Params::new(6, 1, 0.1).unwrap(),
+            3,
+            0.5,
+            &[
+                (1, &[msg(0.2, 0)]),
+                (2, &[msg(0.2, 0)]),
+                (3, &[msg(0.2, 3)]), // future phase accepted, no jump
+                (4, &[msg(0.9, 0)]), // quorum of 5 -> advance
+                (1, &[msg(0.4, 1)]),
+            ],
+        );
     }
 
     #[test]
     fn dbac_plane_sorts_multi_message_batches() {
+        // Ascending phase order: of a sender's states the oldest still
+        // acceptable one is stored — 0.1 and 0.2 here, not 0.9 and 0.8,
+        // which the quorum's update shows (0.4, not 0.7). Duplicates and
+        // an out-of-order third message ride along.
         let params = Params::new(6, 1, 0.1).unwrap();
-        let inputs = vec![Value::HALF; 6];
-        let mut plane = DbacPlane::with_pend(params, &inputs, 10);
-        let mut node = Dbac::with_pend(params, Value::HALF, 10);
-        let batch = [msg(0.9, 2), msg(0.1, 0)];
-        plane.receive(0, Port::new(1), &batch);
-        node.receive(Port::new(1), &batch);
-        assert_eq!(plane.values()[0], node.current_value());
-        assert_eq!(plane.phases()[0], node.phase());
+        assert_dbac_lockstep(
+            params,
+            10,
+            0.5,
+            &[
+                (1, &[msg(0.9, 2), msg(0.1, 0), msg(0.4, 1), msg(0.1, 0)]),
+                (2, &[msg(0.8, 1), msg(0.2, 0)]),
+                (3, &[msg(0.7, 0)]),
+                (4, &[msg(0.6, 0)]), // quorum of 5 -> advance
+            ],
+        );
+    }
+
+    #[test]
+    fn dac_plane_takes_multi_message_batches_as_they_come() {
+        // Of two same-phase messages on one port the first counts, and the
+        // quorum's midpoint shows which.
+        let params = Params::new(5, 1, 0.25).unwrap();
+        let script: [(usize, &[Message]); 2] =
+            [(1, &[msg(0.7, 0), msg(0.3, 0)]), (2, &[msg(0.5, 0)])];
+        assert_dac_lockstep(params, 4, 0.5, &script);
     }
 
     #[test]
@@ -1646,7 +1489,7 @@ mod tests {
         // n = 5 quorum is 3: one foreign value is not enough to advance.
         for v in [1usize, 3] {
             assert_eq!(plane.seen_count[v], 1, "slot {v}");
-            assert_eq!(plane.vmax[v], val(0.9), "slot {v}");
+            assert_eq!(plane.high[v], val(0.9), "slot {v}");
         }
     }
 
@@ -1671,6 +1514,12 @@ mod tests {
         assert_eq!(plane.name(), "dac");
     }
 
+    /// Runs `check` for both rules.
+    fn for_both_rules(check: impl Fn(&dyn Fn(Params, &[Value], u64) -> Box<dyn AlgorithmPlane>)) {
+        check(&|params, inputs, pend| Box::new(DacPlane::with_pend(params, inputs, pend)));
+        check(&|params, inputs, pend| Box::new(DbacPlane::with_pend(params, inputs, pend)));
+    }
+
     #[test]
     fn receive_many_matches_per_link_receives() {
         let params = Params::new(6, 1, 0.1).unwrap();
@@ -1681,22 +1530,16 @@ mod tests {
             (Port::new(3), msg(0.4, 1)),
             (Port::new(4), msg(0.6, 0)),
         ];
-        let mut bulk_dac = DacPlane::with_pend(params, &inputs, 3);
-        let mut link_dac = DacPlane::with_pend(params, &inputs, 3);
-        bulk_dac.receive_many(2, &script);
-        for &(port, m) in &script {
-            link_dac.receive(2, port, &[m]);
-        }
-        assert_eq!(bulk_dac.phases(), link_dac.phases());
-        assert_eq!(bulk_dac.values(), link_dac.values());
-        let mut bulk_dbac = DbacPlane::with_pend(params, &inputs, 3);
-        let mut link_dbac = DbacPlane::with_pend(params, &inputs, 3);
-        bulk_dbac.receive_many(2, &script);
-        for &(port, m) in &script {
-            link_dbac.receive(2, port, &[m]);
-        }
-        assert_eq!(bulk_dbac.phases(), link_dbac.phases());
-        assert_eq!(bulk_dbac.values(), link_dbac.values());
+        for_both_rules(|make| {
+            let mut bulk = make(params, &inputs, 3);
+            let mut link = make(params, &inputs, 3);
+            bulk.receive_many(2, &script);
+            for &(port, m) in &script {
+                link.receive(2, port, &[m]);
+            }
+            assert_eq!(bulk.phases(), link.phases(), "{}", bulk.name());
+            assert_eq!(bulk.values(), link.values(), "{}", bulk.name());
+        });
     }
 
     /// One scripted link of the kernel fuzz: an honest single-message
@@ -1775,12 +1618,8 @@ mod tests {
     /// [`RowKernel::word`]: full words, sparse and single-bit masks, one
     /// word in several chunks and in any order, between the per-link
     /// entries. Sparse rounds leave the seen row dirty for the next round
-    /// of the same phase. `seen` reads a plane's contribution count.
-    fn fuzz_kernel_against_receive<P: AlgorithmPlane>(
-        make: impl Fn(Params, &[Value], u64) -> P,
-        assert_same: impl Fn(&P, &P, &str),
-        seen: impl Fn(&P, usize) -> u32,
-    ) -> Coverage {
+    /// of the same phase.
+    fn fuzz_kernel_against_receive<R: Rule>() -> Coverage {
         let seeds = std::env::var("ADN_FUZZ_SEEDS")
             .ok()
             .and_then(|s| s.parse().ok())
@@ -1807,8 +1646,8 @@ mod tests {
             } else {
                 vec![0, rng.next_index(v + 1), v + 1 + rng.next_index(n - v), n]
             };
-            let mut reference = make(params, &inputs, pend);
-            let mut kernel = make(params, &inputs, pend);
+            let mut reference = Columnar::<R>::with_pend(params, &inputs, pend);
+            let mut kernel = reference.clone();
             let executing = NodeSet::from_ids(n, [NodeId::new(v)]);
             let mut index = WireIndex::new(n);
             // How much of the wire a round's chunks cover: everything, or
@@ -1883,7 +1722,7 @@ mod tests {
                         ScriptLink::Word(w, bits) => {
                             let decided = before.as_u64() >= pend;
                             cov.decided_chunks += u64::from(decided && *bits != 0);
-                            cov.dirty_chunks += u64::from(!decided && seen(&reference, v) > 0);
+                            cov.dirty_chunks += u64::from(!decided && reference.seen_count[v] > 0);
                             // Per link: did it complete a quorum, was its
                             // sender ahead?
                             let (mut quorums, mut aheads) = (0u64, 0u64);
@@ -1936,10 +1775,10 @@ mod tests {
                     );
                 }
                 let what = format!("seed {seed} round {round} (n {n} f {f} pend {pend} slot {v})");
-                assert_same(&reference, &kernel, &what);
+                assert_same_columns(&reference, &kernel, &what);
                 reference.end_round(&executing);
                 kernel.end_round(&executing);
-                assert_same(&reference, &kernel, &what);
+                assert_same_columns(&reference, &kernel, &what);
             }
         }
         if seeds >= 100 {
@@ -1960,21 +1799,20 @@ mod tests {
         cov
     }
 
+    /// Every column of two planes, lists and seen rows included.
+    fn assert_same_columns<R: Rule>(a: &Columnar<R>, b: &Columnar<R>, what: &str) {
+        assert_eq!(a.phase, b.phase, "phase, {what}");
+        assert_eq!(a.value, b.value, "value, {what}");
+        assert_eq!(a.output, b.output, "output, {what}");
+        assert_eq!(a.low, b.low, "R_low, {what}");
+        assert_eq!(a.high, b.high, "R_high, {what}");
+        assert_eq!(a.ports_seen, b.ports_seen, "ports_seen, {what}");
+        assert_eq!(a.seen_count, b.seen_count, "seen_count, {what}");
+    }
+
     #[test]
     fn dac_kernel_matches_per_link_receive_on_random_scripts() {
-        let cov = fuzz_kernel_against_receive(
-            DacPlane::with_pend,
-            |a, b, what| {
-                assert_eq!(a.phase, b.phase, "phase, {what}");
-                assert_eq!(a.value, b.value, "value, {what}");
-                assert_eq!(a.output, b.output, "output, {what}");
-                assert_eq!(a.vmin, b.vmin, "vmin, {what}");
-                assert_eq!(a.vmax, b.vmax, "vmax, {what}");
-                assert_eq!(a.ports_seen, b.ports_seen, "ports_seen, {what}");
-                assert_eq!(a.seen_count, b.seen_count, "seen_count, {what}");
-            },
-            |plane, v| plane.seen_count[v],
-        );
+        let cov = fuzz_kernel_against_receive::<DacRule>();
         // Alg. 1's jump, relative to a quorum inside one chunk (DBAC has
         // no jump: a sender ahead is one more stored value).
         if cov.jumps_mid_row > 0 {
@@ -1986,82 +1824,41 @@ mod tests {
 
     #[test]
     fn dbac_kernel_matches_per_link_receive_on_random_scripts() {
-        fuzz_kernel_against_receive(
-            DbacPlane::with_pend,
-            |a, b, what| {
-                assert_eq!(a.phase, b.phase, "phase, {what}");
-                assert_eq!(a.value, b.value, "value, {what}");
-                assert_eq!(a.output, b.output, "output, {what}");
-                assert_eq!(a.low, b.low, "R_low, {what}");
-                assert_eq!(a.high, b.high, "R_high, {what}");
-                assert_eq!(a.ports_seen, b.ports_seen, "ports_seen, {what}");
-                assert_eq!(a.seen_count, b.seen_count, "seen_count, {what}");
-            },
-            |plane, v| plane.seen_count[v],
-        );
+        fuzz_kernel_against_receive::<DbacRule>();
     }
 
     #[test]
     fn shards_mirror_whole_plane_delivery() {
         let params = Params::new(7, 1, 0.1).unwrap();
         let inputs: Vec<Value> = (0..7).map(|i| val(i as f64 / 10.0)).collect();
-        let deliver = |shard: &mut PlaneShard<'_>, lo: usize, hi: usize| {
-            for v in lo..hi {
-                let batch = [
-                    (Port::new(1), msg(0.8, 0)),
-                    (Port::new(2), msg(0.1, 0)),
-                    (Port::new(3), msg(0.5, 0)),
-                ];
-                shard.receive_many(v, &batch);
-            }
-        };
+        let batch = [
+            (Port::new(1), msg(0.8, 0)),
+            (Port::new(2), msg(0.1, 0)),
+            (Port::new(3), msg(0.5, 0)),
+        ];
         let bounds = [0usize, 3, 7];
-        let mut whole = DacPlane::with_pend(params, &inputs, 4);
-        let mut sharded = DacPlane::with_pend(params, &inputs, 4);
-        {
-            let mut shards: [Option<PlaneShard<'_>>; 2] = [None, None];
-            sharded.fill_shards(&bounds, &mut shards);
-            for (i, shard) in shards.iter_mut().enumerate() {
-                let s = shard.as_mut().unwrap();
-                assert_eq!(s.base(), bounds[i]);
-                deliver(s, bounds[i], bounds[i + 1]);
+        // Both rules: Alg. 2's slabs split at `len * (f + 1)`.
+        for_both_rules(|make| {
+            let mut whole = make(params, &inputs, 4);
+            let mut sharded = make(params, &inputs, 4);
+            {
+                let mut shards: [Option<PlaneShard<'_>>; 2] = [None, None];
+                sharded.fill_shards(&bounds, &mut shards);
+                for (i, shard) in shards.iter_mut().enumerate() {
+                    let shard = shard.as_mut().unwrap();
+                    assert_eq!(shard.base(), bounds[i]);
+                    for v in bounds[i]..bounds[i + 1] {
+                        shard.receive_many(v, &batch);
+                    }
+                }
             }
-        }
-        for v in 0..7 {
-            whole.receive_many(
-                v,
-                &[
-                    (Port::new(1), msg(0.8, 0)),
-                    (Port::new(2), msg(0.1, 0)),
-                    (Port::new(3), msg(0.5, 0)),
-                ],
-            );
-        }
-        assert_eq!(whole.phases(), sharded.phases());
-        assert_eq!(whole.values(), sharded.values());
-        assert_eq!(whole.outputs(), sharded.outputs());
-        // Same drill for DBAC, whose trim slabs split at `len * cap`.
-        let mut whole = DbacPlane::with_pend(params, &inputs, 4);
-        let mut sharded = DbacPlane::with_pend(params, &inputs, 4);
-        {
-            let mut shards: [Option<PlaneShard<'_>>; 2] = [None, None];
-            sharded.fill_shards(&bounds, &mut shards);
-            for (i, shard) in shards.iter_mut().enumerate() {
-                deliver(shard.as_mut().unwrap(), bounds[i], bounds[i + 1]);
+            for v in 0..7 {
+                whole.receive_many(v, &batch);
             }
-        }
-        for v in 0..7 {
-            whole.receive_many(
-                v,
-                &[
-                    (Port::new(1), msg(0.8, 0)),
-                    (Port::new(2), msg(0.1, 0)),
-                    (Port::new(3), msg(0.5, 0)),
-                ],
-            );
-        }
-        assert_eq!(whole.phases(), sharded.phases());
-        assert_eq!(whole.values(), sharded.values());
+            assert_eq!(whole.phases(), sharded.phases(), "{}", whole.name());
+            assert_eq!(whole.values(), sharded.values(), "{}", whole.name());
+            assert_eq!(whole.outputs(), sharded.outputs(), "{}", whole.name());
+        });
     }
 
     #[test]
@@ -2080,33 +1877,22 @@ mod tests {
         let old_inputs = vec![Value::HALF; 6];
         let new_inputs: Vec<Value> = (0..6).map(|i| val(i as f64 / 10.0)).collect();
         // A used-then-reset plane must behave exactly like a fresh one
-        // under any follow-up script — for DAC and DBAC alike.
-        let mut used_dac = DacPlane::with_pend(params, &old_inputs, 3);
-        for v in 0..6 {
-            used_dac.receive_many(v, &dirty_script);
-        }
-        assert!(used_dac.reset_instance(&new_inputs));
-        let mut fresh_dac = DacPlane::with_pend(params, &new_inputs, 3);
-        for v in 0..6 {
-            used_dac.receive_many(v, &follow_script);
-            fresh_dac.receive_many(v, &follow_script);
-        }
-        assert_eq!(used_dac.phases(), fresh_dac.phases());
-        assert_eq!(used_dac.values(), fresh_dac.values());
-        assert_eq!(used_dac.outputs(), fresh_dac.outputs());
-        let mut used_dbac = DbacPlane::with_pend(params, &old_inputs, 3);
-        for v in 0..6 {
-            used_dbac.receive_many(v, &dirty_script);
-        }
-        assert!(used_dbac.reset_instance(&new_inputs));
-        let mut fresh_dbac = DbacPlane::with_pend(params, &new_inputs, 3);
-        for v in 0..6 {
-            used_dbac.receive_many(v, &follow_script);
-            fresh_dbac.receive_many(v, &follow_script);
-        }
-        assert_eq!(used_dbac.phases(), fresh_dbac.phases());
-        assert_eq!(used_dbac.values(), fresh_dbac.values());
-        assert_eq!(used_dbac.outputs(), fresh_dbac.outputs());
+        // under any follow-up script — under either rule.
+        for_both_rules(|make| {
+            let mut used = make(params, &old_inputs, 3);
+            for v in 0..6 {
+                used.receive_many(v, &dirty_script);
+            }
+            assert!(used.reset_instance(&new_inputs));
+            let mut fresh = make(params, &new_inputs, 3);
+            for v in 0..6 {
+                used.receive_many(v, &follow_script);
+                fresh.receive_many(v, &follow_script);
+            }
+            assert_eq!(used.phases(), fresh.phases(), "{}", used.name());
+            assert_eq!(used.values(), fresh.values(), "{}", used.name());
+            assert_eq!(used.outputs(), fresh.outputs(), "{}", used.name());
+        });
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! DBAC's trim lists `R_low` / `R_high` (Alg. 2 `STORE`), kept sorted —
-//! the one implementation behind [`Dbac`](crate::Dbac), the columnar
-//! plane and the lane plane.
+//! the one implementation behind [`Dbac`](crate::Dbac) and the columnar
+//! plane of either algorithm: at length 1 the two lists are Alg. 1's
+//! running `(min, max)`.
 //!
 //! One node's lists are two `f + 1`-slot slices. `low` ascends, so its
 //! last slot **is** `max(R_low)`; `high` descends, so its last slot **is**
@@ -66,6 +67,33 @@ fn sift(list: &mut [Value], mut slot: usize, val: Value, sorts_after: impl Fn(Va
 mod tests {
     use super::*;
     use adn_types::rng::SplitMix64;
+
+    /// What lets one columnar plane serve both algorithms: at list length
+    /// 1, `clear` + `store(own)`, `store` and `bounds` are Alg. 1's running
+    /// `(min, max)` — restarted from the node's own value, widened by
+    /// every accepted one — for streams with repeats, `0.0` and `1.0`.
+    #[test]
+    fn length_one_lists_are_a_running_min_and_max() {
+        for seed in 0..200 {
+            let mut rng = SplitMix64::new(seed);
+            let grid = 2 + rng.next_below(9);
+            let mut draw = || Value::saturating(rng.next_below(grid) as f64 / (grid - 1) as f64);
+            let (mut low, mut high) = ([Value::HALF], [Value::HALF]);
+            for _phase in 0..6 {
+                let own = draw();
+                clear(&mut low, &mut high);
+                store(&mut low, &mut high, own);
+                let (mut min, mut max) = (own, own);
+                assert_eq!(bounds(&low, &high), (min, max), "seed {seed}, restart");
+                for _ in 0..20 {
+                    let val = draw();
+                    store(&mut low, &mut high, val);
+                    (min, max) = (min.min(val), max.max(val));
+                    assert_eq!(bounds(&low, &high), (min, max), "seed {seed}");
+                }
+            }
+        }
+    }
 
     /// Random streams with heavy ties and mid-stream resets: after every
     /// store the lists must equal the paper's definition — everything seen

@@ -129,11 +129,10 @@ pub trait ByzantineStrategy: fmt::Debug {
     /// too). Stateful strategies (like [`strategies::RandomNoise`]) reseed
     /// their generators from the instance number here, so instance `k` of
     /// a service run fabricates byte-identically to a standalone run whose
-    /// strategy also received `begin_instance(k)`. Stateless strategies
-    /// keep the default no-op; single-instance runs never call this.
-    fn begin_instance(&mut self, instance: u64) {
-        let _ = instance;
-    }
+    /// strategy also received `begin_instance(k)`. Required, so that a
+    /// stateful strategy cannot forget it; a stateless one writes the
+    /// no-op. Single-instance runs never call this.
+    fn begin_instance(&mut self, instance: u64);
 
     /// Whether this node transmits at all. A non-transmitting Byzantine
     /// node (like [`strategies::Silent`]) cannot count toward anyone's

@@ -133,6 +133,12 @@ pub struct RoundBuffers {
 impl RoundBuffers {
     /// Allocates the arena for a system of `n` nodes.
     pub fn new(n: usize) -> Self {
+        RoundBuffers::sized(n, n, n)
+    }
+
+    /// The arena for `n` nodes with the dense edge structures built for
+    /// `dense_n` nodes and `realized` for `realized_n`.
+    fn sized(n: usize, dense_n: usize, realized_n: usize) -> Self {
         RoundBuffers {
             n,
             batches: (0..n).map(|_| Batch::with_capacity(1)).collect(),
@@ -142,25 +148,25 @@ impl RoundBuffers {
             values: vec![Value::HALF; n],
             deliverers: NodeSet::new(n),
             honest: NodeSet::new(n),
-            chosen: EdgeSet::empty(n),
-            realized: EdgeSet::empty(n),
+            chosen: EdgeSet::empty(dense_n),
+            realized: EdgeSet::empty(realized_n),
             perm: Vec::with_capacity(n),
             ff_values: Vec::with_capacity(n),
             classes: vec![SenderClass::Silent; n],
             active: NodeSet::new(n),
             unconditional: NodeSet::new(n),
-            chosen_out: EdgeSet::empty(n),
-            plane_receivers: NodeSet::new(n),
+            chosen_out: EdgeSet::empty(dense_n),
+            plane_receivers: NodeSet::new(dense_n),
         }
     }
 
     /// Allocates the arena for a **sparse-path** simulation of `n` nodes:
     /// every dense `O(n²)` edge structure (`chosen`, `chosen_out`,
     /// `plane_receivers`, and — unless the run records its schedule —
-    /// `realized`) is left at size zero, so the arena is `O(n)` and a
-    /// 100 000-node run does not pay three 1.25 GB bitmaps it never
-    /// reads. The sparse engine keeps the round's links in a
-    /// `LinkPlane` instead and must not touch the zero-sized fields
+    /// `realized`) is built at size zero, never at size `n` first, so the
+    /// arena is `O(n)` and a 100 000-node run does not pay three 1.25 GB
+    /// bitmaps it never reads. The sparse engine keeps the round's links
+    /// in a `LinkPlane` instead and must not touch the zero-sized fields
     /// (`begin_round` still clears them, which is a no-op).
     ///
     /// `realized` stays full-size iff `record_schedule` — the recorded
@@ -168,13 +174,7 @@ impl RoundBuffers {
     /// (the equivalence fuzz at small `n`) still materialize realized
     /// links densely.
     pub fn sparse(n: usize, record_schedule: bool) -> Self {
-        RoundBuffers {
-            realized: EdgeSet::empty(if record_schedule { n } else { 0 }),
-            chosen: EdgeSet::empty(0),
-            chosen_out: EdgeSet::empty(0),
-            plane_receivers: NodeSet::new(0),
-            ..RoundBuffers::new(n)
-        }
+        RoundBuffers::sized(n, 0, if record_schedule { n } else { 0 })
     }
 
     /// Replay-only (see [`RoundBuffers::chosen_out`]). Rebuilds the

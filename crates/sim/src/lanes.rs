@@ -34,12 +34,15 @@ use crate::builder::{PlaneMode, SimBuilder};
 use crate::engine::DeliveryOrder;
 use crate::outcome::StopReason;
 
-/// Node-count cap of the lane path: the plane's port rows
-/// (`n · 64` slots × `⌈n/64⌉` words) and the lane link words (`n²`) are
-/// dense slabs, 8 MB each at the cap, and trial-lane sweeps are a
-/// small-`n`, many-seeds workload. Larger configurations fall back to
-/// scalar trials.
-pub const MAX_LANE_N: usize = 1024;
+/// Node-count cap of the lane path: the measured crossover. Every lane's
+/// fold is scalar, while a scalar run's DAC kernel takes 64 senders per
+/// step — so 64 trials as one lane word beat 64 scalar runs only while
+/// rows are a word or two long. Per trial, lane / scalar, one worker, DAC
+/// under one shared link realization (`Rotating{n/2}`): n = 64 100 / 206
+/// µs, 128 354 / 553, 256 1910 / 1050, 512 4990 / 1950; with per-lane
+/// links (`Random{0.5}`) the two are level from n = 64 up and the lanes
+/// 15–25 % behind from 256. Larger configurations run as scalar trials.
+pub const MAX_LANE_N: usize = 128;
 
 /// One trial's result as harvested from a lane (or scalar-fallback) run —
 /// the outcome fields whose byte equality the lane contract pins.

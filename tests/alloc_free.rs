@@ -38,6 +38,10 @@ struct CountingAllocator;
 /// Allocations of all threads together.
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
+/// Bytes requested by all threads together (never reduced by a free): what
+/// a build asked the allocator for, transient requests included.
+static BYTES_REQUESTED: AtomicUsize = AtomicUsize::new(0);
+
 thread_local! {
     /// Allocations of this thread. `const`-initialized and without a
     /// destructor: no lazy init and no teardown, so reading it from inside
@@ -45,7 +49,8 @@ thread_local! {
     static THREAD_ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(bytes: usize) {
+    BYTES_REQUESTED.fetch_add(bytes, Ordering::Relaxed);
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     THREAD_ALLOCATIONS.with(|c| c.set(c.get() + 1));
 }
@@ -55,7 +60,7 @@ fn count_one() {
 // provenance) is delegated unchanged to the system allocator.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: `layout` is forwarded verbatim from our own caller, who
         // upholds `GlobalAlloc::alloc`'s preconditions.
         unsafe { System.alloc(layout) }
@@ -68,7 +73,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         // SAFETY: `ptr`/`layout`/`new_size` are forwarded verbatim from a
         // caller upholding `GlobalAlloc::realloc`'s preconditions.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -401,6 +406,21 @@ fn steady_state_step_performs_zero_allocations() {
     assert!(
         (1..=2 * PER_SPAWNED_SHARD).contains(&small),
         "dac/sparse/sharded: {small} allocations per step for two spawned shards"
+    );
+
+    // --- Building a sparse-link run asks for the seen rows (n²/8 bytes)
+    // and O(n) besides: none of the dense n² bitmaps, not even for a
+    // moment (`RoundBuffers::sparse` once built three and dropped them —
+    // ≈ 4 · n²/8 requested, 3.6 GB of peak RSS at n = 100 000). ---
+    let n = 4096;
+    let before = BYTES_REQUESTED.load(Ordering::Relaxed);
+    let sim = lean_dac_sparse(n, 1);
+    let requested = BYTES_REQUESTED.load(Ordering::Relaxed) - before;
+    assert!(sim.uses_sparse_links() && sim.uses_plane());
+    assert!(
+        requested < 2 * n * n / 8,
+        "dac/sparse build at n = {n} requested {requested} bytes; the seen rows are {}",
+        n * n / 8
     );
 
     // --- The trial-lane driver: 64 lockstep trials per word. A steady
