@@ -36,6 +36,16 @@
 //! test does its work here, which no complete-graph case (one phase per
 //! round, every row reset) ever asks of it.
 //!
+//! The **`dbac_threshold_f16`** (n = 256 and 1024) and
+//! **`dbac_spread_f16/256`** cases (plane, lean) are Alg. 2 with lists:
+//! `f = n/64`, so `R_low` / `R_high` hold `f + 1` values — where the
+//! `dbac_rotating` cases run `Params::fault_free`, whose length-1 lists
+//! are Alg. 1's `(min, max)` arithmetic. No Byzantine node: what is timed
+//! is the honest links' word step and its settle — by rank at the
+//! threshold degree, where every row reaches its quorum; sender by sender
+//! under a degree spread over three rounds, whose thin rows end with links
+//! pending.
+//!
 //! The **order/wire** cases (`dac_shuffled`, `dac_quantized`, each with a
 //! `_trait` reference, at n ≥ 256) track the permutation-aware plane:
 //! shuffled-order delivery walking each receiver's senders through the
@@ -143,6 +153,41 @@ fn main() {
                         .inputs_random(1)
                         .adversary(AdversarySpec::Rotating { d: n / 4 }.build(n, 0, 1))
                         .algorithm(factories::dac_with_pend(params, u64::MAX))
+                        .algorithm_plane(PlaneMode::Always)
+                        .record_schedule(false)
+                        .observe_phases(false)
+                        .max_rounds(u64::MAX)
+                        .build()
+                },
+                |sim| {
+                    for _ in 0..BATCH {
+                        sim.step();
+                    }
+                },
+            );
+        }
+
+        for (name, spread) in [("dbac_threshold_f16", false), ("dbac_spread_f16", true)] {
+            if !matches!((n, spread), (256, _) | (1024, false)) {
+                continue;
+            }
+            let f = n / 64;
+            let params = Params::new(n, f, 1e-6).unwrap();
+            let adversary = match spread {
+                false => AdversarySpec::DbacThreshold,
+                true => AdversarySpec::Spread {
+                    t: 3,
+                    d: (n + 3 * f) / 2,
+                },
+            };
+            r.bench_batched(
+                &format!("{name}/{n}"),
+                BATCH,
+                || {
+                    Simulation::builder(params)
+                        .inputs_random(1)
+                        .adversary(adversary.build(n, f, 1))
+                        .algorithm(factories::dbac_with_pend(params, u64::MAX))
                         .algorithm_plane(PlaneMode::Always)
                         .record_schedule(false)
                         .observe_phases(false)

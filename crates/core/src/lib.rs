@@ -77,6 +77,8 @@ mod full_exchange;
 pub mod lanes;
 mod piggyback;
 pub mod plane;
+#[doc(hidden)]
+pub mod probe;
 mod trim;
 pub mod wire;
 

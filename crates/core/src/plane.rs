@@ -15,7 +15,7 @@
 //!   it, keep the `f + 1` lowest/highest values instead of `(min, max)`,
 //!   a larger quorum — and `(min, max)` *is* `(R_low, R_high)` at list
 //!   length 1, so a rule carries those edits (plus the batch order and
-//!   Alg. 1's word step) and everything else is written once.
+//!   which word step it takes) and everything else is written once.
 //!
 //! The columnar planes exist because the boxed one costs a dynamic
 //! dispatch *per delivered message* — at `n = 1024` that is ~1M per round
@@ -56,15 +56,29 @@
 //! **The word step.** Of the three questions Alg. 1 asks of a link — is
 //! the sender ahead, is it in my phase, have I counted it — the first two
 //! are properties of the sender within a round, so the engine answers them
-//! once per round in a [`WireIndex`], and the DAC kernel takes a
-//! receiver's honest links 64 senders per step ([`RowKernel::word`]):
-//! `row ∧ same-phase ∧ ¬seen` are the new contributions, a popcount counts
-//! them, a fully covered word folds into the extrema with two compares,
-//! and the first sender ahead or the quorum-completing link — whichever
-//! bit comes first — ends the stretch exactly where the per-link loop
-//! would have. Alg. 2's rule has no word step (its lists need every
-//! value): its links are taken one at a time, as are boxed nodes', the
-//! permuted delivery orders' and logged runs'.
+//! once per round in a [`WireIndex`], and the columnar kernels take a
+//! receiver's honest links 64 senders per step ([`RowKernel::word`]).
+//! Alg. 1: `row ∧ same-phase ∧ ¬seen` are the new contributions, a
+//! popcount counts them, a fully covered word folds into the extrema with
+//! two compares, and the first sender ahead or the quorum-completing link
+//! — whichever bit comes first — ends the stretch exactly where the
+//! per-link loop would have. Boxed nodes' links are taken one at a time,
+//! as are the permuted delivery orders' and logged runs'.
+//!
+//! **Count now, store later.** Alg. 2 reads `R_low` / `R_high` once per
+//! phase, at the quorum, and until then they are the `f + 1` least /
+//! greatest of the multiset stored since `RESET()` — a function of that
+//! multiset, not of arrival order (`trim.rs`). Its word step
+//! therefore only *counts*: `row ∧ (same-phase ∪ ahead) ∧ ¬seen`, cut at
+//! the quorum-completing link, goes into the seen row and into the
+//! shard's **pending** row, and no value is touched. The **settle** —
+//! before a quorum reads the lists, and when the receiver's row is over —
+//! puts the pending senders' wire values in: by rank when that is the
+//! shorter way (the round's senders in ascending wire value until one no
+//! longer enters `R_low`, descending for `R_high`; the index's rank order),
+//! sender by sender when few are pending. Links taken one at a time —
+//! fabricated, partially delivered — are stored at once; stores commute,
+//! so the two need no order between them.
 //!
 //! **The stale-link stop.** Within a round every honest link carries a
 //! start-of-round snapshot, so its phase is at most the round's maximum
@@ -81,7 +95,7 @@
 //! [`AlgorithmPlane::receive`]). So each algorithm's receive rule exists
 //! as its boxed oracle ([`Dac`](crate::Dac), [`Dbac`](crate::Dbac)) and,
 //! shared between the two, one generic per-link step and one generic row
-//! kernel, to which Alg. 1 adds its word step. A plane can be built with
+//! kernel, to which each rule adds its word step. A plane can be built with
 //! any number of slots — `Params` sizes what a slot is, not how many there
 //! are — and [`Lanes`](crate::Lanes) runs up to 64 Monte-Carlo trials on
 //! one plane of `n × 64` slots through the per-link step. Folding that
@@ -100,7 +114,8 @@ use std::marker::PhantomData;
 use adn_graph::NodeSet;
 use adn_types::{Batch, Message, Params, Phase, Port, Value};
 
-use crate::{trim, Algorithm, WireIndex};
+use crate::wire::{self, Ranks};
+use crate::{probe, trim, Algorithm, WireIndex};
 
 /// The state of one algorithm across **all** `n` node slots — the
 /// engine's state backend (see [the module docs](self) for the three
@@ -382,7 +397,7 @@ enum ShardRepr<'a> {
     Boxed(&'a mut [Box<dyn Algorithm>]),
 }
 
-impl PlaneShard<'_> {
+impl<'a> PlaneShard<'a> {
     /// First receiver this shard owns.
     pub fn base(&self) -> usize {
         self.base
@@ -392,7 +407,31 @@ impl PlaneShard<'_> {
     /// ([`RowKernel::WORDS`]) — whether a wire index is worth building
     /// for the round.
     pub fn takes_words(&self) -> bool {
-        matches!(self.repr, ShardRepr::Dac(_))
+        matches!(self.repr, ShardRepr::Dac(_) | ShardRepr::Dbac(_))
+    }
+
+    /// Whether this shard's word step settles by rank
+    /// ([`Rule::DEFERS_STORES`]) — whether the wire index is worth building
+    /// [`WireIndex::ranked`].
+    pub fn ranks_words(&self) -> bool {
+        matches!(self.repr, ShardRepr::Dbac(_))
+    }
+
+    /// Hands the shard the round's wire values and the index built over
+    /// them: what a word step that defers its stores counts by and settles
+    /// against, resolved once per shard per round instead of once per
+    /// receiver — and the one source of both for its rows, whatever index
+    /// their walk passes to [`RowKernel::word`]. A shard of such kernels
+    /// that was handed none, or one not built [`WireIndex::ranked`], defers
+    /// nothing: its words are taken link by link.
+    pub fn index_round(&mut self, value: &'a [Value], index: &'a WireIndex) {
+        if let (ShardRepr::Dbac(cols), Some(ranks)) = (&mut self.repr, index.ranks()) {
+            cols.ranked = Some(Ranked {
+                value,
+                index,
+                ranks,
+            });
+        }
     }
 
     /// Runs `walk` over the kernel of `receiver` (a **global** slot index
@@ -488,10 +527,13 @@ pub trait Rule: sealed::Sealed + fmt::Debug + Clone + 'static {
     /// phase order, as `Dbac::receive` does; Alg. 1 takes it as it comes.
     const ASCENDING_BATCHES: bool;
 
-    /// Whether the row kernel takes honest links 64 senders per step
-    /// ([`RowKernel::WORDS`]): Alg. 1's word step, which folds a word in by
-    /// its extrema. Alg. 2's lists need every value, link by link.
-    const WORDS: bool;
+    /// What the row kernel's word step ([`RowKernel::word`]) does with a
+    /// word's values. Alg. 1's folds them in at once: `(min, max)` need
+    /// only the word's extrema. Alg. 2's lists are order statistics of
+    /// everything stored since `RESET()`, so its step counts the links and
+    /// stores their values later, by rank, once per quorum (see "Count
+    /// now, store later" in [the module docs](self)).
+    const DEFERS_STORES: bool;
 
     /// Distinct same-phase contributors, the node itself included, that
     /// complete a phase: `⌊n/2⌋ + 1` / `⌊(n+3f)/2⌋ + 1`.
@@ -515,7 +557,7 @@ impl Rule for DacRule {
     const JUMPS: bool = true;
     const LIST_LEN: Option<usize> = Some(1);
     const ASCENDING_BATCHES: bool = false;
-    const WORDS: bool = true;
+    const DEFERS_STORES: bool = false;
 
     fn quorum(params: Params) -> usize {
         params.dac_quorum()
@@ -532,7 +574,7 @@ impl Rule for DbacRule {
     const JUMPS: bool = false;
     const LIST_LEN: Option<usize> = None;
     const ASCENDING_BATCHES: bool = true;
-    const WORDS: bool = false;
+    const DEFERS_STORES: bool = true;
 
     fn quorum(params: Params) -> usize {
         params.dbac_quorum()
@@ -543,27 +585,94 @@ impl Rule for DbacRule {
     }
 }
 
-/// Seals [`Rule`], and holds the member that speaks of this module's
-/// private types: the shard arm a rule's column views travel in. Nothing
-/// outside the crate can name `Sealed`, which is what the lint below
-/// cannot see.
+/// Seals [`Rule`], and holds the members that speak of this module's
+/// private types: the shard arm a rule's column views travel in, and what
+/// a rule with [`Rule::DEFERS_STORES`] adds to a row — state and two
+/// hooks, all of them nothing for Alg. 1, whose monomorphization of the
+/// row kernel must not carry an instruction of Alg. 2's (a DAC receiver's
+/// whole round is a few hundred nanoseconds). Nothing outside the crate
+/// can name `Sealed`, which is what the lint below cannot see.
 #[allow(private_interfaces)]
 mod sealed {
-    use super::{Cols, DacRule, DbacRule, ShardRepr};
+    use super::{Cols, DacRule, DbacRule, Ranked, Row, ShardRepr, StagedWire};
+
+    /// What a row of Alg. 2 keeps between its word steps and their settle.
+    /// (`pub`, as an associated type's value must be; unnameable, as the
+    /// trait is.)
+    #[derive(Debug)]
+    pub struct Deferred<'a> {
+        /// The senders a word step counted whose wire values are not in
+        /// the lists yet, by id. All zero again after every settle.
+        pub(super) pending: &'a mut [u64],
+        /// How many they are.
+        pub(super) count: u32,
+        pub(super) ranked: Option<Ranked<'a>>,
+    }
 
     pub trait Sealed: Sized {
+        /// What a row keeps between its word steps and their settle.
+        type Deferred<'a>;
+
         fn shard(cols: Cols<'_, Self>) -> ShardRepr<'_>;
+
+        /// A row's [`Sealed::Deferred`], nothing pending: over the shard's
+        /// pending row, against what [`super::PlaneShard::index_round`]
+        /// left.
+        fn deferred<'a>(pending: &'a mut [u64], ranked: Option<Ranked<'a>>) -> Self::Deferred<'a>;
+
+        /// Puts what the row's word steps left pending into its lists.
+        fn settle(row: &mut Row<'_, Self>);
+
+        /// The word step of a rule with [`super::Rule::DEFERS_STORES`]:
+        /// by the index the row's shard was handed, link by link off
+        /// `wire` if it was handed none.
+        fn word_deferred(row: &mut Row<'_, Self>, w: usize, bits: u64, wire: &StagedWire<'_>);
     }
 
     impl Sealed for DacRule {
+        type Deferred<'a> = ();
+
         fn shard(cols: Cols<'_, Self>) -> ShardRepr<'_> {
             ShardRepr::Dac(cols)
         }
+
+        #[inline(always)]
+        fn deferred<'a>(_: &'a mut [u64], _: Option<Ranked<'a>>) {}
+
+        #[inline(always)]
+        fn settle(_: &mut Row<'_, Self>) {}
+
+        #[inline(always)]
+        fn word_deferred(_: &mut Row<'_, Self>, _: usize, _: u64, _: &StagedWire<'_>) {}
     }
 
     impl Sealed for DbacRule {
+        type Deferred<'a> = Deferred<'a>;
+
         fn shard(cols: Cols<'_, Self>) -> ShardRepr<'_> {
             ShardRepr::Dbac(cols)
+        }
+
+        #[inline(always)]
+        fn deferred<'a>(pending: &'a mut [u64], ranked: Option<Ranked<'a>>) -> Deferred<'a> {
+            Deferred {
+                pending,
+                count: 0,
+                ranked,
+            }
+        }
+
+        #[inline(always)]
+        fn settle(row: &mut Row<'_, Self>) {
+            row.settle();
+        }
+
+        #[inline(always)]
+        fn word_deferred(row: &mut Row<'_, Self>, w: usize, bits: u64, wire: &StagedWire<'_>) {
+            match row.deferred.ranked {
+                Some(Ranked { index, .. }) => row.count_word(w, bits, index),
+                None => super::word_per_link(row, w, bits, wire),
+            }
         }
     }
 }
@@ -581,7 +690,9 @@ mod sealed {
 /// were one. Boxed at 224 it moved glibc's heap far enough that a process
 /// building one `Simulation` per run (the ledger's `dac_dense`) took twice
 /// the page faults per run (294 → 633) and read 8 % slower on identical
-/// kernel code — hence `cap` as a `u32` and no sort scratch.
+/// kernel code — hence `cap` as a `u32`, no sort scratch, and the pending
+/// rows of a rule that defers its stores behind the seen rows, in their
+/// `Vec`.
 #[derive(Debug, Clone)]
 pub struct Columnar<R> {
     pend: u64,
@@ -599,7 +710,10 @@ pub struct Columnar<R> {
     low: Vec<Value>,
     /// `R_high` slab, same layout, descending. At length 1: the maximum.
     high: Vec<Value>,
-    /// `R_i` rows, one bitset row of `row_words` words per slot.
+    /// `R_i` rows, one bitset row of `row_words` words per slot. Behind
+    /// them, under a rule with [`Rule::DEFERS_STORES`], one **pending** row
+    /// per shard the plane can be split into — all zero whenever no
+    /// receiver's row is being delivered.
     ports_seen: Vec<u64>,
     /// Foreign same-phase contributions per slot (`|R_i| - 1`).
     seen_count: Vec<u32>,
@@ -616,6 +730,12 @@ pub type DacPlane = Columnar<DacRule>;
 
 /// The columnar plane of Alg. 2.
 pub type DbacPlane = Columnar<DbacRule>;
+
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(
+    std::mem::size_of::<DacPlane>() == 192 && std::mem::size_of::<DbacPlane>() == 192,
+    "see `Columnar`'s docs before growing it"
+);
 
 impl<R: Rule> Columnar<R> {
     /// Creates the plane with one slot per input, terminating at the
@@ -640,6 +760,11 @@ impl<R: Rule> Columnar<R> {
         let slots = inputs.len();
         let row_words = params.n().div_ceil(64);
         let cap = R::LIST_LEN.unwrap_or(params.dbac_list_len());
+        let pending_rows = if R::DEFERS_STORES {
+            MAX_PLANE_SHARDS
+        } else {
+            0
+        };
         let mut plane = Columnar {
             pend,
             foreign_quorum: (R::quorum(params) - 1) as u32,
@@ -649,7 +774,7 @@ impl<R: Rule> Columnar<R> {
             value: inputs.to_vec(),
             low: vec![Value::HALF; slots * cap],
             high: vec![Value::HALF; slots * cap],
-            ports_seen: vec![0; slots * row_words],
+            ports_seen: vec![0; (slots + pending_rows) * row_words],
             seen_count: vec![0; slots],
             output: vec![None; slots],
             rule: PhantomData,
@@ -685,6 +810,8 @@ impl<R: Rule> Columnar<R> {
     /// alias every other column).
     #[inline]
     fn cols(&mut self) -> Cols<'_, R> {
+        let seen_rows = self.phase.len() * self.row_words;
+        let (ports_seen, pending) = self.ports_seen.split_at_mut(seen_rows);
         Cols {
             pend: self.pend,
             foreign_quorum: self.foreign_quorum,
@@ -692,7 +819,9 @@ impl<R: Rule> Columnar<R> {
             cap: self.cap as usize,
             phase: &mut self.phase,
             value: &mut self.value,
-            ports_seen: &mut self.ports_seen,
+            ports_seen,
+            pending,
+            ranked: None,
             seen_count: &mut self.seen_count,
             low: &mut self.low,
             high: &mut self.high,
@@ -712,11 +841,25 @@ struct Cols<'a, R> {
     phase: &'a mut [Phase],
     value: &'a mut [Value],
     ports_seen: &'a mut [u64],
+    /// The pending rows behind the seen rows (see [`Columnar`]): every one
+    /// the plane has, or the one of this shard; none under Alg. 1.
+    pending: &'a mut [u64],
+    /// What [`PlaneShard::index_round`] left for the round.
+    ranked: Option<Ranked<'a>>,
     seen_count: &'a mut [u32],
     low: &'a mut [Value],
     high: &'a mut [Value],
     output: &'a mut [Option<Value>],
     rule: PhantomData<R>,
+}
+
+/// One round's wire values with the index built over them and its rank
+/// order.
+#[derive(Debug, Clone, Copy)]
+struct Ranked<'a> {
+    value: &'a [Value],
+    index: &'a WireIndex,
+    ranks: &'a Ranks,
 }
 
 impl<R: Rule> Cols<'_, R> {
@@ -841,22 +984,25 @@ impl<R: Rule> Cols<'_, R> {
             hi: self.high[v * cap],
             low: &mut self.low[v * cap..(v + 1) * cap],
             high: &mut self.high[v * cap..(v + 1) * cap],
-            rule: PhantomData,
+            deferred: R::deferred(&mut *self.pending, self.ranked),
         };
         walk.walk(&mut k);
+        R::settle(&mut k);
         self.phase[v] = k.phase;
         self.value[v] = k.value;
         self.seen_count[v] = k.seen;
         if Row::<R>::EXTREMA {
             (k.low[0], k.high[0]) = (k.lo, k.hi);
         }
+        // (`R::Deferred` may own a destructor, for all this body knows.)
+        drop(k);
         self.maybe_output(v);
     }
 }
 
 /// [`Cols::process`] on locals: one slot's Alg. 1/2 state for the length
 /// of its row.
-struct Row<'a, R> {
+struct Row<'a, R: sealed::Sealed> {
     pend: u64,
     foreign_quorum: u32,
     live_below: u64,
@@ -874,7 +1020,8 @@ struct Row<'a, R> {
     /// The slot's `(R_low, R_high)` in their slab, otherwise.
     low: &'a mut [Value],
     high: &'a mut [Value],
-    rule: PhantomData<R>,
+    /// `()`, but for a rule with [`Rule::DEFERS_STORES`].
+    deferred: R::Deferred<'a>,
 }
 
 impl<R: Rule> Row<'_, R> {
@@ -911,6 +1058,8 @@ impl<R: Rule> Row<'_, R> {
     #[cold]
     #[inline(never)]
     fn try_advance(&mut self) {
+        // The lists are about to be read, then `RESET()`.
+        R::settle(self);
         while self.seen >= self.foreign_quorum && self.phase.as_u64() < self.pend {
             let (lo, hi) = match Self::EXTREMA {
                 true => (self.lo, self.hi),
@@ -932,8 +1081,7 @@ impl<R: Rule> Row<'_, R> {
     }
 }
 
-/// Alg. 1's word step, for a rule that jumps and keeps `(min, max)`
-/// ([`Rule::WORDS`]).
+/// Alg. 1's word step, for a rule that jumps and keeps `(min, max)`.
 impl<R: Rule> Row<'_, R> {
     /// The accept case of Alg. 1 for `count` links at once: the keys `new`
     /// of seen-row word `w`, none of them seen before, whose values span
@@ -998,6 +1146,112 @@ impl<R: Rule> Row<'_, R> {
     }
 }
 
+/// Alg. 2's word step and its settle ("Count now, store later" in
+/// [the module docs](self)).
+impl Row<'_, DbacRule> {
+    /// Alg. 2 over a word of honest links, in bit order: a link from this
+    /// phase or a later one, on a key not yet seen, is one more
+    /// contribution — counted and noted as pending, its value left on the
+    /// wire. The quorum-completing link ends the stretch; what is left of
+    /// the word is looked at again under the new phase. `index` is the one
+    /// the shard was handed ([`PlaneShard::index_round`]), which is also
+    /// what the settle walks.
+    // audit: no-alloc-fn
+    #[inline(always)]
+    fn count_word(&mut self, w: usize, mut bits: u64, index: &WireIndex) {
+        while bits != 0 && self.phase.as_u64() < self.pend {
+            let at = index.locate(self.phase);
+            let accepted = index.same(at, w) | index.ahead(at, w);
+            // As in Alg. 1's step: only the new links up to the one that
+            // completes the quorum count.
+            let need = self.foreign_quorum.saturating_sub(self.seen).max(1);
+            let new = bits & accepted & !self.ports_seen[w];
+            let (new, count) = match new.count_ones() {
+                found if found > need => (lowest(new, need), need),
+                found => (new, found),
+            };
+            self.ports_seen[w] |= new;
+            self.seen += count;
+            self.deferred.pending[w] |= new;
+            self.deferred.count += count;
+            if count < need {
+                return;
+            }
+            bits &= !through(63 - new.leading_zeros());
+            self.try_advance();
+        }
+    }
+
+    /// Stores the pending senders' wire values and leaves nothing pending.
+    /// By rank: the round's senders in ascending wire value, each pending
+    /// one into `R_low`, until one — pending or not — would not enter, which
+    /// keeps out every value behind it; and the mirror image from the top
+    /// for `R_high`. A full list holds the `f + 1` extremes of the `seen`
+    /// values stored, so a walk is over after about `(f + 1) · ranks / seen`
+    /// senders, less the blocks of ranks it passes over ([`Ranks::scan`]).
+    /// Or sender by sender, when so few are pending that one store each is
+    /// the shorter way (`by_rank` below). Both leave the lists as link-by-link
+    /// stores do: what a list holds is a function of the multiset stored.
+    // audit: no-alloc-fn
+    #[inline]
+    fn settle(&mut self) {
+        let sealed::Deferred {
+            pending,
+            count,
+            ranked,
+        } = &mut self.deferred;
+        let (Some(Ranked { value, ranks, .. }), true) = (*ranked, *count > 0) else {
+            return;
+        };
+        let (low, high) = (&mut *self.low, &mut *self.high);
+        let last = low.len() - 1;
+        if self.seen - *count < last as u32 {
+            probe::bump(probe::SETTLES_ONTO_PARTIAL_LISTS);
+        }
+        // The two procedures' expected visits, from numbers in hand: one
+        // store per pending sender against a walk of about
+        // `(f + 1) · ranks / seen` senders per list. Measured at n = 1024,
+        // f = 16 under a rotating window of d links a round (µs per round,
+        // ten alternating runs each; CHANGES.md, PR 23): always by rank
+        // 390 / 430 / 233 at d = 8 / 24 / 64, always per sender 189 / 265 /
+        // 284 — and 2.1× the time at the threshold degree —, this rule 194
+        // / 287 / 270: either alone doubles some schedule's round, and the
+        // rule stays within 16 % of the better one on every shape tried.
+        let by_rank = u64::from(*count) * u64::from(self.seen) >= (low.len() * ranks.len()) as u64;
+        if by_rank {
+            probe::bump(probe::RANK_SETTLES);
+            // The values arrive in each list's own order, so the slots a
+            // list has filled are known all along.
+            let (mut lows, mut highs) = trim::filled(low, high);
+            ranks.scan(false, pending, |u, is_pending| match is_pending {
+                true => {
+                    let entered = trim::store_low(low, lows, value[u]);
+                    lows += usize::from(entered);
+                    entered
+                }
+                false => value[u] < low[last],
+            });
+            ranks.scan(true, pending, |u, is_pending| match is_pending {
+                true => {
+                    let entered = trim::store_high(high, highs, value[u]);
+                    highs += usize::from(entered);
+                    entered
+                }
+                false => value[u] > high[last],
+            });
+            pending.fill(0);
+        } else {
+            probe::bump(probe::SENDER_SETTLES);
+            for (w, word) in pending.iter_mut().enumerate() {
+                for u in wire::ids(w, std::mem::take(word)) {
+                    trim::store(low, high, value[u]);
+                }
+            }
+        }
+        *count = 0;
+    }
+}
+
 /// The bits of a word below bit `b < 64`.
 #[inline(always)]
 fn below(b: u32) -> u64 {
@@ -1031,7 +1285,7 @@ fn lowest(bits: u64, k: u32) -> u64 {
 }
 
 impl<R: Rule> RowKernel for Row<'_, R> {
-    const WORDS: bool = R::WORDS;
+    const WORDS: bool = true;
 
     #[inline(always)]
     fn live(&self) -> bool {
@@ -1075,9 +1329,10 @@ impl<R: Rule> RowKernel for Row<'_, R> {
 
     #[inline(always)]
     fn word(&mut self, w: usize, bits: u64, wire: &StagedWire<'_>, index: &WireIndex) {
-        match R::WORDS {
-            true => self.word_step(w, bits, wire, index),
-            false => word_per_link(self, w, bits, wire),
+        match R::DEFERS_STORES {
+            false => self.word_step(w, bits, wire, index),
+            // (By the index its shard was handed, not by the walk's.)
+            true => R::word_deferred(self, w, bits, wire),
         }
     }
 }
@@ -1141,14 +1396,17 @@ impl<R: Rule> AlgorithmPlane for Columnar<R> {
 
     fn fill_shards<'a>(&'a mut self, bounds: &[usize], out: &mut [Option<PlaneShard<'a>>]) {
         assert_shard_bounds(self.phase.len(), bounds, out.len());
+        assert!(out.len() <= MAX_PLANE_SHARDS, "one pending row per shard");
         let mut rest = self.cols();
         let (row_words, cap) = (rest.row_words, R::LIST_LEN.unwrap_or(rest.cap));
+        let pending_words = if R::DEFERS_STORES { row_words } else { 0 };
         for (i, slot) in out.iter_mut().enumerate() {
             let len = bounds[i + 1] - bounds[i];
             let cols = Cols {
                 phase: take_split(&mut rest.phase, len),
                 value: take_split(&mut rest.value, len),
                 ports_seen: take_split(&mut rest.ports_seen, len * row_words),
+                pending: take_split(&mut rest.pending, pending_words),
                 seen_count: take_split(&mut rest.seen_count, len),
                 low: take_split(&mut rest.low, len * cap),
                 high: take_split(&mut rest.high, len * cap),
@@ -1600,6 +1858,52 @@ mod tests {
         /// Chunks fed to a decided receiver, and chunks that decided one.
         decided_chunks: u64,
         deciding_chunks: u64,
+        /// What only a kernel that defers its stores can get wrong (the
+        /// reference side says which links a word step would have left
+        /// pending: those a chunk brought that moved no phase). A quorum
+        /// inside a chunk while links of earlier chunks were pending; a
+        /// fabricated batch between two chunks of one word, with links
+        /// pending; a row that ended with links pending.
+        quorum_over_pending_chunks: u64,
+        batch_between_chunks_of_a_word: u64,
+        rows_ending_pending: u64,
+        /// The kernel side's own counts ([`crate::probe`]): settles by
+        /// rank, settles sender by sender, settles onto lists short of
+        /// `f + 1` values.
+        rank_settles: u64,
+        sender_settles: u64,
+        settles_onto_partial_lists: u64,
+    }
+
+    /// Receiver `v`'s row of one round on the kernel side: the shard that
+    /// holds `v` is handed the round's index and walks `script`.
+    fn deliver_script<R: Rule>(
+        kernel: &mut Columnar<R>,
+        bounds: &[usize],
+        v: usize,
+        max_wire: u64,
+        script: &mut [ScriptLink],
+        (wire_phase, wire_value): (&[Phase], &[Value]),
+        index: &WireIndex,
+    ) {
+        let mut shards: [Option<PlaneShard<'_>>; 3] = [None, None, None];
+        let shards = &mut shards[..bounds.len() - 1];
+        kernel.fill_shards(bounds, shards);
+        let shard = shards[shards.len() / 2].as_mut().unwrap();
+        shard.index_round(wire_value, index);
+        shard.deliver_row(
+            v,
+            Phase::new(max_wire),
+            ScriptWalk {
+                script,
+                wire: StagedWire {
+                    phase: wire_phase,
+                    value: wire_value,
+                    batches: &[],
+                },
+                index,
+            },
+        );
     }
 
     /// Random multi-round scripts at one receiver: the per-receiver kernel
@@ -1635,8 +1939,11 @@ mod tests {
             let pend_span = [3, 60, 60][rng.next_index(3)];
             let pend = 1 + rng.next_below(pend_span);
             let grid = 2 + rng.next_below(6);
-            let value = |rng: &mut SplitMix64| {
-                Value::saturating(rng.next_below(grid) as f64 / (grid - 1) as f64)
+            // Repeats, `1.0`, and — where lists are compared bit for bit —
+            // both zeros.
+            let value = |rng: &mut SplitMix64| match rng.next_below(grid) {
+                0 if R::DEFERS_STORES && rng.next_bool(0.3) => val(-0.0),
+                k => Value::saturating(k as f64 / (grid - 1) as f64),
             };
             let inputs: Vec<Value> = (0..n).map(|_| value(&mut rng)).collect();
             let v = rng.next_index(n);
@@ -1649,10 +1956,14 @@ mod tests {
             let mut reference = Columnar::<R>::with_pend(params, &inputs, pend);
             let mut kernel = reference.clone();
             let executing = NodeSet::from_ids(n, [NodeId::new(v)]);
-            let mut index = WireIndex::new(n);
+            let mut index = match R::DEFERS_STORES {
+                true => WireIndex::ranked(n),
+                false => WireIndex::new(n),
+            };
             // How much of the wire a round's chunks cover: everything, or
             // a thin slice that cannot reach a quorum in one round.
             let density = [1.0, 1.0, 0.5, 0.1][rng.next_index(4)];
+            let settled = probe::counts().expect("a test build counts");
             for round in 0..12 {
                 let p = reference.phases()[v].as_u64();
                 // Half the rounds scatter the senders over the four phases
@@ -1711,6 +2022,13 @@ mod tests {
                         }
                     })
                     .collect();
+                // Links of this row's chunks that a deferring kernel
+                // holds pending.
+                let mut pending = 0u64;
+                let chunk_of = |link: Option<&ScriptLink>| match link {
+                    Some(ScriptLink::Word(w, bits)) if *bits != 0 => Some(*w),
+                    _ => None,
+                };
                 for (i, link) in script.iter().enumerate() {
                     let before = reference.phases()[v];
                     match link {
@@ -1718,9 +2036,16 @@ mod tests {
                             cov.stale_skips += u64::from(before.as_u64() > max_wire);
                             reference.receive(v, *key, std::slice::from_ref(m));
                         }
-                        ScriptLink::Fabricated(key, batch) => reference.receive(v, *key, batch),
+                        ScriptLink::Fabricated(key, batch) => {
+                            let around =
+                                (chunk_of(script[..i].last()), chunk_of(script.get(i + 1)));
+                            let between = around.0.is_some() && around.0 == around.1;
+                            cov.batch_between_chunks_of_a_word += u64::from(between && pending > 0);
+                            reference.receive(v, *key, batch);
+                        }
                         ScriptLink::Word(w, bits) => {
                             let decided = before.as_u64() >= pend;
+                            let pending_before = pending;
                             cov.decided_chunks += u64::from(decided && *bits != 0);
                             cov.dirty_chunks += u64::from(!decided && reference.seen_count[v] > 0);
                             // Per link: did it complete a quorum, was its
@@ -1729,9 +2054,11 @@ mod tests {
                             for b in (0..64).filter(|b| bits >> b & 1 == 1) {
                                 let u = w * 64 + b;
                                 let at = reference.phases()[v];
+                                let seen = reference.seen_count[v];
                                 let m = Message::new(wire_value[u], wire_phase[u]);
                                 reference.receive(v, Port::new(u), &[m]);
                                 let moved = reference.phases()[v] > at && at.as_u64() < pend;
+                                pending += u64::from(!moved && reference.seen_count[v] > seen);
                                 quorums |= u64::from(moved && m.phase() == at) << b;
                                 aheads |= u64::from(moved && m.phase() > at) << b;
                             }
@@ -1747,39 +2074,32 @@ mod tests {
                                 let at_quorum =
                                     next != 0 && aheads >> next.trailing_zeros() & 1 == 1;
                                 cov.ahead_at_quorum += u64::from(at_quorum);
+                                cov.quorum_over_pending_chunks += u64::from(pending_before > 0);
                             }
                             let deciding = !decided && reference.phases()[v].as_u64() >= pend;
                             cov.deciding_chunks += u64::from(deciding);
                         }
                     }
+                    if reference.phases()[v] > before {
+                        pending = 0;
+                    }
                     let moved = reference.phases()[v] > before.next();
                     cov.jumps_mid_row += u64::from(moved && i + 1 < script.len());
                 }
-                {
-                    let mut shards: [Option<PlaneShard<'_>>; 3] = [None, None, None];
-                    let shards = &mut shards[..bounds.len() - 1];
-                    kernel.fill_shards(&bounds, shards);
-                    let mid = shards.len() / 2;
-                    shards[mid].as_mut().unwrap().deliver_row(
-                        v,
-                        Phase::new(max_wire),
-                        ScriptWalk {
-                            script: &mut script,
-                            wire: StagedWire {
-                                phase: &wire_phase,
-                                value: &wire_value,
-                                batches: &[],
-                            },
-                            index: &index,
-                        },
-                    );
-                }
+                cov.rows_ending_pending += u64::from(pending > 0);
+                let wire = (&wire_phase[..], &wire_value[..]);
+                deliver_script(&mut kernel, &bounds, v, max_wire, &mut script, wire, &index);
                 let what = format!("seed {seed} round {round} (n {n} f {f} pend {pend} slot {v})");
                 assert_same_columns(&reference, &kernel, &what);
                 reference.end_round(&executing);
                 kernel.end_round(&executing);
                 assert_same_columns(&reference, &kernel, &what);
             }
+            let counts = probe::counts().expect("a test build counts");
+            let since = |counter: usize| counts[counter] - settled[counter];
+            cov.rank_settles += since(probe::RANK_SETTLES);
+            cov.sender_settles += since(probe::SENDER_SETTLES);
+            cov.settles_onto_partial_lists += since(probe::SETTLES_ONTO_PARTIAL_LISTS);
         }
         if seeds >= 100 {
             assert!(cov.jumps_mid_row > 0, "no script jumped a receiver mid-row");
@@ -1796,16 +2116,49 @@ mod tests {
                 "no quorum on a chunk's last link"
             );
         }
+        // Alg. 2's deferred stores (Alg. 1 has nothing pending, ever).
+        if seeds >= 100 && R::DEFERS_STORES {
+            assert!(cov.rank_settles > 0, "no settle by rank");
+            assert!(cov.sender_settles > 0, "no settle sender by sender");
+            assert!(
+                cov.settles_onto_partial_lists > 0,
+                "no settle onto lists short of f + 1 values"
+            );
+            assert!(
+                cov.quorum_over_pending_chunks > 0,
+                "no quorum inside a chunk over earlier chunks' pending links"
+            );
+            assert!(
+                cov.batch_between_chunks_of_a_word > 0,
+                "no fabricated batch between two chunks of one word"
+            );
+            assert!(
+                cov.rows_ending_pending > 0,
+                "no row ended with links pending"
+            );
+        }
         cov
     }
 
-    /// Every column of two planes, lists and seen rows included.
+    /// Every column of two planes, lists and seen rows (with the pending
+    /// rows behind them) included. Alg. 2's values are compared bit for
+    /// bit: `-0.0 == 0.0`, and they sort apart. (Alg. 1's two forms differ
+    /// there, and have since before they were one type: restarted from an
+    /// own value of `-0.0`, the slab keeps its `0.0` padding as the maximum
+    /// where the kernel's local takes `-0.0`.)
     fn assert_same_columns<R: Rule>(a: &Columnar<R>, b: &Columnar<R>, what: &str) {
+        let bits = |values: &[Value]| -> Vec<u64> {
+            let exact = |v: &Value| match R::DEFERS_STORES {
+                true => *v,
+                false => Value::max(*v, Value::ZERO),
+            };
+            values.iter().map(|v| exact(v).get().to_bits()).collect()
+        };
         assert_eq!(a.phase, b.phase, "phase, {what}");
-        assert_eq!(a.value, b.value, "value, {what}");
+        assert_eq!(bits(&a.value), bits(&b.value), "value, {what}");
         assert_eq!(a.output, b.output, "output, {what}");
-        assert_eq!(a.low, b.low, "R_low, {what}");
-        assert_eq!(a.high, b.high, "R_high, {what}");
+        assert_eq!(bits(&a.low), bits(&b.low), "R_low, {what}");
+        assert_eq!(bits(&a.high), bits(&b.high), "R_high, {what}");
         assert_eq!(a.ports_seen, b.ports_seen, "ports_seen, {what}");
         assert_eq!(a.seen_count, b.seen_count, "seen_count, {what}");
     }
@@ -1825,6 +2178,169 @@ mod tests {
     #[test]
     fn dbac_kernel_matches_per_link_receive_on_random_scripts() {
         fuzz_kernel_against_receive::<DbacRule>();
+    }
+
+    /// The settle by rank against stores taken link by link (the
+    /// reference's `receive`), on the layouts that broke its first
+    /// prototype — and within a **visit bound**: senders probed plus blocks
+    /// tested stay under `3 · (f + 1 + blocks)` per row, where a walk
+    /// without the block skip probes every unheard sender below the first
+    /// heard one (256 of them in the first layout), and at two — one probe
+    /// a list — where the lists are full of values nothing on the wire
+    /// beats.
+    #[test]
+    fn settle_by_rank_matches_per_link_stores_within_a_visit_bound() {
+        let (n, f, v) = (512usize, 8usize, 0usize);
+        let params = Params::new(n, f, 0.1).unwrap();
+        let (blocks, bound) = (n / 64, 3 * (f + 1 + n / 64) as u64);
+        let monotone: Vec<Value> = (0..n).map(|u| val(u as f64 / n as f64)).collect();
+        let quarter = vec![val(0.25); n];
+        let zeros = |u: usize| val([-0.0, 0.0][u % 2] + if u % 8 == 7 { 0.5 } else { 0.0 });
+        let zeros: Vec<Value> = (0..n).map(zeros).collect();
+        // Values by sender id; the ids heard — short of a quorum, so that
+        // the one settle is the row's end, and whole blocks of ranks: id 1
+        // has rank 0 under `monotone`, so blocks start at ids 1, 65, … —;
+        // the two values fabricated links fill the lists with beforehand;
+        // the most visits.
+        type Layout = (
+            &'static str,
+            Vec<Value>,
+            std::ops::Range<usize>,
+            Option<[f64; 2]>,
+            u64,
+        );
+        let layouts: [Layout; 6] = [
+            (
+                "lowest values unheard",
+                monotone.clone(),
+                257..512,
+                None,
+                bound,
+            ),
+            (
+                "highest values unheard",
+                monotone.clone(),
+                1..257,
+                None,
+                bound,
+            ),
+            ("all equal", quarter.clone(), 1..257, None, bound),
+            ("-0.0 beside 0.0", zeros, 1..257, None, bound),
+            (
+                "lists full of 0.0 and 1.0",
+                monotone,
+                257..512,
+                Some([0.0, 1.0]),
+                2,
+            ),
+            (
+                "lists full of the one value",
+                quarter,
+                257..512,
+                Some([0.25; 2]),
+                2,
+            ),
+        ];
+        for (name, wire_value, heard, preload, most) in layouts {
+            let wire_phase = vec![Phase::ZERO; n];
+            let present = NodeSet::from_ids(n, (1..n).map(NodeId::new));
+            let mut index = WireIndex::ranked(n);
+            assert!(index.build(&present, &wire_phase, &wire_value));
+            assert_eq!(index.ranks().unwrap().len().div_ceil(64), blocks);
+            // On ids the receiver hears nothing else from.
+            let preload = preload.iter().flat_map(|values| {
+                (1..=2 * (f + 1)).map(|key| {
+                    ScriptLink::Fabricated(Port::new(key), vec![msg(values[key % 2], 0)])
+                })
+            });
+            let heard = NodeSet::from_ids(n, heard.map(NodeId::new));
+            let words = (0..n / 64).map(|w| ScriptLink::Word(w, heard.word(w)));
+            let mut script: Vec<ScriptLink> = preload.chain(words).collect();
+
+            let mut reference = DbacPlane::with_pend(params, &vec![Value::HALF; n], 10);
+            let mut kernel = reference.clone();
+            for link in &script {
+                match link {
+                    ScriptLink::Fabricated(key, batch) => reference.receive(v, *key, batch),
+                    ScriptLink::Word(w, bits) => {
+                        for u in (w * 64..w * 64 + 64).filter(|u| bits >> (u % 64) & 1 == 1) {
+                            let m = Message::new(wire_value[u], wire_phase[u]);
+                            reference.receive(v, Port::new(u), &[m]);
+                        }
+                    }
+                    ScriptLink::Honest(..) => unreachable!(),
+                }
+            }
+            let before = probe::counts().expect("a test build counts");
+            let wire = (&wire_phase[..], &wire_value[..]);
+            deliver_script(&mut kernel, &[0, n], v, 0, &mut script, wire, &index);
+            let after = probe::counts().expect("a test build counts");
+            let counted = |counter: usize| after[counter] - before[counter];
+            assert_same_columns(&reference, &kernel, name);
+            assert_eq!(counted(probe::RANK_SETTLES), 1, "{name}");
+            assert_eq!(counted(probe::SENDER_SETTLES), 0, "{name}");
+            let visits = counted(probe::RANK_VISITS);
+            assert!(visits <= most, "{name}: {visits} visits");
+        }
+    }
+
+    /// The other arm of Alg. 2's word step: a shard that was handed no
+    /// index for the round, or one built without ranks, defers nothing —
+    /// its words are taken link by link, whatever index the walk passes,
+    /// and nothing is ever pending. Three words of senders, a quorum
+    /// inside the second.
+    #[test]
+    fn a_dbac_shard_without_ranks_takes_its_words_link_by_link() {
+        let (n, f, v) = (130usize, 2usize, 7usize);
+        let params = Params::new(n, f, 0.1).unwrap();
+        let mut rng = SplitMix64::new(23);
+        let wire_value: Vec<Value> = (0..n)
+            .map(|_| val(rng.next_below(9) as f64 / 8.0))
+            .collect();
+        let wire_phase = vec![Phase::ZERO; n];
+        let present = NodeSet::from_ids(n, (0..n).filter(|&u| u != v).map(NodeId::new));
+        let (mut ranked, mut unranked) = (WireIndex::ranked(n), WireIndex::new(n));
+        for index in [&mut ranked, &mut unranked] {
+            assert!(index.build(&present, &wire_phase, &wire_value));
+        }
+        let mut reference = DbacPlane::with_pend(params, &wire_value, 10);
+        let fresh = reference.clone();
+        for u in present.iter().map(NodeId::index) {
+            let m = Message::new(wire_value[u], wire_phase[u]);
+            reference.receive(v, Port::new(u), &[m]);
+        }
+        assert_eq!(reference.phase[v], Phase::new(1));
+        for handed in [None, Some(&unranked)] {
+            let mut kernel = fresh.clone();
+            let mut script: Vec<ScriptLink> = (0..n.div_ceil(64))
+                .map(|w| ScriptLink::Word(w, present.word(w)))
+                .collect();
+            let settled = probe::counts();
+            let mut shards = [None];
+            kernel.fill_shards(&[0, n], &mut shards);
+            let shard = shards[0].as_mut().unwrap();
+            if let Some(index) = handed {
+                shard.index_round(&wire_value, index);
+            }
+            // The walk's index has ranks either way: what decides is what
+            // the shard was handed.
+            shard.deliver_row(
+                v,
+                Phase::ZERO,
+                ScriptWalk {
+                    script: &mut script,
+                    wire: StagedWire {
+                        phase: &wire_phase,
+                        value: &wire_value,
+                        batches: &[],
+                    },
+                    index: &ranked,
+                },
+            );
+            let what = format!("handed an index: {}", handed.is_some());
+            assert_same_columns(&reference, &kernel, &what);
+            assert_eq!(probe::counts(), settled, "{what}: something settled");
+        }
     }
 
     #[test]

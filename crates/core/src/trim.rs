@@ -36,13 +36,49 @@ pub(crate) fn clear(low: &mut [Value], high: &mut [Value]) {
 // audit: no-alloc-fn
 #[inline]
 pub(crate) fn store(low: &mut [Value], high: &mut [Value], val: Value) {
+    store_low(low, low.len(), val);
+    store_high(high, high.len(), val);
+}
+
+/// The `R_low` half of [`store`]. `filled` is any upper bound on how many
+/// slots hold something other than padding (`low.len()` always is one):
+/// the shift starts there instead of crossing the padding, which is what
+/// a run of ascending values into an emptied list would otherwise spend
+/// its time on. Returns whether `val` entered the list: if not, no value
+/// `≥ val` can either — where a walk in ascending value order stops.
+// audit: no-alloc-fn
+#[inline]
+pub(crate) fn store_low(low: &mut [Value], filled: usize, val: Value) -> bool {
     let last = low.len() - 1;
-    if val < low[last] {
-        sift(low, last, val, |prev| prev > val);
+    let enters = val < low[last];
+    if enters {
+        sift(low, filled.min(last), val, |prev| prev > val);
     }
-    if val > high[last] {
-        sift(high, last, val, |prev| prev < val);
+    enters
+}
+
+/// The `R_high` half of [`store`], likewise: where a walk in descending
+/// value order stops.
+// audit: no-alloc-fn
+#[inline]
+pub(crate) fn store_high(high: &mut [Value], filled: usize, val: Value) -> bool {
+    let last = high.len() - 1;
+    let enters = val > high[last];
+    if enters {
+        sift(high, filled.min(last), val, |prev| prev < val);
     }
+    enters
+}
+
+/// How many leading slots of each list hold something other than padding
+/// (a stored value equal to the padding counts as padding: it is the same
+/// slot either way) — the `filled` of [`store_low`] / [`store_high`].
+#[inline]
+pub(crate) fn filled(low: &[Value], high: &[Value]) -> (usize, usize) {
+    (
+        low.partition_point(|&v| v < Value::ONE),
+        high.partition_point(|&v| v > Value::ZERO),
+    )
 }
 
 /// `(max(R_low), min(R_high))`, the two operands of the DBAC update, once
@@ -91,6 +127,69 @@ mod tests {
                     (min, max) = (min.min(val), max.max(val));
                     assert_eq!(bounds(&low, &high), (min, max), "seed {seed}");
                 }
+            }
+        }
+    }
+
+    /// What the columnar plane's deferred settle rests on, on the same
+    /// tie-heavy streams: a list is a function of the **multiset** stored,
+    /// so a phase's values may be fed as they arrived, ascending or
+    /// descending, with or without a true `filled`; and the halves may be
+    /// fed apart, each in its own order and only until the first value
+    /// that does not enter — none behind it can.
+    #[test]
+    fn lists_depend_on_the_multiset_stored_not_on_its_order() {
+        for seed in 0..300 {
+            let mut rng = SplitMix64::new(seed);
+            for cap in [1usize, 2, 3, 17] {
+                let grid = 2 + rng.next_below(12);
+                let mut draw = |most: usize| -> Vec<Value> {
+                    (0..rng.next_index(most))
+                        .map(|_| Value::saturating(rng.next_below(grid) as f64 / (grid - 1) as f64))
+                        .collect()
+                };
+                // Some values are in the lists already (the node's own,
+                // links stored one at a time), then a batch arrives.
+                let (stored, batch) = (draw(cap + 2), draw(3 * cap + 2));
+                let fresh = || {
+                    let (mut low, mut high) = (vec![Value::HALF; cap], vec![Value::HALF; cap]);
+                    clear(&mut low, &mut high);
+                    stored.iter().for_each(|&v| store(&mut low, &mut high, v));
+                    (low, high)
+                };
+                let (mut low, mut high) = fresh();
+                batch.iter().for_each(|&v| store(&mut low, &mut high, v));
+                let mut sorted = batch.clone();
+                sorted.sort();
+                for descending in [false, true] {
+                    let (mut l, mut h) = fresh();
+                    let feed = |v: &Value| store(&mut l, &mut h, *v);
+                    match descending {
+                        false => sorted.iter().for_each(feed),
+                        true => sorted.iter().rev().for_each(feed),
+                    }
+                    assert_eq!((&l, &h), (&low, &high), "seed {seed} cap {cap}");
+                }
+                let (mut l, mut h) = fresh();
+                let (mut lows, mut highs) = filled(&l, &h);
+                let stops = |list: &[Value], pad| list.iter().filter(|&&v| v != pad).count();
+                assert_eq!(
+                    (lows, highs),
+                    (stops(&l, Value::ONE), stops(&h, Value::ZERO))
+                );
+                for &v in &sorted {
+                    if !store_low(&mut l, lows, v) {
+                        break;
+                    }
+                    lows += 1;
+                }
+                for &v in sorted.iter().rev() {
+                    if !store_high(&mut h, highs, v) {
+                        break;
+                    }
+                    highs += 1;
+                }
+                assert_eq!((&l, &h), (&low, &high), "halves, seed {seed} cap {cap}");
             }
         }
     }

@@ -20,6 +20,17 @@
 //! [`MAX_WIRE_PHASES`] — a constant, so the arena is sized once at build
 //! and a run whose phase count grows mid-run still allocates nothing; a
 //! round with more falls back to the per-link walk.
+//!
+//! **Ranks.** Alg. 2's lists are order statistics — the `f + 1` least and
+//! greatest of everything stored since `RESET()` — so its word kernel only
+//! counts a word's links and puts their values into the lists later, once
+//! per quorum, walking the round's senders *in wire-value order* until
+//! nothing further can enter. An index built [`WireIndex::ranked`] carries
+//! that order (`Ranks`): the indexed sender ids sorted by wire value, and
+//! per block of consecutive ranks the id mask of its senders, so that a
+//! stretch of ranks the receiver heard nothing from is passed over with one
+//! AND per row word instead of one probe per sender. `O(n)` words, built
+//! once per round, and only for Alg. 2's planes.
 
 use adn_graph::NodeSet;
 use adn_types::{Phase, Value};
@@ -30,6 +41,10 @@ pub const MAX_WIRE_PHASES: usize = 8;
 /// The index row that never has members: what a phase nobody is in maps
 /// to.
 const EMPTY_ROW: usize = MAX_WIRE_PHASES;
+
+/// The most rank blocks a round is cut into ([`Ranks`]): what bounds the
+/// block masks at `64 · n / 64` words, whatever `n`.
+const MAX_RANK_BLOCKS: usize = 64;
 
 /// One round's wire index (see [the module docs](self)). Built by the
 /// engine once per round over the senders whose links all deliver their
@@ -53,6 +68,25 @@ pub struct WireIndex {
     /// `from[rank * words + w]`: the senders of word `w` whose phase has
     /// sorted rank `≥ rank`; rank `len` is empty.
     from: Vec<u64>,
+    /// The indexed senders by wire value, on a [`WireIndex::ranked`] index.
+    ranks: Option<Ranks>,
+}
+
+/// One round's indexed senders in wire-value order (see
+/// [the module docs](self)): what a word kernel that defers its stores
+/// settles them by.
+#[derive(Debug, Clone)]
+pub(crate) struct Ranks {
+    words: usize,
+    /// The indexed sender ids, by ascending wire value (ties in any order:
+    /// equal values are indistinguishable to a list). Capacity `n`.
+    order: Vec<u32>,
+    /// Consecutive ranks per block: at least 64, and enough that
+    /// [`MAX_RANK_BLOCKS`] blocks cover `order`.
+    block_len: usize,
+    /// `blocks[b * words + w]`: the senders of word `w` whose rank lies in
+    /// block `b`.
+    blocks: Vec<u64>,
 }
 
 /// Where one receiver phase sits in a [`WireIndex`]
@@ -78,6 +112,29 @@ impl WireIndex {
             lo: vec![Value::HALF; rows],
             hi: vec![Value::HALF; rows],
             from: vec![0; rows],
+            ranks: None,
+        }
+    }
+
+    /// [`WireIndex::new`], plus room for the round's rank order, which every
+    /// [`WireIndex::build`] then rebuilds: the index of a plane whose word
+    /// kernel settles by rank
+    /// ([`PlaneShard::ranks_words`](crate::PlaneShard::ranks_words)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` sender ids do not fit `u32`.
+    pub fn ranked(n: usize) -> Self {
+        assert!(u32::try_from(n).is_ok(), "sender ids must fit u32");
+        let words = n.div_ceil(64);
+        WireIndex {
+            ranks: Some(Ranks {
+                words,
+                order: Vec::with_capacity(n),
+                block_len: 64,
+                blocks: vec![0; MAX_RANK_BLOCKS.min(words) * words],
+            }),
+            ..WireIndex::new(n)
         }
     }
 
@@ -134,7 +191,17 @@ impl WireIndex {
                     self.from[(rank + 1) * words + w] | self.member[row * words + w];
             }
         }
+        if let Some(ranks) = &mut self.ranks {
+            ranks.build(present, value);
+        }
         true
+    }
+
+    /// The round's senders in wire-value order, on an index built
+    /// [`WireIndex::ranked`].
+    #[inline]
+    pub(crate) fn ranks(&self) -> Option<&Ranks> {
+        self.ranks.as_ref()
     }
 
     /// Where a receiver in phase `p` stands among this round's senders.
@@ -192,9 +259,79 @@ impl WireIndex {
     }
 }
 
+impl Ranks {
+    // audit: no-alloc-fn
+    fn build(&mut self, present: &NodeSet, value: &[Value]) {
+        let words = self.words;
+        self.order.clear();
+        for (w, bits) in present.iter_words() {
+            // (Ids fit: `ranked` checked `n`, and the capacity is `n`.)
+            self.order.extend(ids(w, bits).map(|u| u as u32));
+        }
+        self.order.sort_unstable_by_key(|&u| value[u as usize]);
+        self.block_len = self.order.len().div_ceil(MAX_RANK_BLOCKS).max(64);
+        let blocks = self.order.len().div_ceil(self.block_len);
+        self.blocks[..blocks * words].fill(0);
+        for (rank, &u) in self.order.iter().enumerate() {
+            let block = rank / self.block_len;
+            self.blocks[block * words + u as usize / 64] |= 1 << (u % 64);
+        }
+    }
+
+    /// How many senders the round ranks: the indexed ones.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Visits the ranked senders in wire-value order — least value first,
+    /// or greatest first when `descending` — as `visit(u, is_pending)`
+    /// until that returns `false`, `pending` being a sender-id bit row. The
+    /// caller's stop is what bounds the walk: a visit is told whether its
+    /// sender is pending, not spared when it is not. Except by the block:
+    /// of a block of ranks none of whose senders is pending only the first
+    /// is visited (it may be where the walk stops), and the rest is passed
+    /// over at one AND per row word.
+    // audit: no-alloc-fn
+    #[inline]
+    pub(crate) fn scan(
+        &self,
+        descending: bool,
+        pending: &[u64],
+        mut visit: impl FnMut(usize, bool) -> bool,
+    ) {
+        let (len, words) = (self.order.len(), self.words);
+        let mut visit = |rank: usize| {
+            crate::probe::bump(crate::probe::RANK_VISITS);
+            let u = self.order[rank] as usize;
+            visit(u, pending[u / 64] >> (u % 64) & 1 == 1)
+        };
+        let blocks = len.div_ceil(self.block_len);
+        for i in 0..blocks {
+            let b = if descending { blocks - 1 - i } else { i };
+            let (from, to) = (b * self.block_len, len.min((b + 1) * self.block_len));
+            // Position `k` of the block in walk order, as a rank.
+            let rank = |k: usize| if descending { to - 1 - k } else { from + k };
+            if !visit(rank(0)) {
+                return;
+            }
+            crate::probe::bump(crate::probe::RANK_VISITS);
+            let members = &self.blocks[b * words..(b + 1) * words];
+            if members.iter().zip(pending).all(|(m, p)| m & p == 0) {
+                continue;
+            }
+            for k in 1..to - from {
+                if !visit(rank(k)) {
+                    return;
+                }
+            }
+        }
+    }
+}
+
 /// The sender ids of the set bits of word `w`, ascending.
 #[inline]
-fn ids(w: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+pub(crate) fn ids(w: usize, mut bits: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (bits != 0).then(|| {
             let u = w * 64 + bits.trailing_zeros() as usize;
@@ -262,6 +399,67 @@ mod tests {
                             assert_eq!(got, (lo, hi), "seed {seed} {p} word {w} keep {keep}");
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// The rank order against its definition: the indexed senders by
+    /// ascending wire value (with ties), and a scan that shows every
+    /// pending sender, in that order or its reverse, whatever it passes
+    /// over — up to where the visitor stops it. `n = 5000` takes blocks
+    /// longer than 64 ranks.
+    #[test]
+    fn ranks_match_their_definition() {
+        for seed in 0..60 {
+            let mut rng = SplitMix64::new(seed);
+            let n = [1usize, 5, 64, 65, 130, 200, 5000][rng.next_index(7)];
+            let grid = 2 + rng.next_below(40);
+            let value: Vec<Value> = (0..n)
+                .map(|_| Value::saturating(rng.next_below(grid) as f64 / (grid - 1) as f64))
+                .collect();
+            let phase = vec![Phase::ZERO; n];
+            let mut index = WireIndex::ranked(n);
+            assert!(WireIndex::new(n).ranks().is_none());
+            for keep in [1.0, 0.6, 0.0] {
+                let present =
+                    NodeSet::from_ids(n, (0..n).filter(|_| rng.next_bool(keep)).map(NodeId::new));
+                assert!(index.build(&present, &phase, &value));
+                let ranks = index.ranks().unwrap();
+                assert_eq!(ranks.len(), present.len());
+                let pending = NodeSet::from_ids(n, present.iter().filter(|_| rng.next_bool(0.4)));
+                let mut wanted: Vec<(Value, usize)> = pending
+                    .iter()
+                    .map(|u| (value[u.index()], u.index()))
+                    .collect();
+                wanted.sort();
+                for descending in [false, true] {
+                    let (mut shown, mut last) = (Vec::new(), None);
+                    ranks.scan(descending, pending.words(), |u, is_pending| {
+                        assert!(present.contains(NodeId::new(u)), "seed {seed}");
+                        assert_eq!(is_pending, pending.contains(NodeId::new(u)), "seed {seed}");
+                        let in_order = last.is_none_or(|before| match descending {
+                            false => before <= value[u],
+                            true => before >= value[u],
+                        });
+                        assert!(in_order, "seed {seed}: {u} out of order");
+                        last = Some(value[u]);
+                        shown.extend(is_pending.then_some(value[u]));
+                        true
+                    });
+                    let mut values: Vec<Value> = wanted.iter().map(|&(v, _)| v).collect();
+                    if descending {
+                        values.reverse();
+                    }
+                    assert_eq!(shown, values, "seed {seed} descending {descending}");
+                    // And a visitor that stops is not called again.
+                    let stop_at = rng.next_index(n);
+                    let mut visits = 0;
+                    ranks.scan(descending, pending.words(), |_, _| {
+                        visits += 1;
+                        visits <= stop_at
+                    });
+                    assert!(visits <= stop_at + 1, "seed {seed}");
                 }
             }
         }

@@ -608,7 +608,8 @@ pub struct Simulation {
     wire_phase: Vec<Phase>,
     wire_value: Vec<Value>,
     /// The round's wire index (see [`PlaneRound::index`]), sized once for
-    /// every phase it can hold.
+    /// every phase it can hold — and for the senders' rank order, under a
+    /// plane whose word step settles by it.
     wire_index: WireIndex,
     /// The round's conditional senders (see [`PlaneRound::conditional`]).
     conditional: Vec<(usize, NodeId)>,
@@ -689,12 +690,18 @@ impl Simulation {
                 true
             }
         };
-        let plane = if columnar {
+        let mut plane = if columnar {
             factory
                 .make_plane(&b.inputs)
                 .expect("plane-capable factory builds a plane")
         } else {
             factory.make_boxed_plane(&b.inputs)
+        };
+        // Asked of a shard, which every wire-format adaptor forwards.
+        let ranks_words = {
+            let mut whole = [None];
+            plane.fill_shards(&[0, n], &mut whole);
+            whole[0].as_ref().is_some_and(PlaneShard::ranks_words)
         };
         let mut observer = Observer::default();
         if b.observe_phases {
@@ -769,7 +776,10 @@ impl Simulation {
             links: use_sparse.then(|| LinkPlane::new(n)),
             wire_phase: vec![Phase::ZERO; n],
             wire_value: vec![Value::HALF; n],
-            wire_index: WireIndex::new(n),
+            wire_index: match ranks_words {
+                true => WireIndex::ranked(n),
+                false => WireIndex::new(n),
+            },
             conditional: Vec::with_capacity(n),
             shard_bounds,
             traffic: Traffic::new(),
@@ -1311,6 +1321,12 @@ impl Simulation {
         let indexed = words && wire_index.build(unconditional, wire_phase, wire_value);
         #[cfg(test)]
         probe::bump(probe::UNINDEXED_ROUNDS, words && !indexed);
+        let (wire_value, wire_index) = (&wire_value[..], &*wire_index);
+        if indexed {
+            for shard in slots[..shards].iter_mut().flatten() {
+                shard.index_round(wire_value, wire_index);
+            }
+        }
         let env = PlaneRound {
             perm,
             classes,
@@ -1326,7 +1342,7 @@ impl Simulation {
                 value: wire_value,
                 batches,
             },
-            index: indexed.then_some(&*wire_index),
+            index: indexed.then_some(wire_index),
             max_wire_phase,
             t,
             params: *params,
@@ -1844,17 +1860,19 @@ mod tests {
         }
     }
 
-    /// The word walk must be behaviorally invisible: a DAC run whose
-    /// receivers take the round's Present links 64 senders per kernel step
-    /// through the wire index, and the same run fed link by link, agree on
-    /// everything an `Outcome` holds. Crash (silent, partial-subset,
-    /// partial-random) and Byzantine senders at random ids — so they cut
-    /// words in the middle — over up to three words of senders; dense and
-    /// sparse links; the complete graph (full words), a rotating window
-    /// below the quorum (T > 1: seen rows stay dirty across rounds),
-    /// staggered receiver groups (every word mixes two phases) and random
-    /// links (partial words); and one run whose wire outgrows the index
-    /// and comes back.
+    /// The word walk must be behaviorally invisible: a DAC or DBAC run
+    /// (by turns) whose receivers take the round's Present links 64
+    /// senders per kernel step through the wire index, and the same run fed
+    /// link by link, agree on everything an `Outcome` holds. Crash (silent,
+    /// partial-subset, partial-random) and Byzantine senders at random ids
+    /// — so they cut words in the middle — over up to three words of
+    /// senders; dense and sparse links; the complete graph (full words), a
+    /// rotating window below the quorum and a degree spread over two or
+    /// three rounds (T > 1: seen rows stay dirty and Alg. 2's lists live
+    /// across rounds, and thin rows settle sender by sender), staggered
+    /// receiver groups (every word mixes two phases) and random links
+    /// (partial words); one DBAC run whose Byzantine ids straddle a word
+    /// boundary; and one run whose wire outgrows the index and comes back.
     #[test]
     fn word_walk_is_behavior_invisible() {
         use crate::builder::LinkMode;
@@ -1890,7 +1908,7 @@ mod tests {
                 let f = 1 + rng.next_index(n / 6);
                 let p = params(n, f, 1e-3);
                 // Sparse runs carry no Byzantine nodes.
-                let sparse = seed % 2 == 0;
+                let (sparse, dbac) = (seed % 2 == 0, seed / 2 % 2 == 0);
                 let byzantine = if sparse { 0 } else { rng.next_index(f + 1) };
                 let faulty = rng.sample_indices(n, f);
                 let mut crash = CrashSchedule::new(n);
@@ -1911,26 +1929,35 @@ mod tests {
                     };
                     crash.crash(NodeId::new(k), Round::new(rng.next_below(8)), survivors);
                 }
-                let adversary = match rng.next_index(4) {
+                // The degree the algorithm needs, over `t` rounds.
+                let d = if dbac { (n + 3 * f) / 2 } else { n / 2 };
+                let adversary = match rng.next_index(6) {
                     0 => AdversarySpec::Complete,
                     1 => AdversarySpec::Rotating { d: n / 4 },
                     2 => AdversarySpec::Staggered {
                         d: n / 2 + 1,
                         groups: 3,
                     },
-                    _ => AdversarySpec::Random { p: 0.7 },
+                    3 => AdversarySpec::Random { p: 0.7 },
+                    t => AdversarySpec::Spread { t: t - 2, d },
                 };
+                let pend = 3 + rng.next_below(6);
                 let mut b = Simulation::builder(p)
                     .inputs_random(seed)
                     .crashes(crash)
                     .adversary(adversary.build(n, f, seed))
-                    .algorithm(factories::dac_with_pend(p, 3 + rng.next_below(6)))
+                    .algorithm(match dbac {
+                        true => factories::dbac_with_pend(p, pend),
+                        false => factories::dac_with_pend(p, pend),
+                    })
                     .algorithm_plane(PlaneMode::Always)
                     .link_mode(if sparse {
                         LinkMode::Sparse
                     } else {
                         LinkMode::Dense
                     })
+                    // (Only sparse runs shard: one pending row each.)
+                    .shards(1 + (seed / 4 % 3) as usize)
                     .max_rounds(80);
                 for (k, &id) in faulty[..byzantine].iter().enumerate() {
                     let name = ALL_STRATEGY_NAMES[rng.next_index(ALL_STRATEGY_NAMES.len())];
@@ -1946,6 +1973,41 @@ mod tests {
                 counted(probe::CUT_WORDS) > 0,
                 "no conditional sender landed inside a word"
             );
+        }
+
+        // Alg. 2 at its threshold degree, the eight stock strategies on
+        // ids either side of the first word boundary: a receiver's row is
+        // cut there, inside and between two words that hold pending links.
+        let cuts = counted(probe::CUT_WORDS);
+        let p = params(140, 8, 1e-3);
+        let straddling = run_both(|| {
+            let mut b = Simulation::builder(p)
+                .inputs_random(5)
+                .adversary(AdversarySpec::DbacThreshold.build(140, 8, 5))
+                .algorithm(factories::dbac_with_pend(p, 6))
+                .algorithm_plane(PlaneMode::Always);
+            for (k, id) in [58, 60, 62, 63, 64, 65, 67, 69].into_iter().enumerate() {
+                let strategy = by_name(ALL_STRATEGY_NAMES[k], 140, k as u64);
+                b = b.byzantine(NodeId::new(id), strategy);
+            }
+            b
+        });
+        assert_same(&straddling, "byzantine ids around 64");
+        assert_eq!(straddling.0.reason(), StopReason::AllOutput);
+        assert!(counted(probe::CUT_WORDS) > cuts, "no word was cut");
+        // Both ways to settle Alg. 2's pending links were taken — counted
+        // by adn-core on the delivering thread (the runs above that shard
+        // are sparse, and a sparse run of one shard delivers inline), and
+        // only in a debug build of it: a release run of this test compares
+        // the outcomes and says that it did not check the paths.
+        match adn_core::probe::counts() {
+            Some(settles) if seeds >= 100 => {
+                use adn_core::probe::{RANK_SETTLES, SENDER_SETTLES};
+                assert!(settles[RANK_SETTLES] > 0, "no settle by rank");
+                assert!(settles[SENDER_SETTLES] > 0, "no settle sender by sender");
+            }
+            Some(_) => {}
+            None => eprintln!("word_walk: adn-core built without its probe counters (release); settle paths not asserted"),
         }
 
         /// Complete, except that receiver `v < 10` hears nothing in rounds

@@ -191,6 +191,31 @@ fn lean_dbac_byz(
     builder.build()
 }
 
+/// A lean DBAC run over three words of senders (n = 130, f = 8), the
+/// eight stock strategies on the ids either side of the boundary between
+/// words 1 and 2: the per-round rank order and its blocks, the pending row,
+/// and rows cut between two words that hold pending links. At the
+/// threshold degree every row settles by rank at its quorum; under a degree
+/// spread over three rounds the rows are thin, end with links pending, and
+/// settle them sender by sender.
+fn lean_dbac_words(adversary: AdversarySpec) -> Simulation {
+    let (n, f) = (130, 8);
+    let params = Params::new(n, f, 1e-6).unwrap();
+    let mut builder = Simulation::builder(params)
+        .inputs_random(1)
+        .adversary(adversary.build(n, f, 1))
+        .algorithm(factories::dbac_with_pend(params, u64::MAX))
+        .algorithm_plane(PlaneMode::Always)
+        .record_schedule(false)
+        .observe_phases(false)
+        .max_rounds(u64::MAX);
+    for (k, name) in ALL_STRATEGY_NAMES.iter().enumerate() {
+        let id = NodeId::new(122 + k);
+        builder = builder.byzantine(id, strategies::by_name(name, n, k as u64));
+    }
+    builder.build()
+}
+
 /// The eight stock strategies, one per Byzantine slot of
 /// [`lean_dbac_byz`].
 fn stock_strategies() -> Vec<(NodeId, Box<dyn ByzantineStrategy>)> {
@@ -268,7 +293,7 @@ fn steady_state_step_performs_zero_allocations() {
     // other row kind. ---
     use DeliveryOrder::{AscendingSenders, DescendingSenders, Shuffled};
     type Build = fn() -> Simulation;
-    let cells: [(&str, Build); 16] = [
+    let cells: [(&str, Build); 18] = [
         ("dac/plane", || {
             lean_dac(32, PlaneMode::Always, AscendingSenders)
         }),
@@ -317,12 +342,24 @@ fn steady_state_step_performs_zero_allocations() {
                 Coalition::build(Plan::Straddle, (56..64).map(NodeId::new).collect()),
             )
         }),
+        // Alg. 2 by words: the rank order sorted and its blocks rebuilt
+        // every round, the pending row, both settles.
+        ("dbac/plane/words", || {
+            lean_dbac_words(AdversarySpec::DbacThreshold)
+        }),
+        ("dbac/plane/spread", || {
+            lean_dbac_words(AdversarySpec::Spread {
+                t: 3,
+                d: (130 + 3 * 8) / 2,
+            })
+        }),
         // The sparse link plane: row-kind rows + receiver-major delivery
         // on one shard — the inline path, which spawns nothing (the
         // sharded twin has its own pin below).
         ("dac/sparse", || lean_dac_sparse(32, 1)),
     ];
     for (name, build) in cells {
+        let settles_before = adn_core::probe::counts();
         let mut sim = build();
         assert_eq!(
             sim.uses_plane(),
@@ -352,6 +389,18 @@ fn steady_state_step_performs_zero_allocations() {
         if name == "dbac/piggyback" {
             let staged = sim.buffers().batches[0].len();
             assert_eq!(staged, 4, "{name}: every link must carry k + 1 messages");
+        }
+        // The two Alg. 2 word cells are there for one settle each (adn-core
+        // counts them on the delivering thread — this one — and only in a
+        // debug build of it, which is what `cargo test` gives this file).
+        if let (Some(before), Some(settled)) = (settles_before, adn_core::probe::counts()) {
+            use adn_core::probe::{RANK_SETTLES, SENDER_SETTLES};
+            let since = |counter: usize| settled[counter] - before[counter];
+            match name {
+                "dbac/plane/words" => assert!(since(RANK_SETTLES) > 0, "{name}"),
+                "dbac/plane/spread" => assert!(since(SENDER_SETTLES) > 0, "{name}"),
+                _ => {}
+            }
         }
         // No engine path delivers sender-major any more, so none may have
         // built the transposed port table behind `ports_to`. And only
@@ -421,6 +470,27 @@ fn steady_state_step_performs_zero_allocations() {
         requested < 2 * n * n / 8,
         "dac/sparse build at n = {n} requested {requested} bytes; the seen rows are {}",
         n * n / 8
+    );
+
+    // --- What Alg. 2's word step adds to a build — the rank order, its
+    // blocks, the pending rows — is Alg. 2's alone and O(n): a DAC run at
+    // the benchmark's size asks for not one byte more than before there
+    // was any of it (881 056, measured at the parent commit: the ledger's
+    // `dac_dense` builds one such run per operation, and has read 8 %
+    // slower for 32 bytes moving its heap), a DBAC run for under 16 bytes
+    // a node besides. ---
+    let n = 1024;
+    let build_bytes = |build: fn(usize, PlaneMode, DeliveryOrder) -> Simulation| {
+        let before = BYTES_REQUESTED.load(Ordering::Relaxed);
+        let sim = build(n, PlaneMode::Always, AscendingSenders);
+        assert!(sim.uses_plane());
+        BYTES_REQUESTED.load(Ordering::Relaxed) - before
+    };
+    let (dac, dbac) = (build_bytes(lean_dac), build_bytes(lean_dbac));
+    assert!(dac <= 881_056, "dac/plane build at n = {n}: {dac} bytes");
+    assert!(
+        dbac <= dac + 16 * n,
+        "dbac/plane build at n = {n}: {dbac} bytes, dac {dac}"
     );
 
     // --- The trial-lane driver: 64 lockstep trials per word. A steady
