@@ -47,7 +47,8 @@ impl DownKind {
 
 #[derive(Debug, Clone, Copy)]
 enum Transition {
-    Down(DownKind),
+    /// Down, per the [`DownKind`] at this index of the plan's `kinds`.
+    Down(u32),
     Up,
 }
 
@@ -104,7 +105,13 @@ enum Transition {
 #[derive(Debug, Clone, Default)]
 pub struct ChurnPlan {
     initially_up: Vec<bool>,
+    /// 16 bytes an event: a flapping fleet registers tens of thousands of
+    /// them per service epoch, and a [`DownKind`] held inline would double
+    /// that.
     events: Vec<Vec<(Round, Transition)>>,
+    /// The down kinds the events refer to, in order of registration; a run
+    /// of downs of one kind (a whole generator call) shares one entry.
+    kinds: Vec<DownKind>,
 }
 
 impl ChurnPlan {
@@ -113,6 +120,7 @@ impl ChurnPlan {
         ChurnPlan {
             initially_up: vec![true; n],
             events: vec![Vec::new(); n],
+            kinds: Vec::new(),
         }
     }
 
@@ -160,7 +168,11 @@ impl ChurnPlan {
             self.last_state(node.index()),
             "cannot take {node} down at {at}: it is already down"
         );
-        self.push(node, at, Transition::Down(kind));
+        if self.kinds.last() != Some(&kind) {
+            self.kinds.push(kind);
+        }
+        let k = u32::try_from(self.kinds.len() - 1).expect("fewer than 2^32 down kinds");
+        self.push(node, at, Transition::Down(k));
     }
 
     /// The node leaves gracefully at global round `at` — its final
@@ -313,13 +325,13 @@ impl ChurnPlan {
             };
             if !up {
                 out.crash(node, Round::ZERO, CrashSurvivors::None);
-            } else if let Some((r, Transition::Down(kind))) = self.events[v].get(i) {
+            } else if let Some(&(r, Transition::Down(k))) = self.events[v].get(i) {
                 // Alternation guarantees the next unapplied event of an
                 // up node is a down.
                 out.crash(
                     node,
                     Round::new(r.as_u64() - start.as_u64()),
-                    kind.survivors(),
+                    self.kinds[k as usize].survivors(),
                 );
             }
         }
@@ -379,6 +391,32 @@ mod tests {
         // Graceful: the relative-round-0 broadcast completes in full.
         assert!(cs.delivers_to_all(nid(0), Round::ZERO));
         assert!(cs.is_silent(nid(0), Round::new(1)));
+    }
+
+    #[test]
+    fn events_share_their_down_kinds_and_keep_them_apart() {
+        let mut plan = ChurnPlan::new(3);
+        let horizon = Round::new(1_000);
+        // Kinds interleaved across nodes, one long run of a single kind.
+        plan.leave(nid(0), Round::new(3));
+        plan.crash(nid(1), Round::new(3), DownKind::Abrupt);
+        plan.recover(nid(0), Round::new(5));
+        plan.flap_periodic(nid(2), Round::new(3), 1, 4, DownKind::Graceful, horizon);
+        plan.crash(nid(0), Round::new(7), DownKind::Abrupt);
+        assert_eq!(plan.events[2].len(), 500);
+        assert_eq!(plan.kinds.len(), 4, "one entry per run of equal kinds");
+        assert_eq!(std::mem::size_of::<(Round, Transition)>(), 16);
+        let mut cs = CrashSchedule::new(3);
+        plan.slice_into(Round::ZERO, &mut cs);
+        assert!(cs.delivers_to_all(nid(0), Round::new(3)), "graceful");
+        assert!(cs.is_silent(nid(1), Round::new(3)), "abrupt");
+        assert!(cs.delivers_to_all(nid(2), Round::new(3)), "graceful");
+        plan.slice_into(Round::new(5), &mut cs);
+        assert!(
+            cs.is_silent(nid(0), Round::new(2)),
+            "abrupt the second time"
+        );
+        assert!(cs.delivers_to_all(nid(2), Round::new(2)));
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!
 //! Overlapping windows share `T - 1` rounds, so the checker does not
 //! recompute each union from scratch (`O(L · T · |E|)` over an `L`-round
-//! recording): it slides one incremental [`WindowUnion`] across the
-//! recording, paying once per link occurrence plus `O(n)` per window, and
+//! recording): it pushes the recording through the
+//! [`SlidingUnion`](crate::SlidingUnion) in its [`WindowUnion`] scratch,
+//! paying a few word passes over one round's rows per round, and
 //! allocating nothing beyond the reusable scratch
 //! (`tests/checker_window.rs` fuzzes it against the naive recompute).
 

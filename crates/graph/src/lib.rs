@@ -13,8 +13,12 @@
 //!   kind and [`LinkSink`] writes either kind;
 //! * [`Schedule`] — the recorded sequence `E(0), E(1), ...` of an
 //!   execution, supporting windowed unions `G_t = (V, ∪ E(t..t+T))`;
-//! * [`WindowUnion`] — incremental sliding-window link counters, the
-//!   allocation-free scratch behind the window checkers;
+//! * [`SlidingUnion`] — Def. 1's windowed union on `T + 1` bit slabs,
+//!   one push per round: what the dynaDegree checker pushes a recording
+//!   through and what a service's watchdog slides online;
+//! * [`WindowUnion`] — incremental sliding-window link counters (stable
+//!   links for the connectivity checker, degrees of very wide windows)
+//!   and the allocation-free scratch behind the window checkers;
 //! * [`checker`] — the (T, D)-dynaDegree verifier (Def. 1);
 //! * [`connectivity`] — the prior stability properties the paper compares
 //!   against (§II-B): T-interval connectivity, rooted spanning trees;
@@ -60,4 +64,4 @@ pub use lanelinks::LaneLinks;
 pub use linkplane::{DenseLinks, LinkPlane, LinkRows, LinkSink, MAX_RUNS_PER_ROW};
 pub use nodeset::NodeSet;
 pub use schedule::Schedule;
-pub use window::WindowUnion;
+pub use window::{SlidingUnion, WindowUnion};

@@ -468,30 +468,16 @@ enum RealizedInner<'a> {
     /// minus the kernel).
     Sparse {
         links: &'a LinkPlane,
-        classes: &'a [SenderClass],
         honest: &'a NodeSet,
+        /// The round's non-Silent senders, and those of them whose links
+        /// all deliver (Present). Sparse runs exclude Byzantine nodes,
+        /// so whatever is active and not Present is Partial.
+        active: &'a NodeSet,
+        unconditional: &'a NodeSet,
         crash: &'a CrashSchedule,
         /// The executed round (the filter's crash-survivor axis).
         t: Round,
     },
-}
-
-impl RealizedRows<'_> {
-    /// Copies the realized links into `out` (a word copy on the dense
-    /// path, a filtered rebuild on the sparse one) — for consumers that
-    /// need to keep a round's links past the next `step`, like the
-    /// service watchdog's sliding window.
-    pub fn copy_into(&self, out: &mut EdgeSet) {
-        match &self.0 {
-            RealizedInner::Dense(realized) => out.copy_from(realized),
-            RealizedInner::Sparse { .. } => {
-                out.clear();
-                self.for_each_edge(|u, v| {
-                    out.insert(u, v);
-                });
-            }
-        }
-    }
 }
 
 impl LinkRows for RealizedRows<'_> {
@@ -507,8 +493,9 @@ impl LinkRows for RealizedRows<'_> {
             RealizedInner::Dense(realized) => realized.scan_in(v, from, f),
             RealizedInner::Sparse {
                 links,
-                classes,
                 honest,
+                active,
+                unconditional,
                 crash,
                 t,
             } => {
@@ -519,16 +506,46 @@ impl LinkRows for RealizedRows<'_> {
                     return None;
                 }
                 links.scan_in(v, from, |u| {
-                    let delivered = match classes[u.index()] {
-                        SenderClass::Present => true,
-                        SenderClass::Partial => crash.delivers(u, *t, v),
-                        SenderClass::Silent => false,
-                        SenderClass::Byzantine => {
-                            unreachable!("sparse runs exclude Byzantine nodes")
-                        }
-                    };
+                    let delivered = unconditional.contains(u)
+                        || (active.contains(u) && crash.delivers(u, *t, v));
                     !delivered || f(u)
                 })
+            }
+        }
+    }
+
+    /// The realized row by words, never by links: dense rows hand out
+    /// their words; sparse rows the link plane's chunks `∧` the Present
+    /// senders, plus the round's Partial senders in the chunk — a handful
+    /// at most — asked one by one whether their link to `v` survived.
+    #[inline]
+    fn scan_words_in(&self, v: NodeId, mut f: impl FnMut(usize, u64) -> bool) {
+        match &self.0 {
+            RealizedInner::Dense(realized) => realized.scan_words_in(v, f),
+            RealizedInner::Sparse {
+                links,
+                honest,
+                active,
+                unconditional,
+                crash,
+                t,
+            } => {
+                if !honest.contains(v) {
+                    return;
+                }
+                let (active, present) = (active.words(), unconditional.words());
+                links.scan_words_in(v, |w, bits| {
+                    let mut delivered = bits & present[w];
+                    let mut partial = bits & active[w] & !present[w];
+                    while partial != 0 {
+                        let b = partial.trailing_zeros() as usize;
+                        partial &= partial - 1;
+                        if crash.delivers(NodeId::new(w * 64 + b), *t, v) {
+                            delivered |= 1 << b;
+                        }
+                    }
+                    delivered == 0 || f(w, delivered)
+                });
             }
         }
     }
@@ -539,7 +556,10 @@ impl LinkRows for RealizedRows<'_> {
             RealizedInner::Dense(realized) => realized.in_degree(v),
             RealizedInner::Sparse { .. } => {
                 let mut c = 0;
-                self.for_each_in(v, |_| c += 1);
+                self.scan_words_in(v, |_, bits| {
+                    c += bits.count_ones() as usize;
+                    true
+                });
                 c
             }
         }
@@ -842,8 +862,9 @@ impl Simulation {
         match self.links.as_ref() {
             Some(links) => RealizedRows(RealizedInner::Sparse {
                 links,
-                classes: &self.buffers.classes,
                 honest: &self.buffers.honest,
+                active: &self.buffers.active,
+                unconditional: &self.buffers.unconditional,
                 crash: &self.crash,
                 t: Round::new(self.round.as_u64().saturating_sub(1)),
             }),

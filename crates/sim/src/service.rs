@@ -33,8 +33,11 @@
 //! materialize dense rows for the watchdog. The default `T = 1` window
 //! reads degrees straight off the view; `T ≥ 2` windows
 //! ([`ServiceRun::dyna_window`]) track the union incrementally across
-//! instance boundaries with a sliding [`WindowUnion`] — no full schedule
-//! recording, no rescans.
+//! instance boundaries with a [`SlidingUnion`] — Definition 1's windowed
+//! union on `T + 1` bit slabs, one push per executed round, words and
+//! never links: no full schedule recording, no rescans, no per-link
+//! counters, and the same structure the offline checker pushes a
+//! recording through.
 //!
 //! Each instance is **byte-identical** to a standalone run given the same
 //! membership slice, inputs, and adversary instance stream (fuzzed in
@@ -42,7 +45,7 @@
 //! strategies reseed per instance through their `begin_instance` hooks.
 
 use adn_faults::ChurnPlan;
-use adn_graph::{EdgeSet, LinkRows, NodeSet, WindowUnion};
+use adn_graph::{LinkRows, NodeSet, SlidingUnion};
 use adn_types::{NodeId, Round, Value, ValueInterval};
 
 use crate::builder::SimBuilder;
@@ -182,24 +185,19 @@ pub struct ServiceRun {
 
 /// The dynaDegree watchdog's window state. Both shapes read the executed
 /// round through [`Simulation::realized_rows`] — the dense/sparse-agnostic
-/// `LinkRows` view — so neither forces dense link materialization.
+/// `LinkRows` view — a word at a time, so neither forces dense link
+/// materialization or touches a link on its own.
 #[derive(Debug)]
 enum Watchdog {
     /// `T = 1` (the default): the window *is* the current round, so the
-    /// min degree is read straight off the realized view — no ring, no
-    /// union, no retained edge sets.
+    /// min degree is read straight off the realized view — no union, no
+    /// retained rounds.
     Single,
-    /// `T ≥ 2`: a sliding union over the last `T` realized rounds,
-    /// persisting across instance boundaries.
-    Windowed {
-        /// Incremental union of the ring's rounds.
-        window: WindowUnion,
-        /// Ring of the window's round edge sets (needed to pop the
-        /// oldest).
-        ring: Vec<EdgeSet>,
-        head: usize,
-        len: usize,
-    },
+    /// `T ≥ 2`: Definition 1's union over the last `T` realized rounds,
+    /// persisting across instance boundaries — `T + 1` bit slabs of
+    /// `n · ⌈n/64⌉` words, all of it allocated by
+    /// [`ServiceRun::dyna_window`].
+    Windowed { window: SlidingUnion },
 }
 
 impl ServiceRun {
@@ -259,9 +257,11 @@ impl ServiceRun {
 
     /// Sets the watchdog's dynaDegree window to `t_window` rounds
     /// (default 1). Call before the first instance: resizing resets the
-    /// window's contents. `t_window = 1` keeps the ringless fast path
+    /// window's contents. `t_window = 1` keeps the stateless fast path
     /// (degrees read straight off the realized view); larger windows
-    /// retain the last `t_window` rounds as edge sets.
+    /// allocate `t_window + 1` bit slabs of `n · ⌈n/64⌉` words here — all
+    /// the watchdog ever holds — and slide them a word at a time
+    /// ([`SlidingUnion`]).
     ///
     /// # Panics
     ///
@@ -273,10 +273,7 @@ impl ServiceRun {
             Watchdog::Single
         } else {
             Watchdog::Windowed {
-                window: WindowUnion::new(n),
-                ring: (0..t_window).map(|_| EdgeSet::empty(n)).collect(),
-                head: 0,
-                len: 0,
+                window: SlidingUnion::new(n, t_window),
             }
         };
         self
@@ -399,27 +396,9 @@ impl ServiceRun {
         } = self;
         match watchdog {
             Watchdog::Single => sim.realized_rows().min_in_degree_over_set(honest_set),
-            Watchdog::Windowed {
-                window,
-                ring,
-                head,
-                len,
-            } => {
-                let t_window = ring.len();
-                let slot = &mut ring[*head];
-                if *len == t_window {
-                    window.pop(slot);
-                } else {
-                    *len += 1;
-                }
-                sim.realized_rows().copy_into(slot);
-                window.push(slot);
-                *head = (*head + 1) % t_window;
-                if *len == t_window {
-                    window.min_degree_over(honest_set)
-                } else {
-                    None
-                }
+            Watchdog::Windowed { window } => {
+                window.push_rows(&sim.realized_rows());
+                window.min_degree_over(honest_set)
             }
         }
     }

@@ -56,7 +56,7 @@ pub mod prelude {
     pub use adn_adversary::{Adversary, AdversarySpec};
     pub use adn_core::{Algorithm, Dac, Dbac, DbacPiggyback};
     pub use adn_faults::{ByzantineStrategy, ChurnPlan, CrashSchedule, CrashSurvivors, DownKind};
-    pub use adn_graph::{checker, EdgeSet, NodeSet, Schedule, WindowUnion};
+    pub use adn_graph::{checker, EdgeSet, NodeSet, Schedule, SlidingUnion, WindowUnion};
     pub use adn_net::PortNumbering;
     pub use adn_sim::workload::InputStream;
     pub use adn_sim::{

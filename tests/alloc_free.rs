@@ -8,7 +8,9 @@
 //! on for analysis runs). The same counter pins every adversary in the
 //! gallery — each one fills the reused edge set in place — and the
 //! sliding-window dynaDegree checker: once its `WindowUnion` scratch
-//! exists, a full sweep across a recording allocates nothing.
+//! exists, a full sweep across a recording allocates nothing — and a
+//! windowed service watchdog asks for its `T + 1` bit slabs at build and
+//! for nothing after.
 //!
 //! This file contains exactly one `#[test]` so no concurrent test can
 //! pollute the allocation counter. The counter is split by thread class —
@@ -647,7 +649,7 @@ fn steady_state_step_performs_zero_allocations() {
         DownKind::Abrupt,
         Round::new(1_000),
     );
-    let mut service = ServiceRun::new(
+    let service = ServiceRun::new(
         Simulation::builder(params)
             .inputs_random(1)
             .algorithm(factories::dac(params))
@@ -655,8 +657,19 @@ fn steady_state_step_performs_zero_allocations() {
             .max_rounds(50),
         churn,
         InputStream::random(5),
-    )
-    .dyna_window(2);
+    );
+    // All the windowed watchdog ever holds is asked for here: T + 1 bit
+    // slabs of n · ⌈n/64⌉ words (a per-link counter table would be 4 · n²
+    // bytes, and a ring of T edge sets besides).
+    let t_window = 2;
+    let before = BYTES_REQUESTED.load(Ordering::Relaxed);
+    let mut service = service.dyna_window(t_window);
+    let requested = BYTES_REQUESTED.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        requested,
+        (t_window + 1) * n * n.div_ceil(64) * 8,
+        "service/n256: dyna_window({t_window}) asks for T + 1 slabs, no more"
+    );
     for _ in 0..4 {
         service.run_instance();
     }
@@ -674,8 +687,9 @@ fn steady_state_step_performs_zero_allocations() {
 
     // --- The sliding-window dynaDegree checker. Setup (the recording,
     // the WindowUnion scratch, the honest set) allocates; the sweep
-    // itself — push/pop word walks plus per-window degree reads — must
-    // not, no matter the window length. ---
+    // itself — slab pushes (or, past 64 rounds, push/pop counter walks)
+    // plus per-window degree reads — must not, no matter the window
+    // length. ---
     let n = 48;
     let mut rng = SplitMix64::new(7);
     let mut schedule = Schedule::new(n);
@@ -684,13 +698,14 @@ fn steady_state_step_performs_zero_allocations() {
     }
     let honest = checker::honest_set(n, &[NodeId::new(5)]);
     let mut scratch = WindowUnion::new(n);
-    // Warmup grows the suffix scratch to the widest window measured below
-    // (and exercises the counter fallback once); after that, sweeps of any
-    // narrower window reuse it allocation-free.
+    // Warmup grows the slab scratch to the widest window measured below
+    // (and exercises the counter fallback once, which is what allocates
+    // the counter table); after that, sweeps of any narrower window reuse
+    // both allocation-free.
     let warm = checker::max_dyna_degree_into(&mut scratch, &schedule, 32, &honest);
     checker::max_dyna_degree_into(&mut scratch, &schedule, 100, &honest);
     let window = Window::open();
-    // Covers both scan paths: block decomposition (T ≤ 64) and the
+    // Covers both scan paths: the `SlidingUnion` slabs (T ≤ 64) and the
     // counter-slide fallback (T = 100).
     for t_window in [1usize, 8, 32, 100] {
         let got = checker::max_dyna_degree_into(&mut scratch, &schedule, t_window, &honest);
@@ -701,5 +716,25 @@ fn steady_state_step_performs_zero_allocations() {
         checker::max_dyna_degree_into(&mut scratch, &schedule, 32, &honest),
         warm,
         "checker must be deterministic across scratch reuse"
+    );
+    // A one-shot verdict builds its scratch per call, so what it asks for
+    // is the (T + 1) bit slabs it slides — (T + 1) · n²/8 bytes — and not
+    // the 4 · n² bytes of a counter table that only the > 64-round
+    // fallback and the connectivity checker read (1 GiB at n = 16 384).
+    let (n, t_window) = (256, 8);
+    let mut schedule = Schedule::new(n);
+    for _ in 0..t_window + 2 {
+        schedule.push(generators::gnp(n, 0.1, &mut rng));
+    }
+    let before = BYTES_REQUESTED.load(Ordering::Relaxed);
+    let got = checker::max_dyna_degree(&schedule, t_window, &[]);
+    let requested = BYTES_REQUESTED.load(Ordering::Relaxed) - before;
+    assert!(got.is_some());
+    assert!(
+        requested < (t_window + 2) * n * n / 8 && requested < 4 * n * n,
+        "max_dyna_degree at n = {n}, T = {t_window} requested {requested} bytes; its slabs \
+         are {}, a counter table {}",
+        (t_window + 1) * n * n / 8,
+        4 * n * n
     );
 }
