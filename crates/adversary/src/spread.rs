@@ -83,7 +83,6 @@ impl Spread {
     /// no-alloc fill.
     fn ensure_heard(&mut self, n: usize) {
         if self.heard.len() != n {
-            // audit: allow(alloc-reach) — the one allocation of the adversary's lifetime; every later round takes the len-equal fast path
             self.heard = (0..n).map(|_| NodeSet::new(n)).collect();
         }
     }

@@ -1,5 +1,4 @@
-//! The lint engine: per-file invariant passes plus the workspace-level
-//! graph passes.
+//! The lint engine: five per-file passes over the token stream.
 //!
 //! Rules are keyed by repo-relative path (forward slashes):
 //!
@@ -13,27 +12,19 @@
 //!   allowlist, each `unsafe` block/impl needs an adjacent `// SAFETY:`
 //!   note, and every crate root must carry `#![forbid(unsafe_code)]`.
 //! * **no-alloc** / **no-panic** — apply inside `// audit: no-alloc`
-//!   regions (the annotation binds to the next braced block) and inside
-//!   the bodies of `// audit: no-alloc-fn` contract functions.
-//! * **alloc-reach** / **panic-reach** — the interprocedural extension:
-//!   every function transitively reachable from a region through the
-//!   workspace call graph (see [`crate::graph`]) is scanned for the same
-//!   banned constructs. Functions carrying a `no-alloc-fn` contract are
-//!   trusted at their call sites and checked at their own definitions.
-//! * **layering** — `use adn_*` statements must respect the crate DAG
-//!   (types → graph/net/faults → adversary/core → sim → bench, with
-//!   analysis and audit dependency-free), and `std::thread`/`std::sync`
-//!   are confined to adn-sim's `pool.rs`.
+//!   regions (the annotation binds to the next braced block). What a
+//!   region's callees allocate is `tests/alloc_free.rs`'s to measure.
+//! * **threading** — `std::thread`/`std::sync`, as inline paths or inside
+//!   `use std::{…}` groups, are confined to adn-sim's `pool.rs` within the
+//!   same eight crates. (Which crate may name which is cargo's to enforce:
+//!   a crate cannot use an undeclared dependency, and cycles are rejected.)
 //!
 //! Suppressions: `// audit: allow(<lint>) — <justification>` silences
 //! `<lint>` on the comment's own line and the next code line. A missing
 //! justification or unknown lint is itself a finding (lint name
 //! `annotation`) and suppresses nothing.
 
-use crate::graph::{self, BannedKind, GraphFile};
 use crate::lexer::{self, Comment, Lexed, Tok, TokKind};
-use crate::parse::{self, FileAst};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -41,18 +32,16 @@ use std::path::Path;
 
 /// The suppressible lints. (`annotation` findings — malformed audit
 /// comments — are deliberately not suppressible.)
-pub const LINTS: [&str; 7] = [
+pub const LINTS: [&str; 5] = [
     "determinism",
     "unsafety",
     "no-alloc",
     "no-panic",
-    "alloc-reach",
-    "panic-reach",
-    "layering",
+    "threading",
 ];
 
-/// Library source of the deterministic stack: the determinism lint's
-/// scope and the symbol graph's scope.
+/// Library source of the deterministic stack: the scope of the
+/// determinism and threading lints.
 const DETERMINISM_SCOPES: [&str; 8] = [
     "crates/types/src/",
     "crates/graph/src/",
@@ -77,62 +66,10 @@ fn is_crate_root(rel: &str) -> bool {
     rel == "src/lib.rs" || member.is_some_and(|name| !name.contains('/'))
 }
 
-/// The normative crate DAG, as `(source prefix, allowed adn_* deps)`.
-/// A `use adn_x::…` in a file under a listed prefix must name an allowed
-/// dep. `crates/bench`, `tests/`, and `examples/` may use everything and
-/// are not listed.
-const LAYERING: [(&str, &[&str]); 11] = [
-    ("crates/types/src/", &[]),
-    ("crates/graph/src/", &["adn_types"]),
-    ("crates/faults/src/", &["adn_types"]),
-    ("crates/net/src/", &["adn_types", "adn_graph"]),
-    ("crates/adversary/src/", &["adn_types", "adn_graph"]),
-    ("crates/core/src/", &["adn_types", "adn_graph"]),
-    ("crates/analysis/src/", &[]),
-    (
-        "crates/sim/src/",
-        &[
-            "adn_types",
-            "adn_graph",
-            "adn_adversary",
-            "adn_faults",
-            "adn_net",
-            "adn_core",
-        ],
-    ),
-    ("crates/audit/src/", &[]),
-    (
-        "crates/bench/src/",
-        &[
-            "adn_types",
-            "adn_graph",
-            "adn_adversary",
-            "adn_faults",
-            "adn_net",
-            "adn_core",
-            "adn_sim",
-            "adn_analysis",
-        ],
-    ),
-    (
-        "src/",
-        &[
-            "adn_types",
-            "adn_graph",
-            "adn_adversary",
-            "adn_faults",
-            "adn_net",
-            "adn_core",
-            "adn_sim",
-            "adn_analysis",
-        ],
-    ),
-];
-
 /// The one file that owns threading: the `TrialPool` (across-trial
 /// parallelism) and the scoped fan-out of a sharded round's delivery.
 /// `std::thread` and `std::sync` in any other library-crate file is a
-/// layering finding.
+/// threading finding.
 const THREADING_ALLOWLIST: [&str; 1] = ["crates/sim/src/pool.rs"];
 
 /// One finding, rendered as `file:line: lint-name: message`.
@@ -163,109 +100,40 @@ fn diag(file: &str, line: u32, lint: &'static str, message: String) -> Diagnosti
     }
 }
 
-/// Audits one file's source in isolation. `rel` is the repo-relative
-/// path with `/` separators; it selects which rules apply. Workspace
-/// passes (the call graph) see only this one file — cross-file edges
-/// need [`audit_files`] or [`audit_workspace`].
+/// Audits one file's source. `rel` is the repo-relative path with `/`
+/// separators; it selects which rules apply. Output is sorted by line.
 pub fn audit_source(rel: &str, src: &str) -> Vec<Diagnostic> {
-    audit_files(&[(rel.to_string(), src.to_string())])
+    let lexed = lexer::lex(src);
+    let test_spans = cfg_test_spans(src, &lexed.toks);
+    let ann = collect_annotations(rel, src, &lexed);
+    let library = DETERMINISM_SCOPES.iter().any(|pre| rel.starts_with(pre));
+    let mut diags = ann.errors.clone();
+    if library {
+        determinism_pass(rel, src, &lexed.toks, &test_spans, &mut diags);
+    }
+    unsafety_pass(rel, src, &lexed, &mut diags);
+    crate_root_pass(rel, src, &lexed.toks, &mut diags);
+    for &region in &ann.no_alloc_regions {
+        region_pass(rel, src, &lexed.toks, region, &mut diags);
+    }
+    if library && !THREADING_ALLOWLIST.contains(&rel) {
+        threading_pass(rel, src, &lexed.toks, &test_spans, &mut diags);
+    }
+    // The sort is stable, so same-line findings keep pass order
+    // (annotation errors first).
+    diags.retain(|d| !ann.suppressed(d.lint, d.line));
+    diags.sort_by_key(|d| d.line);
+    diags
 }
 
-/// Audits a set of files as one workspace: every per-file pass, then the
-/// symbol-graph passes over the library-crate subset. Files must be
-/// `(repo-relative path, source)` pairs; output is sorted by
-/// `(file, line)` and byte-deterministic for a given input set. A
-/// `crates/<dir>/Cargo.toml` entry is not audited itself: its `adn-*`
-/// `[dependencies]` bound which crates a call from `<dir>` can widen to
-/// (a crate without one widens everywhere).
+/// Audits a set of `(repo-relative path, source)` files, each on its own;
+/// output is sorted by `(file, line)` and byte-deterministic for a given
+/// input set.
 pub fn audit_files(files: &[(String, String)]) -> Vec<Diagnostic> {
-    let is_manifest = |rel: &str| rel.ends_with("Cargo.toml");
-    let deps = crate_deps(files.iter().filter(|(rel, _)| is_manifest(rel)));
-    let files: Vec<&(String, String)> = files.iter().filter(|(rel, _)| !is_manifest(rel)).collect();
-    struct Prep {
-        lexed: Lexed,
-        test_spans: Vec<(u32, u32)>,
-        ann: Annotations,
-        ast: FileAst,
-    }
-    let mut preps = Vec::with_capacity(files.len());
-    for (rel, src) in &files {
-        let lexed = lexer::lex(src);
-        let test_spans = cfg_test_spans(src, &lexed.toks);
-        let ann = collect_annotations(rel, src, &lexed);
-        let ast = parse::parse(src, &lexed, &test_spans);
-        preps.push(Prep {
-            lexed,
-            test_spans,
-            ann,
-            ast,
-        });
-    }
-
-    let mut diags = Vec::new();
-    for ((rel, src), p) in files.iter().zip(&preps) {
-        diags.extend(p.ann.errors.iter().cloned());
-        if DETERMINISM_SCOPES.iter().any(|pre| rel.starts_with(pre)) {
-            determinism_pass(rel, src, &p.lexed.toks, &p.test_spans, &mut diags);
-        }
-        unsafety_pass(rel, src, &p.lexed, &mut diags);
-        crate_root_pass(rel, src, &p.lexed.toks, &mut diags);
-        for &region in p.ann.no_alloc_regions.iter().chain(&p.ann.contract_regions) {
-            region_pass(rel, src, &p.lexed.toks, region, &mut diags);
-        }
-        layering_pass(
-            rel,
-            src,
-            p.ast.uses.as_slice(),
-            &p.lexed.toks,
-            &p.test_spans,
-            &mut diags,
-        );
-    }
-
-    // Workspace passes over the library-crate subset.
-    let mut gfiles = Vec::new();
-    for ((rel, src), p) in files.iter().zip(&preps) {
-        let Some(crate_dir) = rel
-            .strip_prefix("crates/")
-            .and_then(|r| r.split('/').next())
-        else {
-            continue;
-        };
-        if !DETERMINISM_SCOPES.iter().any(|pre| rel.starts_with(pre)) {
-            continue;
-        }
-        gfiles.push(GraphFile {
-            rel,
-            src,
-            lexed: &p.lexed,
-            ast: &p.ast,
-            crate_name: format!("adn_{crate_dir}"),
-            no_alloc_regions: &p.ann.no_alloc_regions,
-            contract_regions: &p.ann.contract_regions,
-        });
-    }
-    for finding in graph::reach_pass(&gfiles, &deps) {
-        let lint = match finding.kind {
-            BannedKind::Alloc => "alloc-reach",
-            BannedKind::Panic => "panic-reach",
-        };
-        diags.push(diag(&finding.file, finding.line, lint, finding.message));
-    }
-
-    // Suppressions, then the deterministic output order. The sort is
-    // stable, so same-line findings keep pass order (annotation errors
-    // first, graph findings last).
-    let ann_by_file: BTreeMap<&str, &Annotations> = files
+    let mut diags: Vec<Diagnostic> = files
         .iter()
-        .zip(&preps)
-        .map(|((rel, _), p)| (rel.as_str(), &p.ann))
+        .flat_map(|(rel, src)| audit_source(rel, src))
         .collect();
-    diags.retain(|d| {
-        ann_by_file
-            .get(d.file.as_str())
-            .is_none_or(|ann| !ann.suppressed(d.lint, d.line))
-    });
     diags.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
     diags
 }
@@ -291,9 +159,6 @@ pub fn audit_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
         if path.is_dir() {
             collect_rs_files(root, &path, &mut files)?;
         }
-        if path.join("Cargo.toml").is_file() {
-            files.push(format!("{dir}/Cargo.toml"));
-        }
     }
     files.sort();
     files.dedup();
@@ -303,50 +168,6 @@ pub fn audit_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
         loaded.push((rel, src));
     }
     Ok(audit_files(&loaded))
-}
-
-/// Reads the `crates/<dir>/Cargo.toml` manifests among `manifests` into
-/// `adn_<dir>` → every `adn_*` crate it depends on, transitively
-/// (`[dependencies]` only: dev-dependencies never reach library code).
-fn crate_deps<'a>(manifests: impl Iterator<Item = &'a (String, String)>) -> graph::CrateDeps {
-    let mut deps = graph::CrateDeps::new();
-    for (rel, manifest) in manifests {
-        let Some(dir) = rel
-            .strip_prefix("crates/")
-            .and_then(|r| r.strip_suffix("/Cargo.toml"))
-        else {
-            continue;
-        };
-        let section = manifest
-            .split("\n[")
-            .find_map(|s| s.strip_prefix("dependencies]"))
-            .unwrap_or("");
-        let direct = section
-            .lines()
-            .filter_map(|l| l.trim().split(['.', ' ', '=']).next())
-            .filter(|key| key.starts_with("adn-"))
-            .map(|key| key.replace('-', "_"));
-        deps.insert(format!("adn_{dir}"), direct.collect());
-    }
-    // Transitive closure; the crate graph is tiny.
-    loop {
-        let mut grown = false;
-        for name in deps.keys().cloned().collect::<Vec<_>>() {
-            let reach: Vec<String> = deps[&name]
-                .iter()
-                .filter_map(|d| deps.get(d))
-                .flatten()
-                .cloned()
-                .collect();
-            let own = deps.get_mut(&name).expect("key just listed");
-            for r in reach {
-                grown |= own.insert(r);
-            }
-        }
-        if !grown {
-            return deps;
-        }
-    }
 }
 
 /// Extracts the `members = […]` entries from a workspace manifest.
@@ -391,53 +212,12 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Resul
     Ok(())
 }
 
-/// Renders diagnostics as a machine-readable JSON report (the CLI's
-/// `--json` mode). Schema: `{"findings": [{"file", "line", "lint",
-/// "message"}], "count": N}`.
-pub fn json_report(diags: &[Diagnostic]) -> String {
-    let mut out = String::from("{\"findings\":[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"file\":\"{}\",\"line\":{},\"lint\":\"{}\",\"message\":\"{}\"}}",
-            json_escape(&d.file),
-            d.line,
-            d.lint,
-            json_escape(&d.message)
-        ));
-    }
-    out.push_str(&format!("],\"count\":{}}}", diags.len()));
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
-// Annotations: `// audit: no-alloc` / `// audit: no-alloc-fn` regions and
-// `// audit: allow(...)`.
+// Annotations: `// audit: no-alloc` regions and `// audit: allow(...)`.
 
 struct Annotations {
-    /// Token index ranges `(open_brace, close_brace)` of no-alloc block
-    /// regions.
+    /// Token index ranges `(open_brace, close_brace)` of no-alloc regions.
     no_alloc_regions: Vec<(usize, usize)>,
-    /// Body ranges of `// audit: no-alloc-fn` contract functions.
-    contract_regions: Vec<(usize, usize)>,
     /// `(lint, line)` pairs a well-formed allow comment suppresses.
     allows: Vec<(String, u32)>,
     /// Malformed audit comments — always reported, never suppressible.
@@ -453,7 +233,6 @@ impl Annotations {
 fn collect_annotations(rel: &str, src: &str, lexed: &Lexed) -> Annotations {
     let mut out = Annotations {
         no_alloc_regions: Vec::new(),
-        contract_regions: Vec::new(),
         allows: Vec::new(),
         errors: Vec::new(),
     };
@@ -464,15 +243,8 @@ fn collect_annotations(rel: &str, src: &str, lexed: &Lexed) -> Annotations {
         };
         let rest = rest.trim();
         if rest == "no-alloc" {
-            match bind_region(src, &lexed.toks, c, false) {
+            match bind_region(&lexed.toks, c) {
                 Ok(region) => out.no_alloc_regions.push(region),
-                Err(msg) => out
-                    .errors
-                    .push(diag(rel, c.first_line, "annotation", msg.to_string())),
-            }
-        } else if rest == "no-alloc-fn" {
-            match bind_region(src, &lexed.toks, c, true) {
-                Ok(region) => out.contract_regions.push(region),
                 Err(msg) => out
                     .errors
                     .push(diag(rel, c.first_line, "annotation", msg.to_string())),
@@ -519,34 +291,22 @@ fn collect_annotations(rel: &str, src: &str, lexed: &Lexed) -> Annotations {
                 rel,
                 c.first_line,
                 "annotation",
-                format!("unrecognized audit directive `{rest}` (expected `no-alloc`, `no-alloc-fn`, or `allow(<lint>) — why`)"),
+                format!("unrecognized audit directive `{rest}` (expected `no-alloc` or `allow(<lint>) — why`)"),
             ));
         }
     }
     out
 }
 
-/// Binds a `no-alloc`/`no-alloc-fn` annotation to the next braced block:
-/// the first `{` after the comment, matched to its closing `}`. A `;`
-/// outside any parens/brackets before that `{` means the annotation
-/// precedes a non-block item — an error. With `require_fn`, an ident
-/// `fn` must additionally appear before the brace (the contract form
-/// binds to a function definition, not an arbitrary block).
-fn bind_region(
-    src: &str,
-    toks: &[Tok],
-    c: &Comment,
-    require_fn: bool,
-) -> Result<(usize, usize), String> {
-    let which = if require_fn {
-        "no-alloc-fn"
-    } else {
-        "no-alloc"
-    };
+/// Binds a `no-alloc` annotation to the next braced block: the first `{`
+/// after the comment, matched to its closing `}`. A `;` outside any
+/// parens/brackets before that `{` means the annotation precedes a
+/// non-block item — an error.
+fn bind_region(toks: &[Tok], c: &Comment) -> Result<(usize, usize), &'static str> {
     let start = toks
         .iter()
         .position(|t| t.line > c.last_line || (t.line == c.last_line && t.start >= c.end))
-        .ok_or_else(|| format!("`audit: {which}` is not followed by any code"))?;
+        .ok_or("`audit: no-alloc` is not followed by any code")?;
     let mut wrap = 0i32;
     let mut open = None;
     for (i, t) in toks.iter().enumerate().skip(start) {
@@ -558,20 +318,12 @@ fn bind_region(
                 break;
             }
             TokKind::Punct(b';') if wrap == 0 => {
-                return Err(format!(
-                    "`audit: {which}` must precede a braced block, found `;` first"
-                ));
+                return Err("`audit: no-alloc` must precede a braced block, found `;` first");
             }
             _ => {}
         }
     }
-    let open = open.ok_or_else(|| format!("`audit: {which}` is not followed by a braced block"))?;
-    if require_fn && !toks[start..open].iter().any(|t| t.is_ident(src, "fn")) {
-        return Err(
-            "`audit: no-alloc-fn` must precede a function definition (no `fn` before the block)"
-                .to_string(),
-        );
-    }
+    let open = open.ok_or("`audit: no-alloc` is not followed by a braced block")?;
     let mut braces = 0i32;
     for (i, t) in toks.iter().enumerate().skip(open) {
         match t.kind {
@@ -624,6 +376,10 @@ fn cfg_test_spans(src: &str, toks: &[Tok]) -> Vec<(u32, u32)> {
         }
     }
     spans
+}
+
+fn in_spans(spans: &[(u32, u32)], line: u32) -> bool {
+    spans.iter().any(|&(a, b)| a <= line && line <= b)
 }
 
 /// Index of the `]` matching the `[` at `open_idx` (or `toks.len()` if
@@ -688,9 +444,8 @@ fn determinism_pass(
     test_spans: &[(u32, u32)],
     diags: &mut Vec<Diagnostic>,
 ) {
-    let exempt = |line: u32| test_spans.iter().any(|&(a, b)| a <= line && line <= b);
     for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || exempt(t.line) {
+        if t.kind != TokKind::Ident || in_spans(test_spans, t.line) {
             continue;
         }
         let word = t.text(src);
@@ -823,8 +578,32 @@ fn crate_root_pass(rel: &str, src: &str, toks: &[Tok], diags: &mut Vec<Diagnosti
 }
 
 // ---------------------------------------------------------------------------
-// Passes 4+5: no-alloc / no-panic inside annotated regions (both the
-// block form and `no-alloc-fn` contract bodies).
+// Passes 4+5: no-alloc / no-panic inside annotated regions.
+
+/// Classifies the token at `i` as a banned construct: `(lint, display
+/// name)`. Slice indexing and `assert!` stay allowed — they are the plane
+/// idiom.
+fn classify_banned(toks: &[Tok], src: &str, i: usize) -> Option<(&'static str, &'static str)> {
+    let t = &toks[i];
+    if t.kind != TokKind::Ident {
+        return None;
+    }
+    let bang = toks.get(i + 1).is_some_and(|n| n.is_punct(b'!'));
+    Some(match t.text(src) {
+        "collect" => ("no-alloc", "collect"),
+        "to_vec" => ("no-alloc", "to_vec"),
+        "clone" => ("no-alloc", "clone"),
+        "vec" if bang => ("no-alloc", "vec!"),
+        "format" if bang => ("no-alloc", "format!"),
+        "Vec" if path_seg(toks, src, i, "new") => ("no-alloc", "Vec::new"),
+        "Box" if path_seg(toks, src, i, "new") => ("no-alloc", "Box::new"),
+        "String" if path_seg(toks, src, i, "from") => ("no-alloc", "String::from"),
+        "unwrap" => ("no-panic", "unwrap"),
+        "expect" => ("no-panic", "expect"),
+        "panic" if bang => ("no-panic", "panic!"),
+        _ => return None,
+    })
+}
 
 fn region_pass(
     rel: &str,
@@ -833,130 +612,87 @@ fn region_pass(
     (open, close): (usize, usize),
     diags: &mut Vec<Diagnostic>,
 ) {
-    if toks.is_empty() {
-        return;
-    }
-    for i in open..=close.min(toks.len() - 1) {
-        let Some(b) = graph::classify_banned(toks, src, i) else {
+    for i in open..=close.min(toks.len().saturating_sub(1)) {
+        let Some((lint, c)) = classify_banned(toks, src, i) else {
             continue;
         };
-        match (b.kind, b.construct) {
-            (BannedKind::Alloc, c) => diags.push(diag(
-                rel,
-                b.line,
-                "no-alloc",
-                format!("`{c}` allocates inside a `// audit: no-alloc` region"),
-            )),
-            (BannedKind::Panic, "panic!") => diags.push(diag(
-                rel,
-                b.line,
-                "no-panic",
-                "`panic!` inside a `// audit: no-alloc` region".to_string(),
-            )),
-            (BannedKind::Panic, c) => diags.push(diag(
-                rel,
-                b.line,
-                "no-panic",
-                format!(
-                    "`{c}` may panic inside a `// audit: no-alloc` region; handle the case or `audit: allow(no-panic)` it with a justification"
-                ),
-            )),
-        }
+        let message = match (lint, c) {
+            ("no-alloc", _) => format!("`{c}` allocates inside a `// audit: no-alloc` region"),
+            (_, "panic!") => "`panic!` inside a `// audit: no-alloc` region".to_string(),
+            _ => format!(
+                "`{c}` may panic inside a `// audit: no-alloc` region; handle the case or `audit: allow(no-panic)` it with a justification"
+            ),
+        };
+        diags.push(diag(rel, toks[i].line, lint, message));
     }
 }
 
 // ---------------------------------------------------------------------------
-// Pass 6: layering — the crate DAG and the threading allowlist.
+// Pass 6: threading — `std::thread`/`std::sync` outside the pool file.
 
-fn layering_pass(
+fn threading_pass(
     rel: &str,
     src: &str,
-    uses: &[parse::UseItem],
     toks: &[Tok],
     test_spans: &[(u32, u32)],
     diags: &mut Vec<Diagnostic>,
 ) {
-    let exempt = |line: u32| test_spans.iter().any(|&(a, b)| a <= line && line <= b);
-    // A crate's own bins/tests may always use their own lib by name.
-    let own = rel
-        .strip_prefix("crates/")
-        .and_then(|r| r.split('/').next())
-        .map(|dir| format!("adn_{dir}"));
-    let scope = LAYERING.iter().find(|(pre, _)| rel.starts_with(pre));
-    if let Some((_, allowed)) = scope {
-        // One finding per (line, crate), however many leaves the use
-        // tree flattens to.
-        let mut seen: std::collections::BTreeSet<(u32, &str)> = std::collections::BTreeSet::new();
-        for u in uses {
-            let Some(first) = u.segs.first() else {
-                continue;
-            };
-            if !first.starts_with("adn_") || exempt(u.line) {
-                continue;
-            }
-            if own.as_deref() == Some(first.as_str()) {
-                continue;
-            }
-            if !allowed.contains(&first.as_str()) && seen.insert((u.line, first.as_str())) {
-                diags.push(diag(
-                    rel,
-                    u.line,
-                    "layering",
-                    format!(
-                        "`use {first}` inverts the crate DAG (allowed here: {}); the layering is types → graph/net/faults → adversary/core → sim → bench",
-                        if allowed.is_empty() {
-                            "none".to_string()
-                        } else {
-                            allowed.join(", ")
-                        }
-                    ),
-                ));
-            }
+    let module = |t: &Tok| {
+        if t.is_ident(src, "thread") {
+            Some("std::thread")
+        } else if t.is_ident(src, "sync") {
+            Some("std::sync")
+        } else {
+            None
         }
-    }
-
-    // Threading confinement: library crates only, minus the pool file.
-    if !DETERMINISM_SCOPES.iter().any(|pre| rel.starts_with(pre))
-        || THREADING_ALLOWLIST.contains(&rel)
-    {
-        return;
-    }
-    // One finding per (line, module): a use tree with several leaves —
-    // or a `use` whose tokens the inline scan also sees — flags once.
-    let mut flagged: std::collections::BTreeSet<(u32, &str)> = std::collections::BTreeSet::new();
-    let mut pending: Vec<(u32, &'static str)> = Vec::new();
-    for u in uses {
-        if u.segs.len() >= 2 && u.segs[0] == "std" && !exempt(u.line) {
-            match u.segs[1].as_str() {
-                "thread" => pending.push((u.line, "std::thread")),
-                "sync" => pending.push((u.line, "std::sync")),
-                _ => {}
-            }
-        }
-    }
-    // Inline qualified paths (`std::sync::Mutex::new(…)`) that bypass a
-    // `use` statement.
+    };
+    let mut found: Vec<(u32, &'static str)> = Vec::new();
     for (i, t) in toks.iter().enumerate() {
-        if t.is_ident(src, "std") && !exempt(t.line) {
-            if path_seg(toks, src, i, "thread") {
-                pending.push((t.line, "std::thread"));
-            } else if path_seg(toks, src, i, "sync") {
-                pending.push((t.line, "std::sync"));
+        if !t.is_ident(src, "std") || in_spans(test_spans, t.line) {
+            continue;
+        }
+        let (Some(c1), Some(c2), Some(next)) = (toks.get(i + 1), toks.get(i + 2), toks.get(i + 3))
+        else {
+            continue;
+        };
+        if !(c1.is_punct(b':') && c2.is_punct(b':')) {
+            continue;
+        }
+        if let Some(what) = module(next) {
+            // `std::sync::Mutex`, `use std::thread;`, `std::thread::scope(`.
+            found.push((next.line, what));
+        } else if next.is_punct(b'{') {
+            // `use std::{collections::BTreeMap, sync::{Arc, Mutex}};` — the
+            // heads of the group's top-level paths.
+            let mut depth = 0i32;
+            for (j, g) in toks.iter().enumerate().skip(i + 3) {
+                match g.kind {
+                    TokKind::Punct(b'{') => depth += 1,
+                    TokKind::Punct(b'}') => depth -= 1,
+                    _ => {}
+                }
+                if depth == 0 {
+                    break;
+                }
+                let head = toks[j - 1].is_punct(b'{') || toks[j - 1].is_punct(b',');
+                if let Some(what) = module(g).filter(|_| head && depth == 1) {
+                    found.push((g.line, what));
+                }
             }
         }
     }
-    pending.sort();
-    for (line, what) in pending {
-        if flagged.insert((line, what)) {
-            diags.push(diag(
-                rel,
-                line,
-                "layering",
-                format!(
-                    "`{what}` is confined to {} (the TrialPool and the shard fan-out)",
-                    THREADING_ALLOWLIST.join(" and ")
-                ),
-            ));
-        }
+    // One finding per (line, module), however often the line names it.
+    found.sort();
+    found.dedup();
+    for (line, what) in found {
+        diags.push(diag(
+            rel,
+            line,
+            "threading",
+            format!(
+                "`{what}` is confined to {} (the TrialPool and the shard fan-out)",
+                THREADING_ALLOWLIST.join(" and ")
+            ),
+        ));
     }
 }

@@ -1,59 +1,36 @@
 //! CLI for the workspace static-analysis pass.
 //!
 //! ```text
-//! cargo run --release -p adn-audit -- --workspace
+//! cargo run --release -p adn-audit -- --workspace [--github]
 //! ```
 //!
 //! Prints one `file:line: lint-name: message` diagnostic per finding and
 //! exits 1 if there are any (2 on usage or I/O errors). The workspace
-//! root defaults to this crate's grandparent directory, resolved at
-//! compile time, so the binary works from any current directory. Crates
-//! are discovered from the root `Cargo.toml` members list and walked in
-//! sorted path order, so the output is byte-identical across runs,
-//! platforms, and filesystems.
-//!
-//! Output modes:
-//!
-//! * default — human-readable `file:line: lint: message` lines
-//! * `--json` — one machine-readable JSON object (`{"findings": […],
-//!   "count": N}`) on stdout, for tooling
-//! * `--github` — GitHub Actions workflow annotations
-//!   (`::error file=…,line=…::…`) so CI failures show inline on the PR
+//! root is this crate's grandparent directory, resolved at compile time,
+//! so the binary works from any current directory. Crates are discovered
+//! from the root `Cargo.toml` members list and walked in sorted path
+//! order, so the output is byte-identical across runs, platforms, and
+//! filesystems. `--github` prints GitHub Actions workflow annotations
+//! (`::error file=…,line=…::…`) instead, so CI failures show inline on
+//! the PR.
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::ExitCode;
 
-enum Mode {
-    Human,
-    Json,
-    Github,
-}
-
 fn usage() {
-    eprintln!("usage: adn-audit --workspace [--root <dir>] [--json | --github]");
+    eprintln!("usage: adn-audit --workspace [--github]");
     eprintln!("  --workspace   audit every .rs file under the workspace root");
-    eprintln!("  --root <dir>  override the workspace root (default: the repo this binary was built from)");
-    eprintln!("  --json        emit findings as one JSON object on stdout");
     eprintln!("  --github      emit findings as GitHub Actions annotations");
 }
 
 fn main() -> ExitCode {
-    let mut root = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     let mut workspace = false;
-    let mut mode = Mode::Human;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    let mut github = false;
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--workspace" => workspace = true,
-            "--json" => mode = Mode::Json,
-            "--github" => mode = Mode::Github,
-            "--root" => match args.next() {
-                Some(p) => root = PathBuf::from(p),
-                None => {
-                    eprintln!("adn-audit: --root requires a path");
-                    return ExitCode::from(2);
-                }
-            },
+            "--github" => github = true,
             "--help" | "-h" => {
                 usage();
                 return ExitCode::SUCCESS;
@@ -69,26 +46,20 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::from(2);
     }
-    match adn_audit::audit_workspace(&root) {
+    match adn_audit::audit_workspace(root) {
         Err(err) => {
             eprintln!("adn-audit: {err}");
             ExitCode::from(2)
         }
         Ok(diags) => {
-            match mode {
-                Mode::Json => println!("{}", adn_audit::json_report(&diags)),
-                Mode::Github => {
-                    for d in &diags {
-                        // `::error` annotation values must stay on one line;
-                        // messages never contain newlines, but escape anyway.
-                        let msg = format!("{}: {}", d.lint, d.message).replace('\n', "%0A");
-                        println!("::error file={},line={}::{}", d.file, d.line, msg);
-                    }
-                }
-                Mode::Human => {
-                    for d in &diags {
-                        println!("{d}");
-                    }
+            for d in &diags {
+                if github {
+                    // `::error` annotation values must stay on one line;
+                    // messages never contain newlines, but escape anyway.
+                    let msg = format!("{}: {}", d.lint, d.message).replace('\n', "%0A");
+                    println!("::error file={},line={}::{}", d.file, d.line, msg);
+                } else {
+                    println!("{d}");
                 }
             }
             if diags.is_empty() {

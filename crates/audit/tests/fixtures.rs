@@ -390,7 +390,7 @@ fn f() {
     assert_eq!(
         lines(&diags),
         vec![
-            "3: annotation: `audit: allow(no-such-lint)` names an unknown lint (known: determinism, unsafety, no-alloc, no-panic, alloc-reach, panic-reach, layering)"
+            "3: annotation: `audit: allow(no-such-lint)` names an unknown lint (known: determinism, unsafety, no-alloc, no-panic, threading)"
         ]
     );
 }
@@ -446,164 +446,29 @@ fn workspace_is_clean_at_head() {
 }
 
 // ---------------------------------------------------------------------------
-// alloc-reach / panic-reach: the interprocedural extension
-
-#[test]
-fn alloc_reach_positive_direct_call() {
-    let src = r#"
-fn helper(xs: &[u32]) -> Vec<u32> {
-    xs.iter().copied().collect()
-}
-fn drive(xs: &[u32]) {
-    // audit: no-alloc
-    {
-        helper(xs);
-    }
-}
-"#;
-    let diags = audit_source("crates/core/src/fake.rs", src);
-    assert_eq!(
-        lines(&diags),
-        vec![
-            "3: alloc-reach: `collect` allocates in `helper`, reachable from the `// audit: no-alloc` region at crates/core/src/fake.rs:7"
-        ]
-    );
-}
-
-#[test]
-fn alloc_reach_positive_transitive_chain() {
-    let src = r#"
-fn a() { b(); }
-fn b() { let v = vec![1]; }
-fn drive() {
-    // audit: no-alloc
-    {
-        a();
-    }
-}
-"#;
-    let diags = audit_source("crates/core/src/fake.rs", src);
-    assert_eq!(
-        lines(&diags),
-        vec![
-            "3: alloc-reach: `vec!` allocates in `b`, reachable from the `// audit: no-alloc` region at crates/core/src/fake.rs:6 via `a` → `b`"
-        ]
-    );
-}
-
-#[test]
-fn alloc_reach_positive_trait_dispatch_widening() {
-    // `f.fill()` has no receiver type, so it widens to every known
-    // method of that name — including `A`'s allocating impl.
-    let src = r#"
-pub trait Filler {
-    fn fill(&mut self);
-}
-pub struct A;
-impl Filler for A {
-    fn fill(&mut self) {
-        let v = vec![1];
-    }
-}
-fn drive(f: &mut dyn Filler) {
-    // audit: no-alloc
-    {
-        f.fill();
-    }
-}
-"#;
-    let diags = audit_source("crates/core/src/fake.rs", src);
-    assert_eq!(
-        lines(&diags),
-        vec![
-            "8: alloc-reach: `vec!` allocates in `fill`, reachable from the `// audit: no-alloc` region at crates/core/src/fake.rs:13"
-        ]
-    );
-}
-
-#[test]
-fn alloc_reach_negative_clean_callee_and_out_of_scope() {
-    // A clean transitive chain produces nothing.
-    let clean = r#"
-fn helper(x: &mut u32) { *x += 1; }
-fn drive(x: &mut u32) {
-    // audit: no-alloc
-    {
-        helper(x);
-    }
-}
-"#;
-    assert!(audit_source("crates/core/src/fake.rs", clean).is_empty());
-
-    // Allocation outside any region, never called from one: fine.
-    let cold = "fn cold() -> Vec<u32> { vec![1] }\n";
-    assert!(audit_source("crates/core/src/fake.rs", cold).is_empty());
-}
-
-#[test]
-fn alloc_reach_suppressed_with_justification() {
-    let src = r#"
-fn helper() {
-    // audit: allow(alloc-reach) — one-time lazy init, not steady state
-    let v = vec![1];
-}
-fn drive() {
-    // audit: no-alloc
-    {
-        helper();
-    }
-}
-"#;
-    assert!(audit_source("crates/core/src/fake.rs", src).is_empty());
-}
-
-#[test]
-fn panic_reach_positive_and_chain() {
-    let src = r#"
-fn pick(xs: &[u32]) -> u32 {
-    *xs.iter().max().expect("non-empty")
-}
-fn drive(xs: &[u32]) {
-    // audit: no-alloc
-    {
-        pick(xs);
-    }
-}
-"#;
-    let diags = audit_source("crates/core/src/fake.rs", src);
-    assert_eq!(
-        lines(&diags),
-        vec![
-            "3: panic-reach: `expect` may panic in `pick`, reachable from the `// audit: no-alloc` region at crates/core/src/fake.rs:7"
-        ]
-    );
-}
-
-#[test]
-fn panic_reach_panic_macro_verb() {
-    let src = r#"
-fn boom() { panic!("no"); }
-fn drive() {
-    // audit: no-alloc
-    {
-        boom();
-    }
-}
-"#;
-    let diags = audit_source("crates/core/src/fake.rs", src);
-    assert_eq!(
-        lines(&diags),
-        vec![
-            "2: panic-reach: `panic!` panics in `boom`, reachable from the `// audit: no-alloc` region at crates/core/src/fake.rs:5"
-        ]
-    );
-}
-
-// ---------------------------------------------------------------------------
-// the `no-alloc-fn` contract annotation
+// the merged region annotation: one marker for blocks and fn bodies alike
 
 #[test]
 fn no_alloc_fn_contract_violation_is_checked_at_definition() {
+    // A former contract-function body, now under the one region
+    // marker: the allocation is still a finding, at the definition.
+    let src = r#"
+// audit: no-alloc
+#[inline(always)]
+fn hot(xs: &mut [u32]) {
+    let scratch: Vec<u32> = Vec::new();
+    xs[0] = 1;
+}
+"#;
+    let diags = audit_source("crates/core/src/fake.rs", src);
+    assert_eq!(
+        lines(&diags),
+        vec!["5: no-alloc: `Vec::new` allocates inside a `// audit: no-alloc` region"]
+    );
+}
+
+#[test]
+fn no_alloc_fn_is_an_annotation_error() {
     let src = r#"
 // audit: no-alloc-fn
 fn hot() {
@@ -613,80 +478,17 @@ fn hot() {
     let diags = audit_source("crates/core/src/fake.rs", src);
     assert_eq!(
         lines(&diags),
-        vec!["4: no-alloc: `vec!` allocates inside a `// audit: no-alloc` region"]
-    );
-}
-
-#[test]
-fn no_alloc_fn_contract_is_trusted_at_call_sites_and_rooted_itself() {
-    // The region trusts `hot` (no re-derivation through its body), but
-    // `hot` is a reach root of its own: the helper it calls is flagged
-    // against the contract, not against the region.
-    let src = r#"
-fn helper() {
-    let v = vec![1];
-}
-// audit: no-alloc-fn
-fn hot() {
-    helper();
-}
-fn drive() {
-    // audit: no-alloc
-    {
-        hot();
-    }
-}
-"#;
-    let diags = audit_source("crates/core/src/fake.rs", src);
-    assert_eq!(
-        lines(&diags),
         vec![
-            "3: alloc-reach: `vec!` allocates in `helper`, reachable from the `// audit: no-alloc-fn` contract on `hot` at crates/core/src/fake.rs:6"
-        ]
-    );
-}
-
-#[test]
-fn no_alloc_fn_must_precede_a_fn() {
-    let src = r#"
-// audit: no-alloc-fn
-struct S {
-    x: u32,
-}
-"#;
-    let diags = audit_source("crates/core/src/fake.rs", src);
-    assert_eq!(
-        lines(&diags),
-        vec![
-            "2: annotation: `audit: no-alloc-fn` must precede a function definition (no `fn` before the block)"
-        ]
+            "2: annotation: unrecognized audit directive `no-alloc-fn` (expected `no-alloc` or `allow(<lint>) — why`)"
+        ],
+        "the retired marker binds no region and is reported"
     );
 }
 
 // ---------------------------------------------------------------------------
-// layering
-
-#[test]
-fn layering_positive_dag_inversion() {
-    let src = "use adn_sim::Engine;\nfn f() {}\n";
-    let diags = audit_source("crates/graph/src/fake.rs", src);
-    assert_eq!(
-        lines(&diags),
-        vec![
-            "1: layering: `use adn_sim` inverts the crate DAG (allowed here: adn_types); the layering is types → graph/net/faults → adversary/core → sim → bench"
-        ]
-    );
-}
-
-#[test]
-fn layering_negative_allowed_edges_and_self_use() {
-    // sim may use its six upstream crates.
-    let src = "use adn_core::Algorithm;\nuse adn_types::NodeId;\nfn f() {}\n";
-    assert!(audit_source("crates/sim/src/fake.rs", src).is_empty());
-    // A crate's own bins may use their own lib by name.
-    let bin = "use adn_bench::Table;\nfn main() {}\n";
-    assert!(audit_source("crates/bench/src/bin/fake.rs", bin).is_empty());
-}
+// threading — the `std::thread`/`std::sync` half of the former `layering`
+// lint (its `layering_*` fixtures keep their names; the crate DAG half is
+// cargo's)
 
 #[test]
 fn layering_positive_std_sync_confinement() {
@@ -695,7 +497,7 @@ fn layering_positive_std_sync_confinement() {
     assert_eq!(
         lines(&diags),
         vec![
-            "1: layering: `std::sync` is confined to crates/sim/src/pool.rs (the TrialPool and the shard fan-out)"
+            "1: threading: `std::sync` is confined to crates/sim/src/pool.rs (the TrialPool and the shard fan-out)"
         ]
     );
 }
@@ -706,84 +508,86 @@ fn layering_negative_pool_files_and_inline_paths_flagged_once() {
     let src = "use std::sync::Mutex;\nuse std::thread;\nfn f() {}\n";
     assert!(audit_source("crates/sim/src/pool.rs", src).is_empty());
     // An inline qualified path is caught even without a `use`, once.
-    let inline = "fn f() { let m = std::sync::Mutex::new(0u32); }\n";
+    let inline =
+        "fn f() { let m = std::sync::Mutex::new(0u32); let n = std::sync::Mutex::new(1u32); }\n";
     let diags = audit_source("crates/net/src/fake.rs", inline);
     assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].lint, "layering");
+    assert_eq!(diags[0].lint, "threading");
 }
 
 #[test]
 fn layering_suppressed_with_justification() {
-    let src = "// audit: allow(layering) — lock-free lazy init, not threading\nuse std::sync::OnceLock;\nfn f() {}\n";
+    let src = "// audit: allow(threading) — lock-free lazy init, not threading\nuse std::sync::OnceLock;\nfn f() {}\n";
     assert!(audit_source("crates/net/src/fake.rs", src).is_empty());
 }
 
+#[test]
+fn threading_use_group_is_flagged_once_on_its_line() {
+    let src = "fn f() {}\nuse std::{collections::BTreeMap, sync::{Arc, Mutex}};\n";
+    let diags = audit_source("crates/core/src/engine.rs", src);
+    assert_eq!(
+        lines(&diags),
+        vec![
+            "2: threading: `std::sync` is confined to crates/sim/src/pool.rs (the TrialPool and the shard fan-out)"
+        ]
+    );
+}
+
+#[test]
+fn threading_single_item_use_group_is_flagged() {
+    let diags = audit_source("crates/graph/src/fake.rs", "use std::{thread};\n");
+    assert_eq!(
+        lines(&diags),
+        vec![
+            "1: threading: `std::thread` is confined to crates/sim/src/pool.rs (the TrialPool and the shard fan-out)"
+        ]
+    );
+    // A nested `sync` segment is not `std::sync`, and nothing outside the
+    // eight library crates is in scope.
+    let nested = "use std::{os::unix::thread::JoinHandleExt, collections::BTreeSet};\n";
+    assert!(audit_source("crates/graph/src/fake.rs", nested).is_empty());
+    assert!(audit_source("crates/bench/src/fake.rs", "use std::{thread};\n").is_empty());
+}
+
+#[test]
+fn threading_exempts_pool_rs_and_cfg_test_items() {
+    let src = r#"
+use std::{sync::Mutex, thread};
+fn f() {}
+
+#[cfg(test)]
+mod tests {
+    use std::{sync::Arc, thread};
+    #[test]
+    fn spawns() {
+        std::thread::scope(|_| {});
+    }
+}
+"#;
+    assert!(audit_source("crates/sim/src/pool.rs", src).is_empty());
+    let diags = audit_source("crates/sim/src/engine.rs", src);
+    let found: Vec<(u32, &str)> = diags.iter().map(|d| (d.line, d.lint)).collect();
+    assert_eq!(
+        found,
+        vec![(2, "threading"), (2, "threading")],
+        "only the non-test `use` line, once per module: {diags:?}"
+    );
+}
+
+#[test]
+fn threading_inline_thread_scope_is_flagged_once() {
+    let src = "fn f(xs: &mut [u32]) {\n    std::thread::scope(|s| { s.spawn(|| xs.len()); });\n}\n";
+    let diags = audit_source("crates/core/src/fake.rs", src);
+    assert_eq!(
+        lines(&diags),
+        vec![
+            "2: threading: `std::thread` is confined to crates/sim/src/pool.rs (the TrialPool and the shard fan-out)"
+        ]
+    );
+}
+
 // ---------------------------------------------------------------------------
-// workspace pipeline: cross-file reach, output determinism, --json shape
-
-#[test]
-fn reach_crosses_files_within_a_crate() {
-    let files = vec![
-        (
-            "crates/core/src/a.rs".to_string(),
-            "fn helper() { let v = vec![1]; }\n".to_string(),
-        ),
-        (
-            "crates/core/src/b.rs".to_string(),
-            "fn drive() {\n    // audit: no-alloc\n    {\n        helper();\n    }\n}\n"
-                .to_string(),
-        ),
-    ];
-    let diags = adn_audit::audit_files(&files);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].file, "crates/core/src/a.rs");
-    assert_eq!(diags[0].lint, "alloc-reach");
-}
-
-/// The `row` finding: a no-alloc region in `adn-core` calls `.row()`, and
-/// the only method of that name collects into a `Vec` in `callee_crate`.
-fn row_widening(callee_crate: &str, manifests: &[(&str, &str)]) -> Vec<Diagnostic> {
-    let mut files = vec![
-        (
-            "crates/core/src/plane.rs".to_string(),
-            "fn reset(cols: &mut Cols) {\n    // audit: no-alloc\n    {\n        cols.row(0);\n    }\n}\n"
-                .to_string(),
-        ),
-        (
-            format!("crates/{callee_crate}/src/table.rs"),
-            "impl Table {\n    fn row(&mut self, v: usize) { self.rows = self.cells.iter().collect(); }\n}\n"
-                .to_string(),
-        ),
-    ];
-    for (dir, deps) in manifests {
-        let deps: String = deps
-            .split_whitespace()
-            .map(|d| format!("{d}.workspace = true\n"))
-            .collect();
-        files.push((
-            format!("crates/{dir}/Cargo.toml"),
-            format!("[package]\nname = \"adn-{dir}\"\n\n[dependencies]\n{deps}\n[dev-dependencies]\nadn-analysis.workspace = true\n"),
-        ));
-    }
-    adn_audit::audit_files(&files)
-}
-
-#[test]
-fn method_widening_stops_at_crates_the_caller_cannot_link() {
-    let manifests = [("core", "adn-types adn-graph"), ("graph", "adn-types")];
-    // Same method name in a non-dependency (a dev-dependency even): silent.
-    assert!(row_widening("analysis", &manifests).is_empty());
-    // In a dependency, direct or transitive: reported, in the callee.
-    for callee in ["graph", "types"] {
-        let diags = row_widening(callee, &[("core", "adn-graph"), ("graph", "adn-types")]);
-        assert_eq!(diags.len(), 1, "{callee}: {diags:?}");
-        assert_eq!(diags[0].file, format!("crates/{callee}/src/table.rs"));
-        assert_eq!(diags[0].lint, "alloc-reach");
-    }
-    // Without the caller's manifest nothing bounds the widening.
-    assert_eq!(row_widening("analysis", &[]).len(), 1);
-    assert_eq!(row_widening("analysis", &[("graph", "")]).len(), 1);
-}
+// output determinism
 
 #[test]
 fn output_is_byte_identical_across_runs() {
@@ -807,18 +611,18 @@ fn output_is_byte_identical_across_runs() {
     let files = vec![
         (
             "crates/graph/src/z.rs".to_string(),
-            "use adn_sim::Engine;\nfn f() {\n    let m: std::collections::HashMap<u32, u32> = unreachable!();\n}\n"
+            "use std::{thread};\nfn f() {\n    let m: std::collections::HashMap<u32, u32> = unreachable!();\n}\n"
                 .to_string(),
         ),
         (
             "crates/core/src/a.rs".to_string(),
-            "fn helper() -> u32 { [1u32].to_vec().len() as u32 }\nfn drive() {\n    // audit: no-alloc\n    {\n        helper();\n    }\n}\n"
+            "fn drive() {\n    // audit: no-alloc\n    {\n        let v = [1u32].to_vec();\n        unsafe {}\n    }\n}\n"
                 .to_string(),
         ),
     ];
     let x = adn_audit::audit_files(&files);
     let y = adn_audit::audit_files(&files);
-    assert!(!x.is_empty());
+    assert_eq!(x.len(), 4, "{x:?}");
     assert_eq!(render(&x), render(&y));
     let keys: Vec<(String, u32)> = x.iter().map(|d| (d.file.clone(), d.line)).collect();
     let mut sorted = keys.clone();
@@ -827,19 +631,4 @@ fn output_is_byte_identical_across_runs() {
         keys, sorted,
         "findings must come out sorted by (file, line)"
     );
-}
-
-#[test]
-fn json_report_shape() {
-    let diags = audit_source("crates/net/src/fake.rs", "fn f() { unsafe {} }\n");
-    let json = adn_audit::json_report(&diags);
-    assert!(json.starts_with("{\"findings\":["), "{json}");
-    assert!(
-        json.contains("\"file\":\"crates/net/src/fake.rs\""),
-        "{json}"
-    );
-    assert!(json.contains("\"line\":1"), "{json}");
-    assert!(json.contains("\"lint\":\"unsafety\""), "{json}");
-    assert!(json.ends_with(",\"count\":1}"), "{json}");
-    assert_eq!(adn_audit::json_report(&[]), "{\"findings\":[],\"count\":0}");
 }

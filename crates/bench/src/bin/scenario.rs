@@ -27,8 +27,10 @@
 //! | `--max-rounds` | 20000 | blocking cap |
 //! | `--trace` | off | `on` prints the per-round range/phase trace |
 
+use adn_adversary::AdversarySpec;
 use adn_bench::cli::{parse_spec, Flags};
-use adn_faults::{strategies, CrashSchedule, CrashSurvivors};
+use adn_faults::strategies::{self, ALL_STRATEGY_NAMES};
+use adn_faults::{CrashSchedule, CrashSurvivors};
 use adn_graph::checker;
 use adn_sim::{factories, workload, Simulation};
 use adn_types::{NodeId, Params, Round};
@@ -76,6 +78,19 @@ fn run(args: Vec<String>) -> Result<(), String> {
     };
 
     let spec = parse_spec(flags.get("adversary").unwrap_or("complete"))?;
+    // The two specs whose bounds depend on the system size.
+    let group = (n + 3 * f) / 2;
+    match spec {
+        AdversarySpec::Figure1 if n != 3 => {
+            return Err(format!("figure1 is a 3-node example, got --n {n}"));
+        }
+        AdversarySpec::Theorem10 if group > n || 2 * group < n => {
+            return Err(format!(
+                "theorem10 needs two overlapping groups of ⌊(n+3f)/2⌋ = {group} in n = {n}"
+            ));
+        }
+        _ => {}
+    }
     let inputs = match flags.get("inputs").unwrap_or("random") {
         "random" => workload::random(n, seed),
         "spread" => workload::spread(n),
@@ -90,7 +105,28 @@ fn run(args: Vec<String>) -> Result<(), String> {
             .ok_or_else(|| format!("--crash expects node@round, got {c:?}"))?;
         let node: usize = node.parse().map_err(|_| format!("bad node in {c:?}"))?;
         let round: u64 = round.parse().map_err(|_| format!("bad round in {c:?}"))?;
+        if node >= n {
+            return Err(format!(
+                "--crash {c:?}: node {node} is out of range for n = {n}"
+            ));
+        }
         crashes.crash(NodeId::new(node), Round::new(round), CrashSurvivors::All);
+    }
+    let byz = flags.get_all("byz");
+    if let Some(name) = byz.iter().find(|name| !ALL_STRATEGY_NAMES.contains(name)) {
+        return Err(format!(
+            "unknown byzantine strategy {name:?} (known: {})",
+            ALL_STRATEGY_NAMES.join(", ")
+        ));
+    }
+    // `f < n` (Params::new), so this also keeps `--byz` within n and the
+    // assigned ids `n - 1 - i` in range.
+    if byz.len() + crashes.fault_count() > f {
+        return Err(format!(
+            "{} --byz and {} --crash node(s) exceed the fault bound f = {f}",
+            byz.len(),
+            crashes.fault_count()
+        ));
     }
 
     let mut builder = Simulation::builder(params)
@@ -99,7 +135,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
         .crashes(crashes)
         .algorithm(factory)
         .max_rounds(max_rounds);
-    for (i, name) in flags.get_all("byz").iter().enumerate() {
+    for (i, name) in byz.iter().enumerate() {
         builder = builder.byzantine(
             NodeId::new(n - 1 - i),
             strategies::by_name(name, n, seed + i as u64),
@@ -134,4 +170,32 @@ fn run(args: Vec<String>) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::run;
+
+    fn line(s: &str) -> Vec<String> {
+        s.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn malformed_lines_are_errors_not_panics() {
+        for bad in [
+            "--crash 99@1",
+            "--byz nosuch --f 1",
+            "--f 0 --byz two-faced",
+            "--f 1 --crash 0@1 --crash 1@1",
+            "--n 3 --f 1 --byz silent --byz silent --byz silent --byz silent",
+            "--adversary rotating:0",
+            "--adversary random:nan",
+            "--adversary figure1",
+            "--adversary theorem10",
+        ] {
+            assert!(run(line(bad)).is_err(), "{bad}");
+        }
+        let ok = "--algo dbac --n 11 --f 2 --adversary dbac-threshold --byz two-faced --crash 0@3";
+        assert_eq!(run(line(ok)), Ok(()));
+    }
 }

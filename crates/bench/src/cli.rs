@@ -15,6 +15,9 @@ use adn_adversary::AdversarySpec;
 ///   `partition-at:<split>`, `eventually:<round>`,
 ///   `isolate:<victim>:<from>:<len>`
 ///
+/// `d`, `T`, `period`, `groups` and `split` must be at least 1 and `p`
+/// in `[0, 1]` — what the constructors assert.
+///
 /// # Errors
 ///
 /// Returns a human-readable message for unknown names or malformed
@@ -38,6 +41,13 @@ pub fn parse_spec(s: &str) -> Result<AdversarySpec, String> {
             .parse::<usize>()
             .map_err(|_| format!("{head}: argument {:?} is not an integer", args[i]))
     };
+    // The constructors assert these bounds; reject them here instead.
+    let positive = |i: usize, name: &str| -> Result<usize, String> {
+        match num(i)? {
+            0 => Err(format!("{head}: {name} must be at least 1, got 0")),
+            v => Ok(v),
+        }
+    };
     match head {
         "complete" => want(0).map(|()| AdversarySpec::Complete),
         "silence" => want(0).map(|()| AdversarySpec::Silence),
@@ -51,40 +61,51 @@ pub fn parse_spec(s: &str) -> Result<AdversarySpec, String> {
         "dbac-threshold" => want(0).map(|()| AdversarySpec::DbacThreshold),
         "rotating" => {
             want(1)?;
-            Ok(AdversarySpec::Rotating { d: num(0)? })
+            Ok(AdversarySpec::Rotating {
+                d: positive(0, "d")?,
+            })
         }
         "adaptive" => {
             want(1)?;
-            Ok(AdversarySpec::AdaptiveClosest { d: num(0)? })
+            Ok(AdversarySpec::AdaptiveClosest {
+                d: positive(0, "d")?,
+            })
         }
         "alternating" => {
             want(1)?;
-            Ok(AdversarySpec::AlternatingComplete { period: num(0)? })
+            Ok(AdversarySpec::AlternatingComplete {
+                period: positive(0, "period")?,
+            })
         }
         "random" => {
             want(1)?;
             let p: f64 = args[0]
                 .parse()
                 .map_err(|_| format!("random: {:?} is not a float", args[0]))?;
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("random: p must be in [0, 1], got {p}"));
+            }
             Ok(AdversarySpec::Random { p })
         }
         "spread" => {
             want(2)?;
             Ok(AdversarySpec::Spread {
-                t: num(0)?,
-                d: num(1)?,
+                t: positive(0, "T")?,
+                d: positive(1, "d")?,
             })
         }
         "staggered" => {
             want(2)?;
             Ok(AdversarySpec::Staggered {
-                d: num(0)?,
-                groups: num(1)?,
+                d: positive(0, "d")?,
+                groups: positive(1, "groups")?,
             })
         }
         "partition-at" => {
             want(1)?;
-            Ok(AdversarySpec::PartitionAt { split: num(0)? })
+            Ok(AdversarySpec::PartitionAt {
+                split: positive(0, "split")?,
+            })
         }
         "eventually" => {
             want(1)?;
@@ -169,58 +190,58 @@ impl Flags {
 mod tests {
     use super::*;
 
+    const ZERO_ARG_SPECS: [&str; 10] = [
+        "complete",
+        "silence",
+        "partition",
+        "theorem10",
+        "figure1",
+        "omit-lowest",
+        "omit-highest",
+        "omit-round-robin",
+        "dac-threshold",
+        "dbac-threshold",
+    ];
+
+    fn arg_specs() -> [(&'static str, AdversarySpec); 9] {
+        [
+            ("rotating:4", AdversarySpec::Rotating { d: 4 }),
+            ("adaptive:4", AdversarySpec::AdaptiveClosest { d: 4 }),
+            (
+                "alternating:2",
+                AdversarySpec::AlternatingComplete { period: 2 },
+            ),
+            ("spread:3:5", AdversarySpec::Spread { t: 3, d: 5 }),
+            (
+                "staggered:8:3",
+                AdversarySpec::Staggered { d: 8, groups: 3 },
+            ),
+            ("random:0.5", AdversarySpec::Random { p: 0.5 }),
+            ("partition-at:3", AdversarySpec::PartitionAt { split: 3 }),
+            ("eventually:6", AdversarySpec::EventuallyStable { round: 6 }),
+            (
+                "isolate:2:1:5",
+                AdversarySpec::IsolateOne {
+                    victim: 2,
+                    from: 1,
+                    duration: 5,
+                },
+            ),
+        ]
+    }
+
     #[test]
     fn parse_all_zero_arg_specs() {
-        for s in [
-            "complete",
-            "silence",
-            "partition",
-            "theorem10",
-            "figure1",
-            "omit-lowest",
-            "omit-highest",
-            "omit-round-robin",
-            "dac-threshold",
-            "dbac-threshold",
-        ] {
+        for s in ZERO_ARG_SPECS {
             assert!(parse_spec(s).is_ok(), "{s}");
         }
     }
 
     #[test]
     fn parse_arg_specs() {
-        assert_eq!(
-            parse_spec("rotating:4").unwrap(),
-            AdversarySpec::Rotating { d: 4 }
-        );
-        assert_eq!(
-            parse_spec("spread:3:5").unwrap(),
-            AdversarySpec::Spread { t: 3, d: 5 }
-        );
-        assert_eq!(
-            parse_spec("staggered:8:3").unwrap(),
-            AdversarySpec::Staggered { d: 8, groups: 3 }
-        );
-        assert_eq!(
-            parse_spec("random:0.5").unwrap(),
-            AdversarySpec::Random { p: 0.5 }
-        );
-        assert_eq!(
-            parse_spec("partition-at:3").unwrap(),
-            AdversarySpec::PartitionAt { split: 3 }
-        );
-        assert_eq!(
-            parse_spec("eventually:6").unwrap(),
-            AdversarySpec::EventuallyStable { round: 6 }
-        );
-        assert_eq!(
-            parse_spec("isolate:2:1:5").unwrap(),
-            AdversarySpec::IsolateOne {
-                victim: 2,
-                from: 1,
-                duration: 5
-            }
-        );
+        for (s, spec) in arg_specs() {
+            assert_eq!(parse_spec(s).unwrap(), spec, "{s}");
+        }
     }
 
     #[test]
@@ -231,6 +252,44 @@ mod tests {
         assert!(parse_spec("isolate:2:1").is_err());
         assert!(parse_spec("wat:1").is_err());
         assert!(parse_spec("complete:1").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_what_build_would_panic_on() {
+        for (s, bound) in [
+            ("rotating:0", "d must be at least 1"),
+            ("adaptive:0", "d must be at least 1"),
+            ("spread:0:3", "T must be at least 1"),
+            ("spread:3:0", "d must be at least 1"),
+            ("staggered:0:2", "d must be at least 1"),
+            ("staggered:4:0", "groups must be at least 1"),
+            ("alternating:0", "period must be at least 1"),
+            ("partition-at:0", "split must be at least 1"),
+            ("random:1.5", "p must be in [0, 1]"),
+            ("random:nan", "p must be in [0, 1]"),
+        ] {
+            let err = parse_spec(s).expect_err(s);
+            assert!(err.contains(bound), "{s}: {err}");
+        }
+    }
+
+    #[test]
+    fn accepted_specs_build() {
+        let accepted = ZERO_ARG_SPECS
+            .map(|s| parse_spec(s).unwrap())
+            .into_iter()
+            .chain(arg_specs().map(|(_, spec)| spec));
+        for spec in accepted {
+            // The two specs whose bounds depend on n (checked by the
+            // scenario binary): a 3-node fixture, and two groups of
+            // ⌊(n+3f)/2⌋ that must overlap — an even n at f = 0.
+            let n = match spec {
+                AdversarySpec::Figure1 => 3,
+                AdversarySpec::Theorem10 => 10,
+                _ => 9,
+            };
+            assert!(!spec.build(n, 0, 1).name().is_empty(), "{spec}");
+        }
     }
 
     #[test]

@@ -952,7 +952,7 @@ impl<R: Rule> Cols<'_, R> {
         }
     }
 
-    // audit: no-alloc-fn
+    // audit: no-alloc
     #[inline]
     fn try_advance(&mut self, v: usize) {
         while self.seen_count[v] >= self.foreign_quorum && self.phase[v].as_u64() < self.pend {
@@ -1054,7 +1054,7 @@ impl<R: Rule> Row<'_, R> {
     /// Out of line: once per slot per phase, and its loop (which only
     /// ever repeats when `foreign_quorum` is 0) would otherwise be laid
     /// out inside every link loop `link` is inlined into.
-    // audit: no-alloc-fn
+    // audit: no-alloc
     #[cold]
     #[inline(never)]
     fn try_advance(&mut self) {
@@ -1156,7 +1156,7 @@ impl Row<'_, DbacRule> {
     /// the word is looked at again under the new phase. `index` is the one
     /// the shard was handed ([`PlaneShard::index_round`]), which is also
     /// what the settle walks.
-    // audit: no-alloc-fn
+    // audit: no-alloc
     #[inline(always)]
     fn count_word(&mut self, w: usize, mut bits: u64, index: &WireIndex) {
         while bits != 0 && self.phase.as_u64() < self.pend {
@@ -1192,7 +1192,7 @@ impl Row<'_, DbacRule> {
     /// Or sender by sender, when so few are pending that one store each is
     /// the shorter way (`by_rank` below). Both leave the lists as link-by-link
     /// stores do: what a list holds is a function of the multiset stored.
-    // audit: no-alloc-fn
+    // audit: no-alloc
     #[inline]
     fn settle(&mut self) {
         let sealed::Deferred {
@@ -1313,7 +1313,7 @@ impl<R: Rule> RowKernel for Row<'_, R> {
         }
     }
 
-    // audit: no-alloc-fn
+    // audit: no-alloc
     #[inline(always)]
     fn batch(&mut self, key: Port, batch: &mut [Message]) {
         if R::ASCENDING_BATCHES {

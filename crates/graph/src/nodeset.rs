@@ -31,7 +31,6 @@ impl NodeSet {
     pub fn new(n: usize) -> Self {
         NodeSet {
             n,
-            // audit: allow(alloc-reach) — init-time constructor; the one no-alloc region that reaches it does so through `Spread::ensure_heard`, the one-time lazy sizing of that adversary's heard-sets
             words: vec![0; n.div_ceil(64)],
         }
     }

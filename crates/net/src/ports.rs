@@ -1,5 +1,5 @@
 use std::fmt;
-// audit: allow(layering) — OnceLock is lock-free lazy init, not threading; the table and transpose caches must be shareable across TrialPool workers
+// audit: allow(threading) — OnceLock is lock-free lazy init, not threading; the table and transpose caches must be shareable across TrialPool workers
 use std::sync::OnceLock;
 
 use adn_types::rng::SplitMix64;
@@ -274,7 +274,7 @@ impl PortNumbering {
             Self::MAX_DENSE_N
         );
         let transposed = self.transposed.get_or_init(|| {
-            // audit: allow(alloc-reach) — one-time OnceLock fill; steady-state calls read the cached transpose
+            // One-time OnceLock fill; steady-state calls read the cached transpose.
             let mut t = vec![Port::new(0); self.n * self.n];
             for r in 0..self.n {
                 for s in 0..self.n {

@@ -25,6 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use anondyn::consensus::{AlgorithmPlane, BoxedPlane, DacPlane, DbacPlane, RowKernel, RowWalk};
 use anondyn::faults::colluding::{Coalition, Plan};
 use anondyn::faults::strategies::{self, ALL_STRATEGY_NAMES};
 use anondyn::faults::ByzantineStrategy;
@@ -32,7 +33,7 @@ use anondyn::graph::{checker, generators};
 use anondyn::net::codec::Precision;
 use anondyn::prelude::*;
 use anondyn::sim::quantized::quantized_factory;
-use anondyn::sim::{DeliveryOrder, LinkMode};
+use anondyn::sim::{workload, DeliveryOrder, LinkMode};
 use anondyn::types::rng::SplitMix64;
 
 struct CountingAllocator;
@@ -529,12 +530,13 @@ fn steady_state_step_performs_zero_allocations() {
         assert_eq!(run.live(), u64::MAX, "{name}: all 64 lanes must still run");
     }
 
-    // --- The adversary gallery: every strategy's `edges_into` must fill
-    // the engine's reused edge set without allocating once its own
-    // scratch (deliverer lists, heard-sets, sort buffers) has warmed up.
-    // All runs take the default (plane) path at n = 32; Figure 1 is the
-    // same code path as AlternatingComplete at a fixed n = 3, so it is
-    // covered by proxy. ---
+    // --- The adversary gallery: every strategy's `fill` must write the
+    // engine's reused links without allocating once its own scratch
+    // (deliverer lists, heard-sets, sort buffers) has warmed up — into
+    // both sinks it is compiled for: the dense rows and the sparse
+    // `LinkPlane`. All runs take the default (plane) path at n = 32;
+    // Figure 1 is the same code path as AlternatingComplete at a fixed
+    // n = 3, so it is covered by proxy. ---
     let n = 32;
     let gallery = [
         AdversarySpec::Silence,
@@ -560,16 +562,21 @@ fn steady_state_step_performs_zero_allocations() {
             duration: 1_000, // outage spans the whole measured window
         },
     ];
-    for spec in gallery {
+    for (spec, mode) in gallery
+        .iter()
+        .flat_map(|&spec| [(spec, LinkMode::Dense), (spec, LinkMode::Sparse)])
+    {
         let params = Params::fault_free(n, 1e-6).unwrap();
         let mut sim = Simulation::builder(params)
             .inputs_random(1)
             .adversary(spec.build(n, 0, 7))
             .algorithm(factories::dac_with_pend(params, u64::MAX))
+            .link_mode(mode)
             .record_schedule(false)
             .observe_phases(false)
             .max_rounds(u64::MAX)
             .build();
+        assert_eq!(sim.uses_sparse_links(), mode == LinkMode::Sparse, "{spec}");
         for _ in 0..70 {
             sim.step();
         }
@@ -577,7 +584,112 @@ fn steady_state_step_performs_zero_allocations() {
         for _ in 0..30 {
             sim.step();
         }
-        window.assert_none(format_args!("{spec}: 30 steady-state steps"));
+        window.assert_none(format_args!("{spec} ({mode:?}): 30 steady-state steps"));
+    }
+
+    // --- The plane API the engine's row walk does not use: the
+    // replay-only `receive_many` (the columnar planes' own, and the trait
+    // default the boxed plane runs) and `deliver_from_sender`, the per-link
+    // `receive`, and a boxed kernel's `link` driven through a shard — what
+    // the benchmark's stage replay and other callers outside adn-sim drive.
+    // A complete round each time, one path per round in turn. ---
+    struct Links<'a>(&'a [(Port, Message)]);
+    impl RowWalk for Links<'_> {
+        fn walk<K: RowKernel>(self, kernel: &mut K) {
+            for &(key, m) in self.0 {
+                kernel.link(key, m.phase(), m.value());
+            }
+        }
+    }
+    /// Receiver `v`'s links of a complete round, each keyed by its
+    /// sender's id (one key on every path into a plane).
+    fn complete_row<'a>(
+        links: &'a mut Vec<(Port, Message)>,
+        snapshot: &[Message],
+        v: usize,
+    ) -> &'a [(Port, Message)] {
+        links.clear();
+        links.extend(
+            (0..snapshot.len())
+                .filter(|&u| u != v)
+                .map(|u| (Port::new(u), snapshot[u])),
+        );
+        links
+    }
+    let n = 32;
+    let params = Params::fault_free(n, 1e-6).unwrap();
+    let inputs = workload::random(n, 1);
+    let boxed = |node: &dyn Fn(Value) -> Box<dyn Algorithm>| {
+        BoxedPlane::new(inputs.iter().map(|&x| node(x)).collect())
+    };
+    let planes: [(&str, Box<dyn AlgorithmPlane>); 4] = [
+        (
+            "plane-api/dac",
+            Box::new(DacPlane::with_pend(params, &inputs, u64::MAX)),
+        ),
+        (
+            "plane-api/dbac",
+            Box::new(DbacPlane::with_pend(params, &inputs, u64::MAX)),
+        ),
+        (
+            "plane-api/boxed-dac",
+            Box::new(boxed(&|x| Box::new(Dac::with_pend(params, x, u64::MAX)))),
+        ),
+        (
+            "plane-api/boxed-dbac",
+            Box::new(boxed(&|x| Box::new(Dbac::with_pend(params, x, u64::MAX)))),
+        ),
+    ];
+    let all = NodeSet::full(n);
+    let mut receivers = NodeSet::full(n);
+    let mut ports = vec![Port::new(0); n];
+    let mut snapshot = Vec::with_capacity(n);
+    let mut links: Vec<(Port, Message)> = Vec::with_capacity(n);
+    for (name, mut plane) in planes {
+        let mut round = |plane: &mut dyn AlgorithmPlane, path: usize| {
+            snapshot.clear();
+            snapshot.extend((0..n).map(|u| Message::new(plane.values()[u], plane.phases()[u])));
+            let max_phase = snapshot
+                .iter()
+                .map(|m| m.phase())
+                .max()
+                .unwrap_or(Phase::ZERO);
+            match path {
+                0 => (0..n).for_each(|v| {
+                    plane.receive_many(v, complete_row(&mut links, &snapshot, v));
+                }),
+                1 => (0..n).for_each(|u| {
+                    receivers.remove(NodeId::new(u));
+                    ports.fill(Port::new(u));
+                    plane.deliver_from_sender(snapshot[u], &receivers, &ports);
+                    receivers.insert(NodeId::new(u));
+                }),
+                2 => (0..n).for_each(|v| {
+                    for u in (0..n).filter(|&u| u != v) {
+                        plane.receive(v, Port::new(u), &[snapshot[u]]);
+                    }
+                }),
+                _ => {
+                    let mut shards = [None];
+                    plane.fill_shards(&[0, n], &mut shards);
+                    let shard = shards[0].as_mut().expect("one shard");
+                    for v in 0..n {
+                        let row = complete_row(&mut links, &snapshot, v);
+                        shard.deliver_row(v, max_phase, Links(row));
+                    }
+                }
+            }
+            plane.end_round(&all);
+        };
+        for r in 0..70 {
+            round(&mut *plane, r % 4);
+        }
+        let window = Window::open();
+        for r in 0..30 {
+            round(&mut *plane, r % 4);
+        }
+        window.assert_none(format_args!("{name}: 30 rounds through the plane API"));
+        assert!(plane.outputs().iter().all(Option::is_none), "{name}");
     }
 
     // --- Service-mode instance turnover: between consecutive consensus
