@@ -43,7 +43,6 @@ impl AdaptiveClosest {
 }
 
 impl LinkChoice for AdaptiveClosest {
-    // audit: no-alloc
     fn fill<S: LinkSink>(&mut self, view: &AdversaryView<'_>, out: &mut S) {
         for v in NodeId::all(view.params.n()) {
             let my_value = view.values[v.index()].get();

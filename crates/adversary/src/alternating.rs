@@ -57,7 +57,6 @@ impl Alternating {
 }
 
 impl LinkChoice for Alternating {
-    // audit: no-alloc
     fn fill<S: LinkSink>(&mut self, view: &AdversaryView<'_>, out: &mut S) {
         let t = view.round.as_u64() as usize;
         if t % self.period != self.period - 1 {

@@ -15,7 +15,6 @@ use crate::{AdversaryView, LinkChoice};
 pub struct Complete;
 
 impl LinkChoice for Complete {
-    // audit: no-alloc
     fn fill<S: LinkSink>(&mut self, view: &AdversaryView<'_>, out: &mut S) {
         // One full-id-range run per receiver — `deliverers \ {v}` as one
         // word-parallel row OR (dense) or in O(1) space (sparse). This is
@@ -44,7 +43,6 @@ impl LinkChoice for Complete {
 pub struct Silence;
 
 impl LinkChoice for Silence {
-    // audit: no-alloc
     fn fill<S: LinkSink>(&mut self, _view: &AdversaryView<'_>, _out: &mut S) {}
 
     fn lane_key(&self) -> Option<u64> {

@@ -45,6 +45,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod adaptive;
 mod alternating;
@@ -149,6 +150,10 @@ pub trait Adversary: fmt::Debug {
     ///
     /// The default panics: the engine never calls it unless
     /// [`Adversary::sparse_capable`] says so.
+    #[allow(
+        clippy::panic,
+        reason = "a caller contract: the engine calls it only when `sparse_capable` says so"
+    )]
     fn sparse_into(&mut self, view: &AdversaryView<'_>, out: &mut LinkPlane) {
         let _ = (view, out);
         panic!(

@@ -76,7 +76,6 @@ impl OmitOne {
 }
 
 impl LinkChoice for OmitOne {
-    // audit: no-alloc
     fn fill<S: LinkSink>(&mut self, view: &AdversaryView<'_>, out: &mut S) {
         let n = view.params.n();
         let t = view.round.as_u64() as usize;
@@ -91,6 +90,10 @@ impl LinkChoice for OmitOne {
             if m == 0 {
                 continue;
             }
+            #[allow(
+                clippy::expect_used,
+                reason = "round-robin's k < m ≤ deliverers.len() by the modulo, so nth(k) exists"
+            )]
             let omitted = match self.rule {
                 OmitRule::RoundRobin => {
                     // The k-th member of "deliverers minus v": skip v's own
@@ -101,7 +104,6 @@ impl LinkChoice for OmitOne {
                     } else {
                         k
                     };
-                    // audit: allow(no-panic) — k < m ≤ deliverers.len() by the modulo above, so nth(k) always exists
                     view.deliverers.nth(k).expect("index within deliverers")
                 }
                 _ => match value_best {

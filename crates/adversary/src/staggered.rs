@@ -53,7 +53,6 @@ impl Staggered {
 }
 
 impl LinkChoice for Staggered {
-    // audit: no-alloc
     fn fill<S: LinkSink>(&mut self, view: &AdversaryView<'_>, out: &mut S) {
         let t = view.round.as_u64() as usize;
         let turn = t % self.groups;

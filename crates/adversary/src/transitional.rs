@@ -35,7 +35,6 @@ impl Eventually {
 }
 
 impl LinkChoice for Eventually {
-    // audit: no-alloc
     fn fill<S: LinkSink>(&mut self, view: &AdversaryView<'_>, out: &mut S) {
         // Nothing during the chaotic prefix, then the complete graph.
         if view.round >= self.stabilize_at {
@@ -87,7 +86,6 @@ impl Isolate {
 }
 
 impl LinkChoice for Isolate {
-    // audit: no-alloc
     fn fill<S: LinkSink>(&mut self, view: &AdversaryView<'_>, out: &mut S) {
         if !self.is_isolated(view.round) {
             return Complete.fill(view, out);

@@ -89,12 +89,6 @@ impl Dac {
         self.seen_count + 1
     }
 
-    /// `R_i[port]` — whether this port already contributed in the current
-    /// phase.
-    pub fn port_seen(&self, port: Port) -> bool {
-        self.ports_seen[port.index()]
-    }
-
     /// Alg. 1, `RESET()`: clear the port vector and collapse the tracked
     /// extrema onto the current value.
     fn reset(&mut self) {

@@ -147,7 +147,6 @@ impl Dbac {
     /// Advances while the quorum condition already holds (only possible
     /// for the degenerate `n = 1` system, whose quorum is the node
     /// itself).
-    // audit: no-alloc
     fn try_advance(&mut self) {
         while self.output.is_none() && self.distinct_count() >= self.params.dbac_quorum() {
             let (lo, hi) = trim::bounds(&self.low, &self.high);

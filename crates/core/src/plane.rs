@@ -193,7 +193,6 @@ pub trait AlgorithmPlane: fmt::Debug {
     /// snapshot, through [`AlgorithmPlane::encode_wire`]. [`BoxedPlane`]
     /// asks the slot's state machine instead, which may stage any number
     /// of messages, including none.
-    // audit: no-alloc
     fn stage_broadcast(&mut self, sender: usize, snapshot: Message, out: &mut Batch) {
         let _ = sender;
         out.push(self.encode_wire(snapshot));
@@ -220,7 +219,6 @@ pub trait AlgorithmPlane: fmt::Debug {
     /// [`AlgorithmPlane::receive`] once per entry; the default does
     /// exactly that, while the columnar planes override it to split their
     /// columns once per receiver instead of per link.
-    // audit: no-alloc
     fn receive_many(&mut self, receiver: usize, batch: &[(Port, Message)]) {
         for &(port, msg) in batch {
             self.receive(receiver, port, std::slice::from_ref(&msg));
@@ -594,7 +592,10 @@ impl Rule for DbacRule {
 /// row kernel must not carry an instruction of Alg. 2's (a DAC receiver's
 /// whole round is a few hundred nanoseconds). Nothing outside the crate
 /// can name `Sealed`, which is what the lint below cannot see.
-#[allow(private_interfaces)]
+#[allow(
+    private_interfaces,
+    reason = "`Sealed` is unnameable outside the crate, so its private types leak nowhere"
+)]
 mod sealed {
     use super::{Cols, DacRule, DbacRule, Ranked, Row, ShardRepr, StagedWire};
 
@@ -798,7 +799,6 @@ impl<R: Rule> Columnar<R> {
     /// [`AlgorithmPlane::receive`] runs) as `(slot, port, message)`, with
     /// the column views split once for as many links as the caller feeds
     /// it — the trial lanes' entry.
-    // audit: no-alloc
     pub(crate) fn stepper(&mut self) -> impl FnMut(usize, Port, Message) + '_ {
         let mut cols = self.cols();
         move |v, port, msg| cols.process(v, port, msg)
@@ -946,7 +946,6 @@ impl<R: Rule> Cols<'_, R> {
     /// [`AlgorithmPlane::receive_many`] at slot `v`. Every entry is one
     /// single-message link, so no batch order comes into it: this is
     /// `process` per entry, on views split once.
-    // audit: no-alloc
     #[inline]
     fn receive_many(&mut self, v: usize, batch: &[(Port, Message)]) {
         for &(port, msg) in batch {
@@ -954,7 +953,6 @@ impl<R: Rule> Cols<'_, R> {
         }
     }
 
-    // audit: no-alloc
     #[inline]
     fn try_advance(&mut self, v: usize) {
         while self.seen_count[v] >= self.foreign_quorum && self.phase[v].as_u64() < self.pend {
@@ -1056,7 +1054,6 @@ impl<R: Rule> Row<'_, R> {
     /// Out of line: once per slot per phase, and its loop (which only
     /// ever repeats when `foreign_quorum` is 0) would otherwise be laid
     /// out inside every link loop `link` is inlined into.
-    // audit: no-alloc
     #[cold]
     #[inline(never)]
     fn try_advance(&mut self) {
@@ -1158,7 +1155,6 @@ impl Row<'_, DbacRule> {
     /// the word is looked at again under the new phase. `index` is the one
     /// the shard was handed ([`PlaneShard::index_round`]), which is also
     /// what the settle walks.
-    // audit: no-alloc
     #[inline(always)]
     fn count_word(&mut self, w: usize, mut bits: u64, index: &WireIndex) {
         while bits != 0 && self.phase.as_u64() < self.pend {
@@ -1194,7 +1190,6 @@ impl Row<'_, DbacRule> {
     /// Or sender by sender, when so few are pending that one store each is
     /// the shorter way (`by_rank` below). Both leave the lists as link-by-link
     /// stores do: what a list holds is a function of the multiset stored.
-    // audit: no-alloc
     #[inline]
     fn settle(&mut self) {
         let sealed::Deferred {
@@ -1315,7 +1310,6 @@ impl<R: Rule> RowKernel for Row<'_, R> {
         }
     }
 
-    // audit: no-alloc
     #[inline(always)]
     fn batch(&mut self, key: Port, batch: &mut [Message]) {
         if R::ASCENDING_BATCHES {
@@ -1356,7 +1350,6 @@ impl<R: Rule> AlgorithmPlane for Columnar<R> {
         &self.output
     }
 
-    // audit: no-alloc
     fn deliver_from_sender(&mut self, msg: Message, receivers: &NodeSet, ports: &[Port]) {
         let mut cols = self.cols();
         for (wi, mut word) in receivers.iter_words() {
@@ -1369,7 +1362,6 @@ impl<R: Rule> AlgorithmPlane for Columnar<R> {
         }
     }
 
-    // audit: no-alloc
     fn receive(&mut self, receiver: usize, port: Port, batch: &[Message]) {
         let mut cols = self.cols();
         if !R::ASCENDING_BATCHES || batch.len() == 1 {
@@ -1499,13 +1491,11 @@ impl RowKernel for BoxedRow<'_> {
         true
     }
 
-    // audit: no-alloc
     #[inline]
     fn link(&mut self, port: Port, phase: Phase, value: Value) {
         self.0.receive(port, &[Message::new(value, phase)]);
     }
 
-    // audit: no-alloc
     #[inline]
     fn staged(&mut self, port: Port, sender: usize, wire: &StagedWire<'_>) -> usize {
         let batch = &wire.batches[sender];
@@ -1513,7 +1503,6 @@ impl RowKernel for BoxedRow<'_> {
         batch.len()
     }
 
-    // audit: no-alloc
     #[inline]
     fn batch(&mut self, port: Port, batch: &mut [Message]) {
         self.0.receive(port, batch);
@@ -1537,7 +1526,6 @@ impl AlgorithmPlane for BoxedPlane {
         &self.output
     }
 
-    // audit: no-alloc
     fn stage_broadcast(&mut self, sender: usize, _snapshot: Message, out: &mut Batch) {
         self.nodes[sender].broadcast_into(out);
         self.refresh(sender);

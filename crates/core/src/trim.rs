@@ -33,7 +33,6 @@ pub(crate) fn clear(low: &mut [Value], high: &mut [Value]) {
 
 /// Alg. 2 `STORE(val)`: keeps the `f + 1` smallest values in `low` and
 /// the `f + 1` largest in `high` (`f + 1` being both slices' length).
-// audit: no-alloc
 #[inline]
 pub(crate) fn store(low: &mut [Value], high: &mut [Value], val: Value) {
     store_low(low, low.len(), val);
@@ -46,7 +45,6 @@ pub(crate) fn store(low: &mut [Value], high: &mut [Value], val: Value) {
 /// a run of ascending values into an emptied list would otherwise spend
 /// its time on. Returns whether `val` entered the list: if not, no value
 /// `≥ val` can either — where a walk in ascending value order stops.
-// audit: no-alloc
 #[inline]
 pub(crate) fn store_low(low: &mut [Value], filled: usize, val: Value) -> bool {
     let last = low.len() - 1;
@@ -59,7 +57,6 @@ pub(crate) fn store_low(low: &mut [Value], filled: usize, val: Value) -> bool {
 
 /// The `R_high` half of [`store`], likewise: where a walk in descending
 /// value order stops.
-// audit: no-alloc
 #[inline]
 pub(crate) fn store_high(high: &mut [Value], filled: usize, val: Value) -> bool {
     let last = high.len() - 1;

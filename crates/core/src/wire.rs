@@ -146,7 +146,6 @@ impl WireIndex {
     /// # Panics
     ///
     /// Panics if `present` is not over the `n` the index was sized for.
-    // audit: no-alloc
     pub fn build(&mut self, present: &NodeSet, phase: &[Phase], value: &[Value]) -> bool {
         let words = self.words;
         assert_eq!(present.words().len(), words, "universe mismatch");
@@ -260,7 +259,6 @@ impl WireIndex {
 }
 
 impl Ranks {
-    // audit: no-alloc
     fn build(&mut self, present: &NodeSet, value: &[Value]) {
         let words = self.words;
         self.order.clear();
@@ -292,7 +290,6 @@ impl Ranks {
     /// of a block of ranks none of whose senders is pending only the first
     /// is visited (it may be where the walk stops), and the rest is passed
     /// over at one AND per row word.
-    // audit: no-alloc
     #[inline]
     pub(crate) fn scan(
         &self,

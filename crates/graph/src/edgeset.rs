@@ -296,15 +296,6 @@ impl EdgeSet {
             inn.difference_with(senders);
         }
     }
-
-    /// Minimum in-degree over a set of receivers (`None` if `receivers`
-    /// is empty).
-    pub fn min_in_degree_over<'a, I>(&self, receivers: I) -> Option<usize>
-    where
-        I: IntoIterator<Item = &'a NodeId>,
-    {
-        receivers.into_iter().map(|&v| self.in_degree(v)).min()
-    }
 }
 
 /// In-place 64×64 bit-matrix transpose (Hacker's Delight §7-3 widened to
@@ -487,14 +478,6 @@ mod tests {
         e.remove_senders(&dead);
         assert_eq!(e.edge_count(), 1);
         assert!(e.contains(NodeId::new(3), NodeId::new(1)));
-    }
-
-    #[test]
-    fn min_in_degree_over_subset() {
-        let e = EdgeSet::from_pairs(4, [(0, 1), (2, 1), (0, 2)]);
-        let nodes = [NodeId::new(1), NodeId::new(2)];
-        assert_eq!(e.min_in_degree_over(nodes.iter()), Some(1));
-        assert_eq!(e.min_in_degree_over([].iter()), None);
     }
 
     #[test]

@@ -142,7 +142,7 @@ impl SlidingUnion {
     /// # Panics
     ///
     /// Panics if the rows are for a different node count.
-    // audit: no-alloc
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     pub fn push_rows<L: LinkRows>(&mut self, rows: &L) {
         assert_eq!(rows.n(), self.n, "node count mismatch");
         let (t, wpr, slab) = (self.t, self.row_words(), self.slab_words());
@@ -354,7 +354,7 @@ impl WindowUnion {
     /// more than `u32::MAX` rounds — checked, not wrapped, because at
     /// 10⁵-node scale silent counter wraparound would corrupt every
     /// degree the checker reports).
-    // audit: no-alloc
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     pub fn push_rows<E: LinkRows>(&mut self, rows: &E) {
         assert_eq!(rows.n(), self.n, "node count mismatch");
         self.ensure_counts();
@@ -390,7 +390,7 @@ impl WindowUnion {
     /// # Panics
     ///
     /// Panics under the same conditions as [`WindowUnion::pop`].
-    // audit: no-alloc
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     pub fn pop_rows<E: LinkRows>(&mut self, rows: &E) {
         assert_eq!(rows.n(), self.n, "node count mismatch");
         assert!(self.rounds > 0, "pop from an empty window");
@@ -525,22 +525,6 @@ impl WindowUnion {
         }
         *slot = c;
     }
-
-    /// The distinct in-neighbors of `v` across the window, written into
-    /// `out` (cleared first).
-    pub fn union_in_neighbors_into(&self, v: NodeId, out: &mut NodeSet) {
-        assert_eq!(out.universe(), self.n, "universe mismatch");
-        out.clear();
-        if self.counts.is_empty() {
-            return; // nothing pushed yet
-        }
-        let row = &self.counts[v.index() * self.n..(v.index() + 1) * self.n];
-        for (u_idx, &c) in row.iter().enumerate() {
-            if c > 0 {
-                out.insert(NodeId::new(u_idx));
-            }
-        }
-    }
 }
 
 impl fmt::Debug for WindowUnion {
@@ -601,17 +585,6 @@ mod tests {
         let just_1 = NodeSet::from_ids(3, [NodeId::new(1)]);
         assert_eq!(w.min_degree_over(&just_1), Some(2));
         assert_eq!(w.min_degree_over(&NodeSet::new(3)), None);
-    }
-
-    #[test]
-    fn union_in_neighbors_into_matches_degrees() {
-        let mut w = WindowUnion::new(5);
-        w.push(&pairs(5, &[(0, 1), (4, 1)]));
-        w.push(&pairs(5, &[(2, 1)]));
-        let mut out = NodeSet::new(5);
-        w.union_in_neighbors_into(NodeId::new(1), &mut out);
-        assert_eq!(out.len(), w.degree(NodeId::new(1)));
-        assert!(out.contains(NodeId::new(4)));
     }
 
     #[test]
@@ -756,9 +729,6 @@ mod tests {
         let mut w = WindowUnion::new(4);
         assert_eq!(w.count(NodeId::new(0), NodeId::new(1)), 0);
         assert!(!w.stable(NodeId::new(0), NodeId::new(1)));
-        let mut out = NodeSet::full(4);
-        w.union_in_neighbors_into(NodeId::new(1), &mut out);
-        assert!(out.is_empty());
         w.clear();
         assert!(w.counts.is_empty(), "nothing pushed, nothing allocated");
         let mut s = Schedule::new(4);

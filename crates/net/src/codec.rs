@@ -123,13 +123,6 @@ pub fn decode(bytes: &[u8], precision: Precision) -> Option<(Message, usize)> {
     Some((Message::new(value, Phase::new(phase)), used + value_bytes))
 }
 
-/// The encoded size of a message in bits (varint phase + value field).
-pub fn encoded_bits(msg: Message, precision: Precision) -> u64 {
-    let mut buf = Vec::new();
-    encode(msg, precision, &mut buf);
-    buf.len() as u64 * 8
-}
-
 fn value_byte_len(precision: Precision) -> usize {
     (precision.bits() as usize + 1).div_ceil(8)
 }
@@ -237,8 +230,9 @@ mod tests {
         // Phase < 128 takes 1 byte; an 11-bit value takes 2 bytes: 24 bits
         // total — the concrete O(log n) the model assumes.
         let p = Precision::for_eps(1e-3);
-        let msg = Message::new(Value::HALF, Phase::new(9));
-        assert_eq!(encoded_bits(msg, p), 24);
+        let mut buf = Vec::new();
+        encode(Message::new(Value::HALF, Phase::new(9)), p, &mut buf);
+        assert_eq!(buf.len() * 8, 24);
     }
 
     #[test]

@@ -1,5 +1,4 @@
 use std::fmt;
-// audit: allow(threading) — OnceLock is lock-free lazy init, not threading; the table and transpose caches must be shareable across TrialPool workers
 use std::sync::OnceLock;
 
 use adn_types::rng::SplitMix64;
@@ -285,45 +284,6 @@ impl PortNumbering {
         });
         &transposed[sender.index() * self.n..(sender.index() + 1) * self.n]
     }
-
-    /// Inverse lookup: which sender occupies `port` at `receiver`?
-    /// (Analysis-only — real nodes have no access to this mapping.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if the receiver or port is out of range.
-    pub fn sender_at(&self, receiver: NodeId, port: Port) -> NodeId {
-        match &self.repr {
-            Repr::Table { seed, map } => {
-                let (r, n) = (receiver.index(), self.n);
-                let row = &self.table(*seed, map)[r * n..(r + 1) * n];
-                let sender = row
-                    .iter()
-                    .position(|&p| p == port)
-                    .unwrap_or_else(|| panic!("port {port} out of range at receiver {receiver}"));
-                NodeId::new(sender)
-            }
-            Repr::Identity => {
-                assert!(
-                    receiver.index() < self.n,
-                    "receiver {receiver} out of range"
-                );
-                assert!(
-                    port.index() < self.n,
-                    "port {port} out of range at receiver {receiver}"
-                );
-                NodeId::new(port.index())
-            }
-            Repr::Rotation(offsets) => {
-                assert!(
-                    port.index() < self.n,
-                    "port {port} out of range at receiver {receiver}"
-                );
-                let s = port.index() + self.n - offsets[receiver.index()] as usize;
-                NodeId::new(if s >= self.n { s - self.n } else { s })
-            }
-        }
-    }
 }
 
 /// One receiver's port bijection (see [`PortNumbering::ports_of`]).
@@ -526,29 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn sender_at_inverts_port_of_for_every_repr() {
-        for pn in [
-            PortNumbering::random(9, 11),
-            PortNumbering::rotation(9, 11),
-            PortNumbering::identity(9),
-        ] {
-            for r in NodeId::all(9) {
-                for s in NodeId::all(9) {
-                    let p = pn.port_of(r, s);
-                    assert_eq!(pn.sender_at(r, p), s, "{pn:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn sender_at_bad_port_panics() {
-        let pn = PortNumbering::identity(3);
-        pn.sender_at(NodeId::new(0), Port::new(3));
-    }
-
-    #[test]
     #[should_panic(expected = "PortNumbering::rotation")]
     fn random_past_dense_cap_fails_fast() {
         PortNumbering::random(PortNumbering::MAX_DENSE_N + 1, 1);
@@ -572,6 +509,5 @@ mod tests {
         let a = pn.port_of(r, NodeId::new(0)).index();
         let b = pn.port_of(r, NodeId::new(1)).index();
         assert_eq!(b, (a + 1) % n);
-        assert_eq!(pn.sender_at(r, Port::new(a)), NodeId::new(0));
     }
 }

@@ -103,11 +103,14 @@ impl ByzSide<'_> {
     /// strategy object (that object's receivers, ascending) is the same
     /// whatever plane is being fed, which is what keeps stateful
     /// strategies equivalent across them.
-    // audit: no-alloc
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     fn fabricate(&mut self, ctx: &ByzContext<'_>, v: NodeId) -> Option<&mut Batch> {
         self.scratch.clear();
         let slot = &mut self.strategies[ctx.self_id.index()];
-        // audit: allow(no-panic) — the classes table marked the sender Byzantine, so its strategy slot is populated by construction
+        #[allow(
+            clippy::expect_used,
+            reason = "the classes table marked the sender Byzantine, so its slot is populated"
+        )]
         let strategy = slot.as_mut().expect("classified Byzantine");
         strategy.messages_into(ctx, v, self.scratch);
         if self.scratch.is_empty() {
@@ -158,7 +161,7 @@ fn scan_senders<L: LinkRows>(
 /// The one loop a round spends its time in, so it is its own function:
 /// nothing but the kernel's link step inside it, and code generation that
 /// does not depend on what it would be inlined next to.
-// audit: no-alloc
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #[inline(never)]
 fn feed_present<L: LinkRows, K: RowKernel>(
     env: &PlaneRound<'_>,
@@ -220,7 +223,7 @@ struct ReceiverWalk<'r, L> {
 }
 
 impl<L: LinkRows> RowWalk for ReceiverWalk<'_, L> {
-    // audit: no-alloc
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     #[inline(always)]
     fn walk<K: RowKernel>(self, kernel: &mut K) {
         let ReceiverWalk {
@@ -363,7 +366,7 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, L> {
 /// ([`ReceiverWalk`]). Generic over the link rows — dense bit rows and
 /// run/CSR rows are just row kinds — and, through the shard, over the
 /// plane it feeds.
-// audit: no-alloc
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 fn deliver_rows<L: LinkRows>(
     env: &PlaneRound<'_>,
     links: &L,

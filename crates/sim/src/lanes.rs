@@ -293,7 +293,7 @@ impl LaneRun {
     /// scalar engine's `step` (cap/all-output before the round, then
     /// all-output / range / cap after it, with the round counter
     /// incremented in between).
-    // audit: no-alloc
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     pub fn step(&mut self) {
         if self.live == 0 {
             return;

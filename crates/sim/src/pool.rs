@@ -39,6 +39,12 @@
 //! assert_eq!(rounds.len(), 3); // one result per seed, in seed order
 //! ```
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the one file that owns threading (crates/clippy.toml confines it here)"
+)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use adn_core::LANE_WIDTH;

@@ -23,7 +23,7 @@ use adn_types::{Batch, Message, Phase, Port, Value};
 
 /// Snaps the staged values in place — the wire boundary, without
 /// re-staging or allocating.
-// audit: no-alloc
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 fn snap_staged(out: &mut Batch, precision: Precision) {
     for m in out.iter_mut() {
         *m = Message::new(snap(m.value(), precision), m.phase());
@@ -140,7 +140,7 @@ impl AlgorithmPlane for QuantizedPlane {
         Message::new(snap(msg.value(), self.precision), msg.phase())
     }
 
-    // audit: no-alloc
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     fn stage_broadcast(&mut self, sender: usize, snapshot: Message, out: &mut Batch) {
         // Whatever the inner plane stages (its own encoders applied), then
         // this grid — `encode_wire`'s order, for any inner plane.

@@ -376,14 +376,6 @@ impl ServiceRun {
         }
     }
 
-    /// Runs the next `count` instances, discarding the per-instance
-    /// records (the aggregate counters keep counting).
-    pub fn run_instances(&mut self, count: u64) {
-        for _ in 0..count {
-            self.run_instance();
-        }
-    }
-
     /// Feeds one executed round's realized links (via the engine's
     /// link-path-agnostic [`Simulation::realized_rows`] view) to the
     /// watchdog; returns the window's min fault-free degree once full.

@@ -159,11 +159,6 @@ impl EventLog {
         self.events.is_empty()
     }
 
-    /// Events of one round.
-    pub fn in_round(&self, round: Round) -> impl Iterator<Item = &Event> {
-        self.events.iter().filter(move |e| e.round() == round)
-    }
-
     /// Events whose primary node is `node`.
     pub fn for_node(&self, node: NodeId) -> impl Iterator<Item = &Event> {
         self.events.iter().filter(move |e| e.node() == node)
@@ -252,7 +247,6 @@ mod tests {
     fn queries_filter_correctly() {
         let log = sample();
         assert_eq!(log.len(), 5);
-        assert_eq!(log.in_round(Round::new(0)).count(), 3);
         assert_eq!(log.for_node(NodeId::new(1)).count(), 2);
         assert_eq!(log.received_by(NodeId::new(1)).count(), 1);
         assert_eq!(log.decide_round(NodeId::new(1)), Some(Round::new(1)));

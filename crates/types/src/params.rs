@@ -111,15 +111,6 @@ impl Params {
         self.eps
     }
 
-    /// Returns a copy with a different `ε`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidEpsilon`] if `eps` is not in `(0, 1]`.
-    pub fn with_eps(self, eps: f64) -> Result<Self, Error> {
-        Params::new(self.n, self.f, eps)
-    }
-
     // --- DAC (crash model) -------------------------------------------------
 
     /// Number of distinct same-phase values (including the node's own) that
@@ -326,16 +317,6 @@ mod tests {
     #[test]
     fn pend_for_rate_saturates_at_rate_one() {
         assert_eq!(pend_for_rate(0.5, 1.0), u64::MAX);
-    }
-
-    #[test]
-    fn with_eps_replaces_only_eps() {
-        let p = Params::new(7, 1, 0.1).unwrap();
-        let q = p.with_eps(0.01).unwrap();
-        assert_eq!(q.n(), 7);
-        assert_eq!(q.f(), 1);
-        assert_eq!(q.eps(), 0.01);
-        assert!(p.with_eps(0.0).is_err());
     }
 
     #[test]

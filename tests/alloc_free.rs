@@ -20,6 +20,18 @@
 //! round on `k` shards spawns `k − 1` scoped threads, which allocates, so
 //! that cell pins what still matters — a small constant per spawned
 //! shard, the same every round and at every n.
+//!
+//! This file is the repo's only no-alloc check: no lint looks for
+//! allocating calls. Every item in adn-sim or adn-graph that carries the
+//! no-panic `#[deny(clippy::unwrap_used, clippy::expect_used,
+//! clippy::panic)]`, and every `fill`, plane, trim or wire hot path in
+//! adn-core or adn-adversary, must run inside one of the windows below.
+//! The REGIONS list in CHANGES.md names the cell that executes each one.
+
+#![allow(
+    unsafe_code,
+    reason = "the counting global allocator implements the unsafe `GlobalAlloc` trait"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
