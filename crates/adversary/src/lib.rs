@@ -130,13 +130,14 @@ pub trait Adversary: fmt::Debug {
     /// (`tests/alloc_free.rs` pins the whole gallery).
     fn edges_into(&mut self, view: &AdversaryView<'_>, out: &mut EdgeSet);
 
-    /// Whether [`Adversary::sparse_into`] works; the engine only takes
-    /// the sparse delivery path when it does. `true` for every
+    /// Whether [`Adversary::sparse_into`] works. `true` for every
     /// [`LinkChoice`] — writing through a [`LinkSink`] *is* being
     /// sparse-capable — and `false` by default for a hand-written
-    /// dense-only `impl Adversary`. (It is a method rather than a
-    /// consequence of the type because the frozen benchmark's wrapper
-    /// adversary forwards it.)
+    /// dense-only `impl Adversary`. On `false` the engine holds the run's
+    /// links as words whatever its `LinkMode` says and fills them through
+    /// [`Adversary::edges_into`]; the run executes the same either way.
+    /// (It is a method rather than a consequence of the type because the
+    /// frozen benchmark's wrapper adversary forwards it.)
     fn sparse_capable(&self) -> bool {
         false
     }

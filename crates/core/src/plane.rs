@@ -447,24 +447,6 @@ impl<'a> PlaneShard<'a> {
             ShardRepr::Boxed(nodes) => walk.walk(&mut BoxedRow(&mut *nodes[v])),
         }
     }
-
-    /// Replay-only (see [`AlgorithmPlane`]). Delivers one round's worth of
-    /// single-message links to `receiver` (a **global** slot index inside
-    /// this shard's range), in slice order — the sharded mirror of
-    /// [`AlgorithmPlane::receive_many`].
-    #[inline]
-    pub fn receive_many(&mut self, receiver: usize, batch: &[(Port, Message)]) {
-        let v = receiver - self.base;
-        match &mut self.repr {
-            ShardRepr::Dac(cols) => cols.receive_many(v, batch),
-            ShardRepr::Dbac(cols) => cols.receive_many(v, batch),
-            ShardRepr::Boxed(nodes) => {
-                for &(port, msg) in batch {
-                    nodes[v].receive(port, &[msg]);
-                }
-            }
-        }
-    }
 }
 
 impl fmt::Debug for PlaneShard<'_> {
@@ -2343,6 +2325,7 @@ mod tests {
             (Port::new(3), msg(0.5, 0)),
         ];
         let bounds = [0usize, 3, 7];
+        let index = WireIndex::new(7);
         // Both rules: Alg. 2's slabs split at `len * (f + 1)`.
         for_both_rules(|make| {
             let mut whole = make(params, &inputs, 4);
@@ -2354,7 +2337,18 @@ mod tests {
                     let shard = shard.as_mut().unwrap();
                     assert_eq!(shard.base(), bounds[i]);
                     for v in bounds[i]..bounds[i + 1] {
-                        shard.receive_many(v, &batch);
+                        let mut script = batch.map(|(key, m)| ScriptLink::Honest(key, m));
+                        let wire = StagedWire {
+                            phase: &[],
+                            value: &[],
+                            batches: &[],
+                        };
+                        let walk = ScriptWalk {
+                            script: &mut script,
+                            wire,
+                            index: &index,
+                        };
+                        shard.deliver_row(v, Phase::ZERO, walk);
                     }
                 }
             }

@@ -2,7 +2,7 @@ use std::fmt;
 
 use adn_types::NodeId;
 
-use crate::NodeSet;
+use crate::{LinkRows, NodeSet};
 
 /// The directed links of one round, `E(t)`.
 ///
@@ -142,9 +142,8 @@ impl EdgeSet {
         &self.in_neighbors
     }
 
-    /// Mutable per-receiver in-neighbor sets, for bulk writers that split
-    /// the rows into disjoint receiver ranges (the sharded delivery
-    /// plane records realized links into each shard's own row slice).
+    /// Mutable per-receiver in-neighbor sets, for bulk writers that work
+    /// row by row (a recorded schedule's round is masked in place).
     /// Callers must uphold the set invariants: no self-loops, every id
     /// below `n`.
     pub fn in_neighbor_sets_mut(&mut self) -> &mut [NodeSet] {
@@ -191,9 +190,8 @@ impl EdgeSet {
     }
 
     /// Adds every link `(u, v)` with `u ∈ senders ∩ mask` in one
-    /// word-parallel sweep — the bulk form of [`EdgeSet::insert`] the
-    /// delivery plane uses to record the realized links of
-    /// unconditionally-delivering senders. Self-loops are stripped.
+    /// word-parallel sweep — the bulk form of [`EdgeSet::insert`]. Self-loops
+    /// are stripped.
     ///
     /// # Panics
     ///
@@ -218,6 +216,23 @@ impl EdgeSet {
         let row = &mut self.in_neighbors[v.index()];
         row.union_range(senders, lo, hi);
         row.remove(v);
+    }
+
+    /// Adds every link of `rows`, one 64-sender word at a time — how any
+    /// row kind becomes dense rows (a recorded schedule, a decoded
+    /// [`LinkPlane`](crate::LinkPlane)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node counts differ.
+    pub fn union_rows(&mut self, rows: &impl LinkRows) {
+        assert_eq!(self.n, rows.n(), "node count mismatch");
+        for (v_idx, row) in self.in_neighbors.iter_mut().enumerate() {
+            rows.scan_words_in(NodeId::new(v_idx), |w, bits| {
+                row.set_word(w, row.word(w) | bits);
+                true
+            });
+        }
     }
 
     /// Overwrites `out` with the transpose of this link set: row `u` of

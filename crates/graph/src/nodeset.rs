@@ -165,6 +165,22 @@ impl NodeSet {
         }
     }
 
+    /// In-place intersection: `self &= other`, one word at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the universes differ.
+    pub fn intersect_with(&mut self, other: &NodeSet) {
+        assert_eq!(
+            self.n, other.n,
+            "universe mismatch: {} vs {}",
+            self.n, other.n
+        );
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a &= b;
+        }
+    }
+
     /// In-place union with `a ∩ b`, without materializing the
     /// intersection: `self |= a & b`, one word at a time.
     ///

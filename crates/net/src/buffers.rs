@@ -90,11 +90,13 @@ pub struct RoundBuffers {
     pub deliverers: NodeSet,
     /// Non-crashed, non-Byzantine nodes this round.
     pub honest: NodeSet,
-    /// The adversary's chosen links `E(t)`, filled via
-    /// `Adversary::edges_into`.
+    /// **Replay-only**, like `chosen_out`: the adversary's chosen links
+    /// `E(t)`, filled via `Adversary::edges_into`. The engine keeps them
+    /// in its `LinkPlane`.
     pub chosen: EdgeSet,
-    /// The realized delivery graph (chosen links whose sender actually
-    /// delivered something).
+    /// Replay-only: the realized delivery graph (chosen links whose sender
+    /// actually delivered something). The engine reads realized links off
+    /// its `LinkPlane` instead.
     pub realized: EdgeSet,
     /// The round's shared sender permutation for the non-ascending
     /// delivery orders: every active sender id exactly once, in the order
@@ -113,9 +115,8 @@ pub struct RoundBuffers {
     /// walk intersects with each receiver's chosen in-neighbors.
     pub active: NodeSet,
     /// The [`SenderClass::Present`] subset of `active`: senders whose
-    /// chosen links *all* deliver, so their realized links are recorded
-    /// with one word-parallel OR per receiver row instead of one insert
-    /// per delivery.
+    /// chosen links *all* deliver, so their realized links are read a word
+    /// at a time instead of link by link.
     pub unconditional: NodeSet,
     /// Sender-major transpose of `chosen` (row `u` = out-neighbors of
     /// `u`), rebuilt by [`RoundBuffers::transpose_chosen`]. **Replay-only**:
@@ -131,7 +132,10 @@ pub struct RoundBuffers {
 }
 
 impl RoundBuffers {
-    /// Allocates the arena for a system of `n` nodes.
+    /// Allocates the arena for a system of `n` nodes, its dense edge
+    /// structures included: what the benchmark's frozen stage replay
+    /// builds for a run on words. The engine never reads them and builds
+    /// [`RoundBuffers::sparse`].
     pub fn new(n: usize) -> Self {
         RoundBuffers::sized(n, n, n)
     }
@@ -160,19 +164,16 @@ impl RoundBuffers {
         }
     }
 
-    /// Allocates the arena for a **sparse-path** simulation of `n` nodes:
-    /// every dense `O(n²)` edge structure (`chosen`, `chosen_out`,
-    /// `plane_receivers`, and — unless the run records its schedule —
-    /// `realized`) is built at size zero, never at size `n` first, so the
-    /// arena is `O(n)` and a 100 000-node run does not pay three 1.25 GB
-    /// bitmaps it never reads. The sparse engine keeps the round's links
-    /// in a `LinkPlane` instead and must not touch the zero-sized fields
-    /// (`begin_round` still clears them, which is a no-op).
+    /// Allocates the `O(n)` arena for `n` nodes: every dense `O(n²)` edge
+    /// structure (`chosen`, `chosen_out`, `plane_receivers`, and — unless
+    /// `record_schedule` — `realized`) is built at size zero, never at
+    /// size `n` first, so a 100 000-node run does not pay 1.25 GB bitmaps
+    /// it never reads. `begin_round` still clears them, which is a no-op.
     ///
-    /// `realized` stays full-size iff `record_schedule` — the recorded
-    /// schedule is a sequence of dense `EdgeSet`s, so recording runs
-    /// (the equivalence fuzz at small `n`) still materialize realized
-    /// links densely.
+    /// The engine builds every run's arena as `sparse(n, false)`: it keeps
+    /// the round's links in its one `LinkPlane` and reads realized links
+    /// off it. The benchmark's frozen stage replay builds it for a run on
+    /// run/CSR rows, the same way.
     pub fn sparse(n: usize, record_schedule: bool) -> Self {
         RoundBuffers::sized(n, 0, if record_schedule { n } else { 0 })
     }

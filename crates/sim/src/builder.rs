@@ -34,33 +34,28 @@ pub enum PlaneMode {
     Never,
 }
 
-/// How one round's chosen links are represented: dense `O(n²)`-bit
-/// [`EdgeSet`](adn_graph::EdgeSet) rows (the semantic oracle) or the
-/// sparse [`LinkPlane`](adn_graph::LinkPlane) of id-range runs and CSR
-/// rows that scales rounds past `n = 100 000`.
+/// A memory hint: the form in which the run's one link store
+/// ([`LinkPlane`](adn_graph::LinkPlane)) holds each round's chosen links —
+/// dense words (`n²/8` bytes, word-parallel everything) or id-range runs
+/// and CSR rows (`O(n)` for the gallery's shapes, which is what scales
+/// rounds past `n = 100 000`).
 ///
-/// The sparse path requires a **sparse-compatible** run: ascending-sender
-/// delivery (run/CSR rows have no `O(1)` membership test for the
-/// permutation walk), a
-/// [`sparse_capable`](adn_adversary::Adversary::sparse_capable)
-/// adversary, and no Byzantine nodes (strategy objects cannot be shared
-/// across delivery shards, and the sparse path's on-the-fly realized view
-/// cannot replay a fabrication). Crash faults, event recording and every
-/// algorithm — columnar plane or not — are fully supported.
+/// It has no semantic effect and never rejects a run: every delivery
+/// order, Byzantine and crash faults, event recording, sharding and every
+/// plane run on either form, to the same execution (fuzzed in
+/// `tests/reference_round.rs` and `tests/plane_equivalence.rs`). An
+/// adversary that cannot write runs
+/// ([`sparse_capable`](adn_adversary::Adversary::sparse_capable) `false`)
+/// is held as words whatever the hint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LinkMode {
-    /// Sparse when the run is sparse-compatible **and** `n` exceeds
-    /// [`PortNumbering::MAX_DENSE_N`] (below that, dense word-parallel
-    /// rows win); dense otherwise. The default.
+    /// Runs/CSR rows past [`PortNumbering::MAX_DENSE_N`] nodes, words up
+    /// to it (where word-parallel rows win). The default.
     #[default]
     Auto,
-    /// Always dense, even at sizes where the dense arena is gigabytes —
-    /// the reference path for differential tests.
+    /// Words, even at sizes where they take gigabytes.
     Dense,
-    /// Require the sparse path.
-    ///
-    /// `build` panics if the run is not sparse-compatible — for tests and
-    /// benches that must not silently measure the dense path.
+    /// Runs/CSR rows, at any size.
     Sparse,
 }
 
@@ -102,7 +97,7 @@ pub struct SimBuilder {
     pub(crate) plane_mode: PlaneMode,
     pub(crate) link_mode: LinkMode,
     /// Receiver-range shards the delivery loop fans out over (1 = no
-    /// fan-out). Only the sparse path shards; see [`SimBuilder::shards`].
+    /// fan-out). See [`SimBuilder::shards`].
     pub(crate) shards: usize,
     /// Whether `build` skips the `f`-bound fault asserts. See
     /// [`SimBuilder::allow_fault_overflow`].
@@ -259,11 +254,10 @@ impl SimBuilder {
         self
     }
 
-    /// How the round's chosen links are represented (default:
-    /// [`LinkMode::Auto`] — the sparse [`LinkPlane`](adn_graph::LinkPlane)
-    /// for sparse-compatible runs past
-    /// [`PortNumbering::MAX_DENSE_N`] nodes, dense bit rows otherwise).
-    /// See [`LinkMode`].
+    /// The form the link store holds the round's chosen links in
+    /// (default: [`LinkMode::Auto`] — run/CSR rows past
+    /// [`PortNumbering::MAX_DENSE_N`] nodes, words otherwise). A memory
+    /// hint that never changes the execution; see [`LinkMode`].
     pub fn link_mode(mut self, mode: LinkMode) -> Self {
         self.link_mode = mode;
         self
@@ -271,8 +265,9 @@ impl SimBuilder {
 
     /// Fans the delivery loop out over `shards` receiver-range shards
     /// with a deterministic input-ordered merge — byte-identical to
-    /// single-shard delivery (default: 1). Only sparse runs shard; a run
-    /// that resolves to dense links delivers as one shard.
+    /// single-shard delivery (default: 1), on either link form. A run
+    /// with Byzantine nodes delivers as one shard: strategy objects are
+    /// not `Send`.
     ///
     /// # Panics
     ///
@@ -299,10 +294,11 @@ impl SimBuilder {
     }
 
     /// Records the realized per-round delivery schedule for the
-    /// dynaDegree checker (default: on). Disable for throughput runs:
-    /// the recording clones one edge set per round, which is both the
-    /// memory growth and the last per-round allocation of a steady-state
-    /// `step`.
+    /// dynaDegree checker (default: on). Disable for throughput runs: the
+    /// recording fills one dense edge set per round from
+    /// [`Simulation::realized_rows`] after the round has delivered, which
+    /// is both the memory growth and the last per-round allocation of a
+    /// steady-state `step`. It does not change what the round executes.
     pub fn record_schedule(mut self, on: bool) -> Self {
         self.record_schedule = on;
         self

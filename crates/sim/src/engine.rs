@@ -50,23 +50,33 @@ struct PlaneRound<'a> {
     values: &'a [Value],
 }
 
-/// One shard's exclusive round state: its plane slice, its realized rows
-/// (when the run materializes them) and its traffic meter (merged back in
-/// shard order: the deterministic input-ordered merge).
+/// One shard's exclusive round state: its plane slice and its traffic
+/// meter (merged back in shard order: the deterministic input-ordered
+/// merge).
 struct ShardCtx<'a> {
     shard: PlaneShard<'a>,
-    rows: Option<&'a mut [NodeSet]>,
     traffic: Traffic,
 }
 
+/// A Byzantine node: its strategy, and the receivers it fabricated nothing
+/// for in the round last delivered — the one realized fact the link store,
+/// the sender classes and the crash schedule cannot give back
+/// ([`RealizedRows`]). The walk visits each of its chosen links, so all
+/// others delivered; misses are rare, so a recorded schedule is cheap.
+#[derive(Debug)]
+struct ByzSlot {
+    strategy: Box<dyn ByzantineStrategy>,
+    missed: NodeSet,
+}
+
 /// The round's Byzantine senders as the delivery walk sees them: the
-/// strategy slots, the one fabrication scratch and — on a logged run — the
-/// lengths of the round's fabricated batches, in delivery order (see
-/// [`Simulation::log_deliveries`]). Sharded runs exclude Byzantine nodes
-/// (strategy objects are not `Send`), so their shards walk with an empty
-/// one.
+/// slots, the one fabrication scratch and — on a logged run — the lengths
+/// of the round's fabricated batches, in delivery order (see
+/// [`Simulation::log_deliveries`]). A run with Byzantine nodes delivers
+/// as one shard (strategy objects are not `Send`), so the shards of a
+/// sharded run walk with an empty one.
 struct ByzSide<'a> {
-    strategies: &'a mut [Option<Box<dyn ByzantineStrategy>>],
+    slots: &'a mut [Option<ByzSlot>],
     scratch: &'a mut Batch,
     fabricated: Option<&'a mut Vec<usize>>,
 }
@@ -98,22 +108,24 @@ mod probe {
 impl ByzSide<'_> {
     /// Fabricates Byzantine sender `ctx.self_id`'s batch for destination
     /// `v` into the scratch; returns it, or `None` when nothing was
-    /// fabricated. On a logged run, the length of what it returns joins
-    /// the round's FIFO. The single fabrication site — its call order per
-    /// strategy object (that object's receivers, ascending) is the same
-    /// whatever plane is being fed, which is what keeps stateful
-    /// strategies equivalent across them.
+    /// fabricated, which marks `v` missed. On a logged run, the length of
+    /// what it returns joins the round's FIFO. The single fabrication site —
+    /// its call order per strategy object (that object's receivers,
+    /// ascending) is the same whatever plane is being fed, which is what
+    /// keeps stateful strategies equivalent across them.
     #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     fn fabricate(&mut self, ctx: &ByzContext<'_>, v: NodeId) -> Option<&mut Batch> {
         self.scratch.clear();
-        let slot = &mut self.strategies[ctx.self_id.index()];
         #[allow(
             clippy::expect_used,
             reason = "the classes table marked the sender Byzantine, so its slot is populated"
         )]
-        let strategy = slot.as_mut().expect("classified Byzantine");
-        strategy.messages_into(ctx, v, self.scratch);
+        let slot = self.slots[ctx.self_id.index()]
+            .as_mut()
+            .expect("classified Byzantine");
+        slot.strategy.messages_into(ctx, v, self.scratch);
         if self.scratch.is_empty() {
+            slot.missed.insert(v);
             return None;
         }
         if let Some(fabricated) = self.fabricated.as_deref_mut() {
@@ -216,8 +228,6 @@ struct ReceiverWalk<'r, L> {
     env: &'r PlaneRound<'r>,
     links: &'r L,
     v: NodeId,
-    /// `v`'s realized row, when the run materializes realized links.
-    row: Option<&'r mut NodeSet>,
     traffic: &'r mut Traffic,
     byz: ByzSide<'r>,
 }
@@ -230,7 +240,6 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, L> {
             env,
             links,
             v,
-            mut row,
             traffic,
             mut byz,
         } = self;
@@ -241,12 +250,6 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, L> {
         } else {
             env.ports.ports_of(v)
         };
-        // A Present sender's chosen links all deliver, so its realized
-        // links are recorded in bulk; only the conditional classes record
-        // theirs per delivery below.
-        if let Some(row) = row.as_deref_mut() {
-            links.union_in_masked(v, env.unconditional, row);
-        }
         // The Present links, metered once per receiver. They count as
         // delivered whether or not they are still fed: traffic and the
         // realized graph are what the network delivered, not what the
@@ -281,9 +284,6 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, L> {
                 // stale, and was fed).
                 _ => return,
             };
-            if let Some(row) = row.as_deref_mut() {
-                row.insert(u);
-            }
             traffic.record_delivery(batch_len);
         };
         // Where the walk left the row because the receiver went stale (a
@@ -390,10 +390,9 @@ fn deliver_rows<L: LinkRows>(
                 env,
                 links,
                 v,
-                row: ctx.rows.as_deref_mut().map(|rows| &mut rows[v_idx - lo]),
                 traffic: &mut ctx.traffic,
                 byz: ByzSide {
-                    strategies: byz.strategies,
+                    slots: byz.slots,
                     scratch: byz.scratch,
                     fabricated: byz.fabricated.as_deref_mut(),
                 },
@@ -402,142 +401,137 @@ fn deliver_rows<L: LinkRows>(
     }
 }
 
-/// Carves the first `at` elements off `*s` — hands each shard an
-/// exclusive prefix of the realized rows and leaves the tail for the
-/// rest.
-fn take_split<'a, T>(s: &mut &'a mut [T], at: usize) -> &'a mut [T] {
-    let (head, rest) = std::mem::take(s).split_at_mut(at);
-    *s = rest;
-    head
-}
-
 /// A read-only [`LinkRows`] view of the links that actually **delivered**
 /// in the round the last `step` executed — the realized round graph that
 /// the dynaDegree safety condition quantifies over.
 ///
-/// On the dense path this borrows the materialized realized rows the
-/// delivery loop filled. On the sparse path no realized set exists unless
-/// schedule recording asked for one, so the view re-applies the delivery
-/// loop's per-link rule (sender class, partial-crash survivor draw) to
-/// the link plane's chosen rows on the fly — `O(row)` per receiver,
-/// nothing dense ever materialized. Obtain via
-/// [`Simulation::realized_rows`].
+/// Nothing is materialized: the view re-applies the delivery walk's
+/// per-link rule to the run's one link store on the fly. A link `u → v`
+/// delivered iff `v` executed the round and `u`'s class says so — every
+/// link of a Present sender, a Partial sender's links that survived its
+/// crash, a Byzantine sender's links but those its fabrication left empty
+/// (the walk marks them as it fabricates) and no Silent sender's. `O(row)` per
+/// receiver, a word at a time on words and run rows, whichever form the
+/// store holds. Obtain via [`Simulation::realized_rows`].
 #[derive(Debug)]
-pub struct RealizedRows<'a>(RealizedInner<'a>);
+pub struct RealizedRows<'a> {
+    links: &'a LinkPlane,
+    honest: &'a NodeSet,
+    /// The round's sender classes: its non-Silent senders, those of them
+    /// whose links all deliver (Present), and the rest of them, Partial
+    /// and Byzantine (see [`PlaneRound::conditional`]).
+    active: &'a NodeSet,
+    unconditional: &'a NodeSet,
+    conditional: &'a [(usize, NodeId)],
+    crash: &'a CrashSchedule,
+    byz: &'a [Option<ByzSlot>],
+    /// The executed round (the crash-survivor axis).
+    t: Round,
+}
 
-#[derive(Debug)]
-enum RealizedInner<'a> {
-    /// Dense path: the round's materialized realized rows.
-    Dense(&'a EdgeSet),
-    /// Sparse path: the round's chosen rows plus everything needed to
-    /// replay the delivery filter (the [`ReceiverWalk`]'s per-class rule,
-    /// minus the kernel).
-    Sparse {
-        links: &'a LinkPlane,
-        honest: &'a NodeSet,
-        /// The round's non-Silent senders, and those of them whose links
-        /// all deliver (Present). Sparse runs exclude Byzantine nodes,
-        /// so whatever is active and not Present is Partial.
-        active: &'a NodeSet,
-        unconditional: &'a NodeSet,
-        crash: &'a CrashSchedule,
-        /// The executed round (the filter's crash-survivor axis).
-        t: Round,
-    },
+impl RealizedRows<'_> {
+    /// Whether conditional sender `u`'s chosen link to honest `v`
+    /// delivered.
+    fn conditional_delivers(&self, u: NodeId, v: NodeId) -> bool {
+        match &self.byz[u.index()] {
+            Some(slot) => !slot.missed.contains(v),
+            None => self.crash.delivers(u, self.t, v),
+        }
+    }
+
+    /// Whether chosen link `u → v` delivered, `v` honest.
+    fn delivers(&self, u: NodeId, v: NodeId) -> bool {
+        self.unconditional.contains(u) || self.active.contains(u) && self.conditional_delivers(u, v)
+    }
+
+    /// The view as dense rows, for a recorded schedule: the store's rows
+    /// (a copy of its words, or its run/CSR rows read out) less what did
+    /// not deliver — the rows of receivers that did not execute, the
+    /// Silent senders' links (if the round has any), and sender by sender
+    /// the dead links of the round's few conditional senders.
+    fn to_edge_set(&self) -> EdgeSet {
+        let mut rows = match self.links.words() {
+            Some(words) => words.clone(),
+            None => {
+                let mut rows = EdgeSet::empty(self.n());
+                rows.union_rows(self.links);
+                rows
+            }
+        };
+        let silent = self.active.len() < self.n();
+        for (v_idx, row) in rows.in_neighbor_sets_mut().iter_mut().enumerate() {
+            if !self.honest.contains(NodeId::new(v_idx)) {
+                row.clear();
+            } else if silent {
+                row.intersect_with(self.active);
+            }
+        }
+        for &(_, u) in self.conditional {
+            match &self.byz[u.index()] {
+                Some(slot) => slot.missed.for_each(|v| {
+                    rows.remove(u, v);
+                }),
+                None => self.honest.for_each(|v| {
+                    if rows.contains(u, v) && !self.crash.delivers(u, self.t, v) {
+                        rows.remove(u, v);
+                    }
+                }),
+            }
+        }
+        rows
+    }
 }
 
 impl LinkRows for RealizedRows<'_> {
     fn n(&self) -> usize {
-        match &self.0 {
-            RealizedInner::Dense(realized) => realized.n(),
-            RealizedInner::Sparse { links, .. } => links.n(),
-        }
+        self.links.n()
     }
 
     fn scan_in(&self, v: NodeId, from: usize, mut f: impl FnMut(NodeId) -> bool) -> Option<NodeId> {
-        match &self.0 {
-            RealizedInner::Dense(realized) => realized.scan_in(v, from, f),
-            RealizedInner::Sparse {
-                links,
-                honest,
-                active,
-                unconditional,
-                crash,
-                t,
-            } => {
-                // Crashed/Byzantine receivers process nothing: their
-                // realized rows are empty, exactly as the dense delivery
-                // loop leaves them.
-                if !honest.contains(v) {
-                    return None;
-                }
-                links.scan_in(v, from, |u| {
-                    let delivered = unconditional.contains(u)
-                        || (active.contains(u) && crash.delivers(u, *t, v));
-                    !delivered || f(u)
-                })
-            }
+        // Crashed/Byzantine receivers process nothing: their realized
+        // rows are empty.
+        if !self.honest.contains(v) {
+            return None;
         }
+        self.links
+            .scan_in(v, from, |u| !self.delivers(u, v) || f(u))
     }
 
-    /// The realized row by words, never by links: dense rows hand out
-    /// their words; sparse rows the link plane's chunks `∧` the Present
-    /// senders, plus the round's Partial senders in the chunk — a handful
-    /// at most — asked one by one whether their link to `v` survived.
+    /// The realized row by words, never by links: the store's chunks `∧`
+    /// the Present senders, plus the round's conditional senders in the
+    /// chunk — a handful at most — asked one by one.
     #[inline]
     fn scan_words_in(&self, v: NodeId, mut f: impl FnMut(usize, u64) -> bool) {
-        match &self.0 {
-            RealizedInner::Dense(realized) => realized.scan_words_in(v, f),
-            RealizedInner::Sparse {
-                links,
-                honest,
-                active,
-                unconditional,
-                crash,
-                t,
-            } => {
-                if !honest.contains(v) {
-                    return;
-                }
-                let (active, present) = (active.words(), unconditional.words());
-                links.scan_words_in(v, |w, bits| {
-                    let mut delivered = bits & present[w];
-                    let mut partial = bits & active[w] & !present[w];
-                    while partial != 0 {
-                        let b = partial.trailing_zeros() as usize;
-                        partial &= partial - 1;
-                        if crash.delivers(NodeId::new(w * 64 + b), *t, v) {
-                            delivered |= 1 << b;
-                        }
-                    }
-                    delivered == 0 || f(w, delivered)
-                });
-            }
+        if !self.honest.contains(v) {
+            return;
         }
+        let (active, present) = (self.active.words(), self.unconditional.words());
+        self.links.scan_words_in(v, |w, bits| {
+            let mut delivered = bits & present[w];
+            let mut conditional = bits & active[w] & !present[w];
+            while conditional != 0 {
+                let b = conditional.trailing_zeros() as usize;
+                conditional &= conditional - 1;
+                let u = NodeId::new(w * 64 + b);
+                delivered |= u64::from(self.conditional_delivers(u, v)) << b;
+            }
+            delivered == 0 || f(w, delivered)
+        });
     }
 
-    /// One bit test on dense rows (what a permuted order's walk asks per
-    /// sender); on sparse ones, the first delivered link from `u` on.
+    /// The store's membership test (what a permuted order's walk asks per
+    /// sender), then the sender's class.
     fn contains(&self, u: NodeId, v: NodeId) -> bool {
-        match &self.0 {
-            RealizedInner::Dense(realized) => realized.contains(u, v),
-            RealizedInner::Sparse { .. } => self.scan_in(v, u.index(), |_| false) == Some(u),
-        }
+        self.honest.contains(v) && self.links.contains(u, v) && self.delivers(u, v)
     }
 
     fn in_degree(&self, v: NodeId) -> usize {
-        match &self.0 {
-            // Word-parallel popcount instead of the per-bit default.
-            RealizedInner::Dense(realized) => realized.in_degree(v),
-            RealizedInner::Sparse { .. } => {
-                let mut c = 0;
-                self.scan_words_in(v, |_, bits| {
-                    c += bits.count_ones() as usize;
-                    true
-                });
-                c
-            }
-        }
+        let mut c = 0;
+        self.scan_words_in(v, |_, bits| {
+            c += bits.count_ones() as usize;
+            true
+        });
+        c
     }
 }
 
@@ -572,8 +566,8 @@ pub struct Simulation {
     ports: PortNumbering,
     adversary: Box<dyn Adversary>,
     crash: CrashSchedule,
-    /// `Some(strategy)` at Byzantine slots, `None` elsewhere.
-    byz: Vec<Option<Box<dyn ByzantineStrategy>>>,
+    /// `Some` at Byzantine slots, `None` elsewhere.
+    byz: Vec<Option<ByzSlot>>,
     /// Every node's algorithm state: boxed state machines or a columnar
     /// plane (see [`PlaneMode`]). Holds all `n` slots; the engine never
     /// drives Byzantine slots and masks them out of every read.
@@ -591,13 +585,13 @@ pub struct Simulation {
     schedule: Schedule,
     record_schedule: bool,
     observe_phases: bool,
-    /// Reusable per-round arena: batches, snapshots, link sets, scratch.
+    /// Reusable per-round arena: batches, snapshots, sender sets, scratch
+    /// (built [`RoundBuffers::sparse`]: none of its dense edge sets).
     /// Persisted across rounds so steady-state `step`s never allocate.
     buffers: RoundBuffers,
-    /// `Some` on the sparse path: the round's chosen links as id-range
-    /// runs / CSR rows instead of dense bit rows (see
-    /// [`LinkMode`](crate::LinkMode)).
-    links: Option<LinkPlane>,
+    /// The round's chosen links `E(t)`, the run's one link store: words,
+    /// or id-range runs / CSR rows (see [`LinkMode`]).
+    links: LinkPlane,
     /// The head of every staged batch as two per-sender columns (see
     /// [`StagedWire`]).
     wire_phase: Vec<Phase>,
@@ -659,9 +653,10 @@ impl Simulation {
             );
         }
 
-        let mut byz: Vec<Option<Box<dyn ByzantineStrategy>>> = (0..n).map(|_| None).collect();
+        let mut byz: Vec<Option<ByzSlot>> = (0..n).map(|_| None).collect();
         for (id, strategy) in b.byzantine {
-            byz[id.index()] = Some(strategy);
+            let missed = NodeSet::new(n);
+            byz[id.index()] = Some(ByzSlot { strategy, missed });
         }
 
         // Which plane holds the nodes' state. Every run configuration
@@ -702,30 +697,21 @@ impl Simulation {
             .filter(|id| byz[id.index()].is_none() && !b.crash.is_faulty(*id))
             .collect();
 
-        // Sparse link representation: requires ascending-sender delivery
-        // (run/CSR rows have no O(1) membership test for the permutation
-        // walk), a sparse-capable adversary, and no Byzantine nodes
-        // (strategy objects are not shareable across shards, and the
-        // on-the-fly realized view cannot replay a fabrication). Any plane
-        // runs on it.
-        let sparse_ok = b.delivery_order == DeliveryOrder::AscendingSenders
-            && b.adversary.sparse_capable()
-            && byz.iter().all(Option::is_none);
-        let use_sparse = match b.link_mode {
-            LinkMode::Dense => false,
-            LinkMode::Auto => sparse_ok && n > PortNumbering::MAX_DENSE_N,
-            LinkMode::Sparse => {
-                assert!(
-                    sparse_ok,
-                    "LinkMode::Sparse requires a sparse-compatible run: \
-                     ascending-sender delivery, a sparse-capable adversary, and no \
-                     Byzantine nodes"
-                );
-                true
-            }
+        // The link store's form, the one thing `LinkMode` decides: every
+        // form runs every configuration. A dense-only adversary writes
+        // words whatever the hint.
+        let words = match b.link_mode {
+            LinkMode::Dense => true,
+            LinkMode::Auto => n <= PortNumbering::MAX_DENSE_N,
+            LinkMode::Sparse => false,
+        } || !b.adversary.sparse_capable();
+        // Strategy objects are not `Send`: a run with Byzantine nodes
+        // delivers as one shard.
+        let shards = if byz.iter().all(Option::is_none) {
+            b.shards
+        } else {
+            1
         };
-        // Only sparse runs shard; a dense run delivers as one shard.
-        let shards = if use_sparse { b.shards } else { 1 };
         let shard_bounds: Vec<usize> = (0..=shards).map(|i| n * i / shards).collect();
 
         // A random numbering's table is built here, at set-up, exactly
@@ -755,12 +741,11 @@ impl Simulation {
             schedule: Schedule::new(n),
             record_schedule: b.record_schedule,
             observe_phases: b.observe_phases,
-            buffers: if use_sparse {
-                RoundBuffers::sparse(n, b.record_schedule)
-            } else {
-                RoundBuffers::new(n)
+            buffers: RoundBuffers::sparse(n, false),
+            links: match words {
+                true => LinkPlane::with_words(n),
+                false => LinkPlane::new(n),
             },
-            links: use_sparse.then(|| LinkPlane::new(n)),
             wire_phase: vec![Phase::ZERO; n],
             wire_value: vec![Value::HALF; n],
             wire_index: match ranks_words {
@@ -820,17 +805,17 @@ impl Simulation {
         self.columnar
     }
 
-    /// Whether the sparse link plane carries this run's chosen links
-    /// (vs dense `O(n²)`-bit edge rows). See [`LinkMode`](crate::LinkMode).
+    /// Whether the link store holds this run's chosen links as id-range
+    /// runs / CSR rows (vs dense `O(n²)`-bit words). See [`LinkMode`].
     pub fn uses_sparse_links(&self) -> bool {
-        self.links.is_some()
+        self.links.words().is_none()
     }
 
-    /// Heap bytes currently held by the sparse link plane (`None` on the
-    /// dense path) — what the scaling benchmarks compare against the
-    /// dense path's three `n²/8`-byte bitmaps.
+    /// Heap bytes currently held by the run/CSR link store (`None` when it
+    /// holds words) — what the scaling benchmarks compare against the
+    /// words' `n²/8` bytes.
     pub fn link_plane_heap_bytes(&self) -> Option<usize> {
-        self.links.as_ref().map(LinkPlane::heap_bytes)
+        self.uses_sparse_links().then(|| self.links.heap_bytes())
     }
 
     /// The realized links of the most recently executed round as
@@ -844,16 +829,15 @@ impl Simulation {
 
     /// [`Simulation::realized_rows`] of round `t`, the last one delivered.
     fn realized_in(&self, t: Round) -> RealizedRows<'_> {
-        match self.links.as_ref() {
-            Some(links) => RealizedRows(RealizedInner::Sparse {
-                links,
-                honest: &self.buffers.honest,
-                active: &self.buffers.active,
-                unconditional: &self.buffers.unconditional,
-                crash: &self.crash,
-                t,
-            }),
-            None => RealizedRows(RealizedInner::Dense(&self.buffers.realized)),
+        RealizedRows {
+            links: &self.links,
+            honest: &self.buffers.honest,
+            active: &self.buffers.active,
+            unconditional: &self.buffers.unconditional,
+            conditional: &self.conditional,
+            crash: &self.crash,
+            byz: &self.byz,
+            t,
         }
     }
 
@@ -953,8 +937,8 @@ impl Simulation {
         // Per-instance reseed of stateful adversaries and strategies
         // (instance 0 is each one's construction stream).
         self.adversary.begin_instance(instance);
-        for strategy in self.byz.iter_mut().flatten() {
-            strategy.begin_instance(instance);
+        for slot in self.byz.iter_mut().flatten() {
+            slot.strategy.begin_instance(instance);
         }
 
         // Observer restart: this instance's V(0) (Def. 5 — every
@@ -1009,7 +993,8 @@ impl Simulation {
                 // fabrication stays O(1) per link. It stays an active
                 // sender whatever `transmits()` says: it decides link by
                 // link via `messages_into`.
-                Some(strategy) => {
+                Some(ByzSlot { strategy, missed }) => {
+                    missed.clear();
                     strategy.begin_round(&ByzContext {
                         round: t,
                         self_id: id,
@@ -1060,8 +1045,8 @@ impl Simulation {
             }
         }
 
-        // --- Adversary picks E(t): into the reused dense edge set, or —
-        // on the sparse path — into the link plane's run/CSR rows. ---
+        // --- Adversary picks E(t) into the link store: its words through
+        // `edges_into`, its run/CSR rows through `sparse_into`. ---
         let view = AdversaryView {
             round: t,
             params: self.params,
@@ -1070,12 +1055,10 @@ impl Simulation {
             deliverers: &self.buffers.deliverers,
             honest: &self.buffers.honest,
         };
-        match self.links.as_mut() {
-            Some(lp) => {
-                lp.begin_round(&self.buffers.deliverers);
-                self.adversary.sparse_into(&view, lp);
-            }
-            None => self.adversary.edges_into(&view, &mut self.buffers.chosen),
+        self.links.begin_round(&self.buffers.deliverers);
+        match self.links.words_mut() {
+            Some(words) => self.adversary.edges_into(&view, words),
+            None => self.adversary.sparse_into(&view, &mut self.links),
         }
 
         // Crash events: nodes whose crash round is exactly t.
@@ -1110,7 +1093,7 @@ impl Simulation {
         self.deliver(t, &mut fabricated);
         self.log_deliveries(t, &fabricated);
         if self.record_schedule {
-            self.schedule.push(self.buffers.realized.clone());
+            self.schedule.push(self.realized_in(t).to_edge_set());
         }
 
         // --- End-of-round hooks for executing nodes (exactly the
@@ -1242,14 +1225,13 @@ impl Simulation {
     /// The round's delivery: heads every staged batch into the wire
     /// columns, splits the plane into the run's shards (one shard = the
     /// whole plane), and runs the one delivery routine ([`deliver_rows`])
-    /// over each shard's receivers — over the dense chosen rows, or the
-    /// sparse link plane's run/CSR rows when the run holds one. Shards > 1
-    /// run concurrently on scoped threads ([`fan_out`]: shard 0 on this
-    /// thread) and merge back in shard order: receivers and realized rows
-    /// are partitioned, not copied, so the traffic meters are the only
-    /// cross-shard state.
+    /// over each shard's receivers and the link store's rows, whichever
+    /// form they take. Shards > 1 run concurrently on scoped threads
+    /// ([`fan_out`]: shard 0 on this thread) and merge back in shard
+    /// order: receivers are partitioned, not copied, so the traffic meters
+    /// are the only cross-shard state. The walk writes no realized link
+    /// ([`RealizedRows`] reads them off afterwards).
     fn deliver(&mut self, t: Round, fabricated: &mut Vec<usize>) {
-        let record = self.record_schedule;
         let Simulation {
             params,
             buffers,
@@ -1267,7 +1249,6 @@ impl Simulation {
             shard_bounds,
             ..
         } = self;
-        let links = links.as_ref();
         let RoundBuffers {
             batches,
             phases,
@@ -1277,8 +1258,6 @@ impl Simulation {
             honest,
             unconditional,
             perm,
-            chosen,
-            realized,
             byz_scratch,
             ..
         } = buffers;
@@ -1347,23 +1326,17 @@ impl Simulation {
             values,
         };
 
-        // The dense path always materializes realized rows (they are its
-        // `realized_rows` view); the sparse path only when recording.
-        let mut rows_rest: Option<&mut [NodeSet]> =
-            (links.is_none() || record).then(|| realized.in_neighbor_sets_mut());
-        let mut ctxs = slots[..shards].iter_mut().enumerate().map(|(i, slot)| {
-            let span = shard_bounds[i + 1] - shard_bounds[i];
-            ShardCtx {
-                shard: slot.take().expect("fill_shards fills every requested slot"),
-                rows: rows_rest.as_mut().map(|rest| take_split(rest, span)),
-                traffic: Traffic::new(),
-            }
+        let mut ctxs = slots[..shards].iter_mut().map(|slot| ShardCtx {
+            shard: slot.take().expect("fill_shards fills every requested slot"),
+            traffic: Traffic::new(),
         });
+        // The store's form is asked once per shard, not once per row read:
+        // the per-read branch measured ≈ 4 % on a 1024-node complete round.
         let run_shard = |i: usize, ctx: &mut ShardCtx<'_>, byz: &mut ByzSide<'_>| {
             let range = (shard_bounds[i], shard_bounds[i + 1]);
-            match links {
-                Some(lp) => deliver_rows(&env, lp, range, ctx, byz),
-                None => deliver_rows(&env, &*chosen, range, ctx, byz),
+            match links.words() {
+                Some(words) => deliver_rows(&env, words, range, ctx, byz),
+                None => deliver_rows(&env, &*links, range, ctx, byz),
             }
         };
         let mut merge = |ctx: ShardCtx<'_>| traffic.merge(&ctx.traffic);
@@ -1371,7 +1344,7 @@ impl Simulation {
             // The inline path: nothing spawned, nothing allocated.
             let mut ctx = ctxs.next().expect("a run has at least one shard");
             let byz = &mut ByzSide {
-                strategies: byz,
+                slots: byz,
                 scratch: byz_scratch,
                 fabricated: events.is_some().then_some(fabricated),
             };
@@ -1380,7 +1353,7 @@ impl Simulation {
         } else {
             let walk = |i: usize, ctx: &mut ShardCtx<'_>| {
                 let byz = &mut ByzSide {
-                    strategies: &mut [],
+                    slots: &mut [],
                     scratch: &mut Batch::new(),
                     fabricated: None,
                 };
@@ -1694,7 +1667,7 @@ mod tests {
     /// rounds, traffic (skipped links were still delivered), the recorded
     /// schedule, the traces. Crash (silent, partial-subset,
     /// partial-random) and Byzantine mixes, all three delivery orders,
-    /// dense and sparse links.
+    /// dense and sparse links, drawn independently.
     #[test]
     fn stale_link_stop_is_behavior_invisible() {
         use crate::builder::LinkMode;
@@ -1710,15 +1683,13 @@ mod tests {
                 let n = 8 + rng.next_index(40);
                 let f = 1 + rng.next_index(n / 6);
                 let p = params(n, f, 1e-3);
-                // Sparse runs deliver ascending and carry no Byzantine
-                // nodes; dense runs rotate through the three orders.
-                let (sparse, order) = match seed % 4 {
-                    0 => (true, DeliveryOrder::AscendingSenders),
-                    1 => (false, DeliveryOrder::AscendingSenders),
-                    2 => (false, DeliveryOrder::DescendingSenders),
-                    _ => (false, DeliveryOrder::Shuffled(seed)),
+                let sparse = seed % 2 == 0;
+                let order = match seed / 2 % 3 {
+                    0 => DeliveryOrder::AscendingSenders,
+                    1 => DeliveryOrder::DescendingSenders,
+                    _ => DeliveryOrder::Shuffled(seed),
                 };
-                let byzantine = if sparse { 0 } else { rng.next_index(f + 1) };
+                let byzantine = rng.next_index(f + 1);
                 let mut crash = CrashSchedule::new(n);
                 for k in 0..f - byzantine {
                     let survivors = match rng.next_index(4) {
@@ -1793,7 +1764,7 @@ mod tests {
     /// `Outcome`: observation does not switch the path. Crash (silent,
     /// partial-subset, partial-random) and Byzantine senders at random ids
     /// — so they cut words in the middle — over up to three words of
-    /// senders; dense and sparse links; the complete graph (full words), a
+    /// senders; dense and sparse links, on up to three shards; the complete graph (full words), a
     /// rotating window below the quorum and a degree spread over two or
     /// three rounds (T > 1: seen rows stay dirty and Alg. 2's lists live
     /// across rounds, and thin rows settle sender by sender), staggered
@@ -1848,9 +1819,8 @@ mod tests {
                 let n = 20 + rng.next_index(150);
                 let f = 1 + rng.next_index(n / 6);
                 let p = params(n, f, 1e-3);
-                // Sparse runs carry no Byzantine nodes.
                 let (sparse, dbac) = (seed % 2 == 0, seed / 2 % 2 == 0);
-                let byzantine = if sparse { 0 } else { rng.next_index(f + 1) };
+                let byzantine = rng.next_index(f + 1);
                 let faulty = rng.sample_indices(n, f);
                 let mut crash = CrashSchedule::new(n);
                 for &k in &faulty[byzantine..] {
@@ -1897,7 +1867,8 @@ mod tests {
                     } else {
                         LinkMode::Dense
                     })
-                    // (Only sparse runs shard: one pending row each.)
+                    // (Runs without Byzantine nodes shard: one pending row
+                    // each.)
                     .shards(1 + (seed / 4 % 3) as usize)
                     .max_rounds(80);
                 for (k, &id) in faulty[..byzantine].iter().enumerate() {
@@ -1939,8 +1910,8 @@ mod tests {
         assert_eq!(straddling.reason(), StopReason::AllOutput);
         assert!(counted(probe::CUT_WORDS) > cuts, "no word was cut");
         // Both ways to settle Alg. 2's pending links were taken — counted
-        // by adn-core on the delivering thread (the runs above that shard
-        // are sparse, and a sparse run of one shard delivers inline), and
+        // by adn-core on the delivering thread (a sharded run delivers its
+        // first shard inline, and a run of one shard all of it), and
         // only in a debug build of it: a release run of this test compares
         // the outcomes and says that it did not check the paths.
         match adn_core::probe::counts() {
@@ -2039,36 +2010,52 @@ mod tests {
             assert_eq!(plane.value_of(v), reference.value_of(v), "{v}");
         }
         // All 8 × 8 links into the honest receivers count as delivered,
-        // the unfed ones included.
+        // the unfed ones included, and realized.
         assert_eq!(plane.traffic.deliveries(), 64);
         assert_eq!(plane.traffic, reference.traffic);
-        assert_eq!(plane.buffers.realized, reference.buffers.realized);
+        let realized = |sim: &Simulation| {
+            let mut rows = EdgeSet::empty(n);
+            rows.union_rows(&sim.realized_rows());
+            rows
+        };
+        assert_eq!(realized(&plane).edge_count(), 64);
+        assert_eq!(realized(&plane), realized(&reference));
     }
 
     #[test]
     fn sparse_links_and_shards_are_byte_identical_to_dense() {
         use crate::builder::LinkMode;
         use crate::quantized::quantized_factory;
+        use adn_faults::strategies::{by_name, ALL_STRATEGY_NAMES};
         use adn_net::codec::Precision;
         let n = 33;
-        let p = params(n, 1, 1e-3);
+        let p = params(n, 3, 1e-3);
         let quantized = || quantized_factory(factories::dac(p), Precision::new(9));
         // The columnar plane; the quantized adaptor over it (it forwards
         // the split, so its sharded cells run on real shards); the same two
-        // on boxed nodes; and piggyback, which has no columnar plane at
-        // all. Every plane runs on sparse links, and shards there.
-        let cells: [(&str, &dyn Fn() -> AlgorithmFactory, PlaneMode); 5] = [
-            ("dac", &|| factories::dac(p), PlaneMode::Always),
-            ("quantized", &quantized, PlaneMode::Always),
-            ("dac boxed", &|| factories::dac(p), PlaneMode::Never),
-            ("quantized boxed", &quantized, PlaneMode::Never),
+        // on boxed nodes; piggyback, which has no columnar plane at all;
+        // and DBAC under two stock strategies, which delivers as one shard
+        // whatever it asks for. Every plane runs on either link form, and
+        // shards on both.
+        let cells: [(&str, &dyn Fn() -> AlgorithmFactory, PlaneMode, usize); 6] = [
+            ("dac", &|| factories::dac(p), PlaneMode::Always, 0),
+            ("quantized", &quantized, PlaneMode::Always, 0),
+            ("dac boxed", &|| factories::dac(p), PlaneMode::Never, 0),
+            ("quantized boxed", &quantized, PlaneMode::Never, 0),
             (
                 "piggyback",
                 &|| factories::dbac_piggyback(p, 2, 12),
                 PlaneMode::Auto,
+                0,
+            ),
+            (
+                "dbac byz",
+                &|| factories::dbac_with_pend(p, 12),
+                PlaneMode::Always,
+                2,
             ),
         ];
-        for (name, factory, plane) in cells {
+        for (name, factory, plane, byzantine) in cells {
             let mk = |mode: LinkMode, shards: usize| {
                 let mut crash = CrashSchedule::new(n);
                 crash.crash(
@@ -2076,29 +2063,38 @@ mod tests {
                     Round::new(2),
                     CrashSurvivors::Subset(vec![NodeId::new(0), NodeId::new(20)]),
                 );
-                let sim = Simulation::builder(p)
+                let mut b = Simulation::builder(p)
                     .inputs_random(99)
                     .adversary(AdversarySpec::Rotating { d: 20 }.build(n, 1, 5))
                     .crashes(crash)
                     .algorithm(factory())
                     .algorithm_plane(plane)
                     .link_mode(mode)
-                    .shards(shards)
-                    .build();
+                    .shards(shards);
+                for (k, strategy) in ALL_STRATEGY_NAMES.iter().enumerate().take(byzantine) {
+                    b = b.byzantine(NodeId::new(n - 1 - k), by_name(strategy, n, k as u64));
+                }
+                let sim = b.build();
                 assert_eq!(sim.uses_plane(), plane == PlaneMode::Always, "{name}");
                 assert_eq!(sim.uses_sparse_links(), mode == LinkMode::Sparse, "{name}");
+                let expect = if byzantine > 0 { 1 } else { shards };
+                assert_eq!(sim.shards(), expect, "{name}");
                 sim.run()
             };
             let dense = mk(LinkMode::Dense, 1);
             assert!(dense.rounds() > 4, "crash must land mid-run");
-            for shards in [1, 3] {
-                let sparse = mk(LinkMode::Sparse, shards);
-                let cell = format!("{name} shards={shards}");
-                assert_eq!(dense.rounds(), sparse.rounds(), "{cell}");
-                assert_eq!(dense.honest_outputs(), sparse.honest_outputs(), "{cell}");
-                assert_eq!(dense.traffic(), sparse.traffic(), "{cell}");
-                assert_eq!(dense.schedule(), sparse.schedule(), "{cell}");
-                assert_eq!(dense.traces(), sparse.traces(), "{cell}");
+            for (mode, shards) in [
+                (LinkMode::Sparse, 1),
+                (LinkMode::Sparse, 3),
+                (LinkMode::Dense, 3),
+            ] {
+                let other = mk(mode, shards);
+                let cell = format!("{name} {mode:?} shards={shards}");
+                assert_eq!(dense.rounds(), other.rounds(), "{cell}");
+                assert_eq!(dense.honest_outputs(), other.honest_outputs(), "{cell}");
+                assert_eq!(dense.traffic(), other.traffic(), "{cell}");
+                assert_eq!(dense.schedule(), other.schedule(), "{cell}");
+                assert_eq!(dense.traces(), other.traces(), "{cell}");
             }
         }
     }
@@ -2152,27 +2148,105 @@ mod tests {
         let p = params(8, 0, 1e-2);
         let sim = Simulation::builder(p).algorithm(factories::dac(p)).build();
         assert!(!sim.uses_sparse_links(), "Auto stays dense at n = 8");
+        assert!(sim.link_plane_heap_bytes().is_none());
         assert_eq!(sim.shards(), 1);
-        let sim = Simulation::builder(p)
-            .algorithm(factories::dac(p))
-            .link_mode(LinkMode::Sparse)
-            .shards(2)
-            .build();
-        assert!(sim.uses_sparse_links());
-        assert_eq!(sim.shards(), 2);
-        assert!(sim.link_plane_heap_bytes().is_some());
+        for mode in [LinkMode::Sparse, LinkMode::Dense] {
+            let sim = Simulation::builder(p)
+                .algorithm(factories::dac(p))
+                .link_mode(mode)
+                .shards(2)
+                .build();
+            assert_eq!(sim.uses_sparse_links(), mode == LinkMode::Sparse);
+            assert_eq!(
+                sim.link_plane_heap_bytes().is_some(),
+                sim.uses_sparse_links()
+            );
+            assert_eq!(sim.shards(), 2, "{mode:?} shards");
+        }
     }
 
+    /// `LinkMode` is a memory hint: under the permuted orders, with
+    /// Byzantine senders and with a dense-only adversary (which the store
+    /// holds as words whatever the hint), `Sparse` runs the execution
+    /// `Dense` runs — rounds, outputs, traffic, schedule, traces and, when
+    /// logged, the event log. Verbatim complete bursts hand the silent
+    /// strategy links it fabricates nothing for: realized links missed.
     #[test]
-    #[should_panic(expected = "sparse-compatible")]
-    fn sparse_mode_rejects_non_ascending_delivery() {
+    fn sparse_links_accept_permuted_orders() {
         use crate::builder::LinkMode;
-        let p = params(8, 0, 1e-2);
-        let _ = Simulation::builder(p)
-            .algorithm(factories::dac(p))
-            .delivery_order(DeliveryOrder::DescendingSenders)
-            .link_mode(LinkMode::Sparse)
-            .build();
+        use adn_adversary::Adversary;
+        use adn_faults::strategies::by_name;
+
+        /// The gallery's rotating window, behind `edges_into` alone.
+        #[derive(Debug)]
+        struct DenseOnly(Box<dyn Adversary>);
+        impl Adversary for DenseOnly {
+            fn edges_into(&mut self, view: &AdversaryView<'_>, out: &mut EdgeSet) {
+                self.0.edges_into(view, out);
+            }
+            fn name(&self) -> &'static str {
+                "dense-only"
+            }
+        }
+
+        let n = 21;
+        let p = params(n, 3, 1e-3);
+        let rotating = || AdversarySpec::Rotating { d: 17 }.build(n, 3, 3);
+        let dense_only = || -> Box<dyn Adversary> { Box::new(DenseOnly(rotating())) };
+        let bursts = || AdversarySpec::AlternatingComplete { period: 2 }.build(n, 3, 3);
+        type Make<'a> = &'a dyn Fn() -> Box<dyn Adversary>;
+        let cells: [(usize, Make<'_>, bool); 4] = [
+            (0, &rotating, false),
+            (2, &rotating, false),
+            (2, &dense_only, true),
+            (2, &bursts, false),
+        ];
+        let orders = [DeliveryOrder::DescendingSenders, DeliveryOrder::Shuffled(5)];
+        for (k, order) in orders.into_iter().enumerate() {
+            for (byzantine, adversary, dense_only) in cells {
+                let logged = k == 1;
+                let run = |mode: LinkMode| {
+                    let mut crash = CrashSchedule::new(n);
+                    crash.crash(
+                        NodeId::new(4),
+                        Round::new(1),
+                        CrashSurvivors::Subset(vec![NodeId::new(0), NodeId::new(9)]),
+                    );
+                    let mut b = Simulation::builder(p)
+                        .inputs_random(7)
+                        .adversary(adversary())
+                        .crashes(crash)
+                        .algorithm(factories::dbac_with_pend(p, 8))
+                        .delivery_order(order)
+                        .link_mode(mode)
+                        .record_events(logged)
+                        .max_rounds(200);
+                    for (k, name) in ["silent", "extreme-high"]
+                        .iter()
+                        .enumerate()
+                        .take(byzantine)
+                    {
+                        b = b.byzantine(NodeId::new(n - 1 - k), by_name(name, n, k as u64));
+                    }
+                    let sim = b.build();
+                    let sparse = mode == LinkMode::Sparse && !dense_only;
+                    assert_eq!(sim.uses_sparse_links(), sparse);
+                    sim.run()
+                };
+                let (dense, sparse) = (run(LinkMode::Dense), run(LinkMode::Sparse));
+                let name = adversary().name();
+                let cell = format!("{order:?}, {byzantine} Byzantine, {name}");
+                assert_eq!(dense.reason(), StopReason::AllOutput, "{cell}");
+                assert_eq!(dense.rounds(), sparse.rounds(), "{cell}");
+                assert_eq!(dense.honest_outputs(), sparse.honest_outputs(), "{cell}");
+                assert_eq!(dense.traffic(), sparse.traffic(), "{cell}");
+                assert_eq!(dense.schedule(), sparse.schedule(), "{cell}");
+                assert_eq!(dense.traces(), sparse.traces(), "{cell}");
+                let events = |o: &Outcome| o.events().map(|log| log.events().to_vec());
+                assert!(events(&dense) == events(&sparse), "{cell}: event logs");
+                assert_eq!(events(&dense).is_some(), logged, "{cell}");
+            }
+        }
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //!
 //! Node state lives behind one [`adn_core::AlgorithmPlane`] — boxed
 //! state machines or a columnar plane ([`PlaneMode`]) — and every run
-//! goes through the same `step` and the same delivery routine, over dense
-//! or sparse link rows ([`LinkMode`]), on one shard or several.
+//! goes through the same `step` and the same delivery routine, over one
+//! link store holding words or sparse rows ([`LinkMode`], a memory hint),
+//! on one shard or several.
 //!
 //! The engine records the **realized delivery schedule** (for the
 //! dynaDegree checker), per-phase value multisets `V(p)` (Def. 5/6, for

@@ -185,10 +185,12 @@ fn lean_dac_staggered() -> Simulation {
 
 /// A lean DBAC run at n = 64, f = 8 with every fault slot Byzantine (the
 /// highest ids): `f + 1 = 9`-long trim lists, `begin_round` and per-link
-/// fabrication — none of which the `f = 0` cells reach.
+/// fabrication — none of which the `f = 0` cells reach — on either link
+/// form.
 fn lean_dbac_byz(
     mode: PlaneMode,
     byzantine: Vec<(NodeId, Box<dyn ByzantineStrategy>)>,
+    links: LinkMode,
 ) -> Simulation {
     let (n, f) = (64, 8);
     let params = Params::new(n, f, 1e-6).unwrap();
@@ -197,6 +199,7 @@ fn lean_dbac_byz(
         .adversary(AdversarySpec::DbacThreshold.build(n, f, 1))
         .algorithm(factories::dbac_with_pend(params, u64::MAX))
         .algorithm_plane(mode)
+        .link_mode(links)
         .record_schedule(false)
         .observe_phases(false)
         .max_rounds(u64::MAX);
@@ -273,16 +276,16 @@ fn lean_dbac_piggyback(n: usize) -> Simulation {
         .build()
 }
 
-/// A lean sparse-link DAC run — row-kind link plane instead of the dense
-/// bitmap, receiver-major delivery, optionally sharded over scoped
-/// threads.
-fn lean_dac_sparse(n: usize, shards: usize) -> Simulation {
+/// A lean sparse-link DAC run — run rows instead of words, receiver-major
+/// delivery in `order`, optionally sharded over scoped threads.
+fn lean_dac_sparse(n: usize, shards: usize, order: DeliveryOrder) -> Simulation {
     let params = Params::fault_free(n, 1e-6).unwrap();
     Simulation::builder(params)
         .inputs_random(1)
         .adversary(AdversarySpec::Rotating { d: n / 2 }.build(n, 0, 1))
         .algorithm(factories::dac_with_pend(params, u64::MAX))
         .algorithm_plane(PlaneMode::Always)
+        .delivery_order(order)
         .link_mode(LinkMode::Sparse)
         .shards(shards)
         .record_schedule(false)
@@ -308,7 +311,7 @@ fn steady_state_step_performs_zero_allocations() {
     // other row kind. ---
     use DeliveryOrder::{AscendingSenders, DescendingSenders, Shuffled};
     type Build = fn() -> Simulation;
-    let cells: [(&str, Build); 18] = [
+    let cells: [(&str, Build); 20] = [
         ("dac/plane", || {
             lean_dac(32, PlaneMode::Always, AscendingSenders)
         }),
@@ -346,15 +349,16 @@ fn steady_state_step_performs_zero_allocations() {
         // DBAC under real Byzantine senders, where the trim lists and the
         // strategies' once-per-round facts do their work.
         ("dbac/plane/byz", || {
-            lean_dbac_byz(PlaneMode::Always, stock_strategies())
+            lean_dbac_byz(PlaneMode::Always, stock_strategies(), LinkMode::Auto)
         }),
         ("dbac/trait/byz", || {
-            lean_dbac_byz(PlaneMode::Never, stock_strategies())
+            lean_dbac_byz(PlaneMode::Never, stock_strategies(), LinkMode::Auto)
         }),
         ("dbac/plane/byz/straddle", || {
             lean_dbac_byz(
                 PlaneMode::Always,
                 Coalition::build(Plan::Straddle, (56..64).map(NodeId::new).collect()),
+                LinkMode::Auto,
             )
         }),
         // Alg. 2 by words: the rank order sorted and its blocks rebuilt
@@ -368,10 +372,18 @@ fn steady_state_step_performs_zero_allocations() {
                 d: (130 + 3 * 8) / 2,
             })
         }),
-        // The sparse link plane: row-kind rows + receiver-major delivery
-        // on one shard — the inline path, which spawns nothing (the
-        // sharded twin has its own pin below).
-        ("dac/sparse", || lean_dac_sparse(32, 1)),
+        // Run rows + receiver-major delivery on one shard — the inline
+        // path, which spawns nothing (the sharded twin has its own pin
+        // below); under a permuted order, whose walk asks the run rows
+        // for membership sender by sender; and under Byzantine senders,
+        // whose empty fabrications are marked as they fabricate.
+        ("dac/sparse", || lean_dac_sparse(32, 1, AscendingSenders)),
+        ("dac/sparse/shuffled", || {
+            lean_dac_sparse(32, 1, Shuffled(7))
+        }),
+        ("dbac/sparse/byz", || {
+            lean_dbac_byz(PlaneMode::Always, stock_strategies(), LinkMode::Sparse)
+        }),
     ];
     for (name, build) in cells {
         let settles_before = adn_core::probe::counts();
@@ -440,7 +452,7 @@ fn steady_state_step_performs_zero_allocations() {
     // the round's work: the same count in every steady step, the same at
     // n = 32 and n = 128, and a small constant per spawned shard. ---
     let sharded_step_allocations = |n: usize| {
-        let mut sim = lean_dac_sparse(n, 3);
+        let mut sim = lean_dac_sparse(n, 3, AscendingSenders);
         assert!(sim.uses_sparse_links() && sim.shards() == 3);
         for _ in 0..70 {
             sim.step();
@@ -478,7 +490,7 @@ fn steady_state_step_performs_zero_allocations() {
     // ≈ 4 · n²/8 requested, 3.6 GB of peak RSS at n = 100 000). ---
     let n = 4096;
     let before = BYTES_REQUESTED.load(Ordering::Relaxed);
-    let sim = lean_dac_sparse(n, 1);
+    let sim = lean_dac_sparse(n, 1, AscendingSenders);
     let requested = BYTES_REQUESTED.load(Ordering::Relaxed) - before;
     assert!(sim.uses_sparse_links() && sim.uses_plane());
     assert!(
@@ -489,11 +501,12 @@ fn steady_state_step_performs_zero_allocations() {
 
     // --- What Alg. 2's word step adds to a build — the rank order, its
     // blocks, the pending rows — is Alg. 2's alone and O(n): a DAC run at
-    // the benchmark's size asks for not one byte more than before there
-    // was any of it (881 056, measured at the parent commit: the ledger's
-    // `dac_dense` builds one such run per operation, and has read 8 %
-    // slower for 32 bytes moving its heap), a DBAC run for under 16 bytes
-    // a node besides. ---
+    // the benchmark's size asks for not one byte more than it does with
+    // one link store whose words wait for the first round (422 304; it
+    // was 881 056 with three dense n² edge sets built up front — the
+    // ledger's `dac_dense` builds one such run per operation, and has read
+    // 8 % slower for 32 bytes moving its heap), a DBAC run for under 16
+    // bytes a node besides. ---
     let n = 1024;
     let build_bytes = |build: fn(usize, PlaneMode, DeliveryOrder) -> Simulation| {
         let before = BYTES_REQUESTED.load(Ordering::Relaxed);
@@ -502,7 +515,7 @@ fn steady_state_step_performs_zero_allocations() {
         BYTES_REQUESTED.load(Ordering::Relaxed) - before
     };
     let (dac, dbac) = (build_bytes(lean_dac), build_bytes(lean_dbac));
-    assert!(dac <= 881_056, "dac/plane build at n = {n}: {dac} bytes");
+    assert!(dac <= 422_304, "dac/plane build at n = {n}: {dac} bytes");
     assert!(
         dbac <= dac + 16 * n,
         "dbac/plane build at n = {n}: {dbac} bytes, dac {dac}"

@@ -5,7 +5,7 @@
 //! order walked (silent ones too) — against the engine's one delivery
 //! walk. Seeds: `ADN_FUZZ_SEEDS` (default 300).
 
-use anondyn::adversary::AdversarySpec::{Complete, Random, Rotating, Spread};
+use anondyn::adversary::AdversarySpec::{AlternatingComplete, Complete, Random, Rotating, Spread};
 use anondyn::adversary::AdversaryView;
 use anondyn::consensus::AlgorithmFactory;
 use anondyn::faults::{strategies, ByzContext};
@@ -28,8 +28,8 @@ type Strategies = Vec<Option<Box<dyn ByzantineStrategy>>>;
 /// Run `seed`'s ingredients, everything stateful fresh per call: `n ≤ 12`;
 /// DAC, DBAC or piggyback; crashes (full, empty and partial final
 /// broadcasts) and Byzantine nodes within `f`; the three delivery orders;
-/// every third run on sparse links (ascending order, crash faults only),
-/// on one shard or three — `None` is a dense run.
+/// every third run on sparse links, whatever else was drawn; one shard or,
+/// every other run without Byzantine nodes, three.
 type Parts = (
     Params,
     AlgorithmFactory,
@@ -37,7 +37,7 @@ type Parts = (
     Strategies,
     CrashSchedule,
     DeliveryOrder,
-    Option<usize>,
+    (LinkMode, usize),
 );
 
 /// Each link `u → v` with probability `p` a round, from every node —
@@ -69,10 +69,10 @@ impl Adversary for Undisciplined {
 
 fn draw(seed: u64) -> Parts {
     let mut rng = SplitMix64::new(seed ^ 0xD15C);
-    let (n, sparse) = (4 + rng.next_index(9), seed.is_multiple_of(3));
+    let n = 4 + rng.next_index(9);
     let f = rng.next_index(n / 4 + 1);
     let params = Params::new(n, f, 1e-2).unwrap();
-    let byz_count = if sparse { 0 } else { rng.next_index(f + 1) };
+    let byz_count = rng.next_index(f + 1);
     let names = strategies::ALL_STRATEGY_NAMES;
     let mut byz: Strategies = (0..n).map(|_| None).collect();
     let mut crash = CrashSchedule::new(n);
@@ -93,28 +93,46 @@ fn draw(seed: u64) -> Parts {
     }
     let (d, t) = (1 + rng.next_index(n - 1), 1 + rng.next_index(3));
     let p = 0.3 + 0.6 * rng.next_f64();
-    let specs = [Complete, Rotating { d }, Random { p }, Spread { t, d }];
-    // Sparse links need a gallery adversary; dense ones may draw the
-    // undisciplined one.
-    let adversary: Box<dyn Adversary> =
-        match specs.get(rng.next_index(specs.len() + usize::from(!sparse))) {
-            Some(spec) => spec.build(n, f, seed),
-            None => Box::new(Undisciplined {
-                p,
-                rng: SplitMix64::new(seed),
-            }),
-        };
+    // Complete bursts are verbatim: crashed and silent senders get links.
+    let bursts = AlternatingComplete { period: t };
+    let specs = [
+        Complete,
+        Rotating { d },
+        Random { p },
+        Spread { t, d },
+        bursts,
+    ];
+    let adversary: Box<dyn Adversary> = match specs.get(rng.next_index(specs.len() + 1)) {
+        Some(spec) => spec.build(n, f, seed),
+        None => Box::new(Undisciplined {
+            p,
+            rng: SplitMix64::new(seed),
+        }),
+    };
     let shuffled = Shuffled(rng.next_u64());
     let orders = [AscendingSenders, DescendingSenders, shuffled];
-    let order = orders[if sparse { 0 } else { rng.next_index(3) }];
+    let order = orders[rng.next_index(3)];
     let pend = 1 + rng.next_below(6);
     let factory = match rng.next_index(3) {
         0 => factories::dac_with_pend(params, pend),
         1 => factories::dbac_with_pend(params, pend),
         _ => factories::dbac_piggyback(params, 2, pend),
     };
-    let shards = sparse.then_some(if seed.is_multiple_of(2) { 3 } else { 1 });
-    (params, factory, adversary, byz, crash, order, shards)
+    let links = [LinkMode::Dense, LinkMode::Sparse][usize::from(seed.is_multiple_of(3))];
+    let shards = if byz_count == 0 && seed.is_multiple_of(2) {
+        3
+    } else {
+        1
+    };
+    (
+        params,
+        factory,
+        adversary,
+        byz,
+        crash,
+        order,
+        (links, shards),
+    )
 }
 
 fn reference(seed: u64, max_rounds: u64) -> Run {
@@ -216,7 +234,7 @@ fn reference(seed: u64, max_rounds: u64) -> Run {
 }
 
 fn simulated(seed: u64, max_rounds: u64, plane: PlaneMode) -> Run {
-    let (params, factory, adversary, byz, crash, order, shards) = draw(seed);
+    let (params, factory, adversary, byz, crash, order, (links, shards)) = draw(seed);
     let n = params.n();
     let mut b = Simulation::builder(params)
         .inputs_random(seed)
@@ -226,8 +244,8 @@ fn simulated(seed: u64, max_rounds: u64, plane: PlaneMode) -> Run {
         .delivery_order(order)
         .algorithm(factory)
         .algorithm_plane(plane)
-        .link_mode(shards.map_or(LinkMode::Dense, |_| LinkMode::Sparse))
-        .shards(shards.unwrap_or(1))
+        .link_mode(links)
+        .shards(shards)
         .max_rounds(max_rounds);
     for (i, strategy) in byz.into_iter().enumerate() {
         b = strategy
@@ -244,8 +262,10 @@ fn simulated(seed: u64, max_rounds: u64, plane: PlaneMode) -> Run {
 #[test]
 fn simulation_matches_the_naive_round_executor() {
     let seeds = std::env::var("ADN_FUZZ_SEEDS").map_or(300, |s| s.parse().unwrap());
-    // Undisciplined draws with a crash, per delivery order.
+    // Undisciplined draws with a crash, per delivery order; sparse draws
+    // with a Byzantine node, per permuted order, and undisciplined.
     let mut undisciplined = [0u64; 3];
+    let (mut sparse_byz, mut sparse_permuted, mut sparse_undisciplined) = (0, [0u64; 2], 0);
     for seed in 0..seeds {
         let expect = reference(seed, 40);
         assert_eq!(
@@ -253,7 +273,7 @@ fn simulation_matches_the_naive_round_executor() {
             simulated(seed, 40, PlaneMode::Never),
             "seed {seed}, boxed"
         );
-        let (_, factory, adversary, _, crash, order, _) = draw(seed);
+        let (_, factory, adversary, byz, crash, order, (links, _)) = draw(seed);
         if factory.has_plane() {
             assert_eq!(
                 expect,
@@ -261,12 +281,21 @@ fn simulation_matches_the_naive_round_executor() {
                 "seed {seed}, columnar"
             );
         }
-        if adversary.name() == "undisciplined" && crash.fault_count() > 0 {
-            undisciplined[match order {
-                AscendingSenders => 0,
-                DescendingSenders => 1,
-                Shuffled(_) => 2,
-            }] += 1;
+        let order = match order {
+            AscendingSenders => 0,
+            DescendingSenders => 1,
+            Shuffled(_) => 2,
+        };
+        let undisciplined_draw = adversary.name() == "undisciplined";
+        if undisciplined_draw && crash.fault_count() > 0 {
+            undisciplined[order] += 1;
+        }
+        if links == LinkMode::Sparse {
+            sparse_byz += u64::from(byz.iter().any(Option::is_some));
+            if order > 0 {
+                sparse_permuted[order - 1] += 1;
+            }
+            sparse_undisciplined += u64::from(undisciplined_draw);
         }
     }
     if seeds >= 300 {
@@ -274,5 +303,11 @@ fn simulation_matches_the_naive_round_executor() {
             undisciplined.iter().all(|&c| c > 0),
             "undisciplined draws with crashes by order: {undisciplined:?}"
         );
+        assert!(sparse_byz > 0, "no sparse draw with a Byzantine node");
+        assert!(
+            sparse_permuted.iter().all(|&c| c > 0),
+            "sparse draws by permuted order: {sparse_permuted:?}"
+        );
+        assert!(sparse_undisciplined > 0, "no sparse undisciplined draw");
     }
 }
