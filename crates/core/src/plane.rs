@@ -105,8 +105,8 @@
 //!
 //! The boxed plane is the behavioral oracle: the columnar planes must be
 //! observationally **identical** to it under the same delivery order —
-//! `tests/plane_equivalence.rs` fuzzes that contract across adversaries,
-//! crash/Byzantine mixes, and ε.
+//! `tests/reference_round.rs` holds both to a naive round executor across
+//! adversaries, crash/Byzantine mixes, orders and link forms.
 
 use std::fmt;
 use std::marker::PhantomData;

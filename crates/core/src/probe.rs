@@ -1,11 +1,11 @@
-//! Counters of what Alg. 2's deferred word step did, for tests to assert
-//! that the paths they mean to compare were taken. They count in this
-//! crate's own tests and in debug builds — so that `adn-sim`'s word-walk
-//! fuzz, which sees this crate as an ordinary dependency, can read them
-//! under `cargo test` — and in a release build `bump` is empty and
-//! [`counts`] says so, for the caller to skip its assert out loud. Local
-//! to the thread that delivers: a shard run on a scoped thread counts
-//! where nobody reads.
+//! Counters of what the delivery walk and Alg. 2's deferred word step did,
+//! for tests to assert that the paths they mean to compare were taken.
+//! They count in this crate's own tests and in debug builds — so that
+//! integration tests, which see this crate as an ordinary dependency, can
+//! read them under `cargo test` — and in a release build `bump` is empty
+//! and [`counts`] says so, for the caller to skip its assert out loud.
+//! Local to the thread that delivers: a shard run on a scoped thread
+//! counts where nobody reads.
 
 /// Settles that walked the round's senders by rank.
 pub const RANK_SETTLES: usize = 0;
@@ -15,15 +15,23 @@ pub const SENDER_SETTLES: usize = 1;
 pub const RANK_VISITS: usize = 2;
 /// Settles onto lists that did not yet hold `f + 1` values.
 pub const SETTLES_ONTO_PARTIAL_LISTS: usize = 3;
+/// Non-empty stretches the delivery walk fed through `RowKernel::word`.
+pub const WORD_STEPS: usize = 4;
+/// Conditional senders that cut a chunk between two Present ones.
+pub const CUT_WORDS: usize = 5;
+/// Word-walk rounds whose wire held more phases than the index does.
+pub const UNINDEXED_ROUNDS: usize = 6;
+/// Receivers the walk left at a stale link (the stale-link stop).
+pub const STALE_STOPS: usize = 7;
 
 #[cfg(any(test, debug_assertions))]
 thread_local! {
-    static COUNTS: std::cell::Cell<[u64; 4]> = const { std::cell::Cell::new([0; 4]) };
+    static COUNTS: std::cell::Cell<[u64; 8]> = const { std::cell::Cell::new([0; 8]) };
 }
 
 /// Adds one to `counter`.
 #[inline(always)]
-pub(crate) fn bump(counter: usize) {
+pub fn bump(counter: usize) {
     #[cfg(any(test, debug_assertions))]
     COUNTS.set({
         let mut counts = COUNTS.get();
@@ -35,7 +43,7 @@ pub(crate) fn bump(counter: usize) {
 
 /// This thread's counters, by the constants above — or `None` in a build
 /// that does not count.
-pub fn counts() -> Option<[u64; 4]> {
+pub fn counts() -> Option<[u64; 8]> {
     #[cfg(any(test, debug_assertions))]
     return Some(COUNTS.get());
     #[cfg(not(any(test, debug_assertions)))]

@@ -12,10 +12,11 @@ use crate::Outcome;
 /// to hold the nodes' state: a columnar one, or one boxed state machine
 /// per node ([`BoxedPlane`](adn_core::BoxedPlane)). The engine drives both
 /// through the same round and the same delivery routine; a columnar plane
-/// is observationally identical to the boxed one (fuzzed in
-/// `tests/plane_equivalence.rs`) but pays no virtual call per delivered
-/// message. No other setting restricts the choice: every delivery order,
-/// link representation and observer runs on either.
+/// is observationally identical to the boxed one (both are fuzzed against
+/// a naive round executor in `tests/reference_round.rs`) but pays no
+/// virtual call per delivered message. No other setting restricts the
+/// choice: every delivery order, link representation and observer runs on
+/// either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlaneMode {
     /// The columnar plane whenever the factory offers one, except on a
@@ -43,7 +44,7 @@ pub enum PlaneMode {
 /// It has no semantic effect and never rejects a run: every delivery
 /// order, Byzantine and crash faults, event recording, sharding and every
 /// plane run on either form, to the same execution (fuzzed in
-/// `tests/reference_round.rs` and `tests/plane_equivalence.rs`). An
+/// `tests/reference_round.rs`). An
 /// adversary that cannot write runs
 /// ([`sparse_capable`](adn_adversary::Adversary::sparse_capable) `false`)
 /// is held as words whatever the hint.

@@ -1,4 +1,9 @@
 use adn_adversary::{Adversary, AdversaryView};
+// The walk's test counters are compiled out of a release build here, not
+// only emptied in adn-core: a branch around the empty call still moved the
+// walk's register allocation.
+#[cfg(debug_assertions)]
+use adn_core::probe;
 use adn_core::{
     AlgorithmPlane, PlaneShard, RowKernel, RowWalk, StagedWire, WireIndex, MAX_PLANE_SHARDS,
 };
@@ -79,30 +84,6 @@ struct ByzSide<'a> {
     slots: &'a mut [Option<ByzSlot>],
     scratch: &'a mut Batch,
     fabricated: Option<&'a mut Vec<usize>>,
-}
-
-/// Test-only counters of what the word walk did, local to the stepping
-/// thread — the test's own.
-#[cfg(test)]
-mod probe {
-    use std::cell::Cell;
-
-    /// Non-empty stretches fed through `RowKernel::word`.
-    pub const WORD_STEPS: usize = 0;
-    /// Conditional senders that cut a chunk between two Present ones.
-    pub const CUT_WORDS: usize = 1;
-    /// Rounds whose wire held more phases than the index does.
-    pub const UNINDEXED_ROUNDS: usize = 2;
-
-    thread_local! {
-        pub static COUNTS: Cell<[u64; 3]> = const { Cell::new([0; 3]) };
-    }
-
-    pub fn bump(counter: usize, when: bool) {
-        let mut counts = COUNTS.get();
-        counts[counter] += u64::from(when);
-        COUNTS.set(counts);
-    }
 }
 
 impl ByzSide<'_> {
@@ -301,6 +282,8 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, L> {
                 let (active, present) = (env.active.words(), env.unconditional.words());
                 links.scan_words_in(v, |w, bits| {
                     if !kernel.live() {
+                        #[cfg(debug_assertions)]
+                        probe::bump(probe::STALE_STOPS);
                         stale_from = Some(w * 64 + bits.trailing_zeros() as usize);
                         return false;
                     }
@@ -310,14 +293,18 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, L> {
                         let b = conditional.trailing_zeros();
                         conditional &= conditional - 1;
                         let before = stretch & ((1 << b) - 1);
-                        #[cfg(test)]
-                        probe::bump(probe::CUT_WORDS, before != 0 && stretch != before);
+                        #[cfg(debug_assertions)]
+                        if before != 0 && stretch != before {
+                            probe::bump(probe::CUT_WORDS);
+                        }
                         kernel.word(w, before, &env.wire, index);
                         stretch ^= before;
                         deliver_link(NodeId::new(w * 64 + b as usize), kernel);
                     }
-                    #[cfg(test)]
-                    probe::bump(probe::WORD_STEPS, stretch != 0);
+                    #[cfg(debug_assertions)]
+                    if stretch != 0 {
+                        probe::bump(probe::WORD_STEPS);
+                    }
                     kernel.word(w, stretch, &env.wire, index);
                     true
                 });
@@ -345,6 +332,8 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, L> {
                 if stale {
                     let present = links.in_degree_within(v, env.unconditional) as u64;
                     fed.record_uniform_deliveries(present - fed.deliveries(), 1);
+                    #[cfg(debug_assertions)]
+                    probe::bump(probe::STALE_STOPS);
                     stale_from = Some(from);
                 }
             }
@@ -1296,8 +1285,10 @@ impl Simulation {
         // holds no more phases than the index.
         let words = perm.is_none() && slots[0].as_ref().is_some_and(PlaneShard::takes_words);
         let indexed = words && wire_index.build(unconditional, wire_phase, wire_value);
-        #[cfg(test)]
-        probe::bump(probe::UNINDEXED_ROUNDS, words && !indexed);
+        #[cfg(debug_assertions)]
+        if words && !indexed {
+            probe::bump(probe::UNINDEXED_ROUNDS);
+        }
         let (wire_value, wire_index) = (&wire_value[..], &*wire_index);
         if indexed {
             for shard in slots[..shards].iter_mut().flatten() {
@@ -1474,7 +1465,6 @@ mod tests {
     use super::*;
     use crate::factories;
     use adn_adversary::AdversarySpec;
-    use adn_core::AlgorithmFactory;
     use adn_faults::strategies::{Extreme, TwoFaced};
     use adn_faults::CrashSurvivors;
     use adn_graph::checker;
@@ -1660,314 +1650,6 @@ mod tests {
             .build();
     }
 
-    /// The stale-link stop must be behaviorally invisible: a columnar run,
-    /// which stops feeding a receiver the round's honest links once it has
-    /// decided or outrun them, and the same run on boxed nodes, which are
-    /// fed every link, agree on everything an `Outcome` holds — outputs,
-    /// rounds, traffic (skipped links were still delivered), the recorded
-    /// schedule, the traces. Crash (silent, partial-subset,
-    /// partial-random) and Byzantine mixes, all three delivery orders,
-    /// dense and sparse links, drawn independently.
-    #[test]
-    fn stale_link_stop_is_behavior_invisible() {
-        use crate::builder::LinkMode;
-        use adn_faults::strategies::{by_name, ALL_STRATEGY_NAMES};
-
-        let seeds = std::env::var("ADN_FUZZ_SEEDS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(240u64);
-        for seed in 0..seeds {
-            let build = |plane: PlaneMode| {
-                let mut rng = SplitMix64::new(seed);
-                let n = 8 + rng.next_index(40);
-                let f = 1 + rng.next_index(n / 6);
-                let p = params(n, f, 1e-3);
-                let sparse = seed % 2 == 0;
-                let order = match seed / 2 % 3 {
-                    0 => DeliveryOrder::AscendingSenders,
-                    1 => DeliveryOrder::DescendingSenders,
-                    _ => DeliveryOrder::Shuffled(seed),
-                };
-                let byzantine = rng.next_index(f + 1);
-                let mut crash = CrashSchedule::new(n);
-                for k in 0..f - byzantine {
-                    let survivors = match rng.next_index(4) {
-                        0 => CrashSurvivors::All,
-                        1 => CrashSurvivors::None,
-                        2 => CrashSurvivors::Subset(
-                            rng.sample_indices(n, n / 2)
-                                .into_iter()
-                                .map(NodeId::new)
-                                .collect(),
-                        ),
-                        _ => CrashSurvivors::Random {
-                            keep_probability: 0.5,
-                            seed: rng.next_u64(),
-                        },
-                    };
-                    crash.crash(NodeId::new(k), Round::new(rng.next_below(6)), survivors);
-                }
-                let adversary = match rng.next_index(4) {
-                    0 => AdversarySpec::Rotating { d: n / 2 + 1 },
-                    1 => AdversarySpec::Random { p: 0.7 },
-                    2 => AdversarySpec::Spread { t: 2, d: n / 2 },
-                    _ => AdversarySpec::Staggered {
-                        d: n / 2 + 1,
-                        groups: 3,
-                    },
-                };
-                let pend = 3 + rng.next_below(6);
-                let mut b = Simulation::builder(p)
-                    .inputs_random(seed)
-                    .crashes(crash)
-                    .adversary(adversary.build(n, f, seed))
-                    .algorithm(if rng.next_bool(0.5) {
-                        factories::dac_with_pend(p, pend)
-                    } else {
-                        factories::dbac_with_pend(p, pend)
-                    })
-                    .algorithm_plane(plane)
-                    .delivery_order(order)
-                    .link_mode(if sparse {
-                        LinkMode::Sparse
-                    } else {
-                        LinkMode::Dense
-                    })
-                    .max_rounds(60);
-                for k in 0..byzantine {
-                    let name = ALL_STRATEGY_NAMES[rng.next_index(ALL_STRATEGY_NAMES.len())];
-                    b = b.byzantine(NodeId::new(n - 1 - k), by_name(name, n, seed + k as u64));
-                }
-                b.run()
-            };
-            let (stopping, feeding) = (build(PlaneMode::Always), build(PlaneMode::Never));
-            assert_eq!(stopping.rounds(), feeding.rounds(), "seed {seed}");
-            assert_eq!(stopping.reason(), feeding.reason(), "seed {seed}");
-            assert_eq!(
-                stopping.honest_outputs(),
-                feeding.honest_outputs(),
-                "seed {seed}"
-            );
-            assert_eq!(stopping.traffic(), feeding.traffic(), "seed {seed}");
-            assert_eq!(stopping.schedule(), feeding.schedule(), "seed {seed}");
-            assert_eq!(stopping.traces(), feeding.traces(), "seed {seed}");
-        }
-    }
-
-    /// The word walk must be behaviorally invisible: a DAC or DBAC run
-    /// (by turns) whose receivers take the round's Present links 64
-    /// senders per kernel step through the wire index, and the same run on
-    /// boxed nodes, fed link by link, agree on everything an `Outcome`
-    /// holds. The same run with an event log takes the very same walk (as
-    /// many word steps, cut words and unindexed rounds) to the same
-    /// `Outcome`: observation does not switch the path. Crash (silent,
-    /// partial-subset, partial-random) and Byzantine senders at random ids
-    /// — so they cut words in the middle — over up to three words of
-    /// senders; dense and sparse links, on up to three shards; the complete graph (full words), a
-    /// rotating window below the quorum and a degree spread over two or
-    /// three rounds (T > 1: seen rows stay dirty and Alg. 2's lists live
-    /// across rounds, and thin rows settle sender by sender), staggered
-    /// receiver groups (every word mixes two phases) and random links
-    /// (partial words); one DBAC run whose Byzantine ids straddle a word
-    /// boundary; and one run whose wire outgrows the index and comes back.
-    #[test]
-    fn word_walk_is_behavior_invisible() {
-        use crate::builder::LinkMode;
-        use adn_adversary::AdversaryView;
-        use adn_faults::strategies::{by_name, ALL_STRATEGY_NAMES};
-        use adn_graph::EdgeSet;
-
-        fn assert_same(words: &Outcome, other: &Outcome, what: &str) {
-            assert_eq!(words.rounds(), other.rounds(), "{what}");
-            assert_eq!(words.reason(), other.reason(), "{what}");
-            assert_eq!(words.honest_outputs(), other.honest_outputs(), "{what}");
-            assert_eq!(words.traffic(), other.traffic(), "{what}");
-            assert_eq!(words.schedule(), other.schedule(), "{what}");
-            assert_eq!(words.traces(), other.traces(), "{what}");
-        }
-
-        /// Runs `build` as configured, logged and on boxed nodes; checks
-        /// the three agree and the logged run walked as the unlogged one.
-        fn run_checked(build: impl Fn() -> SimBuilder, what: &str) -> Outcome {
-            let before = probe::COUNTS.get();
-            let words = build().run();
-            let unlogged = probe::COUNTS.get();
-            let logged = build().record_events(true).run();
-            let after = probe::COUNTS.get();
-            for counter in [probe::WORD_STEPS, probe::CUT_WORDS, probe::UNINDEXED_ROUNDS] {
-                assert_eq!(
-                    unlogged[counter] - before[counter],
-                    after[counter] - unlogged[counter],
-                    "{what}: the logged run walked differently (counter {counter})"
-                );
-            }
-            assert_same(&words, &logged, &format!("{what}, logged"));
-            let boxed = build().algorithm_plane(PlaneMode::Never).run();
-            assert_same(&words, &boxed, &format!("{what}, boxed"));
-            words
-        }
-
-        let counted = |counter: usize| probe::COUNTS.get()[counter];
-        let seeds = std::env::var("ADN_FUZZ_SEEDS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(240u64);
-        for seed in 0..seeds {
-            let build = || {
-                let mut rng = SplitMix64::new(seed);
-                let n = 20 + rng.next_index(150);
-                let f = 1 + rng.next_index(n / 6);
-                let p = params(n, f, 1e-3);
-                let (sparse, dbac) = (seed % 2 == 0, seed / 2 % 2 == 0);
-                let byzantine = rng.next_index(f + 1);
-                let faulty = rng.sample_indices(n, f);
-                let mut crash = CrashSchedule::new(n);
-                for &k in &faulty[byzantine..] {
-                    let survivors = match rng.next_index(4) {
-                        0 => CrashSurvivors::All,
-                        1 => CrashSurvivors::None,
-                        2 => CrashSurvivors::Subset(
-                            rng.sample_indices(n, n / 2)
-                                .into_iter()
-                                .map(NodeId::new)
-                                .collect(),
-                        ),
-                        _ => CrashSurvivors::Random {
-                            keep_probability: 0.5,
-                            seed: rng.next_u64(),
-                        },
-                    };
-                    crash.crash(NodeId::new(k), Round::new(rng.next_below(8)), survivors);
-                }
-                // The degree the algorithm needs, over `t` rounds.
-                let d = if dbac { (n + 3 * f) / 2 } else { n / 2 };
-                let adversary = match rng.next_index(6) {
-                    0 => AdversarySpec::Complete,
-                    1 => AdversarySpec::Rotating { d: n / 4 },
-                    2 => AdversarySpec::Staggered {
-                        d: n / 2 + 1,
-                        groups: 3,
-                    },
-                    3 => AdversarySpec::Random { p: 0.7 },
-                    t => AdversarySpec::Spread { t: t - 2, d },
-                };
-                let pend = 3 + rng.next_below(6);
-                let mut b = Simulation::builder(p)
-                    .inputs_random(seed)
-                    .crashes(crash)
-                    .adversary(adversary.build(n, f, seed))
-                    .algorithm(match dbac {
-                        true => factories::dbac_with_pend(p, pend),
-                        false => factories::dac_with_pend(p, pend),
-                    })
-                    .algorithm_plane(PlaneMode::Always)
-                    .link_mode(if sparse {
-                        LinkMode::Sparse
-                    } else {
-                        LinkMode::Dense
-                    })
-                    // (Runs without Byzantine nodes shard: one pending row
-                    // each.)
-                    .shards(1 + (seed / 4 % 3) as usize)
-                    .max_rounds(80);
-                for (k, &id) in faulty[..byzantine].iter().enumerate() {
-                    let name = ALL_STRATEGY_NAMES[rng.next_index(ALL_STRATEGY_NAMES.len())];
-                    b = b.byzantine(NodeId::new(id), by_name(name, n, seed + k as u64));
-                }
-                b
-            };
-            run_checked(build, &format!("seed {seed}"));
-        }
-        if seeds >= 100 {
-            assert!(counted(probe::WORD_STEPS) > 0, "no run took a word step");
-            assert!(
-                counted(probe::CUT_WORDS) > 0,
-                "no conditional sender landed inside a word"
-            );
-        }
-
-        // Alg. 2 at its threshold degree, the eight stock strategies on
-        // ids either side of the first word boundary: a receiver's row is
-        // cut there, inside and between two words that hold pending links.
-        let cuts = counted(probe::CUT_WORDS);
-        let p = params(140, 8, 1e-3);
-        let straddling = run_checked(
-            || {
-                let mut b = Simulation::builder(p)
-                    .inputs_random(5)
-                    .adversary(AdversarySpec::DbacThreshold.build(140, 8, 5))
-                    .algorithm(factories::dbac_with_pend(p, 6))
-                    .algorithm_plane(PlaneMode::Always);
-                for (k, id) in [58, 60, 62, 63, 64, 65, 67, 69].into_iter().enumerate() {
-                    let strategy = by_name(ALL_STRATEGY_NAMES[k], 140, k as u64);
-                    b = b.byzantine(NodeId::new(id), strategy);
-                }
-                b
-            },
-            "byzantine ids around 64",
-        );
-        assert_eq!(straddling.reason(), StopReason::AllOutput);
-        assert!(counted(probe::CUT_WORDS) > cuts, "no word was cut");
-        // Both ways to settle Alg. 2's pending links were taken — counted
-        // by adn-core on the delivering thread (a sharded run delivers its
-        // first shard inline, and a run of one shard all of it), and
-        // only in a debug build of it: a release run of this test compares
-        // the outcomes and says that it did not check the paths.
-        match adn_core::probe::counts() {
-            Some(settles) if seeds >= 100 => {
-                use adn_core::probe::{RANK_SETTLES, SENDER_SETTLES};
-                assert!(settles[RANK_SETTLES] > 0, "no settle by rank");
-                assert!(settles[SENDER_SETTLES] > 0, "no settle sender by sender");
-            }
-            Some(_) => {}
-            None => eprintln!("word_walk: adn-core built without its probe counters (release); settle paths not asserted"),
-        }
-
-        /// Complete, except that receiver `v < 10` hears nothing in rounds
-        /// `v + 1 .. 14`: ten stragglers, each left behind in its own
-        /// phase while the rest advance, then all of them released.
-        #[derive(Debug)]
-        struct Stragglers;
-        impl adn_adversary::Adversary for Stragglers {
-            fn edges_into(&mut self, view: &AdversaryView<'_>, out: &mut EdgeSet) {
-                let t = view.round.as_u64() as usize;
-                for v in NodeId::all(view.params.n()) {
-                    if !(v.index() < 10 && (v.index() + 1..14).contains(&t)) {
-                        let row = &mut out.in_neighbor_sets_mut()[v.index()];
-                        row.copy_from(view.deliverers);
-                        row.remove(v);
-                    }
-                }
-            }
-            fn name(&self) -> &'static str {
-                "stragglers"
-            }
-        }
-        let unindexed = counted(probe::UNINDEXED_ROUNDS);
-        let steps = counted(probe::WORD_STEPS);
-        let p = params(70, 0, 1e-6);
-        let outgrown = run_checked(
-            || {
-                Simulation::builder(p)
-                    .inputs_random(3)
-                    .adversary(Box::new(Stragglers))
-                    .algorithm(factories::dac(p))
-                    .algorithm_plane(PlaneMode::Always)
-            },
-            "stragglers",
-        );
-        assert_eq!(outgrown.reason(), StopReason::AllOutput);
-        assert!(
-            counted(probe::UNINDEXED_ROUNDS) > unindexed,
-            "the wire never outgrew the index"
-        );
-        assert!(
-            counted(probe::WORD_STEPS) > steps,
-            "no indexed round around them"
-        );
-    }
-
     /// The directed case the stop must not break: on the complete graph
     /// every receiver reaches quorum on its first ⌊n/2⌋ honest links and
     /// advances past every honest snapshot, so the rest of its honest
@@ -2023,126 +1705,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_links_and_shards_are_byte_identical_to_dense() {
-        use crate::builder::LinkMode;
-        use crate::quantized::quantized_factory;
-        use adn_faults::strategies::{by_name, ALL_STRATEGY_NAMES};
-        use adn_net::codec::Precision;
-        let n = 33;
-        let p = params(n, 3, 1e-3);
-        let quantized = || quantized_factory(factories::dac(p), Precision::new(9));
-        // The columnar plane; the quantized adaptor over it (it forwards
-        // the split, so its sharded cells run on real shards); the same two
-        // on boxed nodes; piggyback, which has no columnar plane at all;
-        // and DBAC under two stock strategies, which delivers as one shard
-        // whatever it asks for. Every plane runs on either link form, and
-        // shards on both.
-        let cells: [(&str, &dyn Fn() -> AlgorithmFactory, PlaneMode, usize); 6] = [
-            ("dac", &|| factories::dac(p), PlaneMode::Always, 0),
-            ("quantized", &quantized, PlaneMode::Always, 0),
-            ("dac boxed", &|| factories::dac(p), PlaneMode::Never, 0),
-            ("quantized boxed", &quantized, PlaneMode::Never, 0),
-            (
-                "piggyback",
-                &|| factories::dbac_piggyback(p, 2, 12),
-                PlaneMode::Auto,
-                0,
-            ),
-            (
-                "dbac byz",
-                &|| factories::dbac_with_pend(p, 12),
-                PlaneMode::Always,
-                2,
-            ),
-        ];
-        for (name, factory, plane, byzantine) in cells {
-            let mk = |mode: LinkMode, shards: usize| {
-                let mut crash = CrashSchedule::new(n);
-                crash.crash(
-                    NodeId::new(7),
-                    Round::new(2),
-                    CrashSurvivors::Subset(vec![NodeId::new(0), NodeId::new(20)]),
-                );
-                let mut b = Simulation::builder(p)
-                    .inputs_random(99)
-                    .adversary(AdversarySpec::Rotating { d: 20 }.build(n, 1, 5))
-                    .crashes(crash)
-                    .algorithm(factory())
-                    .algorithm_plane(plane)
-                    .link_mode(mode)
-                    .shards(shards);
-                for (k, strategy) in ALL_STRATEGY_NAMES.iter().enumerate().take(byzantine) {
-                    b = b.byzantine(NodeId::new(n - 1 - k), by_name(strategy, n, k as u64));
-                }
-                let sim = b.build();
-                assert_eq!(sim.uses_plane(), plane == PlaneMode::Always, "{name}");
-                assert_eq!(sim.uses_sparse_links(), mode == LinkMode::Sparse, "{name}");
-                let expect = if byzantine > 0 { 1 } else { shards };
-                assert_eq!(sim.shards(), expect, "{name}");
-                sim.run()
-            };
-            let dense = mk(LinkMode::Dense, 1);
-            assert!(dense.rounds() > 4, "crash must land mid-run");
-            for (mode, shards) in [
-                (LinkMode::Sparse, 1),
-                (LinkMode::Sparse, 3),
-                (LinkMode::Dense, 3),
-            ] {
-                let other = mk(mode, shards);
-                let cell = format!("{name} {mode:?} shards={shards}");
-                assert_eq!(dense.rounds(), other.rounds(), "{cell}");
-                assert_eq!(dense.honest_outputs(), other.honest_outputs(), "{cell}");
-                assert_eq!(dense.traffic(), other.traffic(), "{cell}");
-                assert_eq!(dense.schedule(), other.schedule(), "{cell}");
-                assert_eq!(dense.traces(), other.traces(), "{cell}");
-            }
-        }
-    }
-
-    /// A logged run shards too, and logs what one shard logs: the round's
-    /// deliveries are read off the realized rows once every shard has
-    /// delivered.
-    #[test]
-    fn sharded_event_log_is_the_single_shard_log() {
-        use crate::builder::LinkMode;
-        let n = 19;
-        let p = params(n, 2, 1e-2);
-        let run = |plane, shards| {
-            let mut crash = CrashSchedule::new(n);
-            crash.crash(
-                NodeId::new(3),
-                Round::new(1),
-                CrashSurvivors::Subset(vec![NodeId::new(0), NodeId::new(11)]),
-            );
-            Simulation::builder(p)
-                .inputs_random(5)
-                .adversary(AdversarySpec::Rotating { d: 12 }.build(n, 2, 5))
-                .crashes(crash)
-                .algorithm(factories::dac(p))
-                .algorithm_plane(plane)
-                .link_mode(LinkMode::Sparse)
-                .shards(shards)
-                .record_events(true)
-                .run()
-        };
-        let reference = run(PlaneMode::Never, 1);
-        let log = reference.events().expect("recorded").events();
-        assert!(log.iter().any(|e| matches!(e, Event::Delivery { .. })));
-        for (plane, shards) in [
-            (PlaneMode::Never, 4),
-            (PlaneMode::Always, 1),
-            (PlaneMode::Always, 4),
-        ] {
-            let other = run(plane, shards);
-            assert_eq!(reference.traffic(), other.traffic(), "{plane:?} {shards}");
-            assert!(
-                log == other.events().expect("recorded").events(),
-                "{plane:?} on {shards} shards logs differently"
-            );
-        }
-    }
-
-    #[test]
     fn link_mode_auto_stays_dense_below_the_port_cap() {
         use crate::builder::LinkMode;
         let p = params(8, 0, 1e-2);
@@ -2165,88 +1727,72 @@ mod tests {
         }
     }
 
-    /// `LinkMode` is a memory hint: under the permuted orders, with
-    /// Byzantine senders and with a dense-only adversary (which the store
-    /// holds as words whatever the hint), `Sparse` runs the execution
-    /// `Dense` runs — rounds, outputs, traffic, schedule, traces and, when
-    /// logged, the event log. Verbatim complete bursts hand the silent
-    /// strategy links it fabricates nothing for: realized links missed.
+    /// The auto mode picks the plane exactly when the configuration is
+    /// plane-compatible — which, with the order-general permutation walk and
+    /// the quantized plane adaptor, now means: plane-capable factory, events
+    /// off.
     #[test]
-    fn sparse_links_accept_permuted_orders() {
-        use crate::builder::LinkMode;
-        use adn_adversary::Adversary;
-        use adn_faults::strategies::by_name;
+    fn auto_mode_selects_plane_only_when_compatible() {
+        use crate::quantized::quantized_factory;
+        use adn_net::codec::Precision;
 
-        /// The gallery's rotating window, behind `edges_into` alone.
-        #[derive(Debug)]
-        struct DenseOnly(Box<dyn Adversary>);
-        impl Adversary for DenseOnly {
-            fn edges_into(&mut self, view: &AdversaryView<'_>, out: &mut EdgeSet) {
-                self.0.edges_into(view, out);
-            }
-            fn name(&self) -> &'static str {
-                "dense-only"
-            }
+        let params = Params::fault_free(6, 1e-2).unwrap();
+        let plane_auto = Simulation::builder(params)
+            .algorithm(factories::dac(params))
+            .build();
+        assert!(plane_auto.uses_plane(), "dac + defaults must use the plane");
+
+        let events_on = Simulation::builder(params)
+            .algorithm(factories::dac(params))
+            .record_events(true)
+            .build();
+        assert!(!events_on.uses_plane(), "Auto keeps a logged run boxed");
+        let events_on_columnar = Simulation::builder(params)
+            .algorithm(factories::dac(params))
+            .record_events(true)
+            .algorithm_plane(PlaneMode::Always)
+            .build();
+        assert!(
+            events_on_columnar.uses_plane(),
+            "Always + events is a legal combination"
+        );
+
+        for order in [
+            DeliveryOrder::DescendingSenders,
+            DeliveryOrder::Shuffled(42),
+        ] {
+            let sim = Simulation::builder(params)
+                .algorithm(factories::dac(params))
+                .delivery_order(order)
+                .build();
+            assert!(
+                sim.uses_plane(),
+                "{order:?} drives the plane through the shared permutation"
+            );
         }
 
-        let n = 21;
-        let p = params(n, 3, 1e-3);
-        let rotating = || AdversarySpec::Rotating { d: 17 }.build(n, 3, 3);
-        let dense_only = || -> Box<dyn Adversary> { Box::new(DenseOnly(rotating())) };
-        let bursts = || AdversarySpec::AlternatingComplete { period: 2 }.build(n, 3, 3);
-        type Make<'a> = &'a dyn Fn() -> Box<dyn Adversary>;
-        let cells: [(usize, Make<'_>, bool); 4] = [
-            (0, &rotating, false),
-            (2, &rotating, false),
-            (2, &dense_only, true),
-            (2, &bursts, false),
-        ];
-        let orders = [DeliveryOrder::DescendingSenders, DeliveryOrder::Shuffled(5)];
-        for (k, order) in orders.into_iter().enumerate() {
-            for (byzantine, adversary, dense_only) in cells {
-                let logged = k == 1;
-                let run = |mode: LinkMode| {
-                    let mut crash = CrashSchedule::new(n);
-                    crash.crash(
-                        NodeId::new(4),
-                        Round::new(1),
-                        CrashSurvivors::Subset(vec![NodeId::new(0), NodeId::new(9)]),
-                    );
-                    let mut b = Simulation::builder(p)
-                        .inputs_random(7)
-                        .adversary(adversary())
-                        .crashes(crash)
-                        .algorithm(factories::dbac_with_pend(p, 8))
-                        .delivery_order(order)
-                        .link_mode(mode)
-                        .record_events(logged)
-                        .max_rounds(200);
-                    for (k, name) in ["silent", "extreme-high"]
-                        .iter()
-                        .enumerate()
-                        .take(byzantine)
-                    {
-                        b = b.byzantine(NodeId::new(n - 1 - k), by_name(name, n, k as u64));
-                    }
-                    let sim = b.build();
-                    let sparse = mode == LinkMode::Sparse && !dense_only;
-                    assert_eq!(sim.uses_sparse_links(), sparse);
-                    sim.run()
-                };
-                let (dense, sparse) = (run(LinkMode::Dense), run(LinkMode::Sparse));
-                let name = adversary().name();
-                let cell = format!("{order:?}, {byzantine} Byzantine, {name}");
-                assert_eq!(dense.reason(), StopReason::AllOutput, "{cell}");
-                assert_eq!(dense.rounds(), sparse.rounds(), "{cell}");
-                assert_eq!(dense.honest_outputs(), sparse.honest_outputs(), "{cell}");
-                assert_eq!(dense.traffic(), sparse.traffic(), "{cell}");
-                assert_eq!(dense.schedule(), sparse.schedule(), "{cell}");
-                assert_eq!(dense.traces(), sparse.traces(), "{cell}");
-                let events = |o: &Outcome| o.events().map(|log| log.events().to_vec());
-                assert!(events(&dense) == events(&sparse), "{cell}: event logs");
-                assert_eq!(events(&dense).is_some(), logged, "{cell}");
-            }
-        }
+        let quantized = Simulation::builder(params)
+            .algorithm(quantized_factory(factories::dac(params), Precision::new(8)))
+            .build();
+        assert!(
+            quantized.uses_plane(),
+            "quantized dac inherits the plane via the wire-encoding adaptor"
+        );
+
+        let no_plane_alg = Simulation::builder(params)
+            .algorithm(factories::reliable_ac(params))
+            .build();
+        assert!(!no_plane_alg.uses_plane(), "baselines have no plane");
+        let quantized_no_plane = Simulation::builder(params)
+            .algorithm(quantized_factory(
+                factories::reliable_ac(params),
+                Precision::new(8),
+            ))
+            .build();
+        assert!(
+            !quantized_no_plane.uses_plane(),
+            "wrapping cannot conjure a plane the inner algorithm lacks"
+        );
     }
 
     #[test]

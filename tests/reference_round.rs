@@ -1,44 +1,55 @@
-//! A deliberately naive round executor, fuzzed against `Simulation`: the
-//! round as the model states it — `for v { for u in order { if link &&
-//! transmits && survives { receive } } }` over fresh boxed nodes, nothing
-//! classified, cached, counted in bulk or skipped, every sender of the
-//! order walked (silent ones too) — against the engine's one delivery
-//! walk. Seeds: `ADN_FUZZ_SEEDS` (default 300).
+//! A deliberately naive round executor, and `Simulation` checked against
+//! it: the round as the model states it — `for v { for u in order { if
+//! link && transmits && survives { receive } } }` over fresh boxed nodes,
+//! nothing classified, cached, counted in bulk or skipped, every sender of
+//! the order walked (silent ones too) — against the engine's one delivery
+//! walk, on every plane the factory offers. Both sides report the whole
+//! run: outputs and final values, rounds and stop reason, traffic, the
+//! realized schedule, the round traces, the phase multisets `V(p)` and, on
+//! a logged run, the event log.
+//!
+//! The draw spans every axis the walk branches on: 4 to 170 nodes (rows of
+//! one to three words); DAC, DBAC, piggyback and quantized wires; every
+//! crash-survivor kind and Byzantine nodes at random ids; the gallery's
+//! adversaries and one that links crashed and silent senders too; the
+//! three delivery orders; every `LinkMode` on up to five shards; event
+//! recording on and off. A table of pinned cells adds what a draw rarely
+//! hits, and coverage floors — on `adn_core::probe`'s counters in a debug
+//! build — make sure the walk's paths were taken. Seeds: `ADN_FUZZ_SEEDS`
+//! (default 300); a failing seed `s` is `draw(s)`.
 
-use anondyn::adversary::AdversarySpec::{AlternatingComplete, Complete, Random, Rotating, Spread};
+use anondyn::adversary::AdversarySpec::{
+    AlternatingComplete, Complete, DacThreshold, DbacThreshold, PartitionHalves, Random, Rotating,
+    Spread, Staggered,
+};
 use anondyn::adversary::AdversaryView;
+use anondyn::consensus::probe::{
+    self, CUT_WORDS, RANK_SETTLES, SENDER_SETTLES, STALE_STOPS, UNINDEXED_ROUNDS, WORD_STEPS,
+};
 use anondyn::consensus::AlgorithmFactory;
 use anondyn::faults::{strategies, ByzContext};
+use anondyn::net::codec::Precision;
 use anondyn::net::Traffic;
 use anondyn::prelude::*;
+use anondyn::sim::quantized::quantized_factory;
 use anondyn::sim::DeliveryOrder::{self, AscendingSenders, DescendingSenders, Shuffled};
-use anondyn::sim::{LinkMode, RoundTrace};
+use anondyn::sim::{Event, LinkMode, RoundTrace};
 use anondyn::types::rng::SplitMix64;
 
-type Run = (
-    Vec<Option<Value>>,
-    u64,
-    StopReason,
-    Traffic,
-    Schedule,
-    Vec<RoundTrace>,
-);
-type Strategies = Vec<Option<Box<dyn ByzantineStrategy>>>;
-
-/// Run `seed`'s ingredients, everything stateful fresh per call: `n ≤ 12`;
-/// DAC, DBAC or piggyback; crashes (full, empty and partial final
-/// broadcasts) and Byzantine nodes within `f`; the three delivery orders;
-/// every third run on sparse links, whatever else was drawn; one shard or,
-/// every other run without Byzantine nodes, three.
-type Parts = (
-    Params,
-    AlgorithmFactory,
-    Box<dyn Adversary>,
-    Strategies,
-    CrashSchedule,
-    DeliveryOrder,
-    (LinkMode, usize),
-);
+/// Everything a run reports, field for field.
+#[derive(Debug, PartialEq)]
+struct Run {
+    outputs: Vec<Option<Value>>,
+    final_values: Vec<Value>,
+    rounds: u64,
+    reason: StopReason,
+    traffic: Traffic,
+    schedule: Schedule,
+    traces: Vec<RoundTrace>,
+    /// `V(p)`'s entries, phase by phase.
+    phases: Vec<Vec<(NodeId, Value)>>,
+    events: Option<Vec<Event>>,
+}
 
 /// Each link `u → v` with probability `p` a round, from every node —
 /// crashed, silent ones included. The gallery only ever chooses links
@@ -67,89 +78,301 @@ impl Adversary for Undisciplined {
     }
 }
 
-fn draw(seed: u64) -> Parts {
-    let mut rng = SplitMix64::new(seed ^ 0xD15C);
-    let n = 4 + rng.next_index(9);
-    let f = rng.next_index(n / 4 + 1);
-    let params = Params::new(n, f, 1e-2).unwrap();
-    let byz_count = rng.next_index(f + 1);
-    let names = strategies::ALL_STRATEGY_NAMES;
-    let mut byz: Strategies = (0..n).map(|_| None).collect();
-    let mut crash = CrashSchedule::new(n);
-    for k in 0..f {
-        let some = rng.sample_indices(n, n / 2).into_iter().map(NodeId::new);
-        let kinds = [
-            CrashSurvivors::All,
-            CrashSurvivors::None,
-            CrashSurvivors::Subset(some.collect()),
-        ];
-        let survivors = kinds.into_iter().nth(rng.next_index(3)).unwrap();
-        let name = names[rng.next_index(names.len())];
-        if k < byz_count {
-            byz[n - 1 - k] = Some(strategies::by_name(name, n, seed));
-        } else {
-            crash.crash(NodeId::new(k), Round::new(rng.next_below(6)), survivors);
+/// Complete, except that receiver `v < 10` hears nothing in rounds
+/// `v + 1 .. 14`: ten stragglers, each left behind in its own phase while
+/// the rest advance, then all of them released.
+#[derive(Debug)]
+struct Stragglers;
+
+impl Adversary for Stragglers {
+    fn edges_into(&mut self, view: &AdversaryView<'_>, out: &mut EdgeSet) {
+        let t = view.round.as_u64() as usize;
+        for v in NodeId::all(view.params.n()) {
+            if !(v.index() < 10 && (v.index() + 1..14).contains(&t)) {
+                let row = &mut out.in_neighbor_sets_mut()[v.index()];
+                row.copy_from(view.deliverers);
+                row.remove(v);
+            }
         }
     }
+
+    fn name(&self) -> &'static str {
+        "stragglers"
+    }
+}
+
+/// A gallery adversary behind `edges_into` alone.
+#[derive(Debug)]
+struct DenseOnly(Box<dyn Adversary>);
+
+impl Adversary for DenseOnly {
+    fn edges_into(&mut self, view: &AdversaryView<'_>, out: &mut EdgeSet) {
+        self.0.edges_into(view, out);
+    }
+
+    fn name(&self) -> &'static str {
+        "dense-only"
+    }
+}
+
+/// Where a run's links come from.
+#[derive(Debug, Clone, Copy)]
+enum Links {
+    Spec(AdversarySpec),
+    Undisciplined(f64),
+    Stragglers,
+    DenseOnly(AdversarySpec),
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Algo {
+    Dac,
+    Dbac,
+    Piggyback,
+}
+
+/// One run's ingredients, as data: both executors build everything
+/// stateful from it afresh.
+#[derive(Debug, Clone)]
+struct Config {
+    params: Params,
+    algo: Algo,
+    pend: u64,
+    /// The wire precision of a quantized run.
+    bits: Option<u8>,
+    links: Links,
+    byz: Vec<(NodeId, &'static str)>,
+    crash: CrashSchedule,
+    order: DeliveryOrder,
+    link_mode: LinkMode,
+    shards: usize,
+    logged: bool,
+    max_rounds: u64,
+    seed: u64,
+}
+
+impl Config {
+    fn factory(&self) -> AlgorithmFactory {
+        let (params, pend) = (self.params, self.pend);
+        let factory = match self.algo {
+            Algo::Dac => factories::dac_with_pend(params, pend),
+            Algo::Dbac => factories::dbac_with_pend(params, pend),
+            Algo::Piggyback => factories::dbac_piggyback(params, 2, pend),
+        };
+        match self.bits {
+            Some(bits) => quantized_factory(factory, Precision::new(bits)),
+            None => factory,
+        }
+    }
+
+    fn adversary(&self) -> Box<dyn Adversary> {
+        let (n, f, seed) = (self.params.n(), self.params.f(), self.seed);
+        match self.links {
+            Links::Spec(spec) => spec.build(n, f, seed),
+            Links::Undisciplined(p) => Box::new(Undisciplined {
+                p,
+                rng: SplitMix64::new(seed),
+            }),
+            Links::Stragglers => Box::new(Stragglers),
+            Links::DenseOnly(spec) => Box::new(DenseOnly(spec.build(n, f, seed))),
+        }
+    }
+
+    /// The strategy of the `k`-th Byzantine node.
+    fn strategy(&self, k: usize) -> Box<dyn ByzantineStrategy> {
+        strategies::by_name(self.byz[k].1, self.params.n(), self.seed + k as u64)
+    }
+}
+
+fn draw(seed: u64) -> Config {
+    let mut rng = SplitMix64::new(seed ^ 0xD15C);
+    // Most rows fit one word; one draw in four spans up to three.
+    let n = match rng.next_bool(0.75) {
+        true => 4 + rng.next_index(17),
+        false => 21 + rng.next_index(150),
+    };
+    let f = rng.next_index(n / 4 + 1);
+    let params = Params::new(n, f, [0.25, 1e-2, 1e-3][rng.next_index(3)]).unwrap();
+    // The faulty ids at random, so they cut words anywhere: the first few
+    // Byzantine, the rest crashing.
+    let faulty = rng.sample_indices(n, f);
+    let (byz, crashing) = faulty.split_at(rng.next_index(f + 1));
+    let names = strategies::ALL_STRATEGY_NAMES;
+    let byz = (byz.iter())
+        .map(|&i| (NodeId::new(i), names[rng.next_index(names.len())]))
+        .collect();
+    let mut crash = CrashSchedule::new(n);
+    for &i in crashing {
+        let survivors = match rng.next_index(4) {
+            0 => CrashSurvivors::All,
+            1 => CrashSurvivors::None,
+            2 => {
+                let some = rng.sample_indices(n, n / 2).into_iter().map(NodeId::new);
+                CrashSurvivors::Subset(some.collect())
+            }
+            _ => CrashSurvivors::Random {
+                keep_probability: rng.next_f64(),
+                seed: rng.next_u64(),
+            },
+        };
+        crash.crash(NodeId::new(i), Round::new(rng.next_below(25)), survivors);
+    }
     let (d, t) = (1 + rng.next_index(n - 1), 1 + rng.next_index(3));
-    let p = 0.3 + 0.6 * rng.next_f64();
+    let p = 0.2 + 0.7 * rng.next_f64();
     // Complete bursts are verbatim: crashed and silent senders get links.
-    let bursts = AlternatingComplete { period: t };
     let specs = [
         Complete,
         Rotating { d },
         Random { p },
         Spread { t, d },
-        bursts,
+        AlternatingComplete { period: t },
+        PartitionHalves,
+        DacThreshold,
+        DbacThreshold,
+        Staggered { d, groups: 1 + t },
     ];
-    let adversary: Box<dyn Adversary> = match specs.get(rng.next_index(specs.len() + 1)) {
-        Some(spec) => spec.build(n, f, seed),
-        None => Box::new(Undisciplined {
-            p,
-            rng: SplitMix64::new(seed),
-        }),
+    let links = match rng.next_bool(0.2) {
+        true => Links::Undisciplined(p),
+        false => Links::Spec(specs[rng.next_index(specs.len())]),
     };
+    let algo = [Algo::Dac, Algo::Dbac, Algo::Piggyback][rng.next_index(3)];
+    let bits = rng.next_bool(0.3).then(|| 3 + rng.next_index(10) as u8);
     let shuffled = Shuffled(rng.next_u64());
-    let orders = [AscendingSenders, DescendingSenders, shuffled];
-    let order = orders[rng.next_index(3)];
-    let pend = 1 + rng.next_below(6);
-    let factory = match rng.next_index(3) {
-        0 => factories::dac_with_pend(params, pend),
-        1 => factories::dbac_with_pend(params, pend),
-        _ => factories::dbac_piggyback(params, 2, pend),
-    };
-    let links = [LinkMode::Dense, LinkMode::Sparse][usize::from(seed.is_multiple_of(3))];
-    let shards = if byz_count == 0 && seed.is_multiple_of(2) {
-        3
-    } else {
-        1
-    };
-    (
+    let order = [AscendingSenders, DescendingSenders, shuffled][rng.next_index(3)];
+    let link_mode = [LinkMode::Auto, LinkMode::Dense, LinkMode::Sparse][rng.next_index(3)];
+    Config {
         params,
-        factory,
-        adversary,
+        algo,
+        pend: rng.next_below(8),
+        bits,
+        links,
         byz,
         crash,
         order,
-        (links, shards),
-    )
+        link_mode,
+        shards: 1 + rng.next_index(5),
+        logged: rng.next_bool(0.3),
+        max_rounds: 40,
+        seed,
+    }
 }
 
-fn reference(seed: u64, max_rounds: u64) -> Run {
-    let (params, factory, mut adversary, mut byz, crash, order, _) = draw(seed);
-    let n = params.n();
-    let inputs = workload::random(n, seed);
+/// Fixed configurations a draw rarely hits, each with the walk counters
+/// it must move.
+fn pinned() -> [(&'static str, Config, &'static [usize]); 5] {
+    let cell = |n, f, algo, pend, links| Config {
+        params: Params::new(n, f, 1e-3).unwrap(),
+        algo,
+        pend,
+        bits: None,
+        links,
+        byz: Vec::new(),
+        crash: CrashSchedule::new(n),
+        order: AscendingSenders,
+        link_mode: LinkMode::Auto,
+        shards: 1,
+        logged: false,
+        max_rounds: 200,
+        seed: 5,
+    };
+    // The wire outgrows the index and comes back.
+    let stragglers = Config {
+        logged: true,
+        ..cell(70, 0, Algo::Dac, 20, Links::Stragglers)
+    };
+    // Alg. 2 at its threshold degree, the eight stock strategies on ids
+    // either side of the first word boundary: a receiver's row is cut
+    // there, inside and between two words that hold pending links.
+    let ids = [58, 60, 62, 63, 64, 65, 67, 69].map(NodeId::new);
+    let names = strategies::ALL_STRATEGY_NAMES;
+    let straddling = Config {
+        byz: ids.into_iter().zip(names).collect(),
+        logged: true,
+        ..cell(140, 8, Algo::Dbac, 6, Links::Spec(DbacThreshold))
+    };
+    // Verbatim complete bursts hand the silent strategy links it
+    // fabricates nothing for: realized links missed, on sparse links.
+    let bursts = AlternatingComplete { period: 2 };
+    let mut crash = CrashSchedule::new(21);
+    let survivors = CrashSurvivors::Subset(vec![NodeId::new(0), NodeId::new(9)]);
+    crash.crash(NodeId::new(4), Round::new(1), survivors);
+    let missed = Config {
+        byz: vec![
+            (NodeId::new(20), "silent"),
+            (NodeId::new(19), "extreme-high"),
+        ],
+        crash,
+        order: Shuffled(5),
+        link_mode: LinkMode::Sparse,
+        logged: true,
+        ..cell(21, 3, Algo::Dbac, 8, Links::Spec(bursts))
+    };
+    // An adversary that cannot write runs is held as words.
+    let dense_only = Config {
+        links: Links::DenseOnly(Rotating { d: 17 }),
+        order: DescendingSenders,
+        logged: false,
+        ..missed.clone()
+    };
+    // Spread links make a lagging receiver hear a higher phase first (a
+    // jump), then same-phase senders that count anew toward the quorum of
+    // the phase it jumped to, all in one round.
+    let jump = cell(5, 0, Algo::Dac, 6, Links::Spec(Spread { t: 3, d: 3 }));
+    [
+        ("stragglers", stragglers, &[UNINDEXED_ROUNDS, WORD_STEPS]),
+        ("byzantine ids around 64", straddling, &[CUT_WORDS]),
+        ("missed fabrications", missed, &[]),
+        ("dense-only adversary", dense_only, &[]),
+        ("same-round jump", jump, &[]),
+    ]
+}
+
+/// Adds `(node, value)` to `V(phase)` unless the node is in it already.
+fn enter(records: &mut Vec<Vec<(NodeId, Value)>>, node: NodeId, phase: Phase, value: Value) {
+    let p = phase.as_u64() as usize;
+    if records.len() <= p {
+        records.resize_with(p + 1, Vec::new);
+    }
+    if records[p].iter().all(|&(id, _)| id != node) {
+        records[p].push((node, value));
+    }
+}
+
+fn reference(cfg: &Config) -> Run {
+    let (params, n, t_max) = (cfg.params, cfg.params.n(), cfg.max_rounds);
+    let factory = cfg.factory();
+    let mut adversary = cfg.adversary();
+    let mut byz: Vec<_> = (0..n).map(|_| None).collect();
+    for (k, &(id, _)) in cfg.byz.iter().enumerate() {
+        byz[id.index()] = Some(cfg.strategy(k));
+    }
+    let crash = &cfg.crash;
+    let inputs = workload::random(n, cfg.seed);
     let mut nodes: Vec<_> = (0..n).map(|i| factory.make(i, inputs[i])).collect();
     let is_byz: Vec<bool> = byz.iter().map(Option::is_some).collect();
-    let ports = PortNumbering::random(n, seed);
+    let ports = PortNumbering::random(n, cfg.seed);
     let (mut traffic, mut schedule, mut t) = (Traffic::new(), Schedule::new(n), Round::ZERO);
-    let mut traces = Vec::new();
+    let (mut traces, mut records, mut log) = (Vec::new(), Vec::new(), Vec::new());
+    // V(0) holds every non-Byzantine input (Def. 5). A node whose output
+    // exists before any round (pend = 0) decided in round 0.
+    let mut decided = vec![false; n];
+    for v in NodeId::all(n).filter(|v| !is_byz[v.index()]) {
+        enter(&mut records, v, Phase::ZERO, inputs[v.index()]);
+        if let Some(value) = nodes[v.index()].output() {
+            decided[v.index()] = true;
+            log.push(Event::Decide {
+                round: t,
+                node: v,
+                value,
+            });
+        }
+    }
     let fault_free: Vec<usize> = (0..n)
         .filter(|&i| !is_byz[i] && !crash.is_faulty(NodeId::new(i)))
         .collect();
     let undecided =
         |nodes: &[Box<dyn Algorithm>]| fault_free.iter().any(|&i| nodes[i].output().is_none());
-    while t.as_u64() < max_rounds && undecided(&nodes) {
+    while t.as_u64() < t_max && undecided(&nodes) {
         // What everyone can see at the start of the round.
         let state = |i: usize| (!is_byz[i]).then(|| (nodes[i].phase(), nodes[i].current_value()));
         let seen = (0..n).map(|i| state(i).unwrap_or((Phase::ZERO, Value::HALF)));
@@ -187,10 +410,25 @@ fn reference(seed: u64, max_rounds: u64) -> Run {
         // Every non-Byzantine node that still transmits broadcasts once.
         let mut sent = vec![None; n];
         for u in NodeId::all(n).filter(|u| !is_byz[u.index()] && transmits(u)) {
-            nodes[u.index()].broadcast_into(sent[u.index()].insert(Batch::new()));
+            let batch = sent[u.index()].insert(Batch::new());
+            nodes[u.index()].broadcast_into(batch);
+            let batch_len = batch.len();
+            log.push(Event::Broadcast {
+                round,
+                node: u,
+                batch_len,
+            });
+        }
+        // This round's crashes: crashed by it, not by the round before.
+        let before = t.as_u64().checked_sub(1).map(Round::new);
+        let crashes_now = |u: &NodeId| {
+            crash.has_crashed_by(*u, t) && before.is_none_or(|r| !crash.has_crashed_by(*u, r))
+        };
+        for node in NodeId::all(n).filter(crashes_now) {
+            log.push(Event::Crash { round, node });
         }
         let mut senders: Vec<NodeId> = NodeId::all(n).collect();
-        match order {
+        match cfg.order {
             AscendingSenders => {}
             DescendingSenders => senders.reverse(),
             Shuffled(s) => SplitMix64::new(s ^ (t.as_u64() << 20)).shuffle(&mut senders),
@@ -209,11 +447,47 @@ fn reference(seed: u64, max_rounds: u64) -> Run {
                 };
                 traffic.record_delivery(batch.len());
                 realized.insert(u, v);
-                nodes[v.index()].receive(ports.port_of(v, u), batch);
+                let port = ports.port_of(v, u);
+                nodes[v.index()].receive(port, batch);
+                log.push(Event::Delivery {
+                    round,
+                    sender: u,
+                    receiver: v,
+                    port,
+                    batch_len: batch.len(),
+                });
             }
         }
         schedule.push(realized);
         honest.for_each(|v| nodes[v.index()].end_round());
+        // Each executing node enters every phase it advanced through with
+        // its value after the round (Def. 6), then may have decided.
+        for v in NodeId::all(n).filter(executes) {
+            let node = &nodes[v.index()];
+            let (from, to, value) = (phases[v.index()], node.phase(), node.current_value());
+            let mut p = from;
+            while p < to {
+                p = p.next();
+                enter(&mut records, v, p, value);
+            }
+            if to > from {
+                log.push(Event::PhaseAdvance {
+                    round,
+                    node: v,
+                    from,
+                    to,
+                    value,
+                });
+            }
+            if let (false, Some(value)) = (decided[v.index()], node.output()) {
+                decided[v.index()] = true;
+                log.push(Event::Decide {
+                    round,
+                    node: v,
+                    value,
+                });
+            }
+        }
         // The round's trace: the fault-free nodes after it.
         let after = || fault_free.iter().map(|&i| &nodes[i]);
         traces.push(RoundTrace {
@@ -227,87 +501,247 @@ fn reference(seed: u64, max_rounds: u64) -> Run {
         t = t.next();
     }
     let reason = [StopReason::AllOutput, StopReason::MaxRounds][usize::from(undecided(&nodes))];
-    let outputs = (0..n)
-        .map(|i| nodes[i].output().filter(|_| !is_byz[i]))
-        .collect();
-    (outputs, t.as_u64(), reason, traffic, schedule, traces)
+    let honest = |i: usize| !is_byz[i];
+    Run {
+        outputs: (0..n)
+            .map(|i| nodes[i].output().filter(|_| honest(i)))
+            .collect(),
+        final_values: (0..n)
+            .map(|i| match honest(i) {
+                true => nodes[i].current_value(),
+                false => Value::HALF,
+            })
+            .collect(),
+        rounds: t.as_u64(),
+        reason,
+        traffic,
+        schedule,
+        traces,
+        phases: records,
+        events: cfg.logged.then_some(log),
+    }
 }
 
-fn simulated(seed: u64, max_rounds: u64, plane: PlaneMode) -> Run {
-    let (params, factory, adversary, byz, crash, order, (links, shards)) = draw(seed);
-    let n = params.n();
-    let mut b = Simulation::builder(params)
-        .inputs_random(seed)
-        .adversary(adversary)
-        .ports(PortNumbering::random(n, seed))
-        .crashes(crash)
-        .delivery_order(order)
+/// `cfg` on `Simulation`, the algorithm state on `plane`, logged when
+/// `logged`. Checks that the run holds the plane, the link form and the
+/// shards the configuration asks for; returns the run, whether its links
+/// were sparse, and the delta of every `adn_core::probe` counter (zero
+/// where a build does not count).
+fn simulated(cfg: &Config, plane: PlaneMode, logged: bool) -> (Run, bool, [u64; 8]) {
+    let n = cfg.params.n();
+    let factory = cfg.factory();
+    let has_plane = factory.has_plane();
+    let mut b = Simulation::builder(cfg.params)
+        .inputs_random(cfg.seed)
+        .adversary(cfg.adversary())
+        .ports(PortNumbering::random(n, cfg.seed))
+        .crashes(cfg.crash.clone())
+        .delivery_order(cfg.order)
         .algorithm(factory)
         .algorithm_plane(plane)
-        .link_mode(links)
-        .shards(shards)
-        .max_rounds(max_rounds);
-    for (i, strategy) in byz.into_iter().enumerate() {
-        b = strategy
-            .into_iter()
-            .fold(b, |b, s| b.byzantine(NodeId::new(i), s));
+        .link_mode(cfg.link_mode)
+        .shards(cfg.shards)
+        .record_events(logged)
+        .max_rounds(cfg.max_rounds);
+    for (k, &(id, _)) in cfg.byz.iter().enumerate() {
+        b = b.byzantine(id, cfg.strategy(k));
     }
-    let out = b.run();
-    let outputs = NodeId::all(n).map(|v| out.output_of(v)).collect();
-    let (rounds, reason, traffic) = (out.rounds(), out.reason(), out.traffic());
-    let (schedule, traces) = (out.schedule().clone(), out.traces().to_vec());
-    (outputs, rounds, reason, traffic, schedule, traces)
+    let sim = b.build();
+    let columnar = match plane {
+        PlaneMode::Never => false,
+        PlaneMode::Always => true,
+        PlaneMode::Auto => has_plane && !logged,
+    };
+    assert_eq!(sim.uses_plane(), columnar, "{plane:?}, logged {logged}");
+    // `LinkMode` picks the store's form; the gallery writes runs, the
+    // adversaries of this file words only.
+    let sparse = matches!(cfg.links, Links::Spec(_))
+        && match cfg.link_mode {
+            LinkMode::Auto => n > PortNumbering::MAX_DENSE_N,
+            LinkMode::Dense => false,
+            LinkMode::Sparse => true,
+        };
+    assert_eq!(sim.uses_sparse_links(), sparse, "{:?}", cfg.link_mode);
+    // Strategy objects are not `Send`: a Byzantine run delivers as one shard.
+    let shards = if cfg.byz.is_empty() { cfg.shards } else { 1 };
+    assert_eq!(sim.shards(), shards, "shards");
+    let before = probe::counts();
+    let out = sim.run();
+    let counted = match (before, probe::counts()) {
+        (Some(before), Some(after)) => std::array::from_fn(|c| after[c] - before[c]),
+        _ => [0; 8],
+    };
+    let run = Run {
+        outputs: NodeId::all(n).map(|v| out.output_of(v)).collect(),
+        final_values: NodeId::all(n).map(|v| out.final_value_of(v)).collect(),
+        rounds: out.rounds(),
+        reason: out.reason(),
+        traffic: out.traffic(),
+        schedule: out.schedule().clone(),
+        traces: out.traces().to_vec(),
+        phases: (out.phase_records().iter())
+            .map(|record| record.entries().to_vec())
+            .collect(),
+        events: out.events().map(|log| log.events().to_vec()),
+    };
+    (run, sparse, counted)
+}
+
+/// Panics at the first element where `got` departs from `expect`.
+fn same<T: PartialEq + std::fmt::Debug>(expect: &[T], got: &[T], field: &str, what: &str) {
+    let len = expect.len().max(got.len());
+    if let Some(i) = (0..len).find(|&i| expect.get(i) != got.get(i)) {
+        let (e, g) = (expect.get(i), got.get(i));
+        panic!("{what}: {field}[{i}]: naive {e:?}, simulated {g:?}");
+    }
+}
+
+/// Compares a simulated run with the naive one, field for field; the
+/// event logs only when the simulated run kept one.
+fn assert_same(expect: &Run, got: &Run, what: &str) {
+    assert_eq!(expect.rounds, got.rounds, "{what}: rounds");
+    assert_eq!(expect.reason, got.reason, "{what}: stop reason");
+    assert_eq!(expect.traffic, got.traffic, "{what}: traffic");
+    same(&expect.outputs, &got.outputs, "outputs", what);
+    same(&expect.final_values, &got.final_values, "values", what);
+    same(&expect.traces, &got.traces, "traces", what);
+    same(&expect.phases, &got.phases, "V(p)", what);
+    if expect.schedule != got.schedule {
+        let mut rounds = expect.schedule.iter().zip(got.schedule.iter());
+        let t = rounds.position(|(e, g)| e != g);
+        panic!("{what}: the realized schedules differ first in round {t:?}");
+    }
+    if let Some(events) = &got.events {
+        let expected = expect.events.as_deref().unwrap_or_default();
+        same(expected, events, "events", what);
+    }
+}
+
+/// What the runs covered, for the floors.
+#[derive(Default)]
+struct Coverage {
+    /// Simulated runs by order × link form (dense, sparse) × plane mode.
+    runs: [[[u64; 3]; 2]; 3],
+    /// Runs on more than one shard, by link form.
+    sharded: [u64; 2],
+    sparse_byz: u64,
+    quantized: u64,
+    /// Logged draws: all, those on more than one shard, and the stale
+    /// stops their walks counted.
+    logged: u64,
+    logged_sharded: u64,
+    logged_stops: u64,
+    /// Undisciplined draws with a crash, by order.
+    undisciplined: [u64; 3],
+}
+
+const MODES: [PlaneMode; 3] = [PlaneMode::Never, PlaneMode::Always, PlaneMode::Auto];
+/// The walk counters a logged run must move as its unlogged twin does.
+const WALK: [usize; 4] = [WORD_STEPS, CUT_WORDS, UNINDEXED_ROUNDS, STALE_STOPS];
+
+/// Runs `cfg` on the naive executor and on every plane mode the factory
+/// offers, and holds each run to the naive one. A logged configuration
+/// runs once more unlogged on the plane that walks by words, which must
+/// walk as the logged run did: observation does not switch the walk.
+/// Returns what the walk counted over the plane modes.
+fn check(cfg: &Config, what: &str, cov: &mut Coverage) -> [u64; 8] {
+    let expect = reference(cfg);
+    let order = match cfg.order {
+        AscendingSenders => 0,
+        DescendingSenders => 1,
+        Shuffled(_) => 2,
+    };
+    let has_plane = cfg.factory().has_plane();
+    let sharded = cfg.shards > 1 && cfg.byz.is_empty();
+    let mut walked = [0; 8];
+    for (m, plane) in MODES.into_iter().enumerate() {
+        if plane == PlaneMode::Always && !has_plane {
+            continue;
+        }
+        let what = format!("{what}, {plane:?}");
+        let (got, sparse, counted) = simulated(cfg, plane, cfg.logged);
+        assert_same(&expect, &got, &what);
+        cov.runs[order][usize::from(sparse)][m] += 1;
+        cov.sharded[usize::from(sparse)] += u64::from(sharded);
+        cov.sparse_byz += u64::from(sparse && !cfg.byz.is_empty());
+        walked = std::array::from_fn(|c| walked[c] + counted[c]);
+        if cfg.logged && plane == [PlaneMode::Never, PlaneMode::Always][usize::from(has_plane)] {
+            let (unlogged, _, twin) = simulated(cfg, plane, false);
+            assert_same(&expect, &unlogged, &format!("{what}, unlogged"));
+            for c in WALK {
+                let (logged, unlogged) = (counted[c], twin[c]);
+                assert_eq!(logged, unlogged, "{what}: walk counter {c}, logged vs not");
+            }
+        }
+    }
+    cov.quantized += u64::from(cfg.bits.is_some());
+    if cfg.logged {
+        cov.logged += 1;
+        cov.logged_sharded += u64::from(sharded);
+        cov.logged_stops += walked[STALE_STOPS];
+    }
+    if matches!(cfg.links, Links::Undisciplined(_)) && cfg.crash.fault_count() > 0 {
+        cov.undisciplined[order] += 1;
+    }
+    walked
 }
 
 #[test]
 fn simulation_matches_the_naive_round_executor() {
     let seeds = std::env::var("ADN_FUZZ_SEEDS").map_or(300, |s| s.parse().unwrap());
-    // Undisciplined draws with a crash, per delivery order; sparse draws
-    // with a Byzantine node, per permuted order, and undisciplined.
-    let mut undisciplined = [0u64; 3];
-    let (mut sparse_byz, mut sparse_permuted, mut sparse_undisciplined) = (0, [0u64; 2], 0);
+    let mut cov = Coverage::default();
     for seed in 0..seeds {
-        let expect = reference(seed, 40);
-        assert_eq!(
-            expect,
-            simulated(seed, 40, PlaneMode::Never),
-            "seed {seed}, boxed"
-        );
-        let (_, factory, adversary, byz, crash, order, (links, _)) = draw(seed);
-        if factory.has_plane() {
-            assert_eq!(
-                expect,
-                simulated(seed, 40, PlaneMode::Always),
-                "seed {seed}, columnar"
-            );
-        }
-        let order = match order {
-            AscendingSenders => 0,
-            DescendingSenders => 1,
-            Shuffled(_) => 2,
-        };
-        let undisciplined_draw = adversary.name() == "undisciplined";
-        if undisciplined_draw && crash.fault_count() > 0 {
-            undisciplined[order] += 1;
-        }
-        if links == LinkMode::Sparse {
-            sparse_byz += u64::from(byz.iter().any(Option::is_some));
-            if order > 0 {
-                sparse_permuted[order - 1] += 1;
-            }
-            sparse_undisciplined += u64::from(undisciplined_draw);
+        check(&draw(seed), &format!("seed {seed}"), &mut cov);
+    }
+    // adn-core counts only in a debug build of it (and its own tests).
+    let counting = probe::counts().is_some();
+    if !counting {
+        eprintln!("reference_round: adn-core built without its probe counters (release); compared outcomes only");
+    }
+    for (name, cfg, floors) in pinned() {
+        let walked = check(&cfg, name, &mut cov);
+        for &c in floors.iter().filter(|_| counting) {
+            assert!(walked[c] > 0, "{name}: walk counter {c} never moved");
         }
     }
-    if seeds >= 300 {
-        assert!(
-            undisciplined.iter().all(|&c| c > 0),
-            "undisciplined draws with crashes by order: {undisciplined:?}"
-        );
-        assert!(sparse_byz > 0, "no sparse draw with a Byzantine node");
-        assert!(
-            sparse_permuted.iter().all(|&c| c > 0),
-            "sparse draws by permuted order: {sparse_permuted:?}"
-        );
-        assert!(sparse_undisciplined > 0, "no sparse undisciplined draw");
+    if seeds < 100 {
+        return;
+    }
+    for (order, forms) in cov.runs.iter().enumerate() {
+        for (sparse, modes) in forms.iter().enumerate() {
+            for (mode, &runs) in MODES.iter().zip(modes) {
+                let cell = format!("order {order}, sparse {sparse}, {mode:?}");
+                assert!(runs > 0, "no run under {cell}");
+            }
+        }
+    }
+    assert!(
+        cov.sharded.iter().all(|&c| c > 0),
+        "sharded runs by link form: {:?}",
+        cov.sharded
+    );
+    assert!(cov.sparse_byz > 0, "no Byzantine run on sparse links");
+    assert!(
+        cov.quantized > 0 && cov.logged_sharded > 0,
+        "no quantized or no sharded logged draw"
+    );
+    assert!(
+        cov.undisciplined.iter().all(|&c| c > 0),
+        "undisciplined draws with crashes by order: {:?}",
+        cov.undisciplined
+    );
+    let Some(counts) = probe::counts() else {
+        return;
+    };
+    assert!(cov.logged_stops > 0, "no logged stale stop");
+    for (c, name) in [
+        (WORD_STEPS, "word step"),
+        (CUT_WORDS, "cut word"),
+        (UNINDEXED_ROUNDS, "unindexed round"),
+        (STALE_STOPS, "stale stop"),
+        (RANK_SETTLES, "settle by rank"),
+        (SENDER_SETTLES, "settle sender by sender"),
+    ] {
+        assert!(counts[c] > 0, "no {name}");
     }
 }
