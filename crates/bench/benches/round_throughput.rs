@@ -46,6 +46,12 @@
 //! under a degree spread over three rounds, whose thin rows end with links
 //! pending.
 //!
+//! The **`dbac_byz_f16`** cases (n = 256 and 1024, plane, lean) are the
+//! threshold cell under `f` Byzantine senders at the highest ids, the eight
+//! stock strategies cycled (the ledger's `dbac_byz` shape, lean): the
+//! receiver-independent ones staged once a round and ranked with the
+//! honest senders, the others fabricating per link and cutting words.
+//!
 //! The **order/wire** cases (`dac_shuffled`, `dac_quantized`, each with a
 //! `_trait` reference, at n ≥ 256) track the permutation-aware plane:
 //! shuffled-order delivery walking each receiver's senders through the
@@ -55,10 +61,11 @@
 
 use adn_adversary::AdversarySpec;
 use adn_bench::harness::Runner;
+use adn_faults::strategies::{self, ALL_STRATEGY_NAMES};
 use adn_net::codec::Precision;
 use adn_sim::quantized::quantized_factory;
 use adn_sim::{factories, scalar_lane_outcome, DeliveryOrder, PlaneMode, Simulation, TrialPool};
-use adn_types::Params;
+use adn_types::{NodeId, Params};
 
 /// Rounds stepped per timed call.
 const BATCH: u64 = 64;
@@ -193,6 +200,36 @@ fn main() {
                         .observe_phases(false)
                         .max_rounds(u64::MAX)
                         .build()
+                },
+                |sim| {
+                    for _ in 0..BATCH {
+                        sim.step();
+                    }
+                },
+            );
+        }
+
+        if matches!(n, 256 | 1024) {
+            let f = n / 64;
+            let params = Params::new(n, f, 1e-6).unwrap();
+            r.bench_batched(
+                &format!("dbac_byz_f16/{n}"),
+                BATCH,
+                || {
+                    let mut b = Simulation::builder(params)
+                        .inputs_random(1)
+                        .adversary(AdversarySpec::DbacThreshold.build(n, f, 1))
+                        .algorithm(factories::dbac_with_pend(params, u64::MAX))
+                        .algorithm_plane(PlaneMode::Always)
+                        .record_schedule(false)
+                        .observe_phases(false)
+                        .max_rounds(u64::MAX);
+                    for i in 0..f {
+                        let name = ALL_STRATEGY_NAMES[i % ALL_STRATEGY_NAMES.len()];
+                        let strategy = strategies::by_name(name, n, i as u64);
+                        b = b.byzantine(NodeId::new(n - 1 - i), strategy);
+                    }
+                    b.build()
                 },
                 |sim| {
                     for _ in 0..BATCH {

@@ -71,14 +71,18 @@
 //! multiset, not of arrival order (`trim.rs`). Its word step
 //! therefore only *counts*: `row ∧ (same-phase ∪ ahead) ∧ ¬seen`, cut at
 //! the quorum-completing link, goes into the seen row and into the
-//! shard's **pending** row, and no value is touched. The **settle** —
-//! before a quorum reads the lists, and when the receiver's row is over —
-//! puts the pending senders' wire values in: by rank when that is the
-//! shorter way (the round's senders in ascending wire value until one no
-//! longer enters `R_low`, descending for `R_high`; the index's rank order),
-//! sender by sender when few are pending. Links taken one at a time —
-//! fabricated, partially delivered — are stored at once; stores commute,
-//! so the two need no order between them.
+//! shard's **pending** row, and no value is touched. A **quorum** reads
+//! `(max(R_low), min(R_high))` over the lists and the pending senders
+//! together: when few are pending it stores them one by one and reads the
+//! lists; otherwise it stores nothing — `RESET()` empties the lists right
+//! after — and merges each list with the pending senders' wire values on a
+//! walk of the round's senders in ascending (descending) wire value, the
+//! index's rank order, until one no longer precedes the list's last slot
+//! still kept. The **settle** when the receiver's row is over does store,
+//! since those lists outlive the row: by rank on the same walks, or sender
+//! by sender. Links taken one at a time — fabricated, partially delivered
+//! — are stored at once; stores commute, so the two need no order between
+//! them.
 //!
 //! **The stale-link stop.** Within a round every honest link carries a
 //! start-of-round snapshot, so its phase is at most the round's maximum
@@ -580,6 +584,7 @@ impl Rule for DbacRule {
 )]
 mod sealed {
     use super::{Cols, DacRule, DbacRule, Ranked, Row, ShardRepr, StagedWire};
+    use adn_types::Value;
 
     /// What a row of Alg. 2 keeps between its word steps and their settle.
     /// (`pub`, as an associated type's value must be; unnameable, as the
@@ -608,6 +613,10 @@ mod sealed {
         /// Puts what the row's word steps left pending into its lists.
         fn settle(row: &mut Row<'_, Self>);
 
+        /// `(max(R_low), min(R_high))` at a quorum, over the lists and
+        /// whatever the row's word steps left pending.
+        fn quorum_bounds(row: &mut Row<'_, Self>) -> (Value, Value);
+
         /// The word step of a rule with [`super::Rule::DEFERS_STORES`]:
         /// by the index the row's shard was handed, link by link off
         /// `wire` if it was handed none.
@@ -626,6 +635,12 @@ mod sealed {
 
         #[inline(always)]
         fn settle(_: &mut Row<'_, Self>) {}
+
+        /// Alg. 1's lists are its running `(min, max)`, held in the row.
+        #[inline(always)]
+        fn quorum_bounds(row: &mut Row<'_, Self>) -> (Value, Value) {
+            (row.lo, row.hi)
+        }
 
         #[inline(always)]
         fn word_deferred(_: &mut Row<'_, Self>, _: usize, _: u64, _: &StagedWire<'_>) {}
@@ -650,6 +665,11 @@ mod sealed {
         #[inline(always)]
         fn settle(row: &mut Row<'_, Self>) {
             row.settle();
+        }
+
+        #[inline(always)]
+        fn quorum_bounds(row: &mut Row<'_, Self>) -> (Value, Value) {
+            row.quorum_bounds()
         }
 
         #[inline(always)]
@@ -1039,13 +1059,9 @@ impl<R: Rule> Row<'_, R> {
     #[cold]
     #[inline(never)]
     fn try_advance(&mut self) {
-        // The lists are about to be read, then `RESET()`.
-        R::settle(self);
         while self.seen >= self.foreign_quorum && self.phase.as_u64() < self.pend {
-            let (lo, hi) = match Self::EXTREMA {
-                true => (self.lo, self.hi),
-                false => trim::bounds(self.low, self.high),
-            };
+            // Read, then `RESET()`: what is pending is not stored first.
+            let (lo, hi) = R::quorum_bounds(self);
             self.value = lo.midpoint(hi);
             self.phase = self.phase.next();
             self.reset();
@@ -1129,7 +1145,7 @@ impl<R: Rule> Row<'_, R> {
 
 /// Alg. 2's word step and its settle ("Count now, store later" in
 /// [the module docs](self)).
-impl Row<'_, DbacRule> {
+impl<'a> Row<'a, DbacRule> {
     /// Alg. 2 over a word of honest links, in bit order: a link from this
     /// phase or a later one, on a key not yet seen, is one more
     /// contribution — counted and noted as pending, its value left on the
@@ -1162,47 +1178,63 @@ impl Row<'_, DbacRule> {
         }
     }
 
-    /// Stores the pending senders' wire values and leaves nothing pending.
+    /// How the senders the row's word steps left pending are put in — by
+    /// rank (`true`) or sender by sender, against the round's ranks — or
+    /// `None` when none are (or the shard was handed no ranks, so none ever
+    /// are).
+    ///
     /// By rank: the round's senders in ascending wire value, each pending
-    /// one into `R_low`, until one — pending or not — would not enter, which
-    /// keeps out every value behind it; and the mirror image from the top
-    /// for `R_high`. A full list holds the `f + 1` extremes of the `seen`
-    /// values stored, so a walk is over after about `(f + 1) · ranks / seen`
-    /// senders, less the blocks of ranks it passes over ([`Ranks::scan`]).
-    /// Or sender by sender, when so few are pending that one store each is
-    /// the shorter way (`by_rank` below). Both leave the lists as link-by-link
-    /// stores do: what a list holds is a function of the multiset stored.
+    /// one into `R_low`, until one — pending or not — would not enter,
+    /// which keeps out every value behind it; and the mirror image from the
+    /// top for `R_high`. A full list holds the `f + 1` extremes of the
+    /// `seen` values stored, so a walk is over after about
+    /// `(f + 1) · ranks / seen` senders, less the blocks of ranks it passes
+    /// over ([`Ranks::walk`]). Sender by sender when so few are pending that
+    /// one store each is the shorter way. Both leave the lists as
+    /// link-by-link stores do: what a list holds is a function of the
+    /// multiset stored.
     #[inline]
-    fn settle(&mut self) {
-        let sealed::Deferred {
-            pending,
-            count,
-            ranked,
-        } = &mut self.deferred;
-        let (Some(Ranked { value, ranks, .. }), true) = (*ranked, *count > 0) else {
-            return;
+    fn settle_way(&self) -> Option<(bool, Ranked<'a>)> {
+        let sealed::Deferred { count, ranked, .. } = &self.deferred;
+        let (Some(ranked), true) = (*ranked, *count > 0) else {
+            return None;
         };
-        let (low, high) = (&mut *self.low, &mut *self.high);
-        let last = low.len() - 1;
-        if self.seen - *count < last as u32 {
+        if self.seen - *count < self.low.len() as u32 - 1 {
             probe::bump(probe::SETTLES_ONTO_PARTIAL_LISTS);
         }
         // The two procedures' expected visits, from numbers in hand: one
         // store per pending sender against a walk of about
-        // `(f + 1) · ranks / seen` senders per list. Measured at n = 1024,
-        // f = 16 under a rotating window of d links a round (µs per round,
-        // ten alternating runs each; CHANGES.md, PR 23): always by rank
-        // 390 / 430 / 233 at d = 8 / 24 / 64, always per sender 189 / 265 /
-        // 284 — and 2.1× the time at the threshold degree —, this rule 194
-        // / 287 / 270: either alone doubles some schedule's round, and the
-        // rule stays within 16 % of the better one on every shape tried.
-        let by_rank = u64::from(*count) * u64::from(self.seen) >= (low.len() * ranks.len()) as u64;
+        // `(f + 1) · ranks / seen` senders per list. Measured with the
+        // gathered walk and the quorum's merge at f = n/64 (µs per round,
+        // median of six alternating runs each; CHANGES.md, PR 30), this
+        // rule / always by rank / always per sender: `Rotating { d }` at
+        // n = 1024, d = 8 / 24 / 64 / 256: 310 / 510 / 307, 437 / 693 /
+        // 436, 707 / 792 / 704, 633 / 687 / 1112; `Spread { t: 3 }` at
+        // n = 1024 and 256: 367 / 361 / 637, 66 / 68 / 72; the threshold
+        // degree: 698 / 876 / 3339. Either alone costs some schedule 1.6–4.8×
+        // of its round, and the rule stays within 2 % of the better one on
+        // every shape tried.
+        let work = u64::from(*count) * u64::from(self.seen);
+        Some((work >= (self.low.len() * ranked.ranks.len()) as u64, ranked))
+    }
+
+    /// Stores the pending senders' wire values — `way` being
+    /// [`Row::settle_way`]'s answer — and leaves nothing pending: what the
+    /// row's end does, its lists outliving the row.
+    #[inline]
+    fn store_pending(&mut self, way: Option<(bool, Ranked<'_>)>) {
+        let Some((by_rank, Ranked { value, ranks, .. })) = way else {
+            return;
+        };
+        let sealed::Deferred { pending, count, .. } = &mut self.deferred;
+        let (low, high) = (&mut *self.low, &mut *self.high);
+        let last = low.len() - 1;
         if by_rank {
             probe::bump(probe::RANK_SETTLES);
             // The values arrive in each list's own order, so the slots a
             // list has filled are known all along.
             let (mut lows, mut highs) = trim::filled(low, high);
-            ranks.scan(false, pending, |u, is_pending| match is_pending {
+            ranks.walk(false, pending, |u, is_pending| match is_pending {
                 true => {
                     let entered = trim::store_low(low, lows, value[u]);
                     lows += usize::from(entered);
@@ -1210,7 +1242,7 @@ impl Row<'_, DbacRule> {
                 }
                 false => value[u] < low[last],
             });
-            ranks.scan(true, pending, |u, is_pending| match is_pending {
+            ranks.walk(true, pending, |u, is_pending| match is_pending {
                 true => {
                     let entered = trim::store_high(high, highs, value[u]);
                     highs += usize::from(entered);
@@ -1228,6 +1260,73 @@ impl Row<'_, DbacRule> {
             }
         }
         *count = 0;
+    }
+
+    /// The row's end: whatever is pending goes into the lists.
+    #[inline]
+    fn settle(&mut self) {
+        let way = self.settle_way();
+        self.store_pending(way);
+    }
+
+    /// `(max(R_low), min(R_high))` at a quorum. When the pending senders
+    /// are settled by rank they are not stored — `RESET()` is about to
+    /// empty the lists — but merged with them on the rank walks
+    /// ([`merged_bound`]), and the pending row is cleared; sender by
+    /// sender, they are stored and the lists read.
+    #[inline]
+    fn quorum_bounds(&mut self) -> (Value, Value) {
+        let way = self.settle_way();
+        let Some((true, Ranked { value, ranks, .. })) = way else {
+            self.store_pending(way);
+            return trim::bounds(self.low, self.high);
+        };
+        probe::bump(probe::QUORUM_BOUNDS);
+        let pending = &mut *self.deferred.pending;
+        let lo = merged_bound(self.low, value, ranks, pending, false);
+        let hi = merged_bound(self.high, value, ranks, pending, true);
+        pending.fill(0);
+        self.deferred.count = 0;
+        (lo, hi)
+    }
+}
+
+/// What [`trim::bounds`] would read off `list` — `R_low`, or `R_high` when
+/// `descending` — once every `pending` sender's wire value were stored in
+/// it, with nothing stored: the `(f + 1)`-th least (greatest) value of the
+/// list, padding included, and the pending values together.
+///
+/// The rank walk hands the pending values over in the list's own order.
+/// Stored in that order, each one that enters displaces the list's last
+/// slot, which is then always one the list held before the walk — a value
+/// taken earlier precedes it — so all that moves is how many of the
+/// list's own slots are still kept. A value enters while it precedes the
+/// last of them; the first that does not ends the walk, as one that is not
+/// pending does on the store walk. The bound is the later of the last slot
+/// kept and the last value taken.
+#[inline]
+fn merged_bound(
+    list: &[Value],
+    value: &[Value],
+    ranks: &Ranks,
+    pending: &[u64],
+    descending: bool,
+) -> Value {
+    let precedes = |a: Value, b: Value| if descending { a > b } else { a < b };
+    let (mut kept, mut taken) = (list.len(), None);
+    ranks.walk(descending, pending, |u, is_pending| {
+        let enters = kept > 0 && precedes(value[u], list[kept - 1]);
+        if enters && is_pending {
+            kept -= 1;
+            taken = Some(value[u]);
+        }
+        enters
+    });
+    match (kept.checked_sub(1).map(|slot| list[slot]), taken) {
+        (Some(own), Some(taken)) if precedes(own, taken) => taken,
+        (Some(own), _) => own,
+        // Every slot displaced: the last value taken is the bound.
+        (None, taken) => taken.unwrap_or(list[0]),
     }
 }
 
@@ -1561,6 +1660,7 @@ impl AlgorithmPlane for BoxedPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::GATHER;
     use crate::{Algorithm, Dac, Dbac};
     use adn_types::rng::SplitMix64;
     use adn_types::NodeId;
@@ -1839,10 +1939,11 @@ mod tests {
         quorum_over_pending_chunks: u64,
         batch_between_chunks_of_a_word: u64,
         rows_ending_pending: u64,
-        /// The kernel side's own counts ([`crate::probe`]): settles by
-        /// rank, settles sender by sender, settles onto lists short of
-        /// `f + 1` values.
+        /// The kernel side's own counts ([`crate::probe`]): row-end
+        /// settles by rank, quorums read by merge, settles sender by
+        /// sender, settles onto lists short of `f + 1` values.
         rank_settles: u64,
+        quorum_bounds: u64,
         sender_settles: u64,
         settles_onto_partial_lists: u64,
     }
@@ -2070,6 +2171,7 @@ mod tests {
             let counts = probe::counts().expect("a test build counts");
             let since = |counter: usize| counts[counter] - settled[counter];
             cov.rank_settles += since(probe::RANK_SETTLES);
+            cov.quorum_bounds += since(probe::QUORUM_BOUNDS);
             cov.sender_settles += since(probe::SENDER_SETTLES);
             cov.settles_onto_partial_lists += since(probe::SETTLES_ONTO_PARTIAL_LISTS);
         }
@@ -2090,7 +2192,8 @@ mod tests {
         }
         // Alg. 2's deferred stores (Alg. 1 has nothing pending, ever).
         if seeds >= 100 && R::DEFERS_STORES {
-            assert!(cov.rank_settles > 0, "no settle by rank");
+            assert!(cov.rank_settles > 0, "no row-end rank settle");
+            assert!(cov.quorum_bounds > 0, "no quorum read by merge");
             assert!(cov.sender_settles > 0, "no settle sender by sender");
             assert!(
                 cov.settles_onto_partial_lists > 0,
@@ -2152,28 +2255,36 @@ mod tests {
         fuzz_kernel_against_receive::<DbacRule>();
     }
 
-    /// The settle by rank against stores taken link by link (the
-    /// reference's `receive`), on the layouts that broke its first
-    /// prototype — and within a **visit bound**: senders probed plus blocks
-    /// tested stay under `3 · (f + 1 + blocks)` per row, where a walk
-    /// without the block skip probes every unheard sender below the first
-    /// heard one (256 of them in the first layout), and at two — one probe
-    /// a list — where the lists are full of values nothing on the wire
-    /// beats.
+    /// The two rank walks against stores taken link by link (the
+    /// reference's `receive`), on the layouts that broke their first
+    /// prototype — the row-end settle, which stores, where the heard
+    /// senders fall short of a quorum, and the quorum's merge read, which
+    /// stores nothing, where fabricated links fill the lists first — and
+    /// within a **visit bound**: ranks gathered plus blocks tested stay
+    /// under `2 · (2 · blocks + 3 · GATHER)` per row — per list a head and
+    /// a mask per block, and at most three chunks of [`GATHER`] ranks,
+    /// which hold the `f + 2` pending senders a walk takes and stops at
+    /// wherever at least every other rank of a block is pending, as here —
+    /// where a walk without the block skip gathers every unheard sender
+    /// below the first heard one (256 of them in the first layout); and at
+    /// two, one head a list, where the lists are full of values nothing on
+    /// the wire beats.
     #[test]
     fn settle_by_rank_matches_per_link_stores_within_a_visit_bound() {
         let (n, f, v) = (512usize, 8usize, 0usize);
         let params = Params::new(n, f, 0.1).unwrap();
-        let (blocks, bound) = (n / 64, 3 * (f + 1 + n / 64) as u64);
+        let blocks = n / 64;
+        let bound = 2 * (2 * blocks + 3 * GATHER) as u64;
         let monotone: Vec<Value> = (0..n).map(|u| val(u as f64 / n as f64)).collect();
         let quarter = vec![val(0.25); n];
         let zeros = |u: usize| val([-0.0, 0.0][u % 2] + if u % 8 == 7 { 0.5 } else { 0.0 });
         let zeros: Vec<Value> = (0..n).map(zeros).collect();
-        // Values by sender id; the ids heard — short of a quorum, so that
-        // the one settle is the row's end, and whole blocks of ranks: id 1
+        // Values by sender id; the ids heard — whole blocks of ranks: id 1
         // has rank 0 under `monotone`, so blocks start at ids 1, 65, … —;
-        // the two values fabricated links fill the lists with beforehand;
-        // the most visits.
+        // the two values fabricated links fill the lists with beforehand,
+        // whose 18 links and 255 heard ones pass the 268 a quorum takes —
+        // the 255 or 256 heard alone fall short, so their one walk is the
+        // row's end —; the most visits.
         type Layout = (
             &'static str,
             Vec<Value>,
@@ -2220,6 +2331,7 @@ mod tests {
             assert!(index.build(&present, &wire_phase, &wire_value));
             assert_eq!(index.ranks().unwrap().len().div_ceil(64), blocks);
             // On ids the receiver hears nothing else from.
+            let merged = u64::from(preload.is_some());
             let preload = preload.iter().flat_map(|values| {
                 (1..=2 * (f + 1)).map(|key| {
                     ScriptLink::Fabricated(Port::new(key), vec![msg(values[key % 2], 0)])
@@ -2249,8 +2361,9 @@ mod tests {
             let after = probe::counts().expect("a test build counts");
             let counted = |counter: usize| after[counter] - before[counter];
             assert_same_columns(&reference, &kernel, name);
-            assert_eq!(counted(probe::RANK_SETTLES), 1, "{name}");
             assert_eq!(counted(probe::SENDER_SETTLES), 0, "{name}");
+            assert_eq!(counted(probe::QUORUM_BOUNDS), merged, "{name}");
+            assert_eq!(counted(probe::RANK_SETTLES), 1 - merged, "{name}");
             let visits = counted(probe::RANK_VISITS);
             assert!(visits <= most, "{name}: {visits} visits");
         }

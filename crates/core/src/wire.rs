@@ -23,14 +23,17 @@
 //!
 //! **Ranks.** Alg. 2's lists are order statistics — the `f + 1` least and
 //! greatest of everything stored since `RESET()` — so its word kernel only
-//! counts a word's links and puts their values into the lists later, once
-//! per quorum, walking the round's senders *in wire-value order* until
-//! nothing further can enter. An index built [`WireIndex::ranked`] carries
-//! that order (`Ranks`): the indexed sender ids sorted by wire value, and
-//! per block of consecutive ranks the id mask of its senders, so that a
-//! stretch of ranks the receiver heard nothing from is passed over with one
-//! AND per row word instead of one probe per sender. `O(n)` words, built
-//! once per round, and only for Alg. 2's planes.
+//! counts a word's links and reads their values later, once per quorum (or
+//! stores them at the row's end), walking the round's senders *in
+//! wire-value order* until nothing further can enter. An index built
+//! [`WireIndex::ranked`] carries that order (`Ranks`): the indexed sender
+//! ids sorted by wire value, and per block of consecutive ranks the id mask
+//! of its senders, so that a stretch of ranks the receiver heard nothing
+//! from is passed over with one AND per row word. Inside a block the walk
+//! gathers the pending bits of [`GATHER`] ranks at a time into a mask,
+//! without a branch, and visits only its set bits: "is this sender
+//! pending?" is never a branch. `O(n)` words, built once per round, and
+//! only for Alg. 2's planes.
 
 use adn_graph::NodeSet;
 use adn_types::{Phase, Value};
@@ -45,6 +48,12 @@ const EMPTY_ROW: usize = MAX_WIRE_PHASES;
 /// The most rank blocks a round is cut into ([`Ranks`]): what bounds the
 /// block masks at `64 · n / 64` words, whatever `n`.
 const MAX_RANK_BLOCKS: usize = 64;
+
+/// Ranks a rank walk gathers per step ([`Ranks::walk`]). At n = 1024,
+/// f = 16 under the threshold degree 16 measured ahead of both 8 and 64: a
+/// narrower mask gathers as often for fewer pending bits, a wider one
+/// gathers past where the walk stops.
+pub(crate) const GATHER: usize = 16;
 
 /// One round's wire index (see [the module docs](self)). Built by the
 /// engine once per round over the senders whose links all deliver their
@@ -284,32 +293,36 @@ impl Ranks {
 
     /// Visits the ranked senders in wire-value order — least value first,
     /// or greatest first when `descending` — as `visit(u, is_pending)`
-    /// until that returns `false`, `pending` being a sender-id bit row. The
-    /// caller's stop is what bounds the walk: a visit is told whether its
-    /// sender is pending, not spared when it is not. Except by the block:
-    /// of a block of ranks none of whose senders is pending only the first
-    /// is visited (it may be where the walk stops), and the rest is passed
-    /// over at one AND per row word.
+    /// until that returns `false`, `pending` being a sender-id bit row.
+    /// Each block of ranks is visited by its head, whatever it is (it may
+    /// be where the walk stops); a block none of whose senders is pending
+    /// is then passed over at one AND per row word; and the rest of a block
+    /// is gathered [`GATHER`] ranks at a time into a mask of their pending
+    /// bits, of which only the set ones are visited. So past a block's head
+    /// only pending senders are visited, and the caller's stop at one of
+    /// them is what bounds the walk: a sender that is not pending cannot
+    /// enter a list where the next pending one, further along, does.
     #[inline]
-    pub(crate) fn scan(
+    pub(crate) fn walk(
         &self,
         descending: bool,
         pending: &[u64],
         mut visit: impl FnMut(usize, bool) -> bool,
     ) {
         let (len, words) = (self.order.len(), self.words);
-        let mut visit = |rank: usize| {
-            crate::probe::bump(crate::probe::RANK_VISITS);
-            let u = self.order[rank] as usize;
-            visit(u, pending[u / 64] >> (u % 64) & 1 == 1)
-        };
         let blocks = len.div_ceil(self.block_len);
         for i in 0..blocks {
             let b = if descending { blocks - 1 - i } else { i };
-            let (from, to) = (b * self.block_len, len.min((b + 1) * self.block_len));
-            // Position `k` of the block in walk order, as a rank.
-            let rank = |k: usize| if descending { to - 1 - k } else { from + k };
-            if !visit(rank(0)) {
+            let block = &self.order[b * self.block_len..len.min((b + 1) * self.block_len)];
+            let split = match descending {
+                false => block.split_first(),
+                true => block.split_last(),
+            };
+            let Some((&head, rest)) = split else {
+                return;
+            };
+            crate::probe::bump(crate::probe::RANK_VISITS);
+            if !visit(head as usize, gather(&[head], pending) == 1) {
                 return;
             }
             crate::probe::bump(crate::probe::RANK_VISITS);
@@ -317,13 +330,53 @@ impl Ranks {
             if members.iter().zip(pending).all(|(m, p)| m & p == 0) {
                 continue;
             }
-            for k in 1..to - from {
-                if !visit(rank(k)) {
-                    return;
+            // Visits the set bits of `mask`, bit `k` standing for `chunk[k]`,
+            // in walk order.
+            let mut visit_chunk = |chunk: &[u32], mut mask: u32| {
+                crate::probe::add(crate::probe::RANK_VISITS, chunk.len() as u64);
+                while mask != 0 {
+                    let k = match descending {
+                        false => mask.trailing_zeros(),
+                        true => 31 - mask.leading_zeros(),
+                    };
+                    mask ^= 1 << k;
+                    if !visit(chunk[k as usize] as usize, true) {
+                        return false;
+                    }
                 }
+                true
+            };
+            let finished = match descending {
+                false => {
+                    let (full, tail) = rest.as_chunks::<GATHER>();
+                    full.iter().all(|c| visit_chunk(c, gather(c, pending)))
+                        && visit_chunk(tail, gather(tail, pending))
+                }
+                true => {
+                    let (head, full) = rest.as_rchunks::<GATHER>();
+                    full.iter()
+                        .rev()
+                        .all(|c| visit_chunk(c, gather(c, pending)))
+                        && visit_chunk(head, gather(head, pending))
+                }
+            };
+            if !finished {
+                return;
             }
         }
     }
+}
+
+/// The pending bits of `chunk`'s senders in a mask, bit `k` for `chunk[k]`:
+/// one shift, AND and OR per sender and no branch — unrolled where the
+/// chunk is a full one of [`GATHER`].
+#[inline(always)]
+fn gather(chunk: &[u32], pending: &[u64]) -> u32 {
+    let mut mask = 0;
+    for (k, &u) in chunk.iter().enumerate() {
+        mask |= ((pending[u as usize >> 6] >> (u & 63) & 1) as u32) << k;
+    }
+    mask
 }
 
 /// The sender ids of the set bits of word `w`, ascending.
@@ -402,10 +455,11 @@ mod tests {
     }
 
     /// The rank order against its definition: the indexed senders by
-    /// ascending wire value (with ties), and a scan that shows every
-    /// pending sender, in that order or its reverse, whatever it passes
-    /// over — up to where the visitor stops it. `n = 5000` takes blocks
-    /// longer than 64 ranks.
+    /// ascending wire value (with ties), and a walk that shows every
+    /// pending sender, in that order or its reverse, and of the others at
+    /// most the blocks' heads — up to where the visitor stops it.
+    /// `n = 5000` takes blocks longer than 64 ranks, and chunks that end
+    /// short of [`GATHER`].
     #[test]
     fn ranks_match_their_definition() {
         for seed in 0..60 {
@@ -431,8 +485,8 @@ mod tests {
                     .collect();
                 wanted.sort();
                 for descending in [false, true] {
-                    let (mut shown, mut last) = (Vec::new(), None);
-                    ranks.scan(descending, pending.words(), |u, is_pending| {
+                    let (mut shown, mut last, mut heads) = (Vec::new(), None, 0);
+                    ranks.walk(descending, pending.words(), |u, is_pending| {
                         assert!(present.contains(NodeId::new(u)), "seed {seed}");
                         assert_eq!(is_pending, pending.contains(NodeId::new(u)), "seed {seed}");
                         let in_order = last.is_none_or(|before| match descending {
@@ -442,8 +496,14 @@ mod tests {
                         assert!(in_order, "seed {seed}: {u} out of order");
                         last = Some(value[u]);
                         shown.extend(is_pending.then_some(value[u]));
+                        heads += usize::from(!is_pending);
                         true
                     });
+                    let blocks = ranks.len().div_ceil(ranks.block_len);
+                    assert!(
+                        heads <= blocks,
+                        "seed {seed}: {heads} senders not pending shown"
+                    );
                     let mut values: Vec<Value> = wanted.iter().map(|&(v, _)| v).collect();
                     if descending {
                         values.reverse();
@@ -452,7 +512,7 @@ mod tests {
                     // And a visitor that stops is not called again.
                     let stop_at = rng.next_index(n);
                     let mut visits = 0;
-                    ranks.scan(descending, pending.words(), |_, _| {
+                    ranks.walk(descending, pending.words(), |_, _| {
                         visits += 1;
                         visits <= stop_at
                     });

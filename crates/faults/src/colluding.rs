@@ -19,7 +19,7 @@ use std::rc::Rc;
 
 use adn_types::{Batch, Message, NodeId, Round, Value};
 
-use crate::{ByzContext, ByzantineStrategy};
+use crate::{ByzContext, ByzantineStrategy, Uniform};
 
 /// The coordinated behavior of a coalition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,15 +84,18 @@ impl Coalition {
     }
 
     fn value_for(&mut self, rank: usize, ctx: &ByzContext<'_>) -> Value {
+        if self.plan == Plan::Straddle && self.primed != Some(ctx.round) {
+            self.begin_round(ctx);
+        }
+        self.primed_value(rank)
+    }
+
+    /// Member `rank`'s value, from what the plan derived last.
+    fn primed_value(&self, rank: usize) -> Value {
         match self.plan {
-            Plan::Straddle => {
-                if self.primed != Some(ctx.round) {
-                    self.begin_round(ctx);
-                }
-                // The honest minimum, nudged down by rank-scaled amounts —
-                // each member sits a little below the legitimate range.
-                self.honest_min + (-(0.02 * (rank as f64 + 1.0)))
-            }
+            // The honest minimum, nudged down by rank-scaled amounts —
+            // each member sits a little below the legitimate range.
+            Plan::Straddle => self.honest_min + (-(0.02 * (rank as f64 + 1.0))),
             Plan::Sandwich => {
                 if rank.is_multiple_of(2) {
                     Value::ZERO
@@ -119,6 +122,12 @@ impl ByzantineStrategy for CoalitionMember {
     fn messages_into(&mut self, ctx: &ByzContext<'_>, dest: NodeId, out: &mut Batch) {
         let value = self.coalition.borrow_mut().value_for(self.rank, ctx);
         out.push(Message::new(value, ctx.phase_of(dest)));
+    }
+
+    fn uniform(&self, ctx: &ByzContext<'_>) -> Option<Uniform> {
+        let coalition = self.coalition.borrow();
+        let primed = coalition.plan == Plan::Sandwich || coalition.primed == Some(ctx.round);
+        primed.then(|| Uniform::AtReceiverPhase(coalition.primed_value(self.rank)))
     }
 
     fn name(&self) -> &'static str {

@@ -72,6 +72,17 @@ impl ByzContext<'_> {
     }
 }
 
+/// What a Byzantine sender sends this round when it is the same message to
+/// every destination, up to the destination's own phase
+/// ([`ByzantineStrategy::uniform`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Uniform {
+    /// This value, tagged with each destination's start-of-round phase.
+    AtReceiverPhase(Value),
+    /// This one message, to every destination.
+    Message(Message),
+}
+
 /// A Byzantine node's behavior: one (possibly different) message batch per
 /// destination per round.
 ///
@@ -121,6 +132,22 @@ pub trait ByzantineStrategy: fmt::Debug {
         out.into_vec()
     }
 
+    /// This round's batch when it is one message that does not depend on
+    /// the destination — or on it only through its phase — and whose
+    /// sending changes no state: then the round engine stages it once per
+    /// round instead of calling [`ByzantineStrategy::messages_into`] once
+    /// per link. Asked after [`ByzantineStrategy::begin_round`] with the
+    /// same context, so what it reads is primed. For every destination
+    /// `dest`, `Some(Uniform::Message(m))` must be exactly what
+    /// `messages_into(ctx, dest, ..)` appends, and
+    /// `Some(Uniform::AtReceiverPhase(x))` exactly one message
+    /// `(x, ctx.phase_of(dest))`. The default, `None`, keeps the per-link
+    /// calls.
+    fn uniform(&self, ctx: &ByzContext<'_>) -> Option<Uniform> {
+        let _ = ctx;
+        None
+    }
+
     /// Short name for reports.
     fn name(&self) -> &'static str;
 
@@ -162,6 +189,79 @@ mod tests {
         };
         assert_eq!(ctx.max_phase(), Phase::new(4));
         assert_eq!(ctx.phase_of(NodeId::new(0)), Phase::new(1));
+    }
+
+    /// The uniform property against the per-link path: over random
+    /// snapshots — one phase for every node, or several — a strategy that
+    /// declares its round's message `uniform` once primed sends exactly
+    /// that on every link (at each destination's phase, for
+    /// `AtReceiverPhase`), and still declares it after sending; the three
+    /// whose message depends on the destination or on a draw, or who send
+    /// nothing, declare nothing. The five stock kinds that declare it must.
+    #[test]
+    fn uniform_messages_match_messages_into_on_every_destination() {
+        let seeds = std::env::var("ADN_FUZZ_SEEDS")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(300);
+        let (mut one_phase, mut several) = (0, 0);
+        for seed in 0..seeds {
+            let mut rng = adn_types::rng::SplitMix64::new(seed);
+            let n = 2 + rng.next_index(40);
+            let params = Params::new(n, (n - 1) / 5, 0.1).unwrap();
+            let spread = [1, 1, 2, 5][rng.next_index(4)];
+            let base = rng.next_below(6);
+            let phases: Vec<Phase> = (0..n)
+                .map(|_| Phase::new(base + rng.next_below(spread)))
+                .collect();
+            let values: Vec<Value> = (0..n)
+                .map(|_| Value::saturating(rng.next_below(9) as f64 / 8.0))
+                .collect();
+            let shared = phases.iter().all(|&p| p == phases[0]);
+            one_phase += u64::from(shared);
+            several += u64::from(!shared);
+            let members: Vec<NodeId> = (n - n.min(3)..n).map(NodeId::new).collect();
+            let plan = [colluding::Plan::Straddle, colluding::Plan::Sandwich][rng.next_index(2)];
+            let mut under_test: Vec<Box<dyn ByzantineStrategy>> = strategies::ALL_STRATEGY_NAMES
+                .iter()
+                .map(|name| strategies::by_name(name, n, seed))
+                .collect();
+            under_test.extend(
+                colluding::Coalition::build(plan, members)
+                    .into_iter()
+                    .map(|m| m.1),
+            );
+            let ctx = ByzContext {
+                round: Round::new(rng.next_below(5)),
+                self_id: NodeId::new(n - 1),
+                params,
+                phases: &phases,
+                values: &values,
+            };
+            for strategy in &mut under_test {
+                let name = strategy.name();
+                strategy.begin_round(&ctx);
+                let declared = strategy.uniform(&ctx);
+                let dependent = ["two-faced", "random-noise", "silent"].contains(&name);
+                assert_eq!(declared.is_none(), dependent, "{name}, seed {seed}");
+                let Some(uniform) = declared else {
+                    continue;
+                };
+                for dest in NodeId::all(n) {
+                    let want = match uniform {
+                        Uniform::Message(m) => m,
+                        Uniform::AtReceiverPhase(x) => Message::new(x, ctx.phase_of(dest)),
+                    };
+                    let mut out = Batch::new();
+                    strategy.messages_into(&ctx, dest, &mut out);
+                    assert_eq!(out.into_vec(), vec![want], "{name}, seed {seed}, {dest}");
+                }
+                assert_eq!(strategy.uniform(&ctx), declared, "{name}, seed {seed}");
+            }
+        }
+        if seeds >= 100 {
+            assert!(one_phase > 0 && several > 0, "{one_phase} / {several}");
+        }
     }
 
     /// What `Mimic`, `PhaseForger` and a Straddle member send on one

@@ -9,7 +9,7 @@
 use adn_types::rng::SplitMix64;
 use adn_types::{Batch, Message, NodeId, Phase, Round, Value};
 
-use crate::{ByzContext, ByzantineStrategy};
+use crate::{ByzContext, ByzantineStrategy, Uniform};
 
 /// The Theorem 10 equivocation attack: behave as if the input were
 /// `low_value` toward destinations in the "low" group and `high_value`
@@ -74,6 +74,10 @@ pub struct Extreme {
 impl ByzantineStrategy for Extreme {
     fn messages_into(&mut self, ctx: &ByzContext<'_>, dest: NodeId, out: &mut Batch) {
         out.push(Message::new(self.value, ctx.phase_of(dest)));
+    }
+
+    fn uniform(&self, _ctx: &ByzContext<'_>) -> Option<Uniform> {
+        Some(Uniform::AtReceiverPhase(self.value))
     }
 
     fn name(&self) -> &'static str {
@@ -150,6 +154,11 @@ impl PhaseForger {
             primed: None,
         }
     }
+
+    /// The round's one message, once primed.
+    fn forged(&self) -> Message {
+        Message::new(self.value, Phase::new(self.max_phase.as_u64() + self.lead))
+    }
 }
 
 impl ByzantineStrategy for PhaseForger {
@@ -162,8 +171,11 @@ impl ByzantineStrategy for PhaseForger {
         if self.primed != Some(ctx.round) {
             self.begin_round(ctx);
         }
-        let forged = Phase::new(self.max_phase.as_u64() + self.lead);
-        out.push(Message::new(self.value, forged));
+        out.push(self.forged());
+    }
+
+    fn uniform(&self, ctx: &ByzContext<'_>) -> Option<Uniform> {
+        (self.primed == Some(ctx.round)).then(|| Uniform::Message(self.forged()))
     }
 
     fn name(&self) -> &'static str {
@@ -197,9 +209,12 @@ impl ByzantineStrategy for Silent {
     }
 }
 
-/// Stealthy strategy: sends the current *median* fault-free value with the
-/// receiver's phase — indistinguishable from an honest-looking sender while
-/// still counting toward quorums.
+/// Stealthy strategy: sends the median of the start-of-round value
+/// snapshot with the receiver's phase — indistinguishable from an
+/// honest-looking sender while still counting toward quorums. The median
+/// is over every slot of the snapshot: the engine's snapshot reads ½ at
+/// Byzantine slots, so with `b` Byzantine nodes it is the median of the
+/// honest values and `b` halves.
 ///
 /// Useful as a control: a correct algorithm's outputs should be unaffected
 /// (mimics stay within the honest hull), so any test failure under `Mimic`
@@ -231,6 +246,10 @@ impl ByzantineStrategy for Mimic {
         out.push(Message::new(self.median, ctx.phase_of(dest)));
     }
 
+    fn uniform(&self, ctx: &ByzContext<'_>) -> Option<Uniform> {
+        (self.primed == Some(ctx.round)).then_some(Uniform::AtReceiverPhase(self.median))
+    }
+
     fn name(&self) -> &'static str {
         "mimic"
     }
@@ -248,14 +267,24 @@ impl ByzantineStrategy for Mimic {
 #[derive(Debug, Clone, Default)]
 pub struct FlipFlop;
 
-impl ByzantineStrategy for FlipFlop {
-    fn messages_into(&mut self, ctx: &ByzContext<'_>, dest: NodeId, out: &mut Batch) {
-        let v = if ctx.round.as_u64().is_multiple_of(2) {
+impl FlipFlop {
+    /// Round `t`'s extreme: 0 on even rounds, 1 on odd ones.
+    fn value(t: Round) -> Value {
+        if t.as_u64().is_multiple_of(2) {
             Value::ZERO
         } else {
             Value::ONE
-        };
-        out.push(Message::new(v, ctx.phase_of(dest)));
+        }
+    }
+}
+
+impl ByzantineStrategy for FlipFlop {
+    fn messages_into(&mut self, ctx: &ByzContext<'_>, dest: NodeId, out: &mut Batch) {
+        out.push(Message::new(FlipFlop::value(ctx.round), ctx.phase_of(dest)));
+    }
+
+    fn uniform(&self, ctx: &ByzContext<'_>) -> Option<Uniform> {
+        Some(Uniform::AtReceiverPhase(FlipFlop::value(ctx.round)))
     }
 
     fn name(&self) -> &'static str {

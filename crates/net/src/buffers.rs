@@ -28,20 +28,24 @@ use adn_types::{Batch, NodeId, Phase, Value};
 /// * [`Silent`](SenderClass::Silent) links deliver nothing and are skipped
 ///   wholesale (masked out of the word walk);
 /// * [`Present`](SenderClass::Present) links always deliver the sender's
-///   staged batch — the fast path, no per-receiver checks at all;
+///   staged batch — the fast path, no per-receiver checks at all (a
+///   Byzantine sender whose round's message is the same at every receiver
+///   is staged and classed here too);
 /// * [`Partial`](SenderClass::Partial) senders crash *this* round with a
 ///   per-receiver survivor set, so each link still consults
 ///   `CrashSchedule::delivers`;
 /// * [`Byzantine`](SenderClass::Byzantine) senders fabricate per
 ///   destination (possibly nothing — the strategy decides link by link).
+///   The engine's class pass is what decides a sender's class each round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SenderClass {
     /// Delivers nothing this round: Byzantine-free slot with no staged
     /// batch (crash-silent), the default before classification.
     #[default]
     Silent,
-    /// Non-Byzantine with a staged batch that reaches every chosen
-    /// receiver.
+    /// A staged batch that reaches every chosen receiver: a
+    /// non-Byzantine sender's broadcast, or the one message a Byzantine
+    /// sender sends every receiver this round.
     Present,
     /// Non-Byzantine, staged a batch, but crashing this round with a
     /// partial survivor set: per-receiver delivery checks required.
@@ -73,10 +77,11 @@ pub struct RoundBuffers {
     /// One broadcast batch per node, refilled each round through the
     /// state backend's staging hook (`AlgorithmPlane::stage_broadcast`:
     /// a columnar plane's one-message snapshot, or whatever a boxed
-    /// node's `Algorithm::broadcast_into` writes).
+    /// node's `Algorithm::broadcast_into` writes) — or, for a Byzantine
+    /// node whose message is the same at every receiver, that message.
     pub batches: Vec<Batch>,
-    /// `present[i]` — whether node `i` staged a broadcast this round
-    /// (crashed-silent and Byzantine slots stay `false`).
+    /// `present[i]` — whether node `i`'s state machine staged a broadcast
+    /// this round (crashed-silent and Byzantine slots stay `false`).
     pub present: Vec<bool>,
     /// Scratch batch for per-destination Byzantine fabrications
     /// (`ByzantineStrategy::messages_into`); one suffices because

@@ -7,7 +7,7 @@ use adn_core::probe;
 use adn_core::{
     AlgorithmPlane, PlaneShard, RowKernel, RowWalk, StagedWire, WireIndex, MAX_PLANE_SHARDS,
 };
-use adn_faults::{ByzContext, ByzantineStrategy, CrashSchedule};
+use adn_faults::{ByzContext, ByzantineStrategy, CrashSchedule, Uniform};
 use adn_graph::{EdgeSet, LinkPlane, LinkRows, NodeSet, Schedule};
 use adn_net::{PortNumbering, PortRow, RoundBuffers, SenderClass, Traffic};
 use adn_types::{Batch, Message, NodeId, Params, Phase, Round, Value, ValueInterval};
@@ -27,8 +27,8 @@ struct PlaneRound<'a> {
     /// delivery orders; `None` walks each receiver's row ascending.
     perm: Option<&'a [NodeId]>,
     classes: &'a [SenderClass],
-    /// The round's Partial and Byzantine senders with their positions in
-    /// the sender order (see [`scan_senders`]), in that order.
+    /// The round's Partial and fabricating Byzantine senders with their
+    /// positions in the sender order (see [`scan_senders`]), in that order.
     conditional: &'a [(usize, NodeId)],
     honest: &'a NodeSet,
     /// Every sender but the Silent ones.
@@ -67,7 +67,9 @@ struct ShardCtx<'a> {
 /// for in the round last delivered — the one realized fact the link store,
 /// the sender classes and the crash schedule cannot give back
 /// ([`RealizedRows`]). The walk visits each of its chosen links, so all
-/// others delivered; misses are rare, so a recorded schedule is cheap.
+/// others delivered; misses are rare, so a recorded schedule is cheap. A
+/// round in which the node was staged once ([`Simulation::stage_uniform`])
+/// misses nobody.
 #[derive(Debug)]
 struct ByzSlot {
     strategy: Box<dyn ByzantineStrategy>,
@@ -104,6 +106,8 @@ impl ByzSide<'_> {
         let slot = self.slots[ctx.self_id.index()]
             .as_mut()
             .expect("classified Byzantine");
+        #[cfg(debug_assertions)]
+        probe::bump(probe::FABRICATIONS);
         slot.strategy.messages_into(ctx, v, self.scratch);
         if self.scratch.is_empty() {
             slot.missed.insert(v);
@@ -974,6 +978,7 @@ impl Simulation {
         // what each stages, and its delivery class — so the delivery walk
         // reads one byte per link instead of re-deriving "Byzantine?
         // crashed? staged a batch?" per (sender, receiver) pair. ---
+        let mut byzantine = false;
         for i in 0..n {
             let id = NodeId::new(i);
             let class = match self.byz[i].as_mut() {
@@ -981,7 +986,8 @@ impl Simulation {
                 // snapshot (a median, the maximum phase) — once, here, so
                 // fabrication stays O(1) per link. It stays an active
                 // sender whatever `transmits()` says: it decides link by
-                // link via `messages_into`.
+                // link via `messages_into`, unless `stage_uniform` below
+                // stages its one message.
                 Some(ByzSlot { strategy, missed }) => {
                     missed.clear();
                     strategy.begin_round(&ByzContext {
@@ -994,6 +1000,7 @@ impl Simulation {
                     if strategy.transmits() {
                         self.buffers.deliverers.insert(id);
                     }
+                    byzantine = true;
                     SenderClass::Byzantine
                 }
                 None => {
@@ -1032,6 +1039,9 @@ impl Simulation {
             if class != SenderClass::Silent {
                 self.buffers.active.insert(id);
             }
+        }
+        if byzantine {
+            self.stage_uniform(t);
         }
 
         // --- Adversary picks E(t) into the link store: its words through
@@ -1161,6 +1171,52 @@ impl Simulation {
 
         self.round = t.next();
         self.check_stop_after(range, decided);
+    }
+
+    /// Stages the round's message of every Byzantine sender that sends
+    /// one message to all its receivers ([`ByzantineStrategy::uniform`],
+    /// asked once its `begin_round` has run), and classes it Present: it
+    /// then rides the delivery walk as an honest sender does — in the wire
+    /// index and its rank order, in the round's maximum wire phase, fed a
+    /// word at a time — and is never asked for a link's fabrication, so it
+    /// misses no receiver. A message at the receiver's phase is staged
+    /// only when the round's honest receivers share one start phase. It
+    /// logs no `Broadcast` (nor does a fabricating sender), and each of
+    /// its links is logged as a one-message `Delivery`, as before.
+    fn stage_uniform(&mut self, t: Round) {
+        let RoundBuffers {
+            batches,
+            phases,
+            values,
+            classes,
+            honest,
+            unconditional,
+            ..
+        } = &mut self.buffers;
+        let mut honest_phases = honest.iter().map(|v| phases[v.index()]);
+        let first = honest_phases.next();
+        let shared = first.filter(|&p| honest_phases.all(|q| q == p));
+        for (i, slot) in self.byz.iter().enumerate() {
+            let Some(ByzSlot { strategy, .. }) = slot else {
+                continue;
+            };
+            let ctx = ByzContext {
+                round: t,
+                self_id: NodeId::new(i),
+                params: self.params,
+                phases,
+                values,
+            };
+            let message = strategy.uniform(&ctx).and_then(|uniform| match uniform {
+                Uniform::Message(m) => Some(m),
+                Uniform::AtReceiverPhase(x) => shared.map(|p| Message::new(x, p)),
+            });
+            if let Some(message) = message {
+                batches[i].push(message);
+                classes[i] = SenderClass::Present;
+                unconditional.insert(NodeId::new(i));
+            }
+        }
     }
 
     /// How many fault-free nodes have decided.

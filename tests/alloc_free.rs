@@ -213,9 +213,10 @@ fn lean_dbac_byz(
 /// eight stock strategies on the ids either side of the boundary between
 /// words 1 and 2: the per-round rank order and its blocks, the pending row,
 /// and rows cut between two words that hold pending links. At the
-/// threshold degree every row settles by rank at its quorum; under a degree
-/// spread over three rounds the rows are thin, end with links pending, and
-/// settle them sender by sender.
+/// threshold degree every row reads its quorum's bounds by merge; under a
+/// degree spread over three rounds the rows are thin, end with links
+/// pending, and settle them sender by sender or, when enough are pending,
+/// by rank.
 fn lean_dbac_words(adversary: AdversarySpec) -> Simulation {
     let (n, f) = (130, 8);
     let params = Params::new(n, f, 1e-6).unwrap();
@@ -230,6 +231,40 @@ fn lean_dbac_words(adversary: AdversarySpec) -> Simulation {
     for (k, name) in ALL_STRATEGY_NAMES.iter().enumerate() {
         let id = NodeId::new(122 + k);
         builder = builder.byzantine(id, strategies::by_name(name, n, k as u64));
+    }
+    builder.build()
+}
+
+/// A lean DBAC run at n = 130, f = 8 on the complete graph whose eight
+/// Byzantine senders (ids 122–129) are of the five kinds that send one
+/// message to every receiver: two extremes, a phase forger, a mimic, a
+/// flip-flop and three coalition members. The honest receivers advance in
+/// lockstep, one phase a round, so every one of those senders is staged
+/// once a round and no link is fabricated; every quorum is read by merge.
+fn lean_dbac_uniform() -> Simulation {
+    let (n, f) = (130, 8);
+    let params = Params::new(n, f, 1e-6).unwrap();
+    let mut builder = Simulation::builder(params)
+        .inputs_random(1)
+        .adversary(AdversarySpec::Complete.build(n, f, 1))
+        .algorithm(factories::dbac_with_pend(params, u64::MAX))
+        .algorithm_plane(PlaneMode::Always)
+        .record_schedule(false)
+        .observe_phases(false)
+        .max_rounds(u64::MAX);
+    let names = [
+        "extreme-low",
+        "extreme-high",
+        "phase-forger",
+        "mimic",
+        "flip-flop",
+    ];
+    for (k, name) in names.iter().enumerate() {
+        let id = NodeId::new(122 + k);
+        builder = builder.byzantine(id, strategies::by_name(name, n, k as u64));
+    }
+    for (id, member) in Coalition::build(Plan::Straddle, (127..130).map(NodeId::new).collect()) {
+        builder = builder.byzantine(id, member);
     }
     builder.build()
 }
@@ -311,7 +346,7 @@ fn steady_state_step_performs_zero_allocations() {
     // other row kind. ---
     use DeliveryOrder::{AscendingSenders, DescendingSenders, Shuffled};
     type Build = fn() -> Simulation;
-    let cells: [(&str, Build); 20] = [
+    let cells: [(&str, Build); 21] = [
         ("dac/plane", || {
             lean_dac(32, PlaneMode::Always, AscendingSenders)
         }),
@@ -362,7 +397,7 @@ fn steady_state_step_performs_zero_allocations() {
             )
         }),
         // Alg. 2 by words: the rank order sorted and its blocks rebuilt
-        // every round, the pending row, both settles.
+        // every round, the pending row, both settles and the merge read.
         ("dbac/plane/words", || {
             lean_dbac_words(AdversarySpec::DbacThreshold)
         }),
@@ -372,6 +407,10 @@ fn steady_state_step_performs_zero_allocations() {
                 d: (130 + 3 * 8) / 2,
             })
         }),
+        // Byzantine senders staged once a round, ranked with the honest
+        // ones; the quorum's bounds read off the lists and the pending
+        // senders together.
+        ("dbac/plane/uniform", lean_dbac_uniform),
         // Run rows + receiver-major delivery on one shard — the inline
         // path, which spawns nothing (the sharded twin has its own pin
         // below); under a permuted order, whose walk asks the run rows
@@ -417,15 +456,22 @@ fn steady_state_step_performs_zero_allocations() {
             let staged = sim.buffers().batches[0].len();
             assert_eq!(staged, 4, "{name}: every link must carry k + 1 messages");
         }
-        // The two Alg. 2 word cells are there for one settle each (adn-core
+        // The Alg. 2 word cells are there for one path each (adn-core
         // counts them on the delivering thread — this one — and only in a
         // debug build of it, which is what `cargo test` gives this file).
         if let (Some(before), Some(settled)) = (settles_before, adn_core::probe::counts()) {
-            use adn_core::probe::{RANK_SETTLES, SENDER_SETTLES};
+            use adn_core::probe::{FABRICATIONS, QUORUM_BOUNDS, RANK_SETTLES, SENDER_SETTLES};
             let since = |counter: usize| settled[counter] - before[counter];
             match name {
-                "dbac/plane/words" => assert!(since(RANK_SETTLES) > 0, "{name}"),
-                "dbac/plane/spread" => assert!(since(SENDER_SETTLES) > 0, "{name}"),
+                "dbac/plane/words" => assert!(since(QUORUM_BOUNDS) > 0, "{name}"),
+                "dbac/plane/spread" => {
+                    assert!(since(SENDER_SETTLES) > 0, "{name}");
+                    assert!(since(RANK_SETTLES) > 0, "{name}");
+                }
+                "dbac/plane/uniform" => {
+                    assert_eq!(since(FABRICATIONS), 0, "{name}: a link was fabricated");
+                    assert!(since(QUORUM_BOUNDS) > 0, "{name}");
+                }
                 _ => {}
             }
         }

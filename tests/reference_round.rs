@@ -24,7 +24,8 @@ use anondyn::adversary::AdversarySpec::{
 };
 use anondyn::adversary::AdversaryView;
 use anondyn::consensus::probe::{
-    self, CUT_WORDS, RANK_SETTLES, SENDER_SETTLES, STALE_STOPS, UNINDEXED_ROUNDS, WORD_STEPS,
+    self, COUNTERS, CUT_WORDS, QUORUM_BOUNDS, RANK_SETTLES, SENDER_SETTLES, STALE_STOPS,
+    UNINDEXED_ROUNDS, WORD_STEPS,
 };
 use anondyn::consensus::AlgorithmFactory;
 use anondyn::faults::{strategies, ByzContext};
@@ -527,7 +528,7 @@ fn reference(cfg: &Config) -> Run {
 /// shards the configuration asks for; returns the run, whether its links
 /// were sparse, and the delta of every `adn_core::probe` counter (zero
 /// where a build does not count).
-fn simulated(cfg: &Config, plane: PlaneMode, logged: bool) -> (Run, bool, [u64; 8]) {
+fn simulated(cfg: &Config, plane: PlaneMode, logged: bool) -> (Run, bool, [u64; COUNTERS]) {
     let n = cfg.params.n();
     let factory = cfg.factory();
     let has_plane = factory.has_plane();
@@ -569,7 +570,7 @@ fn simulated(cfg: &Config, plane: PlaneMode, logged: bool) -> (Run, bool, [u64; 
     let out = sim.run();
     let counted = match (before, probe::counts()) {
         (Some(before), Some(after)) => std::array::from_fn(|c| after[c] - before[c]),
-        _ => [0; 8],
+        _ => [0; COUNTERS],
     };
     let run = Run {
         outputs: NodeId::all(n).map(|v| out.output_of(v)).collect(),
@@ -644,7 +645,7 @@ const WALK: [usize; 4] = [WORD_STEPS, CUT_WORDS, UNINDEXED_ROUNDS, STALE_STOPS];
 /// runs once more unlogged on the plane that walks by words, which must
 /// walk as the logged run did: observation does not switch the walk.
 /// Returns what the walk counted over the plane modes.
-fn check(cfg: &Config, what: &str, cov: &mut Coverage) -> [u64; 8] {
+fn check(cfg: &Config, what: &str, cov: &mut Coverage) -> [u64; COUNTERS] {
     let expect = reference(cfg);
     let order = match cfg.order {
         AscendingSenders => 0,
@@ -653,7 +654,7 @@ fn check(cfg: &Config, what: &str, cov: &mut Coverage) -> [u64; 8] {
     };
     let has_plane = cfg.factory().has_plane();
     let sharded = cfg.shards > 1 && cfg.byz.is_empty();
-    let mut walked = [0; 8];
+    let mut walked = [0; COUNTERS];
     for (m, plane) in MODES.into_iter().enumerate() {
         if plane == PlaneMode::Always && !has_plane {
             continue;
@@ -739,7 +740,8 @@ fn simulation_matches_the_naive_round_executor() {
         (CUT_WORDS, "cut word"),
         (UNINDEXED_ROUNDS, "unindexed round"),
         (STALE_STOPS, "stale stop"),
-        (RANK_SETTLES, "settle by rank"),
+        (RANK_SETTLES, "row-end rank settle"),
+        (QUORUM_BOUNDS, "quorum read by merge"),
         (SENDER_SETTLES, "settle sender by sender"),
     ] {
         assert!(counts[c] > 0, "no {name}");
