@@ -1205,8 +1205,8 @@ impl<'a> Row<'a, DbacRule> {
         // The two procedures' expected visits, from numbers in hand: one
         // store per pending sender against a walk of about
         // `(f + 1) · ranks / seen` senders per list. Measured with the
-        // gathered walk and the quorum's merge at f = n/64 (µs per round,
-        // median of six alternating runs each; CHANGES.md, PR 30), this
+        // gathered walk and the quorum's merge at f = n/64 (µs per round on
+        // a 2-vCPU x86-64 box, median of six alternating runs each), this
         // rule / always by rank / always per sender: `Rotating { d }` at
         // n = 1024, d = 8 / 24 / 64 / 256: 310 / 510 / 307, 437 / 693 /
         // 436, 707 / 792 / 704, 633 / 687 / 1112; `Spread { t: 3 }` at
