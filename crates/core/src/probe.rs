@@ -4,7 +4,7 @@
 //! integration tests, which see this crate as an ordinary dependency, can
 //! read them under `cargo test` — and in a release build `bump` is empty
 //! and [`counts`] says so, for the caller to skip its assert out loud.
-//! Local to the thread that delivers: a shard run on a scoped thread
+//! Local to the thread that bumps them: a shard run on a scoped thread
 //! counts where nobody reads.
 
 /// Row-end settles that stored the pending senders by rank.
@@ -26,7 +26,8 @@ pub const STALE_STOPS: usize = 7;
 /// Quorums whose bounds were read by merging the lists with the pending
 /// senders, storing nothing.
 pub const QUORUM_BOUNDS: usize = 8;
-/// Per-link Byzantine fabrications (`messages_into` calls of the walk).
+/// Per-link Byzantine fabrications (`messages_into` calls), counted on the
+/// stepping thread, which fabricates a round's links before delivery.
 pub const FABRICATIONS: usize = 9;
 
 /// How many counters there are.

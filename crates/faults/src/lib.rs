@@ -114,10 +114,11 @@ pub trait ByzantineStrategy: fmt::Debug {
     /// Fabricates the messages this node sends to `dest` in the current
     /// round, appending them to `out`.
     ///
-    /// The round engine passes `out` empty and reuses one scratch buffer
-    /// for every fabrication of the round, so implementations must only
-    /// append — never allocate their own vector — to keep the steady-state
-    /// message plane allocation free.
+    /// `out` may already hold earlier links' messages: the round engine
+    /// fabricates every link of the round into one reused arena, before
+    /// delivery. Implementations must only append — never read or remove
+    /// what `out` holds, nor allocate their own vector — which also keeps
+    /// the steady-state message plane allocation free.
     fn messages_into(&mut self, ctx: &ByzContext<'_>, dest: NodeId, out: &mut Batch);
 
     /// Convenience form of [`ByzantineStrategy::messages_into`] that
@@ -198,6 +199,8 @@ mod tests {
     /// `AtReceiverPhase`), and still declares it after sending; the three
     /// whose message depends on the destination or on a draw, or who send
     /// nothing, declare nothing. The five stock kinds that declare it must.
+    /// And every strategy only appends: into a batch that already holds a
+    /// message, it appends what a twin built alike sends into a fresh one.
     #[test]
     fn uniform_messages_match_messages_into_on_every_destination() {
         let seeds = std::env::var("ADN_FUZZ_SEEDS")
@@ -222,15 +225,16 @@ mod tests {
             several += u64::from(!shared);
             let members: Vec<NodeId> = (n - n.min(3)..n).map(NodeId::new).collect();
             let plan = [colluding::Plan::Straddle, colluding::Plan::Sandwich][rng.next_index(2)];
-            let mut under_test: Vec<Box<dyn ByzantineStrategy>> = strategies::ALL_STRATEGY_NAMES
-                .iter()
-                .map(|name| strategies::by_name(name, n, seed))
-                .collect();
-            under_test.extend(
-                colluding::Coalition::build(plan, members)
-                    .into_iter()
-                    .map(|m| m.1),
-            );
+            let build = || {
+                let mut all: Vec<Box<dyn ByzantineStrategy>> = strategies::ALL_STRATEGY_NAMES
+                    .iter()
+                    .map(|name| strategies::by_name(name, n, seed))
+                    .collect();
+                let coalition = colluding::Coalition::build(plan, members.clone());
+                all.extend(coalition.into_iter().map(|m| m.1));
+                all
+            };
+            let (mut under_test, mut twins) = (build(), build());
             let ctx = ByzContext {
                 round: Round::new(rng.next_below(5)),
                 self_id: NodeId::new(n - 1),
@@ -238,23 +242,29 @@ mod tests {
                 phases: &phases,
                 values: &values,
             };
-            for strategy in &mut under_test {
+            let sentinel = Message::new(Value::saturating(0.375), Phase::new(1 << 40));
+            for (strategy, twin) in under_test.iter_mut().zip(&mut twins) {
                 let name = strategy.name();
                 strategy.begin_round(&ctx);
+                twin.begin_round(&ctx);
                 let declared = strategy.uniform(&ctx);
                 let dependent = ["two-faced", "random-noise", "silent"].contains(&name);
                 assert_eq!(declared.is_none(), dependent, "{name}, seed {seed}");
-                let Some(uniform) = declared else {
-                    continue;
-                };
                 for dest in NodeId::all(n) {
+                    let mut fresh = Batch::new();
+                    twin.messages_into(&ctx, dest, &mut fresh);
+                    let mut out = Batch::from(vec![sentinel]);
+                    strategy.messages_into(&ctx, dest, &mut out);
+                    assert_eq!(out[0], sentinel, "{name}, seed {seed}, {dest}: read over");
+                    assert_eq!(out[1..], fresh[..], "{name}, seed {seed}, {dest}: appended");
+                    let Some(uniform) = declared else {
+                        continue;
+                    };
                     let want = match uniform {
                         Uniform::Message(m) => m,
                         Uniform::AtReceiverPhase(x) => Message::new(x, ctx.phase_of(dest)),
                     };
-                    let mut out = Batch::new();
-                    strategy.messages_into(&ctx, dest, &mut out);
-                    assert_eq!(out.into_vec(), vec![want], "{name}, seed {seed}, {dest}");
+                    assert_eq!(fresh.into_vec(), vec![want], "{name}, seed {seed}, {dest}");
                 }
                 assert_eq!(strategy.uniform(&ctx), declared, "{name}, seed {seed}");
             }

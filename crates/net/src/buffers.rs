@@ -83,9 +83,10 @@ pub struct RoundBuffers {
     /// `present[i]` — whether node `i`'s state machine staged a broadcast
     /// this round (crashed-silent and Byzantine slots stay `false`).
     pub present: Vec<bool>,
-    /// Scratch batch for per-destination Byzantine fabrications
-    /// (`ByzantineStrategy::messages_into`); one suffices because
-    /// fabrications are consumed delivery by delivery.
+    /// Replay-only, like `chosen_out`: a scratch batch for per-destination
+    /// Byzantine fabrications (`ByzantineStrategy::messages_into`),
+    /// consumed delivery by delivery. The engine fabricates a round's links
+    /// into its own arena before delivery.
     pub byz_scratch: Batch,
     /// Start-of-round phase snapshot (Byzantine slots hold the default).
     pub phases: Vec<Phase>,

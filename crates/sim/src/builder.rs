@@ -266,9 +266,8 @@ impl SimBuilder {
 
     /// Fans the delivery loop out over `shards` receiver-range shards
     /// with a deterministic input-ordered merge — byte-identical to
-    /// single-shard delivery (default: 1), on either link form. A run
-    /// with Byzantine nodes delivers as one shard: strategy objects are
-    /// not `Send`.
+    /// single-shard delivery (default: 1), on either link form and under
+    /// any faults.
     ///
     /// # Panics
     ///

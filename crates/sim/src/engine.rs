@@ -49,74 +49,67 @@ struct PlaneRound<'a> {
     /// receiver ignores every further honest link of the round.
     max_wire_phase: Phase,
     t: Round,
-    params: Params,
-    /// Start-of-round snapshot columns, for [`ByzContext`].
-    phases: &'a [Phase],
-    values: &'a [Value],
 }
 
-/// One shard's exclusive round state: its plane slice and its traffic
-/// meter (merged back in shard order: the deterministic input-ordered
-/// merge).
+/// One shard's exclusive round state: its plane slice, its receivers'
+/// fabricated batches and its traffic meter (merged back in shard order:
+/// the deterministic input-ordered merge).
 struct ShardCtx<'a> {
     shard: PlaneShard<'a>,
+    fabricated: FabricatedSlice<'a>,
     traffic: Traffic,
 }
 
-/// A Byzantine node: its strategy, and the receivers it fabricated nothing
-/// for in the round last delivered — the one realized fact the link store,
-/// the sender classes and the crash schedule cannot give back
-/// ([`RealizedRows`]). The walk visits each of its chosen links, so all
-/// others delivered; misses are rare, so a recorded schedule is cheap. A
-/// round in which the node was staged once ([`Simulation::stage_uniform`])
-/// misses nobody.
+/// The round's fabricated batches ([`Simulation::fabricate`]): each
+/// honest receiver, ascending, its Byzantine links in the round's sender
+/// order, the order the walk meets them in. A link fabricated nothing for
+/// (missed) holds an empty batch. Read by the walk, [`RealizedRows`] and
+/// the log.
 #[derive(Debug)]
-struct ByzSlot {
-    strategy: Box<dyn ByzantineStrategy>,
-    missed: NodeSet,
+struct Fabricated {
+    /// `(receiver, sender, message count)` of each chosen link.
+    links: Vec<(NodeId, NodeId, usize)>,
+    /// The links' messages, concatenated in `links` order.
+    messages: Batch,
 }
 
-/// The round's Byzantine senders as the delivery walk sees them: the
-/// slots, the one fabrication scratch and — on a logged run — the lengths
-/// of the round's fabricated batches, in delivery order (see
-/// [`Simulation::log_deliveries`]). A run with Byzantine nodes delivers
-/// as one shard (strategy objects are not `Send`), so the shards of a
-/// sharded run walk with an empty one.
-struct ByzSide<'a> {
-    slots: &'a mut [Option<ByzSlot>],
-    scratch: &'a mut Batch,
-    fabricated: Option<&'a mut Vec<usize>>,
+/// How many messages `u` fabricated for `v` among a round's `links`: 0
+/// when the link missed or was not chosen.
+fn fabricated_len(links: &[(NodeId, NodeId, usize)], u: NodeId, v: NodeId) -> usize {
+    let first = links.partition_point(|l| l.0 < v);
+    let mut own = links[first..].iter().take_while(|l| l.0 == v);
+    own.find(|l| l.1 == u).map_or(0, |l| l.2)
 }
 
-impl ByzSide<'_> {
-    /// Fabricates Byzantine sender `ctx.self_id`'s batch for destination
-    /// `v` into the scratch; returns it, or `None` when nothing was
-    /// fabricated, which marks `v` missed. On a logged run, the length of
-    /// what it returns joins the round's FIFO. The single fabrication site —
-    /// its call order per strategy object (that object's receivers,
-    /// ascending) is the same whatever plane is being fed, which is what
-    /// keeps stateful strategies equivalent across them.
-    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-    fn fabricate(&mut self, ctx: &ByzContext<'_>, v: NodeId) -> Option<&mut Batch> {
-        self.scratch.clear();
-        #[allow(
-            clippy::expect_used,
-            reason = "the classes table marked the sender Byzantine, so its slot is populated"
-        )]
-        let slot = self.slots[ctx.self_id.index()]
-            .as_mut()
-            .expect("classified Byzantine");
-        #[cfg(debug_assertions)]
-        probe::bump(probe::FABRICATIONS);
-        slot.strategy.messages_into(ctx, v, self.scratch);
-        if self.scratch.is_empty() {
-            slot.missed.insert(v);
-            return None;
-        }
-        if let Some(fabricated) = self.fabricated.as_deref_mut() {
-            fabricated.push(self.scratch.len());
-        }
-        Some(self.scratch)
+/// A part of the round's [`Fabricated`] arena: one shard's receivers',
+/// taken front to back as the walk meets their links.
+#[derive(Default)]
+struct FabricatedSlice<'a> {
+    links: &'a [(NodeId, NodeId, usize)],
+    messages: &'a mut [Message],
+}
+
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+impl<'a> FabricatedSlice<'a> {
+    /// Takes the first `k` links, with their messages, off the front.
+    fn take_front(&mut self, k: usize) -> FabricatedSlice<'a> {
+        let (links, rest) = self.links.split_at(k);
+        self.links = rest;
+        let len = links.iter().map(|&(_, _, len)| len).sum();
+        let (messages, rest) = std::mem::take(&mut self.messages).split_at_mut(len);
+        self.messages = rest;
+        FabricatedSlice { links, messages }
+    }
+
+    /// The next link's batch, `u`'s for `v`; `None` if the link missed.
+    fn take(&mut self, u: NodeId, v: NodeId) -> Option<&'a mut [Message]> {
+        let &(receiver, sender, _) = self.links.first()?;
+        debug_assert_eq!(
+            (receiver, sender),
+            (v, u),
+            "links are met in the arena's order"
+        );
+        Some(self.take_front(1).messages).filter(|batch| !batch.is_empty())
     }
 }
 
@@ -209,15 +202,15 @@ fn feed_present<L: LinkRows, K: RowKernel>(
 /// One honest receiver's round: its senders, in the round's order, fed
 /// straight into the receiver's kernel — the body of the one delivery
 /// routine ([`deliver_rows`]).
-struct ReceiverWalk<'r, L> {
+struct ReceiverWalk<'r, 'a, L> {
     env: &'r PlaneRound<'r>,
     links: &'r L,
     v: NodeId,
     traffic: &'r mut Traffic,
-    byz: ByzSide<'r>,
+    fabricated: &'r mut FabricatedSlice<'a>,
 }
 
-impl<L: LinkRows> RowWalk for ReceiverWalk<'_, L> {
+impl<L: LinkRows> RowWalk for ReceiverWalk<'_, '_, L> {
     #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     #[inline(always)]
     fn walk<K: RowKernel>(self, kernel: &mut K) {
@@ -226,7 +219,7 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, L> {
             links,
             v,
             traffic,
-            mut byz,
+            fabricated,
         } = self;
         // What the kernel tells `v`'s senders apart by: their ids on a
         // word kernel, `v`'s own ports otherwise.
@@ -241,9 +234,9 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, L> {
         // receiver made of it.
         let mut fed = Traffic::new();
         // One conditional link on its own, at its position in the sender
-        // order: metered and fed (a fabrication may carry any phase, and
-        // the strategy object must see its calls). Present links are fed
-        // by the stretches and word steps, never here.
+        // order: metered and fed (a fabrication may carry any phase).
+        // Present links are fed by the stretches and word steps, never
+        // here.
         let mut deliver_link = |u: NodeId, kernel: &mut K| {
             let key = keys.port(u);
             let batch_len = match env.classes[u.index()] {
@@ -251,14 +244,7 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, L> {
                     kernel.staged(key, u.index(), &env.wire)
                 }
                 SenderClass::Byzantine => {
-                    let ctx = ByzContext {
-                        round: env.t,
-                        self_id: u,
-                        params: env.params,
-                        phases: env.phases,
-                        values: env.values,
-                    };
-                    let Some(batch) = byz.fabricate(&ctx, v) else {
+                    let Some(batch) = fabricated.take(u, v) else {
                         return;
                     };
                     kernel.batch(key, batch);
@@ -365,7 +351,6 @@ fn deliver_rows<L: LinkRows>(
     links: &L,
     (lo, hi): (usize, usize),
     ctx: &mut ShardCtx<'_>,
-    byz: &mut ByzSide<'_>,
 ) {
     for v_idx in lo..hi {
         let v = NodeId::new(v_idx);
@@ -384,11 +369,7 @@ fn deliver_rows<L: LinkRows>(
                 links,
                 v,
                 traffic: &mut ctx.traffic,
-                byz: ByzSide {
-                    slots: byz.slots,
-                    scratch: byz.scratch,
-                    fabricated: byz.fabricated.as_deref_mut(),
-                },
+                fabricated: &mut ctx.fabricated,
             },
         );
     }
@@ -402,10 +383,10 @@ fn deliver_rows<L: LinkRows>(
 /// per-link rule to the run's one link store on the fly. A link `u → v`
 /// delivered iff `v` executed the round and `u`'s class says so — every
 /// link of a Present sender, a Partial sender's links that survived its
-/// crash, a Byzantine sender's links but those its fabrication left empty
-/// (the walk marks them as it fabricates) and no Silent sender's. `O(row)` per
-/// receiver, a word at a time on words and run rows, whichever form the
-/// store holds. Obtain via [`Simulation::realized_rows`].
+/// crash, a Byzantine sender's links whose batch in the round's arena
+/// ([`Fabricated`]) is not empty, and no Silent sender's. `O(row)` per receiver, a
+/// word at a time on words and run rows, whichever form the store holds.
+/// Obtain via [`Simulation::realized_rows`].
 #[derive(Debug)]
 pub struct RealizedRows<'a> {
     links: &'a LinkPlane,
@@ -416,32 +397,30 @@ pub struct RealizedRows<'a> {
     active: &'a NodeSet,
     unconditional: &'a NodeSet,
     conditional: &'a [(usize, NodeId)],
+    classes: &'a [SenderClass],
     crash: &'a CrashSchedule,
-    byz: &'a [Option<ByzSlot>],
+    fabricated: &'a [(NodeId, NodeId, usize)],
     /// The executed round (the crash-survivor axis).
     t: Round,
 }
 
 impl RealizedRows<'_> {
-    /// Whether conditional sender `u`'s chosen link to honest `v`
-    /// delivered.
-    fn conditional_delivers(&self, u: NodeId, v: NodeId) -> bool {
-        match &self.byz[u.index()] {
-            Some(slot) => !slot.missed.contains(v),
-            None => self.crash.delivers(u, self.t, v),
-        }
-    }
-
     /// Whether chosen link `u → v` delivered, `v` honest.
     fn delivers(&self, u: NodeId, v: NodeId) -> bool {
-        self.unconditional.contains(u) || self.active.contains(u) && self.conditional_delivers(u, v)
+        match self.classes[u.index()] {
+            SenderClass::Present => true,
+            SenderClass::Partial => self.crash.delivers(u, self.t, v),
+            SenderClass::Byzantine => fabricated_len(self.fabricated, u, v) > 0,
+            SenderClass::Silent => false,
+        }
     }
 
     /// The view as dense rows, for a recorded schedule: the store's rows
     /// (a copy of its words, or its run/CSR rows read out) less what did
     /// not deliver — the rows of receivers that did not execute, the
-    /// Silent senders' links (if the round has any), and sender by sender
-    /// the dead links of the round's few conditional senders.
+    /// Silent senders' links (if the round has any), and the dead links of
+    /// the round's few conditional senders: a Partial one's sender by
+    /// sender, a Byzantine one's off the arena.
     fn to_edge_set(&self) -> EdgeSet {
         let mut rows = match self.links.words() {
             Some(words) => words.clone(),
@@ -460,16 +439,16 @@ impl RealizedRows<'_> {
             }
         }
         for &(_, u) in self.conditional {
-            match &self.byz[u.index()] {
-                Some(slot) => slot.missed.for_each(|v| {
-                    rows.remove(u, v);
-                }),
-                None => self.honest.for_each(|v| {
+            if self.classes[u.index()] == SenderClass::Partial {
+                self.honest.for_each(|v| {
                     if rows.contains(u, v) && !self.crash.delivers(u, self.t, v) {
                         rows.remove(u, v);
                     }
-                }),
+                });
             }
+        }
+        for &(v, u, _) in self.fabricated.iter().filter(|l| l.2 == 0) {
+            rows.remove(u, v);
         }
         rows
     }
@@ -506,7 +485,7 @@ impl LinkRows for RealizedRows<'_> {
                 let b = conditional.trailing_zeros() as usize;
                 conditional &= conditional - 1;
                 let u = NodeId::new(w * 64 + b);
-                delivered |= u64::from(self.conditional_delivers(u, v)) << b;
+                delivered |= u64::from(self.delivers(u, v)) << b;
             }
             delivered == 0 || f(w, delivered)
         });
@@ -559,8 +538,8 @@ pub struct Simulation {
     ports: PortNumbering,
     adversary: Box<dyn Adversary>,
     crash: CrashSchedule,
-    /// `Some` at Byzantine slots, `None` elsewhere.
-    byz: Vec<Option<ByzSlot>>,
+    /// A Byzantine node's strategy at its slot, `None` elsewhere.
+    byz: Box<[Option<Box<dyn ByzantineStrategy>>]>,
     /// Every node's algorithm state: boxed state machines or a columnar
     /// plane (see [`PlaneMode`]). Holds all `n` slots; the engine never
     /// drives Byzantine slots and masks them out of every read.
@@ -595,6 +574,9 @@ pub struct Simulation {
     wire_index: WireIndex,
     /// The round's conditional senders (see [`PlaneRound::conditional`]).
     conditional: Vec<(usize, NodeId)>,
+    /// The round's fabricated batches (`None` in a run without Byzantine
+    /// nodes).
+    fabricated: Option<Box<Fabricated>>,
     /// The ascending receiver bounds of the shards the delivery loop fans
     /// out over (one shard = no fan-out): shard `i` owns
     /// `shard_bounds[i]..shard_bounds[i + 1]`.
@@ -646,11 +628,19 @@ impl Simulation {
             );
         }
 
-        let mut byz: Vec<Option<ByzSlot>> = (0..n).map(|_| None).collect();
+        let mut byz: Box<[Option<Box<dyn ByzantineStrategy>>]> = (0..n).map(|_| None).collect();
+        let byzantine = b.byzantine.len();
         for (id, strategy) in b.byzantine {
-            let missed = NodeSet::new(n);
-            byz[id.index()] = Some(ByzSlot { strategy, missed });
+            byz[id.index()] = Some(strategy);
         }
+        // A logged run takes room for a batch from every Byzantine node to
+        // every other node first: grown among its event log's reallocations,
+        // the arena read a higher peak RSS. Other runs grow it as they go.
+        let fabricated = (byzantine > 0).then(|| {
+            let k = usize::from(b.record_events) * (n - byzantine) * byzantine;
+            let (links, messages) = (Vec::with_capacity(k), Batch::with_capacity(k));
+            Box::new(Fabricated { links, messages })
+        });
 
         // Which plane holds the nodes' state. Every run configuration
         // drives every plane; `Auto` keeps a logged run on the boxed one.
@@ -698,14 +688,7 @@ impl Simulation {
             LinkMode::Auto => n <= PortNumbering::MAX_DENSE_N,
             LinkMode::Sparse => false,
         } || !b.adversary.sparse_capable();
-        // Strategy objects are not `Send`: a run with Byzantine nodes
-        // delivers as one shard.
-        let shards = if byz.iter().all(Option::is_none) {
-            b.shards
-        } else {
-            1
-        };
-        let shard_bounds: Vec<usize> = (0..=shards).map(|i| n * i / shards).collect();
+        let shard_bounds: Vec<usize> = (0..=b.shards).map(|i| n * i / b.shards).collect();
 
         // A random numbering's table is built here, at set-up, exactly
         // when a step will read ports: boxed nodes are keyed by them and
@@ -746,6 +729,7 @@ impl Simulation {
                 false => WireIndex::new(n),
             },
             conditional: Vec::with_capacity(n),
+            fabricated,
             shard_bounds,
             traffic: Traffic::new(),
             events: b.record_events.then(EventLog::new),
@@ -828,8 +812,9 @@ impl Simulation {
             active: &self.buffers.active,
             unconditional: &self.buffers.unconditional,
             conditional: &self.conditional,
+            classes: &self.buffers.classes,
             crash: &self.crash,
-            byz: &self.byz,
+            fabricated: self.fabricated.as_ref().map_or(&[], |f| &f.links),
             t,
         }
     }
@@ -930,8 +915,8 @@ impl Simulation {
         // Per-instance reseed of stateful adversaries and strategies
         // (instance 0 is each one's construction stream).
         self.adversary.begin_instance(instance);
-        for slot in self.byz.iter_mut().flatten() {
-            slot.strategy.begin_instance(instance);
+        for strategy in self.byz.iter_mut().flatten() {
+            strategy.begin_instance(instance);
         }
 
         // Observer restart: this instance's V(0) (Def. 5 — every
@@ -988,8 +973,7 @@ impl Simulation {
                 // sender whatever `transmits()` says: it decides link by
                 // link via `messages_into`, unless `stage_uniform` below
                 // stages its one message.
-                Some(ByzSlot { strategy, missed }) => {
-                    missed.clear();
+                Some(strategy) => {
                     strategy.begin_round(&ByzContext {
                         round: t,
                         self_id: id,
@@ -1072,10 +1056,11 @@ impl Simulation {
             }
         }
 
-        // --- The shared sender permutation of the non-ascending orders:
-        // one per-round order of the active senders that every receiver
-        // walks. ---
-        self.build_sender_permutation(t);
+        // --- The shared sender permutation of the non-ascending orders
+        // (one per-round order of the active senders that every receiver
+        // walks), and the round's conditional senders in the order. ---
+        self.order_senders(t);
+        self.fabricate(t);
 
         // --- Delivery along chosen links: receiver-major, each receiver
         // processing its senders in the configured order (ascending row
@@ -1083,14 +1068,9 @@ impl Simulation {
         // the determinism contract, see `DeliveryOrder::Shuffled`), each
         // link fed straight into the receiver's kernel. No batch is ever
         // cloned — honest deliveries borrow the sender's staged batch,
-        // Byzantine fabrications reuse one scratch batch. ---
-        // A logged round's fabricated batch lengths, in delivery order
-        // (see `ByzSide`): allocated only when there are some to keep, and
-        // a local because a field would grow `Simulation`, whose size
-        // moves the ledger's peak RSS through glibc's heap thresholds.
-        let mut fabricated = Vec::new();
-        self.deliver(t, &mut fabricated);
-        self.log_deliveries(t, &fabricated);
+        // Byzantine ones their fabricated batch in the arena. ---
+        self.deliver(t);
+        self.log_deliveries(t);
         if self.record_schedule {
             self.schedule.push(self.realized_in(t).to_edge_set());
         }
@@ -1197,7 +1177,7 @@ impl Simulation {
         let first = honest_phases.next();
         let shared = first.filter(|&p| honest_phases.all(|q| q == p));
         for (i, slot) in self.byz.iter().enumerate() {
-            let Some(ByzSlot { strategy, .. }) = slot else {
+            let Some(strategy) = slot else {
                 continue;
             };
             let ctx = ByzContext {
@@ -1228,10 +1208,10 @@ impl Simulation {
             .count()
     }
 
-    /// Fills `buffers.perm` with the round's shared sender permutation —
-    /// the one order every receiver processes this round's deliveries in.
-    /// A no-op under ascending-sender delivery, whose row walks need no id
-    /// list.
+    /// Fills `buffers.perm` with the round's shared sender permutation (none
+    /// under ascending-sender delivery, whose row walks need no id list),
+    /// and `conditional` with the round's conditional senders in the order
+    /// every receiver processes this round's deliveries in.
     ///
     /// The permutation is built over the *full* id range `0..n` and then
     /// masked down to the senders that can deliver anything this round
@@ -1241,12 +1221,23 @@ impl Simulation {
     /// (`tests/reference_round.rs`'s naive executor walks the full list).
     /// `Shuffled`'s seed derivation is a documented determinism contract
     /// (see [`DeliveryOrder::Shuffled`]).
-    fn build_sender_permutation(&mut self, t: Round) {
+    fn order_senders(&mut self, t: Round) {
         let n = self.params.n();
-        let RoundBuffers { perm, active, .. } = &mut self.buffers;
+        let RoundBuffers {
+            perm,
+            active,
+            unconditional,
+            ..
+        } = &mut self.buffers;
+        let conditional = &mut self.conditional;
         perm.clear();
+        conditional.clear();
         match self.delivery_order {
-            DeliveryOrder::AscendingSenders => {}
+            DeliveryOrder::AscendingSenders => active.for_each(|u| {
+                if !unconditional.contains(u) {
+                    conditional.push((u.index(), u));
+                }
+            }),
             // Descending masked ids, word by word from the top.
             DeliveryOrder::DescendingSenders => {
                 for wi in (0..n.div_ceil(64)).rev() {
@@ -1265,6 +1256,44 @@ impl Simulation {
                 perm.retain(|&u| active.contains(u));
             }
         }
+        let positions = perm.iter().copied().enumerate();
+        conditional.extend(positions.filter(|&(_, u)| !unconditional.contains(u)));
+    }
+
+    /// Fabricates the round's Byzantine links into the arena
+    /// ([`Fabricated`]) before delivery, on this thread: each honest
+    /// receiver, ascending, its links from the round's conditional
+    /// Byzantine senders (not those staged once) in the round's order. So
+    /// each strategy object sees its receivers ascending however the round
+    /// delivers, which keeps stateful strategies equivalent across planes
+    /// and shard counts.
+    fn fabricate(&mut self, t: Round) {
+        let Some(Fabricated { links, messages }) = self.fabricated.as_deref_mut() else {
+            return;
+        };
+        links.clear();
+        messages.clear();
+        let byz = &mut self.byz;
+        self.buffers.honest.for_each(|v| {
+            for &(_, u) in &self.conditional {
+                let chosen = |_: &_| self.links.contains(u, v);
+                let Some(strategy) = byz[u.index()].as_mut().filter(chosen) else {
+                    continue;
+                };
+                let ctx = ByzContext {
+                    round: t,
+                    self_id: u,
+                    params: self.params,
+                    phases: &self.buffers.phases,
+                    values: &self.buffers.values,
+                };
+                let before = messages.len();
+                #[cfg(debug_assertions)]
+                probe::bump(probe::FABRICATIONS);
+                strategy.messages_into(&ctx, v, messages);
+                links.push((v, u, messages.len() - before));
+            }
+        });
     }
 
     /// The round's delivery: heads every staged batch into the wire
@@ -1274,36 +1303,32 @@ impl Simulation {
     /// form they take. Shards > 1 run concurrently on scoped threads
     /// ([`fan_out`]: shard 0 on this thread) and merge back in shard
     /// order: receivers are partitioned, not copied, so the traffic meters
-    /// are the only cross-shard state. The walk writes no realized link
-    /// ([`RealizedRows`] reads them off afterwards).
-    fn deliver(&mut self, t: Round, fabricated: &mut Vec<usize>) {
+    /// are the only cross-shard state; each shard reads its own receivers'
+    /// part of the round's fabricated batches. The walk writes no realized
+    /// link ([`RealizedRows`] reads them off afterwards).
+    fn deliver(&mut self, t: Round) {
         let Simulation {
-            params,
             buffers,
             crash,
             ports,
-            byz,
             plane,
             links,
             wire_phase,
             wire_value,
             wire_index,
             conditional,
+            fabricated,
             traffic,
-            events,
             shard_bounds,
             ..
         } = self;
         let RoundBuffers {
             batches,
-            phases,
-            values,
             classes,
             active,
             honest,
             unconditional,
             perm,
-            byz_scratch,
             ..
         } = buffers;
 
@@ -1318,21 +1343,6 @@ impl Simulation {
             }
         });
         let perm = (self.delivery_order != DeliveryOrder::AscendingSenders).then_some(&perm[..]);
-        let is_conditional = |u: &NodeId| !unconditional.contains(*u);
-        conditional.clear();
-        match perm {
-            None => active.for_each(|u| {
-                if is_conditional(&u) {
-                    conditional.push((u.index(), u));
-                }
-            }),
-            Some(perm) => conditional.extend(
-                perm.iter()
-                    .copied()
-                    .enumerate()
-                    .filter(|(_, u)| is_conditional(u)),
-            ),
-        }
         let shards = shard_bounds.len() - 1;
         let mut slots: [Option<PlaneShard<'_>>; MAX_PLANE_SHARDS] = Default::default();
         plane.fill_shards(shard_bounds, &mut slots[..shards]);
@@ -1368,45 +1378,38 @@ impl Simulation {
             index: indexed.then_some(wire_index),
             max_wire_phase,
             t,
-            params: *params,
-            phases,
-            values,
         };
 
-        let mut ctxs = slots[..shards].iter_mut().map(|slot| ShardCtx {
-            shard: slot.take().expect("fill_shards fills every requested slot"),
-            traffic: Traffic::new(),
-        });
+        // Each shard takes its own receivers' part of the arena.
+        let mut arena = match fabricated.as_deref_mut() {
+            Some(Fabricated { links, messages }) => FabricatedSlice { links, messages },
+            None => FabricatedSlice::default(),
+        };
+        let mut ctxs = (slots[..shards].iter_mut())
+            .zip(&shard_bounds[1..])
+            .map(|(slot, &hi)| ShardCtx {
+                shard: slot.take().expect("fill_shards fills every requested slot"),
+                fabricated: arena
+                    .take_front(arena.links.partition_point(|&(v, _, _)| v.index() < hi)),
+                traffic: Traffic::new(),
+            });
         // The store's form is asked once per shard, not once per row read:
         // the per-read branch measured ≈ 4 % on a 1024-node complete round.
-        let run_shard = |i: usize, ctx: &mut ShardCtx<'_>, byz: &mut ByzSide<'_>| {
+        let run_shard = |i: usize, ctx: &mut ShardCtx<'_>| {
             let range = (shard_bounds[i], shard_bounds[i + 1]);
             match links.words() {
-                Some(words) => deliver_rows(&env, words, range, ctx, byz),
-                None => deliver_rows(&env, &*links, range, ctx, byz),
+                Some(words) => deliver_rows(&env, words, range, ctx),
+                None => deliver_rows(&env, &*links, range, ctx),
             }
         };
         let mut merge = |ctx: ShardCtx<'_>| traffic.merge(&ctx.traffic);
         if shards == 1 {
             // The inline path: nothing spawned, nothing allocated.
             let mut ctx = ctxs.next().expect("a run has at least one shard");
-            let byz = &mut ByzSide {
-                slots: byz,
-                scratch: byz_scratch,
-                fabricated: events.is_some().then_some(fabricated),
-            };
-            run_shard(0, &mut ctx, byz);
+            run_shard(0, &mut ctx);
             merge(ctx);
         } else {
-            let walk = |i: usize, ctx: &mut ShardCtx<'_>| {
-                let byz = &mut ByzSide {
-                    slots: &mut [],
-                    scratch: &mut Batch::new(),
-                    fabricated: None,
-                };
-                run_shard(i, ctx, byz);
-            };
-            fan_out(ctxs, walk).into_iter().for_each(merge);
+            fan_out(ctxs, run_shard).into_iter().for_each(merge);
         }
     }
 
@@ -1415,9 +1418,9 @@ impl Simulation {
     /// ascending, its realized senders in the round's order — the order
     /// the walk delivered them in. Realized rows hold exactly the links
     /// that delivered something, so the log does not ask the walk to visit
-    /// links on their own. A fabricated batch is the one thing the rows do
-    /// not keep: its length comes from `fabricated`, the walk's FIFO.
-    fn log_deliveries(&mut self, t: Round, fabricated: &[usize]) {
+    /// links on their own; a fabricated batch's length is read off the
+    /// round's arena.
+    fn log_deliveries(&mut self, t: Round) {
         let Some(mut log) = self.events.take() else {
             return;
         };
@@ -1430,11 +1433,10 @@ impl Simulation {
             ..
         } = &self.buffers;
         let perm = (self.delivery_order != DeliveryOrder::AscendingSenders).then_some(&perm[..]);
-        let mut fabricated = fabricated.iter().copied();
         honest.for_each(|v| {
             scan_senders(perm, &realized, v, 0, |u| {
                 let batch_len = match classes[u.index()] {
-                    SenderClass::Byzantine => fabricated.next().expect("a fabricated delivery"),
+                    SenderClass::Byzantine => fabricated_len(realized.fabricated, u, v),
                     _ => batches[u.index()].len(),
                 };
                 log.push(Event::Delivery {
@@ -1447,7 +1449,6 @@ impl Simulation {
                 true
             });
         });
-        debug_assert!(fabricated.next().is_none(), "a fabrication left unlogged");
         self.events = Some(log);
     }
 
@@ -1711,7 +1712,8 @@ mod tests {
     /// advances past every honest snapshot, so the rest of its honest
     /// links go unfed — and then the Byzantine sender, last in the sender
     /// order, delivers a fabricated phase far above all of them. That
-    /// link must still be delivered and still cause the jump.
+    /// link must still be delivered and still cause the jump, on one shard
+    /// and on two.
     #[test]
     fn fabrication_behind_the_stale_point_still_jumps() {
         use crate::builder::PlaneMode;
@@ -1731,33 +1733,36 @@ mod tests {
 
         let n = 9;
         let p = params(n, 1, 1e-3);
-        let step_once = |mode| {
+        let step_once = |mode, shards| {
             let mut sim = Simulation::builder(p)
                 .byzantine(NodeId::new(n - 1), Box::new(Ahead))
                 .algorithm(factories::dac_with_pend(p, 20))
                 .algorithm_plane(mode)
+                .shards(shards)
                 .build();
             sim.step();
             sim
         };
-        let plane = step_once(PlaneMode::Always);
-        let reference = step_once(PlaneMode::Never);
-        for v in NodeId::all(n - 1) {
-            assert_eq!(plane.phase_of(v), Some(Phase::new(7)), "{v} must jump");
-            assert_eq!(plane.value_of(v), Some(Value::ONE), "{v}");
-            assert_eq!(plane.value_of(v), reference.value_of(v), "{v}");
-        }
-        // All 8 × 8 links into the honest receivers count as delivered,
-        // the unfed ones included, and realized.
-        assert_eq!(plane.traffic.deliveries(), 64);
-        assert_eq!(plane.traffic, reference.traffic);
+        let reference = step_once(PlaneMode::Never, 1);
         let realized = |sim: &Simulation| {
             let mut rows = EdgeSet::empty(n);
             rows.union_rows(&sim.realized_rows());
             rows
         };
-        assert_eq!(realized(&plane).edge_count(), 64);
-        assert_eq!(realized(&plane), realized(&reference));
+        for shards in [1, 2] {
+            let plane = step_once(PlaneMode::Always, shards);
+            for v in NodeId::all(n - 1) {
+                assert_eq!(plane.phase_of(v), Some(Phase::new(7)), "{v} must jump");
+                assert_eq!(plane.value_of(v), Some(Value::ONE), "{v}");
+                assert_eq!(plane.value_of(v), reference.value_of(v), "{v}");
+            }
+            // All 8 × 8 links into the honest receivers count as
+            // delivered, the unfed ones included, and realized.
+            assert_eq!(plane.traffic.deliveries(), 64, "{shards} shards");
+            assert_eq!(plane.traffic, reference.traffic, "{shards} shards");
+            assert_eq!(realized(&plane).edge_count(), 64, "{shards} shards");
+            assert_eq!(realized(&plane), realized(&reference), "{shards} shards");
+        }
     }
 
     #[test]
@@ -1781,6 +1786,13 @@ mod tests {
             );
             assert_eq!(sim.shards(), 2, "{mode:?} shards");
         }
+        let p = params(8, 1, 1e-2);
+        let byzantine = Simulation::builder(p)
+            .byzantine(NodeId::new(7), Box::new(TwoFaced::zero_one(4)))
+            .algorithm(factories::dbac(p))
+            .shards(2)
+            .build();
+        assert_eq!(byzantine.shards(), 2, "a Byzantine run shards too");
     }
 
     /// The auto mode picks the plane exactly when the configuration is

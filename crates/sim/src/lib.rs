@@ -10,11 +10,11 @@
 //! 2. **Adversary** — the message adversary inspects all states and picks
 //!    the links `E(t)`.
 //! 3. **Delivery** — links from silent senders realize nothing; Byzantine
-//!    senders fabricate per-destination batches into a reused scratch;
-//!    each delivery borrows the sender's staged batch (never cloned) and
-//!    arrives on the receiver's private port. Self-delivery is internal
-//!    to the algorithms (they count themselves), so the engine never
-//!    loops a message back.
+//!    batches are fabricated into one per-round arena before the walk;
+//!    each delivery borrows the sender's staged batch or its arena batch
+//!    (never cloned) and arrives on the receiver's private port.
+//!    Self-delivery is internal to the algorithms (they count themselves),
+//!    so the engine never loops a message back.
 //! 4. **Transition** — receivers process deliveries in the configured
 //!    [`DeliveryOrder`] (ascending sender index by default; the other
 //!    orders share one per-round sender permutation), then `end_round`

@@ -183,16 +183,17 @@ fn lean_dac_staggered() -> Simulation {
         .build()
 }
 
-/// A lean DBAC run at n = 64, f = 8 with every fault slot Byzantine (the
-/// highest ids): `f + 1 = 9`-long trim lists, `begin_round` and per-link
+/// A lean DBAC run at f = 8 with every fault slot Byzantine (the highest
+/// ids): `f + 1 = 9`-long trim lists, `begin_round` and per-link
 /// fabrication — none of which the `f = 0` cells reach — on either link
-/// form.
+/// form and any number of shards.
 fn lean_dbac_byz(
+    (n, shards): (usize, usize),
     mode: PlaneMode,
     byzantine: Vec<(NodeId, Box<dyn ByzantineStrategy>)>,
     links: LinkMode,
 ) -> Simulation {
-    let (n, f) = (64, 8);
+    let f = 8;
     let params = Params::new(n, f, 1e-6).unwrap();
     let mut builder = Simulation::builder(params)
         .inputs_random(1)
@@ -200,6 +201,7 @@ fn lean_dbac_byz(
         .algorithm(factories::dbac_with_pend(params, u64::MAX))
         .algorithm_plane(mode)
         .link_mode(links)
+        .shards(shards)
         .record_schedule(false)
         .observe_phases(false)
         .max_rounds(u64::MAX);
@@ -270,12 +272,17 @@ fn lean_dbac_uniform() -> Simulation {
 }
 
 /// The eight stock strategies, one per Byzantine slot of
-/// [`lean_dbac_byz`].
-fn stock_strategies() -> Vec<(NodeId, Box<dyn ByzantineStrategy>)> {
+/// [`lean_dbac_byz`] at `n` nodes.
+fn stock_strategies(n: usize) -> Vec<(NodeId, Box<dyn ByzantineStrategy>)> {
     ALL_STRATEGY_NAMES
         .iter()
         .enumerate()
-        .map(|(k, name)| (NodeId::new(56 + k), strategies::by_name(name, 64, k as u64)))
+        .map(|(k, name)| {
+            (
+                NodeId::new(n - 8 + k),
+                strategies::by_name(name, n, k as u64),
+            )
+        })
         .collect()
 }
 
@@ -384,13 +391,24 @@ fn steady_state_step_performs_zero_allocations() {
         // DBAC under real Byzantine senders, where the trim lists and the
         // strategies' once-per-round facts do their work.
         ("dbac/plane/byz", || {
-            lean_dbac_byz(PlaneMode::Always, stock_strategies(), LinkMode::Auto)
+            lean_dbac_byz(
+                (64, 1),
+                PlaneMode::Always,
+                stock_strategies(64),
+                LinkMode::Auto,
+            )
         }),
         ("dbac/trait/byz", || {
-            lean_dbac_byz(PlaneMode::Never, stock_strategies(), LinkMode::Auto)
+            lean_dbac_byz(
+                (64, 1),
+                PlaneMode::Never,
+                stock_strategies(64),
+                LinkMode::Auto,
+            )
         }),
         ("dbac/plane/byz/straddle", || {
             lean_dbac_byz(
+                (64, 1),
                 PlaneMode::Always,
                 Coalition::build(Plan::Straddle, (56..64).map(NodeId::new).collect()),
                 LinkMode::Auto,
@@ -421,7 +439,12 @@ fn steady_state_step_performs_zero_allocations() {
             lean_dac_sparse(32, 1, Shuffled(7))
         }),
         ("dbac/sparse/byz", || {
-            lean_dbac_byz(PlaneMode::Always, stock_strategies(), LinkMode::Sparse)
+            lean_dbac_byz(
+                (64, 1),
+                PlaneMode::Always,
+                stock_strategies(64),
+                LinkMode::Sparse,
+            )
         }),
     ];
     for (name, build) in cells {
@@ -491,44 +514,78 @@ fn steady_state_step_performs_zero_allocations() {
         );
     }
 
-    // --- `dac/sparse/sharded`: the same run on three shards. Each round
-    // fans shards 1 and 2 out to scoped threads, and a spawn allocates
-    // (its result packet, its handle, the boxed closure), so the count
-    // cannot be zero. What must hold instead is that nothing scales with
-    // the round's work: the same count in every steady step, the same at
-    // n = 32 and n = 128, and a small constant per spawned shard. ---
-    let sharded_step_allocations = |n: usize| {
-        let mut sim = lean_dac_sparse(n, 3, AscendingSenders);
-        assert!(sim.uses_sparse_links() && sim.shards() == 3);
-        for _ in 0..70 {
-            sim.step();
+    // --- `dac/sparse/sharded`: the same run on three shards and on two,
+    // and `dbac/byz/sharded`: DBAC under the eight stock strategies on two.
+    // Each round fans every shard but the first out to a scoped thread,
+    // and a spawn allocates (its result packet, its handle, the boxed
+    // closure), so the count cannot be zero. What must hold instead is
+    // that nothing scales with the round's work: the same count in every
+    // steady step, the same at two sizes, and a small constant per spawned
+    // shard — to which the round's fabricated batches add nothing. ---
+    let sharded_step_allocations =
+        |name: &str, sizes: [usize; 2], build: &dyn Fn(usize) -> Simulation| {
+            let [small, large] = sizes.map(|n| {
+                let mut sim = build(n);
+                for _ in 0..70 {
+                    sim.step();
+                }
+                let steps: Vec<usize> = (0..30)
+                    .map(|_| {
+                        let window = Window::open();
+                        sim.step();
+                        let (here, elsewhere) = window.spent();
+                        here + elsewhere
+                    })
+                    .collect();
+                assert!(
+                    steps.iter().all(|&count| count == steps[0]),
+                    "{name} n = {n}: per-step allocations vary: {steps:?}"
+                );
+                steps[0]
+            });
+            assert_eq!(small, large, "{name}: allocations per step grew with n");
+            small
+        };
+    let dac_sparse = |shards| {
+        move |n| {
+            let sim = lean_dac_sparse(n, shards, AscendingSenders);
+            assert!(sim.uses_sparse_links() && sim.shards() == shards);
+            sim
         }
-        let steps: Vec<usize> = (0..30)
-            .map(|_| {
-                let window = Window::open();
-                sim.step();
-                let (here, elsewhere) = window.spent();
-                here + elsewhere
-            })
-            .collect();
-        assert!(
-            steps.iter().all(|&count| count == steps[0]),
-            "dac/sparse/sharded n = {n}: per-step allocations vary: {steps:?}"
-        );
-        steps[0]
     };
-    let (small, large) = (sharded_step_allocations(32), sharded_step_allocations(128));
-    assert_eq!(
-        small, large,
-        "dac/sparse/sharded: allocations per step grew with n"
-    );
-    // Measured: 9 — three per spawn, the scope, and the two vectors of
-    // handles and of contexts handed back; the bound leaves std room.
+    let three = sharded_step_allocations("dac/sparse/sharded", [32, 128], &dac_sparse(3));
+    let two = sharded_step_allocations("dac/sparse/sharded/2", [32, 128], &dac_sparse(2));
+    // Measured: 9 and 6 — three per spawn, the scope, and the two vectors
+    // of handles and of contexts handed back; the bound leaves std room.
     const PER_SPAWNED_SHARD: usize = 8;
     assert!(
-        (1..=2 * PER_SPAWNED_SHARD).contains(&small),
-        "dac/sparse/sharded: {small} allocations per step for two spawned shards"
+        (1..=2 * PER_SPAWNED_SHARD).contains(&three) && three - two <= PER_SPAWNED_SHARD,
+        "dac/sparse/sharded: {three} allocations per step for two spawned shards, {two} for one"
     );
+    let fabricated_before = adn_core::probe::counts();
+    let byz = sharded_step_allocations("dbac/byz/sharded", [64, 128], &|n| {
+        let sim = lean_dbac_byz(
+            (n, 2),
+            PlaneMode::Always,
+            stock_strategies(n),
+            LinkMode::Auto,
+        );
+        assert_eq!(sim.shards(), 2);
+        sim
+    });
+    assert_eq!(
+        byz, two,
+        "dbac/byz/sharded: allocations per step beyond the fault-free run's on two shards"
+    );
+    // Fabrication runs before the fan-out, on the stepping thread (whose
+    // counters these are, in a debug build of adn-core).
+    if let (Some(before), Some(after)) = (fabricated_before, adn_core::probe::counts()) {
+        use adn_core::probe::FABRICATIONS;
+        assert!(
+            after[FABRICATIONS] > before[FABRICATIONS],
+            "dbac/byz/sharded: no link fabricated on the stepping thread"
+        );
+    }
 
     // --- Building a sparse-link run asks for the seen rows (n²/8 bytes)
     // and O(n) besides: none of the dense n² bitmaps, not even for a

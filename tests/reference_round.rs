@@ -292,7 +292,8 @@ fn pinned() -> [(&'static str, Config, &'static [usize]); 5] {
         ..cell(140, 8, Algo::Dbac, 6, Links::Spec(DbacThreshold))
     };
     // Verbatim complete bursts hand the silent strategy links it
-    // fabricates nothing for: realized links missed, on sparse links.
+    // fabricates nothing for: realized links missed, on sparse links and
+    // three shards.
     let bursts = AlternatingComplete { period: 2 };
     let mut crash = CrashSchedule::new(21);
     let survivors = CrashSurvivors::Subset(vec![NodeId::new(0), NodeId::new(9)]);
@@ -305,6 +306,7 @@ fn pinned() -> [(&'static str, Config, &'static [usize]); 5] {
         crash,
         order: Shuffled(5),
         link_mode: LinkMode::Sparse,
+        shards: 3,
         logged: true,
         ..cell(21, 3, Algo::Dbac, 8, Links::Spec(bursts))
     };
@@ -563,9 +565,7 @@ fn simulated(cfg: &Config, plane: PlaneMode, logged: bool) -> (Run, bool, [u64; 
             LinkMode::Sparse => true,
         };
     assert_eq!(sim.uses_sparse_links(), sparse, "{:?}", cfg.link_mode);
-    // Strategy objects are not `Send`: a Byzantine run delivers as one shard.
-    let shards = if cfg.byz.is_empty() { cfg.shards } else { 1 };
-    assert_eq!(sim.shards(), shards, "shards");
+    assert_eq!(sim.shards(), cfg.shards, "shards");
     let before = probe::counts();
     let out = sim.run();
     let counted = match (before, probe::counts()) {
@@ -623,20 +623,28 @@ fn assert_same(expect: &Run, got: &Run, what: &str) {
 struct Coverage {
     /// Simulated runs by order × link form (dense, sparse) × plane mode.
     runs: [[[u64; 3]; 2]; 3],
-    /// Runs on more than one shard, by link form.
+    /// Runs on more than one shard, by link form: all, and those with a
+    /// fabricating Byzantine sender.
     sharded: [u64; 2],
+    sharded_fabricating: [u64; 2],
     sparse_byz: u64,
     quantized: u64,
-    /// Logged draws: all, those on more than one shard, and the stale
-    /// stops their walks counted.
+    /// Logged draws: all, those on more than one shard (all, and those
+    /// with a fabricating Byzantine sender), and the stale stops their
+    /// walks counted.
     logged: u64,
     logged_sharded: u64,
+    logged_sharded_fabricating: u64,
     logged_stops: u64,
     /// Undisciplined draws with a crash, by order.
     undisciplined: [u64; 3],
 }
 
 const MODES: [PlaneMode; 3] = [PlaneMode::Never, PlaneMode::Always, PlaneMode::Auto];
+/// The stock strategies that declare no uniform message and send
+/// something: their links are fabricated one by one, into the arena the
+/// shards split.
+const FABRICATING: [&str; 2] = ["two-faced", "random-noise"];
 /// The walk counters a logged run must move as its unlogged twin does.
 const WALK: [usize; 4] = [WORD_STEPS, CUT_WORDS, UNINDEXED_ROUNDS, STALE_STOPS];
 
@@ -653,7 +661,8 @@ fn check(cfg: &Config, what: &str, cov: &mut Coverage) -> [u64; COUNTERS] {
         Shuffled(_) => 2,
     };
     let has_plane = cfg.factory().has_plane();
-    let sharded = cfg.shards > 1 && cfg.byz.is_empty();
+    let sharded = cfg.shards > 1;
+    let fabricating = sharded && cfg.byz.iter().any(|(_, name)| FABRICATING.contains(name));
     let mut walked = [0; COUNTERS];
     for (m, plane) in MODES.into_iter().enumerate() {
         if plane == PlaneMode::Always && !has_plane {
@@ -664,6 +673,7 @@ fn check(cfg: &Config, what: &str, cov: &mut Coverage) -> [u64; COUNTERS] {
         assert_same(&expect, &got, &what);
         cov.runs[order][usize::from(sparse)][m] += 1;
         cov.sharded[usize::from(sparse)] += u64::from(sharded);
+        cov.sharded_fabricating[usize::from(sparse)] += u64::from(fabricating);
         cov.sparse_byz += u64::from(sparse && !cfg.byz.is_empty());
         walked = std::array::from_fn(|c| walked[c] + counted[c]);
         if cfg.logged && plane == [PlaneMode::Never, PlaneMode::Always][usize::from(has_plane)] {
@@ -679,6 +689,7 @@ fn check(cfg: &Config, what: &str, cov: &mut Coverage) -> [u64; COUNTERS] {
     if cfg.logged {
         cov.logged += 1;
         cov.logged_sharded += u64::from(sharded);
+        cov.logged_sharded_fabricating += u64::from(fabricating);
         cov.logged_stops += walked[STALE_STOPS];
     }
     if matches!(cfg.links, Links::Undisciplined(_)) && cfg.crash.fault_count() > 0 {
@@ -721,10 +732,19 @@ fn simulation_matches_the_naive_round_executor() {
         "sharded runs by link form: {:?}",
         cov.sharded
     );
+    assert!(
+        cov.sharded_fabricating.iter().all(|&c| c > 0),
+        "sharded runs with a fabricating Byzantine sender by link form: {:?}",
+        cov.sharded_fabricating
+    );
     assert!(cov.sparse_byz > 0, "no Byzantine run on sparse links");
     assert!(
         cov.quantized > 0 && cov.logged_sharded > 0,
         "no quantized or no sharded logged draw"
+    );
+    assert!(
+        cov.logged_sharded_fabricating > 0,
+        "no sharded logged draw with a fabricating Byzantine sender"
     );
     assert!(
         cov.undisciplined.iter().all(|&c| c > 0),
