@@ -77,6 +77,12 @@ fn run(args: Vec<String>) -> Result<(), String> {
         other => return Err(format!("unknown algorithm {other:?}")),
     };
 
+    // The two trimming baselines assert that trimming `f` from each end
+    // leaves a value.
+    if matches!(algo, "full-exchange" | "bac") && n < 3 * f + 1 {
+        return Err(format!("{algo} requires n >= 3f + 1, got n = {n}, f = {f}"));
+    }
+
     let spec = parse_spec(flags.get("adversary").unwrap_or("complete"))?;
     // The two specs whose bounds depend on the system size.
     let group = (n + 3 * f) / 2;
@@ -192,10 +198,18 @@ mod tests {
             "--adversary random:nan",
             "--adversary figure1",
             "--adversary theorem10",
+            "--algo full-exchange --n 3 --f 1",
+            "--algo bac --n 5 --f 2",
         ] {
             assert!(run(line(bad)).is_err(), "{bad}");
         }
-        let ok = "--algo dbac --n 11 --f 2 --adversary dbac-threshold --byz two-faced --crash 0@3";
-        assert_eq!(run(line(ok)), Ok(()));
+        for ok in [
+            "--algo dbac --n 11 --f 2 --adversary dbac-threshold --byz two-faced --crash 0@3",
+            // The history is reserved up to `pend` entries, not `k`.
+            "--algo full-exchange --k 100000000000",
+            "--algo dbac-piggyback --k 100000000000",
+        ] {
+            assert_eq!(run(line(ok)), Ok(()), "{ok}");
+        }
     }
 }

@@ -29,8 +29,8 @@
 //!
 //! The trait and plane paths must agree on every aggregate (instances
 //! decided/aborted, total rounds, min dynaDegree) — only the wall clock
-//! may differ; the per-instance byte equality behind that claim is
-//! fuzzed in `tests/service_equivalence.rs`.
+//! may differ; behind that claim, `tests/reference_round.rs` holds every
+//! instance on either path to its naive round executor.
 //!
 //! The registry entry runs a reduced n (and fewer instances) so
 //! `run_all` stays quick; `exp 20 --n 256` is the

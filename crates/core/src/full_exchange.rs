@@ -70,7 +70,9 @@ impl FullExchange {
             phase: Phase::ZERO,
             ports_seen: vec![false; params.n()],
             collected: vec![input],
-            history: VecDeque::with_capacity(k),
+            // At most one entry per completed phase: `pend` bounds the
+            // history whatever `k` asks for.
+            history: VecDeque::with_capacity(usize::try_from(pend).map_or(k, |p| k.min(p))),
             output: if pend == 0 { Some(input) } else { None },
         }
     }

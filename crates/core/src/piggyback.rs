@@ -44,11 +44,7 @@ impl DbacPiggyback {
     /// Creates a node that piggybacks up to `history_len` past states,
     /// terminating at the paper's Eq. (6) phase.
     pub fn new(params: Params, input: Value, history_len: usize) -> Self {
-        DbacPiggyback {
-            inner: Dbac::new(params, input),
-            history_len,
-            history: VecDeque::with_capacity(history_len),
-        }
+        DbacPiggyback::with_pend(params, input, history_len, params.dbac_pend())
     }
 
     /// Creates a node with an explicit termination phase.
@@ -56,7 +52,11 @@ impl DbacPiggyback {
         DbacPiggyback {
             inner: Dbac::with_pend(params, input, pend),
             history_len,
-            history: VecDeque::with_capacity(history_len),
+            // At most one entry per completed phase: `pend` bounds the
+            // history whatever `history_len` asks for.
+            history: VecDeque::with_capacity(
+                usize::try_from(pend).map_or(history_len, |p| history_len.min(p)),
+            ),
         }
     }
 

@@ -152,14 +152,14 @@ use crate::{probe, trim, Algorithm, WireIndex};
 ///   sender id (kernels only); the callers of
 ///   [`AlgorithmPlane::receive`] — the trial lanes, the benchmark's stage
 ///   replay — key their own instances by real ports;
-/// * [`AlgorithmPlane::receive`], [`AlgorithmPlane::receive_many`] and
-///   [`AlgorithmPlane::deliver_from_sender`] are the same semantics one
-///   link, one receiver's batch, or one sender's fan-out at a time. The
-///   columnar planes' `receive` is their per-link step, which the
-///   trial-lane adaptor ([`Lanes`](crate::Lanes)) runs on every lane; the
-///   other two are **replay-only**: no engine path calls them any more,
-///   and they stay (behaviour unchanged) only until the benchmark's stage
-///   replay is ported to the shard kernels.
+/// * [`AlgorithmPlane::receive`] is the per-link step, which the
+///   trial-lane adaptor ([`Lanes`](crate::Lanes)) runs on every lane.
+///   [`AlgorithmPlane::receive_many`] and
+///   [`AlgorithmPlane::deliver_from_sender`] are provided on top of it —
+///   one receiver's batch, or one sender's fan-out, one `receive` per
+///   link — and no plane overrides them. They are **replay-only**: no
+///   engine path calls them, and they stay only until the benchmark's
+///   stage replay is ported to the shard kernels.
 pub trait AlgorithmPlane: fmt::Debug {
     /// Number of node slots (the system size `n`).
     fn n(&self) -> usize;
@@ -205,11 +205,14 @@ pub trait AlgorithmPlane: fmt::Debug {
     /// Replay-only (see the trait docs). Delivers one sender's staged
     /// broadcast `msg` (already passed through
     /// [`AlgorithmPlane::encode_wire`]) to every receiver in `receivers`,
-    /// in ascending receiver order. `ports[v]` is the local port receiver
-    /// `v` hears this sender on (the sender's transposed port column).
-    /// The sender itself is never in `receivers` (self-delivery is
-    /// internal to every algorithm).
-    fn deliver_from_sender(&mut self, msg: Message, receivers: &NodeSet, ports: &[Port]);
+    /// in ascending receiver order, one [`AlgorithmPlane::receive`] per
+    /// link. `ports[v]` is the local port receiver `v` hears this sender
+    /// on (the sender's transposed port column). The sender itself is
+    /// never in `receivers` (self-delivery is internal to every
+    /// algorithm).
+    fn deliver_from_sender(&mut self, msg: Message, receivers: &NodeSet, ports: &[Port]) {
+        receivers.for_each(|v| self.receive(v.index(), ports[v.index()], &[msg]));
+    }
 
     /// Delivers an arbitrary batch to one receiver, mirroring
     /// `Algorithm::receive` exactly: the per-link step, which the shard
@@ -218,11 +221,8 @@ pub trait AlgorithmPlane: fmt::Debug {
 
     /// Replay-only (see the trait docs). Delivers one round's worth of
     /// single-message links to one receiver, in slice order (each entry
-    /// is one sender's broadcast on the port the receiver hears it on).
-    /// Must be observationally identical to calling
-    /// [`AlgorithmPlane::receive`] once per entry; the default does
-    /// exactly that, while the columnar planes override it to split their
-    /// columns once per receiver instead of per link.
+    /// is one sender's broadcast on the port the receiver hears it on):
+    /// one [`AlgorithmPlane::receive`] per entry.
     fn receive_many(&mut self, receiver: usize, batch: &[(Port, Message)]) {
         for &(port, msg) in batch {
             self.receive(receiver, port, std::slice::from_ref(&msg));
@@ -945,16 +945,6 @@ impl<R: Rule> Cols<'_, R> {
         self.try_advance(v);
     }
 
-    /// [`AlgorithmPlane::receive_many`] at slot `v`. Every entry is one
-    /// single-message link, so no batch order comes into it: this is
-    /// `process` per entry, on views split once.
-    #[inline]
-    fn receive_many(&mut self, v: usize, batch: &[(Port, Message)]) {
-        for &(port, msg) in batch {
-            self.process(v, port, msg);
-        }
-    }
-
     #[inline]
     fn try_advance(&mut self, v: usize) {
         while self.seen_count[v] >= self.foreign_quorum && self.phase[v].as_u64() < self.pend {
@@ -1431,18 +1421,6 @@ impl<R: Rule> AlgorithmPlane for Columnar<R> {
         &self.output
     }
 
-    fn deliver_from_sender(&mut self, msg: Message, receivers: &NodeSet, ports: &[Port]) {
-        let mut cols = self.cols();
-        for (wi, mut word) in receivers.iter_words() {
-            let base = wi * 64;
-            while word != 0 {
-                let v = base + word.trailing_zeros() as usize;
-                word &= word - 1;
-                cols.process(v, ports[v], msg);
-            }
-        }
-    }
-
     fn receive(&mut self, receiver: usize, port: Port, batch: &[Message]) {
         let mut cols = self.cols();
         if !R::ASCENDING_BATCHES || batch.len() == 1 {
@@ -1463,10 +1441,6 @@ impl<R: Rule> AlgorithmPlane for Columnar<R> {
                 next = after(next);
             }
         }
-    }
-
-    fn receive_many(&mut self, receiver: usize, batch: &[(Port, Message)]) {
-        self.cols().receive_many(receiver, batch);
     }
 
     fn fill_shards<'a>(&'a mut self, bounds: &[usize], out: &mut [Option<PlaneShard<'a>>]) {
@@ -1610,10 +1584,6 @@ impl AlgorithmPlane for BoxedPlane {
     fn stage_broadcast(&mut self, sender: usize, _snapshot: Message, out: &mut Batch) {
         self.nodes[sender].broadcast_into(out);
         self.refresh(sender);
-    }
-
-    fn deliver_from_sender(&mut self, msg: Message, receivers: &NodeSet, ports: &[Port]) {
-        receivers.for_each(|v| self.receive(v.index(), ports[v.index()], &[msg]));
     }
 
     fn receive(&mut self, receiver: usize, port: Port, batch: &[Message]) {
@@ -1848,28 +1818,6 @@ mod tests {
     fn for_both_rules(check: impl Fn(&dyn Fn(Params, &[Value], u64) -> Box<dyn AlgorithmPlane>)) {
         check(&|params, inputs, pend| Box::new(DacPlane::with_pend(params, inputs, pend)));
         check(&|params, inputs, pend| Box::new(DbacPlane::with_pend(params, inputs, pend)));
-    }
-
-    #[test]
-    fn receive_many_matches_per_link_receives() {
-        let params = Params::new(6, 1, 0.1).unwrap();
-        let inputs = vec![Value::HALF; 6];
-        let script = [
-            (Port::new(1), msg(0.2, 0)),
-            (Port::new(2), msg(0.9, 0)),
-            (Port::new(3), msg(0.4, 1)),
-            (Port::new(4), msg(0.6, 0)),
-        ];
-        for_both_rules(|make| {
-            let mut bulk = make(params, &inputs, 3);
-            let mut link = make(params, &inputs, 3);
-            bulk.receive_many(2, &script);
-            for &(port, m) in &script {
-                link.receive(2, port, &[m]);
-            }
-            assert_eq!(bulk.phases(), link.phases(), "{}", bulk.name());
-            assert_eq!(bulk.values(), link.values(), "{}", bulk.name());
-        });
     }
 
     /// One scripted link of the kernel fuzz: an honest single-message

@@ -148,10 +148,6 @@ impl AlgorithmPlane for QuantizedPlane {
         snap_staged(out, self.precision);
     }
 
-    fn deliver_from_sender(&mut self, msg: Message, receivers: &NodeSet, ports: &[Port]) {
-        self.inner.deliver_from_sender(msg, receivers, ports);
-    }
-
     fn receive(&mut self, receiver: usize, port: Port, batch: &[Message]) {
         self.inner.receive(receiver, port, batch);
     }

@@ -40,9 +40,11 @@
 //! recording through.
 //!
 //! Each instance is **byte-identical** to a standalone run given the same
-//! membership slice, inputs, and adversary instance stream (fuzzed in
-//! `tests/service_equivalence.rs`): stateful adversaries and Byzantine
-//! strategies reseed per instance through their `begin_instance` hooks.
+//! membership slice, inputs, and adversary instance stream: stateful
+//! adversaries and Byzantine strategies reseed per instance through their
+//! `begin_instance` hooks. `tests/reference_round.rs` holds every
+//! instance — record, node states and windowed watchdog — to its naive
+//! round executor.
 
 use adn_faults::ChurnPlan;
 use adn_graph::{LinkRows, NodeSet, SlidingUnion};

@@ -715,12 +715,12 @@ fn steady_state_step_performs_zero_allocations() {
         window.assert_none(format_args!("{spec} ({mode:?}): 30 steady-state steps"));
     }
 
-    // --- The plane API the engine's row walk does not use: the
-    // replay-only `receive_many` (the columnar planes' own, and the trait
-    // default the boxed plane runs) and `deliver_from_sender`, the per-link
-    // `receive`, and a boxed kernel's `link` driven through a shard — what
-    // the benchmark's stage replay and other callers outside adn-sim drive.
-    // A complete round each time, one path per round in turn. ---
+    // --- The plane API the engine's row walk does not use: the per-link
+    // `receive`, the replay-only `receive_many` and `deliver_from_sender`
+    // (the trait's provided loops over `receive`, on every plane), and a
+    // boxed kernel's `link` driven through a shard — what the benchmark's
+    // stage replay and other callers outside adn-sim drive. A complete
+    // round each time, one path per round in turn. ---
     struct Links<'a>(&'a [(Port, Message)]);
     impl RowWalk for Links<'_> {
         fn walk<K: RowKernel>(self, kernel: &mut K) {

@@ -15,8 +15,20 @@
 //! three delivery orders; every `LinkMode` on up to five shards; event
 //! recording on and off. A table of pinned cells adds what a draw rarely
 //! hits, and coverage floors — on `adn_core::probe`'s counters in a debug
-//! build — make sure the walk's paths were taken. Seeds: `ADN_FUZZ_SEEDS`
-//! (default 300); a failing seed `s` is `draw(s)`.
+//! build — make sure the walk's paths were taken.
+//!
+//! The service leg holds every `ServiceRun` instance to the same
+//! executor: instance `k` is the executor's run of the churn slice at the
+//! instance's start round, the input stream's vector `k` and the
+//! adversary's and strategies' instance stream `k`. It compares the
+//! instance record (outcome, rounds, start round, participants, decided,
+//! validity, agreement), every node's output and final value, and the
+//! watchdog's `min_dyna_degree` against Def. 1's windowed union over the
+//! executor's realized rounds, concatenated across instances, so windows
+//! straddle instance boundaries.
+//!
+//! Seeds: `ADN_FUZZ_SEEDS` (default 300); a failing seed `s` is `draw(s)`,
+//! or `draw_service(s)` for the service leg.
 
 use anondyn::adversary::AdversarySpec::{
     AlternatingComplete, Complete, DacThreshold, DbacThreshold, PartitionHalves, Random, Rotating,
@@ -144,6 +156,11 @@ struct Config {
     links: Links,
     byz: Vec<(NodeId, &'static str)>,
     crash: CrashSchedule,
+    inputs: Vec<Value>,
+    /// The service instance the run is: the executor hands it to the
+    /// adversary's and the strategies' `begin_instance` (0, each one's
+    /// construction stream, for a standalone run).
+    instance: u64,
     order: DeliveryOrder,
     link_mode: LinkMode,
     shards: usize,
@@ -183,6 +200,41 @@ impl Config {
     fn strategy(&self, k: usize) -> Box<dyn ByzantineStrategy> {
         strategies::by_name(self.byz[k].1, self.params.n(), self.seed + k as u64)
     }
+
+    /// The engine's builder of this run on `plane`, less its inputs, its
+    /// crashes and its event log.
+    fn builder(&self, plane: PlaneMode) -> SimBuilder {
+        let n = self.params.n();
+        let mut b = Simulation::builder(self.params)
+            .adversary(self.adversary())
+            .ports(PortNumbering::random(n, self.seed))
+            .delivery_order(self.order)
+            .algorithm(self.factory())
+            .algorithm_plane(plane)
+            .link_mode(self.link_mode)
+            .shards(self.shards)
+            .max_rounds(self.max_rounds);
+        for (k, &(id, _)) in self.byz.iter().enumerate() {
+            b = b.byzantine(id, self.strategy(k));
+        }
+        b
+    }
+}
+
+/// The gallery's adversaries at degree `d`, window or period `t` and link
+/// probability `p`.
+fn gallery(d: usize, t: usize, p: f64) -> [AdversarySpec; 9] {
+    [
+        Complete,
+        Rotating { d },
+        Random { p },
+        Spread { t, d },
+        AlternatingComplete { period: t },
+        PartitionHalves,
+        DacThreshold,
+        DbacThreshold,
+        Staggered { d, groups: 1 + t },
+    ]
 }
 
 fn draw(seed: u64) -> Config {
@@ -221,17 +273,7 @@ fn draw(seed: u64) -> Config {
     let (d, t) = (1 + rng.next_index(n - 1), 1 + rng.next_index(3));
     let p = 0.2 + 0.7 * rng.next_f64();
     // Complete bursts are verbatim: crashed and silent senders get links.
-    let specs = [
-        Complete,
-        Rotating { d },
-        Random { p },
-        Spread { t, d },
-        AlternatingComplete { period: t },
-        PartitionHalves,
-        DacThreshold,
-        DbacThreshold,
-        Staggered { d, groups: 1 + t },
-    ];
+    let specs = gallery(d, t, p);
     let links = match rng.next_bool(0.2) {
         true => Links::Undisciplined(p),
         false => Links::Spec(specs[rng.next_index(specs.len())]),
@@ -249,6 +291,8 @@ fn draw(seed: u64) -> Config {
         links,
         byz,
         crash,
+        inputs: workload::random(n, seed),
+        instance: 0,
         order,
         link_mode,
         shards: 1 + rng.next_index(5),
@@ -269,6 +313,8 @@ fn pinned() -> [(&'static str, Config, &'static [usize]); 5] {
         links,
         byz: Vec::new(),
         crash: CrashSchedule::new(n),
+        inputs: workload::random(n, 5),
+        instance: 0,
         order: AscendingSenders,
         link_mode: LinkMode::Auto,
         shards: 1,
@@ -345,12 +391,13 @@ fn reference(cfg: &Config) -> Run {
     let (params, n, t_max) = (cfg.params, cfg.params.n(), cfg.max_rounds);
     let factory = cfg.factory();
     let mut adversary = cfg.adversary();
+    adversary.begin_instance(cfg.instance);
     let mut byz: Vec<_> = (0..n).map(|_| None).collect();
     for (k, &(id, _)) in cfg.byz.iter().enumerate() {
-        byz[id.index()] = Some(cfg.strategy(k));
+        let strategy = byz[id.index()].insert(cfg.strategy(k));
+        strategy.begin_instance(cfg.instance);
     }
-    let crash = &cfg.crash;
-    let inputs = workload::random(n, cfg.seed);
+    let (crash, inputs) = (&cfg.crash, &cfg.inputs);
     let mut nodes: Vec<_> = (0..n).map(|i| factory.make(i, inputs[i])).collect();
     let is_byz: Vec<bool> = byz.iter().map(Option::is_some).collect();
     let ports = PortNumbering::random(n, cfg.seed);
@@ -532,24 +579,13 @@ fn reference(cfg: &Config) -> Run {
 /// where a build does not count).
 fn simulated(cfg: &Config, plane: PlaneMode, logged: bool) -> (Run, bool, [u64; COUNTERS]) {
     let n = cfg.params.n();
-    let factory = cfg.factory();
-    let has_plane = factory.has_plane();
-    let mut b = Simulation::builder(cfg.params)
-        .inputs_random(cfg.seed)
-        .adversary(cfg.adversary())
-        .ports(PortNumbering::random(n, cfg.seed))
+    let has_plane = cfg.factory().has_plane();
+    let sim = cfg
+        .builder(plane)
+        .inputs(cfg.inputs.clone())
         .crashes(cfg.crash.clone())
-        .delivery_order(cfg.order)
-        .algorithm(factory)
-        .algorithm_plane(plane)
-        .link_mode(cfg.link_mode)
-        .shards(cfg.shards)
         .record_events(logged)
-        .max_rounds(cfg.max_rounds);
-    for (k, &(id, _)) in cfg.byz.iter().enumerate() {
-        b = b.byzantine(id, cfg.strategy(k));
-    }
-    let sim = b.build();
+        .build();
     let columnar = match plane {
         PlaneMode::Never => false,
         PlaneMode::Always => true,
@@ -698,9 +734,14 @@ fn check(cfg: &Config, what: &str, cov: &mut Coverage) -> [u64; COUNTERS] {
     walked
 }
 
+/// Draws per fuzz: `ADN_FUZZ_SEEDS`, 300 by default.
+fn fuzz_seeds() -> u64 {
+    std::env::var("ADN_FUZZ_SEEDS").map_or(300, |s| s.parse().unwrap())
+}
+
 #[test]
 fn simulation_matches_the_naive_round_executor() {
-    let seeds = std::env::var("ADN_FUZZ_SEEDS").map_or(300, |s| s.parse().unwrap());
+    let seeds = fuzz_seeds();
     let mut cov = Coverage::default();
     for seed in 0..seeds {
         check(&draw(seed), &format!("seed {seed}"), &mut cov);
@@ -766,4 +807,271 @@ fn simulation_matches_the_naive_round_executor() {
     ] {
         assert!(counts[c] > 0, "no {name}");
     }
+}
+
+// --- The service leg: a `ServiceRun` instance is an executor run. ---
+
+/// Instances per service draw.
+const INSTANCES: u64 = 3;
+
+/// A stream of instances over one long-lived engine. Instance `k` is
+/// `base` with the churn plan's slice at the instance's start round, the
+/// stream's inputs for `k` and instance number `k`.
+#[derive(Debug)]
+struct Service {
+    /// Everything but the crashes, the inputs and the instance number.
+    base: Config,
+    churn: ChurnPlan,
+    inputs: InputStream,
+    plane: PlaneMode,
+    /// The watchdog's dynaDegree window `T`.
+    window: usize,
+    /// Whether the churn plan holds any event.
+    churny: bool,
+}
+
+fn draw_down_kind(rng: &mut SplitMix64) -> DownKind {
+    match rng.next_index(3) {
+        0 => DownKind::Graceful,
+        1 => DownKind::Abrupt,
+        _ => DownKind::Flaky {
+            keep_probability: rng.next_f64(),
+            seed: rng.next_u64(),
+        },
+    }
+}
+
+fn draw_service(seed: u64) -> Service {
+    let mut rng = SplitMix64::new(seed ^ 0x5E21);
+    // Most rows fit one word; one draw in sixteen spans two.
+    let n = match rng.next_bool(0.9375) {
+        true => 4 + rng.next_index(13),
+        false => 65 + rng.next_index(16),
+    };
+    let f = rng.next_index(4).min(n - 1);
+    let params = Params::new(n, f, [0.25, 1e-2][rng.next_index(2)]).unwrap();
+    let algo = [Algo::Dac, Algo::Dbac][rng.next_index(2)];
+    let pend = 1 + rng.next_below(5) + u64::from(matches!(algo, Algo::Dbac));
+    let bits = rng.next_bool(0.3).then(|| 3 + rng.next_index(10) as u8);
+    let shuffled = Shuffled(rng.next_u64());
+    let order = [AscendingSenders, DescendingSenders, shuffled][rng.next_index(3)];
+    let r_max = 25 + rng.next_below(36);
+    // The gallery only: a service keeps one adversary across instances,
+    // and `begin_instance` is the whole of its instance stream.
+    // `PartitionHalves` lets nobody decide: the round cap aborts.
+    let (d, t) = (1 + rng.next_index(n - 1), 1 + rng.next_index(3));
+    let specs = gallery(d, t, 0.2 + 0.7 * rng.next_f64());
+    let links = Links::Spec(specs[rng.next_index(specs.len())]);
+    // Byzantine nodes at the high ids, which stay out of the churn plan;
+    // churny nodes at the low ids.
+    let names = strategies::ALL_STRATEGY_NAMES;
+    let byz: Vec<_> = (0..rng.next_index(f + 1))
+        .map(|k| (NodeId::new(n - 1 - k), names[rng.next_index(names.len())]))
+        .collect();
+    let mut churn = ChurnPlan::new(n);
+    let horizon = INSTANCES * r_max + 1;
+    let churny = rng.next_index((n - byz.len()).min(4) + 1);
+    for node in NodeId::all(churny) {
+        match rng.next_index(4) {
+            0 => {
+                let p_down = 0.02 + 0.1 * rng.next_f64();
+                let p_up = 0.2 + 0.4 * rng.next_f64();
+                churn.flap_random(node, p_down, p_up, rng.next_u64(), Round::new(horizon));
+            }
+            1 => {
+                let down_len = 1 + rng.next_below(3);
+                let period = down_len + 2 + rng.next_below(8);
+                let first = Round::new(rng.next_below(r_max));
+                let kind = draw_down_kind(&mut rng);
+                churn.flap_periodic(node, first, down_len, period, kind, Round::new(horizon));
+            }
+            2 => {
+                let at = rng.next_below(horizon);
+                let kind = draw_down_kind(&mut rng);
+                churn.crash(node, Round::new(at), kind);
+                if rng.next_bool(0.7) {
+                    churn.recover(node, Round::new(at + 1 + rng.next_below(20)));
+                }
+            }
+            _ => churn.join(node, Round::new(rng.next_below(horizon / 2 + 1))),
+        }
+    }
+    // A sharded round spawns its shards' threads: one draw in four.
+    let shards = match rng.next_bool(0.25) {
+        true => 2 + rng.next_index(4),
+        false => 1,
+    };
+    let base = Config {
+        params,
+        algo,
+        pend,
+        bits,
+        links,
+        byz,
+        crash: CrashSchedule::new(n),
+        inputs: vec![Value::HALF; n],
+        instance: 0,
+        order,
+        link_mode: [LinkMode::Auto, LinkMode::Dense, LinkMode::Sparse][rng.next_index(3)],
+        shards,
+        logged: false,
+        max_rounds: r_max,
+        seed,
+    };
+    Service {
+        base,
+        churn,
+        inputs: InputStream::random(seed),
+        plane: MODES[rng.next_index(3)],
+        window: [1, 2, 3, 5, 8][rng.next_index(5)],
+        churny: churny > 0,
+    }
+}
+
+/// The least in-degree over `receivers` in the union of the `t` rounds
+/// of `history` that end with round `end` (Def. 1).
+fn least_degree(history: &Schedule, end: usize, t: usize, receivers: &[usize]) -> Option<usize> {
+    let degree = |&v: &usize| {
+        let mut heard = NodeSet::new(history.n());
+        for r in end + 1 - t..=end {
+            let links = history.round(Round::new(r as u64)).unwrap();
+            heard.union_with(links.in_neighbors(NodeId::new(v)));
+        }
+        heard.len()
+    };
+    receivers.iter().map(degree).min()
+}
+
+/// What the service draws covered, for the floors.
+#[derive(Default)]
+struct ServiceCoverage {
+    churny: u64,
+    byzantine: u64,
+    capped: u64,
+    /// Instances that ran, but fewer rounds than their window.
+    short: u64,
+    /// Windows that closed in an instance after opening in an earlier one.
+    straddling: u64,
+    /// Services by plane mode, by link form (dense, sparse), and on more
+    /// than one shard.
+    modes: [u64; 3],
+    links: [u64; 2],
+    sharded: u64,
+}
+
+/// Runs `svc`'s instances and holds each to the executor's run of its
+/// instance, its watchdog to a windowed union over the executor's
+/// realized rounds, concatenated across instances.
+fn check_service(svc: &Service, what: &str, cov: &mut ServiceCoverage) {
+    let (base, n, t) = (&svc.base, svc.base.params.n(), svc.window);
+    let builder = base.builder(svc.plane);
+    let mut service =
+        ServiceRun::new(builder, svc.churn.clone(), svc.inputs.clone()).dyna_window(t);
+    let sim = service.sim();
+    assert_eq!(sim.shards(), base.shards, "{what}: shards");
+    cov.modes[MODES.iter().position(|&m| m == svc.plane).unwrap()] += 1;
+    cov.links[usize::from(sim.uses_sparse_links())] += 1;
+    cov.sharded += u64::from(base.shards > 1);
+    let mut history = Schedule::new(n);
+    for k in 0..INSTANCES {
+        let what = format!("{what}, instance {k}");
+        let rec = service.run_instance();
+        let (start, mut cfg) = (history.len(), base.clone());
+        let start_round = Round::new(start as u64);
+        cfg.instance = k;
+        svc.inputs.fill(k, &mut cfg.inputs);
+        svc.churn.slice_into(start_round, &mut cfg.crash);
+        let expect = reference(&cfg);
+        for (_, links) in expect.schedule.iter() {
+            history.push(links.clone());
+        }
+        let byzantine = |i: usize| cfg.byz.iter().any(|&(b, _)| b.index() == i);
+        let fault_free: Vec<usize> = (0..n)
+            .filter(|&i| !byzantine(i) && !cfg.crash.is_faulty(NodeId::new(i)))
+            .collect();
+        let aborted = |reason| InstanceOutcome::Aborted { reason };
+        let outcome = match expect.reason {
+            _ if fault_free.is_empty() => aborted(AbortReason::NoParticipants),
+            StopReason::AllOutput => InstanceOutcome::Decided,
+            _ => aborted(AbortReason::RoundCap),
+        };
+        assert_eq!(rec.instance, k, "{what}");
+        assert_eq!(rec.start_round, start_round, "{what}: start round");
+        assert_eq!(rec.outcome, outcome, "{what}: outcome");
+        assert_eq!(rec.rounds, expect.rounds, "{what}: rounds");
+        let outputs: Vec<Value> = fault_free
+            .iter()
+            .filter_map(|&i| expect.outputs[i])
+            .collect();
+        assert_eq!(rec.participants, fault_free.len(), "{what}: participants");
+        assert_eq!(rec.decided, outputs.len(), "{what}: decided");
+        let sim = service.sim();
+        let got: Vec<_> = NodeId::all(n).map(|v| sim.output_of(v)).collect();
+        same(&expect.outputs, &got, "outputs", &what);
+        let got: Vec<_> = NodeId::all(n)
+            .map(|v| sim.value_of(v).unwrap_or(Value::HALF))
+            .collect();
+        same(&expect.final_values, &got, "values", &what);
+        // Def. 3 against the non-Byzantine inputs; ε-agreement over every
+        // fault-free node.
+        let hull = ValueInterval::of((0..n).filter(|&i| !byzantine(i)).map(|i| cfg.inputs[i]));
+        let validity = outputs.iter().all(|&v| hull.is_none_or(|h| h.contains(v)));
+        let range = ValueInterval::of(outputs.iter().copied()).map_or(0.0, ValueInterval::range);
+        let agreement = outputs.len() == fault_free.len() && range <= cfg.params.eps() + 1e-12;
+        let verdicts = (rec.validity, rec.agreement, rec.output_range);
+        assert_eq!(verdicts, (validity, agreement, range), "{what}: verdicts");
+        // Def. 1: every window of `t` rounds that closes during the
+        // instance, over its fault-free receivers.
+        let closed = (start..history.len()).filter(|&end| end + 1 >= t);
+        let least = closed
+            .clone()
+            .filter_map(|end| least_degree(&history, end, t, &fault_free))
+            .min();
+        assert_eq!(
+            rec.min_dyna_degree, least,
+            "{what}: min dynaDegree, T = {t}"
+        );
+        cov.capped += u64::from(expect.rounds > 0 && expect.reason == StopReason::MaxRounds);
+        cov.short += u64::from((1..t as u64).contains(&rec.rounds));
+        cov.straddling += closed.filter(|&end| end + 1 - t < start).count() as u64;
+    }
+    let rounds = history.len() as u64;
+    assert_eq!(service.total_rounds(), rounds, "{what}: total rounds");
+    cov.churny += u64::from(svc.churny);
+    cov.byzantine += u64::from(!base.byz.is_empty());
+}
+
+#[test]
+fn service_instances_match_the_naive_round_executor() {
+    let seeds = fuzz_seeds();
+    let mut cov = ServiceCoverage::default();
+    for seed in 0..seeds {
+        let svc = draw_service(seed);
+        check_service(&svc, &format!("service seed {seed}"), &mut cov);
+    }
+    if seeds < 100 {
+        return;
+    }
+    let (churny, byzantine, capped) = (cov.churny, cov.byzantine, cov.capped);
+    assert!(churny >= seeds / 3, "only {churny}/{seeds} churny draws");
+    assert!(
+        byzantine >= seeds / 8,
+        "only {byzantine}/{seeds} Byzantine draws"
+    );
+    assert!(
+        capped >= seeds / 8,
+        "only {capped} round-cap aborts over {seeds} draws"
+    );
+    assert!(cov.short > 0, "no instance shorter than its window");
+    assert!(cov.straddling > 0, "no window across an instance boundary");
+    let (modes, links) = (cov.modes, cov.links);
+    assert!(
+        modes.iter().all(|&c| c > 0),
+        "services by plane mode: {modes:?}"
+    );
+    assert!(
+        links.iter().all(|&c| c > 0),
+        "services by link form: {links:?}"
+    );
+    assert!(cov.sharded > 0, "no sharded service");
 }

@@ -16,6 +16,11 @@
 //! and final values, and the membership accounting against a
 //! freshly-built oracle.
 //!
+//! The stronger reference is the naive round executor in
+//! `tests/reference_round.rs` (`service_instances_match_the_naive_round_executor`),
+//! which also checks every instance's windowed watchdog against Def. 1's
+//! union; the engine-against-engine checks here are a second opinion.
+//!
 //! Seed count defaults to 300; override with `ADN_FUZZ_SEEDS` (CI runs a
 //! reduced count to keep the job fast).
 
