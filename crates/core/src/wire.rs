@@ -30,7 +30,7 @@
 //! ids sorted by wire value, and per block of consecutive ranks the id mask
 //! of its senders, so that a stretch of ranks the receiver heard nothing
 //! from is passed over with one AND per row word. Inside a block the walk
-//! gathers the pending bits of [`GATHER`] ranks at a time into a mask,
+//! gathers the pending bits of `GATHER` (16) ranks at a time into a mask,
 //! without a branch, and visits only its set bits: "is this sender
 //! pending?" is never a branch. `O(n)` words, built once per round, and
 //! only for Alg. 2's planes.

@@ -383,8 +383,8 @@ fn deliver_rows<L: LinkRows>(
 /// per-link rule to the run's one link store on the fly. A link `u → v`
 /// delivered iff `v` executed the round and `u`'s class says so — every
 /// link of a Present sender, a Partial sender's links that survived its
-/// crash, a Byzantine sender's links whose batch in the round's arena
-/// ([`Fabricated`]) is not empty, and no Silent sender's. `O(row)` per receiver, a
+/// crash, a Byzantine sender's links whose batch in the round's
+/// fabrication arena is not empty, and no Silent sender's. `O(row)` per receiver, a
 /// word at a time on words and run rows, whichever form the store holds.
 /// Obtain via [`Simulation::realized_rows`].
 #[derive(Debug)]

@@ -138,7 +138,7 @@ pub struct InstanceRecord {
 }
 
 /// A long-lived service executing repeated consensus instances under
-/// churn. See the [module docs](self) for the model.
+/// churn. The `service` module docs describe the model.
 ///
 /// ```
 /// use adn_faults::{ChurnPlan, DownKind};

@@ -634,21 +634,3 @@ fn sparse_service_scales_to_16k() {
     }
     assert_eq!(svc.total_rounds(), 12);
 }
-
-/// The service's global clock is the churn-slicing axis: an instance's
-/// start round equals the sum of the rounds every earlier instance
-/// executed, so a node that crashes mid-instance k and recovers before
-/// the next boundary is back — with fresh state and a fresh input — in
-/// instance k + 1.
-#[test]
-fn start_rounds_chain_across_instances() {
-    let cfg = draw(11);
-    let mut svc = service(&cfg, PlaneMode::Always);
-    let mut expected_start = 0u64;
-    for _ in 0..cfg.instances {
-        let rec = svc.run_instance();
-        assert_eq!(rec.start_round, Round::new(expected_start));
-        expected_start += rec.rounds;
-    }
-    assert_eq!(svc.total_rounds(), expected_start);
-}
