@@ -1,531 +1,82 @@
+//! The round engine: one [`Simulation`] executes §II-A's round as one
+//! pipeline, whatever holds the nodes' state.
+//!
+//! The paper's model has one round structure — snapshot, the adversary
+//! picks `E(t)`, every fault-free receiver processes its in-links in some
+//! order, end of round — and [`Simulation::step`] is that list, one
+//! private method per stage:
+//!
+//! 1. **classify** — the snapshot of the non-Byzantine states, and one
+//!    pass over the senders that gives each its delivery class (Present,
+//!    Partial, Byzantine, Silent) and stages each transmitting honest
+//!    sender's broadcast once (`AlgorithmPlane::stage_broadcast`, into the
+//!    round arena's persistent batches); a Byzantine sender that sends one
+//!    message to everyone is staged here too, and classed Present;
+//! 2. **fill_links** — the adversary writes `E(t)` into the run's one link
+//!    store (`LinkPlane`: words, or id-range runs and CSR rows — a form
+//!    fixed at build, see [`LinkMode`]);
+//! 3. **order_senders** — the round's shared sender permutation under the
+//!    non-ascending [`DeliveryOrder`]s, and its conditional senders;
+//! 4. **fabricate** — every chosen link of a fabricating Byzantine sender,
+//!    into one per-round arena, on the stepping thread;
+//! 5. **stage_wire** — the head of every staged batch into two wire
+//!    columns, and the round's wire index when the receivers take their
+//!    links a word at a time;
+//! 6. **deliver** — the row walk: one receiver-major delivery routine over
+//!    the plane's shards ([`walk`]);
+//! 7. **end_round** — the plane's end-of-round hook, then one sweep for
+//!    `V(p)` and the event log;
+//! 8. **trace_and_stop** — the round trace and the stop conditions.
+//!
+//! A logged round's deliveries and a recorded schedule are read off the
+//! round's realized links between 6 and 7 ([`realized`]).
+//!
+//! **State backends.** What holds the nodes' state is the one thing that
+//! varies, behind `adn_core::AlgorithmPlane` (see `adn_core::plane`): boxed
+//! state machines, one per node — the semantic reference, and the backend
+//! of every algorithm that only implements `Algorithm` — or a columnar
+//! plane for DAC and DBAC, with no virtual call per link.
+//! [`SimBuilder::algorithm_plane`](crate::SimBuilder::algorithm_plane)
+//! only picks which of the two the factory builds ([`PlaneMode`]); no other
+//! setting restricts the choice. Wire formats are orthogonal:
+//! `quantized_factory` wraps the boxed nodes and the columnar plane alike,
+//! and snaps what each sender stages once per round (every receiver sees
+//! the same encoded value); Byzantine fabrications bypass the encoder.
+//!
+//! **Determinism contract.** The columnar planes are observationally
+//! identical to boxed nodes under every delivery order — outputs, phase
+//! multisets, traces, realized schedule, traffic and event log — because
+//! both run the same walk over the same senders in the same order,
+//! receivers never interact within a round, and the links the walk stops
+//! feeding a columnar receiver are exactly those its algorithm ignores.
+//! `tests/reference_round.rs` holds every plane mode, link form, shard
+//! count, order and fault mix to a naive per-link round executor that
+//! shares none of this machinery.
+
+mod realized;
+mod walk;
+
+pub use realized::RealizedRows;
+pub use walk::DeliveryOrder;
+
 use adn_adversary::{Adversary, AdversaryView};
 // The walk's test counters are compiled out of a release build here, not
 // only emptied in adn-core: a branch around the empty call still moved the
 // walk's register allocation.
 #[cfg(debug_assertions)]
 use adn_core::probe;
-use adn_core::{
-    AlgorithmPlane, PlaneShard, RowKernel, RowWalk, StagedWire, WireIndex, MAX_PLANE_SHARDS,
-};
+use adn_core::{AlgorithmPlane, PlaneShard, StagedWire, WireIndex, MAX_PLANE_SHARDS};
 use adn_faults::{ByzContext, ByzantineStrategy, CrashSchedule, Uniform};
-use adn_graph::{EdgeSet, LinkPlane, LinkRows, NodeSet, Schedule};
-use adn_net::{PortNumbering, PortRow, RoundBuffers, SenderClass, Traffic};
+use adn_graph::{LinkPlane, Schedule};
+use adn_net::{PortNumbering, RoundBuffers, SenderClass, Traffic};
 use adn_types::{Batch, Message, NodeId, Params, Phase, Round, Value, ValueInterval};
-
-use adn_types::rng::SplitMix64;
 
 use crate::builder::{LinkMode, PlaneMode, SimBuilder};
 use crate::observer::{Observer, RoundTrace};
 use crate::outcome::{Outcome, StopReason};
 use crate::pool::fan_out;
 use crate::trace::{Event, EventLog};
-
-/// The shared read-only context of one round's delivery — one bundle
-/// every shard's walk borrows.
-struct PlaneRound<'a> {
-    /// The round's shared sender permutation under the non-ascending
-    /// delivery orders; `None` walks each receiver's row ascending.
-    perm: Option<&'a [NodeId]>,
-    classes: &'a [SenderClass],
-    /// The round's Partial and fabricating Byzantine senders with their
-    /// positions in the sender order (see [`scan_senders`]), in that order.
-    conditional: &'a [(usize, NodeId)],
-    honest: &'a NodeSet,
-    /// Every sender but the Silent ones.
-    active: &'a NodeSet,
-    unconditional: &'a NodeSet,
-    crash: &'a CrashSchedule,
-    ports: &'a PortNumbering,
-    /// What every transmitting non-Byzantine sender staged at the start of
-    /// the round — **not** read from the live plane, whose state mutates
-    /// as the round delivers.
-    wire: StagedWire<'a>,
-    /// The round's Present senders by wire phase, when the round's
-    /// receivers take their links a word at a time: word kernels, fed
-    /// ascending in stretches, and no more distinct wire phases than the
-    /// index holds.
-    index: Option<&'a WireIndex>,
-    /// The highest staged wire phase: past it (or decided) a columnar
-    /// receiver ignores every further honest link of the round.
-    max_wire_phase: Phase,
-    t: Round,
-}
-
-/// One shard's exclusive round state: its plane slice, its receivers'
-/// fabricated batches and its traffic meter (merged back in shard order:
-/// the deterministic input-ordered merge).
-struct ShardCtx<'a> {
-    shard: PlaneShard<'a>,
-    fabricated: FabricatedSlice<'a>,
-    traffic: Traffic,
-}
-
-/// The round's fabricated batches ([`Simulation::fabricate`]): each
-/// honest receiver, ascending, its Byzantine links in the round's sender
-/// order, the order the walk meets them in. A link fabricated nothing for
-/// (missed) holds an empty batch. Read by the walk, [`RealizedRows`] and
-/// the log.
-#[derive(Debug)]
-struct Fabricated {
-    /// `(receiver, sender, message count)` of each chosen link.
-    links: Vec<(NodeId, NodeId, usize)>,
-    /// The links' messages, concatenated in `links` order.
-    messages: Batch,
-}
-
-/// How many messages `u` fabricated for `v` among a round's `links`: 0
-/// when the link missed or was not chosen.
-fn fabricated_len(links: &[(NodeId, NodeId, usize)], u: NodeId, v: NodeId) -> usize {
-    let first = links.partition_point(|l| l.0 < v);
-    let mut own = links[first..].iter().take_while(|l| l.0 == v);
-    own.find(|l| l.1 == u).map_or(0, |l| l.2)
-}
-
-/// A part of the round's [`Fabricated`] arena: one shard's receivers',
-/// taken front to back as the walk meets their links.
-#[derive(Default)]
-struct FabricatedSlice<'a> {
-    links: &'a [(NodeId, NodeId, usize)],
-    messages: &'a mut [Message],
-}
-
-#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-impl<'a> FabricatedSlice<'a> {
-    /// Takes the first `k` links, with their messages, off the front.
-    fn take_front(&mut self, k: usize) -> FabricatedSlice<'a> {
-        let (links, rest) = self.links.split_at(k);
-        self.links = rest;
-        let len = links.iter().map(|&(_, _, len)| len).sum();
-        let (messages, rest) = std::mem::take(&mut self.messages).split_at_mut(len);
-        self.messages = rest;
-        FabricatedSlice { links, messages }
-    }
-
-    /// The next link's batch, `u`'s for `v`; `None` if the link missed.
-    fn take(&mut self, u: NodeId, v: NodeId) -> Option<&'a mut [Message]> {
-        let &(receiver, sender, _) = self.links.first()?;
-        debug_assert_eq!(
-            (receiver, sender),
-            (v, u),
-            "links are met in the arena's order"
-        );
-        Some(self.take_front(1).messages).filter(|batch| !batch.is_empty())
-    }
-}
-
-/// Calls `f` for receiver `v`'s senders in the round's order, from
-/// position `from`, until it returns `false`; returns that sender and its
-/// position (`None` once the senders are exhausted). Positions are sender
-/// ids under ascending delivery and indices into the round's shared
-/// permutation otherwise; scanning again from the returned position `+ 1`
-/// continues behind the sender that ended the scan.
-#[inline(always)]
-fn scan_senders<L: LinkRows>(
-    perm: Option<&[NodeId]>,
-    links: &L,
-    v: NodeId,
-    from: usize,
-    mut f: impl FnMut(NodeId) -> bool,
-) -> Option<(usize, NodeId)> {
-    match perm {
-        None => links.scan_in(v, from, f).map(|u| (u.index(), u)),
-        // The permutation already holds every sender that can deliver
-        // anything, in order; per receiver only the chosen-link
-        // membership test remains.
-        Some(perm) => perm
-            .iter()
-            .enumerate()
-            .skip(from)
-            .find(|&(_, &u)| links.contains(u, v) && !f(u))
-            .map(|(k, &u)| (k, u)),
-    }
-}
-
-/// Feeds receiver `v`'s Present links into `kernel`, in the round's
-/// sender order from position `from` on (see [`scan_senders`]), until the
-/// receiver goes stale (returns that link, consumed) or a Partial or
-/// Byzantine sender is next (returns it, untouched). Silent senders are
-/// passed over. The links fed are metered into `fed`, once per call.
-/// `keys` is the row the kernel tells `v`'s senders apart by.
-///
-/// The one loop a round spends its time in, so it is its own function:
-/// nothing but the kernel's link step inside it, and code generation that
-/// does not depend on what it would be inlined next to.
-#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-#[inline(never)]
-fn feed_present<L: LinkRows, K: RowKernel>(
-    env: &PlaneRound<'_>,
-    links: &L,
-    v: NodeId,
-    keys: PortRow<'_>,
-    from: usize,
-    kernel: &mut K,
-    fed: &mut Traffic,
-) -> Option<(usize, NodeId)> {
-    // One length for all three per-sender columns, so one range check on
-    // the sender id covers them.
-    let classes = env.classes;
-    let wire = StagedWire {
-        phase: &env.wire.phase[..classes.len()],
-        value: &env.wire.value[..classes.len()],
-        batches: &env.wire.batches[..classes.len()],
-    };
-    // Metered as one message per link plus the difference, so a kernel
-    // whose every batch is one message leaves only the link count in the
-    // loop.
-    let (mut n_links, mut surplus, mut max_batch) = (0u64, 0i64, 0usize);
-    let stop = scan_senders(
-        env.perm,
-        links,
-        v,
-        from,
-        #[inline(always)]
-        |u| {
-            let u_idx = u.index();
-            match classes[u_idx] {
-                SenderClass::Present => {
-                    let k = kernel.staged(keys.port(u), u_idx, &wire);
-                    n_links += 1;
-                    surplus += k as i64 - 1;
-                    max_batch = max_batch.max(k);
-                    kernel.live()
-                }
-                class => class == SenderClass::Silent,
-            }
-        },
-    );
-    let messages = n_links.wrapping_add_signed(surplus);
-    fed.record_deliveries(n_links, messages, max_batch as u64);
-    stop
-}
-
-/// One honest receiver's round: its senders, in the round's order, fed
-/// straight into the receiver's kernel — the body of the one delivery
-/// routine ([`deliver_rows`]).
-struct ReceiverWalk<'r, 'a, L> {
-    env: &'r PlaneRound<'r>,
-    links: &'r L,
-    v: NodeId,
-    traffic: &'r mut Traffic,
-    fabricated: &'r mut FabricatedSlice<'a>,
-}
-
-impl<L: LinkRows> RowWalk for ReceiverWalk<'_, '_, L> {
-    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-    #[inline(always)]
-    fn walk<K: RowKernel>(self, kernel: &mut K) {
-        let ReceiverWalk {
-            env,
-            links,
-            v,
-            traffic,
-            fabricated,
-        } = self;
-        // What the kernel tells `v`'s senders apart by: their ids on a
-        // word kernel, `v`'s own ports otherwise.
-        let keys = if K::WORDS {
-            PortRow::identity(env.classes.len())
-        } else {
-            env.ports.ports_of(v)
-        };
-        // The Present links, metered once per receiver. They count as
-        // delivered whether or not they are still fed: traffic and the
-        // realized graph are what the network delivered, not what the
-        // receiver made of it.
-        let mut fed = Traffic::new();
-        // One conditional link on its own, at its position in the sender
-        // order: metered and fed (a fabrication may carry any phase).
-        // Present links are fed by the stretches and word steps, never
-        // here.
-        let mut deliver_link = |u: NodeId, kernel: &mut K| {
-            let key = keys.port(u);
-            let batch_len = match env.classes[u.index()] {
-                SenderClass::Partial if env.crash.delivers(u, env.t, v) => {
-                    kernel.staged(key, u.index(), &env.wire)
-                }
-                SenderClass::Byzantine => {
-                    let Some(batch) = fabricated.take(u, v) else {
-                        return;
-                    };
-                    kernel.batch(key, batch);
-                    batch.len()
-                }
-                // Silent senders, a Partial sender's dead links, and the
-                // Present link a stretch ended at (it made the receiver
-                // stale, and was fed).
-                _ => return,
-            };
-            traffic.record_delivery(batch_len);
-        };
-        // Where the walk left the row because the receiver went stale (a
-        // position in the sender order): the first provably stale link
-        // ends it, and of the senders from there on only the round's
-        // conditional ones are still visited.
-        let mut stale_from = None;
-        match env.index {
-            // A word kernel takes the Present links 64 senders per step:
-            // each chunk of the row as stretches cut in front of every
-            // conditional sender in it, which is delivered on its own in
-            // between. All of them are metered in one sweep, one message
-            // each.
-            Some(index) if K::WORDS => {
-                let (active, present) = (env.active.words(), env.unconditional.words());
-                links.scan_words_in(v, |w, bits| {
-                    if !kernel.live() {
-                        #[cfg(debug_assertions)]
-                        probe::bump(probe::STALE_STOPS);
-                        stale_from = Some(w * 64 + bits.trailing_zeros() as usize);
-                        return false;
-                    }
-                    let mut stretch = bits & present[w];
-                    let mut conditional = bits & active[w] & !present[w];
-                    while conditional != 0 {
-                        let b = conditional.trailing_zeros();
-                        conditional &= conditional - 1;
-                        let before = stretch & ((1 << b) - 1);
-                        #[cfg(debug_assertions)]
-                        if before != 0 && stretch != before {
-                            probe::bump(probe::CUT_WORDS);
-                        }
-                        kernel.word(w, before, &env.wire, index);
-                        stretch ^= before;
-                        deliver_link(NodeId::new(w * 64 + b as usize), kernel);
-                    }
-                    #[cfg(debug_assertions)]
-                    if stretch != 0 {
-                        probe::bump(probe::WORD_STEPS);
-                    }
-                    kernel.word(w, stretch, &env.wire, index);
-                    true
-                });
-                let present = links.in_degree_within(v, env.unconditional) as u64;
-                fed.record_uniform_deliveries(present, 1);
-            }
-            // While the receiver is live: stretches of Present links,
-            // each ending behind the link that made it stale or in front
-            // of a conditional sender. A boxed kernel is always live, so
-            // it is fed every link.
-            _ => {
-                let mut from = 0;
-                let stale = loop {
-                    if !kernel.live() {
-                        break true;
-                    }
-                    let next = feed_present(env, links, v, keys, from, kernel, &mut fed);
-                    let Some((pos, u)) = next else { break false };
-                    from = pos + 1;
-                    deliver_link(u, kernel);
-                };
-                // The Present links the row still holds are counted in one
-                // sweep (one message each — only single-message kernels go
-                // stale).
-                if stale {
-                    let present = links.in_degree_within(v, env.unconditional) as u64;
-                    fed.record_uniform_deliveries(present - fed.deliveries(), 1);
-                    #[cfg(debug_assertions)]
-                    probe::bump(probe::STALE_STOPS);
-                    stale_from = Some(from);
-                }
-            }
-        }
-        if let Some(from) = stale_from {
-            for &(pos, u) in env.conditional {
-                if pos >= from && links.contains(u, v) {
-                    deliver_link(u, kernel);
-                }
-            }
-        }
-        traffic.merge(&fed);
-    }
-}
-
-/// The one delivery routine, for receivers `lo..hi` (the whole plane, or
-/// one shard's range): each honest receiver, ascending, walks its senders
-/// in the round's order and applies them to its kernel
-/// ([`ReceiverWalk`]). Generic over the link rows — dense bit rows and
-/// run/CSR rows are just row kinds — and, through the shard, over the
-/// plane it feeds.
-#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-fn deliver_rows<L: LinkRows>(
-    env: &PlaneRound<'_>,
-    links: &L,
-    (lo, hi): (usize, usize),
-    ctx: &mut ShardCtx<'_>,
-) {
-    for v_idx in lo..hi {
-        let v = NodeId::new(v_idx);
-        // Byzantine "receivers" have no state; nodes that have crashed no
-        // longer process input (a node crashing at t sends its final
-        // partial broadcast but does not transition). Both are exactly
-        // the complement of the round's `honest` set.
-        if !env.honest.contains(v) {
-            continue;
-        }
-        ctx.shard.deliver_row(
-            v_idx,
-            env.max_wire_phase,
-            ReceiverWalk {
-                env,
-                links,
-                v,
-                traffic: &mut ctx.traffic,
-                fabricated: &mut ctx.fabricated,
-            },
-        );
-    }
-}
-
-/// A read-only [`LinkRows`] view of the links that actually **delivered**
-/// in the round the last `step` executed — the realized round graph that
-/// the dynaDegree safety condition quantifies over.
-///
-/// Nothing is materialized: the view re-applies the delivery walk's
-/// per-link rule to the run's one link store on the fly. A link `u → v`
-/// delivered iff `v` executed the round and `u`'s class says so — every
-/// link of a Present sender, a Partial sender's links that survived its
-/// crash, a Byzantine sender's links whose batch in the round's
-/// fabrication arena is not empty, and no Silent sender's. `O(row)` per receiver, a
-/// word at a time on words and run rows, whichever form the store holds.
-/// Obtain via [`Simulation::realized_rows`].
-#[derive(Debug)]
-pub struct RealizedRows<'a> {
-    links: &'a LinkPlane,
-    honest: &'a NodeSet,
-    /// The round's sender classes: its non-Silent senders, those of them
-    /// whose links all deliver (Present), and the rest of them, Partial
-    /// and Byzantine (see [`PlaneRound::conditional`]).
-    active: &'a NodeSet,
-    unconditional: &'a NodeSet,
-    conditional: &'a [(usize, NodeId)],
-    classes: &'a [SenderClass],
-    crash: &'a CrashSchedule,
-    fabricated: &'a [(NodeId, NodeId, usize)],
-    /// The executed round (the crash-survivor axis).
-    t: Round,
-}
-
-impl RealizedRows<'_> {
-    /// Whether chosen link `u → v` delivered, `v` honest.
-    fn delivers(&self, u: NodeId, v: NodeId) -> bool {
-        match self.classes[u.index()] {
-            SenderClass::Present => true,
-            SenderClass::Partial => self.crash.delivers(u, self.t, v),
-            SenderClass::Byzantine => fabricated_len(self.fabricated, u, v) > 0,
-            SenderClass::Silent => false,
-        }
-    }
-
-    /// The view as dense rows, for a recorded schedule: the store's rows
-    /// (a copy of its words, or its run/CSR rows read out) less what did
-    /// not deliver — the rows of receivers that did not execute, the
-    /// Silent senders' links (if the round has any), and the dead links of
-    /// the round's few conditional senders: a Partial one's sender by
-    /// sender, a Byzantine one's off the arena.
-    fn to_edge_set(&self) -> EdgeSet {
-        let mut rows = match self.links.words() {
-            Some(words) => words.clone(),
-            None => {
-                let mut rows = EdgeSet::empty(self.n());
-                rows.union_rows(self.links);
-                rows
-            }
-        };
-        let silent = self.active.len() < self.n();
-        for (v_idx, row) in rows.in_neighbor_sets_mut().iter_mut().enumerate() {
-            if !self.honest.contains(NodeId::new(v_idx)) {
-                row.clear();
-            } else if silent {
-                row.intersect_with(self.active);
-            }
-        }
-        for &(_, u) in self.conditional {
-            if self.classes[u.index()] == SenderClass::Partial {
-                self.honest.for_each(|v| {
-                    if rows.contains(u, v) && !self.crash.delivers(u, self.t, v) {
-                        rows.remove(u, v);
-                    }
-                });
-            }
-        }
-        for &(v, u, _) in self.fabricated.iter().filter(|l| l.2 == 0) {
-            rows.remove(u, v);
-        }
-        rows
-    }
-}
-
-impl LinkRows for RealizedRows<'_> {
-    fn n(&self) -> usize {
-        self.links.n()
-    }
-
-    fn scan_in(&self, v: NodeId, from: usize, mut f: impl FnMut(NodeId) -> bool) -> Option<NodeId> {
-        // Crashed/Byzantine receivers process nothing: their realized
-        // rows are empty.
-        if !self.honest.contains(v) {
-            return None;
-        }
-        self.links
-            .scan_in(v, from, |u| !self.delivers(u, v) || f(u))
-    }
-
-    /// The realized row by words, never by links: the store's chunks `∧`
-    /// the Present senders, plus the round's conditional senders in the
-    /// chunk — a handful at most — asked one by one.
-    #[inline]
-    fn scan_words_in(&self, v: NodeId, mut f: impl FnMut(usize, u64) -> bool) {
-        if !self.honest.contains(v) {
-            return;
-        }
-        let (active, present) = (self.active.words(), self.unconditional.words());
-        self.links.scan_words_in(v, |w, bits| {
-            let mut delivered = bits & present[w];
-            let mut conditional = bits & active[w] & !present[w];
-            while conditional != 0 {
-                let b = conditional.trailing_zeros() as usize;
-                conditional &= conditional - 1;
-                let u = NodeId::new(w * 64 + b);
-                delivered |= u64::from(self.delivers(u, v)) << b;
-            }
-            delivered == 0 || f(w, delivered)
-        });
-    }
-
-    /// The store's membership test (what a permuted order's walk asks per
-    /// sender), then the sender's class.
-    fn contains(&self, u: NodeId, v: NodeId) -> bool {
-        self.honest.contains(v) && self.links.contains(u, v) && self.delivers(u, v)
-    }
-
-    fn in_degree(&self, v: NodeId) -> usize {
-        let mut c = 0;
-        self.scan_words_in(v, |_, bits| {
-            c += bits.count_ones() as usize;
-            true
-        });
-        c
-    }
-}
-
-/// The order in which one receiver's deliveries are processed within a
-/// round. The model leaves this to the adversary; algorithms must be
-/// correct under every order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeliveryOrder {
-    /// Ascending sender index (the default).
-    AscendingSenders,
-    /// Descending sender index.
-    DescendingSenders,
-    /// Deterministically shuffled per round from the seed.
-    ///
-    /// **Determinism contract:** round `t` Fisher–Yates-shuffles the full
-    /// sender id list `0..n` with `SplitMix64::new(seed ^ (t << 20))`,
-    /// then masks out senders that deliver nothing this round
-    /// (order-preserving, so the mask is behaviorally invisible). Every
-    /// receiver processes its in-neighbors in that one shared order,
-    /// whatever plane holds its state.
-    Shuffled(u64),
-}
+use walk::{deliver_rows, Fabricated, FabricatedSlice, PlaneRound, ShardCtx};
 
 /// A deterministic execution of one algorithm under one adversary and one
 /// fault assignment. See the [crate docs](crate) for the round structure.
@@ -546,6 +97,9 @@ pub struct Simulation {
     plane: Box<dyn AlgorithmPlane>,
     /// Whether `plane` is a columnar one ([`Simulation::uses_plane`]).
     columnar: bool,
+    /// Whether the plane's kernels take honest links a word at a time
+    /// ([`PlaneShard::takes_words`]), asked once at build.
+    takes_words: bool,
     /// Phase each node was last observed in (for V(p) bookkeeping).
     last_phase: Vec<Phase>,
     /// Fault-free for the whole execution: not Byzantine, never crashes.
@@ -663,22 +217,16 @@ impl Simulation {
             factory.make_boxed_plane(&b.inputs)
         };
         // Asked of a shard, which every wire-format adaptor forwards.
-        let ranks_words = {
+        let (takes_words, ranks_words) = {
             let mut whole = [None];
             plane.fill_shards(&[0, n], &mut whole);
-            whole[0].as_ref().is_some_and(PlaneShard::ranks_words)
+            let shard = whole[0].as_ref();
+            let takes_words = shard.is_some_and(PlaneShard::takes_words);
+            (takes_words, shard.is_some_and(PlaneShard::ranks_words))
         };
-        let mut observer = Observer::default();
-        if b.observe_phases {
-            // Every non-Byzantine node contributes its input to V(0)
-            // (Def. 5; crash-faulty nodes count until they crash).
-            for i in (0..n).filter(|&i| byz[i].is_none()) {
-                observer.record_enter(NodeId::new(i), Phase::ZERO, plane.values()[i]);
-            }
-        }
-        let fault_free: Vec<NodeId> = NodeId::all(n)
-            .filter(|id| byz[id.index()].is_none() && !b.crash.is_faulty(*id))
-            .collect();
+        let (mut observer, mut fault_free) = (Observer::default(), Vec::new());
+        let seeds = (&mut observer, b.observe_phases);
+        Simulation::seed_instance(&byz, &b.crash, plane.values(), seeds, &mut fault_free);
 
         // The link store's form, the one thing `LinkMode` decides: every
         // form runs every configuration. A dense-only adversary writes
@@ -708,6 +256,7 @@ impl Simulation {
             byz,
             plane,
             columnar,
+            takes_words,
             last_phase: vec![Phase::ZERO; n],
             fault_free,
             round: Round::ZERO,
@@ -795,30 +344,6 @@ impl Simulation {
         self.uses_sparse_links().then(|| self.links.heap_bytes())
     }
 
-    /// The realized links of the most recently executed round as
-    /// [`LinkRows`] — the link-path-agnostic view consumers like the
-    /// service watchdog read dynaDegree from. Valid until the next
-    /// [`step`](Simulation::step) (or instance re-seed); empty before any
-    /// round has executed. See [`RealizedRows`].
-    pub fn realized_rows(&self) -> RealizedRows<'_> {
-        self.realized_in(Round::new(self.round.as_u64().saturating_sub(1)))
-    }
-
-    /// [`Simulation::realized_rows`] of round `t`, the last one delivered.
-    fn realized_in(&self, t: Round) -> RealizedRows<'_> {
-        RealizedRows {
-            links: &self.links,
-            honest: &self.buffers.honest,
-            active: &self.buffers.active,
-            unconditional: &self.buffers.unconditional,
-            conditional: &self.conditional,
-            classes: &self.buffers.classes,
-            crash: &self.crash,
-            fabricated: self.fabricated.as_ref().map_or(&[], |f| &f.links),
-            t,
-        }
-    }
-
     /// Receiver-range shards the delivery loop fans out over (1 = no
     /// fan-out).
     pub fn shards(&self) -> usize {
@@ -902,16 +427,6 @@ impl Simulation {
             "service mode requires an algorithm with in-place instance resets"
         );
 
-        // Fault-free set of this instance, into the existing buffer. The
-        // service builds with an empty crash schedule, so the capacity
-        // from construction (every non-Byzantine node) is maximal.
-        self.fault_free.clear();
-        for i in 0..n {
-            if self.byz[i].is_none() && !self.crash.is_faulty(NodeId::new(i)) {
-                self.fault_free.push(NodeId::new(i));
-            }
-        }
-
         // Per-instance reseed of stateful adversaries and strategies
         // (instance 0 is each one's construction stream).
         self.adversary.begin_instance(instance);
@@ -919,32 +434,73 @@ impl Simulation {
             strategy.begin_instance(instance);
         }
 
-        // Observer restart: this instance's V(0) (Def. 5 — every
-        // non-Byzantine input counts, crash-faulty ones until they crash).
-        self.observer.clear();
-        if self.observe_phases {
-            for i in 0..n {
-                if self.byz[i].is_none() {
-                    self.observer
-                        .record_enter(NodeId::new(i), Phase::ZERO, self.inputs[i]);
+        // The instance's fault-free set and V(0), into the existing
+        // buffers. The service builds with an empty crash schedule, so the
+        // capacity from construction (every non-Byzantine node) is maximal.
+        let seeds = (&mut self.observer, self.observe_phases);
+        let (byz, crash, values) = (&self.byz, &self.crash, self.plane.values());
+        Simulation::seed_instance(byz, crash, values, seeds, &mut self.fault_free);
+    }
+
+    /// Seeds an instance's bookkeeping from the plane's start state, in
+    /// place: `fault_free` becomes the nodes that are neither Byzantine nor
+    /// faulty under `crash`, and `observer` restarts — at V(0) when phases
+    /// are observed: every non-Byzantine node's start value `values[i]`,
+    /// its input (Def. 5; crash-faulty nodes count until they crash). The
+    /// one seeding of both instance starts: a run's build, before its
+    /// round buffers exist, and [`Simulation::begin_instance`].
+    fn seed_instance(
+        byz: &[Option<Box<dyn ByzantineStrategy>>],
+        crash: &CrashSchedule,
+        values: &[Value],
+        (observer, observe_phases): (&mut Observer, bool),
+        fault_free: &mut Vec<NodeId>,
+    ) {
+        observer.clear();
+        if observe_phases {
+            for (i, &value) in values.iter().enumerate() {
+                if byz[i].is_none() {
+                    observer.record_enter(NodeId::new(i), Phase::ZERO, value);
                 }
             }
         }
+        fault_free.clear();
+        let ids = NodeId::all(byz.len());
+        fault_free.extend(ids.filter(|id| byz[id.index()].is_none() && !crash.is_faulty(*id)));
     }
 
-    /// Executes one synchronous round. No-op once stopped.
+    /// Executes one synchronous round: §II-A's snapshot, the adversary's
+    /// `E(t)`, every fault-free receiver processing its in-links, the end
+    /// of the round — as the stages below, in this order. No-op once
+    /// stopped.
     pub fn step(&mut self) {
-        if self.done.is_some() {
-            return;
-        }
         // Check the stop conditions that are already true before doing any
         // work (e.g. pend = 0 decides at initialization).
-        if self.check_stop_before() {
+        if self.done.is_some() || self.check_stop_before() {
             return;
         }
-
-        let n = self.params.n();
         let t = self.round;
+        self.classify(t);
+        self.fill_links(t);
+        self.order_senders(t);
+        self.fabricate(t);
+        let wire = self.stage_wire();
+        self.deliver(t, wire);
+        self.log_deliveries(t);
+        if self.record_schedule {
+            self.schedule.push(self.realized_in(t).to_edge_set());
+        }
+        self.end_round(t);
+        self.trace_and_stop(t);
+    }
+
+    /// The round's snapshot and class pass: resets the round arena, copies
+    /// the non-Byzantine states for the adversary and the strategies, and
+    /// gives every sender its delivery class — staging each transmitting
+    /// honest sender's broadcast on the way — then stages the uniform
+    /// Byzantine senders' one message ([`Simulation::stage_uniform`]).
+    fn classify(&mut self, t: Round) {
+        let n = self.params.n();
 
         // --- Reset the persistent arena (capacity-preserving clears). ---
         self.buffers.begin_round();
@@ -1027,6 +583,12 @@ impl Simulation {
         if byzantine {
             self.stage_uniform(t);
         }
+    }
+
+    /// The adversary picks `E(t)` into the link store, and a logged run
+    /// records the round's crashes.
+    fn fill_links(&mut self, t: Round) {
+        let n = self.params.n();
 
         // --- Adversary picks E(t) into the link store: its words through
         // `edges_into`, its run/CSR rows through `sparse_into`. ---
@@ -1055,102 +617,6 @@ impl Simulation {
                 }
             }
         }
-
-        // --- The shared sender permutation of the non-ascending orders
-        // (one per-round order of the active senders that every receiver
-        // walks), and the round's conditional senders in the order. ---
-        self.order_senders(t);
-        self.fabricate(t);
-
-        // --- Delivery along chosen links: receiver-major, each receiver
-        // processing its senders in the configured order (ascending row
-        // walks, or the round's shared permutation — its order is part of
-        // the determinism contract, see `DeliveryOrder::Shuffled`), each
-        // link fed straight into the receiver's kernel. No batch is ever
-        // cloned — honest deliveries borrow the sender's staged batch,
-        // Byzantine ones their fabricated batch in the arena. ---
-        self.deliver(t);
-        self.log_deliveries(t);
-        if self.record_schedule {
-            self.schedule.push(self.realized_in(t).to_edge_set());
-        }
-
-        // --- End-of-round hooks for executing nodes (exactly the
-        // non-crashed non-Byzantine set, i.e. `honest`). ---
-        self.plane.end_round(&self.buffers.honest);
-
-        // --- Observer: phase transitions (Def. 6 fills skipped phases). --
-        let (phases, values, outputs) = (
-            self.plane.phases(),
-            self.plane.values(),
-            self.plane.outputs(),
-        );
-        for i in 0..n {
-            let id = NodeId::new(i);
-            if !self.buffers.honest.contains(id) {
-                continue;
-            }
-            let (new_phase, current_value) = (phases[i], values[i]);
-            let old_phase = self.last_phase[i];
-            if self.observe_phases {
-                let mut p = old_phase;
-                while p < new_phase {
-                    p = p.next();
-                    self.observer.record_enter(id, p, current_value);
-                }
-            }
-            if let Some(log) = self.events.as_mut() {
-                if new_phase > old_phase {
-                    log.push(Event::PhaseAdvance {
-                        round: t,
-                        node: id,
-                        from: old_phase,
-                        to: new_phase,
-                        value: current_value,
-                    });
-                }
-                if !self.was_decided[i] {
-                    if let Some(out) = outputs[i] {
-                        self.was_decided[i] = true;
-                        log.push(Event::Decide {
-                            round: t,
-                            node: id,
-                            value: out,
-                        });
-                    }
-                }
-            }
-            self.last_phase[i] = new_phase;
-        }
-
-        // --- Trace over fault-free nodes (reused scratch). ---
-        let ff = &self.fault_free;
-        self.buffers
-            .ff_values
-            .extend(ff.iter().map(|id| values[id.index()]));
-        let range = ValueInterval::of(self.buffers.ff_values.iter().copied())
-            .map_or(0.0, ValueInterval::range);
-        let (min_phase, max_phase) = ff
-            .iter()
-            .map(|id| phases[id.index()])
-            .fold((Phase::new(u64::MAX), Phase::ZERO), |(lo, hi), p| {
-                (lo.min(p), hi.max(p))
-            });
-        let decided = self.decided();
-        self.observer.record_trace(RoundTrace {
-            round: t,
-            range,
-            min_phase: if ff.is_empty() {
-                Phase::ZERO
-            } else {
-                min_phase
-            },
-            max_phase,
-            decided,
-        });
-
-        self.round = t.next();
-        self.check_stop_after(range, decided);
     }
 
     /// Stages the round's message of every Byzantine sender that sends
@@ -1208,105 +674,54 @@ impl Simulation {
             .count()
     }
 
-    /// Fills `buffers.perm` with the round's shared sender permutation (none
-    /// under ascending-sender delivery, whose row walks need no id list),
-    /// and `conditional` with the round's conditional senders in the order
-    /// every receiver processes this round's deliveries in.
-    ///
-    /// The permutation is built over the *full* id range `0..n` and then
-    /// masked down to the senders that can deliver anything this round
-    /// (`active`), preserving relative order — so masking is behaviorally
-    /// invisible: a silent sender's delivery was always a no-op, and
-    /// dropping it from the list cannot reorder anyone else
-    /// (`tests/reference_round.rs`'s naive executor walks the full list).
-    /// `Shuffled`'s seed derivation is a documented determinism contract
-    /// (see [`DeliveryOrder::Shuffled`]).
-    fn order_senders(&mut self, t: Round) {
-        let n = self.params.n();
+    /// The round's wire: heads every staged batch into the wire columns
+    /// and, when the receivers take the round's Present links a word at a
+    /// time, builds the wire index over the Present senders. Returns the
+    /// round's maximum wire phase (see [`PlaneRound::max_wire_phase`]) and
+    /// whether the index was built.
+    fn stage_wire(&mut self) -> (Phase, bool) {
         let RoundBuffers {
-            perm,
+            batches,
             active,
             unconditional,
+            perm,
             ..
-        } = &mut self.buffers;
-        let conditional = &mut self.conditional;
-        perm.clear();
-        conditional.clear();
-        match self.delivery_order {
-            DeliveryOrder::AscendingSenders => active.for_each(|u| {
-                if !unconditional.contains(u) {
-                    conditional.push((u.index(), u));
-                }
-            }),
-            // Descending masked ids, word by word from the top.
-            DeliveryOrder::DescendingSenders => {
-                for wi in (0..n.div_ceil(64)).rev() {
-                    let mut word = active.word(wi);
-                    while word != 0 {
-                        let b = 63 - word.leading_zeros() as usize;
-                        word ^= 1 << b;
-                        perm.push(NodeId::new(wi * 64 + b));
-                    }
-                }
-            }
-            DeliveryOrder::Shuffled(seed) => {
-                perm.extend(NodeId::all(n));
-                let mut rng = SplitMix64::new(seed ^ (t.as_u64() << 20));
-                rng.shuffle(perm);
-                perm.retain(|&u| active.contains(u));
-            }
-        }
-        let positions = perm.iter().copied().enumerate();
-        conditional.extend(positions.filter(|&(_, u)| !unconditional.contains(u)));
-    }
-
-    /// Fabricates the round's Byzantine links into the arena
-    /// ([`Fabricated`]) before delivery, on this thread: each honest
-    /// receiver, ascending, its links from the round's conditional
-    /// Byzantine senders (not those staged once) in the round's order. So
-    /// each strategy object sees its receivers ascending however the round
-    /// delivers, which keeps stateful strategies equivalent across planes
-    /// and shard counts.
-    fn fabricate(&mut self, t: Round) {
-        let Some(Fabricated { links, messages }) = self.fabricated.as_deref_mut() else {
-            return;
-        };
-        links.clear();
-        messages.clear();
-        let byz = &mut self.byz;
-        self.buffers.honest.for_each(|v| {
-            for &(_, u) in &self.conditional {
-                let chosen = |_: &_| self.links.contains(u, v);
-                let Some(strategy) = byz[u.index()].as_mut().filter(chosen) else {
-                    continue;
-                };
-                let ctx = ByzContext {
-                    round: t,
-                    self_id: u,
-                    params: self.params,
-                    phases: &self.buffers.phases,
-                    values: &self.buffers.values,
-                };
-                let before = messages.len();
-                #[cfg(debug_assertions)]
-                probe::bump(probe::FABRICATIONS);
-                strategy.messages_into(&ctx, v, messages);
-                links.push((v, u, messages.len() - before));
+        } = &self.buffers;
+        let (wire_phase, wire_value) = (&mut self.wire_phase, &mut self.wire_value);
+        let mut max_wire_phase = Phase::ZERO;
+        active.for_each(|u| {
+            // Byzantine senders staged nothing (and a boxed node may not
+            // have either).
+            if let Some(head) = batches[u.index()].first() {
+                wire_phase[u.index()] = head.phase();
+                wire_value[u.index()] = head.value();
+                max_wire_phase = max_wire_phase.max(head.phase());
             }
         });
+        // Receivers take the round's Present links a word at a time when
+        // their kernels can, the walk feeds them ascending, and the wire
+        // holds no more phases than the index.
+        let words = self.delivery_order.shared_perm(perm).is_none() && self.takes_words;
+        let indexed = words && self.wire_index.build(unconditional, wire_phase, wire_value);
+        #[cfg(debug_assertions)]
+        if words && !indexed {
+            probe::bump(probe::UNINDEXED_ROUNDS);
+        }
+        (max_wire_phase, indexed)
     }
 
-    /// The round's delivery: heads every staged batch into the wire
-    /// columns, splits the plane into the run's shards (one shard = the
-    /// whole plane), and runs the one delivery routine ([`deliver_rows`])
-    /// over each shard's receivers and the link store's rows, whichever
-    /// form they take. Shards > 1 run concurrently on scoped threads
-    /// ([`fan_out`]: shard 0 on this thread) and merge back in shard
-    /// order: receivers are partitioned, not copied, so the traffic meters
-    /// are the only cross-shard state; each shard reads its own receivers'
-    /// part of the round's fabricated batches. The walk writes no realized
-    /// link ([`RealizedRows`] reads them off afterwards).
-    fn deliver(&mut self, t: Round) {
+    /// The round's row walk: splits the plane into the run's shards (one
+    /// shard = the whole plane), hands each the round's wire index if
+    /// [`Simulation::stage_wire`] built one, and runs the one delivery
+    /// routine ([`deliver_rows`]) over each shard's receivers and the link
+    /// store's rows, whichever form they take. Shards > 1 run concurrently
+    /// on scoped threads ([`fan_out`]: shard 0 on this thread) and merge
+    /// back in shard order: receivers are partitioned, not copied, so the
+    /// traffic meters are the only cross-shard state; each shard reads its
+    /// own receivers' part of the round's fabricated batches. The walk
+    /// writes no realized link ([`RealizedRows`] reads them off
+    /// afterwards).
+    fn deliver(&mut self, t: Round, (max_wire_phase, indexed): (Phase, bool)) {
         let Simulation {
             buffers,
             crash,
@@ -1320,6 +735,7 @@ impl Simulation {
             fabricated,
             traffic,
             shard_bounds,
+            delivery_order,
             ..
         } = self;
         let RoundBuffers {
@@ -1332,29 +748,9 @@ impl Simulation {
             ..
         } = buffers;
 
-        let mut max_wire_phase = Phase::ZERO;
-        active.for_each(|u| {
-            // Byzantine senders staged nothing (and a boxed node may not
-            // have either).
-            if let Some(head) = batches[u.index()].first() {
-                wire_phase[u.index()] = head.phase();
-                wire_value[u.index()] = head.value();
-                max_wire_phase = max_wire_phase.max(head.phase());
-            }
-        });
-        let perm = (self.delivery_order != DeliveryOrder::AscendingSenders).then_some(&perm[..]);
         let shards = shard_bounds.len() - 1;
         let mut slots: [Option<PlaneShard<'_>>; MAX_PLANE_SHARDS] = Default::default();
         plane.fill_shards(shard_bounds, &mut slots[..shards]);
-        // Receivers take the round's Present links a word at a time when
-        // their kernels can, the walk feeds them ascending, and the wire
-        // holds no more phases than the index.
-        let words = perm.is_none() && slots[0].as_ref().is_some_and(PlaneShard::takes_words);
-        let indexed = words && wire_index.build(unconditional, wire_phase, wire_value);
-        #[cfg(debug_assertions)]
-        if words && !indexed {
-            probe::bump(probe::UNINDEXED_ROUNDS);
-        }
         let (wire_value, wire_index) = (&wire_value[..], &*wire_index);
         if indexed {
             for shard in slots[..shards].iter_mut().flatten() {
@@ -1362,7 +758,7 @@ impl Simulation {
             }
         }
         let env = PlaneRound {
-            perm,
+            perm: delivery_order.shared_perm(perm),
             classes,
             conditional,
             honest,
@@ -1413,43 +809,90 @@ impl Simulation {
         }
     }
 
-    /// A logged run's `Event::Delivery`s of round `t`, read off the
-    /// realized rows once the round has delivered: each honest receiver,
-    /// ascending, its realized senders in the round's order — the order
-    /// the walk delivered them in. Realized rows hold exactly the links
-    /// that delivered something, so the log does not ask the walk to visit
-    /// links on their own; a fabricated batch's length is read off the
-    /// round's arena.
-    fn log_deliveries(&mut self, t: Round) {
-        let Some(mut log) = self.events.take() else {
-            return;
-        };
-        let realized = self.realized_in(t);
-        let RoundBuffers {
-            batches,
-            classes,
-            honest,
-            perm,
-            ..
-        } = &self.buffers;
-        let perm = (self.delivery_order != DeliveryOrder::AscendingSenders).then_some(&perm[..]);
-        honest.for_each(|v| {
-            scan_senders(perm, &realized, v, 0, |u| {
-                let batch_len = match classes[u.index()] {
-                    SenderClass::Byzantine => fabricated_len(realized.fabricated, u, v),
-                    _ => batches[u.index()].len(),
-                };
-                log.push(Event::Delivery {
-                    round: t,
-                    sender: u,
-                    receiver: v,
-                    port: self.ports.port_of(v, u),
-                    batch_len,
-                });
-                true
+    /// The end of the round: the plane's end-of-round hook for every
+    /// executing node (exactly the non-crashed non-Byzantine set,
+    /// `honest`), then one sweep over them for `V(p)` and the event log.
+    fn end_round(&mut self, t: Round) {
+        let n = self.params.n();
+        self.plane.end_round(&self.buffers.honest);
+
+        // --- Observer: phase transitions (Def. 6 fills skipped phases). --
+        let (phases, values, outputs) = (
+            self.plane.phases(),
+            self.plane.values(),
+            self.plane.outputs(),
+        );
+        for i in 0..n {
+            let id = NodeId::new(i);
+            if !self.buffers.honest.contains(id) {
+                continue;
+            }
+            let (new_phase, current_value) = (phases[i], values[i]);
+            let old_phase = self.last_phase[i];
+            if self.observe_phases {
+                let mut p = old_phase;
+                while p < new_phase {
+                    p = p.next();
+                    self.observer.record_enter(id, p, current_value);
+                }
+            }
+            if let Some(log) = self.events.as_mut() {
+                if new_phase > old_phase {
+                    log.push(Event::PhaseAdvance {
+                        round: t,
+                        node: id,
+                        from: old_phase,
+                        to: new_phase,
+                        value: current_value,
+                    });
+                }
+                if !self.was_decided[i] {
+                    if let Some(out) = outputs[i] {
+                        self.was_decided[i] = true;
+                        log.push(Event::Decide {
+                            round: t,
+                            node: id,
+                            value: out,
+                        });
+                    }
+                }
+            }
+            self.last_phase[i] = new_phase;
+        }
+    }
+
+    /// The round's trace over the fault-free nodes, then the next round
+    /// and the stop conditions.
+    fn trace_and_stop(&mut self, t: Round) {
+        let (phases, values) = (self.plane.phases(), self.plane.values());
+        // --- Trace over fault-free nodes (reused scratch). ---
+        let ff = &self.fault_free;
+        self.buffers
+            .ff_values
+            .extend(ff.iter().map(|id| values[id.index()]));
+        let range = ValueInterval::of(self.buffers.ff_values.iter().copied())
+            .map_or(0.0, ValueInterval::range);
+        let (min_phase, max_phase) = ff
+            .iter()
+            .map(|id| phases[id.index()])
+            .fold((Phase::new(u64::MAX), Phase::ZERO), |(lo, hi), p| {
+                (lo.min(p), hi.max(p))
             });
+        let decided = self.decided();
+        self.observer.record_trace(RoundTrace {
+            round: t,
+            range,
+            min_phase: if ff.is_empty() {
+                Phase::ZERO
+            } else {
+                min_phase
+            },
+            max_phase,
+            decided,
         });
-        self.events = Some(log);
+
+        self.round = t.next();
+        self.check_stop_after(range, decided);
     }
 
     fn check_stop_before(&mut self) -> bool {
@@ -1524,7 +967,7 @@ mod tests {
     use adn_adversary::AdversarySpec;
     use adn_faults::strategies::{Extreme, TwoFaced};
     use adn_faults::CrashSurvivors;
-    use adn_graph::checker;
+    use adn_graph::{checker, EdgeSet};
     use adn_types::Params;
 
     fn params(n: usize, f: usize, eps: f64) -> Params {
