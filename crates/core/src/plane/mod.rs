@@ -43,83 +43,38 @@
 //! `match` per receiver and the engine's walk ([`RowWalk`]) is
 //! monomorphized over it, so a columnar link pays no virtual call.
 //!
-//! **The sender key.** `R_i` — the set of ports a node has counted in its
-//! phase — is only ever tested for distinctness, and §II-A's numbering is
-//! a static bijection between a receiver's ports and its senders: "ports
-//! seen" and "senders seen" are one set under a relabelling no algorithm
-//! can observe. The engine therefore keys the columnar kernels' seen rows
-//! by **sender id** — no port lookup, and bit `u` of a receiver's seen row
-//! lines up with bit `u` of its link row — while the boxed plane, the
-//! oracle, keeps real ports (see [`RowKernel`] for the contract, and
-//! [`AlgorithmPlane::receive`] for the callers that bring their own key).
-//!
-//! **The word step.** Of the three questions Alg. 1 asks of a link — is
-//! the sender ahead, is it in my phase, have I counted it — the first two
-//! are properties of the sender within a round, so the engine answers them
-//! once per round in a [`WireIndex`], and the columnar kernels take a
-//! receiver's honest links 64 senders per step ([`RowKernel::word`]).
-//! Alg. 1: `row ∧ same-phase ∧ ¬seen` are the new contributions, a
-//! popcount counts them, a fully covered word folds into the extrema with
-//! two compares, and the first sender ahead or the quorum-completing link
-//! — whichever bit comes first — ends the stretch exactly where the
-//! per-link loop would have. Boxed nodes' links are taken one at a time,
-//! as are the permuted delivery orders'.
-//!
-//! **Count now, store later.** Alg. 2 reads `R_low` / `R_high` once per
-//! phase, at the quorum, and until then they are the `f + 1` least /
-//! greatest of the multiset stored since `RESET()` — a function of that
-//! multiset, not of arrival order (`trim.rs`). Its word step
-//! therefore only *counts*: `row ∧ (same-phase ∪ ahead) ∧ ¬seen`, cut at
-//! the quorum-completing link, goes into the seen row and into the
-//! shard's **pending** row, and no value is touched. A **quorum** reads
-//! `(max(R_low), min(R_high))` over the lists and the pending senders
-//! together: when few are pending it stores them one by one and reads the
-//! lists; otherwise it stores nothing — `RESET()` empties the lists right
-//! after — and merges each list with the pending senders' wire values on a
-//! walk of the round's senders in ascending (descending) wire value, the
-//! index's rank order, until one no longer precedes the list's last slot
-//! still kept. The **settle** when the receiver's row is over does store,
-//! since those lists outlive the row: by rank on the same walks, or sender
-//! by sender. Links taken one at a time — fabricated, partially delivered
-//! — are stored at once; stores commute, so the two need no order between
-//! them.
-//!
-//! **The stale-link stop.** Within a round every honest link carries a
-//! start-of-round snapshot, so its phase is at most the round's maximum
-//! wire phase. A columnar receiver that has decided, or whose phase has
-//! passed that maximum (on the complete graph: every receiver, the moment
-//! it reaches quorum), ignores every further honest link of the round by
-//! Alg. 1/2's own stale rule — [`RowKernel::live`] reports exactly that,
-//! and the engine stops feeding such a receiver's honest links. Byzantine
-//! fabrications may carry any phase and are always fed. The boxed kernel
-//! knows nothing about its node's rules and is always live.
-//!
-//! **Per-link form.** Next to the row kernel the columnar plane keeps the
-//! receive rule as a per-link step on the columns (`process`, behind
-//! [`AlgorithmPlane::receive`]). So each algorithm's receive rule exists
-//! as its boxed oracle ([`Dac`](crate::Dac), [`Dbac`](crate::Dbac)) and,
-//! shared between the two, one generic per-link step and one generic row
-//! kernel, to which each rule adds its word step. A plane can be built with
-//! any number of slots — `Params` sizes what a slot is, not how many there
-//! are — and [`Lanes`](crate::Lanes) runs up to 64 Monte-Carlo trials on
-//! one plane of `n × 64` slots through the per-link step. Folding that
-//! step into the kernel (load/store per link) was measured at −25 % on the
-//! lane workload, so the two forms stay: what they share is shared at
-//! compile time, through the rule.
+//! One concern per file, each with its own design notes: `rule.rs` (what
+//! §V changes), `columnar.rs` (the struct of columns and its column
+//! views), `seen.rs` (`R_i` as bit rows keyed by sender id, and their
+//! layout), `row.rs` (the row kernel, its word steps, "count now, store
+//! later" and the stale-link stop), `per_link.rs` (the per-link step) and
+//! `boxed.rs` (the oracle plane).
 //!
 //! The boxed plane is the behavioral oracle: the columnar planes must be
 //! observationally **identical** to it under the same delivery order —
 //! `tests/reference_round.rs` holds both to a naive round executor across
 //! adversaries, crash/Byzantine mixes, orders and link forms.
 
+mod boxed;
+mod columnar;
+mod per_link;
+mod row;
+mod rule;
+mod seen;
+
+pub use boxed::BoxedPlane;
+pub use columnar::{Columnar, DacPlane, DbacPlane};
+pub use rule::{DacRule, DbacRule, Rule};
+
 use std::fmt;
-use std::marker::PhantomData;
 
 use adn_graph::NodeSet;
-use adn_types::{Batch, Message, Params, Phase, Port, Value};
+use adn_types::{Batch, Message, Phase, Port, Value};
 
-use crate::wire::{self, Ranks};
-use crate::{probe, trim, Algorithm, WireIndex};
+use crate::{Algorithm, WireIndex};
+use boxed::BoxedRow;
+use columnar::Cols;
+use row::Ranked;
 
 /// The state of one algorithm across **all** `n` node slots — the
 /// engine's state backend (see [the module docs](self) for the three
@@ -485,1155 +440,14 @@ fn assert_shard_bounds(n: usize, bounds: &[usize], shards: usize) {
     );
 }
 
-/// What §V changes between Alg. 1 and Alg. 2, and nothing else: the
-/// columnar plane — struct, column views, per-link step, row kernel, the
-/// whole [`AlgorithmPlane`] impl — is written once over `R: Rule`
-/// ([`Columnar`]). Sealed: [`DacRule`] and [`DbacRule`] are the two rules.
-pub trait Rule: sealed::Sealed + fmt::Debug + Clone + 'static {
-    /// [`AlgorithmPlane::name`] of the plane.
-    const NAME: &'static str;
-
-    /// `LanePlane::name` of [`Lanes`](crate::Lanes) over the plane.
-    const LANES_NAME: &'static str;
-
-    /// Alg. 1 line 6: a message from a later phase is adopted wholesale —
-    /// value, phase, fresh `R_i`. Alg. 2 never skips a phase (a forged
-    /// huge one cannot drag the node forward): it counts the message like
-    /// one of its own phase.
-    const JUMPS: bool;
-
-    /// Length of `R_low` / `R_high`: `Some(1)` for Alg. 1, whose
-    /// `(min, max)` *is* Alg. 2's pair of lists at length 1 (the `trim`
-    /// module's tests pin it); `None` for Alg. 2's `f + 1`
-    /// ([`Params::dbac_list_len`]). A constant where it can be: the
-    /// per-link step indexes the slabs by it.
-    const LIST_LEN: Option<usize>;
-
-    /// Whether a multi-message (fabricated) batch is resolved in ascending
-    /// phase order, as `Dbac::receive` does; Alg. 1 takes it as it comes.
-    const ASCENDING_BATCHES: bool;
-
-    /// What the row kernel's word step ([`RowKernel::word`]) does with a
-    /// word's values. Alg. 1's folds them in at once: `(min, max)` need
-    /// only the word's extrema. Alg. 2's lists are order statistics of
-    /// everything stored since `RESET()`, so its step counts the links and
-    /// stores their values later, by rank, once per quorum (see "Count
-    /// now, store later" in [the module docs](self)).
-    const DEFERS_STORES: bool;
-
-    /// Distinct same-phase contributors, the node itself included, that
-    /// complete a phase: `⌊n/2⌋ + 1` / `⌊(n+3f)/2⌋ + 1`.
-    fn quorum(params: Params) -> usize;
-
-    /// The paper's output phase: Eq. (2) / Eq. (6).
-    fn pend(params: Params) -> u64;
-}
-
-/// Alg. 1 ([`Dac`](crate::Dac)) as a [`Rule`].
-#[derive(Debug, Clone, Copy)]
-pub struct DacRule;
-
-/// Alg. 2 ([`Dbac`](crate::Dbac)) as a [`Rule`].
-#[derive(Debug, Clone, Copy)]
-pub struct DbacRule;
-
-impl Rule for DacRule {
-    const NAME: &'static str = "dac";
-    const LANES_NAME: &'static str = "dac-lanes";
-    const JUMPS: bool = true;
-    const LIST_LEN: Option<usize> = Some(1);
-    const ASCENDING_BATCHES: bool = false;
-    const DEFERS_STORES: bool = false;
-
-    fn quorum(params: Params) -> usize {
-        params.dac_quorum()
-    }
-
-    fn pend(params: Params) -> u64 {
-        params.dac_pend()
-    }
-}
-
-impl Rule for DbacRule {
-    const NAME: &'static str = "dbac";
-    const LANES_NAME: &'static str = "dbac-lanes";
-    const JUMPS: bool = false;
-    const LIST_LEN: Option<usize> = None;
-    const ASCENDING_BATCHES: bool = true;
-    const DEFERS_STORES: bool = true;
-
-    fn quorum(params: Params) -> usize {
-        params.dbac_quorum()
-    }
-
-    fn pend(params: Params) -> u64 {
-        params.dbac_pend()
-    }
-}
-
-/// Seals [`Rule`], and holds the members that speak of this module's
-/// private types: the shard arm a rule's column views travel in, and what
-/// a rule with [`Rule::DEFERS_STORES`] adds to a row — state and two
-/// hooks, all of them nothing for Alg. 1, whose monomorphization of the
-/// row kernel must not carry an instruction of Alg. 2's (a DAC receiver's
-/// whole round is a few hundred nanoseconds). Nothing outside the crate
-/// can name `Sealed`, which is what the lint below cannot see.
-#[allow(
-    private_interfaces,
-    reason = "`Sealed` is unnameable outside the crate, so its private types leak nowhere"
-)]
-mod sealed {
-    use super::{Cols, DacRule, DbacRule, Ranked, Row, ShardRepr, StagedWire};
-    use adn_types::Value;
-
-    /// What a row of Alg. 2 keeps between its word steps and their settle.
-    /// (`pub`, as an associated type's value must be; unnameable, as the
-    /// trait is.)
-    #[derive(Debug)]
-    pub struct Deferred<'a> {
-        /// The senders a word step counted whose wire values are not in
-        /// the lists yet, by id. All zero again after every settle.
-        pub(super) pending: &'a mut [u64],
-        /// How many they are.
-        pub(super) count: u32,
-        pub(super) ranked: Option<Ranked<'a>>,
-    }
-
-    pub trait Sealed: Sized {
-        /// What a row keeps between its word steps and their settle.
-        type Deferred<'a>;
-
-        fn shard(cols: Cols<'_, Self>) -> ShardRepr<'_>;
-
-        /// A row's [`Sealed::Deferred`], nothing pending: over the shard's
-        /// pending row, against what [`super::PlaneShard::index_round`]
-        /// left.
-        fn deferred<'a>(pending: &'a mut [u64], ranked: Option<Ranked<'a>>) -> Self::Deferred<'a>;
-
-        /// Puts what the row's word steps left pending into its lists.
-        fn settle(row: &mut Row<'_, Self>);
-
-        /// `(max(R_low), min(R_high))` at a quorum, over the lists and
-        /// whatever the row's word steps left pending.
-        fn quorum_bounds(row: &mut Row<'_, Self>) -> (Value, Value);
-
-        /// The word step of a rule with [`super::Rule::DEFERS_STORES`]:
-        /// by the index the row's shard was handed, link by link off
-        /// `wire` if it was handed none.
-        fn word_deferred(row: &mut Row<'_, Self>, w: usize, bits: u64, wire: &StagedWire<'_>);
-    }
-
-    impl Sealed for DacRule {
-        type Deferred<'a> = ();
-
-        fn shard(cols: Cols<'_, Self>) -> ShardRepr<'_> {
-            ShardRepr::Dac(cols)
-        }
-
-        #[inline(always)]
-        fn deferred<'a>(_: &'a mut [u64], _: Option<Ranked<'a>>) {}
-
-        #[inline(always)]
-        fn settle(_: &mut Row<'_, Self>) {}
-
-        /// Alg. 1's lists are its running `(min, max)`, held in the row.
-        #[inline(always)]
-        fn quorum_bounds(row: &mut Row<'_, Self>) -> (Value, Value) {
-            (row.lo, row.hi)
-        }
-
-        #[inline(always)]
-        fn word_deferred(_: &mut Row<'_, Self>, _: usize, _: u64, _: &StagedWire<'_>) {}
-    }
-
-    impl Sealed for DbacRule {
-        type Deferred<'a> = Deferred<'a>;
-
-        fn shard(cols: Cols<'_, Self>) -> ShardRepr<'_> {
-            ShardRepr::Dbac(cols)
-        }
-
-        #[inline(always)]
-        fn deferred<'a>(pending: &'a mut [u64], ranked: Option<Ranked<'a>>) -> Deferred<'a> {
-            Deferred {
-                pending,
-                count: 0,
-                ranked,
-            }
-        }
-
-        #[inline(always)]
-        fn settle(row: &mut Row<'_, Self>) {
-            row.settle();
-        }
-
-        #[inline(always)]
-        fn quorum_bounds(row: &mut Row<'_, Self>) -> (Value, Value) {
-            row.quorum_bounds()
-        }
-
-        #[inline(always)]
-        fn word_deferred(row: &mut Row<'_, Self>, w: usize, bits: u64, wire: &StagedWire<'_>) {
-            match row.deferred.ranked {
-                Some(Ranked { index, .. }) => row.count_word(w, bits, index),
-                None => super::word_per_link(row, w, bits, wire),
-            }
-        }
-    }
-}
-
-/// [`Dac`](crate::Dac) or [`Dbac`](crate::Dbac) — whichever `R` says — in
-/// struct-of-arrays layout: one plane holds every slot's phase, value,
-/// seen row (`R_i` as a bit row, under whichever key the plane is driven
-/// with), contribution count and the `R_low` / `R_high` lists as flat
-/// columns. See [`AlgorithmPlane`] for the equivalence contract and
-/// [the module docs](self) for why. A plane can be built with any number
-/// of slots: `Params` sizes what a slot *is* (port row, quorum, lists), the
-/// inputs how many there are.
-///
-/// The struct is 192 bytes, what `DacPlane` was before the two planes
-/// were one. Boxed at 224 it moved glibc's heap far enough that a process
-/// building one `Simulation` per run (the ledger's `dac_dense`) took twice
-/// the page faults per run (294 → 633) and read 8 % slower on identical
-/// kernel code — hence `cap` as a `u32`, no sort scratch, and the pending
-/// rows of a rule that defers its stores behind the seen rows, in their
-/// `Vec`.
-#[derive(Debug, Clone)]
-pub struct Columnar<R> {
-    pend: u64,
-    /// `R::quorum() - 1`: foreign same-phase contributions needed to
-    /// advance, hoisted so the hot loop compares `seen_count` directly.
-    foreign_quorum: u32,
-    /// List length per slot where `R::LIST_LEN` leaves it to `Params`.
-    cap: u32,
-    /// Words per `ports_seen` row (`n.div_ceil(64)`).
-    row_words: usize,
-    phase: Vec<Phase>,
-    value: Vec<Value>,
-    /// `R_low` slab: slot `v` owns `low[v*cap..(v+1)*cap]`, ascending
-    /// (see [`crate::trim`]). At length 1: the slot's running minimum.
-    low: Vec<Value>,
-    /// `R_high` slab, same layout, descending. At length 1: the maximum.
-    high: Vec<Value>,
-    /// `R_i` rows, one bitset row of `row_words` words per slot. Behind
-    /// them, under a rule with [`Rule::DEFERS_STORES`], one **pending** row
-    /// per shard the plane can be split into — all zero whenever no
-    /// receiver's row is being delivered.
-    ports_seen: Vec<u64>,
-    /// Foreign same-phase contributions per slot (`|R_i| - 1`).
-    seen_count: Vec<u32>,
-    /// Decided outputs. **Not** consulted on the hot path: `output[v]` is
-    /// `Some` iff `phase[v] >= pend` (every phase change runs the
-    /// `try_advance` tail, which maintains the invariant), so deliveries
-    /// test the phase they already loaded.
-    output: Vec<Option<Value>>,
-    rule: PhantomData<R>,
-}
-
-/// The columnar plane of Alg. 1.
-pub type DacPlane = Columnar<DacRule>;
-
-/// The columnar plane of Alg. 2.
-pub type DbacPlane = Columnar<DbacRule>;
-
-#[cfg(target_pointer_width = "64")]
-const _: () = assert!(
-    std::mem::size_of::<DacPlane>() == 192 && std::mem::size_of::<DbacPlane>() == 192,
-    "see `Columnar`'s docs before growing it"
-);
-
-impl<R: Rule> Columnar<R> {
-    /// Creates the plane with one slot per input, terminating at the
-    /// paper's `pend` for the rule (Eq. (2) / Eq. (6)).
-    pub fn new(params: Params, inputs: &[Value]) -> Self {
-        Self::with_pend(params, inputs, R::pend(params))
-    }
-
-    /// Creates the plane with an explicit termination phase.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != params.n()`.
-    pub fn with_pend(params: Params, inputs: &[Value], pend: u64) -> Self {
-        assert_eq!(inputs.len(), params.n(), "one input per slot");
-        Self::with_slots(params, inputs, pend)
-    }
-
-    /// The plane with one slot per input, however many (the trial lanes
-    /// build `n × 64`).
-    pub(crate) fn with_slots(params: Params, inputs: &[Value], pend: u64) -> Self {
-        let slots = inputs.len();
-        let row_words = params.n().div_ceil(64);
-        let cap = R::LIST_LEN.unwrap_or(params.dbac_list_len());
-        let pending_rows = if R::DEFERS_STORES {
-            MAX_PLANE_SHARDS
-        } else {
-            0
-        };
-        let mut plane = Columnar {
-            pend,
-            foreign_quorum: (R::quorum(params) - 1) as u32,
-            cap: cap as u32,
-            row_words,
-            phase: vec![Phase::ZERO; slots],
-            value: inputs.to_vec(),
-            low: vec![Value::HALF; slots * cap],
-            high: vec![Value::HALF; slots * cap],
-            ports_seen: vec![0; (slots + pending_rows) * row_words],
-            seen_count: vec![0; slots],
-            output: vec![None; slots],
-            rule: PhantomData,
-        };
-        let mut cols = plane.cols();
-        for v in 0..slots {
-            cols.restart(v);
-            cols.maybe_output(v);
-        }
-        plane
-    }
-
-    /// The termination phase in effect.
-    pub fn pend(&self) -> u64 {
-        self.pend
-    }
-
-    /// The per-link step ([`Cols::process`], the one
-    /// [`AlgorithmPlane::receive`] runs) as `(slot, port, message)`, with
-    /// the column views split once for as many links as the caller feeds
-    /// it — the trial lanes' entry.
-    pub(crate) fn stepper(&mut self) -> impl FnMut(usize, Port, Message) + '_ {
-        let mut cols = self.cols();
-        move |v, port, msg| cols.process(v, port, msg)
-    }
-
-    /// Borrows every column as a disjoint `&mut` slice. The bulk calls
-    /// split once and run the whole walk on the views: `&mut` slices are
-    /// provably non-aliasing, so the optimizer keeps loop-invariant
-    /// pointers and the receiver's hot fields in registers instead of
-    /// re-loading them after every store (one `Vec` store could otherwise
-    /// alias every other column).
-    #[inline]
-    fn cols(&mut self) -> Cols<'_, R> {
-        let seen_rows = self.phase.len() * self.row_words;
-        let (ports_seen, pending) = self.ports_seen.split_at_mut(seen_rows);
-        Cols {
-            pend: self.pend,
-            foreign_quorum: self.foreign_quorum,
-            row_words: self.row_words,
-            cap: self.cap as usize,
-            phase: &mut self.phase,
-            value: &mut self.value,
-            ports_seen,
-            pending,
-            ranked: None,
-            seen_count: &mut self.seen_count,
-            low: &mut self.low,
-            high: &mut self.high,
-            output: &mut self.output,
-            rule: PhantomData,
-        }
-    }
-}
-
-/// The disjoint column views of one [`Columnar`] plane (see
-/// [`Columnar::cols`]), or of one receiver range of it.
-struct Cols<'a, R> {
-    pend: u64,
-    foreign_quorum: u32,
-    row_words: usize,
-    cap: usize,
-    phase: &'a mut [Phase],
-    value: &'a mut [Value],
-    ports_seen: &'a mut [u64],
-    /// The pending rows behind the seen rows (see [`Columnar`]): every one
-    /// the plane has, or the one of this shard; none under Alg. 1.
-    pending: &'a mut [u64],
-    /// What [`PlaneShard::index_round`] left for the round.
-    ranked: Option<Ranked<'a>>,
-    seen_count: &'a mut [u32],
-    low: &'a mut [Value],
-    high: &'a mut [Value],
-    output: &'a mut [Option<Value>],
-    rule: PhantomData<R>,
-}
-
-/// One round's wire values with the index built over them and its rank
-/// order.
-#[derive(Debug, Clone, Copy)]
-struct Ranked<'a> {
-    value: &'a [Value],
-    index: &'a WireIndex,
-    ranks: &'a Ranks,
-}
-
-impl<R: Rule> Cols<'_, R> {
-    /// Slot `v`'s `(R_low, R_high)`.
-    #[inline]
-    fn lists(&mut self, v: usize) -> (&mut [Value], &mut [Value]) {
-        let cap = R::LIST_LEN.unwrap_or(self.cap);
-        let (from, to) = (v * cap, (v + 1) * cap);
-        (&mut self.low[from..to], &mut self.high[from..to])
-    }
-
-    /// Restarts slot `v`'s lists from its own value: what the
-    /// always-reliable self-message would store. At length 1, `(min, max)`
-    /// collapse onto it.
-    #[inline]
-    fn restart(&mut self, v: usize) {
-        let own = self.value[v];
-        let (low, high) = self.lists(v);
-        trim::clear(low, high);
-        trim::store(low, high, own);
-    }
-
-    /// `RESET()` for slot `v`: clear its port row, restart its lists.
-    #[inline]
-    fn reset(&mut self, v: usize) {
-        let row = v * self.row_words;
-        self.ports_seen[row..row + self.row_words].fill(0);
-        self.seen_count[v] = 0;
-        self.restart(v);
-    }
-
-    #[inline]
-    fn maybe_output(&mut self, v: usize) {
-        if self.phase[v].as_u64() >= self.pend && self.output[v].is_none() {
-            self.output[v] = Some(self.value[v]);
-        }
-    }
-
-    /// One received message at slot `v` — the columnar mirror of
-    /// `Dac::process` (Alg. 1 lines 5–15) / `Dbac::process` (Alg. 2 lines
-    /// 5–11), with two flow changes that are behaviorally invisible:
-    /// "decided" is read off the phase column (`phase >= pend ⇔ output
-    /// set` — the `output` invariant), and `try_advance` is skipped when
-    /// the message changed nothing (a drained quorum condition cannot
-    /// become true without new state).
-    #[inline(always)]
-    fn process(&mut self, v: usize, port: Port, msg: Message) {
-        let p = self.phase[v];
-        if p.as_u64() >= self.pend {
-            // Decided: keeps broadcasting, no longer updates.
-            return;
-        }
-        let q = msg.phase();
-        if R::JUMPS && q > p {
-            // Jump: adopt the future state wholesale.
-            self.value[v] = msg.value();
-            self.phase[v] = q;
-            self.reset(v);
-        } else if q >= p {
-            let (w, b) = (port.index() / 64, port.index() % 64);
-            let slot = &mut self.ports_seen[v * self.row_words + w];
-            if *slot & (1 << b) != 0 {
-                return; // duplicate port: nothing changed
-            }
-            *slot |= 1 << b;
-            let seen = self.seen_count[v] + 1;
-            self.seen_count[v] = seen;
-            let (low, high) = self.lists(v);
-            trim::store(low, high, msg.value());
-            // Below quorum nothing can advance and the phase is still
-            // short of pend — skip the call, keeping the per-message path
-            // free of the out-of-line advance machinery.
-            if seen < self.foreign_quorum {
-                return;
-            }
-        } else {
-            return; // stale: nothing changed
-        }
-        self.try_advance(v);
-    }
-
-    #[inline]
-    fn try_advance(&mut self, v: usize) {
-        while self.seen_count[v] >= self.foreign_quorum && self.phase[v].as_u64() < self.pend {
-            let (low, high) = self.lists(v);
-            let (lo, hi) = trim::bounds(low, high);
-            self.value[v] = lo.midpoint(hi);
-            self.phase[v] = self.phase[v].next();
-            self.reset(v);
-        }
-        self.maybe_output(v);
-    }
-
-    /// Slot `v`'s round: columns into a [`Row`], the walk, columns back.
-    /// `maybe_output` runs once at the end, which is when `process` would
-    /// have run it last — a decided slot's value no longer changes.
-    #[inline]
-    fn deliver_row(&mut self, v: usize, max_wire_phase: Phase, walk: impl RowWalk) {
-        let row = v * self.row_words;
-        let cap = R::LIST_LEN.unwrap_or(self.cap);
-        let mut k = Row::<R> {
-            pend: self.pend,
-            foreign_quorum: self.foreign_quorum,
-            live_below: live_below(self.pend, max_wire_phase),
-            phase: self.phase[v],
-            value: self.value[v],
-            seen: self.seen_count[v],
-            ports_seen: &mut self.ports_seen[row..row + self.row_words],
-            lo: self.low[v * cap],
-            hi: self.high[v * cap],
-            low: &mut self.low[v * cap..(v + 1) * cap],
-            high: &mut self.high[v * cap..(v + 1) * cap],
-            deferred: R::deferred(&mut *self.pending, self.ranked),
-        };
-        walk.walk(&mut k);
-        R::settle(&mut k);
-        self.phase[v] = k.phase;
-        self.value[v] = k.value;
-        self.seen_count[v] = k.seen;
-        if Row::<R>::EXTREMA {
-            (k.low[0], k.high[0]) = (k.lo, k.hi);
-        }
-        // (`R::Deferred` may own a destructor, for all this body knows.)
-        drop(k);
-        self.maybe_output(v);
-    }
-}
-
-/// [`Cols::process`] on locals: one slot's Alg. 1/2 state for the length
-/// of its row.
-struct Row<'a, R: sealed::Sealed> {
-    pend: u64,
-    foreign_quorum: u32,
-    live_below: u64,
-    phase: Phase,
-    value: Value,
-    seen: u32,
-    ports_seen: &'a mut [u64],
-    /// The lists when they are one value long ([`Row::EXTREMA`]): the
-    /// running `(min, max)`, held here for the row and stored back after
-    /// it. Left in the slab they cost `dac_dense` 2.5 % (4030 against 3930
-    /// rounds/s, parent 4114; twelve three-way alternations): the word
-    /// step reads and writes them beside its seen-row stores.
-    lo: Value,
-    hi: Value,
-    /// The slot's `(R_low, R_high)` in their slab, otherwise.
-    low: &'a mut [Value],
-    high: &'a mut [Value],
-    /// `()`, but for a rule with [`Rule::DEFERS_STORES`].
-    deferred: R::Deferred<'a>,
-}
-
-impl<R: Rule> Row<'_, R> {
-    /// Whether the lists live in `lo` / `hi` rather than in the slab.
-    const EXTREMA: bool = matches!(R::LIST_LEN, Some(1));
-
-    /// `STORE(value)`: [`trim::store`], which at length 1 is two compares.
-    #[inline(always)]
-    fn store(&mut self, value: Value) {
-        if Self::EXTREMA {
-            (self.lo, self.hi) = (self.lo.min(value), self.hi.max(value));
-        } else {
-            trim::store(self.low, self.high, value);
-        }
-    }
-
-    /// `RESET()` (mirrors [`Cols::reset`]).
-    #[inline]
-    fn reset(&mut self) {
-        self.ports_seen.fill(0);
-        self.seen = 0;
-        if Self::EXTREMA {
-            (self.lo, self.hi) = (self.value, self.value);
-        } else {
-            trim::clear(self.low, self.high);
-            trim::store(self.low, self.high, self.value);
-        }
-    }
-
-    /// Out of line: once per slot per phase, and its loop (which only
-    /// ever repeats when `foreign_quorum` is 0) would otherwise be laid
-    /// out inside every link loop `link` is inlined into.
-    #[cold]
-    #[inline(never)]
-    fn try_advance(&mut self) {
-        while self.seen >= self.foreign_quorum && self.phase.as_u64() < self.pend {
-            // Read, then `RESET()`: what is pending is not stored first.
-            let (lo, hi) = R::quorum_bounds(self);
-            self.value = lo.midpoint(hi);
-            self.phase = self.phase.next();
-            self.reset();
-        }
-    }
-
-    /// The jump case of Alg. 1: a sender ahead, adopted wholesale.
-    #[inline(always)]
-    fn jump(&mut self, phase: Phase, value: Value) {
-        self.value = value;
-        self.phase = phase;
-        self.reset();
-        self.try_advance();
-    }
-}
-
-/// Alg. 1's word step, for a rule that jumps and keeps `(min, max)`.
-impl<R: Rule> Row<'_, R> {
-    /// The accept case of Alg. 1 for `count` links at once: the keys `new`
-    /// of seen-row word `w`, none of them seen before, whose values span
-    /// `lo..=hi` — counted, folded into the extrema, and the phase
-    /// advanced if they complete the quorum.
-    #[inline(always)]
-    fn absorb(&mut self, w: usize, new: u64, count: u32, lo: Value, hi: Value) {
-        self.ports_seen[w] |= new;
-        self.seen += count;
-        if lo < self.lo {
-            self.lo = lo;
-        }
-        if hi > self.hi {
-            self.hi = hi;
-        }
-        if self.seen >= self.foreign_quorum {
-            self.try_advance();
-        }
-    }
-
-    /// Alg. 1 over a word of honest links, in bit order: everything below
-    /// the first sender ahead is a same-phase stretch (`row ∧ same ∧
-    /// ¬seen` are its new links), which the quorum-completing link ends
-    /// early; either event moves the phase, and what is left of the word
-    /// is looked at again from there.
-    #[inline(always)]
-    fn word_step(&mut self, w: usize, mut bits: u64, wire: &StagedWire<'_>, index: &WireIndex) {
-        debug_assert!(R::JUMPS && Self::EXTREMA);
-        while bits != 0 && self.phase.as_u64() < self.pend {
-            let at = index.locate(self.phase);
-            let ahead = bits & index.ahead(at, w);
-            let stretch = match ahead {
-                0 => bits,
-                _ => bits & below(ahead.trailing_zeros()),
-            };
-            let same = index.same(at, w);
-            // The quorum-completing link ends the stretch: only the new
-            // links up to it count. (`foreign_quorum` 0 advances on any.)
-            let need = self.foreign_quorum.saturating_sub(self.seen).max(1);
-            let new = stretch & same & !self.ports_seen[w];
-            let (new, count) = match new.count_ones() {
-                found if found > need => (lowest(new, need), need),
-                found => (new, found),
-            };
-            if new != 0 {
-                let (lo, hi) = index.extrema_of(at, w, new, wire.value);
-                self.absorb(w, new, count, lo, hi);
-            }
-            // What the event consumed: the word through the quorum link,
-            // or through the sender jumped to; without an event, all.
-            if count == need {
-                bits &= !through(63 - new.leading_zeros());
-            } else if ahead != 0 {
-                let b = ahead.trailing_zeros();
-                let u = w * 64 + b as usize;
-                self.jump(wire.phase[u], wire.value[u]);
-                bits &= !through(b);
-            } else {
-                return;
-            }
-        }
-    }
-}
-
-/// Alg. 2's word step and its settle ("Count now, store later" in
-/// [the module docs](self)).
-impl<'a> Row<'a, DbacRule> {
-    /// Alg. 2 over a word of honest links, in bit order: a link from this
-    /// phase or a later one, on a key not yet seen, is one more
-    /// contribution — counted and noted as pending, its value left on the
-    /// wire. The quorum-completing link ends the stretch; what is left of
-    /// the word is looked at again under the new phase. `index` is the one
-    /// the shard was handed ([`PlaneShard::index_round`]), which is also
-    /// what the settle walks.
-    #[inline(always)]
-    fn count_word(&mut self, w: usize, mut bits: u64, index: &WireIndex) {
-        while bits != 0 && self.phase.as_u64() < self.pend {
-            let at = index.locate(self.phase);
-            let accepted = index.same(at, w) | index.ahead(at, w);
-            // As in Alg. 1's step: only the new links up to the one that
-            // completes the quorum count.
-            let need = self.foreign_quorum.saturating_sub(self.seen).max(1);
-            let new = bits & accepted & !self.ports_seen[w];
-            let (new, count) = match new.count_ones() {
-                found if found > need => (lowest(new, need), need),
-                found => (new, found),
-            };
-            self.ports_seen[w] |= new;
-            self.seen += count;
-            self.deferred.pending[w] |= new;
-            self.deferred.count += count;
-            if count < need {
-                return;
-            }
-            bits &= !through(63 - new.leading_zeros());
-            self.try_advance();
-        }
-    }
-
-    /// How the senders the row's word steps left pending are put in — by
-    /// rank (`true`) or sender by sender, against the round's ranks — or
-    /// `None` when none are (or the shard was handed no ranks, so none ever
-    /// are).
-    ///
-    /// By rank: the round's senders in ascending wire value, each pending
-    /// one into `R_low`, until one — pending or not — would not enter,
-    /// which keeps out every value behind it; and the mirror image from the
-    /// top for `R_high`. A full list holds the `f + 1` extremes of the
-    /// `seen` values stored, so a walk is over after about
-    /// `(f + 1) · ranks / seen` senders, less the blocks of ranks it passes
-    /// over ([`Ranks::walk`]). Sender by sender when so few are pending that
-    /// one store each is the shorter way. Both leave the lists as
-    /// link-by-link stores do: what a list holds is a function of the
-    /// multiset stored.
-    #[inline]
-    fn settle_way(&self) -> Option<(bool, Ranked<'a>)> {
-        let sealed::Deferred { count, ranked, .. } = &self.deferred;
-        let (Some(ranked), true) = (*ranked, *count > 0) else {
-            return None;
-        };
-        if self.seen - *count < self.low.len() as u32 - 1 {
-            probe::bump(probe::SETTLES_ONTO_PARTIAL_LISTS);
-        }
-        // The two procedures' expected visits, from numbers in hand: one
-        // store per pending sender against a walk of about
-        // `(f + 1) · ranks / seen` senders per list. Measured with the
-        // gathered walk and the quorum's merge at f = n/64 (µs per round on
-        // a 2-vCPU x86-64 box, median of six alternating runs each), this
-        // rule / always by rank / always per sender: `Rotating { d }` at
-        // n = 1024, d = 8 / 24 / 64 / 256: 310 / 510 / 307, 437 / 693 /
-        // 436, 707 / 792 / 704, 633 / 687 / 1112; `Spread { t: 3 }` at
-        // n = 1024 and 256: 367 / 361 / 637, 66 / 68 / 72; the threshold
-        // degree: 698 / 876 / 3339. Either alone costs some schedule 1.6–4.8×
-        // of its round, and the rule stays within 2 % of the better one on
-        // every shape tried.
-        let work = u64::from(*count) * u64::from(self.seen);
-        Some((work >= (self.low.len() * ranked.ranks.len()) as u64, ranked))
-    }
-
-    /// Stores the pending senders' wire values — `way` being
-    /// [`Row::settle_way`]'s answer — and leaves nothing pending: what the
-    /// row's end does, its lists outliving the row.
-    #[inline]
-    fn store_pending(&mut self, way: Option<(bool, Ranked<'_>)>) {
-        let Some((by_rank, Ranked { value, ranks, .. })) = way else {
-            return;
-        };
-        let sealed::Deferred { pending, count, .. } = &mut self.deferred;
-        let (low, high) = (&mut *self.low, &mut *self.high);
-        let last = low.len() - 1;
-        if by_rank {
-            probe::bump(probe::RANK_SETTLES);
-            // The values arrive in each list's own order, so the slots a
-            // list has filled are known all along.
-            let (mut lows, mut highs) = trim::filled(low, high);
-            ranks.walk(false, pending, |u, is_pending| match is_pending {
-                true => {
-                    let entered = trim::store_low(low, lows, value[u]);
-                    lows += usize::from(entered);
-                    entered
-                }
-                false => value[u] < low[last],
-            });
-            ranks.walk(true, pending, |u, is_pending| match is_pending {
-                true => {
-                    let entered = trim::store_high(high, highs, value[u]);
-                    highs += usize::from(entered);
-                    entered
-                }
-                false => value[u] > high[last],
-            });
-            pending.fill(0);
-        } else {
-            probe::bump(probe::SENDER_SETTLES);
-            for (w, word) in pending.iter_mut().enumerate() {
-                for u in wire::ids(w, std::mem::take(word)) {
-                    trim::store(low, high, value[u]);
-                }
-            }
-        }
-        *count = 0;
-    }
-
-    /// The row's end: whatever is pending goes into the lists.
-    #[inline]
-    fn settle(&mut self) {
-        let way = self.settle_way();
-        self.store_pending(way);
-    }
-
-    /// `(max(R_low), min(R_high))` at a quorum. When the pending senders
-    /// are settled by rank they are not stored — `RESET()` is about to
-    /// empty the lists — but merged with them on the rank walks
-    /// ([`merged_bound`]), and the pending row is cleared; sender by
-    /// sender, they are stored and the lists read.
-    #[inline]
-    fn quorum_bounds(&mut self) -> (Value, Value) {
-        let way = self.settle_way();
-        let Some((true, Ranked { value, ranks, .. })) = way else {
-            self.store_pending(way);
-            return trim::bounds(self.low, self.high);
-        };
-        probe::bump(probe::QUORUM_BOUNDS);
-        let pending = &mut *self.deferred.pending;
-        let lo = merged_bound(self.low, value, ranks, pending, false);
-        let hi = merged_bound(self.high, value, ranks, pending, true);
-        pending.fill(0);
-        self.deferred.count = 0;
-        (lo, hi)
-    }
-}
-
-/// What [`trim::bounds`] would read off `list` — `R_low`, or `R_high` when
-/// `descending` — once every `pending` sender's wire value were stored in
-/// it, with nothing stored: the `(f + 1)`-th least (greatest) value of the
-/// list, padding included, and the pending values together.
-///
-/// The rank walk hands the pending values over in the list's own order.
-/// Stored in that order, each one that enters displaces the list's last
-/// slot, which is then always one the list held before the walk — a value
-/// taken earlier precedes it — so all that moves is how many of the
-/// list's own slots are still kept. A value enters while it precedes the
-/// last of them; the first that does not ends the walk, as one that is not
-/// pending does on the store walk. The bound is the later of the last slot
-/// kept and the last value taken.
-#[inline]
-fn merged_bound(
-    list: &[Value],
-    value: &[Value],
-    ranks: &Ranks,
-    pending: &[u64],
-    descending: bool,
-) -> Value {
-    let precedes = |a: Value, b: Value| if descending { a > b } else { a < b };
-    let (mut kept, mut taken) = (list.len(), None);
-    ranks.walk(descending, pending, |u, is_pending| {
-        let enters = kept > 0 && precedes(value[u], list[kept - 1]);
-        if enters && is_pending {
-            kept -= 1;
-            taken = Some(value[u]);
-        }
-        enters
-    });
-    match (kept.checked_sub(1).map(|slot| list[slot]), taken) {
-        (Some(own), Some(taken)) if precedes(own, taken) => taken,
-        (Some(own), _) => own,
-        // Every slot displaced: the last value taken is the bound.
-        (None, taken) => taken.unwrap_or(list[0]),
-    }
-}
-
-/// The bits of a word below bit `b < 64`.
-#[inline(always)]
-fn below(b: u32) -> u64 {
-    (1 << b) - 1
-}
-
-/// The bits of a word up to and including bit `b < 64`.
-#[inline(always)]
-fn through(b: u32) -> u64 {
-    u64::MAX >> (63 - b)
-}
-
-/// The `k` lowest set bits of `bits` (all of them if it has no more).
-#[inline]
-fn lowest(bits: u64, k: u32) -> u64 {
-    if bits.count_ones() <= k {
-        return bits;
-    }
-    // The shortest prefix of the word holding `k` set bits: at most 63
-    // long, since the highest set bit is not among them.
-    let (mut short, mut long) = (0, 63);
-    while short < long {
-        let mid = (short + long) / 2;
-        if (bits & below(mid)).count_ones() >= k {
-            long = mid;
-        } else {
-            short = mid + 1;
-        }
-    }
-    bits & below(short)
-}
-
-impl<R: Rule> RowKernel for Row<'_, R> {
-    const WORDS: bool = true;
-
-    #[inline(always)]
-    fn live(&self) -> bool {
-        self.phase.as_u64() < self.live_below
-    }
-
-    #[inline(always)]
-    fn link(&mut self, key: Port, phase: Phase, value: Value) {
-        let p = self.phase;
-        if p.as_u64() >= self.pend {
-            return;
-        }
-        if R::JUMPS && phase > p {
-            self.jump(phase, value);
-        } else if phase >= p {
-            let (w, bit) = (key.index() / 64, 1 << (key.index() % 64));
-            if self.ports_seen[w] & bit == 0 {
-                self.ports_seen[w] |= bit;
-                self.seen += 1;
-                self.store(value);
-                if self.seen >= self.foreign_quorum {
-                    self.try_advance();
-                }
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn batch(&mut self, key: Port, batch: &mut [Message]) {
-        if R::ASCENDING_BATCHES {
-            // As in `Dbac::receive`. Equal messages are indistinguishable,
-            // so the in-place unstable sort is that same order without a
-            // scratch.
-            batch.sort_unstable();
-        }
-        for m in batch.iter() {
-            self.link(key, m.phase(), m.value());
-        }
-    }
-
-    #[inline(always)]
-    fn word(&mut self, w: usize, bits: u64, wire: &StagedWire<'_>, index: &WireIndex) {
-        match R::DEFERS_STORES {
-            false => self.word_step(w, bits, wire, index),
-            // (By the index its shard was handed, not by the walk's.)
-            true => R::word_deferred(self, w, bits, wire),
-        }
-    }
-}
-
-impl<R: Rule> AlgorithmPlane for Columnar<R> {
-    fn n(&self) -> usize {
-        self.phase.len()
-    }
-
-    fn phases(&self) -> &[Phase] {
-        &self.phase
-    }
-
-    fn values(&self) -> &[Value] {
-        &self.value
-    }
-
-    fn outputs(&self) -> &[Option<Value>] {
-        &self.output
-    }
-
-    fn receive(&mut self, receiver: usize, port: Port, batch: &[Message]) {
-        let mut cols = self.cols();
-        if !R::ASCENDING_BATCHES || batch.len() == 1 {
-            for &msg in batch {
-                cols.process(receiver, port, msg);
-            }
-        } else {
-            // The same resolution as `Dbac::receive`, without a scratch:
-            // the next entry in `(message, position)` order until none is
-            // left — quadratic, in the handful of messages a link carries.
-            let after = |done| {
-                let rest = batch.iter().copied().zip(0usize..);
-                rest.filter(|&entry| Some(entry) > done).min()
-            };
-            let mut next = after(None);
-            while let Some((msg, _)) = next {
-                cols.process(receiver, port, msg);
-                next = after(next);
-            }
-        }
-    }
-
-    fn fill_shards<'a>(&'a mut self, bounds: &[usize], out: &mut [Option<PlaneShard<'a>>]) {
-        assert_shard_bounds(self.phase.len(), bounds, out.len());
-        assert!(out.len() <= MAX_PLANE_SHARDS, "one pending row per shard");
-        let mut rest = self.cols();
-        let (row_words, cap) = (rest.row_words, R::LIST_LEN.unwrap_or(rest.cap));
-        let pending_words = if R::DEFERS_STORES { row_words } else { 0 };
-        for (i, slot) in out.iter_mut().enumerate() {
-            let len = bounds[i + 1] - bounds[i];
-            let cols = Cols {
-                phase: take_split(&mut rest.phase, len),
-                value: take_split(&mut rest.value, len),
-                ports_seen: take_split(&mut rest.ports_seen, len * row_words),
-                pending: take_split(&mut rest.pending, pending_words),
-                seen_count: take_split(&mut rest.seen_count, len),
-                low: take_split(&mut rest.low, len * cap),
-                high: take_split(&mut rest.high, len * cap),
-                output: take_split(&mut rest.output, len),
-                ..rest
-            };
-            *slot = Some(PlaneShard {
-                base: bounds[i],
-                repr: R::shard(cols),
-            });
-        }
-    }
-
-    fn end_round(&mut self, executing: &NodeSet) {
-        let mut cols = self.cols();
-        executing.for_each(|id| cols.try_advance(id.index()));
-    }
-
-    fn reset_instance(&mut self, inputs: &[Value]) -> bool {
-        assert_eq!(inputs.len(), self.phase.len(), "one input per slot");
-        let mut cols = self.cols();
-        for (v, input) in inputs.iter().enumerate() {
-            cols.phase[v] = Phase::ZERO;
-            cols.value[v] = *input;
-            cols.output[v] = None;
-            cols.reset(v);
-            cols.maybe_output(v);
-        }
-        true
-    }
-
-    fn name(&self) -> &'static str {
-        R::NAME
-    }
-}
-
-/// One boxed [`Algorithm`] state machine per slot: the plane of every
-/// algorithm that only implements the trait, and the semantic reference
-/// the columnar planes are fuzzed against. Staging, delivery and the
-/// end-of-round hook forward to the slot's own `broadcast_into`, `receive`
-/// and `end_round`; the `phases` / `values` / `outputs` columns are copies
-/// of what the nodes report, refreshed wherever a node's state can change
-/// before the columns are next read: staging, `end_round`,
-/// `reset_instance` and the replay-only `receive` — not per delivered
-/// link, since nothing reads the columns in the middle of a round.
-///
-/// `Algorithm: Send` is what lets the shards of a boxed plane move to
-/// their shard's thread like the columnar ones.
-#[derive(Debug)]
-pub struct BoxedPlane {
-    nodes: Vec<Box<dyn Algorithm>>,
-    phase: Vec<Phase>,
-    value: Vec<Value>,
-    output: Vec<Option<Value>>,
-}
-
-impl BoxedPlane {
-    /// Wraps one state machine per slot (Byzantine slots included: like
-    /// the columnar planes' they exist and are never driven).
-    pub fn new(nodes: Vec<Box<dyn Algorithm>>) -> Self {
-        let mut plane = BoxedPlane {
-            phase: vec![Phase::ZERO; nodes.len()],
-            value: vec![Value::HALF; nodes.len()],
-            output: vec![None; nodes.len()],
-            nodes,
-        };
-        (0..plane.nodes.len()).for_each(|v| plane.refresh(v));
-        plane
-    }
-
-    /// Re-reads slot `v`'s columns from its node.
-    #[inline]
-    fn refresh(&mut self, v: usize) {
-        let node = &self.nodes[v];
-        self.phase[v] = node.phase();
-        self.value[v] = node.current_value();
-        self.output[v] = node.output();
-    }
-}
-
-/// The boxed plane's kernel: the receiver's state machine, every link one
-/// `Algorithm::receive`.
-struct BoxedRow<'a>(&'a mut dyn Algorithm);
-
-impl RowKernel for BoxedRow<'_> {
-    #[inline(always)]
-    fn live(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn link(&mut self, port: Port, phase: Phase, value: Value) {
-        self.0.receive(port, &[Message::new(value, phase)]);
-    }
-
-    #[inline]
-    fn staged(&mut self, port: Port, sender: usize, wire: &StagedWire<'_>) -> usize {
-        let batch = &wire.batches[sender];
-        self.0.receive(port, batch);
-        batch.len()
-    }
-
-    #[inline]
-    fn batch(&mut self, port: Port, batch: &mut [Message]) {
-        self.0.receive(port, batch);
-    }
-}
-
-impl AlgorithmPlane for BoxedPlane {
-    fn n(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn phases(&self) -> &[Phase] {
-        &self.phase
-    }
-
-    fn values(&self) -> &[Value] {
-        &self.value
-    }
-
-    fn outputs(&self) -> &[Option<Value>] {
-        &self.output
-    }
-
-    fn stage_broadcast(&mut self, sender: usize, _snapshot: Message, out: &mut Batch) {
-        self.nodes[sender].broadcast_into(out);
-        self.refresh(sender);
-    }
-
-    fn receive(&mut self, receiver: usize, port: Port, batch: &[Message]) {
-        self.nodes[receiver].receive(port, batch);
-        self.refresh(receiver);
-    }
-
-    fn fill_shards<'a>(&'a mut self, bounds: &[usize], out: &mut [Option<PlaneShard<'a>>]) {
-        assert_shard_bounds(self.nodes.len(), bounds, out.len());
-        let mut nodes = &mut self.nodes[..];
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = Some(PlaneShard {
-                base: bounds[i],
-                repr: ShardRepr::Boxed(take_split(&mut nodes, bounds[i + 1] - bounds[i])),
-            });
-        }
-    }
-
-    fn end_round(&mut self, executing: &NodeSet) {
-        executing.for_each(|id| {
-            self.nodes[id.index()].end_round();
-            self.refresh(id.index());
-        });
-    }
-
-    /// All or nothing: the slots run one algorithm, so the first refusal
-    /// comes from slot 0, before anything was reset.
-    fn reset_instance(&mut self, inputs: &[Value]) -> bool {
-        assert_eq!(inputs.len(), self.nodes.len(), "one input per slot");
-        for (v, input) in inputs.iter().enumerate() {
-            if !self.nodes[v].reset_instance(*input) {
-                return false;
-            }
-            self.refresh(v);
-        }
-        true
-    }
-
-    fn name(&self) -> &'static str {
-        self.nodes.first().map_or("boxed", |node| node.name())
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::row::{below, through};
     use super::*;
     use crate::wire::GATHER;
-    use crate::{Algorithm, Dac, Dbac};
+    use crate::{probe, Algorithm, Dac, Dbac};
     use adn_types::rng::SplitMix64;
-    use adn_types::NodeId;
+    use adn_types::{NodeId, Params};
 
     fn val(v: f64) -> Value {
         Value::new(v).unwrap()
@@ -1788,7 +602,7 @@ mod tests {
         assert_eq!(plane.phases()[2], Phase::ZERO);
         // n = 5 quorum is 3: one foreign value is not enough to advance.
         for v in [1usize, 3] {
-            assert_eq!(plane.seen_count[v], 1, "slot {v}");
+            assert_eq!(plane.seen.count(v), 1, "slot {v}");
             assert_eq!(plane.high[v], val(0.9), "slot {v}");
         }
     }
@@ -2068,18 +882,18 @@ mod tests {
                             let decided = before.as_u64() >= pend;
                             let pending_before = pending;
                             cov.decided_chunks += u64::from(decided && *bits != 0);
-                            cov.dirty_chunks += u64::from(!decided && reference.seen_count[v] > 0);
+                            cov.dirty_chunks += u64::from(!decided && reference.seen.count(v) > 0);
                             // Per link: did it complete a quorum, was its
                             // sender ahead?
                             let (mut quorums, mut aheads) = (0u64, 0u64);
                             for b in (0..64).filter(|b| bits >> b & 1 == 1) {
                                 let u = w * 64 + b;
                                 let at = reference.phases()[v];
-                                let seen = reference.seen_count[v];
+                                let seen = reference.seen.count(v);
                                 let m = Message::new(wire_value[u], wire_phase[u]);
                                 reference.receive(v, Port::new(u), &[m]);
                                 let moved = reference.phases()[v] > at && at.as_u64() < pend;
-                                pending += u64::from(!moved && reference.seen_count[v] > seen);
+                                pending += u64::from(!moved && reference.seen.count(v) > seen);
                                 quorums |= u64::from(moved && m.phase() == at) << b;
                                 aheads |= u64::from(moved && m.phase() > at) << b;
                             }
@@ -2182,8 +996,7 @@ mod tests {
         assert_eq!(a.output, b.output, "output, {what}");
         assert_eq!(bits(&a.low), bits(&b.low), "R_low, {what}");
         assert_eq!(bits(&a.high), bits(&b.high), "R_high, {what}");
-        assert_eq!(a.ports_seen, b.ports_seen, "ports_seen, {what}");
-        assert_eq!(a.seen_count, b.seen_count, "seen_count, {what}");
+        assert_eq!(a.seen, b.seen, "seen rows and counts, {what}");
     }
 
     #[test]
