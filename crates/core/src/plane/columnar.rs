@@ -205,15 +205,17 @@ impl<R: Rule> Cols<'_, R> {
     #[inline]
     pub(super) fn deliver_row(&mut self, v: usize, max_wire_phase: Phase, walk: impl RowWalk) {
         let cap = R::LIST_LEN.unwrap_or(self.cap);
-        let seen = self.seen.count(v);
-        let (seen_row, pending) = self.seen.row(v);
+        let (pend, foreign_quorum) = (self.pend, self.foreign_quorum);
+        let live_below = live_below(pend, max_wire_phase);
+        let (phase, value) = (self.phase[v], self.value[v]);
+        let (seen, seen_row, pending) = self.seen.row(v);
         let mut k = Row::<R> {
-            pend: self.pend,
-            foreign_quorum: self.foreign_quorum,
-            live_below: live_below(self.pend, max_wire_phase),
-            phase: self.phase[v],
-            value: self.value[v],
-            seen,
+            pend,
+            foreign_quorum,
+            live_below,
+            phase,
+            value,
+            seen: *seen,
             seen_row,
             lo: self.low[v * cap],
             hi: self.high[v * cap],
@@ -225,13 +227,12 @@ impl<R: Rule> Cols<'_, R> {
         R::settle(&mut k);
         self.phase[v] = k.phase;
         self.value[v] = k.value;
-        let seen = k.seen;
+        *seen = k.seen;
         if Row::<R>::EXTREMA {
             (k.low[0], k.high[0]) = (k.lo, k.hi);
         }
         // (`R::Deferred` may own a destructor, for all this body knows.)
         drop(k);
-        self.seen.set_count(v, seen);
         self.maybe_output(v);
     }
 }

@@ -111,22 +111,15 @@ impl<'a> Seen<'a> {
         self.count[v]
     }
 
-    /// Stores slot `v`'s count, as a row kernel leaves it.
-    #[inline(always)]
-    pub(super) fn set_count(&mut self, v: usize, count: u32) {
-        self.count[v] = count;
-    }
-
-    /// Slot `v`'s row and this range's pending row (empty under a rule
-    /// that does not defer its stores): what a row kernel holds for the
-    /// length of the slot's row.
+    /// Slot `v`'s count and row, and this range's pending row (empty
+    /// under a rule that does not defer its stores): what a row kernel
+    /// holds for the length of the slot's row.
     #[inline]
-    pub(super) fn row(&mut self, v: usize) -> (&mut [u64], &mut [u64]) {
+    pub(super) fn row(&mut self, v: usize) -> (&mut u32, &mut [u64], &mut [u64]) {
+        let count = &mut self.count[v];
         let row = v * self.row_words;
-        (
-            &mut self.rows[row..row + self.row_words],
-            &mut *self.pending,
-        )
+        let words = &mut self.rows[row..row + self.row_words];
+        (count, words, &mut *self.pending)
     }
 
     /// The shard split: takes the first `slots` slots' rows and counts off
