@@ -1,4 +1,4 @@
-//! A deterministic work gate: what five fixed runs *do*, pinned as
+//! A deterministic work gate: what six fixed runs *do*, pinned as
 //! equalities, so that a change to the round pipeline that alters the work
 //! of a round shows here whatever the host's speed.
 //!
@@ -6,7 +6,8 @@
 //! or `ServiceRun`. For a standalone cell the table pins, over rounds 4–23
 //! (or up to the run's end, if it stops sooner), the delta of every
 //! `adn_core::probe` counter and the delivered links and messages of
-//! `Traffic`. The service exposes no `Traffic`, so its cell pins the
+//! `Traffic`, and the longest batch one link carried in the whole run. The
+//! service exposes no `Traffic`, so its cell pins the
 //! counters over its three instances and each instance's record (rounds,
 //! participants, decided nodes, minimum dynaDegree) instead.
 //!
@@ -59,6 +60,7 @@ dac_dense        FABRICATIONS                0
 dac_dense        rounds                      20
 dac_dense        deliveries                  20951040
 dac_dense        messages                    20951040
+dac_dense        max_batch                   1
 dbac_byz         RANK_SETTLES                0
 dbac_byz         SENDER_SETTLES              0
 dbac_byz         RANK_VISITS                 2648678
@@ -72,6 +74,7 @@ dbac_byz         FABRICATIONS                42360
 dbac_byz         rounds                      20
 dbac_byz         deliveries                  10805760
 dbac_byz         messages                    10805760
+dbac_byz         max_batch                   1
 sparse_rotating  RANK_SETTLES                0
 sparse_rotating  SENDER_SETTLES              0
 sparse_rotating  RANK_VISITS                 0
@@ -85,6 +88,7 @@ sparse_rotating  FABRICATIONS                0
 sparse_rotating  rounds                      20
 sparse_rotating  deliveries                  10506240
 sparse_rotating  messages                    10506240
+sparse_rotating  max_batch                   1
 dbac_byz_events  RANK_SETTLES                0
 dbac_byz_events  SENDER_SETTLES              0
 dbac_byz_events  RANK_VISITS                 0
@@ -98,6 +102,21 @@ dbac_byz_events  FABRICATIONS                1360
 dbac_byz_events  rounds                      8
 dbac_byz_events  deliveries                  21200
 dbac_byz_events  messages                    21200
+dbac_byz_events  max_batch                   1
+piggyback_faults RANK_SETTLES                0
+piggyback_faults SENDER_SETTLES              0
+piggyback_faults RANK_VISITS                 0
+piggyback_faults SETTLES_ONTO_PARTIAL_LISTS  0
+piggyback_faults WORD_STEPS                  0
+piggyback_faults CUT_WORDS                   0
+piggyback_faults UNINDEXED_ROUNDS            0
+piggyback_faults STALE_STOPS                 0
+piggyback_faults QUORUM_BOUNDS               0
+piggyback_faults FABRICATIONS                700
+piggyback_faults rounds                      20
+piggyback_faults deliveries                  43622
+piggyback_faults messages                    172388
+piggyback_faults max_batch                   4
 service_churn    RANK_SETTLES                0
 service_churn    SENDER_SETTLES              0
 service_churn    RANK_VISITS                 0
@@ -173,6 +192,7 @@ fn standalone(cell: &'static str, builder: impl Fn() -> SimBuilder) -> Vec<Row> 
         traffic.deliveries() - head.deliveries(),
     ));
     rows.push(row(cell, "messages", traffic.messages() - head.messages()));
+    rows.push(row(cell, "max_batch", traffic.max_batch()));
     rows
 }
 
@@ -241,6 +261,34 @@ fn dbac_byz_events() -> Vec<Row> {
             b = b.byzantine(NodeId::new(n - 1 - i), strategy);
         }
         b
+    })
+}
+
+/// Boxed DBAC piggybacking k = 3 past states at n = 64, f = 2: batches of
+/// more than one message, a crash with a survivor subset inside the window
+/// and a two-faced Byzantine sender — every per-link arm of the traffic
+/// meter.
+fn piggyback_faults() -> Vec<Row> {
+    let (n, f) = (64, 2);
+    let p = Params::new(n, f, 1e-3).unwrap();
+    standalone("piggyback_faults", || {
+        let mut crash = CrashSchedule::new(n);
+        let survivors = (0..n).step_by(3).map(NodeId::new).collect();
+        crash.crash(
+            NodeId::new(9),
+            Round::new(11),
+            CrashSurvivors::Subset(survivors),
+        );
+        Simulation::builder(p)
+            .inputs_random(12)
+            .adversary(AdversarySpec::DbacThreshold.build(n, f, 13))
+            .algorithm(factories::dbac_piggyback(p, 3, 60))
+            .algorithm_plane(PlaneMode::Never)
+            .crashes(crash)
+            .byzantine(
+                NodeId::new(n - 1),
+                Box::new(strategies::TwoFaced::zero_one(n / 2)),
+            )
     })
 }
 
@@ -350,6 +398,11 @@ fn sparse_rotating_work_is_pinned() {
 #[test]
 fn dbac_byz_events_work_is_pinned() {
     check("dbac_byz_events", dbac_byz_events());
+}
+
+#[test]
+fn piggyback_faults_work_is_pinned() {
+    check("piggyback_faults", piggyback_faults());
 }
 
 #[test]
