@@ -69,10 +69,8 @@ impl RowKernel for BoxedRow<'_> {
     }
 
     #[inline]
-    fn staged(&mut self, port: Port, sender: usize, wire: &StagedWire<'_>) -> usize {
-        let batch = &wire.batches[sender];
-        self.0.receive(port, batch);
-        batch.len()
+    fn staged(&mut self, port: Port, sender: usize, wire: &StagedWire<'_>) {
+        self.0.receive(port, &wire.batches[sender]);
     }
 
     #[inline]

@@ -271,8 +271,7 @@ pub trait RowKernel {
     /// round's maximum wire phase. Once `false` it stays `false` for the
     /// round (phases only grow), and skipping [`RowKernel::staged`] for
     /// honest links is unobservable. Fabricated links must still be fed.
-    /// Only a single-message kernel may ever report `false` (a skipped
-    /// link is metered as one message); the boxed kernel never does.
+    /// The boxed kernel never reports `false`.
     fn live(&self) -> bool;
 
     /// One single-message link: `(phase, value)` arriving under `key`.
@@ -280,12 +279,11 @@ pub trait RowKernel {
     fn link(&mut self, key: Port, phase: Phase, value: Value);
 
     /// An honest link: `sender`'s staged broadcast arriving under `key`.
-    /// Returns the number of messages it carried. The default is the
-    /// single-message kernels': the two wire columns, one message.
+    /// The default is the single-message kernels': the two wire columns,
+    /// one message.
     #[inline(always)]
-    fn staged(&mut self, key: Port, sender: usize, wire: &StagedWire<'_>) -> usize {
+    fn staged(&mut self, key: Port, sender: usize, wire: &StagedWire<'_>) {
         self.link(key, wire.phase[sender], wire.value[sender]);
-        1
     }
 
     /// An arbitrary (fabricated) batch arriving under `key`, resolved as

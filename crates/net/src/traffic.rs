@@ -42,13 +42,7 @@ impl Traffic {
     /// `links · batch · 128` bit product is the first place a silent
     /// wraparound would corrupt an experiment's report.
     pub fn record_delivery(&mut self, batch_len: usize) {
-        let k = batch_len as u64;
-        self.deliveries = self.deliveries.saturating_add(1);
-        self.messages = self.messages.saturating_add(k);
-        self.bits = self
-            .bits
-            .saturating_add(k.saturating_mul(Message::WIRE_BITS));
-        self.max_batch = self.max_batch.max(k);
+        self.record_uniform_deliveries(1, batch_len);
     }
 
     /// Records `links` simultaneous link firings that each carried the
@@ -58,22 +52,14 @@ impl Traffic {
     pub fn record_uniform_deliveries(&mut self, links: u64, batch_len: usize) {
         if links > 0 {
             let k = batch_len as u64;
-            self.record_deliveries(links, links.saturating_mul(k), k);
+            let messages = links.saturating_mul(k);
+            self.deliveries = self.deliveries.saturating_add(links);
+            self.messages = self.messages.saturating_add(messages);
+            self.bits = self
+                .bits
+                .saturating_add(messages.saturating_mul(Message::WIRE_BITS));
+            self.max_batch = self.max_batch.max(k);
         }
-    }
-
-    /// Records `links` link firings that together carried `messages`
-    /// messages, the longest batch among them `max_batch` long — the bulk
-    /// form of [`Traffic::record_delivery`] the delivery walk uses, which
-    /// meters a receiver's honest links once per row. Saturates like
-    /// [`Traffic::record_delivery`].
-    pub fn record_deliveries(&mut self, links: u64, messages: u64, max_batch: u64) {
-        self.deliveries = self.deliveries.saturating_add(links);
-        self.messages = self.messages.saturating_add(messages);
-        self.bits = self
-            .bits
-            .saturating_add(messages.saturating_mul(Message::WIRE_BITS));
-        self.max_batch = self.max_batch.max(max_batch);
     }
 
     /// Number of link-round firings (one per delivered batch).
@@ -103,8 +89,7 @@ impl Traffic {
     }
 
     /// Merges another meter into this one (counters add saturating,
-    /// peaks max) — also how the sharded delivery plane folds its
-    /// per-shard meters back together in shard order.
+    /// peaks max) — how a run adds each round's traffic to its total.
     pub fn merge(&mut self, other: &Traffic) {
         self.deliveries = self.deliveries.saturating_add(other.deliveries);
         self.messages = self.messages.saturating_add(other.messages);

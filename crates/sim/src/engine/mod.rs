@@ -24,12 +24,14 @@
 //!    links a word at a time;
 //! 6. **deliver** — the row walk: one receiver-major delivery routine over
 //!    the plane's shards ([`walk`]);
-//! 7. **end_round** — the plane's end-of-round hook, then one sweep for
-//!    `V(p)` and the event log;
-//! 8. **trace_and_stop** — the round trace and the stop conditions.
+//! 7. **record** — everything the round records, read off its realized
+//!    links ([`realized`]): traffic, a logged run's `Broadcast`, `Crash`
+//!    and `Delivery` events, a recorded schedule;
+//! 8. **end_round** — the plane's end-of-round hook, then one sweep for
+//!    `V(p)` and the `PhaseAdvance`/`Decide` events;
+//! 9. **trace_and_stop** — the round trace and the stop conditions.
 //!
-//! A logged round's deliveries and a recorded schedule are read off the
-//! round's realized links between 6 and 7 ([`realized`]).
+//! Stages 1–6 do the round's work and record nothing.
 //!
 //! **State backends.** What holds the nodes' state is the one thing that
 //! varies, behind `adn_core::AlgorithmPlane` (see `adn_core::plane`): boxed
@@ -486,10 +488,7 @@ impl Simulation {
         self.fabricate(t);
         let wire = self.stage_wire();
         self.deliver(t, wire);
-        self.log_deliveries(t);
-        if self.record_schedule {
-            self.schedule.push(self.realized_in(t).to_edge_set());
-        }
+        self.record(t);
         self.end_round(t);
         self.trace_and_stop(t);
     }
@@ -558,14 +557,6 @@ impl Simulation {
                         let snapshot = Message::new(self.buffers.values[i], self.buffers.phases[i]);
                         let batch = &mut self.buffers.batches[i];
                         self.plane.stage_broadcast(i, snapshot, batch);
-                        self.buffers.present[i] = true;
-                        if let Some(log) = self.events.as_mut() {
-                            log.push(Event::Broadcast {
-                                round: t,
-                                node: id,
-                                batch_len: batch.len(),
-                            });
-                        }
                         if self.crash.delivers_to_all(id, t) {
                             self.buffers.unconditional.insert(id);
                             SenderClass::Present
@@ -585,11 +576,8 @@ impl Simulation {
         }
     }
 
-    /// The adversary picks `E(t)` into the link store, and a logged run
-    /// records the round's crashes.
+    /// The adversary picks `E(t)` into the link store.
     fn fill_links(&mut self, t: Round) {
-        let n = self.params.n();
-
         // --- Adversary picks E(t) into the link store: its words through
         // `edges_into`, its run/CSR rows through `sparse_into`. ---
         let view = AdversaryView {
@@ -604,18 +592,6 @@ impl Simulation {
         match self.links.words_mut() {
             Some(words) => self.adversary.edges_into(&view, words),
             None => self.adversary.sparse_into(&view, &mut self.links),
-        }
-
-        // Crash events: nodes whose crash round is exactly t.
-        if let Some(log) = self.events.as_mut() {
-            for id in NodeId::all(n) {
-                let crashed_now = self.crash.has_crashed_by(id, t)
-                    && (t == Round::ZERO
-                        || !self.crash.has_crashed_by(id, Round::new(t.as_u64() - 1)));
-                if crashed_now {
-                    log.push(Event::Crash { round: t, node: id });
-                }
-            }
         }
     }
 
@@ -666,7 +642,7 @@ impl Simulation {
     }
 
     /// How many fault-free nodes have decided.
-    fn decided(&self) -> usize {
+    pub(crate) fn decided(&self) -> usize {
         let outputs = self.plane.outputs();
         self.fault_free
             .iter()
@@ -715,12 +691,10 @@ impl Simulation {
     /// [`Simulation::stage_wire`] built one, and runs the one delivery
     /// routine ([`deliver_rows`]) over each shard's receivers and the link
     /// store's rows, whichever form they take. Shards > 1 run concurrently
-    /// on scoped threads ([`fan_out`]: shard 0 on this thread) and merge
-    /// back in shard order: receivers are partitioned, not copied, so the
-    /// traffic meters are the only cross-shard state; each shard reads its
-    /// own receivers' part of the round's fabricated batches. The walk
-    /// writes no realized link ([`RealizedRows`] reads them off
-    /// afterwards).
+    /// on scoped threads ([`fan_out`]: shard 0 on this thread): receivers
+    /// are partitioned, not copied, and each shard reads its own
+    /// receivers' part of the round's fabricated batches. The walk records
+    /// nothing ([`Simulation::record`] reads the round off afterwards).
     fn deliver(&mut self, t: Round, (max_wire_phase, indexed): (Phase, bool)) {
         let Simulation {
             buffers,
@@ -733,7 +707,6 @@ impl Simulation {
             wire_index,
             conditional,
             fabricated,
-            traffic,
             shard_bounds,
             delivery_order,
             ..
@@ -787,7 +760,6 @@ impl Simulation {
                 shard: slot.take().expect("fill_shards fills every requested slot"),
                 fabricated: arena
                     .take_front(arena.links.partition_point(|&(v, _, _)| v.index() < hi)),
-                traffic: Traffic::new(),
             });
         // The store's form is asked once per shard, not once per row read:
         // the per-read branch measured ≈ 4 % on a 1024-node complete round.
@@ -798,20 +770,19 @@ impl Simulation {
                 None => deliver_rows(&env, &*links, range, ctx),
             }
         };
-        let mut merge = |ctx: ShardCtx<'_>| traffic.merge(&ctx.traffic);
         if shards == 1 {
             // The inline path: nothing spawned, nothing allocated.
             let mut ctx = ctxs.next().expect("a run has at least one shard");
             run_shard(0, &mut ctx);
-            merge(ctx);
         } else {
-            fan_out(ctxs, run_shard).into_iter().for_each(merge);
+            fan_out(ctxs, run_shard);
         }
     }
 
     /// The end of the round: the plane's end-of-round hook for every
     /// executing node (exactly the non-crashed non-Byzantine set,
-    /// `honest`), then one sweep over them for `V(p)` and the event log.
+    /// `honest`), then one sweep over them for `V(p)` and a logged run's
+    /// `PhaseAdvance` and `Decide` events.
     fn end_round(&mut self, t: Round) {
         let n = self.params.n();
         self.plane.end_round(&self.buffers.honest);

@@ -1,18 +1,18 @@
 //! The realized round graph: the links that actually delivered, read off
 //! the run's one link store after the round.
 //!
-//! The delivery walk writes no realized link. [`RealizedRows`] re-applies
-//! its per-link rule to the store instead — sender class, crash
-//! survivors, and for a Byzantine sender the round's fabrication arena,
-//! which holds an empty batch for a link it fabricated nothing for — and
-//! everything that needs a round's realized links reads them there: a
-//! logged round's deliveries, a recorded schedule, and the service
-//! watchdog's degrees. So neither logging nor recording changes the walk.
+//! The delivery walk records nothing. [`RealizedRows`] re-applies its
+//! per-link rule to the store instead — sender class, crash survivors,
+//! and for a Byzantine sender the round's fabrication arena, which holds
+//! an empty batch for a link it fabricated nothing for — and everything a
+//! round records is read there: its traffic, its logged events and a
+//! recorded schedule (the recording stage, [`Simulation::record`]), and
+//! the service watchdog's degrees.
 
 use adn_faults::CrashSchedule;
 use adn_graph::{EdgeSet, LinkPlane, LinkRows, NodeSet};
-use adn_net::{RoundBuffers, SenderClass};
-use adn_types::{NodeId, Round};
+use adn_net::{RoundBuffers, SenderClass, Traffic};
+use adn_types::{Batch, NodeId, Round};
 
 use super::walk::{fabricated_len, scan_senders};
 use super::Simulation;
@@ -42,6 +42,9 @@ pub struct RealizedRows<'a> {
     pub(super) unconditional: &'a NodeSet,
     pub(super) conditional: &'a [(usize, NodeId)],
     pub(super) classes: &'a [SenderClass],
+    /// What each non-Byzantine sender (and each uniform Byzantine one)
+    /// staged for the round.
+    pub(super) batches: &'a [Batch],
     pub(super) crash: &'a CrashSchedule,
     pub(super) fabricated: &'a [(NodeId, NodeId, usize)],
     /// The executed round (the crash-survivor axis).
@@ -95,6 +98,41 @@ impl RealizedRows<'_> {
             rows.remove(u, v);
         }
         rows
+    }
+
+    /// The round's traffic: one delivery per realized link, of its
+    /// sender's staged batch or its fabricated one. The Present links are
+    /// one masked popcount per receiver, one message each, recounted
+    /// sender by sender only where the staged batch is not one message;
+    /// Partial links are asked one by one, Byzantine ones read off the
+    /// arena.
+    pub(super) fn traffic(&self) -> Traffic {
+        let (honest, batches) = (self.honest, self.batches);
+        let fired = |u: NodeId| honest.iter().filter(move |&v| self.links.contains(u, v));
+        let mut traffic = Traffic::new();
+        let mut single = 0;
+        honest.for_each(|v| single += self.links.in_degree_within(v, self.unconditional));
+        for u in self.unconditional.iter() {
+            let len = batches[u.index()].len();
+            if len != 1 {
+                let links = fired(u).count();
+                single -= links;
+                traffic.record_uniform_deliveries(links as u64, len);
+            }
+        }
+        traffic.record_uniform_deliveries(single as u64, 1);
+        for &(_, u) in self.conditional {
+            if self.classes[u.index()] == SenderClass::Partial {
+                let links = fired(u)
+                    .filter(|&v| self.crash.delivers(u, self.t, v))
+                    .count();
+                traffic.record_uniform_deliveries(links as u64, batches[u.index()].len());
+            }
+        }
+        for &(_, _, len) in self.fabricated.iter().filter(|l| l.2 > 0) {
+            traffic.record_delivery(len);
+        }
+        traffic
     }
 }
 
@@ -170,20 +208,32 @@ impl Simulation {
             unconditional: &self.buffers.unconditional,
             conditional: &self.conditional,
             classes: &self.buffers.classes,
+            batches: &self.buffers.batches,
             crash: &self.crash,
             fabricated: self.fabricated.as_ref().map_or(&[], |f| &f.links),
             t,
         }
     }
 
-    /// A logged run's `Event::Delivery`s of round `t`, read off the
-    /// realized rows once the round has delivered: each honest receiver,
-    /// ascending, its realized senders in the round's order — the order
-    /// the walk delivered them in. Realized rows hold exactly the links
-    /// that delivered something, so the log does not ask the walk to visit
-    /// links on their own; a fabricated batch's length is read off the
-    /// round's arena.
-    pub(super) fn log_deliveries(&mut self, t: Round) {
+    /// The recording stage of round `t`, once it has delivered: its
+    /// traffic, a logged run's events ([`Simulation::log_round`]) and a
+    /// recorded schedule, all read off the realized round.
+    pub(super) fn record(&mut self, t: Round) {
+        let traffic = self.realized_in(t).traffic();
+        self.traffic.merge(&traffic);
+        self.log_round(t);
+        if self.record_schedule {
+            self.schedule.push(self.realized_in(t).to_edge_set());
+        }
+    }
+
+    /// A logged run's events of round `t` up to `end_round`'s: each
+    /// transmitting non-Byzantine sender's `Broadcast`, ascending; a
+    /// `Crash` for each node whose crash round is `t`; then the
+    /// `Delivery`s off the realized rows — each honest receiver,
+    /// ascending, its senders in the round's order, the order the walk
+    /// delivered them in, a fabricated batch's length read off the arena.
+    fn log_round(&mut self, t: Round) {
         let Some(mut log) = self.events.take() else {
             return;
         };
@@ -192,9 +242,26 @@ impl Simulation {
             batches,
             classes,
             honest,
+            active,
             perm,
             ..
         } = &self.buffers;
+        for node in active.iter().filter(|u| self.byz[u.index()].is_none()) {
+            let batch_len = batches[node.index()].len();
+            log.push(Event::Broadcast {
+                round: t,
+                node,
+                batch_len,
+            });
+        }
+        for node in NodeId::all(self.params.n()) {
+            let crashed_now = self.crash.has_crashed_by(node, t)
+                && (t == Round::ZERO
+                    || !self.crash.has_crashed_by(node, Round::new(t.as_u64() - 1)));
+            if crashed_now {
+                log.push(Event::Crash { round: t, node });
+            }
+        }
         let perm = self.delivery_order.shared_perm(perm);
         honest.for_each(|v| {
             scan_senders(perm, &realized, v, 0, |u| {

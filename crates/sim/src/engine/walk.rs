@@ -11,8 +11,9 @@
 //! staged in between and no batch is cloned: an honest link borrows the
 //! sender's staged batch, a Byzantine one its batch in the round's
 //! fabrication arena ([`Fabricated`]). The walk writes no realized link
-//! and emits no event; [`RealizedRows`](super::RealizedRows) reads the
-//! round's realized links off the store afterwards.
+//! and records nothing — no traffic, no event: the round's recording
+//! stage reads all of it off the realized round afterwards
+//! ([`RealizedRows`](super::RealizedRows)).
 //!
 //! **Delivery orders.** Receivers take their links in the configured
 //! [`DeliveryOrder`]. Under the default ascending order each receiver
@@ -46,21 +47,23 @@
 //! link of the round by Alg. 1/2's own stale rule (`RowKernel::live`), so
 //! the walk stops feeding its Present links there and still delivers its
 //! conditional senders behind that point: a fabrication may carry any
-//! phase. Traffic counts every Present link as delivered either way.
+//! phase. The links it stops feeding still delivered: the realized round,
+//! and so the round's traffic, counts them whether or not they were fed.
 //!
 //! **Shards.** `SimBuilder::shards(k)` splits the receivers into `k`
 //! contiguous ranges. The plane hands out disjoint per-shard windows of
 //! its columns (`AlgorithmPlane::fill_shards`; one shard is the whole
 //! plane), and each shard runs this same routine over its range with its
-//! own traffic meter and its own receivers' part of the fabrication arena
-//! ([`ShardCtx`]). Byzantine strategies are not `Send`, so they never reach
-//! a shard: their links are fabricated into the arena first. The fan-out
-//! is `std::thread::scope` (`pool.rs::fan_out`): shard 0 on the stepping
-//! thread, each other shard on a scoped thread that is moved its context
-//! and hands it back at the join. Traffic merges back in shard order, so a
-//! `k`-shard run is byte-identical to the one-shard run. One shard spawns
-//! nothing and allocates nothing; `k` shards cost a constant few
-//! allocations a round for their spawns (`tests/alloc_free.rs` pins both).
+//! own receivers' part of the fabrication arena ([`ShardCtx`]). Byzantine
+//! strategies are not `Send`, so they never reach a shard: their links are
+//! fabricated into the arena first. The fan-out is `std::thread::scope`
+//! (`pool.rs::fan_out`): shard 0 on the stepping thread, each other shard
+//! on a scoped thread that is moved its context and hands it back at the
+//! join. Receivers never interact within a round and the shards share
+//! nothing they write, so a `k`-shard run is byte-identical to the
+//! one-shard run. One shard spawns nothing and allocates nothing; `k`
+//! shards cost a constant few allocations a round for their spawns
+//! (`tests/alloc_free.rs` pins both).
 //! Two shards pay from n ≈ 16k up on two cores (E19's `steady speedup`);
 //! the first round of a run goes the other way, as the shards' first
 //! touches of the n² seen-row bits contend.
@@ -73,7 +76,7 @@ use adn_core::probe;
 use adn_core::{PlaneShard, RowKernel, RowWalk, StagedWire, WireIndex};
 use adn_faults::{ByzContext, CrashSchedule};
 use adn_graph::{LinkRows, NodeSet};
-use adn_net::{PortNumbering, PortRow, RoundBuffers, SenderClass, Traffic};
+use adn_net::{PortNumbering, PortRow, RoundBuffers, SenderClass};
 use adn_types::rng::SplitMix64;
 use adn_types::{Batch, Message, NodeId, Phase, Round};
 
@@ -110,13 +113,11 @@ pub(super) struct PlaneRound<'a> {
     pub(super) t: Round,
 }
 
-/// One shard's exclusive round state: its plane slice, its receivers'
-/// fabricated batches and its traffic meter (merged back in shard order:
-/// the deterministic input-ordered merge).
+/// One shard's exclusive round state: its plane slice and its receivers'
+/// fabricated batches.
 pub(super) struct ShardCtx<'a> {
     pub(super) shard: PlaneShard<'a>,
     pub(super) fabricated: FabricatedSlice<'a>,
-    pub(super) traffic: Traffic,
 }
 
 /// The round's fabricated batches
@@ -205,8 +206,7 @@ pub(super) fn scan_senders<L: LinkRows>(
 /// sender order from position `from` on (see [`scan_senders`]), until the
 /// receiver goes stale (returns that link, consumed) or a Partial or
 /// Byzantine sender is next (returns it, untouched). Silent senders are
-/// passed over. The links fed are metered into `fed`, once per call.
-/// `keys` is the row the kernel tells `v`'s senders apart by.
+/// passed over. `keys` is the row the kernel tells `v`'s senders apart by.
 ///
 /// The one loop a round spends its time in, so it is its own function:
 /// nothing but the kernel's link step inside it, and code generation that
@@ -220,7 +220,6 @@ fn feed_present<L: LinkRows, K: RowKernel>(
     keys: PortRow<'_>,
     from: usize,
     kernel: &mut K,
-    fed: &mut Traffic,
 ) -> Option<(usize, NodeId)> {
     // One length for all three per-sender columns, so one range check on
     // the sender id covers them.
@@ -230,11 +229,7 @@ fn feed_present<L: LinkRows, K: RowKernel>(
         value: &env.wire.value[..classes.len()],
         batches: &env.wire.batches[..classes.len()],
     };
-    // Metered as one message per link plus the difference, so a kernel
-    // whose every batch is one message leaves only the link count in the
-    // loop.
-    let (mut n_links, mut surplus, mut max_batch) = (0u64, 0i64, 0usize);
-    let stop = scan_senders(
+    scan_senders(
         env.perm,
         links,
         v,
@@ -244,19 +239,13 @@ fn feed_present<L: LinkRows, K: RowKernel>(
             let u_idx = u.index();
             match classes[u_idx] {
                 SenderClass::Present => {
-                    let k = kernel.staged(keys.port(u), u_idx, &wire);
-                    n_links += 1;
-                    surplus += k as i64 - 1;
-                    max_batch = max_batch.max(k);
+                    kernel.staged(keys.port(u), u_idx, &wire);
                     kernel.live()
                 }
                 class => class == SenderClass::Silent,
             }
         },
-    );
-    let messages = n_links.wrapping_add_signed(surplus);
-    fed.record_deliveries(n_links, messages, max_batch as u64);
-    stop
+    )
 }
 
 /// One honest receiver's round: its senders, in the round's order, fed
@@ -266,7 +255,6 @@ struct ReceiverWalk<'r, 'a, L> {
     env: &'r PlaneRound<'r>,
     links: &'r L,
     v: NodeId,
-    traffic: &'r mut Traffic,
     fabricated: &'r mut FabricatedSlice<'a>,
 }
 
@@ -278,7 +266,6 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, '_, L> {
             env,
             links,
             v,
-            traffic,
             fabricated,
         } = self;
         // What the kernel tells `v`'s senders apart by: their ids on a
@@ -288,34 +275,23 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, '_, L> {
         } else {
             env.ports.ports_of(v)
         };
-        // The Present links, metered once per receiver. They count as
-        // delivered whether or not they are still fed: traffic and the
-        // realized graph are what the network delivered, not what the
-        // receiver made of it.
-        let mut fed = Traffic::new();
         // One conditional link on its own, at its position in the sender
-        // order: metered and fed (a fabrication may carry any phase).
-        // Present links are fed by the stretches and word steps, never
-        // here.
-        let mut deliver_link = |u: NodeId, kernel: &mut K| {
-            let key = keys.port(u);
-            let batch_len = match env.classes[u.index()] {
-                SenderClass::Partial if env.crash.delivers(u, env.t, v) => {
-                    kernel.staged(key, u.index(), &env.wire)
+        // order, fed whatever the receiver's state (a fabrication may
+        // carry any phase). Present links are fed by the stretches and
+        // word steps, never here.
+        let mut deliver_link = |u: NodeId, kernel: &mut K| match env.classes[u.index()] {
+            SenderClass::Partial if env.crash.delivers(u, env.t, v) => {
+                kernel.staged(keys.port(u), u.index(), &env.wire);
+            }
+            SenderClass::Byzantine => {
+                if let Some(batch) = fabricated.take(u, v) {
+                    kernel.batch(keys.port(u), batch);
                 }
-                SenderClass::Byzantine => {
-                    let Some(batch) = fabricated.take(u, v) else {
-                        return;
-                    };
-                    kernel.batch(key, batch);
-                    batch.len()
-                }
-                // Silent senders, a Partial sender's dead links, and the
-                // Present link a stretch ended at (it made the receiver
-                // stale, and was fed).
-                _ => return,
-            };
-            traffic.record_delivery(batch_len);
+            }
+            // Silent senders, a Partial sender's dead links, and the
+            // Present link a stretch ended at (it made the receiver stale,
+            // and was fed).
+            _ => {}
         };
         // Where the walk left the row because the receiver went stale (a
         // position in the sender order): the first provably stale link
@@ -326,8 +302,7 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, '_, L> {
             // A word kernel takes the Present links 64 senders per step:
             // each chunk of the row as stretches cut in front of every
             // conditional sender in it, which is delivered on its own in
-            // between. All of them are metered in one sweep, one message
-            // each.
+            // between.
             Some(index) if K::WORDS => {
                 let (active, present) = (env.active.words(), env.unconditional.words());
                 links.scan_words_in(v, |w, bits| {
@@ -358,8 +333,6 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, '_, L> {
                     kernel.word(w, stretch, &env.wire, index);
                     true
                 });
-                let present = links.in_degree_within(v, env.unconditional) as u64;
-                fed.record_uniform_deliveries(present, 1);
             }
             // While the receiver is live: stretches of Present links,
             // each ending behind the link that made it stale or in front
@@ -371,17 +344,12 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, '_, L> {
                     if !kernel.live() {
                         break true;
                     }
-                    let next = feed_present(env, links, v, keys, from, kernel, &mut fed);
+                    let next = feed_present(env, links, v, keys, from, kernel);
                     let Some((pos, u)) = next else { break false };
                     from = pos + 1;
                     deliver_link(u, kernel);
                 };
-                // The Present links the row still holds are counted in one
-                // sweep (one message each — only single-message kernels go
-                // stale).
                 if stale {
-                    let present = links.in_degree_within(v, env.unconditional) as u64;
-                    fed.record_uniform_deliveries(present - fed.deliveries(), 1);
                     #[cfg(debug_assertions)]
                     probe::bump(probe::STALE_STOPS);
                     stale_from = Some(from);
@@ -395,7 +363,6 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, '_, L> {
                 }
             }
         }
-        traffic.merge(&fed);
     }
 }
 
@@ -428,7 +395,6 @@ pub(super) fn deliver_rows<L: LinkRows>(
                 env,
                 links,
                 v,
-                traffic: &mut ctx.traffic,
                 fabricated: &mut ctx.fabricated,
             },
         );
