@@ -24,6 +24,23 @@ pub enum StopReason {
     MaxRounds,
 }
 
+/// ε-agreement (Def. 3), the one statement of it: every fault-free node
+/// decided (`all_decided`), and the range of their outputs is within
+/// `eps`, up to `1e-12` of float rounding.
+pub(crate) fn eps_agreement(all_decided: bool, output_range: f64, eps: f64) -> bool {
+    all_decided && output_range <= eps + 1e-12
+}
+
+/// Validity (Def. 3), the one statement of it: every decided fault-free
+/// output lies in the convex hull of the non-Byzantine `inputs` (vacuous
+/// without any).
+pub(crate) fn validity(
+    inputs: impl IntoIterator<Item = Value>,
+    outputs: impl IntoIterator<Item = Value>,
+) -> bool {
+    ValueInterval::of(inputs).is_none_or(|hull| outputs.into_iter().all(|v| hull.contains(v)))
+}
+
 impl fmt::Display for StopReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -121,28 +138,18 @@ impl Outcome {
     /// ε-agreement over decided fault-free outputs: all pairs within
     /// `eps`. `false` if any fault-free node is undecided.
     pub fn eps_agreement(&self, eps: f64) -> bool {
-        if !self.all_honest_output() {
-            return false;
-        }
-        let outs = self.honest_outputs();
-        match ValueInterval::of(outs) {
-            Some(hull) => hull.range() <= eps + 1e-12,
-            None => true,
-        }
+        eps_agreement(self.all_honest_output(), self.output_range(), eps)
     }
 
     /// Validity (Def. 3): every decided fault-free output lies in the
     /// convex hull of the **non-Byzantine** inputs.
     pub fn validity(&self) -> bool {
-        let hull =
-            match ValueInterval::of(self.non_byzantine.iter().map(|&id| self.inputs[id.index()])) {
-                Some(h) => h,
-                None => return true,
-            };
-        self.honest
+        let inputs = self.non_byzantine.iter().map(|&id| self.inputs[id.index()]);
+        let outputs = self
+            .honest
             .iter()
-            .filter_map(|&id| self.outputs[id.index()])
-            .all(|v| hull.contains(v))
+            .filter_map(|&id| self.outputs[id.index()]);
+        validity(inputs, outputs)
     }
 
     /// Width of the decided fault-free output hull (0 when fewer than two

@@ -52,7 +52,7 @@ use adn_types::{NodeId, Round, Value, ValueInterval};
 
 use crate::builder::SimBuilder;
 use crate::engine::Simulation;
-use crate::outcome::StopReason;
+use crate::outcome::{self, StopReason};
 use crate::workload::InputStream;
 
 /// Why a service instance was given up on.
@@ -339,14 +339,9 @@ impl ServiceRun {
             InstanceOutcome::Aborted { .. } => self.aborted_instances += 1,
         }
 
-        // Safety verdicts from live engine state (Def. 3 and ε-agreement,
-        // computed exactly as `Outcome` computes them).
-        let mut decided = 0usize;
-        for &id in self.sim.fault_free_ids() {
-            if self.sim.output_of(id).is_some() {
-                decided += 1;
-            }
-        }
+        // Safety verdicts from live engine state, by `Outcome`'s own
+        // statements of Def. 3.
+        let decided = self.sim.decided();
         let outputs = || {
             self.sim
                 .fault_free_ids()
@@ -354,15 +349,12 @@ impl ServiceRun {
                 .filter_map(|&id| self.sim.output_of(id))
         };
         let output_range = ValueInterval::of(outputs()).map_or(0.0, ValueInterval::range);
-        let agreement = decided == participants && output_range <= self.eps + 1e-12;
-        let validity = match ValueInterval::of(
-            self.non_byzantine
-                .iter()
-                .map(|&id| self.sim.inputs()[id.index()]),
-        ) {
-            Some(hull) => outputs().all(|v| hull.contains(v)),
-            None => true,
-        };
+        let agreement = outcome::eps_agreement(decided == participants, output_range, self.eps);
+        let inputs = self
+            .non_byzantine
+            .iter()
+            .map(|&id| self.sim.inputs()[id.index()]);
+        let validity = outcome::validity(inputs, outputs());
 
         InstanceRecord {
             instance,
