@@ -5,7 +5,7 @@
 //! overlapping window's union from scratch via
 //! `Schedule::window_in_neighbors` — the seed implementation — while
 //! `sliding` is `checker::max_dyna_degree`, which pushes the recording
-//! through one `SlidingUnion` kept in its `WindowUnion` scratch.
+//! through one `SlidingUnion`.
 //!
 //! `online` and `counters` reach the same verdict the way a service's
 //! watchdog does — round by round, nothing but the window kept: `online`

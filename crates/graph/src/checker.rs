@@ -18,15 +18,14 @@
 //!
 //! Overlapping windows share `T - 1` rounds, so the checker does not
 //! recompute each union from scratch (`O(L · T · |E|)` over an `L`-round
-//! recording): it pushes the recording through the
-//! [`SlidingUnion`](crate::SlidingUnion) in its [`WindowUnion`] scratch,
-//! paying a few word passes over one round's rows per round, and
-//! allocating nothing beyond the reusable scratch
+//! recording): it pushes the recording through one [`SlidingUnion`],
+//! paying a few word passes over one round's rows per round whatever `T`
+//! is, and allocating nothing beyond the slabs
 //! (`tests/checker_window.rs` fuzzes it against the naive recompute).
 
 use adn_types::NodeId;
 
-use crate::{NodeSet, Schedule, WindowUnion};
+use crate::{NodeSet, Schedule, SlidingUnion};
 
 /// The fault-free node set: all of `0..n` except the listed faulty nodes.
 ///
@@ -64,41 +63,39 @@ pub fn honest_set(n: usize, faulty: &[NodeId]) -> NodeSet {
 /// assert_eq!(checker::max_dyna_degree(&s, 1, &[]), Some(2));
 /// ```
 pub fn max_dyna_degree(schedule: &Schedule, t_window: usize, faulty: &[NodeId]) -> Option<usize> {
-    let mut scratch = WindowUnion::new(schedule.n());
-    max_dyna_degree_into(
-        &mut scratch,
-        schedule,
-        t_window,
-        &honest_set(schedule.n(), faulty),
-    )
+    let honest = honest_set(schedule.n(), faulty);
+    // No slabs for a recording that holds no window (`new` panics on 0).
+    if schedule.len() < t_window {
+        return None;
+    }
+    let mut scratch = SlidingUnion::new(schedule.n(), t_window);
+    max_dyna_degree_into(&mut scratch, schedule, t_window, &honest)
 }
 
-/// [`max_dyna_degree`] with caller-owned scratch: one incremental
-/// [`WindowUnion::scan_degrees`] sweep across the recording instead of
+/// [`max_dyna_degree`] with a caller-owned window as scratch: one
+/// [`SlidingUnion::scan_degrees`] sweep across the recording instead of
 /// recomputing every overlapping window's union from scratch —
 /// `O(L · n² / 64)` word operations over an `L`-round recording instead of
-/// `O(L · T · |E|)` — performing **zero** steady-state heap allocations
-/// (pinned by `tests/alloc_free.rs`).
+/// `O(L · T · |E|)` — performing **zero** heap allocations once the
+/// scratch has been as wide as `t_window` (pinned by
+/// `tests/alloc_free.rs`). The scratch's width and contents are
+/// overwritten.
 ///
 /// # Panics
 ///
 /// Panics if `t_window == 0` or if the scratch or honest set is for a
 /// different node count.
 pub fn max_dyna_degree_into(
-    scratch: &mut WindowUnion,
+    scratch: &mut SlidingUnion,
     schedule: &Schedule,
     t_window: usize,
     honest: &NodeSet,
 ) -> Option<usize> {
-    assert!(t_window > 0, "window must be at least 1 round");
-    if schedule.len() < t_window || honest.is_empty() {
-        return None;
-    }
-    let mut min_degree = usize::MAX;
+    let mut min_degree = None;
     scratch.scan_degrees(schedule, t_window, honest, |_, min| {
-        min_degree = min_degree.min(min);
+        min_degree = Some(min_degree.map_or(min, |m: usize| m.min(min)));
     });
-    Some(min_degree)
+    min_degree
 }
 
 /// Whether the recording satisfies (T, D)-dynaDegree for its fault-free
@@ -145,7 +142,7 @@ pub fn min_window_for_degree(
     faulty: &[NodeId],
 ) -> Option<usize> {
     assert!(max_t > 0, "max_t must be at least 1");
-    let mut scratch = WindowUnion::new(schedule.n());
+    let mut scratch = SlidingUnion::new(schedule.n(), 1);
     let honest = honest_set(schedule.n(), faulty);
     (1..=max_t.min(schedule.len())).find(|&t| {
         matches!(
@@ -169,10 +166,12 @@ pub fn window_degree_series(schedule: &Schedule, t_window: usize, faulty: &[Node
     }
     let honest = honest_set(schedule.n(), faulty);
     let mut series = vec![0; schedule.len() - t_window + 1];
-    let mut scratch = WindowUnion::new(schedule.n());
-    scratch.scan_degrees(schedule, t_window, &honest, |start, min| {
-        series[start] = min;
-    });
+    SlidingUnion::new(schedule.n(), t_window).scan_degrees(
+        schedule,
+        t_window,
+        &honest,
+        |start, min| series[start] = min,
+    );
     series
 }
 

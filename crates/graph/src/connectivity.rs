@@ -17,7 +17,7 @@
 
 use adn_types::{NodeId, Round};
 
-use crate::{EdgeSet, Schedule, WindowUnion};
+use crate::{EdgeSet, Schedule};
 
 /// Whether the graph, links read as undirected, connects all `n` nodes.
 ///
@@ -95,60 +95,40 @@ pub fn window_intersection(schedule: &Schedule, t: Round, window: usize) -> Edge
         start + window,
         schedule.len()
     );
-    let n = schedule.n();
     let mut acc = schedule.round(t).expect("bounds checked").clone();
-    for off in 1..window {
-        let e = schedule
-            .round(Round::new((start + off) as u64))
-            .expect("bounds checked");
-        // Keep only links present in both.
-        let mut next = EdgeSet::empty(n);
-        for (u, v) in acc.edges() {
-            if e.contains(u, v) {
-                next.insert(u, v);
-            }
+    for (_, e) in schedule.iter().skip(start + 1).take(window - 1) {
+        for (row, other) in acc
+            .in_neighbor_sets_mut()
+            .iter_mut()
+            .zip(e.in_neighbor_sets())
+        {
+            row.intersect_with(other);
         }
-        acc = next;
     }
     acc
 }
 
 /// Whether the recording satisfies T-interval connectivity: every full
-/// window of `T` rounds has a connected (undirected) stable subgraph.
-/// Vacuously `true` when no full window fits.
+/// window of `T` rounds has a connected (undirected) stable subgraph, its
+/// [`window_intersection`]. Vacuously `true` when no full window fits.
+///
+/// Each window is intersected from scratch, `T` word passes over one
+/// round's rows; the experiments ask it of windows of a few rounds at
+/// small `n`.
 ///
 /// # Panics
 ///
 /// Panics if `t_window == 0`.
 pub fn t_interval_connected(schedule: &Schedule, t_window: usize) -> bool {
     assert!(t_window > 0, "window must be at least 1 round");
-    if schedule.len() < t_window {
-        return true;
-    }
-    // Slide one multiplicity window across the recording: a link is in the
-    // window's stable subgraph iff its count equals the window length, and
-    // every stable link must appear in the window's first round — so each
-    // window is recovered by filtering that single round instead of
-    // re-intersecting all `t_window` rounds.
-    let mut counts = WindowUnion::new(schedule.n());
-    let mut stable = EdgeSet::empty(schedule.n());
-    for (t, edges) in schedule.iter() {
-        counts.push(edges);
-        if let Some(start) = (t.as_u64() + 1).checked_sub(t_window as u64) {
-            let first = schedule.round(Round::new(start)).expect("within recording");
-            stable.clear();
-            first.for_each_edge(|u, v| {
-                if counts.stable(u, v) {
-                    stable.insert(u, v);
-                }
-            });
-            if !is_connected_undirected(&stable) {
-                return false;
-            }
-            counts.pop(first);
-        }
-    }
-    true
+    let windows = (schedule.len() + 1).saturating_sub(t_window);
+    (0..windows).all(|s| {
+        is_connected_undirected(&window_intersection(
+            schedule,
+            Round::new(s as u64),
+            t_window,
+        ))
+    })
 }
 
 /// Whether every recorded round's graph has a rooted spanning tree (a

@@ -15,10 +15,10 @@
 //!   execution, supporting windowed unions `G_t = (V, ∪ E(t..t+T))`;
 //! * [`SlidingUnion`] — Def. 1's windowed union on `T + 1` bit slabs,
 //!   one push per round: what the dynaDegree checker pushes a recording
-//!   through and what a service's watchdog slides online;
-//! * [`WindowUnion`] — incremental sliding-window link counters (stable
-//!   links for the connectivity checker, degrees of very wide windows)
-//!   and the allocation-free scratch behind the window checkers;
+//!   through, at every window width, and what a service's watchdog slides
+//!   online;
+//! * [`WindowUnion`] — per-link window counters in an `n²` `u32` table,
+//!   read by no library path (kept for the benchmark ledger);
 //! * [`checker`] — the (T, D)-dynaDegree verifier (Def. 1);
 //! * [`connectivity`] — the prior stability properties the paper compares
 //!   against (§II-B): T-interval connectivity, rooted spanning trees;

@@ -46,7 +46,7 @@ pub const MAX_RUNS_PER_ROW: usize = 4;
 /// [`EdgeSet`] (dense bit rows) and
 /// [`LinkPlane`] (runs / CSR rows, or words) both implement it, so
 /// consumers like the delivery loop and
-/// [`WindowUnion`](crate::WindowUnion) are written once against the trait.
+/// [`SlidingUnion`](crate::SlidingUnion) are written once against the trait.
 pub trait LinkRows {
     /// Number of nodes.
     fn n(&self) -> usize;

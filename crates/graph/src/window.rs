@@ -1,47 +1,36 @@
-//! Incremental sliding-window link aggregation.
+//! Definition 1's windowed union, slid one round at a time.
 //!
-//! The (T, D)-dynaDegree checker and the T-interval-connectivity checker
-//! both quantify over **every** window of `T` consecutive rounds of a
-//! recording, and a service's watchdog evaluates Definition 1 on every
-//! window of a run that never ends. Recomputing each window's union (or
-//! intersection) from scratch costs `O(L · T · |E|)` over `L` rounds; a
+//! The (T, D)-dynaDegree checker quantifies over **every** window of `T`
+//! consecutive rounds of a recording, and a service's watchdog evaluates
+//! Definition 1 on every window of a run that never ends. Recomputing each
+//! window's union from scratch costs `O(L · T · |E|)` over `L` rounds; a
 //! window that slides by one round only changes by the round that leaves
-//! and the round that enters. Two structures exploit that:
+//! and the round that enters.
 //!
-//! * [`SlidingUnion`] answers Definition 1's question — the **union**
-//!   degree of a receiver, its distinct in-neighbors across the window —
-//!   from `T + 1` bit slabs: the rounds are cut into `T`-round blocks, a
-//!   finished block is turned into suffix unions in place, and every
-//!   window is one block suffix ∪ the running prefix of the next block.
-//!   Pure word operations, no `T` factor, no per-link work. It is the one
-//!   implementation of the windowed union: the offline checker
-//!   ([`WindowUnion::scan_degrees`]) pushes a recording through it, a
-//!   service's watchdog the rounds it executes.
-//! * [`WindowUnion`] keeps per-(receiver, sender) multiplicity
-//!   **counters** over the current window, for what bit slabs cannot
-//!   say: the **intersection** ("stable") links of the window (count
-//!   equal to the window length, what T-interval connectivity quantifies
-//!   over — the same slide with AND for OR), and union degrees of windows
-//!   wider than the slabs are worth (> 64 rounds). The counter table is
-//!   allocated by the first push, so a checker that only ever scans
-//!   degrees never pays for it.
+//! [`SlidingUnion`] is the one implementation of that union — the
+//! distinct in-neighbors of a receiver across the window — on `T + 1` bit
+//! slabs: the rounds are cut into `T`-round blocks, a finished block is
+//! turned into suffix unions in place, and every window is one block
+//! suffix ∪ the running prefix of the next block. Pure word operations,
+//! no `T` factor, no per-link work. The offline checker
+//! ([`SlidingUnion::scan_degrees`]) pushes a recording through it, a
+//! service's watchdog the rounds it executes. Pushing never allocates
+//! once the slabs exist, which is what lets `tests/alloc_free.rs` pin the
+//! steady-state checker and the windowed service watchdog at zero heap
+//! traffic. (T-interval connectivity's windowed **intersection** is
+//! [`window_intersection`](crate::connectivity::window_intersection),
+//! one window at a time.)
 //!
-//! Pushing and popping rounds never allocates once the state exists,
-//! which is what lets `tests/alloc_free.rs` pin the steady-state checker
-//! and the windowed service watchdog at zero heap traffic.
+//! [`WindowUnion`] keeps per-(receiver, sender) multiplicity counters in
+//! an `n²` `u32` table. No library path reads it; it stays, unchanged,
+//! for the benchmark ledger's frozen replay and the counter cells of
+//! `benches/checker_window.rs`.
 
 use std::fmt;
 
-use adn_types::{NodeId, Round};
+use adn_types::NodeId;
 
 use crate::{EdgeSet, LinkRows, NodeSet, Schedule};
-
-/// Widest window the offline degree scan serves from bit slabs; larger
-/// windows fall back to the counter slide (whose cost has no `T` factor
-/// either, but whose per-link bit work loses to pure word operations on
-/// dense recordings). Bounds the slab scratch at
-/// `(BLOCK_SCAN_MAX_WINDOW + 1) · n² / 8` bytes.
-const BLOCK_SCAN_MAX_WINDOW: usize = 64;
 
 /// Definition 1's windowed union, online: the distinct in-neighbors of
 /// every receiver over the last `t` rounds pushed, from `t + 1` bit slabs.
@@ -92,19 +81,14 @@ impl SlidingUnion {
     ///
     /// Panics if `t == 0`.
     pub fn new(n: usize, t: usize) -> Self {
-        let mut window = SlidingUnion::unallocated(n);
-        window.reset(t);
-        window
-    }
-
-    /// A window that holds no slabs until its first [`SlidingUnion::reset`].
-    fn unallocated(n: usize) -> Self {
-        SlidingUnion {
+        let mut window = SlidingUnion {
             n,
-            t: 1,
+            t,
             pushed: 0,
             slabs: Vec::new(),
-        }
+        };
+        window.reset(t);
+        window
     }
 
     /// Empties the window and sets its width to `t` rounds. Allocates only
@@ -206,6 +190,49 @@ impl SlidingUnion {
         };
         Some(min_degree(suffix, prefix, receivers, wpr))
     }
+
+    /// Visits every full `t_window`-round window of the recording in
+    /// ascending start order, calling `visit(start, d)` with the window's
+    /// minimum union in-degree `d` over the `honest` receivers — the
+    /// engine under [`checker::max_dyna_degree`](crate::checker) and
+    /// [`checker::window_degree_series`](crate::checker).
+    ///
+    /// Resets the window to `t_window` and pushes every round:
+    /// `O(L · n² / 64)` word operations over an `L`-round recording, with
+    /// no `t_window` factor and no per-link work, whatever the width. The
+    /// slabs are the scratch, `(t_window + 1) · n · ⌈n/64⌉` words; they
+    /// grow only for a window wider than any this structure has had, and
+    /// a sweep allocates nothing else. Past `t_window = 31` that is more
+    /// than the `4 · n²` bytes of a per-link `u32` counter table; every
+    /// window in the experiments and tools is at most 4 rounds wide.
+    ///
+    /// Visits nothing, and leaves the window as it was, if no full window
+    /// fits or `honest` is empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t_window == 0` or the node counts differ.
+    pub fn scan_degrees(
+        &mut self,
+        schedule: &Schedule,
+        t_window: usize,
+        honest: &NodeSet,
+        mut visit: impl FnMut(usize, usize),
+    ) {
+        assert!(t_window > 0, "window must be at least 1 round");
+        assert_eq!(self.n, schedule.n(), "node count mismatch");
+        assert_eq!(honest.universe(), self.n, "universe mismatch");
+        if schedule.len() < t_window || honest.is_empty() {
+            return;
+        }
+        self.reset(t_window);
+        for (t, edges) in schedule.iter() {
+            self.push_rows(edges);
+            if let Some(min) = self.min_degree_over(honest) {
+                visit(t.as_u64() as usize + 1 - t_window, min);
+            }
+        }
+    }
 }
 
 impl fmt::Debug for SlidingUnion {
@@ -279,16 +306,11 @@ pub struct WindowUnion {
     /// Rounds currently aggregated in the window.
     rounds: usize,
     /// `counts[v * n + u]` — in how many window rounds the link `(u, v)`
-    /// is present. Empty until the first push: [`WindowUnion::scan_degrees`]
-    /// reads degrees off bit slabs and never needs the `4 · n²` bytes.
+    /// is present. Empty until the first push.
     counts: Vec<u32>,
     /// `degrees[v]` — number of senders with a nonzero count at `v`
     /// (the windowed union in-degree of Definition 1).
     degrees: Vec<u32>,
-    /// [`WindowUnion::scan_degrees`]' scratch: the slabs a recording is
-    /// pushed through. Grown lazily to the widest window scanned so far,
-    /// then reused allocation-free.
-    slide: SlidingUnion,
 }
 
 impl WindowUnion {
@@ -299,7 +321,6 @@ impl WindowUnion {
             rounds: 0,
             counts: Vec::new(),
             degrees: vec![0; n],
-            slide: SlidingUnion::unallocated(n),
         }
     }
 
@@ -445,74 +466,6 @@ impl WindowUnion {
         min
     }
 
-    /// Visits every full `t_window`-round window of the recording in
-    /// ascending start order, calling `visit(start, d)` with the window's
-    /// minimum aggregated in-degree `d` over the `honest` receivers — the
-    /// engine under [`checker::max_dyna_degree`](crate::checker) and
-    /// [`checker::window_degree_series`](crate::checker).
-    ///
-    /// Windows up to 64 rounds push the recording through a
-    /// [`SlidingUnion`] — `O(L · n² / 64)` word operations over an
-    /// `L`-round recording, with **no** `t_window` factor and no per-link
-    /// bit work. Wider windows fall back to the push/pop counter slide.
-    /// Either path allocates nothing beyond lazily-grown scratch (the
-    /// slabs only grow when scanning a wider window than ever before on
-    /// this scratch, the counter table on the first fallback sweep).
-    ///
-    /// Visits nothing if no full window fits or `honest` is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t_window == 0` or the node counts differ.
-    pub fn scan_degrees(
-        &mut self,
-        schedule: &Schedule,
-        t_window: usize,
-        honest: &NodeSet,
-        mut visit: impl FnMut(usize, usize),
-    ) {
-        assert!(t_window > 0, "window must be at least 1 round");
-        assert_eq!(self.n, schedule.n(), "node count mismatch");
-        assert_eq!(honest.universe(), self.n, "universe mismatch");
-        if schedule.len() < t_window || honest.is_empty() {
-            return;
-        }
-        if t_window > BLOCK_SCAN_MAX_WINDOW {
-            self.scan_degrees_counters(schedule, t_window, honest, visit);
-            return;
-        }
-        self.slide.reset(t_window);
-        for (t, edges) in schedule.iter() {
-            self.slide.push_rows(edges);
-            if let Some(min) = self.slide.min_degree_over(honest) {
-                visit(t.as_u64() as usize + 1 - t_window, min);
-            }
-        }
-    }
-
-    /// Counter-slide fallback of [`WindowUnion::scan_degrees`] for very
-    /// wide windows: pays per link occurrence instead of per block row,
-    /// still with no `t_window` factor.
-    fn scan_degrees_counters(
-        &mut self,
-        schedule: &Schedule,
-        t_window: usize,
-        honest: &NodeSet,
-        mut visit: impl FnMut(usize, usize),
-    ) {
-        self.clear();
-        for (t, edges) in schedule.iter() {
-            self.push(edges);
-            if let Some(start) = (t.as_u64() + 1).checked_sub(t_window as u64) {
-                let min = self
-                    .min_degree_over(honest)
-                    .expect("honest checked non-empty");
-                visit(start as usize, min);
-                self.pop(schedule.round(Round::new(start)).expect("within recording"));
-            }
-        }
-    }
-
     /// Sets one link's multiplicity directly — test-only access for the
     /// counter-overflow boundary, which honest pushes cannot reach in a
     /// test's lifetime.
@@ -536,6 +489,7 @@ impl fmt::Debug for WindowUnion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adn_types::Round;
 
     fn pairs(n: usize, p: &[(usize, usize)]) -> EdgeSet {
         EdgeSet::from_pairs(n, p.iter().copied())
@@ -731,10 +685,6 @@ mod tests {
         assert!(!w.stable(NodeId::new(0), NodeId::new(1)));
         w.clear();
         assert!(w.counts.is_empty(), "nothing pushed, nothing allocated");
-        let mut s = Schedule::new(4);
-        s.push(pairs(4, &[(0, 1)]));
-        w.scan_degrees(&s, 1, &NodeSet::full(4), |_, _| {});
-        assert!(w.counts.is_empty(), "the slab scan reads no counters");
         w.push(&pairs(4, &[(0, 1)]));
         assert_eq!(w.count(NodeId::new(0), NodeId::new(1)), 1);
     }

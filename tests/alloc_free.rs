@@ -7,8 +7,8 @@
 //! both are history *recording*, inherently growing, and both default to
 //! on for analysis runs). The same counter pins every adversary in the
 //! gallery — each one fills the reused edge set in place — and the
-//! sliding-window dynaDegree checker: once its `WindowUnion` scratch
-//! exists, a full sweep across a recording allocates nothing — and a
+//! sliding-window dynaDegree checker: once its `SlidingUnion` scratch
+//! is as wide as the window, a full sweep across a recording allocates nothing — and a
 //! windowed service watchdog asks for its `T + 1` bit slabs at build and
 //! for nothing after.
 //!
@@ -926,10 +926,9 @@ fn steady_state_step_performs_zero_allocations() {
     ));
 
     // --- The sliding-window dynaDegree checker. Setup (the recording,
-    // the WindowUnion scratch, the honest set) allocates; the sweep
-    // itself — slab pushes (or, past 64 rounds, push/pop counter walks)
-    // plus per-window degree reads — must not, no matter the window
-    // length. ---
+    // the SlidingUnion scratch, the honest set) allocates; the sweep
+    // itself — slab pushes plus per-window degree reads — must not, no
+    // matter the window length. ---
     let n = 48;
     let mut rng = SplitMix64::new(7);
     let mut schedule = Schedule::new(n);
@@ -937,16 +936,13 @@ fn steady_state_step_performs_zero_allocations() {
         schedule.push(generators::gnp(n, 0.3, &mut rng));
     }
     let honest = checker::honest_set(n, &[NodeId::new(5)]);
-    let mut scratch = WindowUnion::new(n);
-    // Warmup grows the slab scratch to the widest window measured below
-    // (and exercises the counter fallback once, which is what allocates
-    // the counter table); after that, sweeps of any narrower window reuse
-    // both allocation-free.
+    let mut scratch = SlidingUnion::new(n, 1);
+    // Warmup grows the slabs to the widest window measured below; after
+    // that, sweeps of any narrower window reuse them allocation-free.
     let warm = checker::max_dyna_degree_into(&mut scratch, &schedule, 32, &honest);
     checker::max_dyna_degree_into(&mut scratch, &schedule, 100, &honest);
     let window = Window::open();
-    // Covers both scan paths: the `SlidingUnion` slabs (T ≤ 64) and the
-    // counter-slide fallback (T = 100).
+    // Every width runs on the same slabs, one past 64 rounds included.
     for t_window in [1usize, 8, 32, 100] {
         let got = checker::max_dyna_degree_into(&mut scratch, &schedule, t_window, &honest);
         assert!(got.is_some(), "T={t_window}: a full window must fit");
@@ -959,8 +955,7 @@ fn steady_state_step_performs_zero_allocations() {
     );
     // A one-shot verdict builds its scratch per call, so what it asks for
     // is the (T + 1) bit slabs it slides — (T + 1) · n²/8 bytes — and not
-    // the 4 · n² bytes of a counter table that only the > 64-round
-    // fallback and the connectivity checker read (1 GiB at n = 16 384).
+    // the 4 · n² bytes of a per-link counter table (1 GiB at n = 16 384).
     let (n, t_window) = (256, 8);
     let mut schedule = Schedule::new(n);
     for _ in 0..t_window + 2 {

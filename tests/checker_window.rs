@@ -1,15 +1,15 @@
 //! Fuzz: the incremental sliding-window checkers agree with naive
 //! recompute-from-scratch references on random schedules.
 //!
-//! `checker::max_dyna_degree` slides one [`WindowUnion`] across the
-//! recording; the reference below recomputes every overlapping window's
+//! `checker::max_dyna_degree` pushes the recording through one
+//! [`SlidingUnion`]; the reference below recomputes every overlapping window's
 //! union via `Schedule::window_in_neighbors` — exactly the seed
 //! implementation the sliding checker replaced. Same for
 //! `t_interval_connected` against per-window `window_intersection`. The
 //! harness is the SplitMix64 idiom of `tests/message_plane.rs`: fixed
 //! seeds, deterministic across runs, zero divergences required.
 
-use anondyn::graph::{checker, connectivity, generators, Schedule, WindowUnion};
+use anondyn::graph::{checker, connectivity, generators, Schedule, SlidingUnion};
 use anondyn::prelude::*;
 use anondyn::types::rng::SplitMix64;
 
@@ -143,8 +143,9 @@ fn sliding_t_interval_connected_matches_naive() {
 
 #[test]
 fn wide_windows_use_the_counter_slide_and_still_match() {
-    // t_window > 64 crosses into the counter-slide fallback of
-    // WindowUnion::scan_degrees; verdicts must be identical.
+    // Windows wider than 64 rounds once fell back to a per-link counter
+    // slide (hence the name); they run on the same slabs as every width,
+    // and the verdicts must match the naive recompute.
     let mut rng = SplitMix64::new(4242);
     for &(n, rounds, t_window) in &[(5usize, 90usize, 70usize), (9, 130, 101), (4, 80, 80)] {
         let mut s = Schedule::new(n);
@@ -155,7 +156,7 @@ fn wide_windows_use_the_counter_slide_and_still_match() {
         assert_eq!(
             checker::max_dyna_degree(&s, t_window, &faulty),
             naive_max_dyna_degree(&s, t_window, &faulty),
-            "counter-slide divergence at n={n}, L={rounds}, T={t_window}"
+            "wide-window divergence at n={n}, L={rounds}, T={t_window}"
         );
         assert_eq!(
             checker::window_degree_series(&s, t_window, &faulty),
@@ -166,9 +167,9 @@ fn wide_windows_use_the_counter_slide_and_still_match() {
 
 #[test]
 fn scratch_reuse_across_mismatched_calls_is_safe() {
-    // One WindowUnion driven across schedules of different lengths and
-    // windows: clear() must fully reset between runs.
-    let mut scratch = WindowUnion::new(12);
+    // One SlidingUnion driven across schedules of different lengths and
+    // windows: each sweep's reset must fully empty it.
+    let mut scratch = SlidingUnion::new(12, 1);
     let honest = checker::honest_set(12, &[NodeId::new(3)]);
     let mut rng = SplitMix64::new(99);
     for rounds in [0usize, 1, 5, 17] {

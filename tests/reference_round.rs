@@ -972,7 +972,7 @@ fn check_service(svc: &Service, what: &str, cov: &mut ServiceCoverage) {
     cov.modes[MODES.iter().position(|&m| m == svc.plane).unwrap()] += 1;
     cov.links[usize::from(sim.uses_sparse_links())] += 1;
     cov.sharded += u64::from(base.shards > 1);
-    let mut history = Schedule::new(n);
+    let (mut history, mut decided) = (Schedule::new(n), 0);
     for k in 0..INSTANCES {
         let what = format!("{what}, instance {k}");
         let rec = service.run_instance();
@@ -998,6 +998,7 @@ fn check_service(svc: &Service, what: &str, cov: &mut ServiceCoverage) {
         assert_eq!(rec.instance, k, "{what}");
         assert_eq!(rec.start_round, start_round, "{what}: start round");
         assert_eq!(rec.outcome, outcome, "{what}: outcome");
+        decided += u64::from(outcome == InstanceOutcome::Decided);
         assert_eq!(rec.rounds, expect.rounds, "{what}: rounds");
         let outputs: Vec<Value> = fault_free
             .iter()
@@ -1037,6 +1038,10 @@ fn check_service(svc: &Service, what: &str, cov: &mut ServiceCoverage) {
     }
     let rounds = history.len() as u64;
     assert_eq!(service.total_rounds(), rounds, "{what}: total rounds");
+    assert_eq!(service.instances_run(), INSTANCES, "{what}: instances run");
+    let tally = (service.decided_instances(), service.aborted_instances());
+    let aborted = INSTANCES - decided;
+    assert_eq!(tally, (decided, aborted), "{what}: instance tally");
     cov.churny += u64::from(svc.churny);
     cov.byzantine += u64::from(!base.byz.is_empty());
 }
