@@ -2,8 +2,8 @@
 //! recompute-from-scratch references on random schedules.
 //!
 //! `checker::max_dyna_degree` pushes the recording through one
-//! [`SlidingUnion`]; the reference below recomputes every overlapping window's
-//! union via `Schedule::window_in_neighbors` — exactly the seed
+//! [`SlidingUnion`]; the reference below recomputes every overlapping
+//! window's union via `Schedule::window_in_neighbors` — exactly the seed
 //! implementation the sliding checker replaced. Same for
 //! `t_interval_connected` against per-window `window_intersection`. The
 //! harness is the SplitMix64 idiom of `tests/message_plane.rs`: fixed
