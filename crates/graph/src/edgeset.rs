@@ -235,6 +235,28 @@ impl EdgeSet {
         }
     }
 
+    /// Whether `rows` holds exactly this set's links, read one 64-sender
+    /// chunk at a time and stopped at the first chunk that is not — how a
+    /// recording asks whether a round repeats without building it. A row
+    /// matches when each of its chunks lies inside this set's row and
+    /// they count as many links (chunks never overlap).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node counts differ.
+    pub fn equals_rows(&self, rows: &impl LinkRows) -> bool {
+        assert_eq!(self.n, rows.n(), "node count mismatch");
+        self.in_neighbors.iter().enumerate().all(|(v_idx, row)| {
+            let (mut inside, mut links) = (true, 0);
+            rows.scan_words_in(NodeId::new(v_idx), |w, bits| {
+                links += bits.count_ones() as usize;
+                inside = bits & !row.word(w) == 0;
+                inside
+            });
+            inside && links == row.len()
+        })
+    }
+
     /// Overwrites `out` with the transpose of this link set: row `u` of
     /// `out` holds the **out**-neighbors of `u` (`out[u] ∋ v ⇔ self[v] ∋
     /// u`) — the sender-major view of the receiver-major original
@@ -476,6 +498,39 @@ mod tests {
         e.transpose_into(&mut t);
         t.transpose_into(&mut back);
         assert_eq!(back, e);
+    }
+
+    #[test]
+    fn equals_rows_matches_run_rows_split_inside_a_word() {
+        use crate::{LinkPlane, LinkSink};
+        let n = 140;
+        let mut deliverers = NodeSet::full(n);
+        deliverers.remove(NodeId::new(25));
+        let mut plane = LinkPlane::new(n);
+        plane.begin_round(&deliverers);
+        let id = NodeId::new;
+        // Two runs meeting inside word 0 (two chunks of one word), one in
+        // word 1, one across words 1 and 2; an exact (CSR) row.
+        for (lo, hi) in [(2, 10), (20, 30), (64, 70), (100, 139)] {
+            plane.push_run(id(7), id(lo), id(hi));
+        }
+        for u in [1, 63, 64, 139] {
+            plane.push_link(id(8), id(u));
+        }
+        let mut dense = EdgeSet::empty(n);
+        dense.union_rows(&plane);
+        assert!(dense.equals_rows(&plane));
+        assert!(dense.equals_rows(&dense.clone()));
+        for (u, v) in [(5, 7), (30, 7), (139, 7), (63, 8)] {
+            let mut less = dense.clone();
+            assert!(less.remove(id(u), id(v)));
+            assert!(!less.equals_rows(&plane), "{u} → {v} removed");
+        }
+        for (u, v) in [(15, 7), (25, 7), (80, 7), (2, 8), (0, 9)] {
+            let mut more = dense.clone();
+            assert!(more.insert(id(u), id(v)));
+            assert!(!more.equals_rows(&plane), "{u} → {v} added");
+        }
     }
 
     #[test]

@@ -294,11 +294,14 @@ impl SimBuilder {
     }
 
     /// Records the realized per-round delivery schedule for the
-    /// dynaDegree checker (default: on). Disable for throughput runs: the
-    /// recording fills one dense edge set per round from
-    /// [`Simulation::realized_rows`] after the round has delivered, which
-    /// is both the memory growth and the last per-round allocation of a
-    /// steady-state `step`. It does not change what the round executes.
+    /// dynaDegree checker (default: on). A round equal to the one before
+    /// is compared, not copied, and costs the schedule an index; a
+    /// changed round is copied once into one dense edge set, read off
+    /// [`Simulation::realized_rows`] after the round has delivered. Those
+    /// copies are the recording's memory growth and the last per-round
+    /// allocation of a steady-state `step` under a changing adversary:
+    /// disable for throughput runs. It does not change what the round
+    /// executes.
     pub fn record_schedule(mut self, on: bool) -> Self {
         self.record_schedule = on;
         self

@@ -7,7 +7,9 @@
 //! an empty batch for a link it fabricated nothing for — and everything a
 //! round records is read there: its traffic, its logged events and a
 //! recorded schedule (the recording stage, [`Simulation::record`]), and
-//! the service watchdog's degrees.
+//! the service watchdog's degrees. A recorded round is first compared
+//! with the last one recorded and copied only when it differs, so a
+//! static adversary's run holds one copy of its round.
 
 use adn_faults::CrashSchedule;
 use adn_graph::{EdgeSet, LinkPlane, LinkRows, NodeSet};
@@ -217,13 +219,44 @@ impl Simulation {
 
     /// The recording stage of round `t`, once it has delivered: its
     /// traffic, a logged run's events ([`Simulation::log_round`]) and a
-    /// recorded schedule, all read off the realized round.
+    /// recorded schedule ([`Simulation::record_round`]), all read off the
+    /// realized round.
     pub(super) fn record(&mut self, t: Round) {
         let traffic = self.realized_in(t).traffic();
         self.traffic.merge(&traffic);
         self.log_round(t);
         if self.record_schedule {
-            self.schedule.push(self.realized_in(t).to_edge_set());
+            self.record_round(t);
+        }
+    }
+
+    /// Appends realized round `t` to the recorded schedule. A round equal
+    /// to the last one recorded costs one compare and no copy; a changed
+    /// round is copied once, into the schedule.
+    ///
+    /// On words, when every receiver executed the round, the realized
+    /// round is the store's words themselves (no node has crashed by `t`
+    /// and none is Byzantine, so every sender is Present): they are
+    /// compared and copied as they lie. Otherwise the realized view is
+    /// compared chunk by chunk ([`EdgeSet::equals_rows`]) and built only
+    /// when it differs ([`RealizedRows::to_edge_set`]).
+    fn record_round(&mut self, t: Round) {
+        let n = self.params.n();
+        let words = self
+            .links
+            .words()
+            .filter(|_| self.buffers.honest.len() == n);
+        let realized = self.realized_in(t);
+        let repeats = match (self.schedule.last(), words) {
+            (None, _) => false,
+            (Some(last), Some(words)) => last == words,
+            (Some(last), None) => last.equals_rows(&realized),
+        };
+        if repeats {
+            self.schedule.repeat_last();
+        } else {
+            let round = words.map_or_else(|| realized.to_edge_set(), EdgeSet::clone);
+            self.schedule.push(round);
         }
     }
 

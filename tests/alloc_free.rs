@@ -5,7 +5,8 @@
 //! round for DAC and DBAC runs in
 //! lean observability mode (no schedule recording, no phase multisets —
 //! both are history *recording*, inherently growing, and both default to
-//! on for analysis runs). The same counter pins every adversary in the
+//! on for analysis runs; a recorded round that repeats the one before
+//! asks for an index and no copy, which one cell pins). The same counter pins every adversary in the
 //! gallery — each one fills the reused edge set in place — and the
 //! sliding-window dynaDegree checker: once its `SlidingUnion` scratch
 //! is as wide as the window, a full sweep across a recording allocates nothing — and a
@@ -622,6 +623,57 @@ fn steady_state_step_performs_zero_allocations() {
     assert!(
         dbac <= dac + 16 * n,
         "dbac/plane build at n = {n}: {dbac} bytes, dac {dac}"
+    );
+
+    // --- A recorded run keeps each distinct round once: a fault-free
+    // DAC run at the benchmark's size under `Complete` repeats its round,
+    // and recording a repeat asks for an index and no copy — over 18
+    // rounds, less than one round's rows (it asked for more than that
+    // every round when each round was copied). A `Rotating` run changes
+    // its round every round and still copies every one. ---
+    let n: usize = 1024;
+    let rows = n * n.div_ceil(64) * 8;
+    let recorded = |adversary: AdversarySpec| {
+        let params = Params::fault_free(n, 1e-6).unwrap();
+        let mut sim = Simulation::builder(params)
+            .inputs_random(1)
+            .adversary(adversary.build(n, 0, 1))
+            .algorithm(factories::dac_with_pend(params, u64::MAX))
+            .algorithm_plane(PlaneMode::Always)
+            .observe_phases(false)
+            .max_rounds(u64::MAX)
+            .build();
+        assert!(sim.uses_plane() && !sim.uses_sparse_links());
+        for _ in 0..3 {
+            sim.step();
+        }
+        let before = BYTES_REQUESTED.load(Ordering::Relaxed);
+        for _ in 3..=20 {
+            sim.step();
+        }
+        let requested = BYTES_REQUESTED.load(Ordering::Relaxed) - before;
+        (requested, sim.finish())
+    };
+    let (requested, outcome) = recorded(AdversarySpec::Complete);
+    assert!(
+        requested < rows,
+        "dac/recorded/complete at n = {n}: rounds 3-20 requested {requested} bytes, one \
+         round's rows are {rows}"
+    );
+    let schedule = outcome.schedule();
+    assert_eq!(schedule.len(), 21);
+    assert!(schedule.iter().all(|(_, e)| e.edge_count() == n * (n - 1)));
+    let (requested, outcome) = recorded(AdversarySpec::Rotating { d: n / 2 });
+    assert!(
+        requested >= 18 * rows,
+        "dac/recorded/rotating at n = {n}: rounds 3-20 requested {requested} bytes, under \
+         18 rounds' rows ({rows} each)"
+    );
+    let rounds: Vec<_> = outcome.schedule().iter().map(|(_, e)| e).collect();
+    assert_eq!(rounds.len(), 21);
+    assert!(
+        rounds.windows(2).all(|w| w[0] != w[1]),
+        "dac/recorded/rotating: every round differs from the one before"
     );
 
     // --- The trial-lane driver: 64 lockstep trials per word. A steady
