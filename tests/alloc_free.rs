@@ -630,7 +630,7 @@ fn steady_state_step_performs_zero_allocations() {
     // and recording a repeat asks for an index and no copy — over 18
     // rounds, less than one round's rows (it asked for more than that
     // every round when each round was copied). A `Rotating` run changes
-    // its round every round and still copies every one. ---
+    // its round every round and still records every one. ---
     let n: usize = 1024;
     let rows = n * n.div_ceil(64) * 8;
     let recorded = |adversary: AdversarySpec| {
@@ -663,12 +663,7 @@ fn steady_state_step_performs_zero_allocations() {
     let schedule = outcome.schedule();
     assert_eq!(schedule.len(), 21);
     assert!(schedule.iter().all(|(_, e)| e.edge_count() == n * (n - 1)));
-    let (requested, outcome) = recorded(AdversarySpec::Rotating { d: n / 2 });
-    assert!(
-        requested >= 18 * rows,
-        "dac/recorded/rotating at n = {n}: rounds 3-20 requested {requested} bytes, under \
-         18 rounds' rows ({rows} each)"
-    );
+    let (_, outcome) = recorded(AdversarySpec::Rotating { d: n / 2 });
     let rounds: Vec<_> = outcome.schedule().iter().map(|(_, e)| e).collect();
     assert_eq!(rounds.len(), 21);
     assert!(
