@@ -811,44 +811,49 @@ fn simulation_matches_the_naive_round_executor() {
 
 /// A recorded round equal to the one before is not copied, so a changed
 /// round must never pass for a repeat. A dense `Complete` run repeats its
-/// round 0-2; node 0 crashes in round 3 with two survivors, which empties
-/// its row and thins its links even though the store's words are the
-/// same; from round 4 on it is silent, another run of repeats. Every
-/// engine must record round 3 as the naive executor does.
+/// round 0-2; node 0 crashes in round 3, once with two survivors (a
+/// Partial sender: its links thin) and once after its full broadcast (a
+/// Present sender that does not receive): either way its row empties
+/// though the store's words are the same. From round 4 on it is silent,
+/// another run of repeats. Every engine must record round 3 as the naive
+/// executor does.
 #[test]
 fn a_crash_after_repeated_rounds_records_its_own_round() {
     let n = 70;
-    let mut crash = CrashSchedule::new(n);
-    let survivors = CrashSurvivors::Subset(vec![NodeId::new(1), NodeId::new(66)]);
-    crash.crash(NodeId::new(0), Round::new(3), survivors);
-    let cfg = Config {
-        params: Params::new(n, 1, 1e-3).unwrap(),
-        algo: Algo::Dac,
-        pend: 8,
-        bits: None,
-        links: Links::Spec(Complete),
-        byz: Vec::new(),
-        crash,
-        inputs: workload::random(n, 5),
-        instance: 0,
-        order: AscendingSenders,
-        link_mode: LinkMode::Dense,
-        shards: 1,
-        logged: true,
-        max_rounds: 200,
-        seed: 5,
-    };
-    check(&cfg, "crash after repeats", &mut Coverage::default());
-    let schedule = reference(&cfg).schedule;
-    let round = |t| schedule.round(Round::new(t)).unwrap();
-    assert!(schedule.len() > 5, "{} rounds", schedule.len());
-    assert_eq!(round(1), round(2));
-    assert_ne!(
-        round(2),
-        round(3),
-        "the crash round changes the realized round"
-    );
-    assert_eq!(round(4), round(5));
+    let subset = CrashSurvivors::Subset(vec![NodeId::new(1), NodeId::new(66)]);
+    for survivors in [subset, CrashSurvivors::All] {
+        let name = format!("crash after repeats, {survivors:?}");
+        let mut crash = CrashSchedule::new(n);
+        crash.crash(NodeId::new(0), Round::new(3), survivors);
+        let cfg = Config {
+            params: Params::new(n, 1, 1e-3).unwrap(),
+            algo: Algo::Dac,
+            pend: 8,
+            bits: None,
+            links: Links::Spec(Complete),
+            byz: Vec::new(),
+            crash,
+            inputs: workload::random(n, 5),
+            instance: 0,
+            order: AscendingSenders,
+            link_mode: LinkMode::Dense,
+            shards: 1,
+            logged: true,
+            max_rounds: 200,
+            seed: 5,
+        };
+        check(&cfg, &name, &mut Coverage::default());
+        let schedule = reference(&cfg).schedule;
+        let round = |t| schedule.round(Round::new(t)).unwrap();
+        assert!(schedule.len() > 5, "{name}: {} rounds", schedule.len());
+        assert_eq!(round(1), round(2), "{name}");
+        assert_ne!(
+            round(2),
+            round(3),
+            "{name}: the crash round changes the realized round"
+        );
+        assert_eq!(round(4), round(5), "{name}");
+    }
 }
 
 // --- The service leg: a `ServiceRun` instance is an executor run. ---
