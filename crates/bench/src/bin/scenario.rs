@@ -31,7 +31,6 @@ use adn_adversary::AdversarySpec;
 use adn_bench::cli::{parse_spec, Flags};
 use adn_faults::strategies::{self, ALL_STRATEGY_NAMES};
 use adn_faults::{CrashSchedule, CrashSurvivors};
-use adn_graph::checker;
 use adn_sim::{factories, workload, Simulation};
 use adn_types::{NodeId, Params, Round};
 
@@ -158,9 +157,8 @@ fn run(args: Vec<String>) -> Result<(), String> {
         outcome.phase_containment_ok()
     );
     println!("traffic:  {}", outcome.traffic());
-    let faulty = outcome.faulty_ids();
-    if let Some(d) = checker::max_dyna_degree(outcome.schedule(), 1, &faulty) {
-        println!("realized: (1,{d})-dynaDegree on the delivery schedule (fault-free receivers)");
+    if let Some(d) = outcome.min_dyna_degree() {
+        println!("realized: (1,{d})-dynaDegree on the delivered links (fault-free receivers)");
     }
     if flags.get("trace") == Some("on") {
         println!("\nround  range      min-ph  max-ph  decided");

@@ -15,6 +15,7 @@ pub fn run() -> String {
     let mut out = String::new();
     let params = Params::fault_free(3, 1e-3).expect("valid params");
     let outcome = Simulation::builder(params)
+        .record_schedule(true)
         .adversary(AdversarySpec::Figure1.build(3, 0, 1))
         .algorithm(factories::dac(params))
         .max_rounds(500)

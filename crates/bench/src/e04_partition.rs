@@ -6,7 +6,6 @@ use std::fmt::Write;
 
 use adn_adversary::AdversarySpec;
 use adn_analysis::Table;
-use adn_graph::checker;
 use adn_sim::{factories, workload, Simulation, StopReason, TrialPool};
 use adn_types::Params;
 
@@ -30,8 +29,7 @@ pub fn run() -> String {
             .algorithm(factories::dac(params))
             .max_rounds(1_000)
             .run();
-        let realized =
-            checker::max_dyna_degree(dac.schedule(), 1, &[]).expect("schedule long enough");
+        let realized = dac.min_dyna_degree().expect("rounds executed");
         let strawman = Simulation::builder(params)
             .inputs(workload::split01(n, n / 2))
             .adversary(AdversarySpec::PartitionHalves.build(n, 0, 1))

@@ -8,7 +8,6 @@ use std::fmt::Write;
 use adn_adversary::{AdversarySpec, Theorem10Split};
 use adn_analysis::Table;
 use adn_faults::strategies::TwoFaced;
-use adn_graph::checker;
 use adn_sim::{factories, Simulation, StopReason, TrialPool};
 use adn_types::{NodeId, Params, Value};
 
@@ -33,12 +32,7 @@ pub fn run() -> String {
             below = below.byzantine(NodeId::new(i), Box::new(TwoFaced::zero_one(n / 2)));
         }
         let below = below.run();
-        let d_below = checker::max_dyna_degree(
-            below.schedule(),
-            1,
-            &byz_block.clone().map(NodeId::new).collect::<Vec<_>>(),
-        )
-        .expect("recorded");
+        let d_below = below.min_dyna_degree().expect("rounds executed");
         assert!(!below.eps_agreement(1e-2), "n={n} f={f} must split");
         let below_row = [
             n.to_string(),
@@ -56,19 +50,14 @@ pub fn run() -> String {
             .adversary(AdversarySpec::DbacThreshold.build(n, f, 3))
             .algorithm(factories::dbac_with_pend(params, 60))
             .max_rounds(20_000);
-        for i in byz_block.clone() {
+        for i in byz_block {
             at = at.byzantine(NodeId::new(i), Box::new(TwoFaced::zero_one(n / 2)));
         }
         let at = at.run();
         assert_eq!(at.reason(), StopReason::AllOutput, "n={n} f={f}");
         assert!(at.eps_agreement(1e-2));
         assert!(at.validity());
-        let d_at = checker::max_dyna_degree(
-            at.schedule(),
-            1,
-            &byz_block.map(NodeId::new).collect::<Vec<_>>(),
-        )
-        .expect("recorded");
+        let d_at = at.min_dyna_degree().expect("rounds executed");
         let at_row = [
             n.to_string(),
             f.to_string(),

@@ -13,7 +13,6 @@ use std::fmt::Write;
 
 use adn_adversary::AdversarySpec;
 use adn_analysis::Table;
-use adn_graph::checker;
 use adn_sim::{factories, workload, Simulation, TrialPool};
 use adn_types::{Params, Value};
 
@@ -57,7 +56,7 @@ pub fn run() -> String {
             .adversary(AdversarySpec::OmitLowest.build(n, 0, 1))
             .algorithm(factories::min_flood(n as u64))
             .run();
-        let d = checker::max_dyna_degree(omitted.schedule(), 1, &[]).expect("recorded");
+        let d = omitted.min_dyna_degree().expect("rounds executed");
         assert_eq!(d, n - 2, "n={n}: OmitOne must realize n-2");
         assert!(
             (omitted.output_range() - 1.0).abs() < 1e-12,

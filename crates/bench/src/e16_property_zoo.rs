@@ -36,6 +36,7 @@ pub fn run() -> String {
     ];
     let rows = TrialPool::new().run(&specs, |&spec| {
         let outcome = Simulation::builder(params)
+            .record_schedule(true)
             .adversary(spec.build(n, 0, 3))
             .algorithm(factories::dac(params))
             .max_rounds(rounds)
@@ -61,6 +62,7 @@ pub fn run() -> String {
     // The Figure 1 example is the separating witness.
     let p3 = Params::fault_free(3, 1e-2).expect("valid params");
     let fig1 = Simulation::builder(p3)
+        .record_schedule(true)
         .adversary(AdversarySpec::Figure1.build(3, 0, 1))
         .algorithm(factories::dac(p3))
         .max_rounds(100)
@@ -105,6 +107,7 @@ pub fn run() -> String {
     ];
     let rows = TrialPool::new().run(&extended, |&spec| {
         let outcome = Simulation::builder(params)
+            .record_schedule(true)
             .adversary(spec.build(n, 0, 3))
             .algorithm(factories::dac(params))
             .max_rounds(rounds)

@@ -116,42 +116,6 @@ pub fn satisfies_dyna_degree(
     }
 }
 
-/// The smallest window `T` for which the recording satisfies
-/// (T, D)-dynaDegree, searching `1..=max_t`.
-///
-/// Only window lengths that **fully fit** in the recording
-/// (`T <= schedule.len()`) are candidates. A longer window is vacuously
-/// satisfied by Def. 1 — the recording contains no full window to violate
-/// it — but reporting one would claim positive evidence the recording
-/// cannot provide, so the search clamps `max_t` to `schedule.len()` and
-/// returns `None` when no fitting window reaches `d`, even if
-/// `max_t > schedule.len()`. (Same resolution as
-/// [`max_dyna_degree`] returning `None` for too-short recordings while
-/// [`satisfies_dyna_degree`] maps that to a vacuous `true`; callers that
-/// want the vacuous reading can test `schedule.len() < t` themselves.)
-/// The boundary is pinned by tests at `T == len` (a candidate) and
-/// `T == len + 1` (never reported).
-///
-/// # Panics
-///
-/// Panics if `max_t == 0`.
-pub fn min_window_for_degree(
-    schedule: &Schedule,
-    d: usize,
-    max_t: usize,
-    faulty: &[NodeId],
-) -> Option<usize> {
-    assert!(max_t > 0, "max_t must be at least 1");
-    let mut scratch = SlidingUnion::new(schedule.n(), 1);
-    let honest = honest_set(schedule.n(), faulty);
-    (1..=max_t.min(schedule.len())).find(|&t| {
-        matches!(
-            max_dyna_degree_into(&mut scratch, schedule, t, &honest),
-            Some(min) if min >= d
-        )
-    })
-}
-
 /// Per-window minimum aggregated in-degree across fault-free nodes — the
 /// series experiment E01 plots. Entry `i` corresponds to the window
 /// starting at round `i`.
@@ -211,10 +175,12 @@ mod tests {
     #[test]
     fn figure1_never_reaches_degree_2_for_ends() {
         // Nodes 0 and 2 only ever hear from node 1, so no window of any
-        // length reaches D = 2.
+        // length reaches D = 2; two rounds are the shortest to reach 1.
         let s = figure1(10);
-        assert_eq!(min_window_for_degree(&s, 2, 10, &[]), None);
-        assert_eq!(min_window_for_degree(&s, 1, 10, &[]), Some(2));
+        for t in 1..=10 {
+            let expected = Some(usize::from(t >= 2));
+            assert_eq!(max_dyna_degree(&s, t, &[]), expected, "T = {t}");
+        }
     }
 
     #[test]
@@ -286,35 +252,6 @@ mod tests {
     #[should_panic(expected = "window")]
     fn zero_window_panics() {
         max_dyna_degree(&figure1(2), 0, &[]);
-    }
-
-    /// Boundary audit of `min_window_for_degree` at the recording edge: a
-    /// window exactly as long as the recording is a candidate, one round
-    /// longer never is — a vacuously-satisfied window must not be
-    /// reported as positive evidence.
-    #[test]
-    fn min_window_boundary_at_recording_length() {
-        // Receiver 0 hears one distinct sender per round over 4 rounds:
-        // D = 4 is first (and only) reached by the full-length window.
-        let n = 5;
-        let len = 4usize;
-        let mut s = Schedule::new(n);
-        for t in 0..len {
-            s.push(EdgeSet::from_pairs(n, [(1 + t, 0)]));
-        }
-        let faulty: Vec<NodeId> = (1..n).map(NodeId::new).collect();
-        // T == len fits and satisfies: reported.
-        assert_eq!(min_window_for_degree(&s, 4, len, &faulty), Some(len));
-        // T == len + 1 in the bound changes nothing — the answer is still
-        // the fitting window.
-        assert_eq!(min_window_for_degree(&s, 4, len + 1, &faulty), Some(len));
-        // D = 5 is unreachable by any fitting window; the len + 1 window
-        // would be vacuously satisfied but is clamped away, so the search
-        // reports None rather than a verdict the recording cannot back.
-        assert_eq!(min_window_for_degree(&s, 5, len, &faulty), None);
-        assert_eq!(min_window_for_degree(&s, 5, len + 1, &faulty), None);
-        // The vacuous reading remains available through the satisfier.
-        assert!(satisfies_dyna_degree(&s, len + 1, 5, &faulty));
     }
 
     #[test]

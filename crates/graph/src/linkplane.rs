@@ -126,16 +126,6 @@ pub trait LinkRows {
         }
         c
     }
-
-    /// Minimum in-degree over a set of receivers (`None` if empty).
-    fn min_in_degree_over_set(&self, receivers: &NodeSet) -> Option<usize> {
-        let mut min = None;
-        receivers.for_each(|v| {
-            let d = self.in_degree(v);
-            min = Some(min.map_or(d, |m: usize| m.min(d)));
-        });
-        min
-    }
 }
 
 /// [`LinkRows::scan_words_in`] for rows that only know their ids:
@@ -1097,8 +1087,6 @@ mod tests {
         assert_eq!(got, vec![1]);
         assert_eq!(LinkRows::in_degree(&e, NodeId::new(2)), 1);
         assert_eq!(LinkRows::edge_count(&e), 3);
-        let honest = NodeSet::full(70);
-        assert_eq!(e.min_in_degree_over_set(&honest), Some(0));
     }
 
     #[test]

@@ -138,6 +138,10 @@ pub struct Simulation {
     /// `shard_bounds[i]..shard_bounds[i + 1]`.
     shard_bounds: Vec<usize>,
     traffic: Traffic,
+    /// The instance's realized (1, D)-dynaDegree so far: the least
+    /// fault-free realized in-degree of its executed rounds, metered by
+    /// the recording stage (`None` before its first round).
+    min_dyna_degree: Option<usize>,
     events: Option<EventLog>,
     /// Which nodes had already decided before the current round (for
     /// Decide events).
@@ -283,6 +287,7 @@ impl Simulation {
             fabricated,
             shard_bounds,
             traffic: Traffic::new(),
+            min_dyna_degree: None,
             events: b.record_events.then(EventLog::new),
             was_decided: vec![false; n],
             delivery_order: b.delivery_order,
@@ -377,6 +382,12 @@ impl Simulation {
         &self.fault_free
     }
 
+    /// The current instance's realized (1, D)-dynaDegree over the rounds it
+    /// has executed (see [`Outcome::min_dyna_degree`]).
+    pub(crate) fn min_dyna_degree(&self) -> Option<usize> {
+        self.min_dyna_degree
+    }
+
     /// The current input vector (refreshed per instance by
     /// [`Simulation::begin_instance`]).
     pub(crate) fn inputs(&self) -> &[Value] {
@@ -417,6 +428,7 @@ impl Simulation {
         self.inputs.copy_from_slice(inputs);
         self.round = Round::ZERO;
         self.done = None;
+        self.min_dyna_degree = None;
         self.last_phase.fill(Phase::ZERO);
         self.was_decided.fill(false);
 
@@ -926,6 +938,7 @@ impl Simulation {
             traces,
             schedule: self.schedule,
             traffic: self.traffic,
+            min_dyna_degree: self.min_dyna_degree,
             events: self.events,
         }
     }
@@ -1046,12 +1059,14 @@ mod tests {
     fn realized_schedule_feeds_checker() {
         let p = params(6, 0, 1e-2);
         let outcome = Simulation::builder(p)
+            .record_schedule(true)
             .adversary(AdversarySpec::Rotating { d: 3 }.build(6, 0, 5))
             .algorithm(factories::dac(p))
             .run();
         let sched = outcome.schedule();
         assert_eq!(sched.len() as u64, outcome.rounds());
         assert_eq!(checker::max_dyna_degree(sched, 1, &[]), Some(3));
+        assert_eq!(outcome.min_dyna_degree(), Some(3));
     }
 
     #[test]
@@ -1071,6 +1086,7 @@ mod tests {
         let p = params(8, 0, 1e-3);
         let run = || {
             Simulation::builder(p)
+                .record_schedule(true)
                 .inputs_random(11)
                 .adversary(AdversarySpec::Random { p: 0.7 }.build(8, 0, 9))
                 .algorithm(factories::dac(p))

@@ -5,11 +5,13 @@
 //! per-link rule to the store instead — sender class, crash survivors,
 //! and for a Byzantine sender the round's fabrication arena, which holds
 //! an empty batch for a link it fabricated nothing for — and everything a
-//! round records is read there: its traffic, its logged events and a
-//! recorded schedule (the recording stage, [`Simulation::record`]), and
-//! the service watchdog's degrees. A recorded round is first compared
-//! with the last one recorded and copied only when it differs, so a
-//! static adversary's run holds one copy of its round.
+//! round records is read there (the recording stage,
+//! [`Simulation::record`]): its traffic, its realized (1, D)-dynaDegree,
+//! counted on the traffic's pass, its logged events and, when asked for,
+//! a recorded schedule; a service's `T ≥ 2` watchdog window reads it too.
+//! A recorded round is first compared with the last one recorded and
+//! copied only when it differs, so a static adversary's run holds one
+//! copy of its round.
 
 use adn_faults::CrashSchedule;
 use adn_graph::{EdgeSet, LinkPlane, LinkRows, NodeSet};
@@ -117,39 +119,54 @@ impl RealizedRows<'_> {
         }
     }
 
-    /// The round's traffic: one delivery per realized link, of its
-    /// sender's staged batch or its fabricated one. The Present links are
-    /// one masked popcount per receiver, one message each, recounted
-    /// sender by sender only where the staged batch is not one message;
-    /// Partial links are asked one by one, Byzantine ones read off the
-    /// arena.
-    pub(super) fn traffic(&self) -> Traffic {
+    /// The round's traffic, and its least realized in-degree over the
+    /// `fault_free` receivers (`None` if there are none): Def. 1's degree
+    /// at `T = 1`, counted on the same pass. One delivery per realized
+    /// link, of its sender's staged batch or its fabricated one, receiver
+    /// by receiver: the Present links are one masked popcount, one message
+    /// each (recounted sender by sender only where the staged batch is not
+    /// one message), the Partial links are asked one by one, and the
+    /// Byzantine ones are read off the arena, which holds them receiver by
+    /// receiver. `fault_free` is ascending, and each of its nodes executes
+    /// every round.
+    pub(super) fn traffic(&self, fault_free: &[NodeId]) -> (Traffic, Option<usize>) {
         let (honest, batches) = (self.honest, self.batches);
-        let fired = |u: NodeId| honest.iter().filter(move |&v| self.links.contains(u, v));
         let mut traffic = Traffic::new();
-        let mut single = 0;
-        honest.for_each(|v| single += self.links.in_degree_within(v, self.unconditional));
+        let (mut single, mut min) = (0, None);
+        let mut fault_free = fault_free.iter().peekable();
+        let mut fabricated = self.fabricated.iter().peekable();
+        honest.for_each(|v| {
+            let mut degree = self.links.in_degree_within(v, self.unconditional);
+            single += degree;
+            for &(_, u) in self.conditional {
+                if self.classes[u.index()] == SenderClass::Partial
+                    && self.links.contains(u, v)
+                    && self.crash.delivers(u, self.t, v)
+                {
+                    degree += 1;
+                    traffic.record_delivery(batches[u.index()].len());
+                }
+            }
+            while let Some(&(_, _, len)) = fabricated.next_if(|l| l.0 == v) {
+                if len > 0 {
+                    degree += 1;
+                    traffic.record_delivery(len);
+                }
+            }
+            if fault_free.next_if(|&&w| w == v).is_some() {
+                min = Some(min.map_or(degree, |m: usize| m.min(degree)));
+            }
+        });
         for u in self.unconditional.iter() {
             let len = batches[u.index()].len();
             if len != 1 {
-                let links = fired(u).count();
+                let links = honest.iter().filter(|&v| self.links.contains(u, v)).count();
                 single -= links;
                 traffic.record_uniform_deliveries(links as u64, len);
             }
         }
         traffic.record_uniform_deliveries(single as u64, 1);
-        for &(_, u) in self.conditional {
-            if self.classes[u.index()] == SenderClass::Partial {
-                let links = fired(u)
-                    .filter(|&v| self.crash.delivers(u, self.t, v))
-                    .count();
-                traffic.record_uniform_deliveries(links as u64, batches[u.index()].len());
-            }
-        }
-        for &(_, _, len) in self.fabricated.iter().filter(|l| l.2 > 0) {
-            traffic.record_delivery(len);
-        }
-        traffic
+        (traffic, min)
     }
 }
 
@@ -208,8 +225,8 @@ impl LinkRows for RealizedRows<'_> {
 
 impl Simulation {
     /// The realized links of the most recently executed round as
-    /// [`LinkRows`] — the link-path-agnostic view consumers like the
-    /// service watchdog read dynaDegree from. Valid until the next
+    /// [`LinkRows`] — the link-path-agnostic view a service's windowed
+    /// watchdog reads dynaDegree from. Valid until the next
     /// [`step`](Simulation::step) (or instance re-seed); empty before any
     /// round has executed. See [`RealizedRows`].
     pub fn realized_rows(&self) -> RealizedRows<'_> {
@@ -233,12 +250,14 @@ impl Simulation {
     }
 
     /// The recording stage of round `t`, once it has delivered: its
-    /// traffic, a logged run's events ([`Simulation::log_round`]) and a
-    /// recorded schedule ([`Simulation::record_round`]), all read off the
-    /// realized round.
+    /// traffic and its least fault-free realized in-degree, folded into
+    /// the instance's ([`RealizedRows::traffic`]), a logged run's events
+    /// ([`Simulation::log_round`]) and a recorded schedule
+    /// ([`Simulation::record_round`]), all read off the realized round.
     pub(super) fn record(&mut self, t: Round) {
-        let traffic = self.realized_in(t).traffic();
+        let (traffic, degree) = self.realized_in(t).traffic(&self.fault_free);
         self.traffic.merge(&traffic);
+        self.min_dyna_degree = self.min_dyna_degree.into_iter().chain(degree).min();
         self.log_round(t);
         if self.record_schedule {
             self.record_round(t);

@@ -53,7 +53,8 @@ impl fmt::Display for StopReason {
 }
 
 /// Everything a finished execution produced: outputs, phase multisets,
-/// round traces, the realized delivery schedule, and traffic counters —
+/// round traces, traffic counters, the realized (1, D)-dynaDegree and, when
+/// asked for, the realized delivery schedule —
 /// plus the correctness verdicts (validity, ε-agreement) computed the way
 /// the paper defines them.
 #[derive(Debug)]
@@ -73,6 +74,7 @@ pub struct Outcome {
     pub(crate) traces: Vec<RoundTrace>,
     pub(crate) schedule: Schedule,
     pub(crate) traffic: Traffic,
+    pub(crate) min_dyna_degree: Option<usize>,
     pub(crate) events: Option<EventLog>,
 }
 
@@ -216,10 +218,25 @@ impl Outcome {
         &self.traces
     }
 
-    /// The realized delivery schedule, suitable for the dynaDegree
-    /// checker.
+    /// The realized delivery schedule, for the offline dynaDegree checker
+    /// and the connectivity verdicts — empty unless the run was built with
+    /// [`SimBuilder::record_schedule`](crate::SimBuilder::record_schedule)
+    /// on. A run's (1, D)-dynaDegree needs no recording:
+    /// [`Outcome::min_dyna_degree`].
     pub fn schedule(&self) -> &Schedule {
         &self.schedule
+    }
+
+    /// The run's realized (1, D)-dynaDegree (Def. 1 with `T = 1`): the
+    /// least number of distinct in-neighbors whose links delivered to a
+    /// fault-free node in any executed round. Metered on each round's
+    /// traffic pass, recorded or not, it is what
+    /// `checker::max_dyna_degree(self.schedule(), 1, &self.faulty_ids())`
+    /// returns on a recorded run: `None` if no round executed or no node
+    /// is fault-free. Windows of `T ≥ 2` still need a recording (or a
+    /// service's [`dyna_window`](crate::ServiceRun::dyna_window)).
+    pub fn min_dyna_degree(&self) -> Option<usize> {
+        self.min_dyna_degree
     }
 
     /// Traffic counters for the whole execution.

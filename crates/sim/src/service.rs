@@ -25,19 +25,20 @@
 //!   as [`InstanceOutcome::Aborted`] and the service moves on.
 //!
 //! A safety watchdog runs continuously: validity and ε-agreement are
-//! checked per instance from live engine state, and the realized
-//! dynaDegree is read per round through the engine's
-//! [`RealizedRows`](crate::engine::RealizedRows) view — the
-//! link-path-agnostic [`LinkRows`](adn_graph::LinkRows) facade over
-//! whichever representation carries the run, so sparse services never
-//! materialize dense rows for the watchdog. The default `T = 1` window
-//! reads degrees straight off the view; `T ≥ 2` windows
+//! checked per instance from live engine state, and so is the realized
+//! dynaDegree, with no schedule recorded. The default `T = 1` window is
+//! the engine's own meter: every run counts its least fault-free realized
+//! in-degree on the round's traffic pass
+//! ([`Outcome::min_dyna_degree`](crate::Outcome::min_dyna_degree)), and
+//! each instance starts it afresh. `T ≥ 2` windows
 //! ([`ServiceRun::dyna_window`]) track the union incrementally across
 //! instance boundaries with a [`SlidingUnion`] — Definition 1's windowed
-//! union on `T + 1` bit slabs, one push per executed round, words and
-//! never links: no full schedule recording, no rescans, no per-link
-//! counters, and the same structure the offline checker pushes a
-//! recording through.
+//! union on `T + 1` bit slabs, one push per executed round of the
+//! engine's [`RealizedRows`](crate::engine::RealizedRows) view (the
+//! link-path-agnostic [`LinkRows`](adn_graph::LinkRows) facade, so a
+//! sparse service never materializes dense rows), words and never links:
+//! no rescans, no per-link counters, and the same structure the offline
+//! checker pushes a recording through.
 //!
 //! Each instance is **byte-identical** to a standalone run given the same
 //! membership slice, inputs, and adversary instance stream: stateful
@@ -47,7 +48,7 @@
 //! round executor.
 
 use adn_faults::ChurnPlan;
-use adn_graph::{LinkRows, NodeSet, SlidingUnion};
+use adn_graph::{NodeSet, SlidingUnion};
 use adn_types::{NodeId, Round, Value, ValueInterval};
 
 use crate::builder::SimBuilder;
@@ -174,32 +175,20 @@ pub struct ServiceRun {
     /// Node ids that are not Byzantine — the validity hull's input set.
     non_byzantine: Vec<NodeId>,
     /// The current instance's fault-free nodes as a set, for the
-    /// watchdog's windowed min-degree.
+    /// windowed watchdog's min-degree.
     honest_set: NodeSet,
     /// Global service round: total rounds executed across all instances —
     /// the axis the churn plan is sliced on.
     clock: u64,
     next_instance: u64,
-    watchdog: Watchdog,
+    /// The watchdog's `T ≥ 2` window: Definition 1's union over the last
+    /// `T` realized rounds, persisting across instance boundaries — `T + 1`
+    /// bit slabs of `n · ⌈n/64⌉` words, all of it allocated by
+    /// [`ServiceRun::dyna_window`]. `None` at `T = 1`, where the window is
+    /// the round and the engine's meter reads it.
+    window: Option<SlidingUnion>,
     decided_instances: u64,
     aborted_instances: u64,
-}
-
-/// The dynaDegree watchdog's window state. Both shapes read the executed
-/// round through [`Simulation::realized_rows`] — the dense/sparse-agnostic
-/// `LinkRows` view — a word at a time, so neither forces dense link
-/// materialization or touches a link on its own.
-#[derive(Debug)]
-enum Watchdog {
-    /// `T = 1` (the default): the window *is* the current round, so the
-    /// min degree is read straight off the realized view — no union, no
-    /// retained rounds.
-    Single,
-    /// `T ≥ 2`: Definition 1's union over the last `T` realized rounds,
-    /// persisting across instance boundaries — `T + 1` bit slabs of
-    /// `n · ⌈n/64⌉` words, all of it allocated by
-    /// [`ServiceRun::dyna_window`].
-    Windowed { window: SlidingUnion },
 }
 
 impl ServiceRun {
@@ -207,8 +196,8 @@ impl ServiceRun {
     /// [`max_rounds`](SimBuilder::max_rounds) becomes the per-instance
     /// round cap `R_max`; its crash schedule must be empty (instance
     /// faults come from the churn plan); schedule recording is forced off
-    /// (the watchdog's sliding window replaces it — full recording would
-    /// grow without bound and allocate every round).
+    /// (the engine's meter and the watchdog's sliding window replace it —
+    /// full recording would grow without bound and allocate every round).
     ///
     /// # Panics
     ///
@@ -216,7 +205,8 @@ impl ServiceRun {
     /// builder carries crash faults or a range oracle or event recording,
     /// or the algorithm does not support in-place instance resets.
     /// Sparse-link runs are fully supported: the watchdog reads realized
-    /// degrees through [`Simulation::realized_rows`], never a dense row.
+    /// degrees off the engine's meter or, windowed, through
+    /// [`Simulation::realized_rows`], never a dense row.
     pub fn new(builder: SimBuilder, churn: ChurnPlan, workload: InputStream) -> Self {
         let n = builder.params.n();
         assert_eq!(churn.n(), n, "churn plan size mismatch");
@@ -251,19 +241,21 @@ impl ServiceRun {
             honest_set: NodeSet::new(n),
             clock: 0,
             next_instance: 0,
-            watchdog: Watchdog::Single,
+            window: None,
             decided_instances: 0,
             aborted_instances: 0,
         }
     }
 
     /// Sets the watchdog's dynaDegree window to `t_window` rounds
-    /// (default 1). Call before the first instance: resizing resets the
-    /// window's contents. `t_window = 1` keeps the stateless fast path
-    /// (degrees read straight off the realized view); larger windows
-    /// allocate `t_window + 1` bit slabs of `n · ⌈n/64⌉` words here — all
-    /// the watchdog ever holds — and slide them a word at a time
-    /// ([`SlidingUnion`]).
+    /// (default 1) — the one way to set it. Call before the first
+    /// instance: resizing resets the window's contents. At `t_window = 1`
+    /// the watchdog holds nothing: each instance's record reads the
+    /// engine's own (1, D) meter, counted on the round's traffic pass.
+    /// Larger windows allocate `t_window + 1` bit slabs of `n · ⌈n/64⌉`
+    /// words here — all the watchdog ever holds — and slide them a word
+    /// at a time ([`SlidingUnion`]) over each executed round's
+    /// [`Simulation::realized_rows`], across instance boundaries.
     ///
     /// # Panics
     ///
@@ -271,13 +263,7 @@ impl ServiceRun {
     pub fn dyna_window(mut self, t_window: usize) -> Self {
         assert!(t_window > 0, "window must be at least 1 round");
         let n = self.churn.n();
-        self.watchdog = if t_window == 1 {
-            Watchdog::Single
-        } else {
-            Watchdog::Windowed {
-                window: SlidingUnion::new(n, t_window),
-            }
-        };
+        self.window = (t_window > 1).then(|| SlidingUnion::new(n, t_window));
         self
     }
 
@@ -302,7 +288,7 @@ impl ServiceRun {
         let participants = self.sim.fault_free_ids().len();
 
         let mut rounds = 0u64;
-        let mut min_dyna: Option<usize> = None;
+        let mut min_window: Option<usize> = None;
         let outcome = if participants == 0 {
             InstanceOutcome::Aborted {
                 reason: AbortReason::NoParticipants,
@@ -314,11 +300,13 @@ impl ServiceRun {
                 if self.sim.round() > before {
                     // A round actually executed (the stop conditions can
                     // fire before any work — e.g. pend = 0 decides at
-                    // seeding); feed its realized links to the watchdog.
+                    // seeding); feed its realized links to a window.
                     rounds += 1;
                     self.clock += 1;
-                    if let Some(d) = self.watch_round() {
-                        min_dyna = Some(min_dyna.map_or(d, |m| m.min(d)));
+                    if let Some(window) = &mut self.window {
+                        window.push_rows(&self.sim.realized_rows());
+                        let degree = window.min_degree_over(&self.honest_set);
+                        min_window = min_window.into_iter().chain(degree).min();
                     }
                 }
                 if let Some(reason) = self.sim.stopped() {
@@ -366,26 +354,10 @@ impl ServiceRun {
             output_range,
             validity,
             agreement,
-            min_dyna_degree: min_dyna,
-        }
-    }
-
-    /// Feeds one executed round's realized links (via the engine's
-    /// link-path-agnostic [`Simulation::realized_rows`] view) to the
-    /// watchdog; returns the window's min fault-free degree once full.
-    fn watch_round(&mut self) -> Option<usize> {
-        let ServiceRun {
-            sim,
-            watchdog,
-            honest_set,
-            ..
-        } = self;
-        match watchdog {
-            Watchdog::Single => sim.realized_rows().min_in_degree_over_set(honest_set),
-            Watchdog::Windowed { window } => {
-                window.push_rows(&sim.realized_rows());
-                window.min_degree_over(honest_set)
-            }
+            min_dyna_degree: match self.window {
+                Some(_) => min_window,
+                None => self.sim.min_dyna_degree(),
+            },
         }
     }
 

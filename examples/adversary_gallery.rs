@@ -27,6 +27,7 @@ fn main() -> Result<(), anondyn::types::Error> {
         // Record the realized schedule by running DAC under the adversary
         // (capped; blocking adversaries simply hit the cap).
         let outcome = Simulation::builder(params)
+            .record_schedule(true)
             .adversary(spec.build(n, 0, 13))
             .algorithm(factories::dac(params))
             .max_rounds(rounds)
@@ -57,6 +58,7 @@ fn main() -> Result<(), anondyn::types::Error> {
     // The Figure 1 example needs n = 3.
     let p3 = Params::fault_free(3, 1e-2)?;
     let outcome = Simulation::builder(p3)
+        .record_schedule(true)
         .adversary(AdversarySpec::Figure1.build(3, 0, 1))
         .algorithm(factories::dac(p3))
         .max_rounds(200)

@@ -59,7 +59,7 @@ fn main() -> Result<(), anondyn::types::Error> {
             .algorithm(factories::dac(params))
             .max_rounds(2_000)
             .run();
-        let d1 = checker::max_dyna_degree(outcome.schedule(), 1, &[]).unwrap();
+        let d1 = outcome.min_dyna_degree().unwrap();
         println!(
             "reach {reach}: realized (1,{d1})-dynaDegree (DAC needs {}), verdict: {}",
             params.dac_dyna_degree(),

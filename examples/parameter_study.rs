@@ -47,6 +47,7 @@ fn main() -> Result<(), anondyn::types::Error> {
 
     // Render one adversary round as DOT for inspection with graphviz.
     let outcome = Simulation::builder(params)
+        .record_schedule(true)
         .adversary(AdversarySpec::Random { p: 0.3 }.build(n, 0, 5))
         .algorithm(factories::dac(params))
         .max_rounds(3)

@@ -44,8 +44,8 @@ fn main() -> Result<(), anondyn::types::Error> {
     assert!(outcome.validity());
     println!("validity and eps-agreement verified");
 
-    // The realized delivery schedule can be checked a posteriori:
-    let d = checker::max_dyna_degree(outcome.schedule(), 1, &[]).unwrap();
+    // Every run meters its realized (1, D)-dynaDegree as it goes:
+    let d = outcome.min_dyna_degree().unwrap();
     println!("realized (1, D)-dynaDegree: D = {d}");
     Ok(())
 }

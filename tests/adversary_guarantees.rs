@@ -16,6 +16,7 @@ use anondyn::types::rng::SplitMix64;
 fn record(n: usize, f: usize, spec: AdversarySpec, seed: u64, crashes: CrashSchedule) -> Outcome {
     let params = Params::new(n, f, 1e-6).unwrap();
     Simulation::builder(params)
+        .record_schedule(true)
         .inputs_random(seed)
         .adversary(spec.build(n, f, seed))
         .crashes(crashes)
@@ -119,6 +120,7 @@ fn spread_window_guarantee_survives_mid_window_crashes() {
         );
         let params = Params::new(n, f, 1e-6).unwrap();
         let outcome = Simulation::builder(params)
+            .record_schedule(true)
             .inputs_random(seed)
             .adversary(AdversarySpec::Spread { t: t_window, d }.build(n, f, seed))
             .crashes(crashes)
@@ -168,6 +170,7 @@ fn staggered_window_guarantee_survives_mid_window_crashes() {
         );
         let params = Params::new(n, f, 1e-6).unwrap();
         let outcome = Simulation::builder(params)
+            .record_schedule(true)
             .inputs_random(seed)
             .adversary(AdversarySpec::Staggered { d, groups }.build(n, f, seed))
             .crashes(crashes)
@@ -222,6 +225,7 @@ fn dbac_threshold_routes_around_silent_byzantine() {
     let f = 2;
     let params = Params::new(n, f, 1e-2).unwrap();
     let outcome = Simulation::builder(params)
+        .record_schedule(true)
         .adversary(AdversarySpec::DbacThreshold.build(n, f, 3))
         .byzantine(NodeId::new(1), Box::new(Silent))
         .byzantine(NodeId::new(6), Box::new(Silent))

@@ -627,48 +627,66 @@ fn steady_state_step_performs_zero_allocations() {
 
     // --- A recorded run keeps each distinct round once: a fault-free
     // DAC run at the benchmark's size under `Complete` repeats its round,
-    // and recording a repeat asks for an index and no copy — over 18
+    // and recording a repeat asks for an index and no copy — over 15
     // rounds, less than one round's rows (it asked for more than that
     // every round when each round was copied). A `Rotating` run changes
-    // its round every round and still records every one. ---
+    // its round every round and still records every one. Built as the
+    // defaults leave it, with no `record_schedule` call, the same
+    // `Rotating` run records nothing and asks for no byte at all, while
+    // its meter reads the recorded twin's (1, D)-dynaDegree. The window,
+    // rounds 17-31, lies between two growths of the run's round-trace
+    // vector (its 17th and 33rd pushes). ---
     let n: usize = 1024;
     let rows = n * n.div_ceil(64) * 8;
-    let recorded = |adversary: AdversarySpec| {
+    let run = |adversary: AdversarySpec, record: bool| {
         let params = Params::fault_free(n, 1e-6).unwrap();
-        let mut sim = Simulation::builder(params)
+        let mut builder = Simulation::builder(params)
             .inputs_random(1)
             .adversary(adversary.build(n, 0, 1))
             .algorithm(factories::dac_with_pend(params, u64::MAX))
             .algorithm_plane(PlaneMode::Always)
             .observe_phases(false)
-            .max_rounds(u64::MAX)
-            .build();
+            .max_rounds(u64::MAX);
+        if record {
+            builder = builder.record_schedule(true);
+        }
+        let mut sim = builder.build();
         assert!(sim.uses_plane() && !sim.uses_sparse_links());
-        for _ in 0..3 {
+        for _ in 0..17 {
             sim.step();
         }
         let before = BYTES_REQUESTED.load(Ordering::Relaxed);
-        for _ in 3..=20 {
+        for _ in 17..32 {
             sim.step();
         }
         let requested = BYTES_REQUESTED.load(Ordering::Relaxed) - before;
         (requested, sim.finish())
     };
-    let (requested, outcome) = recorded(AdversarySpec::Complete);
+    let (requested, outcome) = run(AdversarySpec::Complete, true);
     assert!(
         requested < rows,
-        "dac/recorded/complete at n = {n}: rounds 3-20 requested {requested} bytes, one \
+        "dac/recorded/complete at n = {n}: rounds 17-31 requested {requested} bytes, one \
          round's rows are {rows}"
     );
     let schedule = outcome.schedule();
-    assert_eq!(schedule.len(), 21);
+    assert_eq!(schedule.len(), 32);
     assert!(schedule.iter().all(|(_, e)| e.edge_count() == n * (n - 1)));
-    let (_, outcome) = recorded(AdversarySpec::Rotating { d: n / 2 });
-    let rounds: Vec<_> = outcome.schedule().iter().map(|(_, e)| e).collect();
-    assert_eq!(rounds.len(), 21);
+    let (_, recorded) = run(AdversarySpec::Rotating { d: n / 2 }, true);
+    let rounds: Vec<_> = recorded.schedule().iter().map(|(_, e)| e).collect();
+    assert_eq!(rounds.len(), 32);
     assert!(
         rounds.windows(2).all(|w| w[0] != w[1]),
         "dac/recorded/rotating: every round differs from the one before"
+    );
+    let (requested, unrecorded) = run(AdversarySpec::Rotating { d: n / 2 }, false);
+    assert_eq!(
+        requested, 0,
+        "dac/default/rotating at n = {n}: rounds 17-31 requested {requested} bytes"
+    );
+    assert!(unrecorded.schedule().is_empty());
+    assert_eq!(
+        unrecorded.min_dyna_degree(),
+        checker::max_dyna_degree(recorded.schedule(), 1, &[])
     );
 
     // --- The trial-lane driver: 64 lockstep trials per word. A steady

@@ -89,7 +89,7 @@ fn dac_realized_schedule_meets_requirement() {
         .algorithm(factories::dac(params))
         .run();
     // The threshold adversary grants exactly floor(n/2) per round.
-    let d = checker::max_dyna_degree(outcome.schedule(), 1, &[]).unwrap();
+    let d = outcome.min_dyna_degree().unwrap();
     assert_eq!(d, params.dac_dyna_degree());
 }
 

@@ -8,6 +8,7 @@ fn run_once(seed: u64, ports: PortNumbering) -> Outcome {
     let f = 1;
     let params = Params::new(n, f, 1e-3).unwrap();
     Simulation::builder(params)
+        .record_schedule(true)
         .inputs_random(seed)
         .ports(ports)
         .adversary(AdversarySpec::Random { p: 0.6 }.build(n, f, seed))
@@ -85,6 +86,7 @@ fn trace_round_count_matches_rounds() {
     let n = 5;
     let params = Params::fault_free(n, 1e-3).unwrap();
     let outcome = Simulation::builder(params)
+        .record_schedule(true)
         .algorithm(factories::dac(params))
         .run();
     assert_eq!(outcome.traces().len() as u64, outcome.rounds());

@@ -13,6 +13,7 @@ fn byzantine_receivers_get_no_deliveries() {
     let n = 6;
     let params = Params::new(n, 1, 1e-2).unwrap();
     let outcome = Simulation::builder(params)
+        .record_schedule(true)
         .byzantine(NodeId::new(0), Box::new(Extreme { value: Value::ONE }))
         .algorithm(factories::dbac_with_pend(params, 10))
         .record_events(true)

@@ -104,6 +104,7 @@ fn silence_blocks_everything() {
         factories::dbac_with_pend(params, 10),
     ] {
         let outcome = Simulation::builder(params)
+            .record_schedule(true)
             .adversary(AdversarySpec::Silence.build(n, 0, 1))
             .algorithm(factory)
             .max_rounds(200)

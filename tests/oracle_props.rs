@@ -172,6 +172,7 @@ fn traffic_equals_event_log_deliveries() {
         let n = 7;
         let params = Params::fault_free(n, 1e-2).unwrap();
         let outcome = Simulation::builder(params)
+            .record_schedule(true)
             .inputs_random(seed)
             .adversary(AdversarySpec::Random { p }.build(n, 0, seed))
             .algorithm(factories::dac(params))

@@ -5,8 +5,11 @@
 //! the order walked (silent ones too) — against the engine's one delivery
 //! walk, on every plane the factory offers. Both sides report the whole
 //! run: outputs and final values, rounds and stop reason, traffic, the
-//! realized schedule, the round traces, the phase multisets `V(p)` and, on
-//! a logged run, the event log.
+//! realized (1, D)-dynaDegree (the executor's by the offline checker, the
+//! engine's off its meter), the realized schedule, the round traces, the
+//! phase multisets `V(p)` and, on a logged run, the event log. Each
+//! configuration also runs once unrecorded, which must change nothing
+//! but the schedule it keeps.
 //!
 //! The draw spans every axis the walk branches on: 4 to 170 nodes (rows of
 //! one to three words); DAC, DBAC, piggyback and quantized wires; every
@@ -57,7 +60,10 @@ struct Run {
     rounds: u64,
     reason: StopReason,
     traffic: Traffic,
-    schedule: Schedule,
+    /// The run's realized (1, D)-dynaDegree (Def. 1).
+    dyna_degree: Option<usize>,
+    /// The realized schedule, when the run recorded one.
+    schedule: Option<Schedule>,
     traces: Vec<RoundTrace>,
     /// `V(p)`'s entries, phase by phase.
     phases: Vec<Vec<(NodeId, Value)>>,
@@ -552,6 +558,9 @@ fn reference(cfg: &Config) -> Run {
     }
     let reason = [StopReason::AllOutput, StopReason::MaxRounds][usize::from(undecided(&nodes))];
     let honest = |i: usize| !is_byz[i];
+    let faulty: Vec<NodeId> = NodeId::all(n)
+        .filter(|v| !fault_free.contains(&v.index()))
+        .collect();
     Run {
         outputs: (0..n)
             .map(|i| nodes[i].output().filter(|_| honest(i)))
@@ -565,7 +574,8 @@ fn reference(cfg: &Config) -> Run {
         rounds: t.as_u64(),
         reason,
         traffic,
-        schedule,
+        dyna_degree: checker::max_dyna_degree(&schedule, 1, &faulty),
+        schedule: Some(schedule),
         traces,
         phases: records,
         events: cfg.logged.then_some(log),
@@ -573,11 +583,17 @@ fn reference(cfg: &Config) -> Run {
 }
 
 /// `cfg` on `Simulation`, the algorithm state on `plane`, logged when
-/// `logged`. Checks that the run holds the plane, the link form and the
+/// `logged`, its schedule recorded when `recorded`. Checks that the run
+/// holds the plane, the link form and the
 /// shards the configuration asks for; returns the run, whether its links
 /// were sparse, and the delta of every `adn_core::probe` counter (zero
 /// where a build does not count).
-fn simulated(cfg: &Config, plane: PlaneMode, logged: bool) -> (Run, bool, [u64; COUNTERS]) {
+fn simulated(
+    cfg: &Config,
+    plane: PlaneMode,
+    logged: bool,
+    recorded: bool,
+) -> (Run, bool, [u64; COUNTERS]) {
     let n = cfg.params.n();
     let has_plane = cfg.factory().has_plane();
     let sim = cfg
@@ -585,6 +601,7 @@ fn simulated(cfg: &Config, plane: PlaneMode, logged: bool) -> (Run, bool, [u64; 
         .inputs(cfg.inputs.clone())
         .crashes(cfg.crash.clone())
         .record_events(logged)
+        .record_schedule(recorded)
         .build();
     let columnar = match plane {
         PlaneMode::Never => false,
@@ -614,7 +631,8 @@ fn simulated(cfg: &Config, plane: PlaneMode, logged: bool) -> (Run, bool, [u64; 
         rounds: out.rounds(),
         reason: out.reason(),
         traffic: out.traffic(),
-        schedule: out.schedule().clone(),
+        dyna_degree: out.min_dyna_degree(),
+        schedule: recorded.then(|| out.schedule().clone()),
         traces: out.traces().to_vec(),
         phases: (out.phase_records().iter())
             .map(|record| record.entries().to_vec())
@@ -634,19 +652,27 @@ fn same<T: PartialEq + std::fmt::Debug>(expect: &[T], got: &[T], field: &str, wh
 }
 
 /// Compares a simulated run with the naive one, field for field; the
-/// event logs only when the simulated run kept one.
+/// schedules and the event logs only when the simulated run kept them.
 fn assert_same(expect: &Run, got: &Run, what: &str) {
     assert_eq!(expect.rounds, got.rounds, "{what}: rounds");
     assert_eq!(expect.reason, got.reason, "{what}: stop reason");
     assert_eq!(expect.traffic, got.traffic, "{what}: traffic");
+    assert_eq!(
+        expect.dyna_degree, got.dyna_degree,
+        "{what}: (1, D)-dynaDegree, the checker's vs the meter's"
+    );
     same(&expect.outputs, &got.outputs, "outputs", what);
     same(&expect.final_values, &got.final_values, "values", what);
     same(&expect.traces, &got.traces, "traces", what);
     same(&expect.phases, &got.phases, "V(p)", what);
-    if expect.schedule != got.schedule {
-        let mut rounds = expect.schedule.iter().zip(got.schedule.iter());
-        let t = rounds.position(|(e, g)| e != g);
-        panic!("{what}: the realized schedules differ first in round {t:?}");
+    if let (Some(expected), Some(schedule)) = (&expect.schedule, &got.schedule) {
+        if expected != schedule {
+            let t = expected
+                .iter()
+                .zip(schedule.iter())
+                .position(|(e, g)| e != g);
+            panic!("{what}: the realized schedules differ first in round {t:?}");
+        }
     }
     if let Some(events) = &got.events {
         let expected = expect.events.as_deref().unwrap_or_default();
@@ -685,10 +711,12 @@ const FABRICATING: [&str; 2] = ["two-faced", "random-noise"];
 const WALK: [usize; 4] = [WORD_STEPS, CUT_WORDS, UNINDEXED_ROUNDS, STALE_STOPS];
 
 /// Runs `cfg` on the naive executor and on every plane mode the factory
-/// offers, and holds each run to the naive one. A logged configuration
-/// runs once more unlogged on the plane that walks by words, which must
-/// walk as the logged run did: observation does not switch the walk.
-/// Returns what the walk counted over the plane modes.
+/// offers, recorded, and holds each run to the naive one. A logged
+/// configuration runs once more unlogged on the plane that walks by
+/// words, which must walk as the logged run did: observation does not
+/// switch the walk. Every configuration runs once more unrecorded on that
+/// plane, which must report all but the schedule as before. Returns what
+/// the walk counted over the plane modes.
 fn check(cfg: &Config, what: &str, cov: &mut Coverage) -> [u64; COUNTERS] {
     let expect = reference(cfg);
     let order = match cfg.order {
@@ -705,21 +733,26 @@ fn check(cfg: &Config, what: &str, cov: &mut Coverage) -> [u64; COUNTERS] {
             continue;
         }
         let what = format!("{what}, {plane:?}");
-        let (got, sparse, counted) = simulated(cfg, plane, cfg.logged);
+        let (got, sparse, counted) = simulated(cfg, plane, cfg.logged, true);
         assert_same(&expect, &got, &what);
         cov.runs[order][usize::from(sparse)][m] += 1;
         cov.sharded[usize::from(sparse)] += u64::from(sharded);
         cov.sharded_fabricating[usize::from(sparse)] += u64::from(fabricating);
         cov.sparse_byz += u64::from(sparse && !cfg.byz.is_empty());
         walked = std::array::from_fn(|c| walked[c] + counted[c]);
-        if cfg.logged && plane == [PlaneMode::Never, PlaneMode::Always][usize::from(has_plane)] {
-            let (unlogged, _, twin) = simulated(cfg, plane, false);
+        if plane != [PlaneMode::Never, PlaneMode::Always][usize::from(has_plane)] {
+            continue;
+        }
+        if cfg.logged {
+            let (unlogged, _, twin) = simulated(cfg, plane, false, true);
             assert_same(&expect, &unlogged, &format!("{what}, unlogged"));
             for c in WALK {
                 let (logged, unlogged) = (counted[c], twin[c]);
                 assert_eq!(logged, unlogged, "{what}: walk counter {c}, logged vs not");
             }
         }
+        let (unrecorded, _, _) = simulated(cfg, plane, cfg.logged, false);
+        assert_same(&expect, &unrecorded, &format!("{what}, unrecorded"));
     }
     cov.quantized += u64::from(cfg.bits.is_some());
     if cfg.logged {
@@ -843,7 +876,7 @@ fn a_crash_after_repeated_rounds_records_its_own_round() {
             seed: 5,
         };
         check(&cfg, &name, &mut Coverage::default());
-        let schedule = reference(&cfg).schedule;
+        let schedule = reference(&cfg).schedule.expect("the executor records");
         let round = |t| schedule.round(Round::new(t)).unwrap();
         assert!(schedule.len() > 5, "{name}: {} rounds", schedule.len());
         assert_eq!(round(1), round(2), "{name}");
@@ -1029,7 +1062,7 @@ fn check_service(svc: &Service, what: &str, cov: &mut ServiceCoverage) {
         svc.inputs.fill(k, &mut cfg.inputs);
         svc.churn.slice_into(start_round, &mut cfg.crash);
         let expect = reference(&cfg);
-        for (_, links) in expect.schedule.iter() {
+        for (_, links) in expect.schedule.iter().flat_map(Schedule::iter) {
             history.push(links.clone());
         }
         let byzantine = |i: usize| cfg.byz.iter().any(|&(b, _)| b.index() == i);

@@ -119,6 +119,7 @@ fn windowed_watchdog_matches_the_offline_checker() {
     {
         let builder = || {
             Simulation::builder(params)
+                .record_schedule(true)
                 .adversary(spec.build(n, 2, 5))
                 .algorithm(factories::dac(params))
                 .algorithm_plane(PlaneMode::Always)
