@@ -294,21 +294,17 @@ impl SimBuilder {
     }
 
     /// Records the realized per-round delivery schedule,
-    /// [`Outcome::schedule`] (default: off). Turn it on to ask the offline
-    /// checker what one number cannot answer: windows of `T ≥ 2`
-    /// (`checker::max_dyna_degree`, `window_degree_series`), the
-    /// connectivity verdicts, or the rounds themselves — as E01, E16, the
-    /// `adversary_gallery` and `parameter_study` examples and the tests
-    /// that compare schedules do. A run's (1, D)-dynaDegree needs no
-    /// recording: every run meters it ([`Outcome::min_dyna_degree`]).
-    ///
-    /// A round equal to the one before is compared, not copied, and costs
-    /// the schedule an index; a changed round is copied once into one
-    /// dense edge set (`n²/8` bytes), read off
-    /// [`Simulation::realized_rows`] after the round has delivered. Those
-    /// copies are the recording's memory growth and the last per-round
-    /// allocation of a steady-state `step` under a changing adversary. It
-    /// does not change what the round executes.
+    /// [`Outcome::schedule`] (default: off; every run meters its
+    /// (1, D)-dynaDegree without it, [`Outcome::min_dyna_degree`]). Turn
+    /// it on for what the offline checker alone answers — windows of
+    /// `T ≥ 2`, the connectivity verdicts, the rounds themselves — as E01,
+    /// E16, two examples and the schedule-comparing tests do. A round
+    /// equal to the one before is compared, not copied, and costs the
+    /// schedule an index; a changed round is copied once into one dense
+    /// edge set, read off [`Simulation::realized_rows`] after the round
+    /// has delivered. Those copies are the recording's memory growth and
+    /// the last per-round allocation of a steady-state `step` under a
+    /// changing adversary. It does not change what the round executes.
     pub fn record_schedule(mut self, on: bool) -> Self {
         self.record_schedule = on;
         self

@@ -138,9 +138,8 @@ pub struct Simulation {
     /// `shard_bounds[i]..shard_bounds[i + 1]`.
     shard_bounds: Vec<usize>,
     traffic: Traffic,
-    /// The instance's realized (1, D)-dynaDegree so far: the least
-    /// fault-free realized in-degree of its executed rounds, metered by
-    /// the recording stage (`None` before its first round).
+    /// The instance's (1, D)-dynaDegree so far, metered by the recording
+    /// stage (`None` before its first round).
     min_dyna_degree: Option<usize>,
     events: Option<EventLog>,
     /// Which nodes had already decided before the current round (for
@@ -382,8 +381,7 @@ impl Simulation {
         &self.fault_free
     }
 
-    /// The current instance's realized (1, D)-dynaDegree over the rounds it
-    /// has executed (see [`Outcome::min_dyna_degree`]).
+    /// The current instance's [`Outcome::min_dyna_degree`] so far.
     pub(crate) fn min_dyna_degree(&self) -> Option<usize> {
         self.min_dyna_degree
     }

@@ -5,13 +5,11 @@
 //! per-link rule to the store instead — sender class, crash survivors,
 //! and for a Byzantine sender the round's fabrication arena, which holds
 //! an empty batch for a link it fabricated nothing for — and everything a
-//! round records is read there (the recording stage,
-//! [`Simulation::record`]): its traffic, its realized (1, D)-dynaDegree,
-//! counted on the traffic's pass, its logged events and, when asked for,
-//! a recorded schedule; a service's `T ≥ 2` watchdog window reads it too.
-//! A recorded round is first compared with the last one recorded and
-//! copied only when it differs, so a static adversary's run holds one
-//! copy of its round.
+//! round records is read there: its traffic and (1, D)-dynaDegree, its
+//! logged events and a recorded schedule (the recording stage,
+//! [`Simulation::record`]), and a service's windowed watchdog. A recorded
+//! round is first compared with the last one recorded and copied only
+//! when it differs, so a static adversary's run holds one copy of it.
 
 use adn_faults::CrashSchedule;
 use adn_graph::{EdgeSet, LinkPlane, LinkRows, NodeSet};
@@ -120,41 +118,26 @@ impl RealizedRows<'_> {
     }
 
     /// The round's traffic, and its least realized in-degree over the
-    /// `fault_free` receivers (`None` if there are none): Def. 1's degree
-    /// at `T = 1`, counted on the same pass. One delivery per realized
-    /// link, of its sender's staged batch or its fabricated one, receiver
-    /// by receiver: the Present links are one masked popcount, one message
-    /// each (recounted sender by sender only where the staged batch is not
-    /// one message), the Partial links are asked one by one, and the
-    /// Byzantine ones are read off the arena, which holds them receiver by
-    /// receiver. `fault_free` is ascending, and each of its nodes executes
-    /// every round.
+    /// `fault_free` receivers — ascending, each executing every round —
+    /// (`None` if there are none), counted on the same pass: one delivery
+    /// per realized link, of its sender's
+    /// staged batch or its fabricated one. A receiver's Present links are
+    /// one masked popcount, one message each (recounted sender by sender
+    /// only where the staged batch is not one message); its conditional
+    /// ones are asked one by one ([`RealizedRows::conditional_in`]).
     pub(super) fn traffic(&self, fault_free: &[NodeId]) -> (Traffic, Option<usize>) {
         let (honest, batches) = (self.honest, self.batches);
         let mut traffic = Traffic::new();
-        let (mut single, mut min) = (0, None);
-        let mut fault_free = fault_free.iter().peekable();
-        let mut fabricated = self.fabricated.iter().peekable();
+        let (mut single, mut min, mut next) = (0, usize::MAX, 0);
+        let mut fabricated = self.fabricated;
         honest.for_each(|v| {
             let mut degree = self.links.in_degree_within(v, self.unconditional);
             single += degree;
-            for &(_, u) in self.conditional {
-                if self.classes[u.index()] == SenderClass::Partial
-                    && self.links.contains(u, v)
-                    && self.crash.delivers(u, self.t, v)
-                {
-                    degree += 1;
-                    traffic.record_delivery(batches[u.index()].len());
-                }
+            if !self.conditional.is_empty() {
+                degree += self.conditional_in(v, &mut fabricated, &mut traffic);
             }
-            while let Some(&(_, _, len)) = fabricated.next_if(|l| l.0 == v) {
-                if len > 0 {
-                    degree += 1;
-                    traffic.record_delivery(len);
-                }
-            }
-            if fault_free.next_if(|&&w| w == v).is_some() {
-                min = Some(min.map_or(degree, |m: usize| m.min(degree)));
+            if fault_free.get(next) == Some(&v) {
+                (min, next) = (min.min(degree), next + 1);
             }
         });
         for u in self.unconditional.iter() {
@@ -166,7 +149,36 @@ impl RealizedRows<'_> {
             }
         }
         traffic.record_uniform_deliveries(single as u64, 1);
-        (traffic, min)
+        (traffic, (next > 0).then_some(min))
+    }
+
+    /// How many of the round's conditional senders delivered to `v` (a
+    /// Partial one's surviving link, a Byzantine one's non-empty
+    /// fabrication), each recorded in `traffic`. `fabricated` is the arena
+    /// from `v`'s links on; they are taken off its front.
+    fn conditional_in(
+        &self,
+        v: NodeId,
+        fabricated: &mut &[(NodeId, NodeId, usize)],
+        traffic: &mut Traffic,
+    ) -> usize {
+        let mut degree = 0;
+        for &(_, u) in self.conditional {
+            if self.classes[u.index()] == SenderClass::Partial
+                && self.links.contains(u, v)
+                && self.crash.delivers(u, self.t, v)
+            {
+                degree += 1;
+                traffic.record_delivery(self.batches[u.index()].len());
+            }
+        }
+        let (own, rest) = fabricated.split_at(fabricated.partition_point(|l| l.0 == v));
+        *fabricated = rest;
+        for &(_, _, len) in own.iter().filter(|l| l.2 > 0) {
+            degree += 1;
+            traffic.record_delivery(len);
+        }
+        degree
     }
 }
 
@@ -250,8 +262,7 @@ impl Simulation {
     }
 
     /// The recording stage of round `t`, once it has delivered: its
-    /// traffic and its least fault-free realized in-degree, folded into
-    /// the instance's ([`RealizedRows::traffic`]), a logged run's events
+    /// traffic and (1, D)-dynaDegree, a logged run's events
     /// ([`Simulation::log_round`]) and a recorded schedule
     /// ([`Simulation::record_round`]), all read off the realized round.
     pub(super) fn record(&mut self, t: Round) {

@@ -219,22 +219,17 @@ impl Outcome {
     }
 
     /// The realized delivery schedule, for the offline dynaDegree checker
-    /// and the connectivity verdicts — empty unless the run was built with
-    /// [`SimBuilder::record_schedule`](crate::SimBuilder::record_schedule)
-    /// on. A run's (1, D)-dynaDegree needs no recording:
-    /// [`Outcome::min_dyna_degree`].
+    /// — empty unless the run was built with
+    /// [`SimBuilder::record_schedule`](crate::SimBuilder::record_schedule).
     pub fn schedule(&self) -> &Schedule {
         &self.schedule
     }
 
-    /// The run's realized (1, D)-dynaDegree (Def. 1 with `T = 1`): the
-    /// least number of distinct in-neighbors whose links delivered to a
-    /// fault-free node in any executed round. Metered on each round's
-    /// traffic pass, recorded or not, it is what
+    /// The run's realized (1, D)-dynaDegree (Def. 1 at `T = 1`), metered
+    /// on each round's traffic pass whether or not it records: what
     /// `checker::max_dyna_degree(self.schedule(), 1, &self.faulty_ids())`
-    /// returns on a recorded run: `None` if no round executed or no node
-    /// is fault-free. Windows of `T ≥ 2` still need a recording (or a
-    /// service's [`dyna_window`](crate::ServiceRun::dyna_window)).
+    /// returns on a recorded run (`None` if no round executed or no node
+    /// is fault-free).
     pub fn min_dyna_degree(&self) -> Option<usize> {
         self.min_dyna_degree
     }

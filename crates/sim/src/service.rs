@@ -248,8 +248,8 @@ impl ServiceRun {
     }
 
     /// Sets the watchdog's dynaDegree window to `t_window` rounds
-    /// (default 1) — the one way to set it. Call before the first
-    /// instance: resizing resets the window's contents. At `t_window = 1`
+    /// (default 1). Call before the first instance: resizing resets the
+    /// window's contents. At `t_window = 1`
     /// the watchdog holds nothing: each instance's record reads the
     /// engine's own (1, D) meter, counted on the round's traffic pass.
     /// Larger windows allocate `t_window + 1` bit slabs of `n · ⌈n/64⌉`
