@@ -123,18 +123,31 @@ impl RealizedRows<'_> {
     /// per realized link, of its sender's
     /// staged batch or its fabricated one. A receiver's Present links are
     /// one masked popcount, one message each (recounted sender by sender
-    /// only where the staged batch is not one message); its conditional
-    /// ones are asked one by one ([`RealizedRows::conditional_in`]).
+    /// only where the staged batch is not one message); its Partial ones
+    /// are asked one by one, in rounds that have any, and its fabricated
+    /// ones are taken off the front of the arena.
     pub(super) fn traffic(&self, fault_free: &[NodeId]) -> (Traffic, Option<usize>) {
         let (honest, batches) = (self.honest, self.batches);
         let mut traffic = Traffic::new();
         let (mut single, mut min, mut next) = (0, usize::MAX, 0);
+        let partial = (self.conditional.iter())
+            .any(|&(_, u)| self.classes[u.index()] == SenderClass::Partial);
         let mut fabricated = self.fabricated;
         honest.for_each(|v| {
             let mut degree = self.links.in_degree_within(v, self.unconditional);
             single += degree;
-            if !self.conditional.is_empty() {
-                degree += self.conditional_in(v, &mut fabricated, &mut traffic);
+            if partial {
+                degree += self.partial_in(v, &mut traffic);
+            }
+            while let Some((&(w, _, len), rest)) = fabricated.split_first() {
+                if w != v {
+                    break;
+                }
+                fabricated = rest;
+                if len > 0 {
+                    degree += 1;
+                    traffic.record_delivery(len);
+                }
             }
             if fault_free.get(next) == Some(&v) {
                 (min, next) = (min.min(degree), next + 1);
@@ -152,16 +165,9 @@ impl RealizedRows<'_> {
         (traffic, (next > 0).then_some(min))
     }
 
-    /// How many of the round's conditional senders delivered to `v` (a
-    /// Partial one's surviving link, a Byzantine one's non-empty
-    /// fabrication), each recorded in `traffic`. `fabricated` is the arena
-    /// from `v`'s links on; they are taken off its front.
-    fn conditional_in(
-        &self,
-        v: NodeId,
-        fabricated: &mut &[(NodeId, NodeId, usize)],
-        traffic: &mut Traffic,
-    ) -> usize {
+    /// How many of the round's Partial senders' links to `v` survived
+    /// their crash, each recorded in `traffic`.
+    fn partial_in(&self, v: NodeId, traffic: &mut Traffic) -> usize {
         let mut degree = 0;
         for &(_, u) in self.conditional {
             if self.classes[u.index()] == SenderClass::Partial
@@ -171,12 +177,6 @@ impl RealizedRows<'_> {
                 degree += 1;
                 traffic.record_delivery(self.batches[u.index()].len());
             }
-        }
-        let (own, rest) = fabricated.split_at(fabricated.partition_point(|l| l.0 == v));
-        *fabricated = rest;
-        for &(_, _, len) in own.iter().filter(|l| l.2 > 0) {
-            degree += 1;
-            traffic.record_delivery(len);
         }
         degree
     }
