@@ -120,12 +120,12 @@ impl RealizedRows<'_> {
     /// The round's traffic, and its least realized in-degree over the
     /// `fault_free` receivers — ascending, each executing every round —
     /// (`None` if there are none), counted on the same pass: one delivery
-    /// per realized link, of its sender's
-    /// staged batch or its fabricated one. A receiver's Present links are
-    /// one masked popcount, one message each (recounted sender by sender
-    /// only where the staged batch is not one message); its Partial ones
-    /// are asked one by one, in rounds that have any, and its fabricated
-    /// ones are taken off the front of the arena.
+    /// per realized link, of its sender's staged batch or its fabricated
+    /// one. A receiver's Present links are one masked popcount, one
+    /// message each (recounted sender by sender only where the staged
+    /// batch is not one message); its Partial ones are asked one by one,
+    /// in rounds that have any, and its fabricated ones are taken off the
+    /// front of the arena.
     pub(super) fn traffic(&self, fault_free: &[NodeId]) -> (Traffic, Option<usize>) {
         let (honest, batches) = (self.honest, self.batches);
         let mut traffic = Traffic::new();

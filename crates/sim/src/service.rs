@@ -249,9 +249,9 @@ impl ServiceRun {
 
     /// Sets the watchdog's dynaDegree window to `t_window` rounds
     /// (default 1). Call before the first instance: resizing resets the
-    /// window's contents. At `t_window = 1`
-    /// the watchdog holds nothing: each instance's record reads the
-    /// engine's own (1, D) meter, counted on the round's traffic pass.
+    /// window's contents. At `t_window = 1` the watchdog holds nothing:
+    /// each instance's record reads the engine's own (1, D) meter,
+    /// counted on the round's traffic pass.
     /// Larger windows allocate `t_window + 1` bit slabs of `n · ⌈n/64⌉`
     /// words here — all the watchdog ever holds — and slide them a word
     /// at a time ([`SlidingUnion`]) over each executed round's

@@ -584,10 +584,9 @@ fn reference(cfg: &Config) -> Run {
 
 /// `cfg` on `Simulation`, the algorithm state on `plane`, logged when
 /// `logged`, its schedule recorded when `recorded`. Checks that the run
-/// holds the plane, the link form and the
-/// shards the configuration asks for; returns the run, whether its links
-/// were sparse, and the delta of every `adn_core::probe` counter (zero
-/// where a build does not count).
+/// holds the plane, the link form and the shards the configuration asks
+/// for; returns the run, whether its links were sparse, and the delta of
+/// every `adn_core::probe` counter (zero where a build does not count).
 fn simulated(
     cfg: &Config,
     plane: PlaneMode,
