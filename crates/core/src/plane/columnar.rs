@@ -222,6 +222,8 @@ impl<R: Rule> Cols<'_, R> {
             low: &mut self.low[v * cap..(v + 1) * cap],
             high: &mut self.high[v * cap..(v + 1) * cap],
             deferred: R::deferred(pending, self.ranked),
+            unwritten: 0,
+            carried: *seen > 0,
         };
         walk.walk(&mut k);
         R::settle(&mut k);

@@ -305,6 +305,43 @@ pub trait RowKernel {
         let _ = index;
         word_per_link(self, w, bits, wire);
     }
+
+    /// Whether the kernel takes a run row's honest links a run piece at a
+    /// time ([`RowKernel::run`]). Only a [`RowKernel::WORDS`] kernel may.
+    const RUNS: bool = false;
+
+    /// The honest links of the senders of `index` with ids `lo..=hi`, in
+    /// ascending order — a piece of a run row, which holds neither the
+    /// receiver nor a sender outside the index — observably the same as
+    /// [`RowKernel::word`] over the piece's words. The engine calls it only
+    /// on kernels that declare [`RowKernel::RUNS`], on a live receiver,
+    /// and in rounds whose run sums it counted
+    /// ([`WireIndex::sum_runs`]). The default takes the piece a word at a
+    /// time.
+    #[inline]
+    fn run(&mut self, lo: usize, hi: usize, wire: &StagedWire<'_>, index: &WireIndex) {
+        run_by_words(self, lo, hi, wire, index);
+    }
+}
+
+/// A run piece `lo..=hi` of indexed senders, one [`RowKernel::word`] per
+/// word it touches while the receiver is live.
+#[inline]
+fn run_by_words<K: RowKernel + ?Sized>(
+    kernel: &mut K,
+    lo: usize,
+    hi: usize,
+    wire: &StagedWire<'_>,
+    index: &WireIndex,
+) {
+    for w in lo / 64..=hi / 64 {
+        let from = if w == lo / 64 { lo % 64 } else { 0 };
+        let to = if w == hi / 64 { hi % 64 } else { 63 };
+        let bits = index.present_word(w) & (u64::MAX << from) & (u64::MAX >> (63 - to));
+        if bits != 0 && kernel.live() {
+            kernel.word(w, bits, wire, index);
+        }
+    }
 }
 
 /// The honest links of senders `w * 64 + b`, for every set bit `b` of

@@ -14,6 +14,20 @@
 //! per-link loop would have. Boxed nodes' links are taken one at a time,
 //! as are the permuted delivery orders'.
 //!
+//! **Run pieces.** On a run row the DAC kernel takes a piece of a run —
+//! ids `lo..=hi`, neither the receiver nor a conditional sender among
+//! them — through [`RowKernel::run`], answered from the wire index's run
+//! sums: the first sender ahead, the number of same-phase senders before
+//! it and the one that completes the quorum, and their value extrema, in
+//! `O(log n)` whatever the piece's length. Two facts keep it exact. A
+//! stretch that an event ends moves the phase, whose `RESET()` empties
+//! the seen row, so a piece's seen bits are written only for the stretch
+//! the piece ends in, and a `RESET()` of a row with no bit written skips
+//! its `fill(0)` (`Row::unwritten`). And within a round this row's bits
+//! lie behind the piece, so only bits carried from an earlier round can
+//! fall inside one: until the phase first moves, such a row takes its
+//! pieces by word steps (`Row::carried`).
+//!
 //! **Count now, store later.** Alg. 2 reads `R_low` / `R_high` once per
 //! phase, at the quorum, and until then they are the `f + 1` least /
 //! greatest of the multiset stored since `RESET()` — a function of that
@@ -46,7 +60,7 @@
 use adn_types::{Message, Phase, Port, Value};
 
 use super::rule::sealed;
-use super::{DbacRule, RowKernel, Rule, StagedWire};
+use super::{run_by_words, DbacRule, RowKernel, Rule, StagedWire};
 use crate::wire::{self, Ranks};
 use crate::{probe, trim, WireIndex};
 
@@ -82,6 +96,14 @@ pub(super) struct Row<'a, R: sealed::Sealed> {
     pub(super) high: &'a mut [Value],
     /// `()`, but for a rule with [`Rule::DEFERS_STORES`].
     pub(super) deferred: R::Deferred<'a>,
+    /// Of `seen`, the contributions a run step counted whose bits it has
+    /// not written (see "Run pieces" in [the module docs](self)): the
+    /// seen row holds a bit only while `seen` exceeds them.
+    pub(super) unwritten: u32,
+    /// Whether the seen row may hold bits from an earlier round, ahead of
+    /// where the row's walk is: true from the row's start while it has
+    /// counted anything, false from its first `RESET()` on.
+    pub(super) carried: bool,
 }
 
 impl<R: Rule> Row<'_, R> {
@@ -99,9 +121,13 @@ impl<R: Rule> Row<'_, R> {
     }
 
     /// `RESET()` (mirrors [`Cols::reset`](super::columnar::Cols::reset)).
+    /// A seen row with no bit written is already empty.
     #[inline]
     fn reset(&mut self) {
-        self.seen_row.fill(0);
+        if self.seen > self.unwritten {
+            self.seen_row.fill(0);
+        }
+        (self.unwritten, self.carried) = (0, false);
         self.seen = 0;
         if Self::EXTREMA {
             (self.lo, self.hi) = (self.value, self.value);
@@ -195,6 +221,62 @@ impl<R: Rule> Row<'_, R> {
                 self.jump(wire.phase[u], wire.value[u]);
                 bits &= !through(b);
             } else {
+                return;
+            }
+        }
+    }
+}
+
+/// Alg. 1's run step.
+impl<R: Rule> Row<'_, R> {
+    /// Alg. 1 over a run piece: the indexed senders of ids `lo..=hi`,
+    /// ascending, none of them the receiver. From where the row stands,
+    /// the run sums give the first sender ahead, the same-phase senders
+    /// before it and the one among them that completes the quorum; the
+    /// first event moves the phase, and the rest of the piece is looked at
+    /// again from behind the link that moved it. A same-phase stretch that
+    /// a jump ends is neither folded nor written: the jump's `RESET()`
+    /// would undo both. One that ends the piece is folded and its seen
+    /// bits written; one that a quorum ends is folded and counted but not
+    /// written, and the `RESET()` behind it skips its `fill(0)` if nothing
+    /// else was. While the seen row may still hold bits of an earlier
+    /// round ahead (`carried`), the piece goes by word steps.
+    #[inline]
+    fn run_step(&mut self, mut lo: usize, hi: usize, wire: &StagedWire<'_>, index: &WireIndex) {
+        debug_assert!(R::JUMPS && Self::EXTREMA);
+        while lo <= hi && self.live() {
+            if self.carried {
+                let (w, end) = (lo / 64, hi.min(lo | 63));
+                let bits = index.present_word(w) & (u64::MAX << (lo % 64)) & through(end as u32 % 64);
+                #[cfg(debug_assertions)]
+                if bits != 0 {
+                    probe::bump(probe::WORD_STEPS);
+                }
+                self.word_step(w, bits, wire, index);
+                lo = end + 1;
+                continue;
+            }
+            let at = index.locate(self.phase);
+            let ahead = index.first_ahead(at, lo, hi);
+            let need = self.foreign_quorum.saturating_sub(self.seen).max(1);
+            let (count, quorum) = index.count_same(at, lo, ahead.unwrap_or(hi + 1), need);
+            if let Some(q) = quorum {
+                index.fold_same(at, (lo, q), wire.value, (&mut self.lo, &mut self.hi));
+                self.seen += need;
+                self.unwritten = need;
+                // Live, so below `pend`: the phase moves, and `RESET()`
+                // forgets the unwritten bits.
+                self.try_advance();
+                lo = q + 1;
+            } else if let Some(u) = ahead {
+                self.jump(wire.phase[u], wire.value[u]);
+                lo = u + 1;
+            } else {
+                if count > 0 {
+                    index.fold_same(at, (lo, hi), wire.value, (&mut self.lo, &mut self.hi));
+                    index.mark_same(at, (lo, hi), self.seen_row);
+                    self.seen += count;
+                }
                 return;
             }
         }
@@ -469,6 +551,16 @@ impl<R: Rule> RowKernel for Row<'_, R> {
             false => self.word_step(w, bits, wire, index),
             // (By the index its shard was handed, not by the walk's.)
             true => R::word_deferred(self, w, bits, wire),
+        }
+    }
+
+    const RUNS: bool = !R::DEFERS_STORES;
+
+    #[inline]
+    fn run(&mut self, lo: usize, hi: usize, wire: &StagedWire<'_>, index: &WireIndex) {
+        match R::DEFERS_STORES {
+            false => self.run_step(lo, hi, wire, index),
+            true => run_by_words(self, lo, hi, wire, index),
         }
     }
 }

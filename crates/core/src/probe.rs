@@ -15,7 +15,9 @@ pub const SENDER_SETTLES: usize = 1;
 pub const RANK_VISITS: usize = 2;
 /// Settles onto lists that did not yet hold `f + 1` values.
 pub const SETTLES_ONTO_PARTIAL_LISTS: usize = 3;
-/// Non-empty stretches the delivery walk fed through `RowKernel::word`.
+/// Non-empty stretches the delivery walk fed through `RowKernel::word`,
+/// and words a run step took one at a time over a seen row carried from
+/// an earlier round.
 pub const WORD_STEPS: usize = 4;
 /// Conditional senders that cut a chunk between two Present ones.
 pub const CUT_WORDS: usize = 5;
@@ -29,9 +31,11 @@ pub const QUORUM_BOUNDS: usize = 8;
 /// Per-link Byzantine fabrications (`messages_into` calls), counted on the
 /// stepping thread, which fabricates a round's links before delivery.
 pub const FABRICATIONS: usize = 9;
+/// Run pieces the delivery walk fed through `RowKernel::run`.
+pub const RUN_STEPS: usize = 10;
 
 /// How many counters there are.
-pub const COUNTERS: usize = 10;
+pub const COUNTERS: usize = 11;
 
 #[cfg(any(test, debug_assertions))]
 thread_local! {

@@ -34,6 +34,20 @@
 //! without a branch, and visits only its set bits: "is this sender
 //! pending?" is never a branch. `O(n)` words, built once per round, and
 //! only for Alg. 2's planes.
+//!
+//! **Run sums.** A run row hands a receiver its links as a few id ranges
+//! of the round's senders. In rounds whose link store holds such rows the
+//! engine also counts the round's Present senders once
+//! ([`WireIndex::sum_runs`]): a prefix popcount per word of the Present
+//! set, and — when Alg. 1's run step will read them — of every phase's
+//! member row and every rank's "this phase or later" row. A range's
+//! Present senders, its senders in one phase and its first sender ahead
+//! are then two prefix reads each, the `k`-th of them a binary search
+//! over the prefix and a bit select, whatever the range's length
+//! ([`Summed`]); the extrema of a phase's wire values over a range of
+//! whole words are two reads of a sparse table of word extrema (level `k`
+//! over `2^k` words), and a partly covered end word is folded as
+//! [`WireIndex::extrema_of`] folds it.
 
 use adn_graph::NodeSet;
 use adn_types::{Phase, Value};
@@ -71,11 +85,19 @@ pub struct WireIndex {
     /// phase. [`EMPTY_ROW`] stays zero.
     member: Vec<u64>,
     /// Least and greatest wire value among `member`'s senders, per word;
-    /// meaningful where the member word is non-zero.
+    /// meaningful where the member word is non-zero. Behind their rows,
+    /// from the first round that counts run sums with phases on, each
+    /// phase row's range extrema over words ([`WireIndex::sum_runs`]).
     lo: Vec<Value>,
     hi: Vec<Value>,
     /// `from[rank * words + w]`: the senders of word `w` whose phase has
-    /// sorted rank `≥ rank`; rank `len` is empty.
+    /// sorted rank `≥ rank`; rank `len` is empty. Behind its
+    /// `(MAX_WIRE_PHASES + 1) · words` rows, from the first round that
+    /// counts them on, the round's **run sums** ([`WireIndex::sum_runs`]):
+    /// kept in this `Vec` rather than a field of their own because the
+    /// engine's size is a measured quantity (a 24-byte field moved a
+    /// benchmark's heap), and grown there rather than at build because
+    /// build-time work shows on set-up.
     from: Vec<u64>,
     /// The indexed senders by wire value, on a [`WireIndex::ranked`] index.
     ranks: Option<Ranks>,
@@ -105,6 +127,9 @@ pub(crate) struct Ranks {
 pub struct WireAt {
     same: usize,
     ahead: usize,
+    /// The two rows' numbers, for their run sums.
+    same_row: usize,
+    rank: usize,
 }
 
 impl WireIndex {
@@ -212,6 +237,224 @@ impl WireIndex {
         self.ranks.as_ref()
     }
 
+    /// Whether the index was built [`WireIndex::ranked`].
+    pub fn has_ranks(&self) -> bool {
+        self.ranks.is_some()
+    }
+
+    /// Counts the round's `present` senders for run rows, whose links are
+    /// `deliverers` in id ranges: the Present set's prefix popcount
+    /// ([`WireIndex::present_in`]) and, with `phases` — on an index just
+    /// built over `present` — every phase's and every rank's
+    /// ([`Summed`]). Returns `false`, counting nothing, when a Present
+    /// sender is not a deliverer: a range of the row would then hold fewer
+    /// Present links than the index has senders in it. Grows the run sums
+    /// behind `from` in the first round that counts them; allocates nothing
+    /// after.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sets are not over the `n` the index was sized for.
+    pub fn sum_runs(&mut self, present: &NodeSet, deliverers: &NodeSet, phases: bool) -> bool {
+        let (words, rows) = (self.words, (MAX_WIRE_PHASES + 1) * self.words);
+        let (present, deliverers) = (present.words(), deliverers.words());
+        assert_eq!(present.len(), words, "universe mismatch");
+        if present.iter().zip(deliverers).any(|(p, d)| p & !d != 0) {
+            return false;
+        }
+        let stride = words + 1;
+        let sums = match phases {
+            true => stride * (1 + 2 * (MAX_WIRE_PHASES + 1)),
+            false => stride,
+        };
+        self.from.resize(rows + sums, 0);
+        let (index, tail) = self.from.split_at_mut(rows);
+        let (head, tail) = tail.split_at_mut(stride);
+        prefix(present, head);
+        if phases {
+            let (same, ahead) = tail.split_at_mut((MAX_WIRE_PHASES + 1) * stride);
+            // The member rows handed out this round, then the ranks up to
+            // `len`, whose row is empty; `EMPTY_ROW`'s sums stay zero.
+            for row in 0..self.len {
+                let members = &self.member[row * words..(row + 1) * words];
+                prefix(members, &mut same[row * stride..(row + 1) * stride]);
+            }
+            for rank in 0..=self.len {
+                let from = &index[rank * words..(rank + 1) * words];
+                prefix(from, &mut ahead[rank * stride..(rank + 1) * stride]);
+            }
+            self.sum_extrema();
+        }
+        true
+    }
+
+    /// Builds the sparse tables of word extrema behind `lo` / `hi` for the
+    /// phase rows handed out this round: level 0 a row's word extrema —
+    /// `(ONE, -0.0)`, which every value undercuts and exceeds, where the
+    /// word has no member — and level `k` the extrema of `2^k` words from
+    /// each one.
+    fn sum_extrema(&mut self) {
+        let (words, rows) = (self.words, (MAX_WIRE_PHASES + 1) * self.words);
+        let levels = extrema_levels(words);
+        let len = rows + (MAX_WIRE_PHASES + 1) * levels * words;
+        self.lo.resize(len, Value::ONE);
+        self.hi.resize(len, Value::ONE);
+        let least = Value::saturating(-0.0);
+        let (index_lo, table_lo) = self.lo.split_at_mut(rows);
+        let (index_hi, table_hi) = self.hi.split_at_mut(rows);
+        for row in 0..self.len {
+            let table = row * levels * words..(row + 1) * levels * words;
+            let (table_lo, table_hi) = (&mut table_lo[table.clone()], &mut table_hi[table]);
+            for w in 0..words {
+                let i = row * words + w;
+                (table_lo[w], table_hi[w]) = match self.member[i] {
+                    0 => (Value::ONE, least),
+                    _ => (index_lo[i], index_hi[i]),
+                };
+            }
+            for k in 1..levels {
+                let half = 1 << (k - 1);
+                let (below_lo, level_lo) = table_lo.split_at_mut(k * words);
+                let (below_hi, level_hi) = table_hi.split_at_mut(k * words);
+                let (below_lo, below_hi) = (&below_lo[(k - 1) * words..], &below_hi[(k - 1) * words..]);
+                for w in 0..=words - (1 << k) {
+                    level_lo[w] = below_lo[w].min(below_lo[w + half]);
+                    level_hi[w] = below_hi[w].max(below_hi[w + half]);
+                }
+            }
+        }
+    }
+
+    /// How many `present` senders ids `lo..=hi` hold, by the prefix
+    /// [`WireIndex::sum_runs`] counted over that same set this round.
+    #[inline]
+    pub fn present_in(&self, present: &NodeSet, lo: usize, hi: usize) -> usize {
+        let rows = (MAX_WIRE_PHASES + 1) * self.words;
+        let counted = Summed {
+            bits: present.words(),
+            prefix: &self.from[rows..rows + self.words + 1],
+        };
+        (counted.before(hi + 1) - counted.before(lo)) as usize
+    }
+
+    /// The round's indexed senders of word `w`, every phase.
+    #[inline]
+    pub(crate) fn present_word(&self, w: usize) -> u64 {
+        self.from[w]
+    }
+
+    /// The located phase's members, with their run sums.
+    #[inline]
+    fn same_sums(&self, at: WireAt) -> Summed<'_> {
+        let (words, stride) = (self.words, self.words + 1);
+        let base = (MAX_WIRE_PHASES + 1) * words + stride;
+        let row = at.same_row;
+        Summed {
+            bits: &self.member[at.same..at.same + words],
+            prefix: &self.from[base + row * stride..base + (row + 1) * stride],
+        }
+    }
+
+    /// The senders past the located phase, with their run sums.
+    #[inline]
+    fn ahead_sums(&self, at: WireAt) -> Summed<'_> {
+        let (words, stride) = (self.words, self.words + 1);
+        let base = (MAX_WIRE_PHASES + 1) * (words + stride) + stride;
+        let rank = at.rank;
+        Summed {
+            bits: &self.from[at.ahead..at.ahead + words],
+            prefix: &self.from[base + rank * stride..base + (rank + 1) * stride],
+        }
+    }
+
+    /// The first indexed sender among ids `lo..=hi` whose phase is past
+    /// the located one, by the run sums.
+    #[inline]
+    pub(crate) fn first_ahead(&self, at: WireAt, lo: usize, hi: usize) -> Option<usize> {
+        let ahead = self.ahead_sums(at);
+        let k = ahead.before(lo);
+        (ahead.before(hi + 1) > k).then(|| ahead.select(k))
+    }
+
+    /// How many indexed senders of the located phase ids `lo..end` hold —
+    /// and, if they are at least `need`, `need` together with the id of the
+    /// `need`-th of them, ascending. By the run sums.
+    #[inline]
+    pub(crate) fn count_same(
+        &self,
+        at: WireAt,
+        lo: usize,
+        end: usize,
+        need: u32,
+    ) -> (u32, Option<usize>) {
+        let same = self.same_sums(at);
+        let k = same.before(lo);
+        let count = (same.before(end) - k) as u32;
+        match count >= need {
+            true => (need, Some(same.select(k + u64::from(need) - 1))),
+            false => (count, None),
+        }
+    }
+
+    /// Folds the wire values of the located phase's senders among ids
+    /// `lo..=hi` into `(min, max)`: each word's stored extrema, the words
+    /// inside the range first; then a partly covered end word's as
+    /// [`WireIndex::extrema_of`] takes them, unless the whole word's
+    /// extrema already lie within what was folded — its part's do too.
+    #[inline]
+    pub(crate) fn fold_same(
+        &self,
+        at: WireAt,
+        (lo, hi): (usize, usize),
+        value: &[Value],
+        (min, max): (&mut Value, &mut Value),
+    ) {
+        let (lw, hw) = (lo / 64, hi / 64);
+        let fold = |(min, max): (&mut Value, &mut Value), (l, h): (Value, Value)| {
+            if l < *min {
+                *min = l;
+            }
+            if h > *max {
+                *max = h;
+            }
+        };
+        let inner = match (lo % 64, hi % 64) {
+            (0, 63) => lw..hw + 1,
+            (0, _) => lw..hw,
+            (_, 63) => lw + 1..hw + 1,
+            _ => lw + 1..hw,
+        };
+        if !inner.is_empty() && at.same_row < EMPTY_ROW {
+            // Two overlapping blocks of `2^k` words cover the inner ones.
+            let (words, rows) = (self.words, (MAX_WIRE_PHASES + 1) * self.words);
+            let levels = extrema_levels(words);
+            let k = extrema_levels(inner.len()) - 1;
+            let level = rows + (at.same_row * levels + k) * words;
+            let (a, b) = (level + inner.start, level + inner.end - (1 << k));
+            fold((&mut *min, &mut *max), (self.lo[a].min(self.lo[b]), self.hi[a].max(self.hi[b])));
+        }
+        for w in [lw, hw] {
+            let i = at.same + w;
+            let bits = self.member[i] & span(w, lo, hi);
+            let inside = self.lo[i] >= *min && self.hi[i] <= *max;
+            if bits != 0 && !inner.contains(&w) && !inside {
+                fold((&mut *min, &mut *max), self.extrema_of(at, w, bits, value));
+            }
+            if lw == hw {
+                break;
+            }
+        }
+    }
+
+    /// Sets the bits of the located phase's senders among ids `lo..=hi`
+    /// in `row`, a sender-id bit row.
+    #[inline]
+    pub(crate) fn mark_same(&self, at: WireAt, (lo, hi): (usize, usize), row: &mut [u64]) {
+        for w in lo / 64..=hi / 64 {
+            row[w] |= self.member[at.same + w] & span(w, lo, hi);
+        }
+    }
+
     /// Where a receiver in phase `p` stands among this round's senders.
     #[inline]
     pub fn locate(&self, p: Phase) -> WireAt {
@@ -221,10 +464,14 @@ impl WireIndex {
             Some(&(q, row)) if q == p => WireAt {
                 same: row * self.words,
                 ahead: (rank + 1) * self.words,
+                same_row: row,
+                rank: rank + 1,
             },
             _ => WireAt {
                 same: EMPTY_ROW * self.words,
                 ahead: rank * self.words,
+                same_row: EMPTY_ROW,
+                rank,
             },
         }
     }
@@ -365,6 +612,70 @@ impl Ranks {
             }
         }
     }
+}
+
+/// One sender-id bit row with its run sums: `prefix[w]` is how many of
+/// the row's senders lie in words below `w` (`words + 1` entries).
+#[derive(Debug, Clone, Copy)]
+struct Summed<'a> {
+    bits: &'a [u64],
+    prefix: &'a [u64],
+}
+
+impl Summed<'_> {
+    /// How many of the row's senders have an id below `x` (`x ≤ 64 ·
+    /// words`).
+    #[inline]
+    fn before(&self, x: usize) -> u64 {
+        let (w, b) = (x / 64, x % 64);
+        let part = match b {
+            0 => 0,
+            b => (self.bits[w] & (u64::MAX >> (64 - b))).count_ones(),
+        };
+        self.prefix[w] + u64::from(part)
+    }
+
+    /// The id of the row's `k`-th sender, ascending from 0; `k` must be
+    /// below the row's count.
+    #[inline]
+    fn select(&self, k: u64) -> usize {
+        let w = self.prefix.partition_point(|&c| c <= k).saturating_sub(1);
+        let mut bits = self.bits[w];
+        for _ in 0..k - self.prefix[w] {
+            bits &= bits - 1;
+        }
+        w * 64 + bits.trailing_zeros() as usize
+    }
+}
+
+/// Levels of a sparse table over `words ≥ 1` words: `⌊log2 words⌋ + 1`.
+#[inline]
+fn extrema_levels(words: usize) -> usize {
+    (usize::BITS - words.leading_zeros()) as usize
+}
+
+/// Fills `prefix` (one entry more than `words`) with the running popcount
+/// of `words`.
+fn prefix(words: &[u64], prefix: &mut [u64]) {
+    let mut total = 0;
+    prefix[0] = 0;
+    for (w, &bits) in words.iter().enumerate() {
+        total += u64::from(bits.count_ones());
+        prefix[w + 1] = total;
+    }
+}
+
+/// The bits of word `w` whose ids lie in `lo..=hi`.
+#[inline]
+fn span(w: usize, lo: usize, hi: usize) -> u64 {
+    let mut mask = u64::MAX;
+    if w == lo / 64 {
+        mask &= u64::MAX << (lo % 64);
+    }
+    if w == hi / 64 {
+        mask &= u64::MAX >> (63 - hi % 64);
+    }
+    mask
 }
 
 /// The pending bits of `chunk`'s senders in a mask, bit `k` for `chunk[k]`:

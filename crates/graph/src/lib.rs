@@ -61,7 +61,7 @@ mod window;
 
 pub use edgeset::EdgeSet;
 pub use lanelinks::LaneLinks;
-pub use linkplane::{DenseLinks, LinkPlane, LinkRows, LinkSink, MAX_RUNS_PER_ROW};
+pub use linkplane::{DenseLinks, LinkPlane, LinkRows, LinkSink, RunRow, MAX_RUNS_PER_ROW};
 pub use nodeset::NodeSet;
 pub use schedule::Schedule;
 pub use window::{SlidingUnion, WindowUnion};

@@ -71,6 +71,17 @@ pub trait LinkRows {
         scan_words_by_id(self, v, f);
     }
 
+    /// `v`'s row as id ranges, when the store holds it as a run row: its
+    /// runs merged ([`RunRow`]), each standing for `deliverers ∩ range \
+    /// {v}`. `None` for dense, CSR and empty rows, which are read by
+    /// links or words. How the delivery walk and the traffic pass take a
+    /// run row a run at a time.
+    #[inline]
+    fn run_row(&self, v: NodeId) -> Option<RunRow> {
+        let _ = v;
+        None
+    }
+
     /// Calls `f` for every in-neighbor of `v`, ascending by id.
     #[inline]
     fn for_each_in(&self, v: NodeId, mut f: impl FnMut(NodeId)) {
@@ -125,6 +136,24 @@ pub trait LinkRows {
             c += self.in_degree(NodeId::new(v_idx));
         }
         c
+    }
+}
+
+/// A run row's id ranges, sorted and coalesced: ascending, disjoint and
+/// inclusive, at most [`MAX_RUNS_PER_ROW`] of them
+/// ([`LinkRows::run_row`]). The row's links are the round's deliverers in
+/// these ranges, less the receiver itself.
+#[derive(Debug, Clone, Copy)]
+pub struct RunRow {
+    runs: [(u32, u32); MAX_RUNS_PER_ROW],
+    len: usize,
+}
+
+impl RunRow {
+    /// The ranges `(lo, hi)`, inclusive, ascending.
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (self.runs[..self.len].iter()).map(|&(lo, hi)| (lo as usize, hi as usize))
     }
 }
 
@@ -640,6 +669,15 @@ impl LinkRows for LinkPlane {
         None
     }
 
+    #[inline]
+    fn run_row(&self, v: NodeId) -> Option<RunRow> {
+        if self.words.is_some() || self.runs_len[v.index()] == 0 {
+            return None;
+        }
+        let (runs, len) = self.merged_runs(v);
+        Some(RunRow { runs, len })
+    }
+
     fn in_degree(&self, v: NodeId) -> usize {
         if let Some(words) = &self.words {
             return words.in_degree(v);
@@ -747,6 +785,9 @@ mod tests {
         let expect: Vec<usize> = (0..=5).chain(90..=99).collect();
         assert_eq!(row(&lp, 50), expect);
         assert_eq!(lp.in_degree(v), expect.len());
+        let runs: Vec<_> = lp.run_row(v).unwrap().iter().collect();
+        assert_eq!(runs, vec![(0, 5), (90, 99)]);
+        assert!(lp.run_row(NodeId::new(0)).is_none(), "an empty row has no runs");
     }
 
     #[test]

@@ -80,6 +80,21 @@ use crate::pool::fan_out;
 use crate::trace::{Event, EventLog};
 use walk::{deliver_rows, Fabricated, FabricatedSlice, PlaneRound, ShardCtx};
 
+/// What [`Simulation::stage_wire`] made of a round's wire.
+#[derive(Debug, Clone, Copy)]
+struct WireRound {
+    /// See [`PlaneRound::max_wire_phase`].
+    max_wire_phase: Phase,
+    /// Whether the wire index was built.
+    indexed: bool,
+    /// Whether its run sums were counted for run pieces
+    /// ([`PlaneRound::runs`]).
+    runs: bool,
+    /// Whether the Present senders were counted for the traffic pass on
+    /// run rows ([`WireIndex::present_in`]).
+    counted: bool,
+}
+
 /// A deterministic execution of one algorithm under one adversary and one
 /// fault assignment. See the [crate docs](crate) for the round structure.
 ///
@@ -498,7 +513,7 @@ impl Simulation {
         self.fabricate(t);
         let wire = self.stage_wire();
         self.deliver(t, wire);
-        self.record(t);
+        self.record(t, wire.counted);
         self.end_round(t);
         self.trace_and_stop(t);
     }
@@ -662,14 +677,16 @@ impl Simulation {
 
     /// The round's wire: heads every staged batch into the wire columns
     /// and, when the receivers take the round's Present links a word at a
-    /// time, builds the wire index over the Present senders. Returns the
-    /// round's maximum wire phase (see [`PlaneRound::max_wire_phase`]) and
-    /// whether the index was built.
-    fn stage_wire(&mut self) -> (Phase, bool) {
+    /// time, builds the wire index over the Present senders. On run rows
+    /// it then counts the Present senders for the traffic pass, and the
+    /// index's phases for a plane whose kernels take run pieces
+    /// ([`WireIndex::sum_runs`]); dense rounds count nothing.
+    fn stage_wire(&mut self) -> WireRound {
         let RoundBuffers {
             batches,
             active,
             unconditional,
+            deliverers,
             perm,
             ..
         } = &self.buffers;
@@ -693,7 +710,16 @@ impl Simulation {
         if words && !indexed {
             probe::bump(probe::UNINDEXED_ROUNDS);
         }
-        (max_wire_phase, indexed)
+        // Alg. 2's planes (ranked) keep the word walk on run rows too.
+        let pieces = indexed && !self.wire_index.has_ranks();
+        let counted = self.links.words().is_none()
+            && (self.wire_index).sum_runs(unconditional, deliverers, pieces);
+        WireRound {
+            max_wire_phase,
+            indexed,
+            runs: counted && pieces,
+            counted,
+        }
     }
 
     /// The round's row walk: splits the plane into the run's shards (one
@@ -705,7 +731,13 @@ impl Simulation {
     /// are partitioned, not copied, and each shard reads its own
     /// receivers' part of the round's fabricated batches. The walk records
     /// nothing ([`Simulation::record`] reads the round off afterwards).
-    fn deliver(&mut self, t: Round, (max_wire_phase, indexed): (Phase, bool)) {
+    fn deliver(&mut self, t: Round, wire: WireRound) {
+        let WireRound {
+            max_wire_phase,
+            indexed,
+            runs,
+            ..
+        } = wire;
         let Simulation {
             buffers,
             crash,
@@ -755,6 +787,7 @@ impl Simulation {
                 batches,
             },
             index: indexed.then_some(wire_index),
+            runs,
             max_wire_phase,
             t,
         };
@@ -860,7 +893,7 @@ impl Simulation {
                 (lo.min(p), hi.max(p))
             });
         let decided = self.decided();
-        self.observer.record_trace(RoundTrace {
+        let trace = RoundTrace {
             round: t,
             range,
             min_phase: if ff.is_empty() {
@@ -870,7 +903,8 @@ impl Simulation {
             },
             max_phase,
             decided,
-        });
+        };
+        self.observer.record_trace(trace, self.max_rounds);
 
         self.round = t.next();
         self.check_stop_after(range, decided);

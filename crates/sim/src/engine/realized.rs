@@ -11,6 +11,7 @@
 //! round is first compared with the last one recorded and copied only
 //! when it differs, so a static adversary's run holds one copy of it.
 
+use adn_core::WireIndex;
 use adn_faults::CrashSchedule;
 use adn_graph::{EdgeSet, LinkPlane, LinkRows, NodeSet};
 use adn_net::{RoundBuffers, SenderClass, Traffic};
@@ -123,18 +124,33 @@ impl RealizedRows<'_> {
     /// per realized link, of its sender's staged batch or its fabricated
     /// one. A receiver's Present links are one masked popcount, one
     /// message each (recounted sender by sender only where the staged
-    /// batch is not one message); its Partial ones are asked one by one,
+    /// batch is not one message) — on a run row, two prefix reads per run
+    /// when the round's Present senders were `counted`
+    /// ([`WireIndex::present_in`]); its Partial ones are asked one by one,
     /// in rounds that have any, and its fabricated ones are taken off the
     /// front of the arena.
-    pub(super) fn traffic(&self, fault_free: &[NodeId]) -> (Traffic, Option<usize>) {
+    pub(super) fn traffic(
+        &self,
+        fault_free: &[NodeId],
+        counted: Option<&WireIndex>,
+    ) -> (Traffic, Option<usize>) {
         let (honest, batches) = (self.honest, self.batches);
         let mut traffic = Traffic::new();
         let (mut single, mut min, mut next) = (0, usize::MAX, 0);
         let partial = (self.conditional.iter())
             .any(|&(_, u)| self.classes[u.index()] == SenderClass::Partial);
         let mut fabricated = self.fabricated;
+        let present = self.unconditional;
         honest.for_each(|v| {
-            let mut degree = self.links.in_degree_within(v, self.unconditional);
+            let mut degree = match counted.zip(self.links.run_row(v)) {
+                // The merged runs are disjoint: the receiver lies in one at
+                // most, and is no link of its own.
+                Some((index, row)) => row.iter().fold(0, |degree, (lo, hi)| {
+                    let own = present.contains(v) && (lo..=hi).contains(&v.index());
+                    degree + index.present_in(present, lo, hi) - usize::from(own)
+                }),
+                None => self.links.in_degree_within(v, present),
+            };
             single += degree;
             if partial {
                 degree += self.partial_in(v, &mut traffic);
@@ -265,8 +281,9 @@ impl Simulation {
     /// traffic and (1, D)-dynaDegree, a logged run's events
     /// ([`Simulation::log_round`]) and a recorded schedule
     /// ([`Simulation::record_round`]), all read off the realized round.
-    pub(super) fn record(&mut self, t: Round) {
-        let (traffic, degree) = self.realized_in(t).traffic(&self.fault_free);
+    pub(super) fn record(&mut self, t: Round, counted: bool) {
+        let counted = counted.then_some(&self.wire_index);
+        let (traffic, degree) = self.realized_in(t).traffic(&self.fault_free, counted);
         self.traffic.merge(&traffic);
         self.min_dyna_degree = self.min_dyna_degree.into_iter().chain(degree).min();
         self.log_round(t);

@@ -42,6 +42,16 @@
 //! *conditional* senders — are delivered one by one at their position in
 //! the order.
 //!
+//! **Run pieces.** On a run row, a kernel that declares
+//! [`RowKernel::RUNS`] (the columnar DAC plane's) is handed its Present
+//! links a run piece at a time instead ([`walk_runs`]): each merged run
+//! of the row, cut at the receiver's own id and at every conditional
+//! sender, which is delivered on its own in between, each piece answered
+//! from the round's run sums in `O(log n)`. The word walk stays for DBAC,
+//! boxed kernels, dense rows, the permuted orders, rounds with more than
+//! `MAX_WIRE_PHASES` phases and rounds where a Present sender is no
+//! deliverer.
+//!
 //! **The stale-link stop.** A columnar receiver that has decided, or has
 //! passed the round's maximum wire phase, ignores every further honest
 //! link of the round by Alg. 1/2's own stale rule (`RowKernel::live`), so
@@ -75,7 +85,7 @@
 use adn_core::probe;
 use adn_core::{PlaneShard, RowKernel, RowWalk, StagedWire, WireIndex};
 use adn_faults::{ByzContext, CrashSchedule};
-use adn_graph::{LinkRows, NodeSet};
+use adn_graph::{LinkRows, NodeSet, RunRow};
 use adn_net::{PortNumbering, PortRow, RoundBuffers, SenderClass};
 use adn_types::rng::SplitMix64;
 use adn_types::{Batch, Message, NodeId, Phase, Round};
@@ -107,6 +117,10 @@ pub(super) struct PlaneRound<'a> {
     /// ascending in stretches, and no more distinct wire phases than the
     /// index holds.
     pub(super) index: Option<&'a WireIndex>,
+    /// Whether the index's run sums were counted this round
+    /// ([`WireIndex::sum_runs`]): a kernel that takes run pieces takes a
+    /// run row's Present links that way.
+    pub(super) runs: bool,
     /// The highest staged wire phase: past it (or decided) a columnar
     /// receiver ignores every further honest link of the round.
     pub(super) max_wire_phase: Phase,
@@ -293,6 +307,12 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, '_, L> {
             // and was fed).
             _ => {}
         };
+        if let (Some(index), true) = (env.index, K::RUNS && env.runs) {
+            if let Some(row) = links.run_row(v) {
+                walk_runs(env, links, v, row, index, kernel, deliver_link);
+                return;
+            }
+        }
         // Where the walk left the row because the receiver went stale (a
         // position in the sender order): the first provably stale link
         // ends it, and of the senders from there on only the round's
@@ -362,6 +382,69 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, '_, L> {
                     deliver_link(u, kernel);
                 }
             }
+        }
+    }
+}
+
+/// Receiver `v`'s run row, a run piece at a time: each merged run cut in
+/// front of the receiver itself and of every conditional sender in it —
+/// which is delivered on its own in between — and each piece between the
+/// cuts fed to the kernel ([`RowKernel::run`]) while it is live. A stale
+/// receiver's pieces are passed over; its conditional senders are still
+/// delivered where they stand.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#[inline(always)]
+fn walk_runs<L: LinkRows, K: RowKernel>(
+    env: &PlaneRound<'_>,
+    links: &L,
+    v: NodeId,
+    row: RunRow,
+    index: &WireIndex,
+    kernel: &mut K,
+    mut deliver_link: impl FnMut(NodeId, &mut K),
+) {
+    let mut stale = false;
+    let mut piece = |lo: usize, hi: usize, kernel: &mut K| {
+        if kernel.live() {
+            #[cfg(debug_assertions)]
+            probe::bump(probe::RUN_STEPS);
+            kernel.run(lo, hi, &env.wire, index);
+        } else if !stale {
+            #[cfg(debug_assertions)]
+            probe::bump(probe::STALE_STOPS);
+            stale = true;
+        }
+    };
+    // Under ascending delivery a conditional sender's position is its id,
+    // and the runs ascend: one pass over the list serves the whole row.
+    let mut conditional = env.conditional.iter().peekable();
+    for (lo, hi) in row.iter() {
+        let mut from = lo;
+        loop {
+            while conditional.next_if(|&&(pos, _)| pos < from).is_some() {}
+            let next = conditional.peek().filter(|&&&(pos, _)| pos <= hi);
+            let own = (from..=hi).contains(&v.index()).then_some(v.index());
+            let cut = match (next, own) {
+                (Some(&&(pos, _)), Some(own)) => pos.min(own),
+                (Some(&&(pos, _)), None) => pos,
+                (None, Some(own)) => own,
+                (None, None) => {
+                    piece(from, hi, kernel);
+                    break;
+                }
+            };
+            if from < cut {
+                piece(from, cut - 1, kernel);
+            }
+            if let Some(&(_, u)) = conditional.next_if(|&&(pos, _)| pos == cut) {
+                if links.contains(u, v) {
+                    deliver_link(u, kernel);
+                }
+            }
+            if cut == hi {
+                break;
+            }
+            from = cut + 1;
         }
     }
 }

@@ -93,7 +93,13 @@ impl Observer {
         self.phases[idx].insert(node, value);
     }
 
-    pub fn record_trace(&mut self, trace: RoundTrace) {
+    /// Appends one round's trace. The first push of a run reserves room
+    /// for `max_rounds` of them, at most 64, so a steady round does not
+    /// grow the vector (and the build does not pay for it).
+    pub fn record_trace(&mut self, trace: RoundTrace, max_rounds: u64) {
+        if self.traces.capacity() == 0 {
+            self.traces.reserve(max_rounds.min(64) as usize);
+        }
         self.traces.push(trace);
     }
 
@@ -159,13 +165,16 @@ mod tests {
     fn traces_accumulate_in_order() {
         let mut obs = Observer::default();
         for t in 0..3 {
-            obs.record_trace(RoundTrace {
-                round: Round::new(t),
-                range: 1.0 / (t + 1) as f64,
-                min_phase: Phase::ZERO,
-                max_phase: Phase::new(t),
-                decided: 0,
-            });
+            obs.record_trace(
+                RoundTrace {
+                    round: Round::new(t),
+                    range: 1.0 / (t + 1) as f64,
+                    min_phase: Phase::ZERO,
+                    max_phase: Phase::new(t),
+                    decided: 0,
+                },
+                3,
+            );
         }
         let (_, traces) = obs.into_parts();
         assert_eq!(traces.len(), 3);

@@ -38,6 +38,7 @@ const COUNTERS: [(&str, usize); probe::COUNTERS] = [
     ("STALE_STOPS", probe::STALE_STOPS),
     ("QUORUM_BOUNDS", probe::QUORUM_BOUNDS),
     ("FABRICATIONS", probe::FABRICATIONS),
+    ("RUN_STEPS", probe::RUN_STEPS),
 ];
 
 /// The first round measured, and the first one past the window.
@@ -57,6 +58,7 @@ dac_dense        UNINDEXED_ROUNDS            0
 dac_dense        STALE_STOPS                 20480
 dac_dense        QUORUM_BOUNDS               0
 dac_dense        FABRICATIONS                0
+dac_dense        RUN_STEPS                   0
 dac_dense        rounds                      20
 dac_dense        deliveries                  20951040
 dac_dense        messages                    20951040
@@ -71,6 +73,7 @@ dbac_byz         UNINDEXED_ROUNDS            0
 dbac_byz         STALE_STOPS                 0
 dbac_byz         QUORUM_BOUNDS               20160
 dbac_byz         FABRICATIONS                42360
+dbac_byz         RUN_STEPS                   0
 dbac_byz         rounds                      20
 dbac_byz         deliveries                  10805760
 dbac_byz         messages                    10805760
@@ -79,12 +82,13 @@ sparse_rotating  RANK_SETTLES                0
 sparse_rotating  SENDER_SETTLES              0
 sparse_rotating  RANK_VISITS                 0
 sparse_rotating  SETTLES_ONTO_PARTIAL_LISTS  0
-sparse_rotating  WORD_STEPS                  194220
+sparse_rotating  WORD_STEPS                  0
 sparse_rotating  CUT_WORDS                   0
 sparse_rotating  UNINDEXED_ROUNDS            0
-sparse_rotating  STALE_STOPS                 180
+sparse_rotating  STALE_STOPS                 30
 sparse_rotating  QUORUM_BOUNDS               0
 sparse_rotating  FABRICATIONS                0
+sparse_rotating  RUN_STEPS                   40920
 sparse_rotating  rounds                      20
 sparse_rotating  deliveries                  10506240
 sparse_rotating  messages                    10506240
@@ -99,6 +103,7 @@ dbac_byz_events  UNINDEXED_ROUNDS            0
 dbac_byz_events  STALE_STOPS                 0
 dbac_byz_events  QUORUM_BOUNDS               0
 dbac_byz_events  FABRICATIONS                1360
+dbac_byz_events  RUN_STEPS                   0
 dbac_byz_events  rounds                      8
 dbac_byz_events  deliveries                  21200
 dbac_byz_events  messages                    21200
@@ -113,6 +118,7 @@ piggyback_faults UNINDEXED_ROUNDS            0
 piggyback_faults STALE_STOPS                 0
 piggyback_faults QUORUM_BOUNDS               0
 piggyback_faults FABRICATIONS                700
+piggyback_faults RUN_STEPS                   0
 piggyback_faults rounds                      20
 piggyback_faults deliveries                  43622
 piggyback_faults messages                    172388
@@ -127,6 +133,7 @@ service_churn    UNINDEXED_ROUNDS            0
 service_churn    STALE_STOPS                 0
 service_churn    QUORUM_BOUNDS               0
 service_churn    FABRICATIONS                0
+service_churn    RUN_STEPS                   0
 service_churn    instance0.rounds            7
 service_churn    instance0.participants      56
 service_churn    instance0.decided           56
