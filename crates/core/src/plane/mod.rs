@@ -313,7 +313,10 @@ pub trait RowKernel {
     /// The honest links of the senders of `index` with ids `lo..=hi`, in
     /// ascending order — a piece of a run row, which holds neither the
     /// receiver nor a sender outside the index — observably the same as
-    /// [`RowKernel::word`] over the piece's words. The engine calls it only
+    /// [`RowKernel::word`] over the piece's words, provided no link fed in
+    /// this row so far was keyed inside the piece: a row's pieces ascend
+    /// and its other links are keyed by the ids between them, as the
+    /// engine's walk feeds them. The engine calls it only
     /// on kernels that declare [`RowKernel::RUNS`], on a live receiver,
     /// and in rounds whose run sums it counted
     /// ([`WireIndex::sum_runs`]). The default takes the piece a word at a
@@ -678,6 +681,9 @@ mod tests {
         Honest(Port, Message),
         Fabricated(Port, Vec<Message>),
         Word(usize, u64),
+        /// A run piece: the indexed senders of ids `lo..=hi`, the
+        /// receiver not among them ([`RowKernel::run`]).
+        Run(usize, usize),
     }
 
     /// Feeds a script to the kernel the way the engine's walk does.
@@ -700,6 +706,11 @@ mod tests {
                     ScriptLink::Word(w, bits) => {
                         if kernel.live() {
                             kernel.word(*w, *bits, &self.wire, self.index);
+                        }
+                    }
+                    ScriptLink::Run(lo, hi) => {
+                        if kernel.live() {
+                            kernel.run(*lo, *hi, &self.wire, self.index);
                         }
                     }
                 }
@@ -743,6 +754,14 @@ mod tests {
         quorum_bounds: u64,
         sender_settles: u64,
         settles_onto_partial_lists: u64,
+        /// Run pieces: fed at all, fed to a receiver holding seen bits
+        /// (carried from an earlier round, or an earlier link), that moved
+        /// the phase, that moved it more than once, and that reached `pend`.
+        runs: u64,
+        runs_on_seen_rows: u64,
+        runs_moving: u64,
+        runs_moving_twice: u64,
+        runs_deciding: u64,
     }
 
     /// Receiver `v`'s row of one round on the kernel side: the shard that
@@ -860,6 +879,7 @@ mod tests {
                 let present =
                     NodeSet::from_ids(n, (0..n).filter(|_| rng.next_bool(0.8)).map(NodeId::new));
                 assert!(index.build(&present, &wire_phase, &wire_value));
+                assert!(index.sum_runs(&present, &NodeSet::full(n), true));
                 let mut script: Vec<ScriptLink> = (0..rng.next_index(2 * n.min(8) + 3))
                     .map(|_| {
                         let key = Port::new(rng.next_index(n));
@@ -892,6 +912,41 @@ mod tests {
                         }
                     })
                     .collect();
+                // A third of the rows are run rows, as the engine walks
+                // them: one id range, ascending, cut at the receiver and
+                // at up to three conditional senders, each fabricating a
+                // batch under its own id between the pieces around it.
+                if rng.next_bool(0.35) {
+                    let (a, b) = (rng.next_index(n), rng.next_index(n));
+                    let (start, end) = (a.min(b), a.max(b));
+                    let mut cuts: Vec<usize> = (0..rng.next_index(4))
+                        .map(|_| rng.next_index(n))
+                        .chain([v])
+                        .filter(|c| (start..=end).contains(c))
+                        .collect();
+                    cuts.sort_unstable();
+                    cuts.dedup();
+                    script.clear();
+                    let mut from = start;
+                    for c in cuts {
+                        if from < c {
+                            script.push(ScriptLink::Run(from, c - 1));
+                        }
+                        if c != v {
+                            let batch = (0..1 + rng.next_index(2))
+                                .map(|_| {
+                                    let phase = (p + rng.next_below(4)).saturating_sub(1);
+                                    Message::new(value(&mut rng), Phase::new(phase))
+                                })
+                                .collect();
+                            script.push(ScriptLink::Fabricated(Port::new(c), batch));
+                        }
+                        from = c + 1;
+                    }
+                    if from <= end {
+                        script.push(ScriptLink::Run(from, end));
+                    }
+                }
                 // Links of this row's chunks that a deferring kernel
                 // holds pending.
                 let mut pending = 0u64;
@@ -912,6 +967,26 @@ mod tests {
                             let between = around.0.is_some() && around.0 == around.1;
                             cov.batch_between_chunks_of_a_word += u64::from(between && pending > 0);
                             reference.receive(v, *key, batch);
+                        }
+                        ScriptLink::Run(lo, hi) => {
+                            let ids: Vec<usize> = (*lo..=*hi)
+                                .filter(|&u| present.contains(NodeId::new(u)))
+                                .collect();
+                            let live = before.as_u64() < pend.min(max_wire + 1);
+                            cov.runs += u64::from(live);
+                            let seen = reference.seen.count(v) > 0;
+                            cov.runs_on_seen_rows += u64::from(live && seen);
+                            let mut moves = 0;
+                            for u in ids {
+                                let at = reference.phases()[v];
+                                let m = Message::new(wire_value[u], wire_phase[u]);
+                                reference.receive(v, Port::new(u), &[m]);
+                                moves += u64::from(reference.phases()[v] > at);
+                            }
+                            cov.runs_moving += u64::from(moves > 0);
+                            cov.runs_moving_twice += u64::from(moves > 1);
+                            let now = reference.phases()[v].as_u64();
+                            cov.runs_deciding += u64::from(live && now >= pend);
                         }
                         ScriptLink::Word(w, bits) => {
                             let decided = before.as_u64() >= pend;
@@ -986,6 +1061,14 @@ mod tests {
                 cov.quorum_on_last_bit > 0,
                 "no quorum on a chunk's last link"
             );
+            assert!(cov.runs > 0, "no run piece fed");
+            assert!(cov.runs_on_seen_rows > 0, "no run piece on a row with seen bits");
+            // (Alg. 2 advances one phase a quorum, and jumps nowhere.)
+            assert!(
+                R::DEFERS_STORES || cov.runs_moving_twice > 0,
+                "no run piece that moved the phase twice"
+            );
+            assert!(cov.runs_deciding > 0, "no run piece that reached pend");
         }
         // Alg. 2's deferred stores (Alg. 1 has nothing pending, ever).
         if seeds >= 100 && R::DEFERS_STORES {
@@ -1148,7 +1231,7 @@ mod tests {
                             reference.receive(v, Port::new(u), &[m]);
                         }
                     }
-                    ScriptLink::Honest(..) => unreachable!(),
+                    ScriptLink::Honest(..) | ScriptLink::Run(..) => unreachable!(),
                 }
             }
             let before = probe::counts().expect("a test build counts");

@@ -86,3 +86,79 @@ fn byzantine_auto_run_stays_on_run_rows_at_16k() {
         "link plane ({bytes} B) must be ≤ 1/10 of the dense bitmap ({dense_bitmap_bytes} B)"
     );
 }
+
+/// DAC on run rows past the naive executor's sizes: every `LinkMode::Sparse`
+/// run (the run-piece walk) matches its `LinkMode::Dense` twin (the word
+/// walk) in outcome, rounds, traffic, realized degree, outputs and every
+/// node's final phase and value, at n = 1024 and a size that is not a
+/// multiple of 64, on one and two shards, with and without crashes whose
+/// Partial senders cut the runs.
+#[test]
+fn dac_run_pieces_match_the_word_walk_at_scale() {
+    use anondyn::consensus::probe;
+    let before = probe::counts();
+    for (k, n) in [1024usize, 1090].into_iter().enumerate() {
+        let params = Params::new(n, 3, 0.25).unwrap();
+        let adversaries = [
+            AdversarySpec::Rotating { d: n / 2 + 1 },
+            AdversarySpec::Staggered {
+                d: n / 2 + 1,
+                groups: 4,
+            },
+            AdversarySpec::PartitionAt { split: n / 2 + 7 },
+            AdversarySpec::IsolateOne {
+                victim: 70,
+                from: 1,
+                duration: 3,
+            },
+            AdversarySpec::EventuallyStable { round: 2 },
+        ];
+        for (a, spec) in adversaries.into_iter().enumerate() {
+            let crashed = (a + k) % 2 == 1;
+            let shards = 1 + (a + k) % 2;
+            let run = |mode: LinkMode| {
+                let mut crash = CrashSchedule::new(n);
+                if crashed {
+                    let survivors: Vec<NodeId> = (0..n).step_by(3).map(NodeId::new).collect();
+                    for (i, id) in [5usize, 64, n - 2].into_iter().enumerate() {
+                        let survivors = CrashSurvivors::Subset(survivors.clone());
+                        crash.crash(NodeId::new(id), Round::new(1 + i as u64), survivors);
+                    }
+                }
+                let mut sim = Simulation::builder(params)
+                    .inputs_random(3 + a as u64)
+                    .adversary(spec.build(n, 3, 9))
+                    .algorithm(factories::dac(params))
+                    .algorithm_plane(PlaneMode::Always)
+                    .crashes(crash)
+                    .link_mode(mode)
+                    .shards(shards)
+                    .max_rounds(40)
+                    .build();
+                assert_eq!(sim.uses_sparse_links(), mode == LinkMode::Sparse);
+                while sim.stopped().is_none() {
+                    sim.step();
+                }
+                let states: Vec<_> = NodeId::all(n)
+                    .map(|v| (sim.phase_of(v), sim.value_of(v), sim.output_of(v)))
+                    .collect();
+                let outcome = sim.finish();
+                let summary = (
+                    outcome.reason(),
+                    outcome.rounds(),
+                    outcome.traffic(),
+                    outcome.min_dyna_degree(),
+                );
+                (summary, states)
+            };
+            let what = format!("{spec}, n = {n}, crashes {crashed}, {shards} shard(s)");
+            let (sparse, dense) = (run(LinkMode::Sparse), run(LinkMode::Dense));
+            assert_eq!(sparse.0, dense.0, "{what}");
+            assert!(sparse.1 == dense.1, "{what}: node states differ");
+        }
+    }
+    // (adn-core counts only in a debug build.)
+    if let (Some(before), Some(after)) = (before, probe::counts()) {
+        assert!(after[probe::RUN_STEPS] > before[probe::RUN_STEPS], "no run piece fed");
+    }
+}
