@@ -1062,7 +1062,10 @@ mod tests {
                 "no quorum on a chunk's last link"
             );
             assert!(cov.runs > 0, "no run piece fed");
-            assert!(cov.runs_on_seen_rows > 0, "no run piece on a row with seen bits");
+            assert!(
+                cov.runs_on_seen_rows > 0,
+                "no run piece on a row with seen bits"
+            );
             // (Alg. 2 advances one phase a quorum, and jumps nowhere.)
             assert!(
                 R::DEFERS_STORES || cov.runs_moving_twice > 0,

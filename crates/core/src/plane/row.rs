@@ -247,7 +247,8 @@ impl<R: Rule> Row<'_, R> {
         while lo <= hi && self.live() {
             if self.carried {
                 let (w, end) = (lo / 64, hi.min(lo | 63));
-                let bits = index.present_word(w) & (u64::MAX << (lo % 64)) & through(end as u32 % 64);
+                let bits =
+                    index.present_word(w) & (u64::MAX << (lo % 64)) & through(end as u32 % 64);
                 #[cfg(debug_assertions)]
                 if bits != 0 {
                     probe::bump(probe::WORD_STEPS);

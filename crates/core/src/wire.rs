@@ -316,7 +316,8 @@ impl WireIndex {
                 let half = 1 << (k - 1);
                 let (below_lo, level_lo) = table_lo.split_at_mut(k * words);
                 let (below_hi, level_hi) = table_hi.split_at_mut(k * words);
-                let (below_lo, below_hi) = (&below_lo[(k - 1) * words..], &below_hi[(k - 1) * words..]);
+                let (below_lo, below_hi) =
+                    (&below_lo[(k - 1) * words..], &below_hi[(k - 1) * words..]);
                 for w in 0..=words - (1 << k) {
                     level_lo[w] = below_lo[w].min(below_lo[w + half]);
                     level_hi[w] = below_hi[w].max(below_hi[w + half]);
@@ -431,7 +432,10 @@ impl WireIndex {
             let k = extrema_levels(inner.len()) - 1;
             let level = rows + (at.same_row * levels + k) * words;
             let (a, b) = (level + inner.start, level + inner.end - (1 << k));
-            fold((&mut *min, &mut *max), (self.lo[a].min(self.lo[b]), self.hi[a].max(self.hi[b])));
+            fold(
+                (&mut *min, &mut *max),
+                (self.lo[a].min(self.lo[b]), self.hi[a].max(self.hi[b])),
+            );
         }
         for w in [lw, hw] {
             let i = at.same + w;
@@ -450,8 +454,9 @@ impl WireIndex {
     /// in `row`, a sender-id bit row.
     #[inline]
     pub(crate) fn mark_same(&self, at: WireAt, (lo, hi): (usize, usize), row: &mut [u64]) {
-        for w in lo / 64..=hi / 64 {
-            row[w] |= self.member[at.same + w] & span(w, lo, hi);
+        let words = row.iter_mut().enumerate().take(hi / 64 + 1).skip(lo / 64);
+        for (w, word) in words {
+            *word |= self.member[at.same + w] & span(w, lo, hi);
         }
     }
 

@@ -787,7 +787,10 @@ mod tests {
         assert_eq!(lp.in_degree(v), expect.len());
         let runs: Vec<_> = lp.run_row(v).unwrap().iter().collect();
         assert_eq!(runs, vec![(0, 5), (90, 99)]);
-        assert!(lp.run_row(NodeId::new(0)).is_none(), "an empty row has no runs");
+        assert!(
+            lp.run_row(NodeId::new(0)).is_none(),
+            "an empty row has no runs"
+        );
     }
 
     #[test]

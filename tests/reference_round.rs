@@ -39,7 +39,7 @@ use anondyn::adversary::AdversarySpec::{
 };
 use anondyn::adversary::AdversaryView;
 use anondyn::consensus::probe::{
-    self, COUNTERS, CUT_WORDS, QUORUM_BOUNDS, RANK_SETTLES, SENDER_SETTLES, STALE_STOPS,
+    self, COUNTERS, CUT_WORDS, QUORUM_BOUNDS, RANK_SETTLES, RUN_STEPS, SENDER_SETTLES, STALE_STOPS,
     UNINDEXED_ROUNDS, WORD_STEPS,
 };
 use anondyn::consensus::AlgorithmFactory;
@@ -830,6 +830,7 @@ fn simulation_matches_the_naive_round_executor() {
     assert!(cov.logged_stops > 0, "no logged stale stop");
     for (c, name) in [
         (WORD_STEPS, "word step"),
+        (RUN_STEPS, "run piece"),
         (CUT_WORDS, "cut word"),
         (UNINDEXED_ROUNDS, "unindexed round"),
         (STALE_STOPS, "stale stop"),

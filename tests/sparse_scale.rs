@@ -159,6 +159,9 @@ fn dac_run_pieces_match_the_word_walk_at_scale() {
     }
     // (adn-core counts only in a debug build.)
     if let (Some(before), Some(after)) = (before, probe::counts()) {
-        assert!(after[probe::RUN_STEPS] > before[probe::RUN_STEPS], "no run piece fed");
+        assert!(
+            after[probe::RUN_STEPS] > before[probe::RUN_STEPS],
+            "no run piece fed"
+        );
     }
 }
