@@ -8,7 +8,7 @@ use std::marker::PhantomData;
 use adn_graph::NodeSet;
 use adn_types::{Message, Params, Phase, Port, Value};
 
-use super::row::{Ranked, Row};
+use super::row::{Ranked, Row, HELD};
 use super::seen::{Seen, SeenRows};
 use super::{
     assert_shard_bounds, live_below, take_split, AlgorithmPlane, DacRule, DbacRule, PlaneShard,
@@ -223,6 +223,8 @@ impl<R: Rule> Cols<'_, R> {
             high: &mut self.high[v * cap..(v + 1) * cap],
             deferred: R::deferred(pending, self.ranked),
             unwritten: 0,
+            held: [(0, 0); HELD],
+            holding: 0,
             carried: *seen > 0,
         };
         walk.walk(&mut k);

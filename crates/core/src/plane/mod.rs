@@ -313,10 +313,11 @@ pub trait RowKernel {
     /// The honest links of the senders of `index` with ids `lo..=hi`, in
     /// ascending order — a piece of a run row, which holds neither the
     /// receiver nor a sender outside the index — observably the same as
-    /// [`RowKernel::word`] over the piece's words, provided no link fed in
-    /// this row so far was keyed inside the piece: a row's pieces ascend
-    /// and its other links are keyed by the ids between them, as the
-    /// engine's walk feeds them. The engine calls it only
+    /// [`RowKernel::word`] over the piece's words once the row's pieces
+    /// end ([`RowKernel::end_runs`]), provided no other link of this row
+    /// is keyed inside the piece: a row's pieces ascend and its other
+    /// links are keyed by the ids between them, as the engine's walk
+    /// feeds them. The engine calls it only
     /// on kernels that declare [`RowKernel::RUNS`], on a live receiver,
     /// and in rounds whose run sums it counted
     /// ([`WireIndex::sum_runs`]). The default takes the piece a word at a
@@ -324,6 +325,14 @@ pub trait RowKernel {
     #[inline]
     fn run(&mut self, lo: usize, hi: usize, wire: &StagedWire<'_>, index: &WireIndex) {
         run_by_words(self, lo, hi, wire, index);
+    }
+
+    /// The end of a row's run pieces, after its last piece and its last
+    /// link: a kernel that held a piece's seen bits back writes them
+    /// ([`RowKernel::run`] may). The default holds none.
+    #[inline]
+    fn end_runs(&mut self, index: &WireIndex) {
+        let _ = index;
     }
 }
 
@@ -715,6 +724,7 @@ mod tests {
                     }
                 }
             }
+            kernel.end_runs(self.index);
         }
     }
 
@@ -755,13 +765,26 @@ mod tests {
         sender_settles: u64,
         settles_onto_partial_lists: u64,
         /// Run pieces: fed at all, fed to a receiver holding seen bits
-        /// (carried from an earlier round, or an earlier link), that moved
-        /// the phase, that moved it more than once, and that reached `pend`.
+        /// (carried from an earlier round, or an earlier link), and bits
+        /// carried from an earlier round in the phase it still holds;
+        /// with both end words partly covered; that moved the phase, that
+        /// moved it more than once, that reached `pend`, and that reached
+        /// it with senders left behind.
         runs: u64,
         runs_on_seen_rows: u64,
+        runs_on_carried_rows: u64,
+        runs_with_partial_ends: u64,
         runs_moving: u64,
         runs_moving_twice: u64,
         runs_deciding: u64,
+        runs_deciding_mid_piece: u64,
+        /// Run rows whose range holds the receiver with ids on both sides.
+        run_rows_around_receiver: u64,
+        /// Pieces in which a sender ahead came before, right behind, and
+        /// anywhere behind the first quorum-completing link.
+        runs_ahead_then_quorum: u64,
+        runs_ahead_at_quorum: u64,
+        runs_quorum_then_ahead: u64,
     }
 
     /// Receiver `v`'s row of one round on the kernel side: the shard that
@@ -811,7 +834,10 @@ mod tests {
     /// [`RowKernel::word`]: full words, sparse and single-bit masks, one
     /// word in several chunks and in any order, between the per-link
     /// entries. Sparse rounds leave the seen row dirty for the next round
-    /// of the same phase.
+    /// of the same phase. A third of the rows are run rows instead, fed
+    /// through [`RowKernel::run`] in pieces. (Alg. 1's `foreign_quorum`
+    /// is 0 only at `n = 1`, where a row has no sender but the receiver,
+    /// so no run piece meets it.)
     fn fuzz_kernel_against_receive<R: Rule>() -> Coverage {
         let seeds = std::env::var("ADN_FUZZ_SEEDS")
             .ok()
@@ -858,8 +884,8 @@ mod tests {
                 // Half the rounds scatter the senders over the four phases
                 // at and below a maximum around the receiver's; the other
                 // half put them in the receiver's phase but for a few (or
-                // every other) two ahead, so that quorums form with jumps
-                // before and behind them.
+                // every other, or nearly all) two ahead, so that quorums
+                // form with jumps before and behind them.
                 let scattered = rng.next_bool(0.5);
                 let max_wire = match scattered {
                     true => (p + rng.next_below(4)).saturating_sub(1),
@@ -872,7 +898,7 @@ mod tests {
                     })
                     .map(Phase::new)
                     .collect();
-                for _ in 0..[0, 1, 3, n][rng.next_index(4)] {
+                for _ in 0..[0, 1, 3, n, 3 * n][rng.next_index(5)] {
                     wire_phase[rng.next_index(n)] = Phase::new(max_wire);
                 }
                 let wire_value: Vec<Value> = (0..n).map(|_| value(&mut rng)).collect();
@@ -913,13 +939,18 @@ mod tests {
                     })
                     .collect();
                 // A third of the rows are run rows, as the engine walks
-                // them: one id range, ascending, cut at the receiver and
-                // at up to three conditional senders, each fabricating a
+                // them: one id range — random, or most of the ids, long
+                // enough for a quorum — ascending, cut at the receiver and
+                // at up to five conditional senders, each fabricating a
                 // batch under its own id between the pieces around it.
                 if rng.next_bool(0.35) {
                     let (a, b) = (rng.next_index(n), rng.next_index(n));
-                    let (start, end) = (a.min(b), a.max(b));
-                    let mut cuts: Vec<usize> = (0..rng.next_index(4))
+                    let (start, end) = match rng.next_bool(0.5) {
+                        true => (a.min(b), a.max(b)),
+                        false => (a / 8, n - 1 - b / 8),
+                    };
+                    cov.run_rows_around_receiver += u64::from(start < v && v < end);
+                    let mut cuts: Vec<usize> = (0..rng.next_index(6))
                         .map(|_| rng.next_index(n))
                         .chain([v])
                         .filter(|c| (start..=end).contains(c))
@@ -950,6 +981,9 @@ mod tests {
                 // Links of this row's chunks that a deferring kernel
                 // holds pending.
                 let mut pending = 0u64;
+                // The seen bits the row enters the round with, kept until
+                // its phase moves.
+                let (entered, carried) = (reference.phases()[v], reference.seen.count(v) > 0);
                 let chunk_of = |link: Option<&ScriptLink>| match link {
                     Some(ScriptLink::Word(w, bits)) if *bits != 0 => Some(*w),
                     _ => None,
@@ -976,17 +1010,44 @@ mod tests {
                             cov.runs += u64::from(live);
                             let seen = reference.seen.count(v) > 0;
                             cov.runs_on_seen_rows += u64::from(live && seen);
-                            let mut moves = 0;
-                            for u in ids {
+                            let kept = carried && before == entered;
+                            cov.runs_on_carried_rows += u64::from(live && kept);
+                            let partial = lo % 64 != 0 && hi % 64 != 63;
+                            cov.runs_with_partial_ends += u64::from(live && partial);
+                            // Per link, by position in the piece: did it
+                            // complete a quorum, was its sender ahead, did
+                            // it reach `pend`?
+                            let (mut moves, mut quorums, mut aheads) = (0, vec![], vec![]);
+                            let mut decided_at = None;
+                            for (i, &u) in ids.iter().enumerate() {
                                 let at = reference.phases()[v];
                                 let m = Message::new(wire_value[u], wire_phase[u]);
                                 reference.receive(v, Port::new(u), &[m]);
-                                moves += u64::from(reference.phases()[v] > at);
+                                let now = reference.phases()[v];
+                                moves += u64::from(now > at);
+                                if now > at && at.as_u64() < pend {
+                                    match m.phase() == at {
+                                        true => quorums.push(i),
+                                        false => aheads.push(i),
+                                    }
+                                }
+                                if at.as_u64() < pend && now.as_u64() >= pend {
+                                    decided_at.get_or_insert(i);
+                                }
                             }
                             cov.runs_moving += u64::from(moves > 0);
                             cov.runs_moving_twice += u64::from(moves > 1);
                             let now = reference.phases()[v].as_u64();
                             cov.runs_deciding += u64::from(live && now >= pend);
+                            let mid = decided_at.is_some_and(|i| i + 1 < ids.len());
+                            cov.runs_deciding_mid_piece += u64::from(live && mid);
+                            if let Some(&q) = quorums.first() {
+                                let ahead =
+                                    |f: &dyn Fn(usize) -> bool| aheads.iter().any(|&a| f(a));
+                                cov.runs_ahead_then_quorum += u64::from(ahead(&|a| a < q));
+                                cov.runs_ahead_at_quorum += u64::from(ahead(&|a| a == q + 1));
+                                cov.runs_quorum_then_ahead += u64::from(ahead(&|a| a > q));
+                            }
                         }
                         ScriptLink::Word(w, bits) => {
                             let decided = before.as_u64() >= pend;
@@ -1072,6 +1133,22 @@ mod tests {
                 "no run piece that moved the phase twice"
             );
             assert!(cov.runs_deciding > 0, "no run piece that reached pend");
+            assert!(
+                cov.runs_deciding_mid_piece > 0,
+                "no run piece that reached pend with senders left"
+            );
+            assert!(
+                cov.runs_on_carried_rows > 0,
+                "no run piece on seen bits carried from an earlier round"
+            );
+            assert!(
+                cov.runs_with_partial_ends > 0,
+                "no run piece with both end words partly covered"
+            );
+            assert!(
+                cov.run_rows_around_receiver > 0,
+                "no run row cut at the receiver"
+            );
         }
         // Alg. 2's deferred stores (Alg. 1 has nothing pending, ever).
         if seeds >= 100 && R::DEFERS_STORES {
@@ -1129,6 +1206,18 @@ mod tests {
             assert!(cov.ahead_then_quorum > 0, "no jump before a quorum");
             assert!(cov.ahead_at_quorum > 0, "no jump right behind a quorum");
             assert!(cov.quorum_then_ahead > 0, "no jump behind a quorum");
+            assert!(
+                cov.runs_ahead_then_quorum > 0,
+                "no jump before a quorum in a run piece"
+            );
+            assert!(
+                cov.runs_ahead_at_quorum > 0,
+                "no jump right behind a quorum in a run piece"
+            );
+            assert!(
+                cov.runs_quorum_then_ahead > 0,
+                "no jump behind a quorum in a run piece"
+            );
         }
     }
 

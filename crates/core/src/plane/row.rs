@@ -19,14 +19,19 @@
 //! them — through [`RowKernel::run`], answered from the wire index's run
 //! sums: the first sender ahead, the number of same-phase senders before
 //! it and the one that completes the quorum, and their value extrema, in
-//! `O(log n)` whatever the piece's length. Two facts keep it exact. A
-//! stretch that an event ends moves the phase, whose `RESET()` empties
-//! the seen row, so a piece's seen bits are written only for the stretch
-//! the piece ends in, and a `RESET()` of a row with no bit written skips
-//! its `fill(0)` (`Row::unwritten`). And within a round this row's bits
-//! lie behind the piece, so only bits carried from an earlier round can
-//! fall inside one: until the phase first moves, such a row takes its
-//! pieces by word steps (`Row::carried`).
+//! `O(log n)` whatever the piece's length. Two facts keep it exact.
+//! First, within a round this row's other links are keyed outside its
+//! pieces, so only bits carried from an earlier round can fall inside
+//! one: every same-phase sender of a piece is new to a row that carries
+//! none, and until the phase first moves a row that does takes its
+//! pieces by word steps (`Row::carried`). Second, a stretch that an event
+//! ends moves the phase, whose `RESET()` empties the seen row, so seen
+//! bits are needed only for what the phase still holds when the row's
+//! pieces end: a piece's last stretch is held back as an id range
+//! (`Row::held`) and written then ([`RowKernel::end_runs`]) unless the
+//! phase has moved, and a `RESET()` of a row with no bit written skips
+//! its `fill(0)` (`Row::unwritten`). On `Rotating`, where every receiver
+//! completes its quorum in the round, no seen bit is written at all.
 //!
 //! **Count now, store later.** Alg. 2 reads `R_low` / `R_high` once per
 //! phase, at the quorum, and until then they are the `f + 1` least /
@@ -64,6 +69,11 @@ use super::{run_by_words, DbacRule, RowKernel, Rule, StagedWire};
 use crate::wire::{self, Ranks};
 use crate::{probe, trim, WireIndex};
 
+/// How many stretches a run step holds back at most: a run row's pieces
+/// when no conditional sender cuts it — its runs, one of them cut at the
+/// receiver. More pieces write the held ones out early.
+pub(super) const HELD: usize = adn_graph::MAX_RUNS_PER_ROW + 1;
+
 /// One round's wire values with the index built over them and its rank
 /// order.
 #[derive(Debug, Clone, Copy)]
@@ -100,6 +110,11 @@ pub(super) struct Row<'a, R: sealed::Sealed> {
     /// not written (see "Run pieces" in [the module docs](self)): the
     /// seen row holds a bit only while `seen` exceeds them.
     pub(super) unwritten: u32,
+    /// The stretches `lo..=hi` of this phase whose seen bits a run step
+    /// holds back, in `held[..holding]`: written when the row's pieces
+    /// end in this phase ([`RowKernel::end_runs`]), dropped by `RESET()`.
+    pub(super) held: [(u32, u32); HELD],
+    pub(super) holding: usize,
     /// Whether the seen row may hold bits from an earlier round, ahead of
     /// where the row's walk is: true from the row's start while it has
     /// counted anything, false from its first `RESET()` on.
@@ -127,7 +142,7 @@ impl<R: Rule> Row<'_, R> {
         if self.seen > self.unwritten {
             self.seen_row.fill(0);
         }
-        (self.unwritten, self.carried) = (0, false);
+        (self.unwritten, self.holding, self.carried) = (0, 0, false);
         self.seen = 0;
         if Self::EXTREMA {
             (self.lo, self.hi) = (self.value, self.value);
@@ -236,11 +251,13 @@ impl<R: Rule> Row<'_, R> {
     /// first event moves the phase, and the rest of the piece is looked at
     /// again from behind the link that moved it. A same-phase stretch that
     /// a jump ends is neither folded nor written: the jump's `RESET()`
-    /// would undo both. One that ends the piece is folded and its seen
-    /// bits written; one that a quorum ends is folded and counted but not
-    /// written, and the `RESET()` behind it skips its `fill(0)` if nothing
-    /// else was. While the seen row may still hold bits of an earlier
-    /// round ahead (`carried`), the piece goes by word steps.
+    /// would undo both. One that ends the piece is folded and counted and
+    /// its seen bits held back (`held`, written at [`RowKernel::end_runs`]
+    /// if the phase has not moved by then); one that a quorum ends is
+    /// folded and counted but never written, and the `RESET()` behind it
+    /// skips its `fill(0)` if nothing else was. While the seen row may
+    /// still hold bits of an earlier round ahead (`carried`), the piece
+    /// goes by word steps.
     #[inline]
     fn run_step(&mut self, mut lo: usize, hi: usize, wire: &StagedWire<'_>, index: &WireIndex) {
         debug_assert!(R::JUMPS && Self::EXTREMA);
@@ -264,7 +281,7 @@ impl<R: Rule> Row<'_, R> {
             if let Some(q) = quorum {
                 index.fold_same(at, (lo, q), wire.value, (&mut self.lo, &mut self.hi));
                 self.seen += need;
-                self.unwritten = need;
+                self.unwritten += need;
                 // Live, so below `pend`: the phase moves, and `RESET()`
                 // forgets the unwritten bits.
                 self.try_advance();
@@ -275,12 +292,28 @@ impl<R: Rule> Row<'_, R> {
             } else {
                 if count > 0 {
                     index.fold_same(at, (lo, hi), wire.value, (&mut self.lo, &mut self.hi));
-                    index.mark_same(at, (lo, hi), self.seen_row);
+                    if self.holding == HELD {
+                        self.write_held(index);
+                    }
+                    self.held[self.holding] = (lo as u32, hi as u32);
+                    self.holding += 1;
                     self.seen += count;
+                    self.unwritten += count;
                 }
                 return;
             }
         }
+    }
+
+    /// Writes the held stretches' seen bits: the phase has not moved
+    /// since they were counted, so the index locates the same phase.
+    #[inline]
+    fn write_held(&mut self, index: &WireIndex) {
+        let at = index.locate(self.phase);
+        for &(lo, hi) in &self.held[..self.holding] {
+            index.mark_same(at, (lo as usize, hi as usize), self.seen_row);
+        }
+        (self.unwritten, self.holding) = (0, 0);
     }
 }
 
@@ -562,6 +595,13 @@ impl<R: Rule> RowKernel for Row<'_, R> {
         match R::DEFERS_STORES {
             false => self.run_step(lo, hi, wire, index),
             true => run_by_words(self, lo, hi, wire, index),
+        }
+    }
+
+    #[inline]
+    fn end_runs(&mut self, index: &WireIndex) {
+        if self.holding > 0 {
+            self.write_held(index);
         }
     }
 }

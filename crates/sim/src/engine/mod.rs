@@ -507,6 +507,7 @@ impl Simulation {
             return;
         }
         let t = self.round;
+        self.observer.reserve_traces(self.max_rounds);
         self.classify(t);
         self.fill_links(t);
         self.order_senders(t);
@@ -893,7 +894,7 @@ impl Simulation {
                 (lo.min(p), hi.max(p))
             });
         let decided = self.decided();
-        let trace = RoundTrace {
+        self.observer.record_trace(RoundTrace {
             round: t,
             range,
             min_phase: if ff.is_empty() {
@@ -903,8 +904,7 @@ impl Simulation {
             },
             max_phase,
             decided,
-        };
-        self.observer.record_trace(trace, self.max_rounds);
+        });
 
         self.round = t.next();
         self.check_stop_after(range, decided);

@@ -47,10 +47,14 @@
 //! links a run piece at a time instead ([`walk_runs`]): each merged run
 //! of the row, cut at the receiver's own id and at every conditional
 //! sender, which is delivered on its own in between, each piece answered
-//! from the round's run sums in `O(log n)`. The word walk stays for DBAC,
-//! boxed kernels, dense rows, the permuted orders, rounds with more than
-//! `MAX_WIRE_PHASES` phases and rounds where a Present sender is no
-//! deliverer.
+//! from the round's run sums in `O(log n)`; after the row's last piece and
+//! link, `RowKernel::end_runs` lets the kernel write the seen bits it held
+//! back. A piece's cost does not depend on its length, so a DAC round on
+//! run rows costs `O(runs · log n)` per receiver where the word walk cost
+//! `O(n / 64)`. The word walk stays for DBAC (its counting step keeps
+//! word-wise pending rows), boxed kernels, dense rows, the permuted
+//! orders, rounds with more than `MAX_WIRE_PHASES` phases and rounds
+//! where a Present sender is no deliverer.
 //!
 //! **The stale-link stop.** A columnar receiver that has decided, or has
 //! passed the round's maximum wire phase, ignores every further honest
@@ -391,7 +395,7 @@ impl<L: LinkRows> RowWalk for ReceiverWalk<'_, '_, L> {
 /// which is delivered on its own in between — and each piece between the
 /// cuts fed to the kernel ([`RowKernel::run`]) while it is live. A stale
 /// receiver's pieces are passed over; its conditional senders are still
-/// delivered where they stand.
+/// delivered where they stand. The kernel's `end_runs` closes the row.
 #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #[inline(always)]
 fn walk_runs<L: LinkRows, K: RowKernel>(
@@ -447,6 +451,7 @@ fn walk_runs<L: LinkRows, K: RowKernel>(
             from = cut + 1;
         }
     }
+    kernel.end_runs(index);
 }
 
 /// The one delivery routine, for receivers `lo..hi` (the whole plane, or
