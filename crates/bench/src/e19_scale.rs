@@ -28,9 +28,11 @@
 //! first-touches the plane's n² seen-row bits, and on two shards those
 //! page faults contend — it runs ≈ 1.8–2× *slower* than on one (n = 65536
 //! rotating: 985 → 2050 ms on the 2-vCPU reference box) — while every
-//! later round is the O(n·D) receiver-major walk that two shards split:
-//! ≈ 1.8–1.9× faster from n = 16384 up, level at n = 4096 where a round
-//! is 1–3 ms and the two thread spawns are a visible share of it. A
+//! later round is the receiver-major walk that two shards split:
+//! ≈ 1.8–1.9× faster from n = 16384 up while it stepped words, ≈ 1.2–1.4×
+//! at n = 16384 since DAC takes run rows a run piece at a time and a round
+//! is a few ms, level at n = 4096 where the two thread spawns are a
+//! visible share of a round. A
 //! whole-run wall clock over a handful of rounds mostly reports the first
 //! effect; `steady ms/round` (the median over rounds ≥ 1) and its
 //! one-shard/two-shard ratio are the numbers to read. The ratio is ≈ 1.0
@@ -172,10 +174,11 @@ pub fn run_at(n: usize) -> String {
          twins: delivery is receiver-range partitioned and merged in\n\
          input order, so the clock columns are the only ones allowed to\n\
          move. `steady ms/round` is the median over rounds >= 1 and\n\
-         `steady speedup` the one-shard/two-shard ratio of it (~1.8x from\n\
-         n = 16384 up on two cores, ~1.0x on one); the first round pays\n\
-         the first-touch page faults of the n^2 seen-row bits, which two\n\
-         shards make slower, not faster."
+         `steady speedup` the one-shard/two-shard ratio of it (~1.2-1.4x\n\
+         at n = 16384 on two cores, where a round is a few ms, ~1.0x on\n\
+         one); the first round pays the first-touch page faults of the\n\
+         seen-row bits it writes (none under rotating, whose receivers\n\
+         complete a quorum every round), which two shards make slower."
     )
     .unwrap();
     out

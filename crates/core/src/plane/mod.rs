@@ -1042,11 +1042,12 @@ mod tests {
                             let mid = decided_at.is_some_and(|i| i + 1 < ids.len());
                             cov.runs_deciding_mid_piece += u64::from(live && mid);
                             if let Some(&q) = quorums.first() {
-                                let ahead =
-                                    |f: &dyn Fn(usize) -> bool| aheads.iter().any(|&a| f(a));
-                                cov.runs_ahead_then_quorum += u64::from(ahead(&|a| a < q));
-                                cov.runs_ahead_at_quorum += u64::from(ahead(&|a| a == q + 1));
-                                cov.runs_quorum_then_ahead += u64::from(ahead(&|a| a > q));
+                                let ahead = |f: fn(usize, usize) -> bool| {
+                                    u64::from(aheads.iter().any(|&a| f(a, q)))
+                                };
+                                cov.runs_ahead_then_quorum += ahead(|a, q| a < q);
+                                cov.runs_ahead_at_quorum += ahead(|a, q| a == q + 1);
+                                cov.runs_quorum_then_ahead += ahead(|a, q| a > q);
                             }
                         }
                         ScriptLink::Word(w, bits) => {

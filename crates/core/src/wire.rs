@@ -44,7 +44,7 @@
 //! Present senders, its senders in one phase and its first sender ahead
 //! are then two prefix reads each, the `k`-th of them a binary search
 //! over the prefix and a bit select, whatever the range's length
-//! ([`Summed`]); the extrema of a phase's wire values over a range of
+//! (`Summed`); the extrema of a phase's wire values over a range of
 //! whole words are two reads of a sparse table of word extrema (level `k`
 //! over `2^k` words), and a partly covered end word is folded as
 //! [`WireIndex::extrema_of`] folds it.
@@ -246,7 +246,7 @@ impl WireIndex {
     /// `deliverers` in id ranges: the Present set's prefix popcount
     /// ([`WireIndex::present_in`]) and, with `phases` — on an index just
     /// built over `present` — every phase's and every rank's
-    /// ([`Summed`]). Returns `false`, counting nothing, when a Present
+    /// (`Summed`). Returns `false`, counting nothing, when a Present
     /// sender is not a deliverer: a range of the row would then hold fewer
     /// Present links than the index has senders in it. Grows the run sums
     /// behind `from` in the first round that counts them; allocates nothing

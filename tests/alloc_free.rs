@@ -635,7 +635,7 @@ fn steady_state_step_performs_zero_allocations() {
     // defaults leave it, with no `record_schedule` call, the same
     // `Rotating` run records nothing and asks for no byte at all over
     // rounds 3-20 (its round-trace vector reserved its room at its first
-    // push), while its meter reads the degree the recorded run's schedule
+    // step), while its meter reads the degree the recorded run's schedule
     // gives the checker. ---
     let n: usize = 1024;
     let rows = n * n.div_ceil(64) * 8;
