@@ -347,9 +347,7 @@ fn run_by_words<K: RowKernel + ?Sized>(
     index: &WireIndex,
 ) {
     for w in lo / 64..=hi / 64 {
-        let from = if w == lo / 64 { lo % 64 } else { 0 };
-        let to = if w == hi / 64 { hi % 64 } else { 63 };
-        let bits = index.present_word(w) & (u64::MAX << from) & (u64::MAX >> (63 - to));
+        let bits = index.present_word(w) & crate::wire::span(w, lo, hi);
         if bits != 0 && kernel.live() {
             kernel.word(w, bits, wire, index);
         }

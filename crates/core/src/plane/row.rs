@@ -263,15 +263,14 @@ impl<R: Rule> Row<'_, R> {
         debug_assert!(R::JUMPS && Self::EXTREMA);
         while lo <= hi && self.live() {
             if self.carried {
-                let (w, end) = (lo / 64, hi.min(lo | 63));
-                let bits =
-                    index.present_word(w) & (u64::MAX << (lo % 64)) & through(end as u32 % 64);
+                let w = lo / 64;
+                let bits = index.present_word(w) & wire::span(w, lo, hi);
                 #[cfg(debug_assertions)]
                 if bits != 0 {
                     probe::bump(probe::WORD_STEPS);
                 }
                 self.word_step(w, bits, wire, index);
-                lo = end + 1;
+                lo = (lo | 63) + 1;
                 continue;
             }
             let at = index.locate(self.phase);

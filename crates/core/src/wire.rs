@@ -672,7 +672,7 @@ fn prefix(words: &[u64], prefix: &mut [u64]) {
 
 /// The bits of word `w` whose ids lie in `lo..=hi`.
 #[inline]
-fn span(w: usize, lo: usize, hi: usize) -> u64 {
+pub(crate) fn span(w: usize, lo: usize, hi: usize) -> u64 {
     let mut mask = u64::MAX;
     if w == lo / 64 {
         mask &= u64::MAX << (lo % 64);
